@@ -1,0 +1,98 @@
+"""Golden digests of every command on every corpus file.
+
+For each workspace under `workspaces/` and each CLI command, one invocation
+runs with the targets the file offers: the command's default targets, or,
+for commands that take ':'-joined targets, every combination the file's
+sections allow.  The exit code and the SHA-256 of stdout are compared with
+`golden_digests.json`, so any change to a report's bytes shows here by
+command and file.  After a deliberate output change, regenerate the table
+with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and say in the change log which digests moved and why.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import pathlib
+import sys
+
+import pytest
+
+from triadica.cli import COMMANDS, main
+from triadica.errors import TriadicaError
+from triadica.workspace import load_workspace
+
+HERE = pathlib.Path(__file__).parent
+WORKSPACES = HERE / "workspaces"
+DIGESTS = HERE / "golden_digests.json"
+CORPUS = sorted(p.name for p in WORKSPACES.glob("*.json"))
+
+
+def _pair_targets(command: str, doc) -> list[str]:
+    """Every ':'-joined target the document offers for a pair command."""
+    if command == "pushforward":
+        return [f"{f}:{t}" for f in sorted(doc.maps) for t in sorted(doc.triads)]
+    if command in ("compose", "uniqueness"):
+        return [f"{a}:{b}" for a in sorted(doc.morphisms)
+                for b in sorted(doc.morphisms)]
+    if command == "constant-morphism":
+        return [f"{s}:{t}:{c}" for s in sorted(doc.triads)
+                for t, triad in sorted(doc.triads.items())
+                for c in range(triad.space.point_count)]
+    if command == "fullness":
+        return [f"{x}:{y}" for x in sorted(doc.spaces) for y in sorted(doc.spaces)]
+    return []
+
+
+def invocation(command: str, name: str) -> list[str]:
+    argv = [command, "--workspace", str(WORKSPACES / name)]
+    try:
+        doc = load_workspace(str(WORKSPACES / name))
+    except TriadicaError:  # unparsable files run with no targets at all
+        return argv
+    for target in _pair_targets(command, doc):
+        argv += ["--target", target]
+    if command == "recover-map":
+        argv.append("--exploratory")
+    return argv
+
+
+def digest(command: str, name: str) -> dict:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(invocation(command, name))
+    return {"exit": code,
+            "stdout_sha256": hashlib.sha256(out.getvalue().encode()).hexdigest()}
+
+
+def key(command: str, name: str) -> str:
+    return f"{command} {name}"
+
+
+CASES = [(c, n) for n in CORPUS for c in COMMANDS]
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(DIGESTS.read_text())
+
+
+def test_golden_table_covers_the_corpus(golden):
+    assert sorted(golden) == sorted(key(c, n) for c, n in CASES)
+
+
+@pytest.mark.parametrize("command,name", CASES,
+                         ids=[key(c, n) for c, n in CASES])
+def test_golden_digest(golden, command, name):
+    assert digest(command, name) == golden[key(command, name)]
+
+
+if __name__ == "__main__":
+    table = {key(c, n): digest(c, n) for c, n in CASES}
+    DIGESTS.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
+    sys.stdout.write(f"wrote {len(table)} digests to {DIGESTS}\n")
