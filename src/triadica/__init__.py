@@ -13,9 +13,10 @@ from .exactla import Matrix, Subspace, kernel, rat, span, vec
 from .finspace import (ContinuousMap, FiniteSpace, check_topology,
                        discrete_space, indiscrete_space, sierpinski_space,
                        space_from_opens)
-from .algebra import (Algebra, Character, NotSplitError, algebra_from_struct,
-                      characters, function_algebra, poly_quotient_algebra,
-                      tensor_product, truncated_poly_algebra, validate_algebra)
+from .algebra import (Algebra, Character, InvalidAlgebraError, NotSplitError,
+                      algebra_from_struct, characters, function_algebra,
+                      poly_quotient_algebra, tensor_product,
+                      truncated_poly_algebra, validate_algebra)
 from .sheaf import (AlgebraPresheaf, ModulePresheaf, ModuleSections,
                     PresheafMorphism, check_sheaf_condition, constant_presheaf,
                     function_presheaf, make_algebra_presheaf, pushforward,
@@ -33,7 +34,7 @@ from .dtcat import (BoundExceeded, TriadMorphism, algebra_component_uniqueness,
                     verify_pullback_forced)
 from .workspace import (ParseError, UnresolvedReference, WorkspaceDocument,
                         load_workspace, parse_workspace)
-from .errors import DimensionMismatchError, TriadicaError
+from .errors import DimensionMismatchError, InvariantError, TriadicaError
 from .report import Finding, Report
 
 __version__ = "0.1.0"
@@ -41,7 +42,8 @@ __version__ = "0.1.0"
 __all__ = [
     "Algebra", "AlgebraPresheaf", "BoundExceeded", "Character",
     "ContinuousMap", "DifferentialTriad", "DimensionMismatchError",
-    "Finding", "FiniteSpace", "FunctionalTriad", "KaehlerModule", "Matrix",
+    "Finding", "FiniteSpace", "FunctionalTriad", "InvalidAlgebraError",
+    "InvariantError", "KaehlerModule", "Matrix",
     "ModulePresheaf", "ModuleSections", "NotFunctional", "NotSplitError",
     "ParseError", "PresheafMorphism", "Report", "Subspace", "TriadMorphism",
     "TriadicaError", "UnresolvedReference", "WorkspaceDocument",

@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import product as iter_product
 from math import lcm
 
-from .errors import DimensionMismatchError, TriadicaError
+from .errors import DimensionMismatchError, InvariantError, TriadicaError
 from .exactla import (ONE, ZERO, Matrix, Subspace, Vector, full_space, kernel,
                       rat, span, vec)
 from .report import Finding, Report
@@ -34,6 +34,15 @@ class NotSplitError(TriadicaError):
             f"only {found} rational characters found but the semisimple "
             f"quotient has dimension {semisimple_dim}; the algebra does not "
             f"split over Q")
+
+
+class InvalidAlgebraError(TriadicaError):
+    """The structure constants break an axiom the operation relies on."""
+
+    def __init__(self, finding: Finding):
+        self.finding = finding
+        super().__init__(f"not a valid algebra: {finding.location}: "
+                         f"{finding.message}")
 
 
 @dataclass(frozen=True)
@@ -111,6 +120,13 @@ def validate_algebra(a: Algebra) -> Report:
     if n == 0:
         findings.append(Finding("info", "algebra", "degenerate zero algebra (unit = 0)", None))
     return Report("validate_algebra", tuple(findings))
+
+
+def require_valid_algebra(a: Algebra) -> None:
+    """Raise InvalidAlgebraError carrying the first validate_algebra error."""
+    errors = validate_algebra(a).errors()
+    if errors:
+        raise InvalidAlgebraError(errors[0])
 
 
 def function_algebra(k: int) -> Algebra:
@@ -356,8 +372,10 @@ def characters(a: Algebra) -> list[Character]:
     The search refines the dual space by rational eigenvalues of the
     transposed multiplication operators; each surviving line is a candidate
     which is then verified directly.  Completeness is certified against the
-    dimension of the semisimple quotient (dim A - dim nilradical).
+    dimension of the semisimple quotient (dim A - dim nilradical).  Raises
+    InvalidAlgebraError when the algebra fails validation.
     """
+    require_valid_algebra(a)
     n = a.dim
     if n == 0:
         return []
@@ -377,7 +395,9 @@ def characters(a: Algebra) -> list[Character]:
             for b in basis:
                 image = op.transpose().apply(b)  # row functional composed with op
                 coords = sub.coordinates(image)
-                assert coords is not None, "multiplication operators must preserve the piece"
+                if coords is None:
+                    raise InvariantError(
+                        "multiplication operators must preserve the piece")
                 rep_rows.append(coords)
             rep = Matrix.from_rows(rep_rows, cols=k).transpose()
             for root in _rational_roots(_char_poly(rep)):

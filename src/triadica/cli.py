@@ -507,6 +507,13 @@ def main(argv=None) -> int:
     except (ParseError, UnresolvedReference, DimensionMismatchError) as exc:
         print(f"triadica: {exc}", file=sys.stderr)
         return 2
+    except (ValueError, RecursionError) as exc:
+        # the JSON reader raises these for integer literals past the
+        # interpreter's digit limit, deep nesting and undecodable bytes
+        first_line = str(exc).partition("\n")[0]
+        print(f"triadica: cannot load workspace: {type(exc).__name__}: "
+              f"{first_line}", file=sys.stderr)
+        return 2
     try:
         code, text = run(doc, args)
     except UsageError as exc:

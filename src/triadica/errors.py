@@ -7,3 +7,8 @@ class TriadicaError(Exception):
 
 class DimensionMismatchError(TriadicaError):
     """A matrix or tensor has a shape inconsistent with its declared context."""
+
+
+class InvariantError(TriadicaError):
+    """An internal consistency check failed: a bug, or input that slipped
+    past the validators."""

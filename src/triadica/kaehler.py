@@ -1,7 +1,18 @@
 """Universal differential modules for finite-dimensional rational algebras.
 
-The module of an algebra A is built from the multiplication kernel I inside
-A (x) A: the module is I / I^2, the operator sends x to the class of
+The module of differentials of an algebra A with basis e_0..e_{n-1} is
+built from its Leibniz presentation (Matsumura, Commutative Ring Theory,
+section 25; Eisenbud, Commutative Algebra, section 16.1): the free A-module
+F on de_0..de_{n-1} divided by the A-span R of
+d(e_i e_j) - e_i de_j - e_j de_i.  F is indexed with e_l de_k at l*n + k,
+the same indexing as e_l (x) e_k in A (x) A, so the isomorphism
+I / I^2 -> F / R, a (x) b -> a db, from the multiplication kernel I is the
+identity on coordinates.
+
+The module basis is the one the I / I^2 description singles out: the
+classes of the ideal's echelon basis vectors b_t whose index t is not a
+pivot of I^2, which are exactly the b_t whose image is independent of the
+images of b_{t+1}, b_{t+2}, ....  The operator sends x to the class of
 x (x) 1 - 1 (x) x, and A acts through multiplication by x (x) 1.  Every
 derivation out of A factors through this operator by a unique module map;
 `factor_derivation` computes that map by exact linear solving and reports
@@ -14,11 +25,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Algebra, multiplication_map, tensor_product
-from .errors import DimensionMismatchError, TriadicaError
-from .exactla import (ONE, ZERO, Matrix, Quotient, Subspace, full_space,
-                      kernel, product_subspace, quotient_space, solve, span,
-                      vec_scale)
+from .algebra import Algebra, multiplication_map, require_valid_algebra
+from .errors import DimensionMismatchError, InvariantError, TriadicaError
+from .exactla import (ONE, ZERO, Matrix, Subspace, full_space, kernel, rref,
+                      solve)
 from .report import Finding
 from .sheaf import (AlgebraPresheaf, ModulePresheaf, ModuleSections,
                     Sheafification, sheafify, sheafify_module)
@@ -39,19 +49,17 @@ class FactorizationFailed(TriadicaError):
 
 @dataclass(frozen=True)
 class KaehlerModule:
-    """Universal differential module of an algebra, with its build data.
+    """Universal differential module of an algebra, with its multiplication
+    kernel.
 
-    `ideal` is the multiplication kernel in tensor coordinates and
-    `quotient` maps ideal coordinates onto module coordinates; both are kept
-    so tests and callers can trace module elements back to tensors.
+    `ideal` is the multiplication kernel in tensor coordinates; module basis
+    vector k is the class of one of its echelon basis vectors.
     """
 
     algebra: Algebra
     module: ModuleSections
     differential: Matrix
     ideal: Subspace
-    ideal_square: Subspace
-    quotient: Quotient
 
 
 def _basis_vec(n: int, i: int):
@@ -59,53 +67,92 @@ def _basis_vec(n: int, i: int):
 
 
 def kaehler_module(a: Algebra) -> KaehlerModule:
+    """The module of differentials of `a` and its universal operator.
+
+    Raises InvalidAlgebraError when `a` fails validation: the presentation
+    relies on a commutative, associative algebra with a two-sided unit.
+    """
+    require_valid_algebra(a)
     n = a.dim
-    t = tensor_product(a, a)
+    nn = n * n
     ideal = kernel(multiplication_map(a))
-    square = product_subspace(ideal, ideal, t.algebra.struct)
-    square_in_ideal = span(ideal.dim, [ideal.coordinates(b) for b in square.basis])
-    quot = quotient_space(ideal.dim, square_in_ideal)
-    omega_dim = quot.quotient_dim
 
-    def left_tensor(i: int):
-        # e_i (x) 1 in tensor coordinates
-        out = [ZERO] * (n * n)
-        for j, uj in enumerate(a.unit):
-            if uj != 0:
-                out[i * n + j] += uj
-        return tuple(out)
+    relations = []
+    for m in range(n):
+        for i in range(n):
+            for j in range(i, n):
+                # e_m (d(e_i e_j) - e_i de_j - e_j de_i)
+                row = [ZERO] * nn
+                for k, c in enumerate(a.struct[i][j]):
+                    if c:
+                        row[m * n + k] += c
+                for p, c in enumerate(a.struct[m][i]):
+                    if c:
+                        row[p * n + j] -= c
+                for p, c in enumerate(a.struct[m][j]):
+                    if c:
+                        row[p * n + i] -= c
+                if any(row):
+                    relations.append(row)
+    reduced, pivots = rref(relations, nn)
+    pivot_set = set(pivots)
+    free = [f for f in range(nn) if f not in pivot_set]
+    omega = len(free)
 
-    cols = []
-    for i in range(n):
-        diff = list(left_tensor(i))
-        for j, uj in enumerate(a.unit):
-            if uj != 0:
-                diff[j * n + i] -= uj
-        coords = ideal.coordinates(diff)
-        assert coords is not None, "x(x)1 - 1(x)x escaped the multiplication kernel"
-        cols.append(quot.projection.apply(coords))
-    d = Matrix.from_columns(cols, rows=omega_dim)
+    def normal_form(w):
+        # w modulo R, read off on the non-pivot coordinates
+        out = [w[f] for f in free]
+        for row, p in zip(reduced, pivots):
+            c = w[p]
+            if c:
+                for k, f in enumerate(free):
+                    if row[f]:
+                        out[k] -= c * row[f]
+        return out
 
-    lifts = []
-    for k in range(omega_dim):
-        in_ideal = quot.section.apply(_basis_vec(omega_dim, k))
-        ambient = [ZERO] * (n * n)
-        for c, b in zip(in_ideal, ideal.basis):
-            if c != 0:
-                ambient = [x + c * y for x, y in zip(ambient, b)]
-        lifts.append(tuple(ambient))
-    action = []
-    for i in range(n):
-        left = left_tensor(i)
-        row = []
-        for k in range(omega_dim):
-            prod = t.algebra.multiply(left, lifts[k])
-            coords = ideal.coordinates(prod)
-            assert coords is not None, "the multiplication kernel is not an ideal"
-            row.append(quot.projection.apply(coords))
-        action.append(tuple(row))
-    module = ModuleSections(n, omega_dim, tuple(action))
-    return KaehlerModule(a, module, d, ideal, square_in_ideal, quot)
+    images = [normal_form(b) for b in ideal.basis]
+    # pivots of the images listed from the last ideal basis vector back
+    last = ideal.dim - 1
+    _, picked = rref(([images[last - r][f] for r in range(ideal.dim)]
+                      for f in range(omega)), ideal.dim)
+    if len(picked) != omega:
+        raise InvariantError(f"the ideal spans {len(picked)} dimensions of "
+                             f"the {omega}-dimensional module")
+    chosen = sorted(last - r for r in picked)
+
+    def left_mult(i, w):
+        # e_i . w in F (equivalently (e_i (x) 1) w in A (x) A)
+        out = [ZERO] * nn
+        for idx, c in enumerate(w):
+            if c:
+                l, k = divmod(idx, n)
+                for p, s in enumerate(a.struct[i][l]):
+                    if s:
+                        out[p * n + k] += c * s
+        return out
+
+    def d_lift(i):
+        # e_i (x) 1 - 1 (x) e_i
+        w = [ZERO] * nn
+        for j, u in enumerate(a.unit):
+            w[i * n + j] += u
+            w[j * n + i] -= u
+        return w
+
+    targets = [normal_form(d_lift(i)) for i in range(n)]
+    targets += [normal_form(left_mult(i, ideal.basis[t]))
+                for i in range(n) for t in chosen]
+    # [M | targets] reduces to [I | M^-1 targets]; M has the chosen images
+    # as its columns
+    solved, _ = rref([[images[t][r] for t in chosen] + [v[r] for v in targets]
+                      for r in range(omega)], omega + len(targets))
+    coords = [tuple(row[omega + c] for row in solved)
+              for c in range(len(targets))]
+    d = Matrix.from_columns(coords[:n], rows=omega)
+    action = tuple(tuple(coords[n + i * omega:n + (i + 1) * omega])
+                   for i in range(n))
+    module = ModuleSections(n, omega, action)
+    return KaehlerModule(a, module, d, ideal)
 
 
 @dataclass(frozen=True)

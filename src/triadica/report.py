@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .errors import InvariantError
+
 SEVERITIES = ("error", "warning", "info")
 
 
@@ -20,7 +22,8 @@ class Finding:
     witness: object = None
 
     def __post_init__(self):
-        assert self.severity in SEVERITIES, self.severity
+        if self.severity not in SEVERITIES:
+            raise InvariantError(f"unknown finding severity {self.severity!r}")
 
 
 @dataclass(frozen=True)

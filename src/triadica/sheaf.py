@@ -20,7 +20,7 @@ from typing import Union
 
 from .algebra import (Algebra, AlgebraMorphism, function_algebra,
                       validate_algebra, validate_algebra_morphism)
-from .errors import DimensionMismatchError, TriadicaError
+from .errors import DimensionMismatchError, InvariantError, TriadicaError
 from .exactla import ONE, ZERO, Matrix, Subspace, Vector, kernel, span
 from .finspace import (ContinuousMap, FiniteSpace, minimal_open,
                        minimal_open_superset, preimage_open)
@@ -559,7 +559,8 @@ class Sheafification:
 
 def _family_coordinates(layout: FamilyLayout, vector) -> Vector:
     coords = Subspace(layout.total, layout.basis).coordinates(vector)
-    assert coords is not None, "family is not compatible; sheafification is broken"
+    if coords is None:
+        raise InvariantError("family is not compatible; sheafification is broken")
     return coords
 
 

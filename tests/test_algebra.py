@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from triadica.algebra import (Algebra, AlgebraMorphism, Character,
-                              NotSplitError, algebra_from_struct, characters,
+                              InvalidAlgebraError, NotSplitError, algebra_from_struct, characters,
                               enumerate_unital_morphisms, function_algebra,
                               is_standard_function_algebra, multiplication_map,
                               nilradical, tensor_product,
@@ -70,6 +70,15 @@ def test_nonassociative_struct_is_reported():
 def test_broken_unit_is_reported():
     a = Algebra(2, function_algebra(2).struct, vec([1, 0]))
     assert any("unit" in f.message for f in validate_algebra(a).errors())
+
+
+def test_characters_refuse_invalid_algebra():
+    # Q[x]/(x^2) with x declared as the unit
+    a = algebra_from_struct(truncated_poly_algebra(2).struct, [0, 1])
+    with pytest.raises(InvalidAlgebraError) as exc:
+        characters(a)
+    assert exc.value.finding == validate_algebra(a).errors()[0]
+    assert "unit is not a left unit" in str(exc.value)
 
 
 def test_truncated_poly_products():

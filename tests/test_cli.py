@@ -1,6 +1,7 @@
 """Workspace parsing, serialization round-trips, and the command surface."""
 
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -190,6 +191,60 @@ CORPUS_EXPECTATIONS = [
 def test_corpus_exit_codes(capsys, argv, expected):
     code, out, err = run_cli(capsys, *argv)
     assert code == expected, err or out
+
+
+def test_oversized_integer_literal_exits_2(capsys, tmp_path):
+    path = tmp_path / "big.json"
+    path.write_text('{"schema": 1, "algebras": {"A": {"struct": [[["1"]]], '
+                    '"unit": [' + "7" * 5000 + ']}}}')
+    code, out, err = run_cli(capsys, "validate", "--workspace", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("triadica:") and err.count("\n") == 1
+    assert "4300" in err
+
+
+def test_deeply_nested_arrays_exit_2(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run_cli(capsys, "validate", "--workspace", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("triadica:") and err.count("\n") == 1
+    assert "RecursionError" in err
+
+
+def test_kaehler_refuses_an_algebra_with_a_broken_unit(capsys, tmp_path):
+    # Q[x]/(x^2) with x declared as the unit
+    path = tmp_path / "unit.json"
+    path.write_text(dump_workspace({"schema": 1, "algebras": {"B": {
+        "struct": [[["1", "0"], ["0", "1"]], [["0", "1"], ["0", "0"]]],
+        "unit": ["0", "1"]}}}))
+    code, out, _ = run_cli(capsys, "validate", "--workspace", str(path))
+    assert code == 1 and "unit is not a left unit" in out
+    for command in ("kaehler", "spectrum"):
+        code, out, _ = run_cli(capsys, command, "--workspace", str(path))
+        assert code == 1
+        findings = json.loads(out)["reports"][0]["findings"]
+        assert [f["severity"] for f in findings] == ["error"]
+        assert "unit is not a left unit" in findings[0]["message"]
+        assert "derived_artifacts" not in json.loads(out)["reports"][0]
+
+
+def test_invariant_checks_survive_optimized_mode():
+    code = ("import sys\n"
+            "from triadica.errors import InvariantError\n"
+            "from triadica.report import Finding\n"
+            "assert False, 'asserts run'\n"
+            "try:\n"
+            "    Finding('fatal', 'here', 'an unknown severity')\n"
+            "except InvariantError:\n"
+            "    print('raised', sys.flags.optimize)\n")
+    src = str(pathlib.Path(__file__).parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "raised 1\n"
 
 
 def test_missing_workspace_file_exits_2(capsys):

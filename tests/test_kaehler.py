@@ -2,20 +2,26 @@
 
 Expected dimensions come from two independent routes: the gcd formula for
 quotients of the one-variable polynomial ring (computed with sympy), and a
-presentation count for the two-generator square-zero algebra.
+presentation count for the two-generator square-zero algebra.  The module,
+its basis and its operator are compared exactly with the I / I^2
+construction in `kaehler_oracle`.
 """
 
 import dataclasses
 from fractions import Fraction
 
+import random
+
 import pytest
 import sympy
 
-from triadica.algebra import (algebra_from_struct, function_algebra,
-                              poly_quotient_algebra, tensor_product,
-                              truncated_poly_algebra)
+from kaehler_oracle import ideal_square_module
+from triadica.algebra import (InvalidAlgebraError, algebra_from_struct,
+                              function_algebra, poly_quotient_algebra,
+                              tensor_product, truncated_poly_algebra,
+                              validate_algebra)
 from triadica.errors import DimensionMismatchError
-from triadica.exactla import Matrix, span, vec, vstack
+from triadica.exactla import Matrix, solve, span, vec, vstack
 from triadica.finspace import discrete_space, sierpinski_space
 from triadica.kaehler import (FactorizationFailed, KaehlerModule,
                               NotADerivation, derivation_space,
@@ -40,6 +46,24 @@ def square_zero_algebra():
         [[0, 0, 1], z, z],
     ]
     return algebra_from_struct(struct, [1, 0, 0])
+
+
+def random_conjugate(a, seed):
+    """`a` in the basis f_c = sum_i p[i][c] e_i, for a seeded P = L U whose
+    unit triangular factors have entries in {-2, -1, 1, 2}."""
+    rng = random.Random(seed)
+    n = a.dim
+    lower = [[1 if i == j else rng.choice((-2, -1, 1, 2)) if j < i else 0
+              for j in range(n)] for i in range(n)]
+    upper = [[1 if i == j else rng.choice((-2, -1, 1, 2)) if j > i else 0
+              for j in range(n)] for i in range(n)]
+    p = Matrix.from_rows(lower) @ Matrix.from_rows(upper)
+    p_inv = Matrix.from_columns(
+        [solve(p, vec([int(r == c) for r in range(n)])).solution
+         for c in range(n)], rows=n)
+    struct = [[p_inv.apply(a.multiply(p.col(b), p.col(c))) for c in range(n)]
+              for b in range(n)]
+    return algebra_from_struct(struct, p_inv.apply(a.unit))
 
 
 def monogenic_dim_oracle(coeffs):
@@ -126,10 +150,45 @@ def test_order_three_module_structure():
 def test_ideal_bookkeeping_shapes():
     a = truncated_poly_algebra(2)
     k = kaehler_module(a)
+    oracle = ideal_square_module(a)
     assert k.ideal.ambient_dim == 4
     assert k.ideal.dim == 2
-    assert k.ideal_square.ambient_dim == k.ideal.dim
-    assert k.quotient.quotient_dim == k.module.dim
+    assert oracle.ideal == k.ideal
+    assert oracle.ideal_square.ambient_dim == oracle.ideal.dim
+    assert oracle.quotient.quotient_dim == k.module.dim
+
+
+ORACLE_ALGEBRAS = (
+    [(f"truncated_poly {k}", truncated_poly_algebra(k)) for k in range(2, 7)]
+    + [(f"function_algebra {k}", function_algebra(k)) for k in (0, 3, 4)]
+    + [("square_zero", square_zero_algebra()),
+       ("(x-1)^2(x+2)", poly_quotient_algebra([2, -3, 0, 1])),
+       ("x^4+x^2", poly_quotient_algebra([0, 0, 1, 0, 1])),
+       ("conjugate truncated_poly 4",
+        random_conjugate(truncated_poly_algebra(4), seed=5)),
+       ("conjugate function_algebra 4",
+        random_conjugate(function_algebra(4), seed=6))])
+
+
+@pytest.mark.parametrize("a", [a for _, a in ORACLE_ALGEBRAS],
+                         ids=[name for name, _ in ORACLE_ALGEBRAS])
+def test_presentation_matches_ideal_square_oracle(a):
+    assert validate_algebra(a).ok
+    k = kaehler_module(a)
+    oracle = ideal_square_module(a)
+    assert k.module == oracle.module
+    assert k.differential == oracle.differential
+    assert k.ideal == oracle.ideal
+
+
+def test_invalid_algebra_is_refused():
+    # Q[x]/(x^2) with x declared as the unit: not a left unit
+    a = algebra_from_struct(truncated_poly_algebra(2).struct, [0, 1])
+    expected = validate_algebra(a).errors()[0]
+    assert expected.message == "unit is not a left unit"
+    with pytest.raises(InvalidAlgebraError) as exc:
+        kaehler_module(a)
+    assert exc.value.finding == expected
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +380,8 @@ def test_module_dimension_bounds(a):
 
 
 def _tensor_lift(k, idx):
-    # module basis vector -> ideal coordinates -> ambient tensor coordinates
+    # module basis vector -> ideal coordinates -> ambient tensor coordinates;
+    # k is the I / I^2 oracle, which keeps the quotient data
     in_ideal = k.quotient.section.apply(
         tuple(Fraction(1) if t == idx else Fraction(0)
               for t in range(k.module.dim)))
@@ -337,7 +397,7 @@ def test_left_and_right_actions_agree_on_the_quotient(a):
     # (x(x)1 - 1(x)x) I lies in I^2, so both actions induce the same module
     if a is None:
         a = square_zero_algebra()
-    k = kaehler_module(a)
+    k = ideal_square_module(a)
     n = a.dim
     t = tensor_product(a, a)
     for i in range(n):
