@@ -111,7 +111,9 @@ def kaehler_module(a: Algebra) -> KaehlerModule:
         return out
 
     images = [normal_form(b) for b in ideal.basis]
-    # pivots of the images listed from the last ideal basis vector back
+    # with the images as columns from the last ideal basis vector back, a
+    # column is a pivot exactly when its image is independent of the images
+    # of the later basis vectors
     last = ideal.dim - 1
     _, picked = rref(([images[last - r][f] for r in range(ideal.dim)]
                       for f in range(omega)), ideal.dim)

@@ -8,9 +8,8 @@ construction in `kaehler_oracle`.
 """
 
 import dataclasses
-from fractions import Fraction
-
 import random
+from fractions import Fraction
 
 import pytest
 import sympy
