@@ -3,9 +3,10 @@
 For each workspace under `workspaces/` and each CLI command, one invocation
 runs with the targets the file offers: the command's default targets, or,
 for commands that take ':'-joined targets, every combination the file's
-sections allow.  The exit code and the SHA-256 of stdout are compared with
-`golden_digests.json`, so any change to a report's bytes shows here by
-command and file.  After a deliberate output change, regenerate the table
+sections allow.  Each invocation runs twice, with JSON output and with
+`--human`.  The exit code and the SHA-256 of stdout and of stderr are
+compared with `golden_digests.json`, so any change to a report's or an
+error message's bytes shows here by command, file and output mode.  After a deliberate output change, regenerate the table
 with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -48,8 +49,10 @@ def _pair_targets(command: str, doc) -> list[str]:
     return []
 
 
-def invocation(command: str, name: str) -> list[str]:
+def invocation(command: str, name: str, human: bool) -> list[str]:
     argv = [command, "--workspace", str(WORKSPACES / name)]
+    if human:
+        argv.append("--human")
     try:
         doc = load_workspace(str(WORKSPACES / name))
     except TriadicaError:  # unparsable files run with no targets at all
@@ -61,20 +64,23 @@ def invocation(command: str, name: str) -> list[str]:
     return argv
 
 
-def digest(command: str, name: str) -> dict:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), \
-            contextlib.redirect_stderr(io.StringIO()):
-        code = main(invocation(command, name))
-    return {"exit": code,
-            "stdout_sha256": hashlib.sha256(out.getvalue().encode()).hexdigest()}
+def _sha256(stream: io.StringIO) -> str:
+    return hashlib.sha256(stream.getvalue().encode()).hexdigest()
 
 
-def key(command: str, name: str) -> str:
-    return f"{command} {name}"
+def digest(command: str, name: str, human: bool) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(invocation(command, name, human))
+    return {"exit": code, "stdout_sha256": _sha256(out),
+            "stderr_sha256": _sha256(err)}
 
 
-CASES = [(c, n) for n in CORPUS for c in COMMANDS]
+def key(command: str, name: str, human: bool) -> str:
+    return f"{command} {name}" + (" --human" if human else "")
+
+
+CASES = [(c, n, h) for n in CORPUS for c in COMMANDS for h in (False, True)]
 
 
 @pytest.fixture(scope="module")
@@ -83,16 +89,16 @@ def golden():
 
 
 def test_golden_table_covers_the_corpus(golden):
-    assert sorted(golden) == sorted(key(c, n) for c, n in CASES)
+    assert sorted(golden) == sorted(key(*case) for case in CASES)
 
 
-@pytest.mark.parametrize("command,name", CASES,
-                         ids=[key(c, n) for c, n in CASES])
-def test_golden_digest(golden, command, name):
-    assert digest(command, name) == golden[key(command, name)]
+@pytest.mark.parametrize("command,name,human", CASES,
+                         ids=[key(*case) for case in CASES])
+def test_golden_digest(golden, command, name, human):
+    assert digest(command, name, human) == golden[key(command, name, human)]
 
 
 if __name__ == "__main__":
-    table = {key(c, n): digest(c, n) for c, n in CASES}
+    table = {key(*case): digest(*case) for case in CASES}
     DIGESTS.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
     sys.stdout.write(f"wrote {len(table)} digests to {DIGESTS}\n")
