@@ -11,9 +11,18 @@ a caveat), 1 when any report fails, 2 for usage errors, unreadable or
 unparsable workspaces, and unresolved target names.  Library errors raised
 while a command runs become error findings, never tracebacks.
 
-Composite targets use ':' between names (names themselves cannot contain
-':'): pushforward MAP:TRIAD, compose OUTER:INNER, constant-morphism
-SOURCE:TARGET:POINT, uniqueness FIRST:SECOND, fullness DOMAIN:CODOMAIN.
+`COMMAND_TABLE` holds one `Command` per command: the shape of its
+targets, the workspace sections they are drawn from, the operation its
+reports run under, a work function `(args, *parts) -> (Report, derived)`,
+and the flags only that command reads.  `run` is one loop over a table
+row: it resolves each target, runs the work function under `_guarded` and
+collects the rows.  `COMMANDS` and `build_parser` are read off the same
+table.  A target is either a single NAME from the listed sections (every
+such name, in sorted order, when no --target is given) or names joined by
+':' (names themselves cannot contain ':'), one section per part, with
+POINT an integer: pushforward MAP:TRIAD, compose OUTER:INNER,
+constant-morphism SOURCE:TARGET:POINT, uniqueness FIRST:SECOND, fullness
+DOMAIN:CODOMAIN.
 """
 
 from __future__ import annotations
@@ -21,19 +30,21 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
-from .algebra import NotSplitError, characters, validate_algebra
-from .dtcat import (TriadMorphism, _is_discrete, algebra_component_uniqueness,
+from .algebra import Algebra, NotSplitError, characters, validate_algebra
+from .dtcat import (_is_discrete, algebra_component_uniqueness,
                     check_morphism, compose, constant_morphism,
                     differential_agreement_on_image, fullness_check,
                     verify_pullback_forced)
 from .errors import DimensionMismatchError, TriadicaError
 from .exactla import Matrix
-from .finspace import check_topology
+from .finspace import FiniteSpace, check_topology
 from .kaehler import kaehler_module, kaehler_presheaf
 from .report import Finding, Report
-from .sheaf import (PresheafMorphism, check_sheaf_condition,
+from .sheaf import (AlgebraPresheaf, PresheafMorphism, check_sheaf_condition,
                     function_presheaf, pushforward, sheafify,
                     validate_algebra_presheaf)
 from .triad import pushforward_triad, validate_triad
@@ -42,37 +53,20 @@ from .workspace import (ParseError, UnresolvedReference, dump_workspace,
                         module_sections_to_json, morphism_to_json,
                         presheaf_to_json, triad_to_json)
 
-COMMANDS = ("validate", "kaehler", "sheafify", "pushforward",
-            "check-morphism", "compose", "constant-morphism", "uniqueness",
-            "recover-map", "fullness", "spectrum")
-
 
 class UsageError(TriadicaError):
     """Ill-formed request: wrong target shape or an unknown name."""
 
 
-def _split_target(target: str, parts: int, shape: str) -> list[str]:
-    bits = target.split(":")
-    if len(bits) != parts:
-        raise UsageError(f"target {target!r} must look like {shape}")
-    return bits
-
-
-def _get(doc, name: str, section: str):
-    table = getattr(doc, section)
-    if name in table:
-        return table[name]
-    actual = doc.section_of(name)
-    if actual is None:
-        raise UsageError(f"undefined target {name!r}")
-    raise UsageError(f"target {name!r} is a {actual[:-1]}, "
-                     f"expected a {section[:-1]}")
-
-
 def _guarded(operation: str, label: str, thunk):
-    """Run one target; library failures become findings, not tracebacks."""
+    """Run one target; library failures become findings, not tracebacks.
+
+    A UsageError from a work function names its target and propagates.
+    """
     try:
         return thunk()
+    except UsageError as exc:
+        raise UsageError(f"target {label!r} {exc}") from None
     except TriadicaError as exc:
         return Report(operation, (Finding("error", label, str(exc), None),)), {}
 
@@ -96,302 +90,219 @@ def _sheaf_status(layers) -> list[Finding]:
 
 
 # ---------------------------------------------------------------------------
-# command handlers: (doc, args) -> [(target label, Report, derived dict)]
+# work functions: (args, *parts) -> (Report, derived dict)
 
 
-def _cmd_validate(doc, args):
-    handled = ("spaces", "algebras", "presheaves", "triads")
-    targets = args.target or sorted(
-        name for s in handled for name in getattr(doc, s))
-    rows = []
-    for name in targets:
-        section = doc.section_of(name)
-        if section is None:
-            raise UsageError(f"undefined target {name!r}")
-        if section not in handled:
-            raise UsageError(f"validate does not handle {section}; "
-                             f"use check-morphism for morphisms")
-        obj = getattr(doc, section)[name]
-
-        def work(section=section, obj=obj):
-            if section == "spaces":
-                return check_topology(obj), {}
-            if section == "algebras":
-                return validate_algebra(obj), {}
-            if section == "presheaves":
-                rep = validate_algebra_presheaf(obj)
-                return _with_findings(
-                    rep, _sheaf_status([("sections", obj)])), {}
-            rep = validate_triad(obj, deep=True)
-            layers = [("algebra layer", obj.algebras),
-                      ("module layer", obj.modules)]
-            return _with_findings(rep, _sheaf_status(layers)), {}
-
-        rep, derived = _guarded("validate", name, work)
-        rows.append((name, rep, derived))
-    return rows
+def _validate(args, obj):
+    if isinstance(obj, FiniteSpace):
+        return check_topology(obj), {}
+    if isinstance(obj, Algebra):
+        return validate_algebra(obj), {}
+    if isinstance(obj, AlgebraPresheaf):
+        rep = validate_algebra_presheaf(obj)
+        return _with_findings(rep, _sheaf_status([("sections", obj)])), {}
+    rep = validate_triad(obj, deep=True)
+    layers = [("algebra layer", obj.algebras), ("module layer", obj.modules)]
+    return _with_findings(rep, _sheaf_status(layers)), {}
 
 
-def _cmd_kaehler(doc, args):
-    targets = args.target or sorted(set(doc.algebras) | set(doc.presheaves))
-    rows = []
-    for name in targets:
-        section = doc.section_of(name)
-        if section == "algebras":
-            a = doc.algebras[name]
-
-            def work(a=a):
-                k = kaehler_module(a)
-                findings = (
-                    Finding("info", "ideal",
-                            f"multiplication kernel has dimension {k.ideal.dim}",
-                            None),
-                    Finding("info", "module",
-                            f"module of differentials has dimension {k.module.dim}",
-                            None))
-                derived = {"module": module_sections_to_json(k.module),
-                           "differential": matrix_to_json(k.differential)}
-                return Report("kaehler_module", findings), derived
-
-            rep, derived = _guarded("kaehler_module", name, work)
-        elif section == "presheaves":
-            p = doc.presheaves[name]
-
-            def work(p=p):
-                res = kaehler_presheaf(p)
-                rep = validate_triad(res.presheaf_triad, deep=True)
-                dims = [Finding("info", f"open {u}",
-                                f"module dimension {m.dim}", None)
-                        for u, m in enumerate(res.presheaf_triad.modules.sections)]
-                derived = {"presheaf_triad": triad_to_json(res.presheaf_triad),
-                           "sheaf_triad": triad_to_json(res.sheaf_triad)}
-                return _with_findings(rep, dims), derived
-
-            rep, derived = _guarded("kaehler_presheaf", name, work)
-        elif section is None:
-            raise UsageError(f"undefined target {name!r}")
-        else:
-            raise UsageError(f"kaehler expects an algebra or a presheaf, "
-                             f"{name!r} is a {section[:-1]}")
-        rows.append((name, rep, derived))
-    return rows
+def _kaehler(args, obj):
+    if isinstance(obj, Algebra):
+        k = kaehler_module(obj)
+        findings = (
+            Finding("info", "ideal",
+                    f"multiplication kernel has dimension {k.ideal.dim}",
+                    None),
+            Finding("info", "module",
+                    f"module of differentials has dimension {k.module.dim}",
+                    None))
+        derived = {"module": module_sections_to_json(k.module),
+                   "differential": matrix_to_json(k.differential)}
+        return Report("kaehler_module", findings), derived
+    res = kaehler_presheaf(obj)
+    rep = validate_triad(res.presheaf_triad, deep=True)
+    dims = [Finding("info", f"open {u}", f"module dimension {m.dim}", None)
+            for u, m in enumerate(res.presheaf_triad.modules.sections)]
+    derived = {"presheaf_triad": triad_to_json(res.presheaf_triad),
+               "sheaf_triad": triad_to_json(res.sheaf_triad)}
+    return _with_findings(rep, dims), derived
 
 
-def _cmd_sheafify(doc, args):
-    targets = args.target or sorted(doc.presheaves)
-    rows = []
-    for name in targets:
-        p = _get(doc, name, "presheaves")
-
-        def work(p=p):
-            before = check_sheaf_condition(p)
-            res = sheafify(p)
-            after = check_sheaf_condition(res.presheaf)
-            findings = [
-                Finding("info", "input",
-                        "sheaf condition holds" if before.is_sheaf else
-                        f"sheaf condition fails ({len(before.witnesses)} "
-                        f"witnesses)", None),
-                Finding("info" if after.is_sheaf else "error", "result",
-                        "sheaf condition holds" if after.is_sheaf else
-                        "sheafification did not produce a sheaf", None)]
-            derived = {
-                "sheaf": presheaf_to_json(res.presheaf),
-                "canonical_components": [matrix_to_json(c)
-                                         for c in res.canonical.components]}
-            return Report("sheafify", tuple(findings)), derived
-
-        rep, derived = _guarded("sheafify", name, work)
-        rows.append((name, rep, derived))
-    return rows
+def _sheafify(args, p):
+    findings = _sheaf_status([("input", p)])
+    res = sheafify(p)
+    after = check_sheaf_condition(res.presheaf)
+    findings.append(Finding("info" if after.is_sheaf else "error", "result",
+                            "sheaf condition holds" if after.is_sheaf else
+                            "sheafification did not produce a sheaf", None))
+    derived = {"sheaf": presheaf_to_json(res.presheaf),
+               "canonical_components": [matrix_to_json(c)
+                                        for c in res.canonical.components]}
+    return Report("sheafify", tuple(findings)), derived
 
 
-def _cmd_pushforward(doc, args):
-    targets = _require_targets(args, "MAP:TRIAD")
-    rows = []
-    for target in targets:
-        map_name, triad_name = _split_target(target, 2, "MAP:TRIAD")
-        f = _get(doc, map_name, "maps")
-        t = _get(doc, triad_name, "triads")
-
-        def work(f=f, t=t):
-            out = pushforward_triad(f, t)
-            return validate_triad(out, deep=True), {"triad": triad_to_json(out)}
-
-        rep, derived = _guarded("pushforward_triad", target, work)
-        rows.append((target, rep, derived))
-    return rows
+def _pushforward(args, f, t):
+    out = pushforward_triad(f, t)
+    return validate_triad(out, deep=True), {"triad": triad_to_json(out)}
 
 
-def _cmd_check_morphism(doc, args):
-    targets = args.target or sorted(doc.morphisms)
-    rows = []
-    for name in targets:
-        m = _get(doc, name, "morphisms")
-        rep, derived = _guarded("check_morphism", name,
-                                lambda m=m: (check_morphism(m), {}))
-        rows.append((name, rep, derived))
-    return rows
+def _checked_morphism(m):
+    return check_morphism(m), {"morphism": morphism_to_json(m)}
 
 
-def _cmd_compose(doc, args):
-    targets = _require_targets(args, "OUTER:INNER")
-    rows = []
-    for target in targets:
-        outer_name, inner_name = _split_target(target, 2, "OUTER:INNER")
-        outer = _get(doc, outer_name, "morphisms")
-        inner = _get(doc, inner_name, "morphisms")
-
-        def work(outer=outer, inner=inner):
-            out = compose(outer, inner)
-            return check_morphism(out), {"morphism": morphism_to_json(out)}
-
-        rep, derived = _guarded("compose", target, work)
-        rows.append((target, rep, derived))
-    return rows
-
-
-def _cmd_constant_morphism(doc, args):
-    targets = _require_targets(args, "SOURCE:TARGET:POINT")
-    rows = []
-    for target in targets:
-        src_name, tgt_name, point = _split_target(target, 3,
-                                                  "SOURCE:TARGET:POINT")
-        source = _get(doc, src_name, "triads")
-        tgt = _get(doc, tgt_name, "triads")
-        try:
-            c = int(point)
-        except ValueError:
-            raise UsageError(f"point {point!r} is not an integer") from None
-
-        def work(source=source, tgt=tgt, c=c):
-            out = constant_morphism(source, tgt, c)
-            return check_morphism(out), {"morphism": morphism_to_json(out)}
-
-        rep, derived = _guarded("constant_morphism", target, work)
-        rows.append((target, rep, derived))
-    return rows
+def _uniqueness(args, m1, m2):
+    same_algebra = m1.algebra_components == m2.algebra_components
+    same_module = m1.module_components == m2.module_components
+    if same_algebra and not same_module:
+        return differential_agreement_on_image(m1, m2), {}
+    if same_module and not same_algebra:
+        return algebra_component_uniqueness(m1, m2), {}
+    if same_algebra and same_module:
+        findings = (Finding("info", "components",
+                            "the morphisms coincide in both layers", None),)
+        return Report("uniqueness", findings), {}
+    findings = (Finding(
+        "error", "components",
+        "the morphisms differ in both layers; no uniqueness "
+        "hypothesis applies", None),)
+    return Report("uniqueness", findings), {}
 
 
-def _cmd_uniqueness(doc, args):
-    targets = _require_targets(args, "FIRST:SECOND")
-    rows = []
-    for target in targets:
-        first_name, second_name = _split_target(target, 2, "FIRST:SECOND")
-        m1 = _get(doc, first_name, "morphisms")
-        m2 = _get(doc, second_name, "morphisms")
-
-        def work(m1=m1, m2=m2):
-            same_algebra = m1.algebra_components == m2.algebra_components
-            same_module = m1.module_components == m2.module_components
-            if same_algebra and not same_module:
-                return differential_agreement_on_image(m1, m2), {}
-            if same_module and not same_algebra:
-                return algebra_component_uniqueness(m1, m2), {}
-            if same_algebra and same_module:
-                findings = (Finding("info", "components",
-                                    "the morphisms coincide in both layers",
-                                    None),)
-                return Report("uniqueness", findings), {}
-            findings = (Finding(
-                "error", "components",
-                "the morphisms differ in both layers; no uniqueness "
-                "hypothesis applies", None),)
-            return Report("uniqueness", findings), {}
-
-        rep, derived = _guarded("uniqueness", target, work)
-        rows.append((target, rep, derived))
-    return rows
+def _recover_map(args, m):
+    f = m.map
+    if not (args.exploratory or _is_discrete(f.domain)
+            and _is_discrete(f.codomain)):
+        raise UsageError("lives over non-discrete spaces; rerun with "
+                         "--exploratory to inspect it anyway")
+    h = PresheafMorphism(function_presheaf(f.codomain),
+                         pushforward(f, function_presheaf(f.domain)),
+                         m.algebra_components)
+    return verify_pullback_forced(f, h), {"map": map_to_json(f)}
 
 
-def _cmd_recover_map(doc, args):
-    targets = args.target or sorted(doc.morphisms)
-    rows = []
-    for name in targets:
-        m = _get(doc, name, "morphisms")
-        f = m.map
-        if not (_is_discrete(f.domain) and _is_discrete(f.codomain)):
-            if not args.exploratory:
-                raise UsageError(
-                    f"target {name!r} lives over non-discrete spaces; "
-                    f"rerun with --exploratory to inspect it anyway")
-
-        def work(m=m, f=f):
-            h = PresheafMorphism(function_presheaf(f.codomain),
-                                 pushforward(f, function_presheaf(f.domain)),
-                                 m.algebra_components)
-            rep = verify_pullback_forced(f, h)
-            return rep, {"map": map_to_json(f)}
-
-        rep, derived = _guarded("verify_pullback_forced", name, work)
-        rows.append((name, rep, derived))
-    return rows
+def _fullness(args, x, y):
+    res = fullness_check(x, y, bound=args.bound)
+    per_map = {",".join(str(v) for v in values): count
+               for values, count in res.per_map}
+    return res.report, {"total": res.total, "per_map": per_map}
 
 
-def _cmd_fullness(doc, args):
-    targets = _require_targets(args, "DOMAIN:CODOMAIN")
-    rows = []
-    for target in targets:
-        x_name, y_name = _split_target(target, 2, "DOMAIN:CODOMAIN")
-        x = _get(doc, x_name, "spaces")
-        y = _get(doc, y_name, "spaces")
-
-        def work(x=x, y=y):
-            res = fullness_check(x, y, bound=args.bound)
-            per_map = {",".join(str(v) for v in values): count
-                       for values, count in res.per_map}
-            return res.report, {"total": res.total, "per_map": per_map}
-
-        rep, derived = _guarded("fullness_check", target, work)
-        rows.append((target, rep, derived))
-    return rows
+def _spectrum(args, a):
+    try:
+        chars = characters(a)
+    except NotSplitError as exc:
+        return Report("spectrum",
+                      (Finding("error", "characters", str(exc), None),)), {}
+    functionals = [[str(x) for x in c.functional] for c in chars]
+    findings = (Finding("info", "characters",
+                        f"{len(chars)} rational characters", functionals),)
+    return Report("spectrum", findings), {"characters": functionals}
 
 
-def _cmd_spectrum(doc, args):
-    targets = args.target or sorted(doc.algebras)
-    rows = []
-    for name in targets:
-        a = _get(doc, name, "algebras")
-
-        def work(a=a):
-            try:
-                chars = characters(a)
-            except NotSplitError as exc:
-                return Report("spectrum",
-                              (Finding("error", "characters", str(exc),
-                                       None),)), {}
-            findings = (Finding("info", "characters",
-                                f"{len(chars)} rational characters",
-                                [[str(x) for x in c.functional]
-                                 for c in chars]),)
-            derived = {"characters": [[str(x) for x in c.functional]
-                                      for c in chars]}
-            return Report("spectrum", findings), derived
-
-        rep, derived = _guarded("spectrum", name, work)
-        rows.append((name, rep, derived))
-    return rows
+# ---------------------------------------------------------------------------
+# the command table
 
 
-def _require_targets(args, shape: str) -> list[str]:
-    if not args.target:
-        raise UsageError(f"this command needs explicit --target {shape}")
-    return args.target
+@dataclass(frozen=True)
+class Command:
+    """How one command's targets look and what runs on each of them.
+
+    `shape` is "NAME" for a single name drawn from any of `sections`, or
+    part names joined by ':' with one entry of `sections` per part (None
+    for POINT, an integer).  `operation` is the operation reports run
+    under, or a dict giving it per section where it differs.  `flags` are
+    (flag, argparse keywords) pairs that only this command reads.
+    """
+
+    shape: str
+    sections: tuple[str | None, ...]
+    operation: str | dict[str, str]
+    work: Callable
+    flags: tuple = ()
 
 
-HANDLERS = {
-    "validate": _cmd_validate,
-    "kaehler": _cmd_kaehler,
-    "sheafify": _cmd_sheafify,
-    "pushforward": _cmd_pushforward,
-    "check-morphism": _cmd_check_morphism,
-    "compose": _cmd_compose,
-    "constant-morphism": _cmd_constant_morphism,
-    "uniqueness": _cmd_uniqueness,
-    "recover-map": _cmd_recover_map,
-    "fullness": _cmd_fullness,
-    "spectrum": _cmd_spectrum,
+BOUND = ("--bound", {"type": int, "default": 64,
+                     "help": "enumeration budget (default: 64)"})
+EXPLORATORY = ("--exploratory", {
+    "action": "store_true",
+    "help": "allow operations whose result is only exploratory on the "
+            "given input"})
+
+COMMAND_TABLE = {
+    "validate": Command("NAME", ("spaces", "algebras", "presheaves", "triads"),
+                        "validate", _validate),
+    "kaehler": Command("NAME", ("algebras", "presheaves"),
+                       {"algebras": "kaehler_module",
+                        "presheaves": "kaehler_presheaf"}, _kaehler),
+    "sheafify": Command("NAME", ("presheaves",), "sheafify", _sheafify),
+    "pushforward": Command("MAP:TRIAD", ("maps", "triads"),
+                           "pushforward_triad", _pushforward),
+    "check-morphism": Command("NAME", ("morphisms",), "check_morphism",
+                              lambda args, m: (check_morphism(m), {})),
+    "compose": Command("OUTER:INNER", ("morphisms", "morphisms"), "compose",
+                       lambda args, outer, inner:
+                           _checked_morphism(compose(outer, inner))),
+    "constant-morphism": Command(
+        "SOURCE:TARGET:POINT", ("triads", "triads", None),
+        "constant_morphism", lambda args, source, target, c:
+            _checked_morphism(constant_morphism(source, target, c))),
+    "uniqueness": Command("FIRST:SECOND", ("morphisms", "morphisms"),
+                          "uniqueness", _uniqueness),
+    "recover-map": Command("NAME", ("morphisms",), "verify_pullback_forced",
+                           _recover_map, flags=(EXPLORATORY,)),
+    "fullness": Command("DOMAIN:CODOMAIN", ("spaces", "spaces"),
+                        "fullness_check", _fullness, flags=(BOUND,)),
+    "spectrum": Command("NAME", ("algebras",), "spectrum", _spectrum),
 }
+
+COMMANDS = tuple(COMMAND_TABLE)
+
+
+def _lookup(doc, name: str, sections) -> tuple[str, object]:
+    """The section and object a name refers to, if it is in `sections`."""
+    section = doc.section_of(name)
+    if section is None:
+        raise UsageError(f"undefined target {name!r}")
+    if section not in sections:
+        users = ", ".join(c for c, command in COMMAND_TABLE.items()
+                          if section in command.sections)
+        raise UsageError(f"target {name!r} is in {section}, not in "
+                         f"{' or '.join(sections)}; use {users} for {section}")
+    return section, getattr(doc, section)[name]
+
+
+def _part(doc, name: str, section: str | None):
+    if section is not None:
+        return _lookup(doc, name, (section,))[1]
+    try:
+        return int(name)
+    except ValueError:
+        raise UsageError(f"point {name!r} is not an integer") from None
+
+
+def _resolve(doc, command: Command, target: str) -> tuple[str, tuple]:
+    """The operation one target reports under, and the parts it names."""
+    if command.shape == "NAME":
+        section, obj = _lookup(doc, target, command.sections)
+        operation = command.operation
+        if isinstance(operation, dict):
+            operation = operation[section]
+        return operation, (obj,)
+    names = target.split(":")
+    if len(names) != len(command.sections):
+        raise UsageError(f"target {target!r} must look like {command.shape}")
+    return command.operation, tuple(
+        _part(doc, name, section)
+        for name, section in zip(names, command.sections))
+
+
+def _targets(doc, command: Command, given) -> list[str]:
+    if given:
+        return given
+    if command.shape != "NAME":
+        raise UsageError(f"this command needs explicit --target "
+                         f"{command.shape}")
+    return sorted(name for s in command.sections for name in getattr(doc, s))
 
 
 # ---------------------------------------------------------------------------
@@ -458,24 +369,28 @@ def render_human(command: str, rows) -> str:
 # entry points
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line in one stderr line, as other usage
+    errors are reported."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="triadica",
         description="exact checks on differential structures over finite "
                     "topological spaces")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name, command in COMMAND_TABLE.items():
         p = sub.add_parser(name)
         p.add_argument("--workspace", default="workspace.json",
                        help="workspace file (default: workspace.json)")
-        p.add_argument("--target", action="append", metavar="NAME",
-                       help="named target; repeatable; ':'-joined for "
-                            "commands taking pairs")
-        p.add_argument("--bound", type=int, default=64,
-                       help="enumeration budget (default: 64)")
-        p.add_argument("--exploratory", action="store_true",
-                       help="allow operations whose result is only "
-                            "exploratory on the given input")
+        p.add_argument("--target", action="append", metavar=command.shape,
+                       help="target to run on; repeatable")
+        for flag, options in command.flags:
+            p.add_argument(flag, **options)
         fmt = p.add_mutually_exclusive_group()
         fmt.add_argument("--json", dest="mode", action="store_const",
                          const="json", default="json")
@@ -486,7 +401,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(doc, args) -> tuple[int, str]:
     """Execute one parsed command against a loaded workspace."""
-    rows = HANDLERS[args.command](doc, args)
+    command = COMMAND_TABLE[args.command]
+    rows = []
+    for target in _targets(doc, command, args.target):
+        operation, parts = _resolve(doc, command, target)
+        rep, derived = _guarded(operation, target,
+                                lambda: command.work(args, *parts))
+        rows.append((target, rep, derived))
     rows.sort(key=lambda row: row[0])
     text = (render_human if args.mode == "human" else render_json)(
         args.command, rows)

@@ -1,5 +1,6 @@
 """Workspace parsing, serialization round-trips, and the command surface."""
 
+import argparse
 import json
 import os
 import pathlib
@@ -9,7 +10,7 @@ import sys
 import pytest
 
 from triadica.algebra import truncated_poly_algebra
-from triadica.cli import main
+from triadica.cli import COMMAND_TABLE, COMMANDS, build_parser, main
 from triadica.dtcat import check_morphism, compose, pullback_morphism
 from triadica.finspace import ContinuousMap, discrete_space, sierpinski_space
 from triadica.kaehler import kaehler_presheaf
@@ -286,6 +287,38 @@ def test_recover_map_gates_non_discrete_spaces(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["status"] == "exploratory"
+
+
+@pytest.mark.parametrize("command,flag", [("validate", ("--bound", "5")),
+                                          ("kaehler", ("--exploratory",))])
+def test_commands_refuse_flags_they_do_not_read(capsys, command, flag):
+    code, out, err = run_cli(capsys, command,
+                             "--workspace", ws("ws_minimal.json"), *flag)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and flag[0] in err
+
+
+def test_commands_that_read_a_flag_accept_it(capsys):
+    code, out, _ = run_cli(capsys, "fullness",
+                           "--workspace", ws("ws_fullness.json"),
+                           "--target", "D2:D3", "--bound", "9")
+    assert code == 0 and json.loads(out)["status"] == "pass"
+    args = build_parser().parse_args(["recover-map", "--exploratory"])
+    assert args.exploratory
+
+
+def test_parser_offers_exactly_the_table_commands_and_flags():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(COMMAND_TABLE) == list(COMMANDS)
+    common = {"-h", "--help", "--workspace", "--target", "--json", "--human"}
+    for name, parser in sub.choices.items():
+        options = {o for a in parser._actions for o in a.option_strings}
+        flags = {flag for flag, _ in COMMAND_TABLE[name].flags}
+        assert options == common | flags
+    assert {name: [flag for flag, _ in c.flags]
+            for name, c in COMMAND_TABLE.items() if c.flags} == {
+        "recover-map": ["--exploratory"], "fullness": ["--bound"]}
 
 
 # ---------------------------------------------------------------------------
