@@ -20,7 +20,7 @@ from math import lcm
 
 from .errors import DimensionMismatchError, InvariantError, TriadicaError
 from .exactla import (ONE, ZERO, Matrix, Subspace, Vector, full_space, kernel,
-                      rat, span, vec)
+                      rat, span, unit_vector, vec)
 from .report import Finding, Report
 
 
@@ -59,10 +59,6 @@ class Algebra:
             if len(row) != n or any(len(v) != n for v in row):
                 raise DimensionMismatchError("structure constants do not match dim")
 
-    @property
-    def is_degenerate(self) -> bool:
-        return self.dim == 0
-
     def multiply(self, a, b) -> Vector:
         out = [ZERO] * self.dim
         for i, ai in enumerate(a):
@@ -80,8 +76,7 @@ class Algebra:
 
     def left_mult(self, a) -> Matrix:
         """Matrix of multiplication by the element with coordinates a."""
-        cols = [self.multiply(a, tuple(ONE if j == i else ZERO for j in range(self.dim)))
-                for i in range(self.dim)]
+        cols = [self.multiply(a, unit_vector(self.dim, i)) for i in range(self.dim)]
         return Matrix.from_columns(cols, rows=self.dim)
 
     def power(self, a, k: int) -> Vector:
@@ -100,7 +95,7 @@ def validate_algebra(a: Algebra) -> Report:
     """Commutativity, associativity and two-sided unit, with witnesses."""
     findings: list[Finding] = []
     n = a.dim
-    basis = [tuple(ONE if j == i else ZERO for j in range(n)) for i in range(n)]
+    basis = [unit_vector(n, i) for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             if a.struct[i][j] != a.struct[j][i]:
@@ -142,7 +137,7 @@ def truncated_poly_algebra(k: int) -> Algebra:
         raise DimensionMismatchError("truncated polynomial algebra needs k >= 1")
     struct = tuple(tuple(tuple(ONE if i + j == l else ZERO for l in range(k))
                          for j in range(k)) for i in range(k))
-    return Algebra(k, struct, tuple(ONE if l == 0 else ZERO for l in range(k)))
+    return Algebra(k, struct, unit_vector(k, 0))
 
 
 def is_standard_function_algebra(a: Algebra) -> bool:
@@ -158,7 +153,7 @@ def poly_quotient_algebra(coeffs) -> Algebra:
     if len(coeffs) < 2 or coeffs[-1] != ONE:
         raise DimensionMismatchError("need a monic polynomial of degree >= 1")
     k = len(coeffs) - 1
-    powers = [tuple(ONE if l == 0 else ZERO for l in range(k))]
+    powers = [unit_vector(k, 0)]
     for _ in range(2 * k - 2):
         prev = powers[-1]
         top = prev[k - 1]
@@ -383,7 +378,7 @@ def characters(a: Algebra) -> list[Character]:
     # piece = echelon row basis of a subspace of the dual space
     pieces: list[tuple[Vector, ...]] = [full_space(n).basis]
     for i in range(n):
-        op = a.left_mult(tuple(ONE if j == i else ZERO for j in range(n)))
+        op = a.left_mult(unit_vector(n, i))
         refined: list[tuple[Vector, ...]] = []
         for basis in pieces:
             k = len(basis)
@@ -445,6 +440,6 @@ def enumerate_unital_morphisms(a: Algebra, b: Algebra) -> list[AlgebraMorphism]:
     m, k = a.dim, b.dim
     out = []
     for tau in iter_product(range(m), repeat=k):
-        rows = [[ONE if tau[r] == c else ZERO for c in range(m)] for r in range(k)]
+        rows = [unit_vector(m, tau[r]) for r in range(k)]
         out.append(AlgebraMorphism(a, b, Matrix.from_rows(rows, cols=m)))
     return out

@@ -28,7 +28,6 @@ DOMAIN:CODOMAIN.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction

@@ -53,6 +53,11 @@ def zero_vec(n: int) -> Vector:
     return (ZERO,) * n
 
 
+def unit_vector(n: int, i: int) -> Vector:
+    """The i-th standard basis vector of Q^n."""
+    return tuple(ONE if t == i else ZERO for t in range(n))
+
+
 def vec_add(a: Sequence[Fraction], b: Sequence[Fraction]) -> Vector:
     return tuple(x + y for x, y in zip(a, b, strict=True))
 
@@ -95,7 +100,7 @@ class Matrix:
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix(n, n, tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)))
+        return Matrix(n, n, tuple(unit_vector(n, i) for i in range(n)))
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "Matrix":
@@ -217,13 +222,7 @@ class Subspace:
     def contains(self, v: Sequence[Fraction]) -> bool:
         if len(v) != self.ambient_dim:
             raise DimensionMismatchError("vector/ambient length mismatch")
-        residue = list(v)
-        for b in self.basis:
-            lead = next(j for j, x in enumerate(b) if x != 0)
-            if residue[lead] != 0:
-                c = residue[lead]
-                residue = [x - c * y for x, y in zip(residue, b)]
-        return all(x == 0 for x in residue)
+        return self.coordinates(v) is not None
 
     def coordinates(self, v: Sequence[Fraction]) -> Vector | None:
         """Coefficients of v in the stored basis, or None if v is outside."""
@@ -318,7 +317,7 @@ def quotient_space(ambient_dim: int, sub: Subspace) -> Quotient:
         proj_cols.append([residue[f] for f in free])
     projection = Matrix.from_columns(proj_cols, rows=len(free))
     section = Matrix.from_columns(
-        [[ONE if j == f else ZERO for j in range(ambient_dim)] for f in free],
+        [unit_vector(ambient_dim, f) for f in free],
         rows=ambient_dim)
     return Quotient(ambient_dim, len(free), projection, section)
 

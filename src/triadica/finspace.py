@@ -11,8 +11,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, TriadicaError
 from .report import Finding, Report
+
+
+class InvalidTopologyError(TriadicaError):
+    """The listed opens do not form a topology."""
+
+    def __init__(self, finding: Finding):
+        self.finding = finding
+        super().__init__(f"not a topology: {finding.location}: "
+                         f"{finding.message}")
 
 
 @dataclass(frozen=True)
@@ -83,6 +92,13 @@ def check_topology(space: FiniteSpace) -> Report:
                 findings.append(Finding("error", f"opens[{i}]&opens[{j}]",
                                         "intersection of opens is not open", sorted(meet)))
     return Report("check_topology", tuple(findings))
+
+
+def require_topology(space: FiniteSpace) -> None:
+    """Raise InvalidTopologyError carrying the first check_topology error."""
+    errors = check_topology(space).errors()
+    if errors:
+        raise InvalidTopologyError(errors[0])
 
 
 def minimal_open(space: FiniteSpace, x: int) -> int:

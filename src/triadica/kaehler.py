@@ -27,8 +27,8 @@ from fractions import Fraction
 
 from .algebra import Algebra, multiplication_map, require_valid_algebra
 from .errors import DimensionMismatchError, InvariantError, TriadicaError
-from .exactla import (ONE, ZERO, Matrix, Subspace, full_space, kernel, rref,
-                      solve)
+from .exactla import (ZERO, Matrix, Subspace, full_space, kernel, rref, solve,
+                      unit_vector)
 from .report import Finding
 from .sheaf import (AlgebraPresheaf, ModulePresheaf, ModuleSections,
                     Sheafification, sheafify, sheafify_module)
@@ -60,10 +60,6 @@ class KaehlerModule:
     module: ModuleSections
     differential: Matrix
     ideal: Subspace
-
-
-def _basis_vec(n: int, i: int):
-    return tuple(ONE if t == i else ZERO for t in range(n))
 
 
 def kaehler_module(a: Algebra) -> KaehlerModule:
@@ -192,8 +188,8 @@ def factor_derivation(k: KaehlerModule, target: ModuleSections,
             rows.append(row)
             rhs.append(derivation.entries[r][i])
     for i in range(a.dim):
-        act_omega = k.module.act_matrix(_basis_vec(a.dim, i))
-        act_target = target.act_matrix(_basis_vec(a.dim, i))
+        act_omega = k.module.act_matrix(unit_vector(a.dim, i))
+        act_target = target.act_matrix(unit_vector(a.dim, i))
         for j in range(om):
             acted = act_omega.col(j)
             for r in range(tm):
@@ -220,7 +216,7 @@ def derivation_space(a: Algebra, target: ModuleSections) -> list[Matrix]:
     n, tm = a.dim, target.dim
     unknowns = tm * n  # D[r][i] at index r*n + i
     rows = []
-    act = [target.act_matrix(_basis_vec(n, i)) for i in range(n)]
+    act = [target.act_matrix(unit_vector(n, i)) for i in range(n)]
     for i in range(n):
         for j in range(i, n):
             prod = a.struct[i][j]
@@ -263,7 +259,7 @@ def restrict_scalars(m: ModuleSections, r: Matrix) -> ModuleSections:
     action = []
     for i in range(r.cols):
         image = r.col(i)
-        action.append(tuple(m.act(image, _basis_vec(m.dim, j))
+        action.append(tuple(m.act(image, unit_vector(m.dim, j))
                             for j in range(m.dim)))
     return ModuleSections(r.cols, m.dim, tuple(action))
 

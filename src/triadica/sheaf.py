@@ -16,14 +16,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Union
 
 from .algebra import (Algebra, AlgebraMorphism, function_algebra,
                       validate_algebra, validate_algebra_morphism)
 from .errors import DimensionMismatchError, InvariantError, TriadicaError
-from .exactla import ONE, ZERO, Matrix, Subspace, Vector, kernel, span
+from .exactla import (ONE, ZERO, Matrix, Subspace, Vector, kernel, span,
+                      unit_vector)
 from .finspace import (ContinuousMap, FiniteSpace, minimal_open,
-                       minimal_open_superset, preimage_open)
+                       minimal_open_superset, preimage_open, require_topology)
 from .report import Finding, Report
 
 
@@ -73,8 +73,7 @@ class ModuleSections:
         return tuple(out)
 
     def act_matrix(self, a) -> Matrix:
-        cols = [self.act(a, tuple(ONE if j == i else ZERO for j in range(self.dim)))
-                for i in range(self.dim)]
+        cols = [self.act(a, unit_vector(self.dim, i)) for i in range(self.dim)]
         return Matrix.from_columns(cols, rows=self.dim)
 
 
@@ -86,7 +85,7 @@ def free_module_sections(a: Algebra, rank: int) -> ModuleSections:
     """A^rank with the diagonal multiplication action."""
     n = a.dim
     dim = n * rank
-    basis = [tuple(ONE if t == i else ZERO for t in range(n)) for i in range(n)]
+    basis = [unit_vector(n, i) for i in range(n)]
     action = []
     for i in range(n):
         row = []
@@ -105,8 +104,8 @@ def validate_module_sections(a: Algebra, m: ModuleSections) -> Report:
     """Unit acts as identity; action is associative over the algebra."""
     findings: list[Finding] = []
     n = a.dim
-    basis = [tuple(ONE if t == i else ZERO for t in range(n)) for i in range(n)]
-    mod_basis = [tuple(ONE if t == j else ZERO for t in range(m.dim)) for j in range(m.dim)]
+    basis = [unit_vector(n, i) for i in range(n)]
+    mod_basis = [unit_vector(m.dim, j) for j in range(m.dim)]
     for j, w in enumerate(mod_basis):
         if m.act(a.unit, w) != w:
             findings.append(Finding("error", f"unit.w{j}",
@@ -182,13 +181,6 @@ class ModulePresheaf:
         return self.sections[u].dim
 
 
-Presheaf = Union[AlgebraPresheaf, ModulePresheaf]
-
-
-def _space_of(p: Presheaf) -> FiniteSpace:
-    return p.space
-
-
 def fill_restrictions(space: FiniteSpace, dims, given: dict) -> dict:
     """Complete a restriction table with identities and maps to empty opens."""
     table = dict(given)
@@ -252,9 +244,9 @@ def zero_module_presheaf(base: AlgebraPresheaf) -> ModulePresheaf:
     return ModulePresheaf(base, sections, table)
 
 
-def _functoriality_findings(p: Presheaf) -> list[Finding]:
+def _functoriality_findings(p: AlgebraPresheaf | ModulePresheaf) -> list[Finding]:
     findings = []
-    space = _space_of(p)
+    space = p.space
     for u, v in space.inclusion_pairs():
         if u == v:
             continue
@@ -311,9 +303,9 @@ def validate_module_presheaf(m: ModulePresheaf) -> Report:
         r = m.base.restriction(u, v)
         alg = m.base.sections[u]
         for i in range(alg.dim):
-            a = tuple(ONE if t == i else ZERO for t in range(alg.dim))
+            a = unit_vector(alg.dim, i)
             for j in range(m.sections[u].dim):
-                w = tuple(ONE if t == j else ZERO for t in range(m.sections[u].dim))
+                w = unit_vector(m.sections[u].dim, j)
                 lhs = rho.apply(m.sections[u].act(a, w))
                 rhs = m.sections[v].act(r.apply(a), rho.apply(w))
                 if lhs != rhs:
@@ -332,9 +324,9 @@ class Stalk:
     germ_maps: dict
 
 
-def stalk(p: Presheaf, x: int) -> Stalk:
+def stalk(p: AlgebraPresheaf | ModulePresheaf, x: int) -> Stalk:
     """Sections over the minimal open of x, with the maps from larger opens."""
-    space = _space_of(p)
+    space = p.space
     ux = minimal_open(space, x)
     germs = {v: p.restriction(v, ux) for v in space.opens_containing({x})}
     return Stalk(x, ux, p.sections[ux], germs)
@@ -344,12 +336,12 @@ def stalk(p: Presheaf, x: int) -> Stalk:
 class PresheafMorphism:
     """Componentwise linear map between presheaves over the same space."""
 
-    source: Presheaf
-    target: Presheaf
+    source: AlgebraPresheaf | ModulePresheaf
+    target: AlgebraPresheaf | ModulePresheaf
     components: tuple[Matrix, ...]
 
     def __post_init__(self):
-        space = _space_of(self.source)
+        space = self.source.space
         if len(self.components) != len(space.opens):
             raise DimensionMismatchError("one component per open required")
         for u, c in enumerate(self.components):
@@ -364,7 +356,7 @@ class PresheafMorphism:
 def validate_presheaf_morphism(h: PresheafMorphism, multiplicative: bool = False) -> Report:
     """Restriction squares; optionally unit/product preservation per open."""
     findings: list[Finding] = []
-    space = _space_of(h.source)
+    space = h.source.space
     for u, v in space.inclusion_pairs():
         lhs = h.components[v] @ h.source.restriction(u, v)
         rhs = h.target.restriction(u, v) @ h.components[u]
@@ -396,7 +388,7 @@ class CoverWitness:
 
 @dataclass(frozen=True)
 class SheafCertificate:
-    presheaf: Presheaf
+    presheaf: AlgebraPresheaf | ModulePresheaf
     is_sheaf: bool
     witnesses: tuple[CoverWitness, ...]
 
@@ -426,9 +418,9 @@ def irredundant_covers(space: FiniteSpace, u: int) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
-def _equalizer_data(p: Presheaf, u: int, cover: tuple[int, ...]):
+def _equalizer_data(p: AlgebraPresheaf | ModulePresheaf, u: int, cover: tuple[int, ...]):
     """Natural map into the product and the compatible-family subspace."""
-    space = _space_of(p)
+    space = p.space
     dims = [p.section_dim(i) for i in cover]
     offsets = []
     total = 0
@@ -461,18 +453,15 @@ def _equalizer_data(p: Presheaf, u: int, cover: tuple[int, ...]):
     return natural, compatible, offsets, dims
 
 
-def _split_family(vector, offsets, dims):
-    return [tuple(vector[o:o + d]) for o, d in zip(offsets, dims)]
-
-
-def check_sheaf_condition(p: Presheaf) -> SheafCertificate:
+def check_sheaf_condition(p: AlgebraPresheaf | ModulePresheaf) -> SheafCertificate:
     """Equalizer test against every irredundant cover of every open.
 
     The image of the natural map always lies in the compatible-family space
     (functoriality), so the test reduces to: natural map injective, and its
     rank equal to the dimension of the compatible-family space.
     """
-    space = _space_of(p)
+    space = p.space
+    require_topology(space)
     witnesses: list[CoverWitness] = []
     for u in range(len(space.opens)):
         for cover in irredundant_covers(space, u):
@@ -485,8 +474,8 @@ def check_sheaf_condition(p: Presheaf) -> SheafCertificate:
             image = span(natural.rows, [natural.col(c) for c in range(natural.cols)])
             if image.dim != compatible.dim:
                 stray = next(b for b in compatible.basis if not image.contains(b))
-                family = [[str(x) for x in chunk]
-                          for chunk in _split_family(stray, offsets, dims)]
+                family = [[str(x) for x in stray[o:o + d]]
+                          for o, d in zip(offsets, dims)]
                 witnesses.append(CoverWitness(u, cover, "gluing_fails", family))
     return SheafCertificate(p, not witnesses, tuple(witnesses))
 
@@ -510,11 +499,14 @@ class FamilyLayout:
         return [tuple(vector[o:o + d]) for o, d in zip(self.offsets, self.dims)]
 
     def coordinates(self, vector) -> Vector:
-        return _family_coordinates(self, vector)
+        coords = Subspace(self.total, self.basis).coordinates(vector)
+        if coords is None:
+            raise InvariantError("family is not compatible; sheafification is broken")
+        return coords
 
 
-def _family_layout(p: Presheaf, u: int) -> FamilyLayout:
-    space = _space_of(p)
+def _family_layout(p: AlgebraPresheaf | ModulePresheaf, u: int) -> FamilyLayout:
+    space = p.space
     pts = tuple(sorted(space.opens[u]))
     stalk_opens = tuple(minimal_open(space, x) for x in pts)
     dims = tuple(p.section_dim(s) for s in stalk_opens)
@@ -552,133 +544,121 @@ def _family_layout(p: Presheaf, u: int) -> FamilyLayout:
 
 @dataclass(frozen=True)
 class Sheafification:
-    presheaf: Presheaf
+    presheaf: AlgebraPresheaf | ModulePresheaf
     canonical: PresheafMorphism
     layouts: tuple[FamilyLayout, ...]
 
 
-def _family_coordinates(layout: FamilyLayout, vector) -> Vector:
-    coords = Subspace(layout.total, layout.basis).coordinates(vector)
-    if coords is None:
-        raise InvariantError("family is not compatible; sheafification is broken")
-    return coords
-
-
-def _restriction_between_layouts(space, lu: FamilyLayout, lv: FamilyLayout) -> Matrix:
+def _restriction_between_layouts(lu: FamilyLayout, lv: FamilyLayout) -> Matrix:
     """Truncate families from a bigger open to a smaller one."""
     if lv.total == 0 or not lv.basis:
         return Matrix.zeros(len(lv.basis), len(lu.basis))
     cols = []
     for b in lu.basis:
-        chunks = lu.chunks(b)
-        chunk_of = dict(zip(lu.points, chunks))
+        chunk_of = dict(zip(lu.points, lu.chunks(b)))
         truncated = tuple(x for p in lv.points for x in chunk_of[p])
-        cols.append(_family_coordinates(lv, truncated))
+        cols.append(lv.coordinates(truncated))
     return Matrix.from_columns(cols, rows=len(lv.basis))
+
+
+def _sheafify(p: AlgebraPresheaf | ModulePresheaf, left_layouts, operate,
+              assemble) -> Sheafification:
+    """Compatible-stalk-family sheafification, shared by both layers.
+
+    Over each open the families of p get the stalkwise bilinear table
+    `operate(stalk open, left chunk, right chunk)`, its left factor running
+    over `left_layouts[u]` (p's own layouts when None) and its right factor
+    over p's families.  `assemble(layouts, tables, restrictions)` builds the
+    sheafified presheaf; the canonical map sends a section to the family of
+    its restrictions to the stalks.
+    """
+    space = p.space
+    layouts = tuple(_family_layout(p, u) for u in range(len(space.opens)))
+    tables = []
+    for layout, left in zip(layouts, left_layouts or layouts):
+        right_chunks = [layout.chunks(b) for b in layout.basis]
+        table = []
+        for a in left.basis:
+            a_chunks = left.chunks(a)
+            table.append(tuple(
+                layout.coordinates(tuple(
+                    x for s, ac, bc in zip(layout.stalk_opens, a_chunks, b_chunks)
+                    for x in operate(s, ac, bc)))
+                for b_chunks in right_chunks))
+        tables.append(tuple(table))
+    restrictions = {(u, v): _restriction_between_layouts(layouts[u], layouts[v])
+                    for u, v in space.inclusion_pairs()}
+    plus = assemble(layouts, tables, restrictions)
+    components = []
+    for u, layout in enumerate(layouts):
+        # basis section i over u goes to the family of its stalk restrictions
+        cols = [layout.coordinates(tuple(x for s in layout.stalk_opens
+                                         for x in p.restriction(u, s).col(i)))
+                for i in range(p.section_dim(u))]
+        components.append(Matrix.from_columns(cols, rows=len(layout.basis)))
+    return Sheafification(plus, PresheafMorphism(p, plus, tuple(components)),
+                          layouts)
 
 
 def sheafify(p: AlgebraPresheaf) -> Sheafification:
     """Compatible-stalk-family sheafification of an algebra presheaf."""
-    space = p.space
-    layouts = tuple(_family_layout(p, u) for u in range(len(space.opens)))
-    algebras = []
-    for u, layout in enumerate(layouts):
-        k = len(layout.basis)
-        struct = []
-        for a in layout.basis:
-            row = []
-            a_chunks = layout.chunks(a)
-            for b in layout.basis:
-                b_chunks = layout.chunks(b)
-                prod = tuple(x
-                             for s, ac, bc in zip(layout.stalk_opens, a_chunks, b_chunks)
-                             for x in p.sections[s].multiply(ac, bc))
-                row.append(_family_coordinates(layout, prod))
-            struct.append(tuple(row))
-        unit_family = tuple(x for s in layout.stalk_opens for x in p.sections[s].unit)
-        unit = _family_coordinates(layout, unit_family) if k else ()
-        algebras.append(Algebra(k, tuple(struct), unit))
-    table = {}
-    for u, v in space.inclusion_pairs():
-        table[(u, v)] = _restriction_between_layouts(space, layouts[u], layouts[v])
-    plus = AlgebraPresheaf(space, tuple(algebras), table)
-    components = []
-    for u, layout in enumerate(layouts):
-        cols = []
-        for i in range(p.section_dim(u)):
-            e = tuple(ONE if t == i else ZERO for t in range(p.section_dim(u)))
-            family = tuple(x for s in layout.stalk_opens
-                           for x in p.restriction(u, s).apply(e))
-            cols.append(_family_coordinates(layout, family))
-        components.append(Matrix.from_columns(cols, rows=len(layout.basis))
-                          if cols or layout.basis else Matrix.zeros(len(layout.basis), 0))
-    canonical = PresheafMorphism(p, plus, tuple(components))
-    return Sheafification(plus, canonical, layouts)
+    require_topology(p.space)
+
+    def assemble(layouts, tables, restrictions):
+        algebras = []
+        for layout, struct in zip(layouts, tables):
+            unit_family = tuple(x for s in layout.stalk_opens
+                                for x in p.sections[s].unit)
+            unit = layout.coordinates(unit_family) if layout.basis else ()
+            algebras.append(Algebra(len(layout.basis), struct, unit))
+        return AlgebraPresheaf(p.space, tuple(algebras), restrictions)
+
+    return _sheafify(p, None, lambda s, x, y: p.sections[s].multiply(x, y),
+                     assemble)
 
 
 def sheafify_module(m: ModulePresheaf, base_plus: Sheafification) -> Sheafification:
     """Sheafify a module presheaf over the already-sheafified base algebra."""
-    space = m.space
-    base_layouts = base_plus.layouts
-    layouts = tuple(_family_layout(m, u) for u in range(len(space.opens)))
-    modules = []
-    for u, layout in enumerate(layouts):
-        alg_layout = base_layouts[u]
-        alg_dim = len(alg_layout.basis)
-        action = []
-        for a in alg_layout.basis:
-            a_chunks = alg_layout.chunks(a)
-            row = []
-            for w in layout.basis:
-                w_chunks = layout.chunks(w)
-                acted = tuple(x
-                              for s, ac, wc in zip(layout.stalk_opens, a_chunks, w_chunks)
-                              for x in m.sections[s].act(ac, wc))
-                row.append(_family_coordinates(layout, acted))
-            action.append(tuple(row))
-        modules.append(ModuleSections(alg_dim, len(layout.basis), tuple(action)))
-    table = {}
-    for u, v in space.inclusion_pairs():
-        table[(u, v)] = _restriction_between_layouts(space, layouts[u], layouts[v])
-    plus = ModulePresheaf(base_plus.presheaf, tuple(modules), table)
-    components = []
-    for u, layout in enumerate(layouts):
-        cols = []
-        for i in range(m.section_dim(u)):
-            e = tuple(ONE if t == i else ZERO for t in range(m.section_dim(u)))
-            family = tuple(x for s in layout.stalk_opens
-                           for x in m.restriction(u, s).apply(e))
-            cols.append(_family_coordinates(layout, family))
-        components.append(Matrix.from_columns(cols, rows=len(layout.basis))
-                          if cols else Matrix.zeros(len(layout.basis), 0))
-    canonical = PresheafMorphism(m, plus, tuple(components))
-    return Sheafification(plus, canonical, layouts)
+
+    def assemble(layouts, tables, restrictions):
+        modules = tuple(ModuleSections(len(base.basis), len(layout.basis), action)
+                        for base, layout, action
+                        in zip(base_plus.layouts, layouts, tables))
+        return ModulePresheaf(base_plus.presheaf, modules, restrictions)
+
+    return _sheafify(m, base_plus.layouts,
+                     lambda s, a, w: m.sections[s].act(a, w), assemble)
 
 
 # ---------------------------------------------------------------------------
 # pushforward
 
 
+def _preimages(f: ContinuousMap) -> list[int]:
+    return [preimage_open(f, v) for v in range(len(f.codomain.opens))]
+
+
+def _pushforward_parts(f: ContinuousMap, p: AlgebraPresheaf | ModulePresheaf):
+    """Sections and restrictions of p read at the preimages of f's opens."""
+    pre = _preimages(f)
+    sections = tuple(p.sections[w] for w in pre)
+    table = {(u, v): p.restriction(pre[u], pre[v])
+             for u, v in f.codomain.inclusion_pairs()}
+    return sections, table
+
+
 def pushforward(f: ContinuousMap, p: AlgebraPresheaf) -> AlgebraPresheaf:
     """Direct image: sections over V are the sections over the preimage."""
     if p.space != f.domain:
         raise DimensionMismatchError("presheaf does not live on the map's domain")
-    y = f.codomain
-    pre = [preimage_open(f, v) for v in range(len(y.opens))]
-    sections = tuple(p.sections[pre[v]] for v in range(len(y.opens)))
-    table = {(u, v): p.restriction(pre[u], pre[v]) for u, v in y.inclusion_pairs()}
-    return AlgebraPresheaf(y, sections, table)
+    return AlgebraPresheaf(f.codomain, *_pushforward_parts(f, p))
 
 
 def pushforward_module(f: ContinuousMap, m: ModulePresheaf,
                        base_image: AlgebraPresheaf | None = None) -> ModulePresheaf:
     if base_image is None:
         base_image = pushforward(f, m.base)
-    y = f.codomain
-    pre = [preimage_open(f, v) for v in range(len(y.opens))]
-    sections = tuple(m.sections[pre[v]] for v in range(len(y.opens)))
-    table = {(u, v): m.restriction(pre[u], pre[v]) for u, v in y.inclusion_pairs()}
-    return ModulePresheaf(base_image, sections, table)
+    return ModulePresheaf(base_image, *_pushforward_parts(f, m))
 
 
 def pushforward_morphism(f: ContinuousMap, h: PresheafMorphism) -> PresheafMorphism:
@@ -686,9 +666,7 @@ def pushforward_morphism(f: ContinuousMap, h: PresheafMorphism) -> PresheafMorph
         else pushforward_module(f, h.source)
     tgt = pushforward(f, h.target) if isinstance(h.target, AlgebraPresheaf) \
         else pushforward_module(f, h.target)
-    pre = [preimage_open(f, v) for v in range(len(f.codomain.opens))]
-    return PresheafMorphism(src, tgt, tuple(h.components[pre[v]]
-                                            for v in range(len(f.codomain.opens))))
+    return PresheafMorphism(src, tgt, tuple(h.components[w] for w in _preimages(f)))
 
 
 # ---------------------------------------------------------------------------
@@ -706,8 +684,8 @@ class SubsetSections:
     maps: dict
 
 
-def sections_over_subset(p: Presheaf, subset) -> SubsetSections:
-    space = _space_of(p)
+def sections_over_subset(p: AlgebraPresheaf | ModulePresheaf, subset) -> SubsetSections:
+    space = p.space
     uk = minimal_open_superset(space, subset)
     maps = {v: p.restriction(v, uk) for v in space.opens_containing(subset)}
     return SubsetSections(frozenset(subset), uk, p.sections[uk], maps)
@@ -719,7 +697,7 @@ def morphism_over_subset(h: PresheafMorphism, subset) -> Matrix:
     Raises RestrictionSquareViolation if some open above the subset
     disagrees after restriction (witnessing that h was not a morphism).
     """
-    space = _space_of(h.source)
+    space = h.source.space
     uk = minimal_open_superset(space, subset)
     hk = h.components[uk]
     for v in space.opens_containing(subset):
@@ -729,7 +707,6 @@ def morphism_over_subset(h: PresheafMorphism, subset) -> Matrix:
             diff = lhs - rhs
             col = next(c for c in range(diff.cols)
                        if any(diff.entries[r][c] != 0 for r in range(diff.rows)))
-            section = tuple(ONE if t == col else ZERO
-                            for t in range(h.source.section_dim(v)))
+            section = unit_vector(h.source.section_dim(v), col)
             raise RestrictionSquareViolation(v, section)
     return hk

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from .algebra import (Algebra, AlgebraMorphism, function_algebra,
                       is_standard_function_algebra, validate_algebra_morphism)
 from .errors import DimensionMismatchError, TriadicaError
-from .exactla import ONE, ZERO, Matrix, Subspace, kernel, span
+from .exactla import Matrix, Subspace, kernel, span, unit_vector
 from .finspace import ContinuousMap, FiniteSpace, preimage_open
 from .report import Finding, Report, merge_reports
 from .sheaf import (AlgebraPresheaf, ModulePresheaf, ModuleSections,
@@ -50,7 +50,7 @@ class DifferentialTriad:
 def check_leibniz(a: Algebra, m: ModuleSections, d: Matrix) -> Report:
     """Check d(xy) = x.d(y) + y.d(x) on basis pairs; stop at the first failure."""
     findings = []
-    basis = [tuple(ONE if t == i else ZERO for t in range(a.dim)) for i in range(a.dim)]
+    basis = [unit_vector(a.dim, i) for i in range(a.dim)]
     for i in range(a.dim):
         for j in range(i, a.dim):
             left = d.apply(a.struct[i][j])

@@ -84,12 +84,6 @@ class WorkspaceDocument:
                 return section
         return None
 
-    def lookup(self, name: str, location: str = "target"):
-        section = self.section_of(name)
-        if section is None:
-            raise UnresolvedReference(name, location)
-        return section, getattr(self, section)[name]
-
 
 # ---------------------------------------------------------------------------
 # scalar and matrix fragments
@@ -250,7 +244,7 @@ def algebra_to_json(a: Algebra) -> dict:
 def presheaf_from_json(value, doc: WorkspaceDocument,
                        location: str) -> AlgebraPresheaf:
     if isinstance(value, str):
-        return _resolve(value, doc, "presheaves", AlgebraPresheaf, location)
+        return _resolve(value, doc, "presheaves", location)
     if not isinstance(value, dict) or set(value) - {"space", "sections",
                                                     "restrictions"}:
         raise ParseError("expected {space, sections, restrictions}", location)
@@ -265,7 +259,7 @@ def presheaf_from_json(value, doc: WorkspaceDocument,
         loc = f"{location}.sections[{i}]"
         if isinstance(entry, str) and " " not in entry:
             # a bare word is a reference; builders are "name size" pairs
-            sections.append(_resolve(entry, doc, "algebras", Algebra, loc))
+            sections.append(_resolve(entry, doc, "algebras", loc))
         else:
             sections.append(algebra_from_json(entry, loc))
     dims = [a.dim for a in sections]
@@ -312,7 +306,7 @@ def module_sections_to_json(m: ModuleSections) -> dict:
 
 def map_from_json(value, doc: WorkspaceDocument, location: str) -> ContinuousMap:
     if isinstance(value, str):
-        return _resolve(value, doc, "maps", ContinuousMap, location)
+        return _resolve(value, doc, "maps", location)
     if not isinstance(value, dict) or set(value) - {"domain", "codomain",
                                                     "values"}:
         raise ParseError("expected {domain, codomain, values}", location)
@@ -337,7 +331,7 @@ def map_to_json(f: ContinuousMap) -> dict:
 def triad_from_json(value, doc: WorkspaceDocument,
                     location: str) -> DifferentialTriad:
     if isinstance(value, str):
-        return _resolve(value, doc, "triads", DifferentialTriad, location)
+        return _resolve(value, doc, "triads", location)
     if not isinstance(value, dict) or set(value) - {"algebras", "modules",
                                                     "differentials"}:
         raise ParseError("expected {algebras, modules, differentials}", location)
@@ -386,7 +380,7 @@ def triad_to_json(t: DifferentialTriad) -> dict:
 def morphism_from_json(value, doc: WorkspaceDocument,
                        location: str) -> TriadMorphism:
     if isinstance(value, str):
-        return _resolve(value, doc, "morphisms", TriadMorphism, location)
+        return _resolve(value, doc, "morphisms", location)
     expected = {"map", "source", "target", "algebra_components",
                 "module_components"}
     if not isinstance(value, dict) or set(value) - expected:
@@ -424,12 +418,11 @@ def morphism_to_json(m: TriadMorphism) -> dict:
 
 def _space_ref(value, doc: WorkspaceDocument, location: str) -> FiniteSpace:
     if isinstance(value, str):
-        return _resolve(value, doc, "spaces", FiniteSpace, location)
+        return _resolve(value, doc, "spaces", location)
     return space_from_json(value, location)
 
 
-def _resolve(name: str, doc: WorkspaceDocument, section: str, kind,
-             location: str):
+def _resolve(name: str, doc: WorkspaceDocument, section: str, location: str):
     table = getattr(doc, section)
     if name not in table:
         raise UnresolvedReference(name, location)

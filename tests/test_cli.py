@@ -230,6 +230,28 @@ def test_kaehler_refuses_an_algebra_with_a_broken_unit(capsys, tmp_path):
         assert "derived_artifacts" not in json.loads(out)["reports"][0]
 
 
+def test_presheaf_on_a_non_topology_is_refused(capsys, tmp_path):
+    # {0} and {1} are open but their union {0, 1} is not
+    path = tmp_path / "space.json"
+    path.write_text(dump_workspace({"schema": 1, "spaces": {"B": {
+        "points": 3, "opens": [[], [0], [1], [0, 1, 2]]}}, "presheaves": {"P": {
+            "space": "B",
+            "sections": ["function_algebra 0", "function_algebra 1",
+                         "function_algebra 1", "function_algebra 3"],
+            "restrictions": {
+                "3->1": {"rows": 1, "cols": 3, "entries": [["1", "0", "0"]]},
+                "3->2": {"rows": 1, "cols": 3,
+                         "entries": [["0", "1", "0"]]}}}}}))
+    for command in ("validate", "sheafify", "kaehler"):
+        code, out, _ = run_cli(capsys, command, "--workspace", str(path),
+                               "--target", "P")
+        assert code == 1
+        report = json.loads(out)["reports"][0]
+        assert [f["message"] for f in report["findings"]] == [
+            "not a topology: opens[1]|opens[2]: union of opens is not open"]
+        assert "derived_artifacts" not in report
+
+
 def test_invariant_checks_survive_optimized_mode():
     code = ("import sys\n"
             "from triadica.errors import InvariantError\n"

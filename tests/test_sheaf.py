@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from triadica.algebra import Algebra, function_algebra, truncated_poly_algebra
 from triadica.errors import DimensionMismatchError
 from triadica.exactla import ONE, ZERO, Matrix, kernel, vec
-from triadica.finspace import (ContinuousMap, all_maps, constant_map,
-                               discrete_space, indiscrete_space, minimal_open,
-                               sierpinski_space, space_from_opens)
+from triadica.finspace import (ContinuousMap, InvalidTopologyError, all_maps,
+                               constant_map, discrete_space, indiscrete_space,
+                               minimal_open, sierpinski_space, space_from_opens)
 from triadica.sheaf import (AlgebraPresheaf, ModulePresheaf, ModuleSections,
                             PresheafMorphism, RestrictionSquareViolation,
                             check_sheaf_condition, constant_presheaf,
@@ -262,6 +262,16 @@ def test_nonzero_empty_sections_fail_empty_cover():
 
 # ---------------------------------------------------------------------------
 # sheafification
+
+
+def test_sheaf_operations_refuse_a_non_topology():
+    # {0} and {1} are open but their union is not
+    p = function_presheaf(space_from_opens(3, [(), (0,), (1,), (0, 1, 2)]))
+    for operation in (check_sheaf_condition, sheafify):
+        with pytest.raises(InvalidTopologyError) as info:
+            operation(p)
+        assert info.value.finding.location == "opens[1]|opens[2]"
+        assert info.value.finding.message == "union of opens is not open"
 
 
 def test_sheafify_constants_on_discrete_two():
