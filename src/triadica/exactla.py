@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatchError
@@ -71,7 +72,9 @@ def vec_scale(c: Fraction, a: Sequence[Fraction]) -> Vector:
 
 
 def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
-    return sum((x * y for x, y in zip(a, b, strict=True)), ZERO)
+    # most products here are by zero (0/1 restriction matrices, unit
+    # vectors); skipping them is exact and strict=True still checks lengths
+    return sum((x * y for x, y in zip(a, b, strict=True) if x and y), ZERO)
 
 
 @dataclass(frozen=True)
@@ -219,6 +222,11 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
+    @cached_property
+    def leads(self) -> tuple[int, ...]:
+        """Index of the first nonzero entry of each basis vector."""
+        return tuple(next(j for j, x in enumerate(b) if x != 0) for b in self.basis)
+
     def contains(self, v: Sequence[Fraction]) -> bool:
         if len(v) != self.ambient_dim:
             raise DimensionMismatchError("vector/ambient length mismatch")
@@ -228,8 +236,7 @@ class Subspace:
         """Coefficients of v in the stored basis, or None if v is outside."""
         residue = list(v)
         coords = []
-        for b in self.basis:
-            lead = next(j for j, x in enumerate(b) if x != 0)
+        for lead, b in zip(self.leads, self.basis):
             c = residue[lead]
             coords.append(c)
             if c != 0:
@@ -304,7 +311,7 @@ class Quotient:
 def quotient_space(ambient_dim: int, sub: Subspace) -> Quotient:
     if sub.ambient_dim != ambient_dim:
         raise DimensionMismatchError("subspace lives in a different ambient space")
-    pivot_of = {next(j for j, x in enumerate(b) if x != 0): b for b in sub.basis}
+    pivot_of = dict(zip(sub.leads, sub.basis))
     free = [j for j in range(ambient_dim) if j not in pivot_of]
     proj_cols = []
     for j in range(ambient_dim):

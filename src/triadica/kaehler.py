@@ -29,6 +29,7 @@ from .algebra import Algebra, multiplication_map, require_valid_algebra
 from .errors import DimensionMismatchError, InvariantError, TriadicaError
 from .exactla import (ZERO, Matrix, Subspace, full_space, kernel, rref, solve,
                       unit_vector)
+from .finspace import require_topology
 from .report import Finding
 from .sheaf import (AlgebraPresheaf, ModulePresheaf, ModuleSections,
                     Sheafification, sheafify, sheafify_module)
@@ -280,9 +281,11 @@ def kaehler_presheaf(base: AlgebraPresheaf) -> KaehlerPresheafResult:
     with the algebra restriction is a derivation, so it factors uniquely
     through the big-open module.  The result is returned both as a raw
     presheaf triad and with both layers sheafified and the operator carried
-    across blockwise.
+    across blockwise.  Raises InvalidTopologyError before any module is
+    built when the base space is not a topology.
     """
     space = base.space
+    require_topology(space)
     per_open = tuple(kaehler_module(base.sections[u])
                      for u in range(len(space.opens)))
     table = {}

@@ -1,15 +1,17 @@
 """Presheaves of algebras and modules on finite spaces, and their sheaf theory.
 
 Sections are kept per open-set index; restriction matrices are stored for
-every inclusion pair of opens.  On a finite space the sheaf condition only
-needs to be checked against irredundant covers (no member contained in the
-union of the others), and sheafification has a concrete description: sections
-over U are the families of stalk sections (one per point of U, taken at the
-point's minimal open) that agree under restriction whenever one minimal open
-contains another.
+every inclusion pair of opens.  A finite space is Alexandrov: every point x
+has a minimal open U_x.  Over an open U, a compatible stalk family is one
+section over U_x for each point x of U such that the sections agree under
+restriction whenever one minimal open contains another.  These families are
+the limit lim_{x in U} F(U_x), and a presheaf F is a sheaf exactly when every
+canonical map F(U) -> lim_{x in U} F(U_x) is bijective (Curry, Sheaves,
+Cosheaves and Applications, arXiv:1303.3255, section 4).  The same families
+are the sections of the sheafification.
 
-Sections over the empty set are the degenerate zero algebra / zero module;
-this is what makes the empty cover of the empty set pass the equalizer test.
+Sections over the empty set are the degenerate zero algebra / zero module:
+the empty open has no points, so its limit is the zero space.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from itertools import combinations
 from .algebra import (Algebra, AlgebraMorphism, function_algebra,
                       validate_algebra, validate_algebra_morphism)
 from .errors import DimensionMismatchError, InvariantError, TriadicaError
-from .exactla import (ONE, ZERO, Matrix, Subspace, Vector, kernel, span,
-                      unit_vector)
+from .exactla import (ONE, ZERO, Matrix, Subspace, Vector, full_space, kernel,
+                      span, unit_vector)
 from .finspace import (ContinuousMap, FiniteSpace, minimal_open,
                        minimal_open_superset, preimage_open, require_topology)
 from .report import Finding, Report
@@ -418,65 +420,45 @@ def irredundant_covers(space: FiniteSpace, u: int) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
-def _equalizer_data(p: AlgebraPresheaf | ModulePresheaf, u: int, cover: tuple[int, ...]):
-    """Natural map into the product and the compatible-family subspace."""
-    space = p.space
-    dims = [p.section_dim(i) for i in cover]
-    offsets = []
-    total = 0
-    for d in dims:
-        offsets.append(total)
-        total += d
-    if cover:
-        natural = Matrix(total, p.section_dim(u),
-                         tuple(row for i in cover for row in p.restriction(u, i).entries))
-    else:
-        natural = Matrix.zeros(0, p.section_dim(u))
-    rows = []
-    for a_pos in range(len(cover)):
-        for b_pos in range(a_pos + 1, len(cover)):
-            i, j = cover[a_pos], cover[b_pos]
-            meet = space.open_index(space.opens[i] & space.opens[j])
-            ri = p.restriction(i, meet)
-            rj = p.restriction(j, meet)
-            for r in range(ri.rows):
-                row = [ZERO] * total
-                for c in range(ri.cols):
-                    row[offsets[a_pos] + c] += ri.entries[r][c]
-                for c in range(rj.cols):
-                    row[offsets[b_pos] + c] -= rj.entries[r][c]
-                rows.append(row)
-    if rows:
-        compatible = kernel(Matrix.from_rows(rows, cols=total))
-    else:
-        compatible = Subspace(total, Matrix.identity(total).entries if total else ())
-    return natural, compatible, offsets, dims
-
-
 def check_sheaf_condition(p: AlgebraPresheaf | ModulePresheaf) -> SheafCertificate:
-    """Equalizer test against every irredundant cover of every open.
+    """Stalk-family test: every canonical map F(U) -> lim_{x in U} F(U_x)
+    must be bijective (Curry, arXiv:1303.3255, section 4).
 
-    The image of the natural map always lies in the compatible-family space
-    (functoriality), so the test reduces to: natural map injective, and its
-    rank equal to the dimension of the compatible-family space.
+    The canonical map N over U stacks the restrictions to the minimal opens
+    of U's points in family-layout order.  An open fails with one witness,
+    whose cover is the sorted distinct minimal opens of its points: a kernel
+    vector of N (`not_injective`), a compatible family outside N's image
+    (`gluing_fails`), or, when the restrictions do not compose, a basis
+    section whose stalk family is not compatible (`not_compatible`).  The
+    open passes only when N is injective and the echelon bases of its image
+    and of the compatible-family space are equal.
     """
     space = p.space
     require_topology(space)
     witnesses: list[CoverWitness] = []
     for u in range(len(space.opens)):
-        for cover in irredundant_covers(space, u):
-            natural, compatible, offsets, dims = _equalizer_data(p, u, cover)
-            ker = kernel(natural)
-            if ker.dim > 0:
-                witnesses.append(CoverWitness(u, cover, "not_injective",
-                                              [str(x) for x in ker.basis[0]]))
-                continue
-            image = span(natural.rows, [natural.col(c) for c in range(natural.cols)])
-            if image.dim != compatible.dim:
-                stray = next(b for b in compatible.basis if not image.contains(b))
-                family = [[str(x) for x in stray[o:o + d]]
-                          for o, d in zip(offsets, dims)]
-                witnesses.append(CoverWitness(u, cover, "gluing_fails", family))
+        layout = _family_layout(p, u)
+        cover = tuple(sorted(set(layout.stalk_opens)))
+        columns = [tuple(x for s in layout.stalk_opens
+                         for x in p.restriction(u, s).col(i))
+                   for i in range(p.section_dim(u))]
+        image = span(layout.total, columns)
+        if image.dim < len(columns):
+            natural = Matrix.from_columns(columns, rows=layout.total)
+            witnesses.append(CoverWitness(u, cover, "not_injective",
+                                          [str(x) for x in kernel(natural).basis[0]]))
+        elif image.basis != layout.basis:
+            stray = next((b for b in layout.basis if not image.contains(b)), None)
+            if stray is not None:
+                witnesses.append(CoverWitness(
+                    u, cover, "gluing_fails",
+                    [[str(x) for x in chunk] for chunk in layout.chunks(stray)]))
+            else:
+                i = next(i for i, c in enumerate(columns)
+                         if not layout.compatible.contains(c))
+                witnesses.append(CoverWitness(
+                    u, cover, "not_compatible",
+                    [str(x) for x in unit_vector(len(columns), i)]))
     return SheafCertificate(p, not witnesses, tuple(witnesses))
 
 
@@ -493,13 +475,18 @@ class FamilyLayout:
     offsets: tuple[int, ...]
     dims: tuple[int, ...]
     total: int
-    basis: tuple[Vector, ...]  # echelon basis of the compatible subspace
+    compatible: Subspace
+
+    @property
+    def basis(self) -> tuple[Vector, ...]:
+        """Echelon basis of the compatible-family space."""
+        return self.compatible.basis
 
     def chunks(self, vector):
         return [tuple(vector[o:o + d]) for o, d in zip(self.offsets, self.dims)]
 
     def coordinates(self, vector) -> Vector:
-        coords = Subspace(self.total, self.basis).coordinates(vector)
+        coords = self.compatible.coordinates(vector)
         if coords is None:
             raise InvariantError("family is not compatible; sheafification is broken")
         return coords
@@ -535,11 +522,8 @@ def _family_layout(p: AlgebraPresheaf | ModulePresheaf, u: int) -> FamilyLayout:
                     row[offsets[a_pos] + c] += r.entries[row_idx][c]
                 row[offsets[b_pos] + row_idx] -= ONE
                 rows.append(row)
-    if rows:
-        basis = kernel(Matrix.from_rows(rows, cols=total)).basis
-    else:
-        basis = Matrix.identity(total).entries if total else ()
-    return FamilyLayout(pts, stalk_opens, tuple(offsets), dims, total, basis)
+    compatible = kernel(Matrix.from_rows(rows, cols=total)) if rows else full_space(total)
+    return FamilyLayout(pts, stalk_opens, tuple(offsets), dims, total, compatible)
 
 
 @dataclass(frozen=True)

@@ -252,6 +252,28 @@ def test_presheaf_on_a_non_topology_is_refused(capsys, tmp_path):
         assert "derived_artifacts" not in report
 
 
+def test_validate_reports_restrictions_that_do_not_compose(capsys, tmp_path):
+    # 4->3 then 3->1 is [1, 1] but 4->1 is [1, 0]; the sheaf check must
+    # still answer with a witness, not a traceback
+    one = lambda *xs: {"rows": 1, "cols": len(xs), "entries": [list(xs)]}
+    path = tmp_path / "presheaf.json"
+    path.write_text(dump_workspace({"schema": 1, "spaces": {"V": {
+        "points": 3, "opens": [[], [0], [0, 1], [0, 2], [0, 1, 2]]}},
+        "presheaves": {"P": {
+            "space": "V",
+            "sections": ["function_algebra 0"] + ["function_algebra 1"] * 3
+                        + ["function_algebra 2"],
+            "restrictions": {"2->1": one("1"), "3->1": one("1"),
+                             "4->1": one("1", "0"), "4->2": one("1", "0"),
+                             "4->3": one("1", "1")}}}}))
+    code, out, err = run_cli(capsys, "validate", "--workspace", str(path),
+                             "--target", "P")
+    assert code == 1 and err == ""
+    messages = [f["message"] for f in json.loads(out)["reports"][0]["findings"]]
+    assert "restriction maps do not compose functorially" in messages
+    assert messages[-1] == "sheaf condition fails (1 witnesses)"
+
+
 def test_invariant_checks_survive_optimized_mode():
     code = ("import sys\n"
             "from triadica.errors import InvariantError\n"

@@ -2,12 +2,12 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from triadica.exactla import (Matrix, Subspace, full_space, hstack, kernel,
-                              product_subspace, quotient_space, rat, rref,
-                              solve, span, vec, vstack)
+from triadica.exactla import (ZERO, Matrix, Subspace, dot, full_space, hstack,
+                              kernel, product_subspace, quotient_space, rat,
+                              rref, solve, span, vec, vstack)
 
 F = Fraction
 
@@ -66,6 +66,40 @@ def small_matrices(draw):
     dens = st.integers(1, 4)
     entries = [[F(draw(nums), draw(dens)) for _ in range(cols)] for _ in range(rows)]
     return Matrix.from_rows(entries, cols=cols)
+
+
+def test_dot_rejects_mismatched_lengths_even_when_all_zero():
+    assert dot(vec([0, 2]), vec([3, 0])) == 0
+    for a, b in [(vec([1, 2]), vec([3])), (vec([0, 0]), vec([0])), ((), vec([0]))]:
+        with pytest.raises(ValueError):
+            dot(a, b)
+
+
+@st.composite
+def matrix_pairs(draw):
+    """a (n x k), b (k x m) and v in Q^k; a draw's density runs from all
+    zeros to no zeros, so both sparse and dense products are exercised."""
+    n, k, m = draw(st.integers(0, 4)), draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    density = draw(st.sampled_from([0, 1, 2, 4]))
+    entry = st.builds(lambda keep, num, den: F(num, den) if keep < density else ZERO,
+                      st.integers(0, 3), st.integers(-6, 6), st.integers(1, 4))
+    grid = lambda r, c: [[draw(entry) for _ in range(c)] for _ in range(r)]
+    return (Matrix(n, k, tuple(map(tuple, grid(n, k)))),
+            Matrix(k, m, tuple(map(tuple, grid(k, m)))),
+            tuple(draw(entry) for _ in range(k)))
+
+
+@seed(20130)
+@settings(max_examples=80, deadline=None)
+@given(matrix_pairs())
+def test_apply_and_matmul_equal_the_dense_products(pair):
+    a, b, v = pair
+    assert a.apply(v) == tuple(sum((a.entries[i][t] * v[t] for t in range(a.cols)), ZERO)
+                               for i in range(a.rows))
+    assert (a @ b).entries == tuple(
+        tuple(sum((a.entries[i][t] * b.entries[t][j] for t in range(a.cols)), ZERO)
+              for j in range(b.cols))
+        for i in range(a.rows))
 
 
 @settings(max_examples=60, deadline=None)

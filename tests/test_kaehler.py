@@ -21,7 +21,8 @@ from triadica.algebra import (InvalidAlgebraError, algebra_from_struct,
                               validate_algebra)
 from triadica.errors import DimensionMismatchError
 from triadica.exactla import Matrix, solve, span, vec, vstack
-from triadica.finspace import discrete_space, sierpinski_space
+from triadica.finspace import (InvalidTopologyError, discrete_space,
+                               sierpinski_space, space_from_opens)
 from triadica.kaehler import (FactorizationFailed, KaehlerModule,
                               NotADerivation, derivation_space,
                               factor_derivation, kaehler_module,
@@ -188,6 +189,28 @@ def test_invalid_algebra_is_refused():
     with pytest.raises(InvalidAlgebraError) as exc:
         kaehler_module(a)
     assert exc.value.finding == expected
+
+
+def test_presheaf_on_a_non_topology_is_refused_before_any_module(monkeypatch):
+    # the presheaf of test_cli's non-topology test: {0} and {1} are open but
+    # their union is not
+    space = space_from_opens(3, [(), (0,), (1,), (0, 1, 2)])
+    base = make_algebra_presheaf(
+        space, [function_algebra(0), function_algebra(1), function_algebra(1),
+                function_algebra(3)],
+        {(3, 1): Matrix.from_rows([[1, 0, 0]]),
+         (3, 2): Matrix.from_rows([[0, 1, 0]])})
+    calls = []
+
+    def counting(a):
+        calls.append(a)
+        return kaehler_module(a)
+
+    monkeypatch.setattr("triadica.kaehler.kaehler_module", counting)
+    with pytest.raises(InvalidTopologyError) as exc:
+        kaehler_presheaf(base)
+    assert str(exc.value) == "not a topology: opens[1]|opens[2]: union of opens is not open"
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Presheaf validation, sheaf condition, sheafification, pushforward."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from triadica.algebra import Algebra, function_algebra, truncated_poly_algebra
 from triadica.errors import DimensionMismatchError
-from triadica.exactla import ONE, ZERO, Matrix, kernel, vec
+from triadica.exactla import ONE, ZERO, Matrix, kernel, solve, vec
 from triadica.finspace import (ContinuousMap, InvalidTopologyError, all_maps,
                                constant_map, discrete_space, indiscrete_space,
                                minimal_open, sierpinski_space, space_from_opens)
@@ -25,6 +26,7 @@ from triadica.sheaf import (AlgebraPresheaf, ModulePresheaf, ModuleSections,
                             validate_algebra_presheaf, validate_module_presheaf,
                             validate_module_sections, validate_presheaf_morphism,
                             zero_module_presheaf, zero_module_sections)
+from sheaf_oracle import check_sheaf_by_covers
 
 
 def chain_space():
@@ -258,6 +260,126 @@ def test_nonzero_empty_sections_fail_empty_cover():
     assert not cert.is_sheaf
     assert any(w.open_index == 0 and w.cover == () and w.kind == "not_injective"
                for w in cert.witnesses)
+
+
+def all_topologies(n):
+    """Every topology on n points, as FiniteSpaces (29 of them on 3 points)."""
+    subsets = [frozenset(c) for r in range(n + 1)
+               for c in combinations(range(n), r)]
+    full, empty = frozenset(range(n)), frozenset()
+    middle = [x for x in subsets if x not in (empty, full)]
+    found = []
+    for r in range(len(middle) + 1):
+        for extra in combinations(middle, r):
+            opens = {empty, full, *extra}
+            if all(a | b in opens and a & b in opens
+                   for a in opens for b in opens):
+                found.append(space_from_opens(
+                    n, sorted((tuple(sorted(o)) for o in opens), key=lambda o: (len(o), o))))
+    return found
+
+
+def zeroed_top_presheaf(space):
+    """Q over every nonempty open, identities except that every restriction
+    out of the whole space is zero.  The restrictions still compose, and the
+    whole space fails injectivity unless it is some point's minimal open."""
+    top = space.open_index(frozenset(range(space.point_count)))
+    q = function_algebra(1)
+    sections = tuple(q if o else function_algebra(0) for o in space.opens)
+    table = {(u, v): (Matrix.identity(1) if u == v or u != top else Matrix.zeros(1, 1))
+             if space.opens[v] else Matrix.zeros(0, sections[u].dim)
+             for u, v in space.inclusion_pairs()}
+    return AlgebraPresheaf(space, sections, table)
+
+
+ORACLE_SPACES = [sp for n in range(4) for sp in all_topologies(n)] + [discrete_space(4)]
+ORACLE_PRESHEAVES = {
+    "function": function_presheaf,
+    "constant Q": lambda sp: constant_presheaf(sp, function_algebra(1)),
+    "constant truncated_poly 2": lambda sp: constant_presheaf(sp, truncated_poly_algebra(2)),
+    "zeroed top": zeroed_top_presheaf,
+}
+
+
+def natural_map(p, u):
+    """F(U) -> prod over sorted x in U of F(U_x), by stacked restrictions."""
+    space = p.space
+    stalks = [minimal_open(space, x) for x in sorted(space.opens[u])]
+    rows = [row for s in stalks for row in p.restriction(u, s).entries]
+    return Matrix(len(rows), p.section_dim(u), tuple(rows)), stalks
+
+
+def assert_witness_is_genuine(p, w):
+    space = p.space
+    natural, stalks = natural_map(p, w.open_index)
+    assert w.cover == tuple(sorted(set(stalks)))
+    if w.kind == "not_injective":
+        v = vec(w.section)
+        assert any(v) and not any(natural.apply(v))
+        return
+    assert w.kind == "gluing_fails"
+    family = [vec(chunk) for chunk in w.section]
+    assert [len(c) for c in family] == [p.section_dim(s) for s in stalks]
+    for sx, cx in zip(stalks, family):
+        for sy, cy in zip(stalks, family):
+            if space.opens[sy] <= space.opens[sx]:
+                assert p.restriction(sx, sy).apply(cx) == cy
+    flat = tuple(x for c in family for x in c)
+    assert not solve(natural, flat).consistent
+
+
+def test_every_topology_on_three_points_is_enumerated():
+    assert [len(all_topologies(n)) for n in range(4)] == [1, 1, 4, 29]
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_PRESHEAVES))
+def test_stalk_family_check_matches_cover_oracle(name):
+    for space in ORACLE_SPACES:
+        p = ORACLE_PRESHEAVES[name](space)
+        cert = check_sheaf_condition(p)
+        assert cert.is_sheaf == check_sheaf_by_covers(p).is_sheaf, space.opens
+        assert len({w.open_index for w in cert.witnesses}) == len(cert.witnesses)
+        for w in cert.witnesses:
+            assert_witness_is_genuine(p, w)
+
+
+def test_function_presheaf_on_discrete_five_is_a_sheaf():
+    assert check_sheaf_condition(function_presheaf(discrete_space(5))).is_sheaf
+
+
+def test_constant_presheaf_on_discrete_five_fails_once_per_open():
+    sp = discrete_space(5)
+    p = constant_presheaf(sp, truncated_poly_algebra(3))
+    cert = check_sheaf_condition(p)
+    failing = sorted(w.open_index for w in cert.witnesses)
+    assert failing == [u for u, o in enumerate(sp.opens) if len(o) > 1]
+    assert len(failing) == 26
+    for w in cert.witnesses:
+        assert w.kind == "gluing_fails"
+        assert_witness_is_genuine(p, w)
+
+
+def test_restrictions_that_do_not_compose_are_witnessed():
+    # U = {0,1,2} over U_0 = {0}, U_1 = {0,1}, U_2 = {0,2}: the section (0,1)
+    # of F(U) restricts to 0 on {0} but to 1 on {0,2}, whose restriction to
+    # {0} is 1, so its stalk family is not compatible, while every compatible
+    # family is hit; the cover oracle cannot even name a witness here
+    sp = space_from_opens(3, [(), (0,), (0, 1), (0, 2), (0, 1, 2)])
+    q = function_algebra(1)
+    row = lambda *xs: Matrix.from_rows([xs], cols=len(xs))
+    top, zero, a, b = (sp.open_index(frozenset(o))
+                       for o in [(0, 1, 2), (0,), (0, 1), (0, 2)])
+    p = make_algebra_presheaf(
+        sp, [function_algebra(0), q, q, q, function_algebra(2)],
+        {(zero, zero): Matrix.identity(1), (a, a): Matrix.identity(1),
+         (b, b): Matrix.identity(1), (top, top): Matrix.identity(2),
+         (a, zero): Matrix.identity(1), (b, zero): Matrix.identity(1),
+         (top, zero): row(ONE, ZERO), (top, a): row(ONE, ZERO),
+         (top, b): row(ONE, ONE)})
+    cert = check_sheaf_condition(p)
+    (w,) = cert.witnesses
+    assert (w.open_index, w.kind, w.section) == (top, "not_compatible", ["0", "1"])
+    assert w.cover == (zero, a, b)
 
 
 # ---------------------------------------------------------------------------
