@@ -384,7 +384,7 @@ def validate_presheaf_morphism(h: PresheafMorphism, multiplicative: bool = False
 class CoverWitness:
     open_index: int
     cover: tuple[int, ...]
-    kind: str  # "not_injective" or "gluing_fails"
+    kind: str  # "not_injective", "gluing_fails" or "not_compatible"
     section: object
 
 
