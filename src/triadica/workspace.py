@@ -190,9 +190,16 @@ def space_from_json(value, location: str) -> FiniteSpace:
             raise ParseError(f"opens[{i}] must be a list of integers", location)
         sets.append(frozenset(u))
     try:
-        return FiniteSpace(points, tuple(sets))
+        space = FiniteSpace(points, tuple(sets))
     except TriadicaError as exc:
         raise ParseError(str(exc), location) from None
+    covered = frozenset().union(*sets)
+    if len(covered) != points:
+        # the whole set is open in a topology, so its opens list every point;
+        # this also bounds the work on a space by the size of its description
+        missing = next(x for x in space.points if x not in covered)
+        raise ParseError(f"point {missing} lies in no open", location)
+    return space
 
 
 def space_to_json(s: FiniteSpace) -> dict:
@@ -287,6 +294,10 @@ def module_sections_from_json(value, location: str) -> ModuleSections:
     except (KeyError, TypeError, ValueError):
         raise ParseError("algebra_dim and dim must be integers",
                          location) from None
+    if dim < 0 or (algebra_dim == 0 and dim != 0):
+        # over the zero algebra 1 = 0 acts as the identity, so the module is 0
+        raise ParseError(f"dim must be 0 over the zero algebra and never "
+                         f"negative, not {dim}", location)
     action_json = value.get("action")
     if not isinstance(action_json, list) or len(action_json) != algebra_dim:
         raise ParseError(f"action must hold {algebra_dim} rows", location)

@@ -2,9 +2,15 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+import sympy
+from hypothesis import assume, given, seed, settings
+from hypothesis import strategies as st
 
+from algebra_oracle import rational_roots_by_division
 from triadica.algebra import (Algebra, AlgebraMorphism, Character,
-                              InvalidAlgebraError, NotSplitError, algebra_from_struct, characters,
+                              InvalidAlgebraError, NotSplitError, _primitive,
+                              _rational_roots, _sign_changes, _sturm_chain,
+                              algebra_from_struct, characters,
                               enumerate_unital_morphisms, function_algebra,
                               is_standard_function_algebra, multiplication_map,
                               nilradical, tensor_product,
@@ -232,6 +238,119 @@ def test_characters_of_rational_split_quadratic():
     a = algebra_from_struct(struct, [1, 0])
     got = [c.functional for c in characters(a)]
     assert got == [vec([1, -1]), vec([1, 1])]
+
+
+# ---------------------------------------------------------------------------
+# rational roots: Sturm bisection against trial division and sympy
+
+
+def expand(factors):
+    """Coefficients, low degree first, of the product of the given ones."""
+    out = [F(1)]
+    for f in factors:
+        prod_ = [F(0)] * (len(out) + len(f) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(f):
+                prod_[i + j] += a * b
+        out = prod_
+    return out
+
+
+def digits(k):
+    """Integers with 1 to k decimal digits, spread evenly over the lengths."""
+    return st.integers(1, k).flatmap(lambda n: st.integers(10 ** (n - 1), 10 ** n - 1))
+
+
+def signed(ints):
+    return st.tuples(st.sampled_from([1, -1]), ints).map(lambda t: t[0] * t[1])
+
+
+@st.composite
+def split_polynomials(draw, numerators, denominators, scalars, max_roots):
+    """A product of rational linear factors (repeats and a root at 0 likely)
+    and an integer factor of degree 0..2, which may have no rational root."""
+    pool = draw(st.lists(st.builds(F, numerators, denominators), min_size=1, max_size=4))
+    pool.append(F(0))
+    roots = draw(st.lists(st.sampled_from(pool), max_size=max_roots))
+    tail = draw(st.lists(scalars, max_size=2))
+    lead = draw(scalars.filter(bool))
+    return expand([[-r, F(1)] for r in roots] + [[F(c) for c in tail] + [F(lead)]])
+
+
+def sympy_rational_roots(coeffs):
+    return sorted(F(int(r.p), int(r.q)) for r in
+                  sympy.Poly(list(reversed(coeffs)), sympy.Symbol("x"),
+                             domain=sympy.QQ).ground_roots())
+
+
+@seed(20131)
+@settings(max_examples=150, deadline=None)
+@given(split_polynomials(st.integers(-12, 12), st.integers(1, 4), st.integers(-9, 9), 5))
+def test_rational_roots_match_trial_division(coeffs):
+    assert _rational_roots(coeffs) == rational_roots_by_division(coeffs)
+
+
+@seed(20132)
+@settings(max_examples=100, deadline=None)
+@given(split_polynomials(signed(digits(20)), digits(10), signed(digits(12)), 6))
+def test_rational_roots_match_sympy_on_large_coefficients(coeffs):
+    assert _rational_roots(coeffs) == sympy_rational_roots(coeffs)
+
+
+@seed(20134)
+@settings(max_examples=100, deadline=None)
+@given(split_polynomials(st.integers(-12, 12), st.integers(1, 4), st.integers(-9, 9), 5),
+       st.lists(st.integers(-60, 60), min_size=2, max_size=2, unique=True))
+def test_sturm_chain_counts_distinct_real_roots_like_sympy(coeffs, ends):
+    ints = _primitive(coeffs)
+    if len(ints) < 2:
+        return
+    lo, hi = sorted(2 * e + 1 for e in ends)  # the points lo/2 < hi/2
+    poly = sympy.Poly(list(reversed(ints)), sympy.Symbol("x"))
+    ends = sympy.Rational(lo, 2), sympy.Rational(hi, 2)
+    assume(poly.eval(ends[0]) != 0 and poly.eval(ends[1]) != 0)  # Sturm's hypothesis
+    chain = _sturm_chain(ints)
+    assert (_sign_changes(chain, lo, 2) - _sign_changes(chain, hi, 2)
+            == poly.sqf_part().count_roots(*ends))
+
+
+def test_rational_roots_of_sixty_digit_coefficients():
+    r, s = F(10 ** 29 + 7, 3), F(-(10 ** 30) - 1, 10 ** 6 + 3)
+    coeffs = expand([[-r, 1], [-r, 1], [-s, 1], [-2, 0, 1], [11, 0, 5 * 10 ** 8]])
+    assert max(len(str(abs(c.numerator))) for c in coeffs) >= 60
+    assert _rational_roots(coeffs) == sorted([r, s]) == sympy_rational_roots(coeffs)
+    assert _rational_roots([F(-(10 ** 60 + 1)), F(10 ** 20)]) == [F(10 ** 60 + 1, 10 ** 20)]
+
+
+@pytest.mark.parametrize("coeffs,roots", [
+    ([5], []),                                    # degree 0
+    ([F(-1, 3)], []),
+    ([3, -2], [F(3, 2)]),                         # degree 1
+    ([0, 7], [0]),
+    (expand([[F(-3, 2), 1]] * 5), [F(3, 2)]),     # all roots equal
+    (expand([[7, 1]] * 4), [-7]),
+    ([0] * 6 + [1], [0]),
+    ([3, -4, 1], [1, 3]),          # [-4, 4] -> [1, 4] -> [1, 2] and [3, 4]:
+                                   # each root is the midpoint of its interval
+    (expand([[-9, 1], [1, 1]]), [-1, 9]),         # 9 = Cauchy bound - 1
+    (expand([[9, 1], [-1, 1]]), [-9, 1]),         # -9 = -(Cauchy bound - 1)
+    ([-7, 1], [7]),
+    ([7, 1], [-7]),
+    ([-2, 5, -3], [F(2, 3), 1]),                  # negative leading coefficient
+    ([-2, -7, -3], [-2, F(-1, 3)]),
+    ([-2, 0, 1], []),                             # irrational roots only
+    ([1, 0, 1], []),                              # no real roots
+])
+def test_rational_roots_edge_cases(coeffs, roots):
+    coeffs = [F(c) for c in coeffs]
+    assert _rational_roots(coeffs) == [F(r) for r in roots]
+    assert rational_roots_by_division(coeffs) == [F(r) for r in roots]
+
+
+def test_characters_of_a_split_quadratic_with_a_huge_root():
+    r = 10 ** 20 + 39
+    a = algebra_from_struct([[[1, 0], [0, 1]], [[0, 1], [r * r, 0]]], [1, 0])
+    assert [c.functional for c in characters(a)] == [vec([1, -r]), vec([1, r])]
 
 
 def brute_force_unital_morphisms(m, k):

@@ -50,11 +50,16 @@ def _pair_targets(command: str, doc) -> list[str]:
 
 
 def invocation(command: str, name: str, human: bool) -> list[str]:
-    argv = [command, "--workspace", str(WORKSPACES / name)]
+    return command_argv(command, str(WORKSPACES / name), human)
+
+
+def command_argv(command: str, path: str, human: bool = False) -> list[str]:
+    """The command on the workspace at path with every target it offers."""
+    argv = [command, "--workspace", path]
     if human:
         argv.append("--human")
     try:
-        doc = load_workspace(str(WORKSPACES / name))
+        doc = load_workspace(path)
     except TriadicaError:  # unparsable files run with no targets at all
         return argv
     for target in _pair_targets(command, doc):
