@@ -303,15 +303,14 @@ def test_rational_roots_match_sympy_on_large_coefficients(coeffs):
        st.lists(st.integers(-60, 60), min_size=2, max_size=2, unique=True))
 def test_sturm_chain_counts_distinct_real_roots_like_sympy(coeffs, ends):
     ints = _primitive(coeffs)
-    if len(ints) < 2:
-        return
+    assume(len(ints) >= 2)
     lo, hi = sorted(2 * e + 1 for e in ends)  # the points lo/2 < hi/2
     poly = sympy.Poly(list(reversed(ints)), sympy.Symbol("x"))
-    ends = sympy.Rational(lo, 2), sympy.Rational(hi, 2)
-    assume(poly.eval(ends[0]) != 0 and poly.eval(ends[1]) != 0)  # Sturm's hypothesis
+    points = sympy.Rational(lo, 2), sympy.Rational(hi, 2)
+    assume(all(poly.eval(p) != 0 for p in points))  # Sturm's hypothesis
     chain = _sturm_chain(ints)
     assert (_sign_changes(chain, lo, 2) - _sign_changes(chain, hi, 2)
-            == poly.sqf_part().count_roots(*ends))
+            == poly.sqf_part().count_roots(*points))
 
 
 def test_rational_roots_of_sixty_digit_coefficients():
