@@ -7,19 +7,31 @@ commuting square with the Leibniz operators.  check_morphism verifies all
 of that on basis elements.  The rest of the module builds the standard
 morphisms (identity, constant-map, pullback), composes them, and runs the
 finite enumerations: recovering a point map from its algebra components,
-and counting all morphisms between functional triads over discrete spaces.
+and counting all morphisms between functional triads.
+
+The count has a closed form.  With O the function presheaf and U_y the
+minimal open around y, a unit-preserving multiplicative presheaf morphism
+O_Y -> f_*O_X is exactly precomposition with a point map g: X -> Y with
+g(x) in U_{f(x)} for every x: the characters of Q^V are point evaluations,
+and squaring with the restriction to U_{f(x)} fixes the value at x.  So f
+carries prod_x |U_{f(x)}| families, listed in lexicographic order of g, and
+pullback by f is the only one exactly when every f(x) is open, as over
+discrete spaces: the finite form of the fullness of smooth manifolds among
+differential triads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
-from .algebra import (Character, enumerate_unital_morphisms)
+from .algebra import Character
 from .errors import DimensionMismatchError, TriadicaError
-from .exactla import ONE, ZERO, Matrix, span
+from .exactla import ONE, ZERO, Matrix, span, unit_vector
 from .finspace import (ContinuousMap, FiniteSpace, all_maps, compose_maps,
                        constant_map, continuity_witness, identity_map,
-                       is_continuous, minimal_open, preimage_open)
+                       is_continuous, minimal_open, preimage_open,
+                       require_topology)
 from .report import Finding, Report, merge_reports
 from .sheaf import (PresheafMorphism, function_presheaf, pushforward,
                     pushforward_module, stalk, validate_presheaf_morphism)
@@ -201,17 +213,24 @@ def constant_morphism(source: DifferentialTriad,
     return TriadMorphism(f, source, t, tuple(alg), tuple(mod))
 
 
+def _point_map_components(f: ContinuousMap, g) -> tuple[Matrix, ...]:
+    """Precomposition with the point map g: over each open V of the codomain,
+    row x of f^-1(V) is e_{g(x)} in V's sorted coordinates."""
+    comps = []
+    for v, vset in enumerate(f.codomain.opens):
+        v_pts = sorted(vset)
+        pre_pts = sorted(f.domain.opens[preimage_open(f, v)])
+        comps.append(Matrix.from_rows(
+            [unit_vector(len(v_pts), v_pts.index(g[x])) for x in pre_pts],
+            cols=len(v_pts)))
+    return tuple(comps)
+
+
 def pullback_morphism(f: ContinuousMap) -> TriadMorphism:
     """Precomposition with f, as a morphism of the functional triads."""
     tx, ty = function_triad(f.domain), function_triad(f.codomain)
-    alg = []
-    for v, vset in enumerate(f.codomain.opens):
-        pre_pts = sorted(f.domain.opens[preimage_open(f, v)])
-        v_pts = sorted(vset)
-        rows = [[ONE if f.values[x] == q else ZERO for q in v_pts] for x in pre_pts]
-        alg.append(Matrix.from_rows(rows, cols=len(v_pts)))
     mod = tuple(Matrix.zeros(0, 0) for _ in f.codomain.opens)
-    return TriadMorphism(f, tx, ty, tuple(alg), mod)
+    return TriadMorphism(f, tx, ty, _point_map_components(f, f.values), mod)
 
 
 # ---------------------------------------------------------------------------
@@ -392,41 +411,15 @@ def verify_pullback_forced(f: ContinuousMap, h: PresheafMorphism) -> Report:
 def enumerate_presheaf_morphisms(f: ContinuousMap) -> list[PresheafMorphism]:
     """All unit-preserving multiplicative presheaf morphisms from the full
     functional sheaf on the codomain into the pushforward of the one on the
-    domain.
-
-    Depth-first over opens in ascending size; a candidate for an open is kept
-    only if it squares with every already-chosen component of a smaller open.
-    Candidates per open come in lexicographic point-map order, so the output
-    order is deterministic.
-    """
+    domain: precomposition with each point map g with g(x) in U_{f(x)},
+    prod_x |U_{f(x)}| of them, in lexicographic order of g (see the module
+    docstring).  The codomain must be a topology."""
     y = f.codomain
     source = function_presheaf(y)
     target = pushforward(f, function_presheaf(f.domain))
-    order = sorted(range(len(y.opens)),
-                   key=lambda u: (len(y.opens[u]), sorted(y.opens[u])))
-    candidates = {
-        u: [mor.matrix for mor in
-            enumerate_unital_morphisms(source.sections[u], target.sections[u])]
-        for u in order}
-    strict_subs = {u: [v for v in order if y.opens[v] < y.opens[u]] for u in order}
-    out: list[PresheafMorphism] = []
-    assigned: dict[int, Matrix] = {}
-
-    def extend(k: int):
-        if k == len(order):
-            out.append(PresheafMorphism(
-                source, target, tuple(assigned[u] for u in range(len(y.opens)))))
-            return
-        u = order[k]
-        for cand in candidates[u]:
-            if all(assigned[v] @ source.restriction(u, v) ==
-                   target.restriction(u, v) @ cand for v in strict_subs[u]):
-                assigned[u] = cand
-                extend(k + 1)
-                del assigned[u]
-
-    extend(0)
-    return out
+    choices = [sorted(y.opens[minimal_open(y, f.values[x])]) for x in f.domain.points]
+    return [PresheafMorphism(source, target, _point_map_components(f, g))
+            for g in product(*choices)]
 
 
 @dataclass(frozen=True)
@@ -444,13 +437,17 @@ def fullness_check(x_space: FiniteSpace, y_space: FiniteSpace,
                    bound: int = 64) -> FullnessResult:
     """Count all triad morphisms between the functional triads on two spaces.
 
-    A morphism here is a continuous map plus a compatible family of
+    A morphism here is a continuous map f plus a compatible family of
     unit-preserving algebra maps (the module layer is zero, so it forces
-    nothing).  Over discrete spaces the expected answer is one morphism per
-    point map, each family being pullback by its map; any deviation is an
-    error.  Over non-discrete spaces the count is reported as exploratory,
-    with no expectation asserted.
+    nothing); f carries prod_x |U_{f(x)}| families, in lexicographic order
+    of their point maps.  Over discrete spaces the expected answer is one
+    morphism per point map, each family being pullback by its map; any
+    deviation is an error.  Over non-discrete spaces the count is reported
+    as exploratory, with no expectation asserted.  Both spaces must be
+    topologies: InvalidTopologyError comes before the bound check.
     """
+    require_topology(x_space)
+    require_topology(y_space)
     total_maps = y_space.point_count ** x_space.point_count
     if total_maps > bound:
         raise BoundExceeded(

@@ -214,13 +214,9 @@ def constant_presheaf(space: FiniteSpace, a: Algebra) -> AlgebraPresheaf:
     """a over every nonempty open, identity restrictions, zero over empty."""
     empty = function_algebra(0)
     sections = tuple(a if u else empty for u in space.opens)
-    table = {}
-    for u, v in space.inclusion_pairs():
-        if space.opens[v]:
-            table[(u, v)] = Matrix.identity(a.dim)
-        else:
-            table[(u, v)] = Matrix.zeros(0, sections[u].dim)
-    return AlgebraPresheaf(space, sections, table)
+    table = {(u, v): Matrix.identity(a.dim)
+             for u, v in space.inclusion_pairs() if u != v and space.opens[v]}
+    return make_algebra_presheaf(space, sections, table)
 
 
 def function_restriction_matrix(bigger, smaller) -> Matrix:

@@ -18,8 +18,9 @@ from .report import Finding, Report, merge_reports
 from .sheaf import (AlgebraPresheaf, ModulePresheaf, ModuleSections,
                     check_sheaf_condition, constant_presheaf,
                     function_presheaf, function_restriction_matrix,
-                    pushforward, pushforward_module, validate_algebra_presheaf,
-                    validate_module_presheaf, zero_module_presheaf)
+                    make_module_presheaf, pushforward, pushforward_module,
+                    validate_algebra_presheaf, validate_module_presheaf,
+                    zero_module_presheaf, zero_module_sections)
 
 
 @dataclass(frozen=True)
@@ -252,17 +253,11 @@ def constant_triad(space: FiniteSpace, a: Algebra, module: ModuleSections,
     """Same algebra, module and operator over each nonempty open, with
     identity restrictions.  Useful for one-chart examples."""
     algebras = constant_presheaf(space, a)
-    sections = []
-    table = {}
-    for u, open_set in enumerate(space.opens):
-        sections.append(module if open_set else
-                        ModuleSections(0, 0, ()))
-    for u, v in space.inclusion_pairs():
-        if space.opens[v]:
-            table[(u, v)] = Matrix.identity(module.dim)
-        else:
-            table[(u, v)] = Matrix.zeros(0, sections[u].dim)
-    modules = ModulePresheaf(algebras, tuple(sections), table)
+    sections = [module if open_set else zero_module_sections(0)
+                for open_set in space.opens]
+    table = {(u, v): Matrix.identity(module.dim)
+             for u, v in space.inclusion_pairs() if u != v and space.opens[v]}
+    modules = make_module_presheaf(algebras, sections, table)
     diffs = tuple(d if open_set else Matrix.zeros(0, 0)
                   for open_set in space.opens)
     return DifferentialTriad(algebras, modules, diffs)

@@ -506,6 +506,24 @@ def test_fullness_over_sierpinski_is_exploratory(capsys):
     assert payload["reports"][0]["derived_artifacts"]["total"] == 7
 
 
+def test_fullness_refuses_non_topologies(capsys, tmp_path):
+    # {0,1} & {1,2} is not open in V; P lacks its full point set
+    path = tmp_path / "spaces.json"
+    path.write_text(dump_workspace({"schema": 1, "spaces": {
+        "V": {"points": 3, "opens": [[], [0, 1], [1, 2], [0, 1, 2]]},
+        "P": {"points": 2, "opens": [[], [0], [1]]}}}))
+    for target, witness in (
+            ("V:V", "not a topology: opens[1]&opens[2]: "
+                    "intersection of opens is not open"),
+            ("P:P", "not a topology: opens: full point set missing")):
+        code, out, _ = run_cli(capsys, "fullness", "--workspace", str(path),
+                               "--target", target)
+        assert code == 1
+        report = json.loads(out)["reports"][0]
+        assert [f["message"] for f in report["findings"]] == [witness]
+        assert "derived_artifacts" not in report
+
+
 def test_uniqueness_dispatch(capsys):
     _, out, _ = run_cli(capsys, "uniqueness",
                         "--workspace", ws("ws_uniqueness.json"),

@@ -2,6 +2,8 @@
 components, point-map recovery, and the fullness count."""
 
 import itertools
+import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -16,14 +18,18 @@ from triadica.dtcat import (BoundExceeded, FullnessResult, TriadMorphism,
                             pullback_morphism, verify_pullback_forced)
 from triadica.errors import DimensionMismatchError
 from triadica.exactla import Matrix, vec
-from triadica.finspace import (ContinuousMap, all_maps, discrete_space,
-                               is_continuous, sierpinski_space)
+from triadica.finspace import (ContinuousMap, InvalidTopologyError, all_maps,
+                               discrete_space, indiscrete_space, is_continuous,
+                               sierpinski_space, space_from_opens)
 from triadica.kaehler import kaehler_module, kaehler_presheaf
 from triadica.sheaf import (ModuleSections, PresheafMorphism, constant_presheaf,
                             function_presheaf, pushforward, zero_module_sections)
 from triadica.triad import (DifferentialTriad, NotFunctional, as_functional,
                             constant_triad, constants_only_kernel,
                             function_triad)
+
+from dtcat_oracle import presheaf_morphisms_by_search
+from test_sheaf import all_topologies
 
 POINT = discrete_space(1)
 
@@ -477,3 +483,63 @@ def test_fullness_over_sierpinski_is_exploratory_and_inflated():
     assert result.total == 7
     assert dict((tuple(v), n) for v, n in result.per_map) == {
         (0, 0): 1, (0, 1): 2, (1, 1): 4}
+
+
+@pytest.mark.parametrize("x,y,total", [
+    (indiscrete_space(3), indiscrete_space(3), 729),
+    (discrete_space(3), indiscrete_space(4), 4096),
+    (sierpinski_space(), indiscrete_space(4), 256),
+], ids=["indiscrete3-indiscrete3", "discrete3-indiscrete4",
+        "sierpinski-indiscrete4"])
+def test_fullness_counts_beyond_the_search(x, y, total):
+    # too many families for the search oracle: prod_x |U_{f(x)}| summed over
+    # the continuous maps (every map is continuous into an indiscrete space)
+    assert fullness_check(x, y).total == total
+
+
+@pytest.mark.parametrize("points,opens,witness", [
+    (3, [[], [0, 1], [1, 2], [0, 1, 2]],
+     "not a topology: opens[1]&opens[2]: intersection of opens is not open"),
+    (2, [[], [0], [1]], "not a topology: opens: full point set missing"),
+], ids=["no_intersection", "no_full_set"])
+def test_fullness_refuses_a_non_topology(points, opens, witness):
+    bad = space_from_opens(points, opens)
+    # refused on either side, before the bound is looked at
+    for x, y in ((bad, bad), (bad, POINT), (POINT, bad)):
+        with pytest.raises(InvalidTopologyError) as exc:
+            fullness_check(x, y, bound=1)
+        assert str(exc.value) == witness
+
+
+# ---------------------------------------------------------------------------
+# the closed form against the search
+
+
+def _minimal_open(space, y):
+    return sorted(frozenset.intersection(*(u for u in space.opens if y in u)))
+
+
+def test_families_match_the_search_on_small_topologies():
+    maps = 0
+    for nx, ny in itertools.product((1, 2, 3), repeat=2):
+        if nx == ny == 3:
+            continue
+        for x, y in itertools.product(all_topologies(nx), all_topologies(ny)):
+            top = y.open_index(y.full_set)
+            for values in all_maps(x, y):
+                if not is_continuous(values, x, y):
+                    continue
+                f = ContinuousMap(x, y, values)
+                got = enumerate_presheaf_morphisms(f)
+                expected = presheaf_morphisms_by_search(f)
+                assert Counter(h.components for h in got) == \
+                    Counter(h.components for h in expected), values
+                choices = [_minimal_open(y, v) for v in values]
+                assert len(got) == math.prod(len(c) for c in choices)
+                # the row of x over the whole codomain names g(x); the
+                # families come in lexicographic order of g
+                recovered = [tuple(row.index(1) for row in h.components[top].entries)
+                             for h in got]
+                assert recovered == list(itertools.product(*choices))
+                maps += 1
+    assert maps == 1443
