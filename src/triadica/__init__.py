@@ -17,10 +17,10 @@ from .algebra import (Algebra, Character, InvalidAlgebraError, NotSplitError,
                       algebra_from_struct, characters, function_algebra,
                       poly_quotient_algebra, tensor_product,
                       truncated_poly_algebra, validate_algebra)
-from .sheaf import (AlgebraPresheaf, ModulePresheaf, ModuleSections,
+from .sheaf import (InvalidPresheafError, ModuleSections, Presheaf,
                     PresheafMorphism, check_sheaf_condition, constant_presheaf,
-                    function_presheaf, make_algebra_presheaf, pushforward,
-                    sheafify, stalk, validate_algebra_presheaf)
+                    function_presheaf, make_presheaf, pushforward, sheafify,
+                    stalk, validate_algebra_presheaf)
 from .triad import (DifferentialTriad, FunctionalTriad, NotFunctional,
                     as_functional, check_leibniz, constant_triad,
                     constants_only_kernel, function_triad, pushforward_triad,
@@ -40,12 +40,12 @@ from .report import Finding, Report
 __version__ = "0.1.0"
 
 __all__ = [
-    "Algebra", "AlgebraPresheaf", "BoundExceeded", "Character",
+    "Algebra", "BoundExceeded", "Character",
     "ContinuousMap", "DifferentialTriad", "DimensionMismatchError",
     "Finding", "FiniteSpace", "FunctionalTriad", "InvalidAlgebraError",
-    "InvariantError", "KaehlerModule", "Matrix",
-    "ModulePresheaf", "ModuleSections", "NotFunctional", "NotSplitError",
-    "ParseError", "PresheafMorphism", "Report", "Subspace", "TriadMorphism",
+    "InvalidPresheafError", "InvariantError", "KaehlerModule", "Matrix",
+    "ModuleSections", "NotFunctional", "NotSplitError",
+    "ParseError", "Presheaf", "PresheafMorphism", "Report", "Subspace", "TriadMorphism",
     "TriadicaError", "UnresolvedReference", "WorkspaceDocument",
     "algebra_component_uniqueness", "algebra_from_struct", "as_functional",
     "characters", "check_leibniz", "check_morphism", "check_sheaf_condition",
@@ -55,7 +55,7 @@ __all__ = [
     "fullness_check", "function_algebra", "function_presheaf",
     "function_triad", "identity_morphism", "indiscrete_space",
     "kaehler_module", "kaehler_presheaf", "kernel", "load_workspace",
-    "make_algebra_presheaf", "parse_workspace", "poly_quotient_algebra",
+    "make_presheaf", "parse_workspace", "poly_quotient_algebra",
     "pullback_morphism", "pushforward", "pushforward_triad", "rat",
     "sheafify", "sierpinski_space", "space_from_opens", "span", "stalk",
     "tensor_product", "truncated_poly_algebra", "validate_algebra",

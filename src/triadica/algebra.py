@@ -27,7 +27,7 @@ from math import gcd, lcm
 from .errors import DimensionMismatchError, InvariantError, TriadicaError
 from .exactla import (ONE, ZERO, Matrix, Subspace, Vector, full_space, kernel,
                       rat, span, unit_vector, vec)
-from .report import Finding, Report
+from .report import Finding, Report, ValidationError
 
 
 class NotSplitError(TriadicaError):
@@ -42,13 +42,10 @@ class NotSplitError(TriadicaError):
             f"split over Q")
 
 
-class InvalidAlgebraError(TriadicaError):
+class InvalidAlgebraError(ValidationError):
     """The structure constants break an axiom the operation relies on."""
 
-    def __init__(self, finding: Finding):
-        self.finding = finding
-        super().__init__(f"not a valid algebra: {finding.location}: "
-                         f"{finding.message}")
+    prefix = "not a valid algebra"
 
 
 @dataclass(frozen=True)
@@ -125,9 +122,7 @@ def validate_algebra(a: Algebra) -> Report:
 
 def require_valid_algebra(a: Algebra) -> None:
     """Raise InvalidAlgebraError carrying the first validate_algebra error."""
-    errors = validate_algebra(a).errors()
-    if errors:
-        raise InvalidAlgebraError(errors[0])
+    InvalidAlgebraError.require(validate_algebra(a))
 
 
 def function_algebra(k: int) -> Algebra:

@@ -43,10 +43,9 @@ from .exactla import Matrix
 from .finspace import FiniteSpace, check_topology
 from .kaehler import kaehler_module, kaehler_presheaf
 from .report import Finding, Report
-from .sheaf import (AlgebraPresheaf, PresheafMorphism, check_sheaf_condition,
-                    function_presheaf, pushforward, sheafify,
-                    validate_algebra_presheaf)
-from .triad import pushforward_triad, validate_triad
+from .sheaf import (PresheafMorphism, check_sheaf_condition, function_presheaf,
+                    pushforward, sheafify, validate_algebra_presheaf)
+from .triad import DifferentialTriad, pushforward_triad, validate_triad
 from .workspace import (ParseError, UnresolvedReference, dump_workspace,
                         load_workspace, map_to_json, matrix_to_json,
                         module_sections_to_json, morphism_to_json,
@@ -97,12 +96,11 @@ def _validate(args, obj):
         return check_topology(obj), {}
     if isinstance(obj, Algebra):
         return validate_algebra(obj), {}
-    if isinstance(obj, AlgebraPresheaf):
-        rep = validate_algebra_presheaf(obj)
-        return _with_findings(rep, _sheaf_status([("sections", obj)])), {}
-    rep = validate_triad(obj, deep=True)
-    layers = [("algebra layer", obj.algebras), ("module layer", obj.modules)]
-    return _with_findings(rep, _sheaf_status(layers)), {}
+    if isinstance(obj, DifferentialTriad):
+        layers = [("algebra layer", obj.algebras), ("module layer", obj.modules)]
+        return _with_findings(validate_triad(obj), _sheaf_status(layers)), {}
+    rep = validate_algebra_presheaf(obj)
+    return _with_findings(rep, _sheaf_status([("sections", obj)])), {}
 
 
 def _kaehler(args, obj):
@@ -119,7 +117,7 @@ def _kaehler(args, obj):
                    "differential": matrix_to_json(k.differential)}
         return Report("kaehler_module", findings), derived
     res = kaehler_presheaf(obj)
-    rep = validate_triad(res.presheaf_triad, deep=True)
+    rep = validate_triad(res.presheaf_triad)
     dims = [Finding("info", f"open {u}", f"module dimension {m.dim}", None)
             for u, m in enumerate(res.presheaf_triad.modules.sections)]
     derived = {"presheaf_triad": triad_to_json(res.presheaf_triad),
@@ -142,7 +140,7 @@ def _sheafify(args, p):
 
 def _pushforward(args, f, t):
     out = pushforward_triad(f, t)
-    return validate_triad(out, deep=True), {"triad": triad_to_json(out)}
+    return validate_triad(out), {"triad": triad_to_json(out)}
 
 
 def _checked_morphism(m):

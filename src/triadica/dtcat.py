@@ -32,9 +32,10 @@ from .finspace import (ContinuousMap, FiniteSpace, all_maps, compose_maps,
                        constant_map, continuity_witness, identity_map,
                        is_continuous, minimal_open, preimage_open,
                        require_topology)
-from .report import Finding, Report, merge_reports
+from .report import Finding, Report, merge_reports, relocated
 from .sheaf import (PresheafMorphism, function_presheaf, pushforward,
-                    pushforward_module, stalk, validate_presheaf_morphism)
+                    pushforward_module, semilinearity_defects, stalk,
+                    validate_presheaf_morphism)
 from .triad import (DifferentialTriad, FunctionalTriad, as_functional,
                     constants_only_kernel, function_triad)
 
@@ -113,27 +114,21 @@ def check_morphism(m: TriadMorphism, source: DifferentialTriad | None = None,
     push_alg = pushforward(m.map, source.algebras)
     h_alg = PresheafMorphism(target.algebras, push_alg, m.algebra_components)
     parts.append(Report("algebra_components",
-                        validate_presheaf_morphism(h_alg, multiplicative=True).findings))
+                        validate_presheaf_morphism(h_alg).findings))
 
     push_mod = pushforward_module(m.map, source.modules, base_image=push_alg)
     h_mod = PresheafMorphism(target.modules, push_mod, m.module_components)
     module_findings = list(validate_presheaf_morphism(h_mod).findings)
     for v in range(len(target.space.opens)):
-        pre = preimage_open(m.map, v)
-        act_y = target.modules.sections[v]
-        act_x = source.modules.sections[pre]
-        fa, fo = m.algebra_components[v], m.module_components[v]
-        for i in range(act_y.algebra_dim):
-            fa_i = fa.col(i)
-            for j in range(act_y.dim):
-                lhs = fo.apply(act_y.action[i][j])
-                rhs = act_x.act(fa_i, fo.col(j))
-                if lhs != rhs:
-                    module_findings.append(Finding(
-                        "error", f"open {v}, action pair ({i},{j})",
-                        "module component is not linear over the algebra component",
-                        {"open": v, "pair": [i, j],
-                         "defect": [str(p - q) for p, q in zip(lhs, rhs)]}))
+        defects = semilinearity_defects(
+            m.module_components[v], m.algebra_components[v],
+            target.modules.sections[v], source.modules.sections[m.preimage(v)])
+        for i, j, lhs, rhs in defects:
+            module_findings.append(Finding(
+                "error", f"open {v}, action pair ({i},{j})",
+                "module component is not linear over the algebra component",
+                {"open": v, "pair": [i, j],
+                 "defect": [str(p - q) for p, q in zip(lhs, rhs)]}))
     parts.append(Report("module_components", tuple(module_findings)))
 
     square_findings = []
@@ -390,9 +385,7 @@ def verify_pullback_forced(f: ContinuousMap, h: PresheafMorphism) -> Report:
                                 "expected the full functional sheaves of the map", None))
         return Report("verify_pullback_forced", tuple(findings),
                       exploratory=exploratory)
-    for fd in validate_presheaf_morphism(h, multiplicative=True).findings:
-        findings.append(Finding(fd.severity, f"morphism: {fd.location}",
-                                fd.message, fd.witness))
+    findings += relocated("morphism: ", validate_presheaf_morphism(h).findings)
     for v, vset in enumerate(f.codomain.opens):
         pre_pts = sorted(f.domain.opens[preimage_open(f, v)])
         v_pts = sorted(vset)

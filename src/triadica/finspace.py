@@ -11,17 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import DimensionMismatchError, TriadicaError
-from .report import Finding, Report
+from .errors import DimensionMismatchError
+from .report import Finding, Report, ValidationError
 
 
-class InvalidTopologyError(TriadicaError):
+class InvalidTopologyError(ValidationError):
     """The listed opens do not form a topology."""
 
-    def __init__(self, finding: Finding):
-        self.finding = finding
-        super().__init__(f"not a topology: {finding.location}: "
-                         f"{finding.message}")
+    prefix = "not a topology"
 
 
 @dataclass(frozen=True)
@@ -96,9 +93,7 @@ def check_topology(space: FiniteSpace) -> Report:
 
 def require_topology(space: FiniteSpace) -> None:
     """Raise InvalidTopologyError carrying the first check_topology error."""
-    errors = check_topology(space).errors()
-    if errors:
-        raise InvalidTopologyError(errors[0])
+    InvalidTopologyError.require(check_topology(space))
 
 
 def minimal_open(space: FiniteSpace, x: int) -> int:

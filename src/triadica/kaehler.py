@@ -29,19 +29,16 @@ from .algebra import Algebra, multiplication_map, require_valid_algebra
 from .errors import DimensionMismatchError, InvariantError, TriadicaError
 from .exactla import (ZERO, Matrix, Subspace, full_space, kernel, rref, solve,
                       unit_vector)
-from .finspace import require_topology
-from .report import Finding
-from .sheaf import (AlgebraPresheaf, ModulePresheaf, ModuleSections,
-                    Sheafification, sheafify, sheafify_module)
+from .report import ValidationError
+from .sheaf import (ModuleSections, Presheaf, Sheafification, make_presheaf,
+                    sheafify, sheafify_module)
 from .triad import DifferentialTriad, check_leibniz
 
 
-class NotADerivation(TriadicaError):
+class NotADerivation(ValidationError):
     """The map handed to factor_derivation does not satisfy the Leibniz rule."""
 
-    def __init__(self, finding: Finding):
-        self.finding = finding
-        super().__init__(f"not a derivation: {finding.location}: {finding.message}")
+    prefix = "not a derivation"
 
 
 class FactorizationFailed(TriadicaError):
@@ -174,9 +171,7 @@ def factor_derivation(k: KaehlerModule, target: ModuleSections,
     if derivation.rows != target.dim or derivation.cols != a.dim:
         raise DimensionMismatchError(
             f"derivation has shape {derivation.rows}x{derivation.cols}")
-    leibniz = check_leibniz(a, target, derivation)
-    if not leibniz.ok:
-        raise NotADerivation(leibniz.errors()[0])
+    NotADerivation.require(check_leibniz(a, target, derivation))
     om, tm = k.module.dim, target.dim
     unknowns = tm * om  # phi[r][c] at index r*om + c
     rows, rhs = [], []
@@ -257,12 +252,8 @@ def restrict_scalars(m: ModuleSections, r: Matrix) -> ModuleSections:
     """View a module over the restriction target as one over the source."""
     if r.rows != m.algebra_dim:
         raise DimensionMismatchError("restriction does not land in the module's algebra")
-    action = []
-    for i in range(r.cols):
-        image = r.col(i)
-        action.append(tuple(m.act(image, unit_vector(m.dim, j))
-                            for j in range(m.dim)))
-    return ModuleSections(r.cols, m.dim, tuple(action))
+    action = tuple(m.act_matrix(r.col(i)).transpose().entries for i in range(r.cols))
+    return ModuleSections(r.cols, m.dim, action)
 
 
 @dataclass(frozen=True)
@@ -274,34 +265,32 @@ class KaehlerPresheafResult:
     module_sheafification: Sheafification
 
 
-def kaehler_presheaf(base: AlgebraPresheaf) -> KaehlerPresheafResult:
+def kaehler_presheaf(base: Presheaf) -> KaehlerPresheafResult:
     """Universal differential module over every open, glued into a triad.
 
     Module restrictions are forced: the composite of the small-open operator
     with the algebra restriction is a derivation, so it factors uniquely
     through the big-open module.  The result is returned both as a raw
     presheaf triad and with both layers sheafified and the operator carried
-    across blockwise.  Raises InvalidTopologyError before any module is
-    built when the base space is not a topology.
+    across blockwise.  The base is sheafified first, so InvalidTopologyError
+    (a non-topology) and InvalidPresheafError (a base that fails
+    validation) come before any module is built.
     """
     space = base.space
-    require_topology(space)
+    base_plus = sheafify(base)
     per_open = tuple(kaehler_module(base.sections[u])
                      for u in range(len(space.opens)))
     table = {}
     for u, v in space.inclusion_pairs():
-        if u == v:
-            table[(u, v)] = Matrix.identity(per_open[u].module.dim)
-            continue
-        r = base.restriction(u, v)
-        target = restrict_scalars(per_open[v].module, r)
-        composite = per_open[v].differential @ r
-        table[(u, v)] = factor_derivation(per_open[u], target, composite).matrix
-    modules = ModulePresheaf(base, tuple(k.module for k in per_open), table)
+        if u != v:
+            r = base.restriction(u, v)
+            target = restrict_scalars(per_open[v].module, r)
+            composite = per_open[v].differential @ r
+            table[(u, v)] = factor_derivation(per_open[u], target, composite).matrix
+    modules = make_presheaf(space, (k.module for k in per_open), table, base)
     diffs = tuple(k.differential for k in per_open)
     presheaf_triad = DifferentialTriad(base, modules, diffs)
 
-    base_plus = sheafify(base)
     module_plus = sheafify_module(modules, base_plus)
     d_plus = []
     for u in range(len(space.opens)):

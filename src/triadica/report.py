@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import InvariantError
+from .errors import InvariantError, TriadicaError
 
 SEVERITIES = ("error", "warning", "info")
 
@@ -46,12 +46,33 @@ class Report:
         return [f for f in self.findings if f.severity == "error"]
 
 
-def merge_reports(operation: str, parts: list[Report], prefix: bool = True) -> Report:
-    """Concatenate findings from several reports under one operation name."""
-    found: list[Finding] = []
-    for part in parts:
-        for f in part.findings:
-            loc = f"{part.operation}: {f.location}" if prefix else f.location
-            found.append(Finding(f.severity, loc, f.message, f.witness))
+def relocated(prefix: str, findings) -> list[Finding]:
+    """The findings with `prefix` put in front of each location."""
+    return [Finding(f.severity, f"{prefix}{f.location}", f.message, f.witness)
+            for f in findings]
+
+
+def merge_reports(operation: str, parts: list[Report]) -> Report:
+    """Concatenate findings from several reports under one operation name,
+    each location prefixed with the operation of its part."""
+    found = [f for part in parts for f in relocated(f"{part.operation}: ", part.findings)]
     return Report(operation, tuple(found),
                   exploratory=any(p.exploratory for p in parts))
+
+
+class ValidationError(TriadicaError):
+    """An input breaks an axiom the operation relies on; `finding` is the
+    first error its validator reported."""
+
+    prefix = "not valid"
+
+    def __init__(self, finding: Finding):
+        self.finding = finding
+        super().__init__(f"{self.prefix}: {finding.location}: {finding.message}")
+
+    @classmethod
+    def require(cls, report: Report) -> None:
+        """Raise with the first error of `report`, if it has one."""
+        errors = report.errors()
+        if errors:
+            raise cls(errors[0])

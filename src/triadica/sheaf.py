@@ -1,7 +1,9 @@
 """Presheaves of algebras and modules on finite spaces, and their sheaf theory.
 
-Sections are kept per open-set index; restriction matrices are stored for
-every inclusion pair of opens.  A finite space is Alexandrov: every point x
+Both layers of a differential triad are one `Presheaf`: sections kept per
+open-set index and restriction matrices stored for every inclusion pair of
+opens.  An algebra layer has an `Algebra` over each open; a module layer has
+`ModuleSections` and names as its `base` the algebra layer acting on them.  A finite space is Alexandrov: every point x
 has a minimal open U_x.  Over an open U, a compatible stalk family is one
 section over U_x for each point x of U such that the sections agree under
 restriction whenever one minimal open contains another.  These families are
@@ -26,7 +28,7 @@ from .exactla import (ONE, ZERO, Matrix, Subspace, Vector, full_space, kernel,
                       span, unit_vector)
 from .finspace import (ContinuousMap, FiniteSpace, minimal_open,
                        minimal_open_superset, preimage_open, require_topology)
-from .report import Finding, Report
+from .report import Finding, Report, ValidationError, relocated
 
 
 class RestrictionSquareViolation(TriadicaError):
@@ -75,8 +77,16 @@ class ModuleSections:
         return tuple(out)
 
     def act_matrix(self, a) -> Matrix:
-        cols = [self.act(a, unit_vector(self.dim, i)) for i in range(self.dim)]
-        return Matrix.from_columns(cols, rows=self.dim)
+        """L(a), the matrix of w -> a . w: column j is sum_i a_i action[i][j]."""
+        cols = [[ZERO] * self.dim for _ in range(self.dim)]
+        for ai, row in zip(a, self.action):
+            if ai == 0:
+                continue
+            for col, w in zip(cols, row):
+                for k, s in enumerate(w):
+                    if s != 0:
+                        col[k] += ai * s
+        return Matrix(self.dim, self.dim, tuple(zip(*cols)) if cols else ())
 
 
 def zero_module_sections(algebra_dim: int) -> ModuleSections:
@@ -122,59 +132,55 @@ def validate_module_sections(a: Algebra, m: ModuleSections) -> Report:
     return Report("validate_module_sections", tuple(findings))
 
 
+def semilinearity_defects(rho: Matrix, r: Matrix, source: ModuleSections,
+                          target: ModuleSections):
+    """Where rho: source -> target fails to be linear over the algebra map r.
+
+    Per algebra basis element e_i the identity rho L_source(e_i) =
+    L_target(r e_i) rho must hold.  Column j of the two sides is
+    rho(e_i . w_j) and (r e_i) . rho(w_j); they are compared column by
+    column, and (i, j, lhs column, rhs column) is yielded for every pair
+    where they differ, in order of i, then j.
+    """
+    rho_cols = rho.transpose().entries
+    for i, products in enumerate(source.action):
+        l_target = target.act_matrix(r.col(i))
+        for j, (w, rho_w) in enumerate(zip(products, rho_cols)):
+            lhs, rhs = rho.apply(w), l_target.apply(rho_w)
+            if lhs != rhs:
+                yield i, j, lhs, rhs
+
+
 @dataclass(frozen=True)
-class AlgebraPresheaf:
+class Presheaf:
+    """Sections over every open and a restriction matrix per inclusion pair.
+
+    With `base` None the sections are algebras; otherwise they are modules
+    over the sections of `base`, the algebra layer on the same space.
+    """
+
     space: FiniteSpace
-    sections: tuple[Algebra, ...]
+    sections: tuple
     restrictions: dict
+    base: Presheaf | None = None
 
     def __post_init__(self):
+        noun = "restriction" if self.base is None else "module restriction"
         if len(self.sections) != len(self.space.opens):
-            raise DimensionMismatchError("one section algebra per open required")
+            raise DimensionMismatchError("one section per open required")
+        if self.base is not None:
+            if self.base.space != self.space:
+                raise DimensionMismatchError("module layer must live on its base's space")
+            for u, m in enumerate(self.sections):
+                if m.algebra_dim != self.base.sections[u].dim:
+                    raise DimensionMismatchError(f"module over open {u} has wrong algebra dim")
         for (u, v), m in self.restrictions.items():
             if m.cols != self.sections[u].dim or m.rows != self.sections[v].dim:
                 raise DimensionMismatchError(
-                    f"restriction {u}->{v} has shape {m.rows}x{m.cols}")
+                    f"{noun} {u}->{v} has shape {m.rows}x{m.cols}")
         for u, v in self.space.inclusion_pairs():
             if (u, v) not in self.restrictions:
-                raise DimensionMismatchError(f"missing restriction for inclusion {u}->{v}")
-
-    def algebra(self, u: int) -> Algebra:
-        return self.sections[u]
-
-    def restriction(self, u: int, v: int) -> Matrix:
-        return self.restrictions[(u, v)]
-
-    def section_dim(self, u: int) -> int:
-        return self.sections[u].dim
-
-
-@dataclass(frozen=True)
-class ModulePresheaf:
-    base: AlgebraPresheaf
-    sections: tuple[ModuleSections, ...]
-    restrictions: dict
-
-    def __post_init__(self):
-        if len(self.sections) != len(self.base.space.opens):
-            raise DimensionMismatchError("one module per open required")
-        for u, m in enumerate(self.sections):
-            if m.algebra_dim != self.base.sections[u].dim:
-                raise DimensionMismatchError(f"module over open {u} has wrong algebra dim")
-        for (u, v), m in self.restrictions.items():
-            if m.cols != self.sections[u].dim or m.rows != self.sections[v].dim:
-                raise DimensionMismatchError(
-                    f"module restriction {u}->{v} has shape {m.rows}x{m.cols}")
-        for u, v in self.base.space.inclusion_pairs():
-            if (u, v) not in self.restrictions:
-                raise DimensionMismatchError(f"missing module restriction {u}->{v}")
-
-    @property
-    def space(self) -> FiniteSpace:
-        return self.base.space
-
-    def module(self, u: int) -> ModuleSections:
-        return self.sections[u]
+                raise DimensionMismatchError(f"missing {noun} for inclusion {u}->{v}")
 
     def restriction(self, u: int, v: int) -> Matrix:
         return self.restrictions[(u, v)]
@@ -198,25 +204,24 @@ def fill_restrictions(space: FiniteSpace, dims, given: dict) -> dict:
     return table
 
 
-def make_algebra_presheaf(space: FiniteSpace, sections, restrictions) -> AlgebraPresheaf:
+def make_presheaf(space: FiniteSpace, sections, restrictions,
+                  base: Presheaf | None = None) -> Presheaf:
+    """A presheaf whose identities and maps to empty opens may be left out."""
     sections = tuple(sections)
-    dims = [a.dim for a in sections]
-    return AlgebraPresheaf(space, sections, fill_restrictions(space, dims, restrictions))
+    table = fill_restrictions(space, [s.dim for s in sections], restrictions)
+    return Presheaf(space, sections, table, base)
 
 
-def make_module_presheaf(base: AlgebraPresheaf, sections, restrictions) -> ModulePresheaf:
-    sections = tuple(sections)
-    dims = [m.dim for m in sections]
-    return ModulePresheaf(base, sections, fill_restrictions(base.space, dims, restrictions))
-
-
-def constant_presheaf(space: FiniteSpace, a: Algebra) -> AlgebraPresheaf:
-    """a over every nonempty open, identity restrictions, zero over empty."""
-    empty = function_algebra(0)
-    sections = tuple(a if u else empty for u in space.opens)
-    table = {(u, v): Matrix.identity(a.dim)
+def constant_presheaf(space: FiniteSpace, section,
+                      base: Presheaf | None = None) -> Presheaf:
+    """`section` over every nonempty open with identity restrictions, and
+    zero over the empty open (the zero algebra, or the zero module over
+    `base`)."""
+    empty = function_algebra(0) if base is None else zero_module_sections(0)
+    sections = tuple(section if u else empty for u in space.opens)
+    table = {(u, v): Matrix.identity(section.dim)
              for u, v in space.inclusion_pairs() if u != v and space.opens[v]}
-    return make_algebra_presheaf(space, sections, table)
+    return make_presheaf(space, sections, table, base)
 
 
 def function_restriction_matrix(bigger, smaller) -> Matrix:
@@ -228,21 +233,29 @@ def function_restriction_matrix(bigger, smaller) -> Matrix:
     return Matrix.from_rows(rows, cols=len(big))
 
 
-def function_presheaf(space: FiniteSpace) -> AlgebraPresheaf:
+def function_presheaf(space: FiniteSpace) -> Presheaf:
     """U -> all rational functions on U, coordinates at sorted points."""
     sections = tuple(function_algebra(len(u)) for u in space.opens)
     table = {(u, v): function_restriction_matrix(space.opens[u], space.opens[v])
              for u, v in space.inclusion_pairs()}
-    return AlgebraPresheaf(space, sections, table)
+    return Presheaf(space, sections, table)
 
 
-def zero_module_presheaf(base: AlgebraPresheaf) -> ModulePresheaf:
-    sections = tuple(zero_module_sections(a.dim) for a in base.sections)
-    table = {(u, v): Matrix.zeros(0, 0) for u, v in base.space.inclusion_pairs()}
-    return ModulePresheaf(base, sections, table)
+def zero_module_presheaf(base: Presheaf) -> Presheaf:
+    return make_presheaf(base.space, (zero_module_sections(a.dim) for a in base.sections),
+                         {}, base)
 
 
-def _functoriality_findings(p: AlgebraPresheaf | ModulePresheaf) -> list[Finding]:
+def restriction_square_failures(components, source: Presheaf, target: Presheaf,
+                                pairs) -> list[tuple[int, int]]:
+    """The inclusion pairs (u, v) among `pairs` where the square
+    components[v] . source(u->v) = target(u->v) . components[u] fails."""
+    return [(u, v) for u, v in pairs
+            if components[v] @ source.restriction(u, v)
+            != target.restriction(u, v) @ components[u]]
+
+
+def _functoriality_findings(p: Presheaf) -> list[Finding]:
     findings = []
     space = p.space
     for u, v in space.inclusion_pairs():
@@ -260,58 +273,51 @@ def _functoriality_findings(p: AlgebraPresheaf | ModulePresheaf) -> list[Finding
     return findings
 
 
-def validate_algebra_presheaf(p: AlgebraPresheaf) -> Report:
+def _presheaf_findings(p: Presheaf) -> tuple[Finding, ...]:
+    """The presheaf axioms, shared by both layers: per open valid sections,
+    zero over the empty open; per inclusion pair the identity on the
+    diagonal and a map of the layer (an algebra map, or a module map over
+    the base's restriction); and functoriality."""
+    base = p.base
+    noun = "restriction" if base is None else "module restriction"
     findings: list[Finding] = []
-    space = p.space
-    for u, algebra in enumerate(p.sections):
-        for f in validate_algebra(algebra).errors():
-            findings.append(Finding("error", f"open {u}: {f.location}", f.message, f.witness))
-        if not space.opens[u] and algebra.dim != 0:
-            findings.append(Finding("error", f"open {u}",
-                                    "sections over the empty set must be the zero algebra",
-                                    algebra.dim))
-    for u, v in space.inclusion_pairs():
+    for u, s in enumerate(p.sections):
+        sections_report = (validate_algebra(s) if base is None
+                           else validate_module_sections(base.sections[u], s))
+        findings += relocated(f"open {u}: ", sections_report.errors())
+        if not p.space.opens[u] and s.dim != 0:
+            findings.append(Finding(
+                "error", f"open {u}",
+                "sections over the empty set must be the zero algebra" if base is None
+                else "module sections over the empty set must vanish", s.dim))
+    for u, v in p.space.inclusion_pairs():
         r = p.restriction(u, v)
-        if u == v and r != Matrix.identity(p.sections[u].dim):
-            findings.append(Finding("error", f"restriction {u}->{u}",
+        if u == v and r != Matrix.identity(p.section_dim(u)):
+            findings.append(Finding("error", f"{noun} {u}->{u}",
                                     "identity inclusion must restrict by the identity", None))
-        for f in validate_algebra_morphism(AlgebraMorphism(p.sections[u], p.sections[v], r)).errors():
-            findings.append(Finding("error", f"restriction {u}->{v}: {f.location}",
-                                    f.message, f.witness))
-    findings.extend(_functoriality_findings(p))
-    return Report("validate_algebra_presheaf", tuple(findings))
+        if base is None:
+            findings += relocated(f"restriction {u}->{v}: ", validate_algebra_morphism(
+                AlgebraMorphism(p.sections[u], p.sections[v], r)).errors())
+        else:
+            findings += [Finding("error", f"module restriction {u}->{v}",
+                                 "restriction does not respect the action", [i, j])
+                         for i, j, _, _ in semilinearity_defects(
+                             r, base.restriction(u, v), p.sections[u], p.sections[v])]
+    return tuple(findings + _functoriality_findings(p))
 
 
-def validate_module_presheaf(m: ModulePresheaf) -> Report:
-    findings: list[Finding] = []
-    space = m.space
-    for u in range(len(space.opens)):
-        for f in validate_module_sections(m.base.sections[u], m.sections[u]).errors():
-            findings.append(Finding("error", f"open {u}: {f.location}", f.message, f.witness))
-        if not space.opens[u] and m.sections[u].dim != 0:
-            findings.append(Finding("error", f"open {u}",
-                                    "module sections over the empty set must vanish",
-                                    m.sections[u].dim))
-    for u, v in space.inclusion_pairs():
-        rho = m.restriction(u, v)
-        if u == v and rho != Matrix.identity(m.sections[u].dim):
-            findings.append(Finding("error", f"module restriction {u}->{u}",
-                                    "identity inclusion must restrict by the identity", None))
-        # restriction is a module map over the algebra restriction
-        r = m.base.restriction(u, v)
-        alg = m.base.sections[u]
-        for i in range(alg.dim):
-            a = unit_vector(alg.dim, i)
-            for j in range(m.sections[u].dim):
-                w = unit_vector(m.sections[u].dim, j)
-                lhs = rho.apply(m.sections[u].act(a, w))
-                rhs = m.sections[v].act(r.apply(a), rho.apply(w))
-                if lhs != rhs:
-                    findings.append(Finding("error", f"module restriction {u}->{v}",
-                                            "restriction does not respect the action",
-                                            [i, j]))
-    findings.extend(_functoriality_findings(m))
-    return Report("validate_module_presheaf", tuple(findings))
+def validate_algebra_presheaf(p: Presheaf) -> Report:
+    return Report("validate_algebra_presheaf", _presheaf_findings(p))
+
+
+def validate_module_presheaf(m: Presheaf) -> Report:
+    return Report("validate_module_presheaf", _presheaf_findings(m))
+
+
+class InvalidPresheafError(ValidationError):
+    """The restrictions or sections break an axiom the operation relies on."""
+
+    prefix = "not a valid presheaf"
 
 
 @dataclass(frozen=True)
@@ -322,7 +328,7 @@ class Stalk:
     germ_maps: dict
 
 
-def stalk(p: AlgebraPresheaf | ModulePresheaf, x: int) -> Stalk:
+def stalk(p: Presheaf, x: int) -> Stalk:
     """Sections over the minimal open of x, with the maps from larger opens."""
     space = p.space
     ux = minimal_open(space, x)
@@ -334,8 +340,8 @@ def stalk(p: AlgebraPresheaf | ModulePresheaf, x: int) -> Stalk:
 class PresheafMorphism:
     """Componentwise linear map between presheaves over the same space."""
 
-    source: AlgebraPresheaf | ModulePresheaf
-    target: AlgebraPresheaf | ModulePresheaf
+    source: Presheaf
+    target: Presheaf
     components: tuple[Matrix, ...]
 
     def __post_init__(self):
@@ -351,24 +357,17 @@ class PresheafMorphism:
         return self.components[u]
 
 
-def validate_presheaf_morphism(h: PresheafMorphism, multiplicative: bool = False) -> Report:
-    """Restriction squares; optionally unit/product preservation per open."""
-    findings: list[Finding] = []
-    space = h.source.space
-    for u, v in space.inclusion_pairs():
-        lhs = h.components[v] @ h.source.restriction(u, v)
-        rhs = h.target.restriction(u, v) @ h.components[u]
-        if lhs != rhs:
-            findings.append(Finding("error", f"square {u}->{v}",
-                                    "component does not commute with restriction",
-                                    [u, v]))
-    if multiplicative:
-        for u in range(len(space.opens)):
-            mor = AlgebraMorphism(h.source.sections[u], h.target.sections[u],
-                                  h.components[u])
-            for f in validate_algebra_morphism(mor).errors():
-                findings.append(Finding("error", f"open {u}: {f.location}",
-                                        f.message, f.witness))
+def validate_presheaf_morphism(h: PresheafMorphism) -> Report:
+    """Restriction squares; between algebra layers also unit and product
+    preservation per open."""
+    findings = [Finding("error", f"square {u}->{v}",
+                        "component does not commute with restriction", [u, v])
+                for u, v in restriction_square_failures(
+                    h.components, h.source, h.target, h.source.space.inclusion_pairs())]
+    if h.source.base is None and h.target.base is None:
+        for u, c in enumerate(h.components):
+            findings += relocated(f"open {u}: ", validate_algebra_morphism(
+                AlgebraMorphism(h.source.sections[u], h.target.sections[u], c)).errors())
     return Report("validate_presheaf_morphism", tuple(findings))
 
 
@@ -386,7 +385,7 @@ class CoverWitness:
 
 @dataclass(frozen=True)
 class SheafCertificate:
-    presheaf: AlgebraPresheaf | ModulePresheaf
+    presheaf: Presheaf
     is_sheaf: bool
     witnesses: tuple[CoverWitness, ...]
 
@@ -416,7 +415,7 @@ def irredundant_covers(space: FiniteSpace, u: int) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
-def check_sheaf_condition(p: AlgebraPresheaf | ModulePresheaf) -> SheafCertificate:
+def check_sheaf_condition(p: Presheaf) -> SheafCertificate:
     """Stalk-family test: every canonical map F(U) -> lim_{x in U} F(U_x)
     must be bijective (Curry, arXiv:1303.3255, section 4).
 
@@ -488,7 +487,7 @@ class FamilyLayout:
         return coords
 
 
-def _family_layout(p: AlgebraPresheaf | ModulePresheaf, u: int) -> FamilyLayout:
+def _family_layout(p: Presheaf, u: int) -> FamilyLayout:
     space = p.space
     pts = tuple(sorted(space.opens[u]))
     stalk_opens = tuple(minimal_open(space, x) for x in pts)
@@ -524,7 +523,7 @@ def _family_layout(p: AlgebraPresheaf | ModulePresheaf, u: int) -> FamilyLayout:
 
 @dataclass(frozen=True)
 class Sheafification:
-    presheaf: AlgebraPresheaf | ModulePresheaf
+    presheaf: Presheaf
     canonical: PresheafMorphism
     layouts: tuple[FamilyLayout, ...]
 
@@ -541,16 +540,16 @@ def _restriction_between_layouts(lu: FamilyLayout, lv: FamilyLayout) -> Matrix:
     return Matrix.from_columns(cols, rows=len(lv.basis))
 
 
-def _sheafify(p: AlgebraPresheaf | ModulePresheaf, left_layouts, operate,
-              assemble) -> Sheafification:
+def _sheafify(p: Presheaf, left_layouts, operate, section,
+              base: Presheaf | None = None) -> Sheafification:
     """Compatible-stalk-family sheafification, shared by both layers.
 
     Over each open the families of p get the stalkwise bilinear table
     `operate(stalk open, left chunk, right chunk)`, its left factor running
     over `left_layouts[u]` (p's own layouts when None) and its right factor
-    over p's families.  `assemble(layouts, tables, restrictions)` builds the
-    sheafified presheaf; the canonical map sends a section to the family of
-    its restrictions to the stalks.
+    over p's families.  `section(u, layout, table)` builds the sheafified
+    sections over open u, which live over `base`; the canonical map sends a
+    section to the family of its restrictions to the stalks.
     """
     space = p.space
     layouts = tuple(_family_layout(p, u) for u in range(len(space.opens)))
@@ -568,7 +567,9 @@ def _sheafify(p: AlgebraPresheaf | ModulePresheaf, left_layouts, operate,
         tables.append(tuple(table))
     restrictions = {(u, v): _restriction_between_layouts(layouts[u], layouts[v])
                     for u, v in space.inclusion_pairs()}
-    plus = assemble(layouts, tables, restrictions)
+    plus = Presheaf(space, tuple(section(u, layout, table) for u, (layout, table)
+                                 in enumerate(zip(layouts, tables))),
+                    restrictions, base)
     components = []
     for u, layout in enumerate(layouts):
         # basis section i over u goes to the family of its stalk restrictions
@@ -580,34 +581,32 @@ def _sheafify(p: AlgebraPresheaf | ModulePresheaf, left_layouts, operate,
                           layouts)
 
 
-def sheafify(p: AlgebraPresheaf) -> Sheafification:
-    """Compatible-stalk-family sheafification of an algebra presheaf."""
-    require_topology(p.space)
+def sheafify(p: Presheaf) -> Sheafification:
+    """Compatible-stalk-family sheafification of an algebra presheaf.
 
-    def assemble(layouts, tables, restrictions):
-        algebras = []
-        for layout, struct in zip(layouts, tables):
-            unit_family = tuple(x for s in layout.stalk_opens
-                                for x in p.sections[s].unit)
-            unit = layout.coordinates(unit_family) if layout.basis else ()
-            algebras.append(Algebra(len(layout.basis), struct, unit))
-        return AlgebraPresheaf(p.space, tuple(algebras), restrictions)
+    Raises InvalidTopologyError on a non-topology and InvalidPresheafError
+    on a presheaf that fails validation, before any family is built.
+    """
+    require_topology(p.space)
+    InvalidPresheafError.require(validate_algebra_presheaf(p))
+
+    def algebra(u, layout, struct):
+        unit_family = tuple(x for s in layout.stalk_opens
+                            for x in p.sections[s].unit)
+        unit = layout.coordinates(unit_family) if layout.basis else ()
+        return Algebra(len(layout.basis), struct, unit)
 
     return _sheafify(p, None, lambda s, x, y: p.sections[s].multiply(x, y),
-                     assemble)
+                     algebra)
 
 
-def sheafify_module(m: ModulePresheaf, base_plus: Sheafification) -> Sheafification:
+def sheafify_module(m: Presheaf, base_plus: Sheafification) -> Sheafification:
     """Sheafify a module presheaf over the already-sheafified base algebra."""
-
-    def assemble(layouts, tables, restrictions):
-        modules = tuple(ModuleSections(len(base.basis), len(layout.basis), action)
-                        for base, layout, action
-                        in zip(base_plus.layouts, layouts, tables))
-        return ModulePresheaf(base_plus.presheaf, modules, restrictions)
-
-    return _sheafify(m, base_plus.layouts,
-                     lambda s, a, w: m.sections[s].act(a, w), assemble)
+    return _sheafify(
+        m, base_plus.layouts, lambda s, a, w: m.sections[s].act(a, w),
+        lambda u, layout, action: ModuleSections(
+            len(base_plus.layouts[u].basis), len(layout.basis), action),
+        base_plus.presheaf)
 
 
 # ---------------------------------------------------------------------------
@@ -618,35 +617,32 @@ def _preimages(f: ContinuousMap) -> list[int]:
     return [preimage_open(f, v) for v in range(len(f.codomain.opens))]
 
 
-def _pushforward_parts(f: ContinuousMap, p: AlgebraPresheaf | ModulePresheaf):
+def _pushforward(f: ContinuousMap, p: Presheaf, base_image: Presheaf | None) -> Presheaf:
     """Sections and restrictions of p read at the preimages of f's opens."""
-    pre = _preimages(f)
-    sections = tuple(p.sections[w] for w in pre)
-    table = {(u, v): p.restriction(pre[u], pre[v])
-             for u, v in f.codomain.inclusion_pairs()}
-    return sections, table
-
-
-def pushforward(f: ContinuousMap, p: AlgebraPresheaf) -> AlgebraPresheaf:
-    """Direct image: sections over V are the sections over the preimage."""
     if p.space != f.domain:
         raise DimensionMismatchError("presheaf does not live on the map's domain")
-    return AlgebraPresheaf(f.codomain, *_pushforward_parts(f, p))
+    pre = _preimages(f)
+    table = {(u, v): p.restriction(pre[u], pre[v])
+             for u, v in f.codomain.inclusion_pairs()}
+    return Presheaf(f.codomain, tuple(p.sections[w] for w in pre), table, base_image)
 
 
-def pushforward_module(f: ContinuousMap, m: ModulePresheaf,
-                       base_image: AlgebraPresheaf | None = None) -> ModulePresheaf:
-    if base_image is None:
-        base_image = pushforward(f, m.base)
-    return ModulePresheaf(base_image, *_pushforward_parts(f, m))
+def pushforward(f: ContinuousMap, p: Presheaf) -> Presheaf:
+    """Direct image: sections over V are the sections over the preimage.  A
+    module layer lands over the direct image of its base."""
+    return _pushforward(f, p, None if p.base is None else pushforward(f, p.base))
+
+
+def pushforward_module(f: ContinuousMap, m: Presheaf,
+                       base_image: Presheaf | None = None) -> Presheaf:
+    """Direct image of a module layer over `base_image`, the direct image of
+    its base, which is computed when not given."""
+    return pushforward(f, m) if base_image is None else _pushforward(f, m, base_image)
 
 
 def pushforward_morphism(f: ContinuousMap, h: PresheafMorphism) -> PresheafMorphism:
-    src = pushforward(f, h.source) if isinstance(h.source, AlgebraPresheaf) \
-        else pushforward_module(f, h.source)
-    tgt = pushforward(f, h.target) if isinstance(h.target, AlgebraPresheaf) \
-        else pushforward_module(f, h.target)
-    return PresheafMorphism(src, tgt, tuple(h.components[w] for w in _preimages(f)))
+    return PresheafMorphism(pushforward(f, h.source), pushforward(f, h.target),
+                            tuple(h.components[w] for w in _preimages(f)))
 
 
 # ---------------------------------------------------------------------------
@@ -664,7 +660,7 @@ class SubsetSections:
     maps: dict
 
 
-def sections_over_subset(p: AlgebraPresheaf | ModulePresheaf, subset) -> SubsetSections:
+def sections_over_subset(p: Presheaf, subset) -> SubsetSections:
     space = p.space
     uk = minimal_open_superset(space, subset)
     maps = {v: p.restriction(v, uk) for v in space.opens_containing(subset)}

@@ -9,24 +9,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import (Algebra, AlgebraMorphism, function_algebra,
-                      is_standard_function_algebra, validate_algebra_morphism)
+from .algebra import (Algebra, AlgebraMorphism, is_standard_function_algebra,
+                      validate_algebra_morphism)
 from .errors import DimensionMismatchError, TriadicaError
 from .exactla import Matrix, Subspace, kernel, span, unit_vector
 from .finspace import ContinuousMap, FiniteSpace, preimage_open
-from .report import Finding, Report, merge_reports
-from .sheaf import (AlgebraPresheaf, ModulePresheaf, ModuleSections,
-                    check_sheaf_condition, constant_presheaf,
-                    function_presheaf, function_restriction_matrix,
-                    make_module_presheaf, pushforward, pushforward_module,
-                    validate_algebra_presheaf, validate_module_presheaf,
-                    zero_module_presheaf, zero_module_sections)
+from .report import Finding, Report, merge_reports, relocated
+from .sheaf import (ModuleSections, Presheaf, constant_presheaf,
+                    function_presheaf, pushforward, pushforward_module,
+                    restriction_square_failures, validate_algebra_presheaf,
+                    validate_module_presheaf, zero_module_presheaf)
 
 
 @dataclass(frozen=True)
 class DifferentialTriad:
-    algebras: AlgebraPresheaf
-    modules: ModulePresheaf
+    algebras: Presheaf
+    modules: Presheaf
     differentials: tuple[Matrix, ...]
 
     def __post_init__(self):
@@ -66,27 +64,17 @@ def check_leibniz(a: Algebra, m: ModuleSections, d: Matrix) -> Report:
     return Report("check_leibniz", ())
 
 
-def validate_triad(t: DifferentialTriad, deep: bool = True,
-                   require_sheaf: bool = False) -> Report:
-    """Full triad validation.
-
-    With deep=True the underlying presheaves are validated too; deep=False
-    only checks the Leibniz rule and the differential restriction squares.
-    require_sheaf=True additionally demands sheaf certificates for both
-    presheaf layers.
-    """
-    parts = []
-    if deep:
-        parts.append(validate_algebra_presheaf(t.algebras))
-        parts.append(validate_module_presheaf(t.modules))
+def validate_triad(t: DifferentialTriad) -> Report:
+    """Full triad validation: both presheaf layers, the Leibniz rule over
+    every open and the differential restriction squares."""
+    parts = [validate_algebra_presheaf(t.algebras),
+             validate_module_presheaf(t.modules)]
     space = t.space
     leibniz_findings = []
     for u in range(len(space.opens)):
         rep = check_leibniz(t.algebras.sections[u], t.modules.sections[u],
                             t.differentials[u])
-        for f in rep.findings:
-            leibniz_findings.append(Finding(f.severity, f"open {u}: {f.location}",
-                                            f.message, f.witness))
+        leibniz_findings += relocated(f"open {u}: ", rep.findings)
         # consequence of Leibniz at (1,1); checked separately for reporting
         unit_image = t.differentials[u].apply(t.algebras.sections[u].unit)
         if any(c != 0 for c in unit_image):
@@ -94,27 +82,17 @@ def validate_triad(t: DifferentialTriad, deep: bool = True,
                                             "differential does not annihilate the unit",
                                             [str(c) for c in unit_image]))
     parts.append(Report("check_leibniz", tuple(leibniz_findings)))
-    square_findings = []
-    for u, v in space.inclusion_pairs():
-        if u == v:
-            continue
-        lhs = t.modules.restriction(u, v) @ t.differentials[u]
-        rhs = t.differentials[v] @ t.algebras.restriction(u, v)
-        if lhs != rhs:
-            square_findings.append(Finding("error", f"inclusion {u}->{v}",
-                                           "differential does not commute with restriction",
-                                           [u, v]))
-    parts.append(Report("differential_squares", tuple(square_findings)))
-    if require_sheaf:
-        sheaf_findings = []
-        for label, layer in (("algebra", t.algebras), ("module", t.modules)):
-            cert = check_sheaf_condition(layer)
-            for w in cert.witnesses:
-                sheaf_findings.append(Finding(
-                    "error", f"{label} layer, open {w.open_index}, cover {w.cover}",
-                    f"sheaf condition fails ({w.kind})", w.section))
-        parts.append(Report("sheaf_certificates", tuple(sheaf_findings)))
+    squares = restriction_square_failures(t.differentials, t.algebras, t.modules,
+                                          _proper_pairs(space))
+    parts.append(Report("differential_squares", tuple(
+        Finding("error", f"inclusion {u}->{v}",
+                "differential does not commute with restriction", [u, v])
+        for u, v in squares)))
     return merge_reports("validate_triad", parts)
+
+
+def _proper_pairs(space: FiniteSpace) -> list[tuple[int, int]]:
+    return [(u, v) for u, v in space.inclusion_pairs() if u != v]
 
 
 def function_triad(space: FiniteSpace) -> DifferentialTriad:
@@ -198,28 +176,20 @@ def validate_functional(ft: FunctionalTriad) -> Report:
     function algebra on the open's points, and the square with restrictions
     (coordinate selection on the function side) must commute."""
     t = ft.triad
-    space = t.space
+    functions = function_presheaf(t.space)
     findings = []
-    for u, open_set in enumerate(space.opens):
-        e = ft.embeddings[u]
-        target = function_algebra(len(open_set))
+    for u, e in enumerate(ft.embeddings):
         morph = validate_algebra_morphism(
-            AlgebraMorphism(t.algebras.sections[u], target, e))
-        for f in morph.errors():
-            findings.append(Finding("error", f"open {u}, {f.location}",
-                                    f.message, f.witness))
+            AlgebraMorphism(t.algebras.sections[u], functions.sections[u], e))
+        findings += relocated(f"open {u}, ", morph.errors())
         if kernel(e).dim != 0:
             findings.append(Finding("error", f"open {u}",
                                     "embedding is not injective", None))
-    for u, v in space.inclusion_pairs():
-        if u == v:
-            continue
-        lhs = ft.embeddings[v] @ t.algebras.restriction(u, v)
-        rhs = function_restriction_matrix(space.opens[u], space.opens[v]) @ ft.embeddings[u]
-        if lhs != rhs:
-            findings.append(Finding("error", f"inclusion {u}->{v}",
-                                    "embedding does not commute with restriction",
-                                    [u, v]))
+    for u, v in restriction_square_failures(ft.embeddings, t.algebras, functions,
+                                            _proper_pairs(t.space)):
+        findings.append(Finding("error", f"inclusion {u}->{v}",
+                                "embedding does not commute with restriction",
+                                [u, v]))
     return Report("validate_functional", tuple(findings))
 
 
@@ -227,8 +197,8 @@ def pushforward_triad(f: ContinuousMap, t: DifferentialTriad) -> DifferentialTri
     """Direct image triad along a continuous map."""
     algebras = pushforward(f, t.algebras)
     modules = pushforward_module(f, t.modules, base_image=algebras)
-    pre = [preimage_open(f, v) for v in range(len(f.codomain.opens))]
-    diffs = tuple(t.differentials[pre[v]] for v in range(len(f.codomain.opens)))
+    diffs = tuple(t.differentials[preimage_open(f, v)]
+                  for v in range(len(f.codomain.opens)))
     return DifferentialTriad(algebras, modules, diffs)
 
 
@@ -253,11 +223,7 @@ def constant_triad(space: FiniteSpace, a: Algebra, module: ModuleSections,
     """Same algebra, module and operator over each nonempty open, with
     identity restrictions.  Useful for one-chart examples."""
     algebras = constant_presheaf(space, a)
-    sections = [module if open_set else zero_module_sections(0)
-                for open_set in space.opens]
-    table = {(u, v): Matrix.identity(module.dim)
-             for u, v in space.inclusion_pairs() if u != v and space.opens[v]}
-    modules = make_module_presheaf(algebras, sections, table)
+    modules = constant_presheaf(space, module, base=algebras)
     diffs = tuple(d if open_set else Matrix.zeros(0, 0)
                   for open_set in space.opens)
     return DifferentialTriad(algebras, modules, diffs)

@@ -38,8 +38,7 @@ from .algebra import Algebra, function_algebra, truncated_poly_algebra
 from .errors import DimensionMismatchError, TriadicaError
 from .exactla import Matrix, rat
 from .finspace import ContinuousMap, FiniteSpace
-from .sheaf import (AlgebraPresheaf, ModulePresheaf, ModuleSections,
-                    fill_restrictions)
+from .sheaf import ModuleSections, Presheaf, fill_restrictions
 from .triad import DifferentialTriad
 from .dtcat import TriadMorphism
 
@@ -161,13 +160,10 @@ def _restrictions_from_json(value, space: FiniteSpace, dims, location: str):
         raise ParseError(str(exc), location) from None
 
 
-def _restrictions_to_json(space: FiniteSpace, dims, table) -> dict:
-    out = {}
-    for u, v in space.inclusion_pairs():
-        if u == v or dims[v] == 0:
-            continue  # the parser refills identities and degenerate maps
-        out[f"{u}->{v}"] = matrix_to_json(table[(u, v)])
-    return out
+def _restrictions_to_json(p: Presheaf) -> dict:
+    # the parser refills identities and maps to zero sections
+    return {f"{u}->{v}": matrix_to_json(p.restriction(u, v))
+            for u, v in p.space.inclusion_pairs() if u != v and p.section_dim(v)}
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +245,7 @@ def algebra_to_json(a: Algebra) -> dict:
 
 
 def presheaf_from_json(value, doc: WorkspaceDocument,
-                       location: str) -> AlgebraPresheaf:
+                       location: str) -> Presheaf:
     if isinstance(value, str):
         return _resolve(value, doc, "presheaves", location)
     if not isinstance(value, dict) or set(value) - {"space", "sections",
@@ -273,16 +269,15 @@ def presheaf_from_json(value, doc: WorkspaceDocument,
     table = _restrictions_from_json(value.get("restrictions"), space, dims,
                                     f"{location}.restrictions")
     try:
-        return AlgebraPresheaf(space, tuple(sections), table)
+        return Presheaf(space, tuple(sections), table)
     except TriadicaError as exc:
         raise ParseError(str(exc), location) from None
 
 
-def presheaf_to_json(p: AlgebraPresheaf) -> dict:
-    dims = [a.dim for a in p.sections]
+def presheaf_to_json(p: Presheaf) -> dict:
     return {"space": space_to_json(p.space),
             "sections": [algebra_to_json(a) for a in p.sections],
-            "restrictions": _restrictions_to_json(p.space, dims, p.restrictions)}
+            "restrictions": _restrictions_to_json(p)}
 
 
 def module_sections_from_json(value, location: str) -> ModuleSections:
@@ -371,20 +366,18 @@ def triad_from_json(value, doc: WorkspaceDocument,
     diffs = tuple(matrix_from_json(d, f"{location}.differentials[{i}]")
                   for i, d in enumerate(diffs_json))
     try:
-        modules = ModulePresheaf(algebras, sections, table)
+        modules = Presheaf(algebras.space, sections, table, algebras)
         return DifferentialTriad(algebras, modules, diffs)
     except TriadicaError as exc:
         raise ParseError(str(exc), location) from None
 
 
 def triad_to_json(t: DifferentialTriad) -> dict:
-    dims = [m.dim for m in t.modules.sections]
     return {"algebras": presheaf_to_json(t.algebras),
             "modules": {
                 "sections": [module_sections_to_json(m)
                              for m in t.modules.sections],
-                "restrictions": _restrictions_to_json(
-                    t.space, dims, t.modules.restrictions)},
+                "restrictions": _restrictions_to_json(t.modules)},
             "differentials": [matrix_to_json(d) for d in t.differentials]}
 
 

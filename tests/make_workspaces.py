@@ -17,7 +17,7 @@ from triadica.finspace import (ContinuousMap, discrete_space,
                                sierpinski_space)
 from triadica.kaehler import kaehler_module, kaehler_presheaf
 from triadica.sheaf import (ModuleSections, constant_presheaf,
-                            make_algebra_presheaf, zero_module_sections)
+                            make_presheaf, zero_module_sections)
 from triadica.triad import constant_triad, function_triad
 from triadica.workspace import (algebra_to_json, dump_workspace, map_to_json,
                                 morphism_to_json, parse_workspace,
@@ -121,7 +121,7 @@ def mixed_presheaf():
         (full, u0): Matrix.from_rows([[1, 0, 0], [0, 1, 0]], cols=3),
         (full, u1): Matrix.from_rows([[0, 0, 1]], cols=3),
     }
-    return make_algebra_presheaf(D2, tuple(sections), restrictions)
+    return make_presheaf(D2, tuple(sections), restrictions)
 
 
 def sqrt2_algebra():

@@ -260,26 +260,102 @@ def test_presheaf_on_a_non_topology_is_refused(capsys, tmp_path):
         assert "derived_artifacts" not in report
 
 
+def one_row(*xs):
+    return {"rows": 1, "cols": len(xs), "entries": [list(xs)]}
+
+
+# 4->3 then 3->1 is [1, 1] but 4->1 is [1, 0]
+NON_COMPOSING = {"schema": 1, "spaces": {"V": {
+    "points": 3, "opens": [[], [0], [0, 1], [0, 2], [0, 1, 2]]}},
+    "presheaves": {"P": {
+        "space": "V",
+        "sections": ["function_algebra 0"] + ["function_algebra 1"] * 3
+                    + ["function_algebra 2"],
+        "restrictions": {"2->1": one_row("1"), "3->1": one_row("1"),
+                         "4->1": one_row("1", "0"), "4->2": one_row("1", "0"),
+                         "4->3": one_row("1", "1")}}}}
+
+# the restriction from the whole Sierpinski space to {0} doubles
+DOUBLING = {"schema": 1, "spaces": {"S": {"points": 2, "opens": [[], [0], [0, 1]]}},
+            "presheaves": {"P": {
+                "space": "S",
+                "sections": ["function_algebra 0", "function_algebra 1",
+                             "function_algebra 1"],
+                "restrictions": {"2->1": one_row("2")}}}}
+
+
 def test_validate_reports_restrictions_that_do_not_compose(capsys, tmp_path):
-    # 4->3 then 3->1 is [1, 1] but 4->1 is [1, 0]; the sheaf check must
-    # still answer with a witness, not a traceback
-    one = lambda *xs: {"rows": 1, "cols": len(xs), "entries": [list(xs)]}
+    # the sheaf check must still answer with a witness, not a traceback
     path = tmp_path / "presheaf.json"
-    path.write_text(dump_workspace({"schema": 1, "spaces": {"V": {
-        "points": 3, "opens": [[], [0], [0, 1], [0, 2], [0, 1, 2]]}},
-        "presheaves": {"P": {
-            "space": "V",
-            "sections": ["function_algebra 0"] + ["function_algebra 1"] * 3
-                        + ["function_algebra 2"],
-            "restrictions": {"2->1": one("1"), "3->1": one("1"),
-                             "4->1": one("1", "0"), "4->2": one("1", "0"),
-                             "4->3": one("1", "1")}}}}))
+    path.write_text(dump_workspace(NON_COMPOSING))
     code, out, err = run_cli(capsys, "validate", "--workspace", str(path),
                              "--target", "P")
     assert code == 1 and err == ""
     messages = [f["message"] for f in json.loads(out)["reports"][0]["findings"]]
     assert "restriction maps do not compose functorially" in messages
     assert messages[-1] == "sheaf condition fails (1 witnesses)"
+
+
+@pytest.mark.parametrize("doc,message", [
+    (NON_COMPOSING, "not a valid presheaf: restriction 4->3: unit: unit is not preserved"),
+    (DOUBLING, "not a valid presheaf: restriction 2->1: unit: unit is not preserved"),
+], ids=["non_composing", "doubling"])
+@pytest.mark.parametrize("command", ["sheafify", "kaehler"])
+def test_sheafify_and_kaehler_refuse_an_invalid_presheaf(capsys, tmp_path, command,
+                                                         doc, message):
+    # both used to do the work and then blame the library with "family is
+    # not compatible; sheafification is broken"
+    path = tmp_path / "presheaf.json"
+    path.write_text(dump_workspace(doc))
+    code, out, err = run_cli(capsys, command, "--workspace", str(path))
+    assert code == 1 and err == ""
+    report = json.loads(out)["reports"][0]
+    assert report["findings"] == [{"severity": "error", "location": "P",
+                                   "message": message, "witness": None}]
+    assert "derived_artifacts" not in report
+
+
+SIERPINSKI = {"points": 2, "opens": [[], [0], [0, 1]]}
+FUNCTIONS = {"space": "S", "sections": ["function_algebra 0", "function_algebra 1",
+                                        "function_algebra 2"],
+             "restrictions": {"2->1": one_row("1", "0")}}
+
+
+def module(algebra_dim, dim):
+    """The algebra_dim-dimensional function algebra acting on Q^dim, every
+    basis element by the identity (only the shapes matter here)."""
+    identity = [["1" if r == c else "0" for r in range(dim)] for c in range(dim)]
+    return {"algebra_dim": algebra_dim, "dim": dim,
+            "action": [identity for _ in range(algebra_dim)]}
+
+
+def zero_matrix(rows, cols):
+    return {"rows": rows, "cols": cols, "entries": [["0"] * cols for _ in range(rows)]}
+
+
+@pytest.mark.parametrize("doc,line", [
+    ({"schema": 1, "spaces": {"S": SIERPINSKI},
+      "presheaves": {"P": dict(FUNCTIONS, restrictions={"2->1": one_row("1")})}},
+     "triadica: presheaves.P: restriction 2->1 has shape 1x1\n"),
+    ({"schema": 1, "spaces": {"S": SIERPINSKI}, "presheaves": {"P": FUNCTIONS},
+      "triads": {"T": {"algebras": "P",
+                       "modules": {"sections": [module(0, 0), module(2, 0), module(2, 0)]},
+                       "differentials": [zero_matrix(0, 0), zero_matrix(0, 1),
+                                         zero_matrix(0, 2)]}}},
+     "triadica: triads.T: module over open 1 has wrong algebra dim\n"),
+    ({"schema": 1, "spaces": {"S": SIERPINSKI}, "presheaves": {"P": FUNCTIONS},
+      "triads": {"T": {"algebras": "P",
+                       "modules": {"sections": [module(0, 0), module(1, 1), module(2, 2)],
+                                   "restrictions": {"2->1": one_row("1")}},
+                       "differentials": [zero_matrix(0, 0), zero_matrix(1, 1),
+                                         zero_matrix(2, 2)]}}},
+     "triadica: triads.T: module restriction 2->1 has shape 1x1\n"),
+], ids=["restriction_shape", "module_algebra_dim", "module_restriction_shape"])
+def test_presheaf_constructor_messages_reach_stderr(capsys, tmp_path, doc, line):
+    path = tmp_path / "shapes.json"
+    path.write_text(dump_workspace(doc))
+    code, out, err = run_cli(capsys, "validate", "--workspace", str(path))
+    assert (code, out, err) == (2, "", line)
 
 
 def test_invariant_checks_survive_optimized_mode():

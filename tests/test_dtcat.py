@@ -3,7 +3,9 @@ components, point-map recovery, and the fullness count."""
 
 import itertools
 import math
+import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -23,12 +25,13 @@ from triadica.finspace import (ContinuousMap, InvalidTopologyError, all_maps,
                                sierpinski_space, space_from_opens)
 from triadica.kaehler import kaehler_module, kaehler_presheaf
 from triadica.sheaf import (ModuleSections, PresheafMorphism, constant_presheaf,
-                            function_presheaf, pushforward, zero_module_sections)
+                            free_module_sections, function_presheaf,
+                            pushforward, zero_module_sections)
 from triadica.triad import (DifferentialTriad, NotFunctional, as_functional,
                             constant_triad, constants_only_kernel,
                             function_triad)
 
-from dtcat_oracle import presheaf_morphisms_by_search
+from dtcat_oracle import module_linearity_by_pairs, presheaf_morphisms_by_search
 from test_sheaf import all_topologies
 
 POINT = discrete_space(1)
@@ -543,3 +546,54 @@ def test_families_match_the_search_on_small_topologies():
                 assert recovered == list(itertools.product(*choices))
                 maps += 1
     assert maps == 1443
+
+
+# the module-component check against the pairwise oracle
+
+LINEARITY = "module component is not linear over the algebra component"
+
+
+def _nudge_component(components, rng):
+    """components with one entry of one nonempty matrix moved."""
+    v = rng.choice([v for v, c in enumerate(components) if c.rows and c.cols])
+    rows = [list(row) for row in components[v].entries]
+    r, c = rng.randrange(len(rows)), rng.randrange(len(rows[0]))
+    rows[r][c] += rng.choice([Fraction(1), Fraction(-2), Fraction(1, 3)])
+    return components[:v] + (Matrix.from_rows(rows, cols=len(rows[0])),) + components[v + 1:]
+
+
+def _free_rank_one_parts():
+    a = truncated_poly_algebra(2)
+    return a, free_module_sections(a, 1), Matrix.zeros(2, 2)
+
+
+def _kaehler_parts():
+    k = kaehler_module(truncated_poly_algebra(3))
+    return k.algebra, k.module, k.differential
+
+
+@pytest.mark.parametrize("parts", [_free_rank_one_parts, _kaehler_parts],
+                         ids=["free rank one", "kaehler truncated_poly 3"])
+def test_module_linearity_matches_the_pairwise_oracle(parts):
+    rng = random.Random(f"module linearity {parts.__name__}")
+    failing = Counter()
+    for space in [sp for n in (1, 2, 3) for sp in all_topologies(n)]:
+        m = identity_morphism(constant_triad(space, *parts()))
+        cases = {
+            "valid": m,
+            "module": replace(m, module_components=_nudge_component(
+                m.module_components, rng)),
+            "algebra": replace(m, algebra_components=_nudge_component(
+                m.algebra_components, rng)),
+        }
+        for kind, case in cases.items():
+            expected = [replace(f, location=f"module_components: {f.location}")
+                        for f in module_linearity_by_pairs(case)]
+            module_part = [f for f in check_morphism(case).findings
+                           if f.location.startswith("module_components: ")]
+            tail = module_part[len(module_part) - len(expected):]
+            assert tail == expected, (space.opens, kind)
+            assert LINEARITY not in [f.message for f in module_part[:len(module_part) - len(expected)]]
+            failing[kind] += bool(expected)
+    assert failing["valid"] == 0
+    assert failing["module"] >= 20 and failing["algebra"] >= 20, failing

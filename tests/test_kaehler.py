@@ -28,9 +28,10 @@ from triadica.kaehler import (FactorizationFailed, KaehlerModule,
                               factor_derivation, kaehler_module,
                               kaehler_presheaf, random_derivations,
                               restrict_scalars)
-from triadica.sheaf import (ModuleSections, check_sheaf_condition,
-                            constant_presheaf, free_module_sections,
-                            function_presheaf, make_algebra_presheaf,
+from triadica.sheaf import (InvalidPresheafError, ModuleSections,
+                            check_sheaf_condition, constant_presheaf,
+                            free_module_sections, function_presheaf,
+                            make_presheaf, validate_algebra_presheaf,
                             validate_module_sections,
                             validate_presheaf_morphism)
 from triadica.triad import (check_leibniz, constants_only_kernel,
@@ -195,7 +196,7 @@ def test_presheaf_on_a_non_topology_is_refused_before_any_module(monkeypatch):
     # the presheaf of test_cli's non-topology test: {0} and {1} are open but
     # their union is not
     space = space_from_opens(3, [(), (0,), (1,), (0, 1, 2)])
-    base = make_algebra_presheaf(
+    base = make_presheaf(
         space, [function_algebra(0), function_algebra(1), function_algebra(1),
                 function_algebra(3)],
         {(3, 1): Matrix.from_rows([[1, 0, 0]]),
@@ -210,6 +211,32 @@ def test_presheaf_on_a_non_topology_is_refused_before_any_module(monkeypatch):
     with pytest.raises(InvalidTopologyError) as exc:
         kaehler_presheaf(base)
     assert str(exc.value) == "not a topology: opens[1]|opens[2]: union of opens is not open"
+    assert calls == []
+
+
+@pytest.mark.parametrize("sections,restrictions,message", [
+    # the restriction to {0} doubles
+    ([function_algebra(1), function_algebra(1)], {(2, 1): Matrix.from_rows([[2]])},
+     "restriction 2->1: unit: unit is not preserved"),
+    # Q[x]/(x^2) with x declared as the unit, over the whole space
+    ([function_algebra(0), algebra_from_struct(truncated_poly_algebra(2).struct, [0, 1])],
+     {(2, 1): Matrix.zeros(0, 2)}, "open 2: unit*e0: unit is not a left unit"),
+], ids=["doubling_restriction", "broken_unit"])
+def test_invalid_presheaf_is_refused_before_any_module(monkeypatch, sections,
+                                                       restrictions, message):
+    base = make_presheaf(sierpinski_space(), [function_algebra(0)] + sections,
+                         restrictions)
+    calls = []
+
+    def counting(a):
+        calls.append(a)
+        return kaehler_module(a)
+
+    monkeypatch.setattr("triadica.kaehler.kaehler_module", counting)
+    with pytest.raises(InvalidPresheafError) as exc:
+        kaehler_presheaf(base)
+    assert exc.value.finding == validate_algebra_presheaf(base).errors()[0]
+    assert str(exc.value) == f"not a valid presheaf: {message}"
     assert calls == []
 
 
@@ -352,8 +379,7 @@ def test_presheaf_of_modules_over_constant_base():
     assert validate_triad(res.sheaf_triad).ok
     assert [m.dim for m in res.sheaf_triad.modules.sections] == [0, 2, 2]
     assert res.per_open[2].module.dim == 2
-    assert validate_presheaf_morphism(res.base_sheafification.canonical,
-                                      multiplicative=True).ok
+    assert validate_presheaf_morphism(res.base_sheafification.canonical).ok
     assert validate_presheaf_morphism(res.module_sheafification.canonical).ok
 
 
@@ -458,7 +484,7 @@ def test_mixed_base_over_two_discrete_points():
     u1 = space.open_index(frozenset({1}))
     table = {(full, u0): Matrix.from_rows([[1, 0, 0], [0, 1, 0]], cols=3),
              (full, u1): Matrix.from_rows([[0, 0, 1]], cols=3)}
-    base = make_algebra_presheaf(space, sections, table)
+    base = make_presheaf(space, sections, table)
     assert check_sheaf_condition(base).is_sheaf
     result = kaehler_presheaf(base)
     dims = [result.presheaf_triad.modules.section_dim(u)
@@ -467,7 +493,9 @@ def test_mixed_base_over_two_discrete_points():
     assert by_dim[frozenset({0})] == 1
     assert by_dim[frozenset({1})] == 0
     assert by_dim[frozenset({0, 1})] == 1
-    assert validate_triad(result.sheaf_triad, require_sheaf=True).ok
+    assert validate_triad(result.sheaf_triad).ok
+    for layer in (result.sheaf_triad.algebras, result.sheaf_triad.modules):
+        assert check_sheaf_condition(layer).is_sheaf
     sheaf_dims = [result.sheaf_triad.modules.section_dim(u)
                   for u in range(len(space.opens))]
     assert sheaf_dims == dims  # nothing to repair

@@ -1,5 +1,8 @@
 """Presheaf validation, sheaf condition, sheafification, pushforward."""
 
+import random
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -7,26 +10,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triadica.algebra import Algebra, function_algebra, truncated_poly_algebra
+from triadica.algebra import function_algebra, truncated_poly_algebra
 from triadica.errors import DimensionMismatchError
 from triadica.exactla import ONE, ZERO, Matrix, kernel, solve, vec
 from triadica.finspace import (ContinuousMap, InvalidTopologyError, all_maps,
                                constant_map, discrete_space, indiscrete_space,
                                minimal_open, sierpinski_space, space_from_opens)
-from triadica.sheaf import (AlgebraPresheaf, ModulePresheaf, ModuleSections,
+from triadica.sheaf import (InvalidPresheafError, ModuleSections, Presheaf,
                             PresheafMorphism, RestrictionSquareViolation,
                             check_sheaf_condition, constant_presheaf,
                             fill_restrictions, free_module_sections,
                             function_presheaf, function_restriction_matrix,
-                            irredundant_covers, make_algebra_presheaf,
-                            make_module_presheaf, morphism_over_subset,
+                            irredundant_covers, make_presheaf,
+                            morphism_over_subset,
                             pushforward, pushforward_module,
                             pushforward_morphism, sections_over_subset,
                             sheafify, sheafify_module, stalk,
                             validate_algebra_presheaf, validate_module_presheaf,
                             validate_module_sections, validate_presheaf_morphism,
                             zero_module_presheaf, zero_module_sections)
-from sheaf_oracle import check_sheaf_by_covers
+from triadica.kaehler import kaehler_module
+from triadica.triad import constant_triad
+from sheaf_oracle import (check_sheaf_by_covers, validate_algebra_presheaf_by_pairs,
+                          validate_module_presheaf_by_pairs)
 
 
 def chain_space():
@@ -121,7 +127,7 @@ def test_nonzero_sections_over_empty_open_flagged():
     s = sierpinski_space()
     q = function_algebra(1)
     table = {(u, v): Matrix.identity(1) for u, v in s.inclusion_pairs()}
-    p = AlgebraPresheaf(s, (q, q, q), table)
+    p = Presheaf(s, (q, q, q), table)
     report = validate_algebra_presheaf(p)
     assert any("empty" in f.message for f in report.errors())
 
@@ -130,7 +136,7 @@ def test_non_unital_restriction_flagged():
     s = sierpinski_space()
     q = function_algebra(1)
     double = Matrix.from_rows([[Fraction(2)]], cols=1)
-    p = make_algebra_presheaf(
+    p = make_presheaf(
         s, (function_algebra(0), q, q),
         {(1, 1): Matrix.identity(1), (2, 2): Matrix.identity(1), (2, 1): double})
     report = validate_algebra_presheaf(p)
@@ -149,7 +155,7 @@ def test_module_restriction_functoriality_flagged():
     for u in range(len(sp.opens)):
         table[(u, u)] = Matrix.identity(sections[u].dim)
         table[(u, 0)] = Matrix.zeros(0, sections[u].dim)
-    m = ModulePresheaf(base, sections, table)
+    m = Presheaf(sp, sections, table, base)
     report = validate_module_presheaf(m)
     assert not report.ok
     assert any("functorially" in f.message for f in report.errors())
@@ -161,6 +167,13 @@ def test_missing_restriction_rejected():
     with pytest.raises(DimensionMismatchError):
         fill_restrictions(s, [0, 1, 1], {(1, 1): Matrix.identity(1),
                                          (2, 2): Matrix.identity(1)})
+
+
+def test_module_layer_must_live_on_its_base_space():
+    base = function_presheaf(discrete_space(2))
+    modules = zero_module_presheaf(base)
+    with pytest.raises(DimensionMismatchError, match="base's space"):
+        Presheaf(sierpinski_space(), modules.sections[:3], {}, base)
 
 
 def test_function_restriction_matrix_selects_sorted_coordinates():
@@ -237,7 +250,7 @@ def test_constant_presheaf_is_a_sheaf_on_chain():
 def test_injectivity_failure_detected():
     sp = discrete_space(2)
     proj = Matrix.from_rows([[ONE, ZERO]], cols=2)
-    p = make_algebra_presheaf(
+    p = make_presheaf(
         sp,
         (function_algebra(0), function_algebra(1), function_algebra(1),
          function_algebra(2)),
@@ -255,7 +268,7 @@ def test_nonzero_empty_sections_fail_empty_cover():
     s = sierpinski_space()
     q = function_algebra(1)
     table = {(u, v): Matrix.identity(1) for u, v in s.inclusion_pairs()}
-    p = AlgebraPresheaf(s, (q, q, q), table)
+    p = Presheaf(s, (q, q, q), table)
     cert = check_sheaf_condition(p)
     assert not cert.is_sheaf
     assert any(w.open_index == 0 and w.cover == () and w.kind == "not_injective"
@@ -289,7 +302,7 @@ def zeroed_top_presheaf(space):
     table = {(u, v): (Matrix.identity(1) if u == v or u != top else Matrix.zeros(1, 1))
              if space.opens[v] else Matrix.zeros(0, sections[u].dim)
              for u, v in space.inclusion_pairs()}
-    return AlgebraPresheaf(space, sections, table)
+    return Presheaf(space, sections, table)
 
 
 ORACLE_SPACES = [sp for n in range(4) for sp in all_topologies(n)] + [discrete_space(4)]
@@ -369,7 +382,7 @@ def test_restrictions_that_do_not_compose_are_witnessed():
     row = lambda *xs: Matrix.from_rows([xs], cols=len(xs))
     top, zero, a, b = (sp.open_index(frozenset(o))
                        for o in [(0, 1, 2), (0,), (0, 1), (0, 2)])
-    p = make_algebra_presheaf(
+    p = make_presheaf(
         sp, [function_algebra(0), q, q, q, function_algebra(2)],
         {(zero, zero): Matrix.identity(1), (a, a): Matrix.identity(1),
          (b, b): Matrix.identity(1), (top, top): Matrix.identity(2),
@@ -384,6 +397,20 @@ def test_restrictions_that_do_not_compose_are_witnessed():
 
 # ---------------------------------------------------------------------------
 # sheafification
+
+
+def test_sheafify_refuses_an_invalid_presheaf():
+    # the presheaf of test_non_unital_restriction_flagged; sheafify used to
+    # build its families and then fail with an InvariantError
+    s = sierpinski_space()
+    q = function_algebra(1)
+    p = make_presheaf(s, (function_algebra(0), q, q),
+                      {(2, 1): Matrix.from_rows([[Fraction(2)]], cols=1)})
+    with pytest.raises(InvalidPresheafError) as info:
+        sheafify(p)
+    assert info.value.finding == validate_algebra_presheaf(p).errors()[0]
+    assert str(info.value) == \
+        "not a valid presheaf: restriction 2->1: unit: unit is not preserved"
 
 
 def test_sheaf_operations_refuse_a_non_topology():
@@ -404,7 +431,7 @@ def test_sheafify_constants_on_discrete_two():
     full = sp.open_index(frozenset({0, 1}))
     assert result.presheaf.sections[full] == function_algebra(2)
     assert check_sheaf_condition(result.presheaf).is_sheaf
-    assert validate_presheaf_morphism(result.canonical, multiplicative=True).ok
+    assert validate_presheaf_morphism(result.canonical).ok
 
 
 def test_sheafify_constants_on_sierpinski_changes_nothing():
@@ -424,7 +451,7 @@ def test_sheafify_output_is_always_a_sheaf(space):
         result = sheafify(p)
         assert validate_algebra_presheaf(result.presheaf).ok
         assert check_sheaf_condition(result.presheaf).is_sheaf
-        assert validate_presheaf_morphism(result.canonical, multiplicative=True).ok
+        assert validate_presheaf_morphism(result.canonical).ok
 
 
 @pytest.mark.parametrize("space", FIXTURE_SPACES)
@@ -454,7 +481,7 @@ def test_sheafify_module_free_rank_one():
     sections = tuple(free_module_sections(fp.sections[u], 1)
                      for u in range(len(s.opens)))
     table = {pair: fp.restriction(*pair) for pair in s.inclusion_pairs()}
-    mp = ModulePresheaf(fp, sections, table)
+    mp = Presheaf(s, sections, table, fp)
     assert validate_module_presheaf(mp).ok
     base_plus = sheafify(fp)
     result = sheafify_module(mp, base_plus)
@@ -502,7 +529,7 @@ def test_pushforward_module_and_morphism():
     base = constant_presheaf(sp, function_algebra(1))
     plus = sheafify(base)
     fwd = pushforward_morphism(f, plus.canonical)
-    assert validate_presheaf_morphism(fwd, multiplicative=True).ok
+    assert validate_presheaf_morphism(fwd).ok
     mp = zero_module_presheaf(base)
     img = pushforward_module(f, mp)
     assert all(m.dim == 0 for m in img.sections)
@@ -569,3 +596,142 @@ def test_subset_sections_compose_along_nested_subsets():
         bridge = p.restriction(s_big.open_index, s_small.open_index)
         for v, m in s_big.maps.items():
             assert s_small.maps[v] == bridge @ m
+
+
+# ---------------------------------------------------------------------------
+# the validators against the all-pairs oracle
+
+
+NUDGES = [Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-1, 3)]
+
+
+def _nudged(m, rng):
+    """m with one entry moved by a nonzero rational."""
+    r, c = rng.randrange(m.rows), rng.randrange(m.cols)
+    rows = [list(row) for row in m.entries]
+    rows[r][c] += rng.choice(NUDGES)
+    return Matrix.from_rows(rows, cols=m.cols)
+
+
+def _plus_outer(m, left, right):
+    return m + Matrix.from_rows([[x * y for y in right] for x in left], cols=m.cols)
+
+
+def _retabled(p, pair, matrix):
+    return replace(p, restrictions={**p.restrictions, pair: matrix})
+
+
+def corrupted(p, kind, rng):
+    """p with one seeded defect of the given kind, or None where p has no
+    room for it.  The shapes stay valid, so the constructor accepts it."""
+    space = p.space
+    dim = p.section_dim
+    proper = [(u, v) for u, v in space.inclusion_pairs()
+              if u != v and dim(u) and dim(v)]
+    if kind in ("entry", "action"):
+        if not proper:
+            return None
+        u, v = rng.choice(proper)
+        r = p.restriction(u, v)
+        if kind == "entry":
+            return _retabled(p, (u, v), _nudged(r, rng))
+        left = [rng.choice(NUDGES) for _ in range(r.rows)]
+        right = [rng.choice(NUDGES) for _ in range(r.cols)]
+        return _retabled(p, (u, v), _plus_outer(r, left, right))
+    if kind == "diagonal":
+        opens = [u for u in range(len(space.opens)) if dim(u)]
+        u = rng.choice(opens)
+        return _retabled(p, (u, u), _nudged(Matrix.identity(dim(u)), rng))
+    if kind == "non_unital":
+        if not proper:
+            return None
+        u, v = rng.choice(proper)
+        return _retabled(p, (u, v), p.restriction(u, v).scaled(2))
+    if kind == "non_multiplicative":
+        # add y (x) phi with phi(1) = 0: the unit is kept, products are not
+        pairs = [(u, v) for u, v in proper if dim(u) >= 2]
+        if not pairs:
+            return None
+        u, v = rng.choice(pairs)
+        unit = p.sections[u].unit
+        k = next(i for i, x in enumerate(unit) if x)
+        l = next(i for i in range(dim(u)) if i != k)
+        phi = [unit[l] if i == k else -unit[k] if i == l else ZERO
+               for i in range(dim(u))]
+        y = [rng.choice(NUDGES) for _ in range(dim(v))]
+        return _retabled(p, (u, v), _plus_outer(p.restriction(u, v), y, phi))
+    if kind == "not_composing":
+        triples = [(u, w) for u, v in proper for v2, w in proper
+                   if v2 == v and space.opens[w] < space.opens[v]]
+        if not triples:
+            return None
+        pair = rng.choice(triples)
+        return _retabled(p, pair, _nudged(p.restriction(*pair), rng))
+    if kind == "empty":
+        empty = space.open_index(frozenset())
+        section = (function_algebra(1) if p.base is None
+                   else ModuleSections(0, 1, ()))
+        sections = tuple(section if u == empty else s
+                         for u, s in enumerate(p.sections))
+        table = {(u, v): Matrix.identity(1) if u == v == empty else
+                 Matrix.zeros(1, dim(u)) if v == empty else r
+                 for (u, v), r in p.restrictions.items()}
+        return replace(p, sections=sections, restrictions=table)
+    raise ValueError(kind)
+
+
+def free_rank_one(space):
+    """The function presheaf acting on itself."""
+    fp = function_presheaf(space)
+    return Presheaf(space, tuple(free_module_sections(a, 1) for a in fp.sections),
+                    fp.restrictions, fp)
+
+
+def _dual_numbers_triad(space):
+    a = truncated_poly_algebra(2)
+    omega = ModuleSections(2, 1, ((vec([1]),), (vec([0]),)))
+    return constant_triad(space, a, omega, Matrix.from_rows([[0, 1]], cols=2))
+
+
+def _kaehler_triad(space):
+    k = kaehler_module(truncated_poly_algebra(3))
+    return constant_triad(space, k.algebra, k.module, k.differential)
+
+
+ALGEBRA_LAYERS = {
+    "function": function_presheaf,
+    "constant truncated_poly 2": lambda sp: constant_presheaf(sp, truncated_poly_algebra(2)),
+    "constant function_algebra 2": lambda sp: constant_presheaf(sp, function_algebra(2)),
+}
+MODULE_LAYERS = {
+    "free rank one": free_rank_one,
+    "dual numbers": lambda sp: _dual_numbers_triad(sp).modules,
+    "kaehler truncated_poly 3": lambda sp: _kaehler_triad(sp).modules,
+}
+SMALL_TOPOLOGIES = [sp for n in (1, 2, 3) for sp in all_topologies(n)]
+
+
+@pytest.mark.parametrize("layer", sorted(ALGEBRA_LAYERS) + sorted(MODULE_LAYERS))
+def test_validators_match_the_all_pairs_oracle(layer):
+    if layer in ALGEBRA_LAYERS:
+        build, validate, oracle = (ALGEBRA_LAYERS[layer], validate_algebra_presheaf,
+                                   validate_algebra_presheaf_by_pairs)
+        kinds = ("entry", "diagonal", "non_unital", "non_multiplicative",
+                 "not_composing", "empty")
+    else:
+        build, validate, oracle = (MODULE_LAYERS[layer], validate_module_presheaf,
+                                   validate_module_presheaf_by_pairs)
+        kinds = ("entry", "diagonal", "action", "not_composing", "empty")
+    rng = random.Random(f"validators {layer}")
+    failing = Counter()
+    for space in SMALL_TOPOLOGIES:
+        p = build(space)
+        cases = [("valid", p)] + [(kind, corrupted(p, kind, rng)) for kind in kinds]
+        for kind, q in cases:
+            if q is None:
+                continue
+            expected = oracle(q)
+            assert validate(q) == expected, (space.opens, kind)
+            failing[kind] += not expected.ok
+    assert failing["valid"] == 0
+    assert all(failing[kind] >= 10 for kind in kinds), failing

@@ -11,7 +11,7 @@ from triadica.errors import DimensionMismatchError
 from triadica.exactla import ONE, ZERO, Matrix, span, vec
 from triadica.finspace import (ContinuousMap, constant_map, discrete_space,
                                indiscrete_space, sierpinski_space)
-from triadica.sheaf import (AlgebraPresheaf, ModulePresheaf, ModuleSections,
+from triadica.sheaf import (ModuleSections, Presheaf, check_sheaf_condition,
                             free_module_sections, zero_module_presheaf,
                             zero_module_sections)
 from triadica.triad import (DifferentialTriad, NotFunctional, as_functional,
@@ -165,16 +165,19 @@ def test_module_over_foreign_base_rejected():
         DifferentialTriad(other.algebras, t.modules, t.differentials)
 
 
-def test_shallow_validation_skips_presheaf_checks():
+def test_validation_reports_a_defect_of_the_algebra_layer():
     sp = indiscrete_space(1)
     q = function_algebra(1)
     table = {pair: Matrix.identity(1) for pair in sp.inclusion_pairs()}
-    algebras = AlgebraPresheaf(sp, (q, q), table)  # nonzero over the empty set
+    algebras = Presheaf(sp, (q, q), table)  # nonzero over the empty set
     modules = zero_module_presheaf(algebras)
     diffs = (Matrix.zeros(0, 1), Matrix.zeros(0, 1))
     t = DifferentialTriad(algebras, modules, diffs)
-    assert not validate_triad(t, deep=True).ok
-    assert validate_triad(t, deep=False).ok
+    # the Leibniz rule and the differential squares hold; the one error is
+    # the presheaf's
+    assert [(f.location, f.message) for f in validate_triad(t).errors()] == [
+        ("validate_algebra_presheaf: open 0",
+         "sections over the empty set must be the zero algebra")]
 
 
 # ---------------------------------------------------------------------------
@@ -281,15 +284,19 @@ def test_require_sheaf_flags_constant_presheaf_over_discrete():
     t = constant_triad(discrete_space(2), q, zero_module_sections(1),
                        Matrix.zeros(0, 1))
     assert validate_triad(t).ok  # a perfectly fine presheaf triad
-    report = validate_triad(t, require_sheaf=True)
-    assert not report.ok
-    assert any("algebra layer" in f.location and "sheaf condition" in f.message
-               for f in report.errors())
+    algebra_layer = check_sheaf_condition(t.algebras)
+    assert not algebra_layer.is_sheaf
+    assert [(w.open_index, w.kind) for w in algebra_layer.witnesses] == [
+        (t.space.open_index(frozenset({0, 1})), "gluing_fails")]
+    assert check_sheaf_condition(t.modules).is_sheaf
 
 
 def test_require_sheaf_accepts_function_triads():
     for space in SPACES:
-        assert validate_triad(function_triad(space), require_sheaf=True).ok
+        t = function_triad(space)
+        assert validate_triad(t).ok
+        for layer in (t.algebras, t.modules):
+            assert check_sheaf_condition(layer).is_sheaf
 
 
 # ---------------------------------------------------------------------------
