@@ -3,10 +3,12 @@
 Both layers of a differential triad are one `Presheaf`: sections kept per
 open-set index and restriction matrices stored for every inclusion pair of
 opens.  An algebra layer has an `Algebra` over each open; a module layer has
-`ModuleSections` and names as its `base` the algebra layer acting on them.  A finite space is Alexandrov: every point x
-has a minimal open U_x.  Over an open U, a compatible stalk family is one
-section over U_x for each point x of U such that the sections agree under
-restriction whenever one minimal open contains another.  These families are
+`ModuleSections` and names as its `base` the algebra layer acting on them.
+
+A finite space is Alexandrov: every point x has a minimal open U_x.  Over
+an open U, a compatible stalk family is one section over U_x for each point
+x of U such that the sections agree under restriction whenever one minimal
+open contains another.  These families are
 the limit lim_{x in U} F(U_x), and a presheaf F is a sheaf exactly when every
 canonical map F(U) -> lim_{x in U} F(U_x) is bijective (Curry, Sheaves,
 Cosheaves and Applications, arXiv:1303.3255, section 4).  The same families

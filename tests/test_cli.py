@@ -303,8 +303,8 @@ def test_validate_reports_restrictions_that_do_not_compose(capsys, tmp_path):
 @pytest.mark.parametrize("command", ["sheafify", "kaehler"])
 def test_sheafify_and_kaehler_refuse_an_invalid_presheaf(capsys, tmp_path, command,
                                                          doc, message):
-    # both used to do the work and then blame the library with "family is
-    # not compatible; sheafification is broken"
+    # refused up front with the validator's first error, not blamed on the
+    # library ("family is not compatible; sheafification is broken") later
     path = tmp_path / "presheaf.json"
     path.write_text(dump_workspace(doc))
     code, out, err = run_cli(capsys, command, "--workspace", str(path))

@@ -591,9 +591,9 @@ def test_module_linearity_matches_the_pairwise_oracle(parts):
                         for f in module_linearity_by_pairs(case)]
             module_part = [f for f in check_morphism(case).findings
                            if f.location.startswith("module_components: ")]
-            tail = module_part[len(module_part) - len(expected):]
-            assert tail == expected, (space.opens, kind)
-            assert LINEARITY not in [f.message for f in module_part[:len(module_part) - len(expected)]]
+            split = len(module_part) - len(expected)
+            assert module_part[split:] == expected, (space.opens, kind)
+            assert LINEARITY not in [f.message for f in module_part[:split]]
             failing[kind] += bool(expected)
     assert failing["valid"] == 0
     assert failing["module"] >= 20 and failing["algebra"] >= 20, failing

@@ -400,8 +400,8 @@ def test_restrictions_that_do_not_compose_are_witnessed():
 
 
 def test_sheafify_refuses_an_invalid_presheaf():
-    # the presheaf of test_non_unital_restriction_flagged; sheafify used to
-    # build its families and then fail with an InvariantError
+    # the presheaf of test_non_unital_restriction_flagged: refused before
+    # any family is built, with the validator's first error
     s = sierpinski_space()
     q = function_algebra(1)
     p = make_presheaf(s, (function_algebra(0), q, q),
