@@ -19,7 +19,6 @@ candidate character is still verified by validate_character.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
 from math import gcd, lcm
@@ -27,6 +26,7 @@ from math import gcd, lcm
 from .errors import DimensionMismatchError, InvariantError, TriadicaError
 from .exactla import (ONE, ZERO, Matrix, Subspace, Vector, full_space, kernel,
                       rat, span, unit_vector, vec)
+from .record import record
 from .report import Finding, Report, ValidationError
 
 
@@ -48,7 +48,7 @@ class InvalidAlgebraError(ValidationError):
     prefix = "not a valid algebra"
 
 
-@dataclass(frozen=True)
+@record
 class Algebra:
     dim: int
     struct: tuple[tuple[Vector, ...], ...]
@@ -166,7 +166,7 @@ def poly_quotient_algebra(coeffs) -> Algebra:
     return Algebra(k, struct, powers[0])
 
 
-@dataclass(frozen=True)
+@record
 class AlgebraMorphism:
     source: Algebra
     target: Algebra
@@ -198,7 +198,7 @@ def validate_algebra_morphism(h: AlgebraMorphism) -> Report:
     return Report("validate_algebra_morphism", tuple(findings))
 
 
-@dataclass(frozen=True)
+@record
 class TensorProduct:
     """A tensor B with basis (i,j) -> i*B.dim + j, plus the factor embeddings."""
 
@@ -274,7 +274,7 @@ def nilradical(a: Algebra) -> Subspace:
     return kernel(Matrix.from_rows(rows, cols=n))
 
 
-@dataclass(frozen=True)
+@record
 class Character:
     """A multiplicative unital functional, stored by its coefficient row."""
 

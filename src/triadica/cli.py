@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -42,6 +41,7 @@ from .errors import DimensionMismatchError, TriadicaError
 from .exactla import Matrix
 from .finspace import FiniteSpace, check_topology
 from .kaehler import kaehler_module, kaehler_presheaf
+from .record import record
 from .report import Finding, Report
 from .sheaf import (PresheafMorphism, check_sheaf_condition, function_presheaf,
                     pushforward, sheafify, validate_algebra_presheaf)
@@ -200,7 +200,7 @@ def _spectrum(args, a):
 # the command table
 
 
-@dataclass(frozen=True)
+@record
 class Command:
     """How one command's targets look and what runs on each of them.
 

@@ -22,7 +22,6 @@ differential triads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 from .algebra import Character
@@ -32,6 +31,7 @@ from .finspace import (ContinuousMap, FiniteSpace, all_maps, compose_maps,
                        constant_map, continuity_witness, identity_map,
                        is_continuous, minimal_open, preimage_open,
                        require_topology)
+from .record import record
 from .report import Finding, Report, merge_reports, relocated
 from .sheaf import (PresheafMorphism, function_presheaf, pushforward,
                     pushforward_module, semilinearity_defects, stalk,
@@ -44,7 +44,7 @@ class BoundExceeded(TriadicaError):
     """The requested enumeration is larger than the configured bound."""
 
 
-@dataclass(frozen=True)
+@record
 class TriadMorphism:
     """A map of triads: continuous f plus componentwise linear data.
 
@@ -415,7 +415,7 @@ def enumerate_presheaf_morphisms(f: ContinuousMap) -> list[PresheafMorphism]:
             for g in product(*choices)]
 
 
-@dataclass(frozen=True)
+@record
 class FullnessResult:
     """Outcome of the morphism count between functional triads."""
 

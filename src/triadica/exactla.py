@@ -10,12 +10,12 @@ subspaces are equal iff their stored bases are equal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatchError
+from .record import record
 
 Rational = Fraction
 Vector = tuple[Fraction, ...]
@@ -77,7 +77,7 @@ def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
     return sum((x * y for x, y in zip(a, b, strict=True) if x and y), ZERO)
 
 
-@dataclass(frozen=True)
+@record
 class Matrix:
     """Immutable rows x cols matrix of Fractions, row-major."""
 
@@ -211,7 +211,7 @@ def rref(vectors: Iterable[Sequence[Fraction]], width: int) -> tuple[list[Vector
     return [tuple(v) for v in work[:row]], pivots
 
 
-@dataclass(frozen=True)
+@record
 class Subspace:
     """Subspace of Q^ambient_dim, stored by its canonical echelon basis."""
 
@@ -270,7 +270,7 @@ def kernel(m: Matrix) -> Subspace:
     return span(m.cols, basis)
 
 
-@dataclass(frozen=True)
+@record
 class SolveResult:
     solution: Vector | None
     unique: bool
@@ -294,7 +294,7 @@ def solve(m: Matrix, rhs: Sequence[Fraction]) -> SolveResult:
     return SolveResult(tuple(x), len(pivots) == m.cols)
 
 
-@dataclass(frozen=True)
+@record
 class Quotient:
     """Quotient of an ambient coordinate space by a subspace.
 

@@ -8,10 +8,10 @@ neighbourhood, which is what replaces germ limits downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 from .errors import DimensionMismatchError
+from .record import record
 from .report import Finding, Report, ValidationError
 
 
@@ -21,7 +21,7 @@ class InvalidTopologyError(ValidationError):
     prefix = "not a topology"
 
 
-@dataclass(frozen=True)
+@record
 class FiniteSpace:
     point_count: int
     opens: tuple[frozenset[int], ...]
@@ -128,7 +128,7 @@ def is_continuous(values, domain: FiniteSpace, codomain: FiniteSpace) -> bool:
     return continuity_witness(values, domain, codomain) is None
 
 
-@dataclass(frozen=True)
+@record
 class ContinuousMap:
     domain: FiniteSpace
     codomain: FiniteSpace

@@ -21,14 +21,11 @@ whether it was pinned down uniquely.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
-from fractions import Fraction
-
 from .algebra import Algebra, multiplication_map, require_valid_algebra
 from .errors import DimensionMismatchError, InvariantError, TriadicaError
 from .exactla import (ZERO, Matrix, Subspace, full_space, kernel, rref, solve,
                       unit_vector)
+from .record import record
 from .report import ValidationError
 from .sheaf import (ModuleSections, Presheaf, Sheafification, make_presheaf,
                     sheafify, sheafify_module)
@@ -45,7 +42,7 @@ class FactorizationFailed(TriadicaError):
     """No module map factors the derivation through the given operator."""
 
 
-@dataclass(frozen=True)
+@record
 class KaehlerModule:
     """Universal differential module of an algebra, with its multiplication
     kernel.
@@ -151,7 +148,7 @@ def kaehler_module(a: Algebra) -> KaehlerModule:
     return KaehlerModule(a, module, d, ideal)
 
 
-@dataclass(frozen=True)
+@record
 class Factorization:
     matrix: Matrix
     unique: bool
@@ -233,21 +230,6 @@ def derivation_space(a: Algebra, target: ModuleSections) -> list[Matrix]:
     return out
 
 
-def random_derivations(a: Algebra, target: ModuleSections, count: int,
-                       seed: int = 0) -> list[Matrix]:
-    """Seeded random rational combinations of a derivation-space basis."""
-    basis = derivation_space(a, target)
-    rng = random.Random(seed)
-    out = []
-    for _ in range(count):
-        m = Matrix.zeros(target.dim, a.dim)
-        for b in basis:
-            c = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-            m = m + b.scaled(c)
-        out.append(m)
-    return out
-
-
 def restrict_scalars(m: ModuleSections, r: Matrix) -> ModuleSections:
     """View a module over the restriction target as one over the source."""
     if r.rows != m.algebra_dim:
@@ -256,7 +238,7 @@ def restrict_scalars(m: ModuleSections, r: Matrix) -> ModuleSections:
     return ModuleSections(r.cols, m.dim, action)
 
 
-@dataclass(frozen=True)
+@record
 class KaehlerPresheafResult:
     presheaf_triad: DifferentialTriad
     sheaf_triad: DifferentialTriad

@@ -7,14 +7,13 @@ A report fails exactly when it contains at least one finding with severity
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import InvariantError, TriadicaError
+from .record import record
 
 SEVERITIES = ("error", "warning", "info")
 
 
-@dataclass(frozen=True)
+@record
 class Finding:
     severity: str
     location: str
@@ -26,10 +25,10 @@ class Finding:
             raise InvariantError(f"unknown finding severity {self.severity!r}")
 
 
-@dataclass(frozen=True)
+@record
 class Report:
     operation: str
-    findings: tuple[Finding, ...] = field(default_factory=tuple)
+    findings: tuple[Finding, ...] = ()
     exploratory: bool = False
 
     @property

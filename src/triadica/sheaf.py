@@ -20,7 +20,6 @@ the empty open has no points, so its limit is the zero space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .algebra import (Algebra, AlgebraMorphism, function_algebra,
@@ -30,6 +29,7 @@ from .exactla import (ONE, ZERO, Matrix, Subspace, Vector, full_space, kernel,
                       span, unit_vector)
 from .finspace import (ContinuousMap, FiniteSpace, minimal_open,
                        minimal_open_superset, preimage_open, require_topology)
+from .record import record
 from .report import Finding, Report, ValidationError, relocated
 
 
@@ -44,7 +44,7 @@ class RestrictionSquareViolation(TriadicaError):
             f"on section {[str(x) for x in section]}")
 
 
-@dataclass(frozen=True)
+@record
 class ModuleSections:
     """Sections of a module over one open: a vector space with an action.
 
@@ -153,7 +153,7 @@ def semilinearity_defects(rho: Matrix, r: Matrix, source: ModuleSections,
                 yield i, j, lhs, rhs
 
 
-@dataclass(frozen=True)
+@record
 class Presheaf:
     """Sections over every open and a restriction matrix per inclusion pair.
 
@@ -276,17 +276,22 @@ def _functoriality_findings(p: Presheaf) -> list[Finding]:
 
 
 def _presheaf_findings(p: Presheaf) -> tuple[Finding, ...]:
-    """The presheaf axioms, shared by both layers: per open valid sections,
-    zero over the empty open; per inclusion pair the identity on the
-    diagonal and a map of the layer (an algebra map, or a module map over
-    the base's restriction); and functoriality."""
+    """The presheaf axioms, shared by both layers: per open valid sections
+    (each distinct structure validated once) and zero over the empty open;
+    per inclusion pair the identity on the diagonal and a map of the layer
+    (an algebra map, or a module map over the base's restriction); and
+    functoriality."""
     base = p.base
     noun = "restriction" if base is None else "module restriction"
     findings: list[Finding] = []
+    errors_of: dict = {}
     for u, s in enumerate(p.sections):
-        sections_report = (validate_algebra(s) if base is None
-                           else validate_module_sections(base.sections[u], s))
-        findings += relocated(f"open {u}: ", sections_report.errors())
+        key = s if base is None else (base.sections[u], s)
+        errors = errors_of.get(key)
+        if errors is None:
+            errors = errors_of[key] = (validate_algebra(s) if base is None
+                                       else validate_module_sections(*key)).errors()
+        findings += relocated(f"open {u}: ", errors)
         if not p.space.opens[u] and s.dim != 0:
             findings.append(Finding(
                 "error", f"open {u}",
@@ -322,7 +327,7 @@ class InvalidPresheafError(ValidationError):
     prefix = "not a valid presheaf"
 
 
-@dataclass(frozen=True)
+@record
 class Stalk:
     point: int
     open_index: int
@@ -338,7 +343,7 @@ def stalk(p: Presheaf, x: int) -> Stalk:
     return Stalk(x, ux, p.sections[ux], germs)
 
 
-@dataclass(frozen=True)
+@record
 class PresheafMorphism:
     """Componentwise linear map between presheaves over the same space."""
 
@@ -377,7 +382,7 @@ def validate_presheaf_morphism(h: PresheafMorphism) -> Report:
 # sheaf condition
 
 
-@dataclass(frozen=True)
+@record
 class CoverWitness:
     open_index: int
     cover: tuple[int, ...]
@@ -385,7 +390,7 @@ class CoverWitness:
     section: object
 
 
-@dataclass(frozen=True)
+@record
 class SheafCertificate:
     presheaf: Presheaf
     is_sheaf: bool
@@ -463,7 +468,7 @@ def check_sheaf_condition(p: Presheaf) -> SheafCertificate:
 # sheafification
 
 
-@dataclass(frozen=True)
+@record
 class FamilyLayout:
     """Coordinates of the compatible-stalk-family space over one open."""
 
@@ -523,7 +528,7 @@ def _family_layout(p: Presheaf, u: int) -> FamilyLayout:
     return FamilyLayout(pts, stalk_opens, tuple(offsets), dims, total, compatible)
 
 
-@dataclass(frozen=True)
+@record
 class Sheafification:
     presheaf: Presheaf
     canonical: PresheafMorphism
@@ -651,7 +656,7 @@ def pushforward_morphism(f: ContinuousMap, h: PresheafMorphism) -> PresheafMorph
 # sections and morphisms over arbitrary subsets
 
 
-@dataclass(frozen=True)
+@record
 class SubsetSections:
     """Finite stand-in for sections over a closed-in subset K: sections over
     the smallest open around K, with the maps from every open containing K."""

@@ -7,13 +7,12 @@ the first violating basis pair per open and reports it with the defect.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebra import (Algebra, AlgebraMorphism, is_standard_function_algebra,
                       validate_algebra_morphism)
 from .errors import DimensionMismatchError, TriadicaError
 from .exactla import Matrix, Subspace, kernel, span, unit_vector
 from .finspace import ContinuousMap, FiniteSpace, preimage_open
+from .record import record
 from .report import Finding, Report, merge_reports, relocated
 from .sheaf import (ModuleSections, Presheaf, constant_presheaf,
                     function_presheaf, pushforward, pushforward_module,
@@ -21,7 +20,7 @@ from .sheaf import (ModuleSections, Presheaf, constant_presheaf,
                     validate_module_presheaf, zero_module_presheaf)
 
 
-@dataclass(frozen=True)
+@record
 class DifferentialTriad:
     algebras: Presheaf
     modules: Presheaf
@@ -115,7 +114,7 @@ class NotFunctional(TriadicaError):
     """The triad carries no compatible embeddings into function algebras."""
 
 
-@dataclass(frozen=True)
+@record
 class FunctionalTriad:
     """A triad together with, for each open U, an injective unital embedding of
     A(U) into the pointwise-product algebra on the points of U.

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
 
 from .algebra import Algebra, function_algebra, truncated_poly_algebra
 from .errors import DimensionMismatchError, TriadicaError
@@ -67,15 +66,17 @@ class UnresolvedReference(TriadicaError):
         super().__init__(f"{location}: undefined name {name!r}")
 
 
-@dataclass
 class WorkspaceDocument:
-    description: str = ""
-    spaces: dict = field(default_factory=dict)
-    algebras: dict = field(default_factory=dict)
-    presheaves: dict = field(default_factory=dict)
-    maps: dict = field(default_factory=dict)
-    triads: dict = field(default_factory=dict)
-    morphisms: dict = field(default_factory=dict)
+    """A description and one dict of named, resolved objects per section."""
+
+    def __init__(self, description: str = ""):
+        self.description = description
+        self.spaces = {}
+        self.algebras = {}
+        self.presheaves = {}
+        self.maps = {}
+        self.triads = {}
+        self.morphisms = {}
 
     def section_of(self, name: str) -> str | None:
         for section in SECTION_ORDER:

@@ -6,14 +6,18 @@ basis is the classes of the ideal's echelon basis vectors whose coordinates
 are not pivots of I^2, the operator sends x to the class of
 x (x) 1 - 1 (x) x, and A acts through multiplication by x (x) 1.  This is
 the slow, direct route; the library's presentation-based construction must
-agree with it exactly.
+agree with it exactly.  `random_derivations` draws seeded sample derivations
+for the tests.
 """
 
+import random
 from dataclasses import dataclass
+from fractions import Fraction
 
 from triadica.algebra import Algebra, multiplication_map, tensor_product
 from triadica.exactla import (ONE, ZERO, Matrix, Quotient, Subspace, kernel,
                               product_subspace, quotient_space, span)
+from triadica.kaehler import derivation_space
 from triadica.sheaf import ModuleSections
 
 
@@ -79,3 +83,18 @@ def ideal_square_module(a: Algebra) -> IdealSquareModule:
         action.append(tuple(row))
     module = ModuleSections(n, omega_dim, tuple(action))
     return IdealSquareModule(a, module, d, ideal, square_in_ideal, quot)
+
+
+def random_derivations(a: Algebra, target: ModuleSections, count: int,
+                       seed: int = 0) -> list[Matrix]:
+    """Seeded random rational combinations of a derivation-space basis."""
+    basis = derivation_space(a, target)
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        m = Matrix.zeros(target.dim, a.dim)
+        for b in basis:
+            c = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+            m = m + b.scaled(c)
+        out.append(m)
+    return out

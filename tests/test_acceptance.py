@@ -17,6 +17,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from kaehler_oracle import random_derivations
 from triadica.algebra import (algebra_from_struct, function_algebra,
                               truncated_poly_algebra)
 from triadica.cli import main
@@ -29,8 +30,7 @@ from triadica.finspace import (ContinuousMap, all_maps, discrete_space,
                                indiscrete_space, is_continuous,
                                minimal_open_superset, sierpinski_space,
                                space_from_opens)
-from triadica.kaehler import (factor_derivation, kaehler_module,
-                              kaehler_presheaf, random_derivations)
+from triadica.kaehler import factor_derivation, kaehler_module, kaehler_presheaf
 from triadica.sheaf import (ModuleSections, check_sheaf_condition,
                             constant_presheaf, free_module_sections,
                             function_presheaf, morphism_over_subset,

@@ -5,7 +5,6 @@ import itertools
 import math
 import random
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -24,6 +23,7 @@ from triadica.finspace import (ContinuousMap, InvalidTopologyError, all_maps,
                                discrete_space, indiscrete_space, is_continuous,
                                sierpinski_space, space_from_opens)
 from triadica.kaehler import kaehler_module, kaehler_presheaf
+from triadica.record import replace
 from triadica.sheaf import (ModuleSections, PresheafMorphism, constant_presheaf,
                             free_module_sections, function_presheaf,
                             pushforward, zero_module_sections)

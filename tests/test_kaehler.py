@@ -7,14 +7,13 @@ its basis and its operator are compared exactly with the I / I^2
 construction in `kaehler_oracle`.
 """
 
-import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 import sympy
 
-from kaehler_oracle import ideal_square_module
+from kaehler_oracle import ideal_square_module, random_derivations
 from triadica.algebra import (InvalidAlgebraError, algebra_from_struct,
                               function_algebra, poly_quotient_algebra,
                               tensor_product, truncated_poly_algebra,
@@ -26,8 +25,8 @@ from triadica.finspace import (InvalidTopologyError, discrete_space,
 from triadica.kaehler import (FactorizationFailed, KaehlerModule,
                               NotADerivation, derivation_space,
                               factor_derivation, kaehler_module,
-                              kaehler_presheaf, random_derivations,
-                              restrict_scalars)
+                              kaehler_presheaf, restrict_scalars)
+from triadica.record import replace
 from triadica.sheaf import (InvalidPresheafError, ModuleSections,
                             check_sheaf_condition, constant_presheaf,
                             free_module_sections, function_presheaf,
@@ -285,7 +284,7 @@ def test_non_derivation_is_rejected():
 def test_factorization_fails_for_doctored_operator():
     a = truncated_poly_algebra(3)
     k = kaehler_module(a)
-    doctored = dataclasses.replace(k, differential=Matrix.zeros(2, 3))
+    doctored = replace(k, differential=Matrix.zeros(2, 3))
     with pytest.raises(FactorizationFailed):
         factor_derivation(doctored, k.module, k.differential)
 
@@ -303,7 +302,7 @@ def test_uniqueness_flag_drops_with_padded_module():
     padded = ModuleSections(3, 3, tuple(action))
     assert validate_module_sections(a, padded).ok
     padded_d = vstack([k.differential, Matrix.zeros(1, 3)])
-    doctored = dataclasses.replace(k, module=padded, differential=padded_d)
+    doctored = replace(k, module=padded, differential=padded_d)
     fact = factor_derivation(doctored, padded, padded_d)
     assert fact.matrix @ padded_d == padded_d
     assert not fact.unique

@@ -2,7 +2,6 @@
 
 import random
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -16,6 +15,7 @@ from triadica.exactla import ONE, ZERO, Matrix, kernel, solve, vec
 from triadica.finspace import (ContinuousMap, InvalidTopologyError, all_maps,
                                constant_map, discrete_space, indiscrete_space,
                                minimal_open, sierpinski_space, space_from_opens)
+from triadica.record import replace
 from triadica.sheaf import (InvalidPresheafError, ModuleSections, Presheaf,
                             PresheafMorphism, RestrictionSquareViolation,
                             check_sheaf_condition, constant_presheaf,
@@ -735,3 +735,29 @@ def test_validators_match_the_all_pairs_oracle(layer):
             failing[kind] += not expected.ok
     assert failing["valid"] == 0
     assert all(failing[kind] >= 10 for kind in kinds), failing
+
+
+def test_each_distinct_section_structure_is_validated_once(monkeypatch):
+    import triadica.sheaf as sheaf_module
+    calls = []
+
+    def counting(validate):
+        def call(*args):
+            calls.append(args)
+            return validate(*args)
+        return call
+
+    monkeypatch.setattr(sheaf_module, "validate_algebra",
+                        counting(sheaf_module.validate_algebra))
+    monkeypatch.setattr(sheaf_module, "validate_module_sections",
+                        counting(sheaf_module.validate_module_sections))
+    space = discrete_space(3)
+    a = truncated_poly_algebra(3)
+    assert validate_algebra_presheaf(constant_presheaf(space, a)).ok
+    # eight opens: the constant section, and the zero algebra over the empty open
+    assert len(calls) == 2 and set(calls) == {(a,), (function_algebra(0),)}
+    calls.clear()
+    triad = _kaehler_triad(space)
+    assert validate_module_presheaf(triad.modules).ok
+    pairs = set(zip(triad.algebras.sections, triad.modules.sections))
+    assert len(pairs) == 2 and len(calls) == 2 and set(calls) == pairs
