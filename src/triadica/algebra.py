@@ -4,17 +4,19 @@ An algebra is given by structure constants: struct[i][j] is the coordinate
 vector of the product of basis elements i and j.  The zero-dimensional
 algebra (unit = 0) is allowed and is used for sections over the empty set.
 
-Characters are the nonzero multiplicative unital functionals with rational
-values.  They are computed exactly, as common eigenvectors of the transposed
-multiplication operators; when the semisimple quotient has factors that are
-proper field extensions of Q the search cannot exhaust it and NotSplitError
-is raised rather than returning a silently truncated list.
+Characters are the algebra maps into Q, that is the multiplicative unital
+functionals with rational values.  They are computed exactly, as common
+eigenvectors of the transposed multiplication operators; when the semisimple
+quotient has factors that are proper field extensions of Q the search cannot
+exhaust it and NotSplitError is raised rather than returning a silently
+truncated list.
 
 The eigenvalues are the rational roots of characteristic polynomials.  They
 are found by isolating the real roots of a monic integer transform with a
 Sturm sequence and testing the one integer left in each isolating interval,
 in time polynomial in the degree and the coefficients' bit size.  Every
-candidate character is still verified by validate_character.
+candidate is still verified as an algebra map into Q, the function algebra
+on one point, by validate_algebra_morphism.
 """
 
 from __future__ import annotations
@@ -24,8 +26,9 @@ from itertools import product as iter_product
 from math import gcd, lcm
 
 from .errors import DimensionMismatchError, InvariantError, TriadicaError
-from .exactla import (ONE, ZERO, Matrix, Subspace, Vector, full_space, kernel,
-                      rat, span, unit_vector, vec)
+from .exactla import (ONE, ZERO, Matrix, Subspace, Vector, contract,
+                      contract_matrix, dot, full_space, kernel, rat, span,
+                      unit_vector, vec)
 from .record import record
 from .report import Finding, Report, ValidationError
 
@@ -63,24 +66,11 @@ class Algebra:
                 raise DimensionMismatchError("structure constants do not match dim")
 
     def multiply(self, a, b) -> Vector:
-        out = [ZERO] * self.dim
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            row = self.struct[i]
-            for j, bj in enumerate(b):
-                if bj == 0:
-                    continue
-                c = ai * bj
-                for k, s in enumerate(row[j]):
-                    if s != 0:
-                        out[k] += c * s
-        return tuple(out)
+        return contract(self.struct, self.dim, a, b)
 
     def left_mult(self, a) -> Matrix:
         """Matrix of multiplication by the element with coordinates a."""
-        cols = [self.multiply(a, unit_vector(self.dim, i)) for i in range(self.dim)]
-        return Matrix.from_columns(cols, rows=self.dim)
+        return contract_matrix(self.struct, self.dim, a)
 
     def power(self, a, k: int) -> Vector:
         out = self.unit
@@ -207,44 +197,25 @@ class TensorProduct:
     right: Matrix
 
 
+def _kron(u, v) -> Vector:
+    """The Kronecker product: coordinate p * len(v) + q is u_p v_q."""
+    zeros = (ZERO,) * len(v)
+    out = []
+    for x in u:
+        out += [x * y if y else ZERO for y in v] if x else zeros
+    return tuple(out)
+
+
 def tensor_product(a: Algebra, b: Algebra) -> TensorProduct:
     n, m = a.dim, b.dim
-    nm = n * m
-    struct = [[None] * nm for _ in range(nm)]
-    for i in range(n):
-        for j in range(m):
-            for k in range(n):
-                for l in range(m):
-                    left = a.struct[i][k]
-                    right = b.struct[j][l]
-                    out = [ZERO] * nm
-                    for p, lp in enumerate(left):
-                        if lp == 0:
-                            continue
-                        for q, rq in enumerate(right):
-                            if rq != 0:
-                                out[p * m + q] = lp * rq
-                    struct[i * m + j][k * m + l] = tuple(out)
-    unit = [ZERO] * nm
-    for p, up in enumerate(a.unit):
-        for q, uq in enumerate(b.unit):
-            unit[p * m + q] = up * uq
-    algebra = Algebra(nm, tuple(tuple(row) for row in struct), tuple(unit))
-    left_cols = []
-    for i in range(n):
-        col = [ZERO] * nm
-        for q, uq in enumerate(b.unit):
-            col[i * m + q] = uq
-        left_cols.append(col)
-    right_cols = []
-    for j in range(m):
-        col = [ZERO] * nm
-        for p, up in enumerate(a.unit):
-            col[p * m + j] = up
-        right_cols.append(col)
-    return TensorProduct(algebra,
-                         Matrix.from_columns(left_cols, rows=nm),
-                         Matrix.from_columns(right_cols, rows=nm))
+    struct = tuple(tuple(_kron(a.struct[i][k], b.struct[j][l])
+                         for k in range(n) for l in range(m))
+                   for i in range(n) for j in range(m))
+    algebra = Algebra(n * m, struct, _kron(a.unit, b.unit))
+    left = [_kron(unit_vector(n, i), b.unit) for i in range(n)]
+    right = [_kron(a.unit, unit_vector(m, j)) for j in range(m)]
+    return TensorProduct(algebra, Matrix.from_columns(left, rows=n * m),
+                         Matrix.from_columns(right, rows=n * m))
 
 
 def multiplication_map(a: Algebra) -> Matrix:
@@ -282,21 +253,7 @@ class Character:
     functional: Vector
 
     def __call__(self, v) -> Fraction:
-        return sum((c * x for c, x in zip(self.functional, v)), ZERO)
-
-
-def validate_character(chi: Character) -> Report:
-    findings = []
-    a = chi.algebra
-    if chi(a.unit) != 1:
-        findings.append(Finding("error", "unit", "character does not send the unit to 1",
-                                str(chi(a.unit))))
-    for i in range(a.dim):
-        for j in range(i, a.dim):
-            if chi(a.struct[i][j]) != chi.functional[i] * chi.functional[j]:
-                findings.append(Finding("error", f"basis ({i},{j})",
-                                        "character is not multiplicative", [i, j]))
-    return Report("validate_character", tuple(findings))
+        return dot(self.functional, v)
 
 
 def _char_poly(m: Matrix) -> list[Fraction]:
@@ -421,7 +378,8 @@ def characters(a: Algebra) -> list[Character]:
     transposed multiplication operators, the rational roots of each piece's
     characteristic polynomial found by Sturm bisection (_rational_roots) in
     time polynomial in the coefficients' bit size; each surviving line is a
-    candidate which is then verified directly by validate_character.
+    candidate which is then verified directly as an algebra map into Q by
+    validate_algebra_morphism.
     Completeness is certified against the dimension of the semisimple
     quotient (dim A - dim nilradical).  Raises InvalidAlgebraError when the
     algebra fails validation.
@@ -468,15 +426,16 @@ def characters(a: Algebra) -> list[Character]:
                 refined.append(span(n, rows).basis)
         pieces = refined
     found = []
+    scalars = function_algebra(1)
     for basis in pieces:
         for row in basis:
-            at_unit = sum((c * u for c, u in zip(row, a.unit)), ZERO)
+            at_unit = dot(row, a.unit)
             if at_unit == 0:
                 continue
             functional = tuple(c / at_unit for c in row)
-            cand = Character(a, functional)
-            if validate_character(cand).ok:
-                found.append(cand)
+            as_map = AlgebraMorphism(a, scalars, Matrix(1, n, (functional,)))
+            if validate_algebra_morphism(as_map).ok:
+                found.append(Character(a, functional))
     unique = {c.functional: c for c in found}
     ordered = [unique[f] for f in sorted(unique)]
     if len(ordered) != target:

@@ -33,18 +33,16 @@ from fractions import Fraction
 from typing import Callable
 
 from .algebra import Algebra, NotSplitError, characters, validate_algebra
-from .dtcat import (_is_discrete, algebra_component_uniqueness,
-                    check_morphism, compose, constant_morphism,
-                    differential_agreement_on_image, fullness_check,
-                    verify_pullback_forced)
+from .dtcat import (algebra_component_uniqueness, check_morphism, compose,
+                    constant_morphism, differential_agreement_on_image,
+                    fullness_check, verify_pullback_forced)
 from .errors import DimensionMismatchError, TriadicaError
 from .exactla import Matrix
 from .finspace import FiniteSpace, check_topology
 from .kaehler import kaehler_module, kaehler_presheaf
 from .record import record
 from .report import Finding, Report
-from .sheaf import (PresheafMorphism, check_sheaf_condition, function_presheaf,
-                    pushforward, sheafify, validate_algebra_presheaf)
+from .sheaf import check_sheaf_condition, sheafify, validate_algebra_presheaf
 from .triad import DifferentialTriad, pushforward_triad, validate_triad
 from .workspace import (ParseError, UnresolvedReference, dump_workspace,
                         load_workspace, map_to_json, matrix_to_json,
@@ -167,14 +165,10 @@ def _uniqueness(args, m1, m2):
 
 def _recover_map(args, m):
     f = m.map
-    if not (args.exploratory or _is_discrete(f.domain)
-            and _is_discrete(f.codomain)):
+    if not (args.exploratory or f.domain.is_discrete and f.codomain.is_discrete):
         raise UsageError("lives over non-discrete spaces; rerun with "
                          "--exploratory to inspect it anyway")
-    h = PresheafMorphism(function_presheaf(f.codomain),
-                         pushforward(f, function_presheaf(f.domain)),
-                         m.algebra_components)
-    return verify_pullback_forced(f, h), {"map": map_to_json(f)}
+    return verify_pullback_forced(f, m.algebra_components), {"map": map_to_json(f)}
 
 
 def _fullness(args, x, y):

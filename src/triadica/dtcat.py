@@ -7,7 +7,11 @@ commuting square with the Leibniz operators.  check_morphism verifies all
 of that on basis elements.  The rest of the module builds the standard
 morphisms (identity, constant-map, pullback), composes them, and runs the
 finite enumerations: recovering a point map from its algebra components,
-and counting all morphisms between functional triads.
+and counting all morphisms between functional triads.  The recovery,
+verify_pullback_forced(f, components), takes the algebra components of a
+morphism over f alone; it builds the function presheaf on the codomain and
+the direct image of the one on the domain itself, so the frame cannot be
+wrong.
 
 The count has a closed form.  With O the function presheaf and U_y the
 minimal open around y, a unit-preserving multiplicative presheaf morphism
@@ -26,14 +30,14 @@ from itertools import product
 
 from .algebra import Character
 from .errors import DimensionMismatchError, TriadicaError
-from .exactla import ONE, ZERO, Matrix, span, unit_vector
+from .exactla import Matrix, span, unit_vector
 from .finspace import (ContinuousMap, FiniteSpace, all_maps, compose_maps,
                        constant_map, continuity_witness, identity_map,
                        is_continuous, minimal_open, preimage_open,
                        require_topology)
 from .record import record
 from .report import Finding, Report, merge_reports, relocated
-from .sheaf import (PresheafMorphism, function_presheaf, pushforward,
+from .sheaf import (Presheaf, PresheafMorphism, function_presheaf, pushforward,
                     pushforward_module, semilinearity_defects, stalk,
                     validate_presheaf_morphism)
 from .triad import (DifferentialTriad, FunctionalTriad, as_functional,
@@ -360,40 +364,36 @@ def evaluation_character(ft: FunctionalTriad, x: int) -> Character:
     return chi
 
 
-def _is_discrete(space: FiniteSpace) -> bool:
-    return all(space.is_open(frozenset({p})) for p in space.points)
+def _function_frame(f: ContinuousMap) -> tuple[Presheaf, Presheaf]:
+    """The function presheaf on the codomain and the direct image of the one
+    on the domain: the source and target of every component family over f."""
+    return function_presheaf(f.codomain), pushforward(f, function_presheaf(f.domain))
 
 
-def verify_pullback_forced(f: ContinuousMap, h: PresheafMorphism) -> Report:
-    """Check that a presheaf morphism between full functional sheaves is
-    precomposition with f.
+def verify_pullback_forced(f: ContinuousMap, components) -> Report:
+    """Check that a family of algebra components over f, one per open of
+    the codomain, is precomposition with f.
 
-    Row r of the component over V is the character "evaluate at the r-th
-    preimage point x"; it must coincide with the character "evaluate at
-    f(x)" on the sections over V.  For non-discrete spaces the report is
-    marked exploratory: there the stalks admit several characters and no
-    forcing theorem is asserted.
+    The components are checked as a presheaf morphism from the function
+    presheaf on the codomain into the direct image of the one on the
+    domain.  Row r of the component over V is the character "evaluate at
+    the r-th preimage point x"; it must coincide with the character
+    "evaluate at f(x)" on the sections over V.  For non-discrete spaces the
+    report is marked exploratory: there the stalks admit several characters
+    and no forcing theorem is asserted.
     """
     findings = []
-    exploratory = not (_is_discrete(f.domain) and _is_discrete(f.codomain))
+    exploratory = not (f.domain.is_discrete and f.codomain.is_discrete)
     if exploratory:
         findings.append(Finding("warning", "spaces",
                                 "non-discrete spaces: exploratory result only", None))
-    if h.source != function_presheaf(f.codomain) or \
-            h.target != pushforward(f, function_presheaf(f.domain)):
-        findings.append(Finding("error", "frame",
-                                "expected the full functional sheaves of the map", None))
-        return Report("verify_pullback_forced", tuple(findings),
-                      exploratory=exploratory)
+    h = PresheafMorphism(*_function_frame(f), tuple(components))
     findings += relocated("morphism: ", validate_presheaf_morphism(h).findings)
-    for v, vset in enumerate(f.codomain.opens):
-        pre_pts = sorted(f.domain.opens[preimage_open(f, v)])
-        v_pts = sorted(vset)
-        comp = h.components[v]
-        for r, x in enumerate(pre_pts):
-            expected = tuple(ONE if f.values[x] == q else ZERO for q in v_pts)
-            got = tuple(comp.row(r))
-            if got != expected:
+    expected = _point_map_components(f, f.values)
+    for v in range(len(f.codomain.opens)):
+        for r, x in enumerate(sorted(f.domain.opens[preimage_open(f, v)])):
+            got = h.components[v].row(r)
+            if got != expected[v].row(r):
                 findings.append(Finding(
                     "error", f"open {v}, point {x}",
                     "evaluation after the morphism is not evaluation at the image point",
@@ -408,8 +408,7 @@ def enumerate_presheaf_morphisms(f: ContinuousMap) -> list[PresheafMorphism]:
     prod_x |U_{f(x)}| of them, in lexicographic order of g (see the module
     docstring).  The codomain must be a topology."""
     y = f.codomain
-    source = function_presheaf(y)
-    target = pushforward(f, function_presheaf(f.domain))
+    source, target = _function_frame(f)
     choices = [sorted(y.opens[minimal_open(y, f.values[x])]) for x in f.domain.points]
     return [PresheafMorphism(source, target, _point_map_components(f, g))
             for g in product(*choices)]
@@ -445,7 +444,7 @@ def fullness_check(x_space: FiniteSpace, y_space: FiniteSpace,
     if total_maps > bound:
         raise BoundExceeded(
             f"{total_maps} candidate maps exceed the bound {bound}")
-    discrete = _is_discrete(x_space) and _is_discrete(y_space)
+    discrete = x_space.is_discrete and y_space.is_discrete
     findings = []
     if not discrete:
         findings.append(Finding("warning", "spaces",
@@ -466,7 +465,7 @@ def fullness_check(x_space: FiniteSpace, y_space: FiniteSpace,
                     f"expected exactly one component family, found {len(families)}",
                     list(values)))
             else:
-                forced = verify_pullback_forced(f, families[0])
+                forced = verify_pullback_forced(f, families[0].components)
                 if not forced.ok:
                     findings.append(Finding(
                         "error", f"map {values}",

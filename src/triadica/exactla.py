@@ -2,10 +2,15 @@
 
 Everything downstream (structure constants, restriction matrices, section
 spaces, differentials) reduces to the primitives in this module: reduced row
-echelon form, kernels, solving, quotients, and spans of products.  Scalars are
-`fractions.Fraction` throughout; there is no floating point anywhere in the
-package, so comparisons are exact and echelon bases are canonical: two
-subspaces are equal iff their stored bases are equal.
+echelon form, kernels, solving, quotients, spans of products, and the
+contraction of a structure tensor.  A structure tensor `table` of a bilinear
+map has table[i][j] the coordinate vector of (basis_i * basis_j); contracting
+it with two coordinate vectors is an algebra product or a module action, and
+`contract_matrix` is the matrix of multiplication by one fixed element.
+
+Scalars are `fractions.Fraction` throughout; there is no floating point
+anywhere in the package, so comparisons are exact and echelon bases are
+canonical: two subspaces are equal iff their stored bases are equal.
 """
 
 from __future__ import annotations
@@ -329,6 +334,36 @@ def quotient_space(ambient_dim: int, sub: Subspace) -> Quotient:
     return Quotient(ambient_dim, len(free), projection, section)
 
 
+def contract(table, dim: int, a: Sequence[Fraction],
+             b: Sequence[Fraction]) -> Vector:
+    """sum_ij a_i b_j table[i][j], where each table[i][j] has length dim."""
+    # zero scalars are skipped by truth value, which for Fraction is cheaper
+    # than a comparison with 0; strict=True checks the lengths
+    out = [ZERO] * dim
+    for ai, row in zip(a, table, strict=True):
+        if ai:
+            for bj, t in zip(b, row, strict=True):
+                if bj:
+                    c = ai * bj
+                    for k, s in enumerate(t):
+                        if s:
+                            out[k] += c * s
+    return tuple(out)
+
+
+def contract_matrix(table, dim: int, a: Sequence[Fraction]) -> Matrix:
+    """The dim x dim matrix of b -> contract(table, dim, a, b): column j is
+    sum_i a_i table[i][j]."""
+    cols = [[ZERO] * dim for _ in range(dim)]
+    for ai, row in zip(a, table, strict=True):
+        if ai:
+            for col, t in zip(cols, row, strict=True):
+                for k, s in enumerate(t):
+                    if s:
+                        col[k] += ai * s
+    return Matrix(dim, dim, tuple(zip(*cols)))
+
+
 def product_subspace(u: Subspace, v: Subspace, struct) -> Subspace:
     """Span of all products of u-basis by v-basis under a bilinear map.
 
@@ -338,19 +373,4 @@ def product_subspace(u: Subspace, v: Subspace, struct) -> Subspace:
     if u.ambient_dim != v.ambient_dim:
         raise DimensionMismatchError("ambient spaces differ")
     n = u.ambient_dim
-    products = []
-    for a in u.basis:
-        for b in v.basis:
-            w = [ZERO] * n
-            for i, ai in enumerate(a):
-                if ai == 0:
-                    continue
-                for j, bj in enumerate(b):
-                    if bj == 0:
-                        continue
-                    c = ai * bj
-                    for k, s in enumerate(struct[i][j]):
-                        if s != 0:
-                            w[k] += c * s
-            products.append(w)
-    return span(n, products)
+    return span(n, [contract(struct, n, a, b) for a in u.basis for b in v.basis])

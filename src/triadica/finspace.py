@@ -51,6 +51,11 @@ class FiniteSpace:
     def is_open(self, subset) -> bool:
         return frozenset(subset) in set(self.opens)
 
+    @property
+    def is_discrete(self) -> bool:
+        """Every point is open."""
+        return all(self.is_open({p}) for p in self.points)
+
     def opens_containing(self, subset) -> list[int]:
         target = frozenset(subset)
         return [i for i, u in enumerate(self.opens) if target <= u]

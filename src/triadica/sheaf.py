@@ -25,8 +25,8 @@ from itertools import combinations
 from .algebra import (Algebra, AlgebraMorphism, function_algebra,
                       validate_algebra, validate_algebra_morphism)
 from .errors import DimensionMismatchError, InvariantError, TriadicaError
-from .exactla import (ONE, ZERO, Matrix, Subspace, Vector, full_space, kernel,
-                      span, unit_vector)
+from .exactla import (ONE, ZERO, Matrix, Subspace, Vector, contract,
+                      contract_matrix, full_space, kernel, span, unit_vector)
 from .finspace import (ContinuousMap, FiniteSpace, minimal_open,
                        minimal_open_superset, preimage_open, require_topology)
 from .record import record
@@ -64,31 +64,11 @@ class ModuleSections:
                 raise DimensionMismatchError("action tensor does not match module dim")
 
     def act(self, a, w) -> Vector:
-        out = [ZERO] * self.dim
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            row = self.action[i]
-            for j, wj in enumerate(w):
-                if wj == 0:
-                    continue
-                c = ai * wj
-                for k, s in enumerate(row[j]):
-                    if s != 0:
-                        out[k] += c * s
-        return tuple(out)
+        return contract(self.action, self.dim, a, w)
 
     def act_matrix(self, a) -> Matrix:
         """L(a), the matrix of w -> a . w: column j is sum_i a_i action[i][j]."""
-        cols = [[ZERO] * self.dim for _ in range(self.dim)]
-        for ai, row in zip(a, self.action):
-            if ai == 0:
-                continue
-            for col, w in zip(cols, row):
-                for k, s in enumerate(w):
-                    if s != 0:
-                        col[k] += ai * s
-        return Matrix(self.dim, self.dim, tuple(zip(*cols)) if cols else ())
+        return contract_matrix(self.action, self.dim, a)
 
 
 def zero_module_sections(algebra_dim: int) -> ModuleSections:
@@ -96,22 +76,14 @@ def zero_module_sections(algebra_dim: int) -> ModuleSections:
 
 
 def free_module_sections(a: Algebra, rank: int) -> ModuleSections:
-    """A^rank with the diagonal multiplication action."""
+    """A^rank with the diagonal multiplication action: e_i acts on block b
+    of A^rank as on A, so action[i][b*n + j] is a.struct[i][j] in block b."""
     n = a.dim
-    dim = n * rank
-    basis = [unit_vector(n, i) for i in range(n)]
-    action = []
-    for i in range(n):
-        row = []
-        for j in range(dim):
-            block, pos = divmod(j, n)
-            prod = a.multiply(basis[i], basis[pos])
-            out = [ZERO] * dim
-            for t, x in enumerate(prod):
-                out[block * n + t] = x
-            row.append(tuple(out))
-        action.append(tuple(row))
-    return ModuleSections(n, dim, tuple(action))
+    zeros = (ZERO,) * n
+    action = tuple(tuple(zeros * b + product + zeros * (rank - 1 - b)
+                         for b in range(rank) for product in row)
+                   for row in a.struct)
+    return ModuleSections(n, n * rank, action)
 
 
 def validate_module_sections(a: Algebra, m: ModuleSections) -> Report:
@@ -359,9 +331,6 @@ class PresheafMorphism:
             if c.cols != self.source.section_dim(u) or c.rows != self.target.section_dim(u):
                 raise DimensionMismatchError(f"component over open {u} has shape "
                                              f"{c.rows}x{c.cols}")
-
-    def component(self, u: int) -> Matrix:
-        return self.components[u]
 
 
 def validate_presheaf_morphism(h: PresheafMorphism) -> Report:

@@ -41,9 +41,6 @@ class DifferentialTriad:
     def space(self) -> FiniteSpace:
         return self.algebras.space
 
-    def differential(self, u: int) -> Matrix:
-        return self.differentials[u]
-
 
 def check_leibniz(a: Algebra, m: ModuleSections, d: Matrix) -> Report:
     """Check d(xy) = x.d(y) + y.d(x) on basis pairs; stop at the first failure."""

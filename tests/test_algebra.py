@@ -15,7 +15,7 @@ from triadica.algebra import (Algebra, AlgebraMorphism, Character,
                               is_standard_function_algebra, multiplication_map,
                               nilradical, tensor_product,
                               truncated_poly_algebra, validate_algebra,
-                              validate_algebra_morphism, validate_character)
+                              validate_algebra_morphism)
 from triadica.exactla import Matrix, vec
 
 F = Fraction
@@ -170,11 +170,13 @@ def test_nilradical_elements_are_nilpotent():
 
 
 def brute_force_characters(a, candidates):
-    """Oracle: test every candidate functional for the character equations."""
+    """Oracle: test every candidate functional for the character equations,
+    as an algebra map into Q."""
     out = []
     for chi in candidates:
         c = Character(a, vec(chi))
-        if validate_character(c).ok:
+        as_map = AlgebraMorphism(a, function_algebra(1), Matrix(1, a.dim, (c.functional,)))
+        if validate_algebra_morphism(as_map).ok:
             out.append(c.functional)
     return sorted(out)
 
@@ -193,6 +195,16 @@ def test_characters_of_function_algebras_are_coordinate_projections():
 def test_characters_sorted_lexicographically():
     got = [c.functional for c in characters(function_algebra(3))]
     assert got == sorted(got)
+
+
+def test_character_rejects_a_vector_of_the_wrong_length():
+    chars = characters(function_algebra(2))
+    assert [chi(vec([3, 5])) for chi in chars] == [5, 3]
+    chi = chars[0]
+    with pytest.raises(ValueError):
+        chi(vec([3]))
+    with pytest.raises(ValueError):
+        chi(vec([3, 5, 7]))
 
 
 def test_characters_kill_nilradical():

@@ -24,9 +24,8 @@ from triadica.finspace import (ContinuousMap, InvalidTopologyError, all_maps,
                                sierpinski_space, space_from_opens)
 from triadica.kaehler import kaehler_module, kaehler_presheaf
 from triadica.record import replace
-from triadica.sheaf import (ModuleSections, PresheafMorphism, constant_presheaf,
-                            free_module_sections, function_presheaf,
-                            pushforward, zero_module_sections)
+from triadica.sheaf import (ModuleSections, constant_presheaf,
+                            free_module_sections, zero_module_sections)
 from triadica.triad import (DifferentialTriad, NotFunctional, as_functional,
                             constant_triad, constants_only_kernel,
                             function_triad)
@@ -433,17 +432,14 @@ def test_pullback_family_is_the_only_family_small_discrete():
                 assert len(fams) == 1
                 pm = pullback_morphism(f)
                 assert fams[0].components == pm.algebra_components
-                assert verify_pullback_forced(f, fams[0]).status == "pass"
+                assert verify_pullback_forced(f, fams[0].components).status == "pass"
 
 
 def test_recovery_rejects_the_wrong_pullback():
     x = y = discrete_space(2)
     f = ContinuousMap(x, y, (1, 0))
     g = ContinuousMap(x, y, (0, 1))
-    wrong = PresheafMorphism(function_presheaf(y),
-                             pushforward(f, function_presheaf(x)),
-                             pullback_morphism(g).algebra_components)
-    report = verify_pullback_forced(f, wrong)
+    report = verify_pullback_forced(f, pullback_morphism(g).algebra_components)
     assert not report.ok
 
 
@@ -451,7 +447,7 @@ def test_recovery_on_non_discrete_spaces_is_exploratory():
     s = sierpinski_space()
     f = ContinuousMap(s, s, (0, 1))
     fams = enumerate_presheaf_morphisms(f)
-    report = verify_pullback_forced(f, fams[0])
+    report = verify_pullback_forced(f, fams[0].components)
     assert report.exploratory
     assert report.status in ("exploratory", "fail")
 

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,9 +6,10 @@ import sympy
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from triadica.exactla import (ZERO, Matrix, Subspace, dot, full_space, hstack,
-                              kernel, product_subspace, quotient_space, rat,
-                              rref, solve, span, vec, vstack)
+from triadica.exactla import (ZERO, Matrix, Subspace, contract, contract_matrix,
+                              dot, full_space, hstack, kernel, product_subspace,
+                              quotient_space, rat, rref, solve, span,
+                              unit_vector, vec, vstack)
 
 F = Fraction
 
@@ -185,6 +187,58 @@ def test_product_subspace_nilpotents_vanish():
     struct = [[vec([1, 0]), vec([0, 1])], [vec([0, 1]), vec([0, 0])]]
     u = span(2, [[0, 1]])
     assert product_subspace(u, u, struct).dim == 0
+
+
+# ---------------------------------------------------------------------------
+# structure-tensor contraction
+
+SPARSE = [F(0)] * 6 + [F(1), F(-1), F(2), F(1, 2), F(-3, 2)]
+
+
+def sparse_vector(rng, n):
+    return tuple(rng.choice(SPARSE) for _ in range(n))
+
+
+def sparse_table(rng, rows, dim):
+    """A random rows x dim x dim structure tensor, mostly zeros."""
+    return tuple(tuple(sparse_vector(rng, dim) for _ in range(dim))
+                 for _ in range(rows))
+
+
+def naive_contract(table, dim, a, b):
+    """sum_ij a_i b_j table[i][j], summed densely over every index."""
+    return tuple(sum((a[i] * b[j] * table[i][j][k]
+                      for i in range(len(a)) for j in range(len(b))), ZERO)
+                 for k in range(dim))
+
+
+# (rows, dim): the zero algebra, an action of the zero algebra on a nonzero
+# module, square tables as for algebras, and module-shaped tables
+CONTRACTION_SHAPES = [(0, 0), (0, 3), (3, 0), (1, 1), (3, 3), (2, 4), (4, 2)]
+
+
+@pytest.mark.parametrize("rows,dim", CONTRACTION_SHAPES)
+def test_contraction_matches_the_naive_sum(rows, dim):
+    rng = random.Random(f"contract {rows} {dim}")
+    for _ in range(25):
+        table = sparse_table(rng, rows, dim)
+        a, b = sparse_vector(rng, rows), sparse_vector(rng, dim)
+        assert contract(table, dim, a, b) == naive_contract(table, dim, a, b)
+        m = contract_matrix(table, dim, a)
+        assert (m.rows, m.cols, len(m.entries)) == (dim, dim, dim)
+        for j in range(dim):
+            assert m.col(j) == naive_contract(table, dim, a, unit_vector(dim, j))
+        assert m.apply(b) == contract(table, dim, a, b)
+
+
+def test_contraction_checks_vector_lengths():
+    table = sparse_table(random.Random("contract lengths"), 2, 3)
+    with pytest.raises(ValueError):
+        contract(table, 3, vec([1, 2, 3]), vec([1, 0, 0]))
+    with pytest.raises(ValueError):
+        contract(table, 3, vec([1, 2]), vec([1, 0]))
+    with pytest.raises(ValueError):
+        contract_matrix(table, 3, vec([1]))
 
 
 def test_subspace_membership_and_coordinates():

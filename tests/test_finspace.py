@@ -18,6 +18,13 @@ def test_discrete_and_indiscrete_are_topologies():
         assert check_topology(indiscrete_space(n)).ok
 
 
+def test_is_discrete_when_every_point_is_open():
+    for n in range(4):
+        assert discrete_space(n).is_discrete
+        assert indiscrete_space(n).is_discrete == (n <= 1)
+    assert not sierpinski_space().is_discrete
+
+
 def test_missing_union_is_reported():
     s = space_from_opens(2, [[], [0], [1], [0, 1]][:-1])
     rep = check_topology(s)

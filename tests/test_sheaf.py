@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triadica.algebra import function_algebra, truncated_poly_algebra
+from triadica.algebra import Algebra, function_algebra, truncated_poly_algebra
 from triadica.errors import DimensionMismatchError
-from triadica.exactla import ONE, ZERO, Matrix, kernel, solve, vec
+from triadica.exactla import ONE, ZERO, Matrix, kernel, solve, unit_vector, vec
 from triadica.finspace import (ContinuousMap, InvalidTopologyError, all_maps,
                                constant_map, discrete_space, indiscrete_space,
                                minimal_open, sierpinski_space, space_from_opens)
@@ -107,6 +107,37 @@ def test_zero_module_sections_shape():
     m = zero_module_sections(3)
     assert m.dim == 0 and m.algebra_dim == 3
     assert m.act(vec([1, 2, 3]), ()) == ()
+
+
+def test_zero_algebra_acts_on_a_nonzero_module_by_a_square_zero_matrix():
+    m = ModuleSections(0, 3, ())
+    assert m.act_matrix(()) == Matrix.zeros(3, 3)
+    assert m.act((), vec([1, 2, 3])) == vec([0, 0, 0])
+
+
+def test_free_module_sections_act_block_by_block():
+    rng = random.Random("free module blocks")
+    values = [ZERO] * 4 + [ONE, Fraction(-2), Fraction(1, 3)]
+    for n, rank in [(0, 2), (1, 3), (2, 0), (2, 2), (3, 1), (3, 3)]:
+        # any structure tensor will do: the blocks only repeat a.multiply
+        a = Algebra(n, tuple(tuple(tuple(rng.choice(values) for _ in range(n))
+                                   for _ in range(n)) for _ in range(n)),
+                    tuple(rng.choice(values) for _ in range(n)))
+        m = free_module_sections(a, rank)
+        assert (m.algebra_dim, m.dim) == (n, n * rank)
+        for _ in range(10):
+            x = tuple(rng.choice(values) for _ in range(n))
+            w = tuple(rng.choice(values) for _ in range(n * rank))
+            got = m.act(x, w)
+            for b in range(rank):
+                block = slice(b * n, (b + 1) * n)
+                assert got[block] == a.multiply(x, w[block])
+        for i in range(n):
+            assert m.act_matrix(unit_vector(n, i)) == Matrix(
+                n * rank, n * rank, tuple(
+                    tuple(a.struct[i][q][p] if b == c else ZERO
+                          for c in range(rank) for q in range(n))
+                    for b in range(rank) for p in range(n)))
 
 
 # ---------------------------------------------------------------------------
