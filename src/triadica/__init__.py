@@ -21,10 +21,9 @@ from .sheaf import (InvalidPresheafError, ModuleSections, Presheaf,
                     PresheafMorphism, check_sheaf_condition, constant_presheaf,
                     function_presheaf, make_presheaf, pushforward, sheafify,
                     stalk, validate_algebra_presheaf)
-from .triad import (DifferentialTriad, FunctionalTriad, NotFunctional,
-                    as_functional, check_leibniz, constant_triad,
-                    constants_only_kernel, function_triad, pushforward_triad,
-                    validate_triad)
+from .triad import (DifferentialTriad, NotFunctional, check_leibniz,
+                    constant_triad, constants_only_kernel, function_triad,
+                    pushforward_triad, validate_triad)
 from .kaehler import (KaehlerModule, factor_derivation, kaehler_module,
                       kaehler_presheaf)
 from .dtcat import (BoundExceeded, TriadMorphism, algebra_component_uniqueness,
@@ -42,12 +41,12 @@ __version__ = "0.1.0"
 __all__ = [
     "Algebra", "BoundExceeded", "Character",
     "ContinuousMap", "DifferentialTriad", "DimensionMismatchError",
-    "Finding", "FiniteSpace", "FunctionalTriad", "InvalidAlgebraError",
+    "Finding", "FiniteSpace", "InvalidAlgebraError",
     "InvalidPresheafError", "InvariantError", "KaehlerModule", "Matrix",
     "ModuleSections", "NotFunctional", "NotSplitError",
     "ParseError", "Presheaf", "PresheafMorphism", "Report", "Subspace", "TriadMorphism",
     "TriadicaError", "UnresolvedReference", "WorkspaceDocument",
-    "algebra_component_uniqueness", "algebra_from_struct", "as_functional",
+    "algebra_component_uniqueness", "algebra_from_struct",
     "characters", "check_leibniz", "check_morphism", "check_sheaf_condition",
     "check_topology", "compose", "constant_morphism", "constant_presheaf",
     "constant_triad", "constants_only_kernel",

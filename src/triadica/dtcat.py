@@ -30,7 +30,7 @@ from itertools import product
 
 from .algebra import Character
 from .errors import DimensionMismatchError, TriadicaError
-from .exactla import Matrix, span, unit_vector
+from .exactla import ZERO, Matrix, span, unit_vector
 from .finspace import (ContinuousMap, FiniteSpace, all_maps, compose_maps,
                        constant_map, continuity_witness, identity_map,
                        is_continuous, minimal_open, preimage_open,
@@ -38,10 +38,10 @@ from .finspace import (ContinuousMap, FiniteSpace, all_maps, compose_maps,
 from .record import record
 from .report import Finding, Report, merge_reports, relocated
 from .sheaf import (Presheaf, PresheafMorphism, function_presheaf, pushforward,
-                    pushforward_module, semilinearity_defects, stalk,
+                    pushforward_module, semilinearity_defects,
                     validate_presheaf_morphism)
-from .triad import (DifferentialTriad, FunctionalTriad, as_functional,
-                    constants_only_kernel, function_triad)
+from .triad import (DifferentialTriad, constants_only_kernel, function_triad,
+                    require_functional)
 
 
 class BoundExceeded(TriadicaError):
@@ -87,8 +87,7 @@ class TriadMorphism:
         return preimage_open(self.map, v)
 
 
-def check_morphism(m: TriadMorphism, source: DifferentialTriad | None = None,
-                   target: DifferentialTriad | None = None) -> Report:
+def check_morphism(m: TriadMorphism) -> Report:
     """Verify that m really is a morphism of triads.
 
     Four layers of findings: the frame (continuity and matching spaces),
@@ -97,14 +96,8 @@ def check_morphism(m: TriadMorphism, source: DifferentialTriad | None = None,
     action), and the operator squares.  Everything is checked on basis
     elements over every open and reported with (open, basis index) witnesses.
     """
-    source = m.source if source is None else source
-    target = m.target if target is None else target
+    source, target = m.source, m.target
     frame = []
-    if source != m.source or target != m.target:
-        frame.append(Finding("error", "frame",
-                             "declared source or target disagrees with the morphism",
-                             None))
-        return Report("check_morphism", tuple(frame))
     if m.map.domain != source.space or m.map.codomain != target.space:
         frame.append(Finding("error", "frame",
                              "underlying map does not connect the triad spaces", None))
@@ -178,38 +171,35 @@ def compose(g_hat: TriadMorphism, f_hat: TriadMorphism) -> TriadMorphism:
     return TriadMorphism(gf, f_hat.source, g_hat.target, tuple(alg), tuple(mod))
 
 
-def constant_morphism(source: DifferentialTriad,
-                      target: FunctionalTriad | DifferentialTriad,
+def constant_morphism(source: DifferentialTriad, target: DifferentialTriad,
                       c: int) -> TriadMorphism:
     """The morphism riding on the constant map at c.
 
-    Needs point evaluations on the target algebras: a section over an open
-    containing c goes to its value at c times the unit of the global source
-    sections.  The module component is zero, which closes the operator
-    square because the operator kills constants.  Raises NotFunctional when
-    the target cannot evaluate sections at points.
+    The target's algebras must be the function presheaf on its space, so a
+    section over an open V is its values at the sorted points of V.  The
+    algebra component over V sends it to its value at c times the unit of
+    the global source sections: its column for a point p of V is that unit
+    when p == c and zero otherwise.  The module component is zero, which
+    closes the operator square because the operator kills constants.  Both
+    spaces must be topologies; raises NotFunctional when the target's
+    algebras are not the function presheaf.
     """
-    ft = target if isinstance(target, FunctionalTriad) else as_functional(target)
-    t = ft.triad
-    f = constant_map(source.space, t.space, c)
+    require_topology(source.space)
+    require_topology(target.space)
+    require_functional(target)
+    f = constant_map(source.space, target.space, c)
     full_x = source.space.open_index(source.space.full_set)
     unit = source.algebras.sections[full_x].unit
     alg, mod = [], []
-    for v, vset in enumerate(t.space.opens):
-        cols_a = t.algebras.section_dim(v)
-        cols_o = t.modules.section_dim(v)
+    for v, vset in enumerate(target.space.opens):
         pre = preimage_open(f, v)
         rows_a = source.algebras.section_dim(pre)
-        rows_o = source.modules.section_dim(pre)
-        if c in vset:
-            erow = ft.embeddings[v].row(sorted(vset).index(c))
-            alg.append(Matrix.from_columns(
-                [tuple(erow[j] * u for u in unit) for j in range(cols_a)],
-                rows=rows_a))
-        else:
-            alg.append(Matrix.zeros(rows_a, cols_a))
-        mod.append(Matrix.zeros(rows_o, cols_o))
-    return TriadMorphism(f, source, t, tuple(alg), tuple(mod))
+        alg.append(Matrix.from_columns(
+            [unit if p == c else (ZERO,) * rows_a for p in sorted(vset)],
+            rows=rows_a))
+        mod.append(Matrix.zeros(source.modules.section_dim(pre),
+                                target.modules.section_dim(v)))
+    return TriadMorphism(f, source, target, tuple(alg), tuple(mod))
 
 
 def _point_map_components(f: ContinuousMap, g) -> tuple[Matrix, ...]:
@@ -342,26 +332,18 @@ def algebra_component_uniqueness(m1: TriadMorphism,
 # evaluation characters and point-map recovery
 
 
-def evaluation_character(ft: FunctionalTriad, x: int) -> Character:
+def evaluation_character(t: DifferentialTriad, x: int) -> Character:
     """Evaluate-at-x as a character of the stalk algebra at x.
 
-    The stalk is the sections over the smallest open around x; the character
-    row is the x-row of that open's embedding.  Consistency with every germ
-    map is verified: evaluating a restricted section equals evaluating the
-    section, for every open containing x.
+    The stalk is the sections over the smallest open U_x around x.  The
+    algebras of t must be the function presheaf, so those sections are the
+    functions on the sorted points of U_x, and the character is the unit
+    vector of x there.  Raises NotFunctional otherwise.
     """
-    space = ft.space
-    ux = minimal_open(space, x)
-    row = ft.embeddings[ux].row(sorted(space.opens[ux]).index(x))
-    chi = Character(ft.triad.algebras.sections[ux], row)
-    st = stalk(ft.triad.algebras, x)
-    for v, germ in st.germ_maps.items():
-        via_germ = tuple(chi(germ.col(j)) for j in range(germ.cols))
-        direct = ft.embeddings[v].row(sorted(space.opens[v]).index(x))
-        if via_germ != tuple(direct):
-            raise TriadicaError(
-                f"evaluation at {x} is inconsistent with the germ map from open {v}")
-    return chi
+    require_functional(t)
+    ux = minimal_open(t.space, x)
+    pts = sorted(t.space.opens[ux])
+    return Character(t.algebras.sections[ux], unit_vector(len(pts), pts.index(x)))
 
 
 def _function_frame(f: ContinuousMap) -> tuple[Presheaf, Presheaf]:
@@ -382,12 +364,16 @@ def verify_pullback_forced(f: ContinuousMap, components) -> Report:
     report is marked exploratory: there the stalks admit several characters
     and no forcing theorem is asserted.
     """
+    return _pullback_report(f, PresheafMorphism(*_function_frame(f), tuple(components)))
+
+
+def _pullback_report(f: ContinuousMap, h: PresheafMorphism) -> Report:
+    """verify_pullback_forced on a family already framed by _function_frame(f)."""
     findings = []
     exploratory = not (f.domain.is_discrete and f.codomain.is_discrete)
     if exploratory:
         findings.append(Finding("warning", "spaces",
                                 "non-discrete spaces: exploratory result only", None))
-    h = PresheafMorphism(*_function_frame(f), tuple(components))
     findings += relocated("morphism: ", validate_presheaf_morphism(h).findings)
     expected = _point_map_components(f, f.values)
     for v in range(len(f.codomain.opens)):
@@ -465,8 +451,7 @@ def fullness_check(x_space: FiniteSpace, y_space: FiniteSpace,
                     f"expected exactly one component family, found {len(families)}",
                     list(values)))
             else:
-                forced = verify_pullback_forced(f, families[0].components)
-                if not forced.ok:
+                if not _pullback_report(f, families[0]).ok:
                     findings.append(Finding(
                         "error", f"map {values}",
                         "the unique component family is not pullback by the map",

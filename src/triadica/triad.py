@@ -7,8 +7,7 @@ the first violating basis pair per open and reports it with the defect.
 
 from __future__ import annotations
 
-from .algebra import (Algebra, AlgebraMorphism, is_standard_function_algebra,
-                      validate_algebra_morphism)
+from .algebra import Algebra, is_standard_function_algebra
 from .errors import DimensionMismatchError, TriadicaError
 from .exactla import Matrix, Subspace, kernel, span, unit_vector
 from .finspace import ContinuousMap, FiniteSpace, preimage_open
@@ -108,85 +107,22 @@ def is_functional_triad(t: DifferentialTriad) -> bool:
 
 
 class NotFunctional(TriadicaError):
-    """The triad carries no compatible embeddings into function algebras."""
+    """The triad's algebras are not the function presheaf on its space."""
 
 
-@record
-class FunctionalTriad:
-    """A triad together with, for each open U, an injective unital embedding of
-    A(U) into the pointwise-product algebra on the points of U.
-
-    The embeddings let sections be evaluated at points, which is what point
-    morphisms and pullback recovery need.  omega_zero records whether the
-    module layer is zero everywhere (the fully functional case)."""
-    triad: DifferentialTriad
-    embeddings: tuple[Matrix, ...]
-    omega_zero: bool
-
-    def __post_init__(self):
-        opens = self.triad.space.opens
-        if len(self.embeddings) != len(opens):
-            raise DimensionMismatchError("one embedding per open required")
-        for u, e in enumerate(self.embeddings):
-            if e.cols != self.triad.algebras.section_dim(u) or e.rows != len(opens[u]):
-                raise DimensionMismatchError(
-                    f"embedding over open {u} has shape {e.rows}x{e.cols}")
-
-    @property
-    def space(self) -> FiniteSpace:
-        return self.triad.space
-
-    def value_at(self, u: int, section, point: int):
-        """Value of a section of A(U) at a point of U, via the embedding."""
-        row = sorted(self.space.opens[u]).index(point)
-        return self.embeddings[u].apply(section)[row]
-
-
-def as_functional(t: DifferentialTriad,
-                  embeddings: tuple[Matrix, ...] | None = None) -> FunctionalTriad:
-    """Equip a triad with point evaluations.
-
-    Without explicit embeddings, each A(U) must literally be the function
-    algebra on the points of U; the embedding is then the identity.  Raises
-    NotFunctional otherwise rather than hunting for an abstract isomorphism.
-    """
-    omega_zero = all(m.dim == 0 for m in t.modules.sections)
-    if embeddings is None:
-        for u, open_set in enumerate(t.space.opens):
-            a = t.algebras.sections[u]
-            if a.dim != len(open_set) or not is_standard_function_algebra(a):
-                raise NotFunctional(
-                    f"A over open {u} is not the function algebra on {len(open_set)} points")
-        embeddings = tuple(Matrix.identity(len(open_set))
-                           for open_set in t.space.opens)
-    ft = FunctionalTriad(t, embeddings, omega_zero)
-    report = validate_functional(ft)
-    if not report.ok:
-        raise NotFunctional("; ".join(
-            f"{f.location}: {f.message}" for f in report.errors()))
-    return ft
-
-
-def validate_functional(ft: FunctionalTriad) -> Report:
-    """Each embedding must be an injective unital algebra morphism into the
-    function algebra on the open's points, and the square with restrictions
-    (coordinate selection on the function side) must commute."""
-    t = ft.triad
+def require_functional(t: DifferentialTriad) -> None:
+    """Raise NotFunctional unless the algebras of t are function_presheaf of
+    its space: the function algebra on the points of every open, with
+    coordinate-selection restrictions."""
     functions = function_presheaf(t.space)
-    findings = []
-    for u, e in enumerate(ft.embeddings):
-        morph = validate_algebra_morphism(
-            AlgebraMorphism(t.algebras.sections[u], functions.sections[u], e))
-        findings += relocated(f"open {u}, ", morph.errors())
-        if kernel(e).dim != 0:
-            findings.append(Finding("error", f"open {u}",
-                                    "embedding is not injective", None))
-    for u, v in restriction_square_failures(ft.embeddings, t.algebras, functions,
-                                            _proper_pairs(t.space)):
-        findings.append(Finding("error", f"inclusion {u}->{v}",
-                                "embedding does not commute with restriction",
-                                [u, v]))
-    return Report("validate_functional", tuple(findings))
+    for u, open_set in enumerate(t.space.opens):
+        if t.algebras.sections[u] != functions.sections[u]:
+            raise NotFunctional(
+                f"A over open {u} is not the function algebra on {len(open_set)} points")
+    for (u, v), r in functions.restrictions.items():
+        if t.algebras.restriction(u, v) != r:
+            raise NotFunctional(
+                f"inclusion {u}->{v}: restriction is not coordinate selection")
 
 
 def pushforward_triad(f: ContinuousMap, t: DifferentialTriad) -> DifferentialTriad:

@@ -20,7 +20,8 @@ from test_golden import command_argv
 from triadica.algebra import truncated_poly_algebra
 from triadica.cli import COMMAND_TABLE, COMMANDS, build_parser, main
 from triadica.dtcat import check_morphism, compose, pullback_morphism
-from triadica.finspace import ContinuousMap, discrete_space, sierpinski_space
+from triadica.finspace import (ContinuousMap, discrete_space, sierpinski_space,
+                               space_from_opens)
 from triadica.kaehler import kaehler_presheaf
 from triadica.sheaf import constant_presheaf
 from triadica.triad import function_triad, validate_triad
@@ -28,7 +29,8 @@ from triadica.workspace import (ParseError, UnresolvedReference,
                                 WorkspaceDocument, dump_workspace,
                                 load_workspace, morphism_from_json,
                                 morphism_to_json, parse_workspace,
-                                triad_from_json, triad_to_json)
+                                space_to_json, triad_from_json,
+                                triad_to_json)
 
 WORKSPACES = pathlib.Path(__file__).parent / "workspaces"
 
@@ -258,6 +260,27 @@ def test_presheaf_on_a_non_topology_is_refused(capsys, tmp_path):
         assert [f["message"] for f in report["findings"]] == [
             "not a topology: opens[1]|opens[2]: union of opens is not open"]
         assert "derived_artifacts" not in report
+
+
+def test_every_command_keeps_the_exit_contract_without_a_full_point_set(
+        capsys, tmp_path):
+    # the opens of P cover both points but leave out {0, 1}
+    path = tmp_path / "triads.json"
+    space = space_from_opens(2, [[], [0], [1]])
+    path.write_text(dump_workspace({"schema": 1, "spaces": {
+        "P": space_to_json(space)}, "triads": {
+        "T": triad_to_json(function_triad(space))}}))
+    for command in COMMANDS:
+        code, out, err = run_cli(capsys, *command_argv(command, str(path)))
+        assert code in (0, 1, 2), (command, code)
+        assert "Traceback" not in err
+        if command == "constant-morphism":
+            assert code == 1
+            reports = json.loads(out)["reports"]
+            assert len(reports) == 2
+            for report in reports:
+                assert [f["message"] for f in report["findings"]] == [
+                    "not a topology: opens: full point set missing"]
 
 
 def one_row(*xs):

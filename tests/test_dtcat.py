@@ -20,15 +20,15 @@ from triadica.dtcat import (BoundExceeded, FullnessResult, TriadMorphism,
 from triadica.errors import DimensionMismatchError
 from triadica.exactla import Matrix, vec
 from triadica.finspace import (ContinuousMap, InvalidTopologyError, all_maps,
-                               discrete_space, indiscrete_space, is_continuous,
-                               sierpinski_space, space_from_opens)
+                               constant_map, discrete_space, indiscrete_space,
+                               is_continuous, sierpinski_space,
+                               space_from_opens)
 from triadica.kaehler import kaehler_module, kaehler_presheaf
 from triadica.record import replace
 from triadica.sheaf import (ModuleSections, constant_presheaf,
                             free_module_sections, zero_module_sections)
-from triadica.triad import (DifferentialTriad, NotFunctional, as_functional,
-                            constant_triad, constants_only_kernel,
-                            function_triad)
+from triadica.triad import (DifferentialTriad, NotFunctional, constant_triad,
+                            constants_only_kernel, function_triad)
 
 from dtcat_oracle import module_linearity_by_pairs, presheaf_morphisms_by_search
 from test_sheaf import all_topologies
@@ -99,13 +99,6 @@ def test_doubled_module_component_breaks_the_operator_square():
     assert any("differential_squares" in f.location for f in errs)
     assert any(f.witness and f.witness.get("defect") for f in errs
                if isinstance(f.witness, dict))
-
-
-def test_declared_frame_must_match():
-    t = function_triad(discrete_space(2))
-    other = function_triad(sierpinski_space())
-    report = check_morphism(identity_morphism(t), source=other)
-    assert not report.ok
 
 
 def test_component_shapes_are_enforced():
@@ -232,11 +225,28 @@ def test_constant_morphism_requires_point_evaluations():
 
 def test_composing_constant_morphisms_lands_at_the_final_point():
     source = kaehler_point_triad(truncated_poly_algebra(3))
-    mid = as_functional(function_triad(discrete_space(2)))
-    end = as_functional(function_triad(sierpinski_space()))
+    mid = function_triad(discrete_space(2))
+    end = function_triad(sierpinski_space())
     c1 = constant_morphism(source, mid, 1)
-    c2 = constant_morphism(mid.triad, end, 0)
+    c2 = constant_morphism(mid, end, 0)
     assert compose(c2, c1) == constant_morphism(source, end, 0)
+
+
+def test_constant_morphisms_between_function_triads_are_pullbacks():
+    # every target topology with at most 3 points and every point of it; the
+    # source enters only through its global unit, so sources with at most 2
+    # points (the empty space and the non-T0 one included) cover it
+    sources = [sp for n in range(3) for sp in all_topologies(n)]
+    targets = [sp for n in range(4) for sp in all_topologies(n)]
+    cases = 0
+    for x, y in itertools.product(sources, targets):
+        tx, ty = function_triad(x), function_triad(y)
+        for c in range(y.point_count):
+            m = constant_morphism(tx, ty, c)
+            assert m == pullback_morphism(constant_map(x, y, c)), (x, y, c)
+            assert check_morphism(m).ok
+            cases += 1
+    assert cases == 6 * 96
 
 
 # ---------------------------------------------------------------------------
@@ -394,27 +404,32 @@ def test_two_characters_in_the_target_defeat_uniqueness():
 
 
 def test_discrete_stalks_have_a_unique_evaluation_character():
-    ft = as_functional(function_triad(discrete_space(3)))
+    t = function_triad(discrete_space(3))
     for x in range(3):
-        chi = evaluation_character(ft, x)
+        chi = evaluation_character(t, x)
         assert chi.algebra.dim == 1
         assert [c.functional for c in characters(chi.algebra)] == [chi.functional]
 
 
 def test_closed_point_evaluation_picks_the_second_coordinate():
-    ft = as_functional(function_triad(sierpinski_space()))
-    chi = evaluation_character(ft, 1)
+    t = function_triad(sierpinski_space())
+    chi = evaluation_character(t, 1)
     assert chi.algebra.dim == 2
     assert chi.functional == vec([0, 1])
     # the stalk itself carries two characters; evaluation selects one of them
     assert len(characters(chi.algebra)) == 2
 
 
+def test_evaluation_requires_the_function_presheaf():
+    with pytest.raises(NotFunctional):
+        evaluation_character(kaehler_point_triad(truncated_poly_algebra(2)), 0)
+
+
 def test_evaluation_sends_the_unit_to_one():
     for space in (discrete_space(2), sierpinski_space()):
-        ft = as_functional(function_triad(space))
+        t = function_triad(space)
         for x in range(space.point_count):
-            chi = evaluation_character(ft, x)
+            chi = evaluation_character(t, x)
             assert chi(chi.algebra.unit) == 1
 
 

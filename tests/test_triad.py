@@ -14,12 +14,12 @@ from triadica.finspace import (ContinuousMap, constant_map, discrete_space,
 from triadica.sheaf import (ModuleSections, Presheaf, check_sheaf_condition,
                             free_module_sections, zero_module_presheaf,
                             zero_module_sections)
-from triadica.triad import (DifferentialTriad, NotFunctional, as_functional,
-                            check_leibniz, constant_triad,
-                            constants_only_kernel, function_triad,
-                            is_functional_triad, kernel_is_constants_only,
-                            kernel_of_differential, pushforward_triad,
-                            validate_functional, validate_triad)
+from triadica.triad import (DifferentialTriad, NotFunctional, check_leibniz,
+                            constant_triad, constants_only_kernel,
+                            function_triad, is_functional_triad,
+                            kernel_is_constants_only, kernel_of_differential,
+                            pushforward_triad, require_functional,
+                            validate_triad)
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -113,6 +113,7 @@ def test_function_triad_is_valid_and_functional(space):
     t = function_triad(space)
     assert validate_triad(t).ok
     assert is_functional_triad(t)
+    require_functional(t)
 
 
 def test_constant_triad_with_dual_numbers_is_valid():
@@ -303,44 +304,28 @@ def test_require_sheaf_accepts_function_triads():
 # functional structure
 
 
-def test_as_functional_uses_identity_embeddings():
-    t = function_triad(sierpinski_space())
-    ft = as_functional(t)
-    assert ft.omega_zero
-    assert validate_functional(ft).ok
-    full = t.space.open_index(frozenset({0, 1}))
-    assert ft.value_at(full, vec([3, 5]), 0) == 3
-    assert ft.value_at(full, vec([3, 5]), 1) == 5
-
-
 def test_as_functional_rejects_abstract_algebras():
     a, omega, d = dual_number_differentials()
     t = constant_triad(sierpinski_space(), a, omega, d)
-    with pytest.raises(NotFunctional):
-        as_functional(t)
+    with pytest.raises(NotFunctional) as err:
+        require_functional(t)
+    assert str(err.value) == "A over open 1 is not the function algebra on 1 points"
 
 
-def test_explicit_embeddings_for_constant_rationals():
-    q = function_algebra(1)
-    t = constant_triad(sierpinski_space(), q, zero_module_sections(1),
-                       Matrix.zeros(0, 1))
-    emb = (Matrix.zeros(0, 0),
-           Matrix.from_rows([[1]], cols=1),
-           Matrix.from_rows([[1], [1]], cols=1))
-    ft = as_functional(t, emb)
-    assert ft.value_at(2, vec([7]), 0) == 7
-    assert ft.value_at(2, vec([7]), 1) == 7
-
-
-def test_embedding_must_preserve_unit():
-    q = function_algebra(1)
-    t = constant_triad(sierpinski_space(), q, zero_module_sections(1),
-                       Matrix.zeros(0, 1))
-    emb = (Matrix.zeros(0, 0),
-           Matrix.from_rows([[1]], cols=1),
-           Matrix.from_rows([[1], [0]], cols=1))
-    with pytest.raises(NotFunctional):
-        as_functional(t, emb)
+def test_require_functional_names_a_restriction_that_is_not_coordinate_selection():
+    # the function algebras on every open, but the whole Sierpinski space
+    # restricts to {0} by reading the value at 1 instead of at 0
+    space = sierpinski_space()
+    functions = function_triad(space).algebras
+    full, left = space.open_index(frozenset({0, 1})), space.open_index(frozenset({0}))
+    table = dict(functions.restrictions)
+    table[(full, left)] = Matrix.from_rows([[0, 1]], cols=2)
+    algebras = Presheaf(space, functions.sections, table)
+    t = DifferentialTriad(algebras, zero_module_presheaf(algebras),
+                          function_triad(space).differentials)
+    with pytest.raises(NotFunctional) as err:
+        require_functional(t)
+    assert f"inclusion {full}->{left}" in str(err.value)
 
 
 def test_kernel_is_constants_only_per_open():
