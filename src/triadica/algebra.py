@@ -72,12 +72,6 @@ class Algebra:
         """Matrix of multiplication by the element with coordinates a."""
         return contract_matrix(self.struct, self.dim, a)
 
-    def power(self, a, k: int) -> Vector:
-        out = self.unit
-        for _ in range(k):
-            out = self.multiply(out, a)
-        return out
-
 
 def algebra_from_struct(struct, unit) -> Algebra:
     rows = tuple(tuple(vec(v) for v in row) for row in struct)

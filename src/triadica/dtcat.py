@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from itertools import product
 
-from .algebra import Character
 from .errors import DimensionMismatchError, TriadicaError
 from .exactla import ZERO, Matrix, span, unit_vector
 from .finspace import (ContinuousMap, FiniteSpace, all_maps, compose_maps,
@@ -329,27 +328,7 @@ def algebra_component_uniqueness(m1: TriadMorphism,
 
 
 # ---------------------------------------------------------------------------
-# evaluation characters and point-map recovery
-
-
-def evaluation_character(t: DifferentialTriad, x: int) -> Character:
-    """Evaluate-at-x as a character of the stalk algebra at x.
-
-    The stalk is the sections over the smallest open U_x around x.  The
-    algebras of t must be the function presheaf, so those sections are the
-    functions on the sorted points of U_x, and the character is the unit
-    vector of x there.  Raises NotFunctional otherwise.
-    """
-    require_functional(t)
-    ux = minimal_open(t.space, x)
-    pts = sorted(t.space.opens[ux])
-    return Character(t.algebras.sections[ux], unit_vector(len(pts), pts.index(x)))
-
-
-def _function_frame(f: ContinuousMap) -> tuple[Presheaf, Presheaf]:
-    """The function presheaf on the codomain and the direct image of the one
-    on the domain: the source and target of every component family over f."""
-    return function_presheaf(f.codomain), pushforward(f, function_presheaf(f.domain))
+# point-map recovery
 
 
 def verify_pullback_forced(f: ContinuousMap, components) -> Report:
@@ -362,13 +341,19 @@ def verify_pullback_forced(f: ContinuousMap, components) -> Report:
     the r-th preimage point x"; it must coincide with the character
     "evaluate at f(x)" on the sections over V.  For non-discrete spaces the
     report is marked exploratory: there the stalks admit several characters
-    and no forcing theorem is asserted.
+    and no forcing theorem is asserted.  Both spaces must be topologies.
     """
-    return _pullback_report(f, PresheafMorphism(*_function_frame(f), tuple(components)))
+    require_topology(f.domain)
+    require_topology(f.codomain)
+    h = PresheafMorphism(function_presheaf(f.codomain),
+                         pushforward(f, function_presheaf(f.domain)),
+                         tuple(components))
+    return _pullback_report(f, h)
 
 
 def _pullback_report(f: ContinuousMap, h: PresheafMorphism) -> Report:
-    """verify_pullback_forced on a family already framed by _function_frame(f)."""
+    """verify_pullback_forced on a family from the function presheaf on the
+    codomain into the direct image of the one on the domain."""
     findings = []
     exploratory = not (f.domain.is_discrete and f.codomain.is_discrete)
     if exploratory:
@@ -393,10 +378,17 @@ def enumerate_presheaf_morphisms(f: ContinuousMap) -> list[PresheafMorphism]:
     domain: precomposition with each point map g with g(x) in U_{f(x)},
     prod_x |U_{f(x)}| of them, in lexicographic order of g (see the module
     docstring).  The codomain must be a topology."""
+    return _families(f, function_presheaf(f.domain), function_presheaf(f.codomain))
+
+
+def _families(f: ContinuousMap, functions_x: Presheaf,
+              functions_y: Presheaf) -> list[PresheafMorphism]:
+    """enumerate_presheaf_morphisms(f), given the function presheaves on the
+    domain and the codomain of f."""
     y = f.codomain
-    source, target = _function_frame(f)
+    target = pushforward(f, functions_x)
     choices = [sorted(y.opens[minimal_open(y, f.values[x])]) for x in f.domain.points]
-    return [PresheafMorphism(source, target, _point_map_components(f, g))
+    return [PresheafMorphism(functions_y, target, _point_map_components(f, g))
             for g in product(*choices)]
 
 
@@ -435,13 +427,14 @@ def fullness_check(x_space: FiniteSpace, y_space: FiniteSpace,
     if not discrete:
         findings.append(Finding("warning", "spaces",
                                 "non-discrete spaces: counts are exploratory", None))
+    functions_x, functions_y = function_presheaf(x_space), function_presheaf(y_space)
     per_map = []
     total = 0
     for values in all_maps(x_space, y_space):
         if not is_continuous(values, x_space, y_space):
             continue
         f = ContinuousMap(x_space, y_space, values)
-        families = enumerate_presheaf_morphisms(f)
+        families = _families(f, functions_x, functions_y)
         per_map.append((values, len(families)))
         total += len(families)
         if discrete:

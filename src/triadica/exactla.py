@@ -22,7 +22,6 @@ from typing import Iterable, Sequence
 from .errors import DimensionMismatchError
 from .record import record
 
-Rational = Fraction
 Vector = tuple[Fraction, ...]
 
 ZERO = Fraction(0)
@@ -64,16 +63,8 @@ def unit_vector(n: int, i: int) -> Vector:
     return tuple(ONE if t == i else ZERO for t in range(n))
 
 
-def vec_add(a: Sequence[Fraction], b: Sequence[Fraction]) -> Vector:
-    return tuple(x + y for x, y in zip(a, b, strict=True))
-
-
 def vec_sub(a: Sequence[Fraction], b: Sequence[Fraction]) -> Vector:
     return tuple(x - y for x, y in zip(a, b, strict=True))
-
-
-def vec_scale(c: Fraction, a: Sequence[Fraction]) -> Vector:
-    return tuple(c * x for x in a)
 
 
 def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
@@ -144,21 +135,11 @@ class Matrix:
         return Matrix(self.rows, other.cols,
                       tuple(tuple(dot(r, c) for c in ot.entries) for r in self.entries))
 
-    def __add__(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatchError("matrix shapes differ")
-        return Matrix(self.rows, self.cols,
-                      tuple(vec_add(a, b) for a, b in zip(self.entries, other.entries)))
-
     def __sub__(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatchError("matrix shapes differ")
         return Matrix(self.rows, self.cols,
                       tuple(vec_sub(a, b) for a, b in zip(self.entries, other.entries)))
-
-    def scaled(self, c) -> "Matrix":
-        c = rat(c)
-        return Matrix(self.rows, self.cols, tuple(vec_scale(c, r) for r in self.entries))
 
     def transpose(self) -> "Matrix":
         return Matrix(self.cols, self.rows,
@@ -166,24 +147,6 @@ class Matrix:
 
     def is_zero(self) -> bool:
         return all(x == 0 for r in self.entries for x in r)
-
-
-def hstack(parts: Sequence[Matrix]) -> Matrix:
-    rows = parts[0].rows
-    for p in parts:
-        if p.rows != rows:
-            raise DimensionMismatchError("hstack row counts differ")
-    return Matrix(rows, sum(p.cols for p in parts),
-                  tuple(tuple(x for p in parts for x in p.entries[i]) for i in range(rows)))
-
-
-def vstack(parts: Sequence[Matrix]) -> Matrix:
-    cols = parts[0].cols
-    for p in parts:
-        if p.cols != cols:
-            raise DimensionMismatchError("vstack column counts differ")
-    return Matrix(sum(p.rows for p in parts), cols,
-                  tuple(r for p in parts for r in p.entries))
 
 
 def rref(vectors: Iterable[Sequence[Fraction]], width: int) -> tuple[list[Vector], list[int]]:

@@ -101,9 +101,3 @@ def record(cls):
     cls.__record_fields__ = names
     return cls
 
-
-def replace(obj, **changes):
-    """A copy of the record `obj` with some fields changed; `__post_init__`
-    runs again on the copy."""
-    values = {name: getattr(obj, name) for name in obj.__record_fields__}
-    return obj.__class__(**{**values, **changes})

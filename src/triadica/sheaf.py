@@ -24,24 +24,13 @@ from itertools import combinations
 
 from .algebra import (Algebra, AlgebraMorphism, function_algebra,
                       validate_algebra, validate_algebra_morphism)
-from .errors import DimensionMismatchError, InvariantError, TriadicaError
+from .errors import DimensionMismatchError, InvariantError
 from .exactla import (ONE, ZERO, Matrix, Subspace, Vector, contract,
                       contract_matrix, full_space, kernel, span, unit_vector)
-from .finspace import (ContinuousMap, FiniteSpace, minimal_open,
-                       minimal_open_superset, preimage_open, require_topology)
+from .finspace import (ContinuousMap, FiniteSpace, minimal_open, preimage_open,
+                       require_topology)
 from .record import record
 from .report import Finding, Report, ValidationError, relocated
-
-
-class RestrictionSquareViolation(TriadicaError):
-    """A morphism component fails to commute with a restriction map."""
-
-    def __init__(self, open_index: int, section):
-        self.open_index = open_index
-        self.section = tuple(section)
-        super().__init__(
-            f"restriction square fails over open index {open_index} "
-            f"on section {[str(x) for x in section]}")
 
 
 @record
@@ -73,17 +62,6 @@ class ModuleSections:
 
 def zero_module_sections(algebra_dim: int) -> ModuleSections:
     return ModuleSections(algebra_dim, 0, tuple(() for _ in range(algebra_dim)))
-
-
-def free_module_sections(a: Algebra, rank: int) -> ModuleSections:
-    """A^rank with the diagonal multiplication action: e_i acts on block b
-    of A^rank as on A, so action[i][b*n + j] is a.struct[i][j] in block b."""
-    n = a.dim
-    zeros = (ZERO,) * n
-    action = tuple(tuple(zeros * b + product + zeros * (rank - 1 - b)
-                         for b in range(rank) for product in row)
-                   for row in a.struct)
-    return ModuleSections(n, n * rank, action)
 
 
 def validate_module_sections(a: Algebra, m: ModuleSections) -> Report:
@@ -614,51 +592,3 @@ def pushforward_module(f: ContinuousMap, m: Presheaf,
     """Direct image of a module layer over `base_image`, the direct image of
     its base, which is computed when not given."""
     return pushforward(f, m) if base_image is None else _pushforward(f, m, base_image)
-
-
-def pushforward_morphism(f: ContinuousMap, h: PresheafMorphism) -> PresheafMorphism:
-    return PresheafMorphism(pushforward(f, h.source), pushforward(f, h.target),
-                            tuple(h.components[w] for w in _preimages(f)))
-
-
-# ---------------------------------------------------------------------------
-# sections and morphisms over arbitrary subsets
-
-
-@record
-class SubsetSections:
-    """Finite stand-in for sections over a closed-in subset K: sections over
-    the smallest open around K, with the maps from every open containing K."""
-
-    subset: frozenset
-    open_index: int
-    sections: object
-    maps: dict
-
-
-def sections_over_subset(p: Presheaf, subset) -> SubsetSections:
-    space = p.space
-    uk = minimal_open_superset(space, subset)
-    maps = {v: p.restriction(v, uk) for v in space.opens_containing(subset)}
-    return SubsetSections(frozenset(subset), uk, p.sections[uk], maps)
-
-
-def morphism_over_subset(h: PresheafMorphism, subset) -> Matrix:
-    """Component of a presheaf morphism at a subset's minimal open.
-
-    Raises RestrictionSquareViolation if some open above the subset
-    disagrees after restriction (witnessing that h was not a morphism).
-    """
-    space = h.source.space
-    uk = minimal_open_superset(space, subset)
-    hk = h.components[uk]
-    for v in space.opens_containing(subset):
-        lhs = hk @ h.source.restriction(v, uk)
-        rhs = h.target.restriction(v, uk) @ h.components[v]
-        if lhs != rhs:
-            diff = lhs - rhs
-            col = next(c for c in range(diff.cols)
-                       if any(diff.entries[r][c] != 0 for r in range(diff.rows)))
-            section = unit_vector(h.source.section_dim(v), col)
-            raise RestrictionSquareViolation(v, section)
-    return hk

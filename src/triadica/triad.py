@@ -7,9 +7,9 @@ the first violating basis pair per open and reports it with the defect.
 
 from __future__ import annotations
 
-from .algebra import Algebra, is_standard_function_algebra
+from .algebra import Algebra
 from .errors import DimensionMismatchError, TriadicaError
-from .exactla import Matrix, Subspace, kernel, span, unit_vector
+from .exactla import Matrix, kernel, span, unit_vector
 from .finspace import ContinuousMap, FiniteSpace, preimage_open
 from .record import record
 from .report import Finding, Report, merge_reports, relocated
@@ -99,13 +99,6 @@ def function_triad(space: FiniteSpace) -> DifferentialTriad:
     return DifferentialTriad(algebras, modules, diffs)
 
 
-def is_functional_triad(t: DifferentialTriad) -> bool:
-    """Zero module everywhere, standard function algebra on every open."""
-    if any(m.dim != 0 for m in t.modules.sections):
-        return False
-    return all(is_standard_function_algebra(a) for a in t.algebras.sections)
-
-
 class NotFunctional(TriadicaError):
     """The triad's algebras are not the function presheaf on its space."""
 
@@ -134,20 +127,11 @@ def pushforward_triad(f: ContinuousMap, t: DifferentialTriad) -> DifferentialTri
     return DifferentialTriad(algebras, modules, diffs)
 
 
-def kernel_of_differential(t: DifferentialTriad, u: int) -> Subspace:
-    return kernel(t.differentials[u])
-
-
-def kernel_is_constants_only(t: DifferentialTriad, u: int) -> bool:
-    """True when over open u the kernel of d is exactly the span of the unit."""
-    a = t.algebras.sections[u]
-    return kernel_of_differential(t, u) == span(a.dim, [a.unit])
-
-
 def constants_only_kernel(t: DifferentialTriad) -> bool:
     """True when over every nonempty open ker(d) is exactly the span of 1."""
-    return all(kernel_is_constants_only(t, u)
-               for u, open_set in enumerate(t.space.opens) if open_set)
+    return all(kernel(d) == span(a.dim, [a.unit])
+               for a, d, open_set in zip(t.algebras.sections, t.differentials,
+                                         t.space.opens) if open_set)
 
 
 def constant_triad(space: FiniteSpace, a: Algebra, module: ModuleSections,

@@ -20,6 +20,8 @@ from triadica.exactla import (ONE, ZERO, Matrix, Quotient, Subspace, kernel,
 from triadica.kaehler import derivation_space
 from triadica.sheaf import ModuleSections
 
+from support import matrix_sum, scaled
+
 
 @dataclass(frozen=True)
 class IdealSquareModule:
@@ -95,6 +97,6 @@ def random_derivations(a: Algebra, target: ModuleSections, count: int,
         m = Matrix.zeros(target.dim, a.dim)
         for b in basis:
             c = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-            m = m + b.scaled(c)
+            m = matrix_sum(m, scaled(b, c))
         out.append(m)
     return out

@@ -264,20 +264,23 @@ def test_presheaf_on_a_non_topology_is_refused(capsys, tmp_path):
 
 def test_every_command_keeps_the_exit_contract_without_a_full_point_set(
         capsys, tmp_path):
-    # the opens of P cover both points but leave out {0, 1}
+    # the opens of P cover both points but leave out {0, 1}; every point is
+    # open, so P passes for discrete
     path = tmp_path / "triads.json"
     space = space_from_opens(2, [[], [0], [1]])
+    identity = pullback_morphism(ContinuousMap(space, space, (0, 1)))
     path.write_text(dump_workspace({"schema": 1, "spaces": {
         "P": space_to_json(space)}, "triads": {
-        "T": triad_to_json(function_triad(space))}}))
+        "T": triad_to_json(function_triad(space))}, "morphisms": {
+        "M": morphism_to_json(identity)}}))
     for command in COMMANDS:
         code, out, err = run_cli(capsys, *command_argv(command, str(path)))
         assert code in (0, 1, 2), (command, code)
         assert "Traceback" not in err
-        if command == "constant-morphism":
-            assert code == 1
+        if command in ("constant-morphism", "recover-map"):
+            assert code == 1, command
             reports = json.loads(out)["reports"]
-            assert len(reports) == 2
+            assert len(reports) == {"constant-morphism": 2}.get(command, 1)
             for report in reports:
                 assert [f["message"] for f in report["findings"]] == [
                     "not a topology: opens: full point set missing"]

@@ -9,12 +9,12 @@ from fractions import Fraction
 
 import pytest
 
-from triadica.algebra import characters, function_algebra, truncated_poly_algebra
+from triadica.algebra import function_algebra, truncated_poly_algebra
 from triadica.dtcat import (BoundExceeded, FullnessResult, TriadMorphism,
                             algebra_component_uniqueness, check_morphism,
                             compose, constant_morphism,
                             differential_agreement_on_image,
-                            enumerate_presheaf_morphisms, evaluation_character,
+                            enumerate_presheaf_morphisms,
                             fullness_check, identity_morphism,
                             pullback_morphism, verify_pullback_forced)
 from triadica.errors import DimensionMismatchError
@@ -24,13 +24,13 @@ from triadica.finspace import (ContinuousMap, InvalidTopologyError, all_maps,
                                is_continuous, sierpinski_space,
                                space_from_opens)
 from triadica.kaehler import kaehler_module, kaehler_presheaf
-from triadica.record import replace
 from triadica.sheaf import (ModuleSections, constant_presheaf,
-                            free_module_sections, zero_module_sections)
+                            function_presheaf, zero_module_sections)
 from triadica.triad import (DifferentialTriad, NotFunctional, constant_triad,
                             constants_only_kernel, function_triad)
 
 from dtcat_oracle import module_linearity_by_pairs, presheaf_morphisms_by_search
+from support import free_module_sections, replace, scaled
 from test_sheaf import all_topologies
 
 POINT = discrete_space(1)
@@ -91,7 +91,7 @@ def test_doubled_module_component_breaks_the_operator_square():
     t = kaehler_point_triad(truncated_poly_algebra(3))
     good = identity_morphism(t)
     bad = TriadMorphism(good.map, t, t, good.algebra_components,
-                        tuple(c.scaled(Fraction(2))
+                        tuple(scaled(c, Fraction(2))
                               for c in good.module_components))
     report = check_morphism(bad)
     assert not report.ok
@@ -400,40 +400,6 @@ def test_two_characters_in_the_target_defeat_uniqueness():
 
 
 # ---------------------------------------------------------------------------
-# evaluation characters
-
-
-def test_discrete_stalks_have_a_unique_evaluation_character():
-    t = function_triad(discrete_space(3))
-    for x in range(3):
-        chi = evaluation_character(t, x)
-        assert chi.algebra.dim == 1
-        assert [c.functional for c in characters(chi.algebra)] == [chi.functional]
-
-
-def test_closed_point_evaluation_picks_the_second_coordinate():
-    t = function_triad(sierpinski_space())
-    chi = evaluation_character(t, 1)
-    assert chi.algebra.dim == 2
-    assert chi.functional == vec([0, 1])
-    # the stalk itself carries two characters; evaluation selects one of them
-    assert len(characters(chi.algebra)) == 2
-
-
-def test_evaluation_requires_the_function_presheaf():
-    with pytest.raises(NotFunctional):
-        evaluation_character(kaehler_point_triad(truncated_poly_algebra(2)), 0)
-
-
-def test_evaluation_sends_the_unit_to_one():
-    for space in (discrete_space(2), sierpinski_space()):
-        t = function_triad(space)
-        for x in range(space.point_count):
-            chi = evaluation_character(t, x)
-            assert chi(chi.algebra.unit) == 1
-
-
-# ---------------------------------------------------------------------------
 # recovering the point map
 
 
@@ -465,6 +431,22 @@ def test_recovery_on_non_discrete_spaces_is_exploratory():
     report = verify_pullback_forced(f, fams[0].components)
     assert report.exploratory
     assert report.status in ("exploratory", "fail")
+
+
+@pytest.mark.parametrize("points,opens,witness", [
+    (2, [[0], [1], [0, 1]], "not a topology: opens: empty set missing"),
+    (3, [[], [0], [1], [2], [0, 1], [0, 2], [0, 1, 2]],
+     "not a topology: opens[2]|opens[3]: union of opens is not open"),
+    (2, [[], [0], [1]], "not a topology: opens: full point set missing"),
+], ids=["no_empty_set", "no_union", "no_full_set"])
+def test_recovery_refuses_a_non_topology(points, opens, witness):
+    # every point is open, so each space passes for discrete
+    bad = space_from_opens(points, opens)
+    assert bad.is_discrete
+    f = ContinuousMap(bad, bad, tuple(range(points)))
+    with pytest.raises(InvalidTopologyError) as exc:
+        verify_pullback_forced(f, pullback_morphism(f).algebra_components)
+    assert str(exc.value) == witness
 
 
 # ---------------------------------------------------------------------------
@@ -523,6 +505,21 @@ def test_fullness_refuses_a_non_topology(points, opens, witness):
         with pytest.raises(InvalidTopologyError) as exc:
             fullness_check(x, y, bound=1)
         assert str(exc.value) == witness
+
+
+def test_fullness_builds_each_function_presheaf_once(monkeypatch):
+    import triadica.dtcat as dtcat_module
+    builds = []
+
+    def counting(space):
+        builds.append(space)
+        return function_presheaf(space)
+
+    monkeypatch.setattr(dtcat_module, "function_presheaf", counting)
+    x, y = discrete_space(2), discrete_space(3)
+    assert fullness_check(x, y).total == 9
+    # one presheaf per space, not one pair per continuous map
+    assert builds == [x, y]
 
 
 # ---------------------------------------------------------------------------

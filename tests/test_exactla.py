@@ -7,9 +7,9 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from triadica.exactla import (ZERO, Matrix, Subspace, contract, contract_matrix,
-                              dot, full_space, hstack, kernel, product_subspace,
+                              dot, full_space, kernel, product_subspace,
                               quotient_space, rat, rref, solve, span,
-                              unit_vector, vec, vstack)
+                              unit_vector, vec)
 
 F = Fraction
 
@@ -247,13 +247,6 @@ def test_subspace_membership_and_coordinates():
     assert not s.contains(vec([1, 0, 0]))
     assert s.coordinates(vec([2, 3, 5])) == vec([2, 3])
     assert s.coordinates(vec([1, 0, 0])) is None
-
-
-def test_stacking_helpers():
-    a = Matrix.identity(2)
-    b = Matrix.zeros(2, 1)
-    assert hstack([a, b]).cols == 3
-    assert vstack([a, a]).rows == 4
 
 
 def test_full_space_round_trip():

@@ -19,22 +19,22 @@ from triadica.algebra import (InvalidAlgebraError, algebra_from_struct,
                               tensor_product, truncated_poly_algebra,
                               validate_algebra)
 from triadica.errors import DimensionMismatchError
-from triadica.exactla import Matrix, solve, span, vec, vstack
+from triadica.exactla import Matrix, solve, span, vec
 from triadica.finspace import (InvalidTopologyError, discrete_space,
                                sierpinski_space, space_from_opens)
 from triadica.kaehler import (FactorizationFailed, KaehlerModule,
                               NotADerivation, derivation_space,
                               factor_derivation, kaehler_module,
                               kaehler_presheaf, restrict_scalars)
-from triadica.record import replace
 from triadica.sheaf import (InvalidPresheafError, ModuleSections,
                             check_sheaf_condition, constant_presheaf,
-                            free_module_sections, function_presheaf,
-                            make_presheaf, validate_algebra_presheaf,
+                            function_presheaf, make_presheaf, validate_algebra_presheaf,
                             validate_module_sections,
                             validate_presheaf_morphism)
 from triadica.triad import (check_leibniz, constants_only_kernel,
-                            is_functional_triad, validate_triad)
+                            validate_triad)
+
+from support import free_module_sections, is_functional_triad, replace, scaled
 
 
 def square_zero_algebra():
@@ -301,7 +301,7 @@ def test_uniqueness_flag_drops_with_padded_module():
         action.append(tuple(row))
     padded = ModuleSections(3, 3, tuple(action))
     assert validate_module_sections(a, padded).ok
-    padded_d = vstack([k.differential, Matrix.zeros(1, 3)])
+    padded_d = Matrix.from_rows(k.differential.entries + (vec([0, 0, 0]),), cols=3)
     doctored = replace(k, module=padded, differential=padded_d)
     fact = factor_derivation(doctored, padded, padded_d)
     assert fact.matrix @ padded_d == padded_d
@@ -408,9 +408,9 @@ def test_dual_number_triad_kernel_is_constants():
 def test_doubled_operator_factors_to_doubled_identity():
     a = truncated_poly_algebra(3)
     k = kaehler_module(a)
-    phi = factor_derivation(k, k.module, k.differential.scaled(Fraction(2)))
+    phi = factor_derivation(k, k.module, scaled(k.differential, Fraction(2)))
     assert phi.unique
-    assert phi.matrix == Matrix.identity(k.module.dim).scaled(Fraction(2))
+    assert phi.matrix == scaled(Matrix.identity(k.module.dim), Fraction(2))
 
 
 @pytest.mark.parametrize("a", [truncated_poly_algebra(2),

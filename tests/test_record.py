@@ -12,7 +12,9 @@ from functools import cached_property
 
 import pytest
 
-from triadica.record import record, replace
+from triadica.record import record
+
+from support import replace
 
 
 def declare(decorate):

@@ -14,18 +14,14 @@ from triadica.errors import DimensionMismatchError
 from triadica.exactla import ONE, ZERO, Matrix, kernel, solve, unit_vector, vec
 from triadica.finspace import (ContinuousMap, InvalidTopologyError, all_maps,
                                constant_map, discrete_space, indiscrete_space,
-                               minimal_open, sierpinski_space, space_from_opens)
-from triadica.record import replace
+                               minimal_open, preimage_open, sierpinski_space,
+                               space_from_opens)
 from triadica.sheaf import (InvalidPresheafError, ModuleSections, Presheaf,
-                            PresheafMorphism, RestrictionSquareViolation,
-                            check_sheaf_condition, constant_presheaf,
-                            fill_restrictions, free_module_sections,
+                            PresheafMorphism, check_sheaf_condition,
+                            constant_presheaf, fill_restrictions,
                             function_presheaf, function_restriction_matrix,
-                            irredundant_covers, make_presheaf,
-                            morphism_over_subset,
-                            pushforward, pushforward_module,
-                            pushforward_morphism, sections_over_subset,
-                            sheafify, sheafify_module, stalk,
+                            irredundant_covers, make_presheaf, pushforward,
+                            pushforward_module, sheafify, sheafify_module, stalk,
                             validate_algebra_presheaf, validate_module_presheaf,
                             validate_module_sections, validate_presheaf_morphism,
                             zero_module_presheaf, zero_module_sections)
@@ -33,6 +29,7 @@ from triadica.kaehler import kaehler_module
 from triadica.triad import constant_triad
 from sheaf_oracle import (check_sheaf_by_covers, validate_algebra_presheaf_by_pairs,
                           validate_module_presheaf_by_pairs)
+from support import free_module_sections, matrix_sum, replace, scaled
 
 
 def chain_space():
@@ -554,6 +551,13 @@ def test_pushforward_of_sheaf_is_sheaf_for_every_map():
             assert check_sheaf_condition(img).is_sheaf
 
 
+def pushforward_morphism(f, h):
+    """The direct image of the presheaf morphism h along f."""
+    return PresheafMorphism(pushforward(f, h.source), pushforward(f, h.target),
+                            tuple(h.components[preimage_open(f, v)]
+                                  for v in range(len(f.codomain.opens))))
+
+
 def test_pushforward_module_and_morphism():
     sp = discrete_space(2)
     f = constant_map(sp, indiscrete_space(1), 0)
@@ -573,60 +577,12 @@ def test_pushforward_wrong_domain_rejected():
         pushforward(f, p)
 
 
-# ---------------------------------------------------------------------------
-# subsets
-
-
-def test_sections_over_closed_point_of_sierpinski():
-    s = sierpinski_space()
-    fp = function_presheaf(s)
-    ss = sections_over_subset(fp, {1})
-    assert s.opens[ss.open_index] == frozenset({0, 1})
-    assert ss.sections.dim == 2
-    assert set(ss.maps) == {2}
-
-
-def test_morphism_over_subset_of_canonical_map():
-    sp = discrete_space(2)
-    plus = sheafify(constant_presheaf(sp, function_algebra(1)))
-    comp = morphism_over_subset(plus.canonical, {0, 1})
-    assert comp.rows == 2 and comp.cols == 1
-
-
-def test_morphism_over_subset_detects_broken_square():
-    s = sierpinski_space()
-    fp = function_presheaf(s)
-    double = Matrix.from_rows([[Fraction(2)]], cols=1)
-    bad = PresheafMorphism(fp, fp, (Matrix.identity(0), double, Matrix.identity(2)))
-    assert not validate_presheaf_morphism(bad).ok
-    with pytest.raises(RestrictionSquareViolation) as exc:
-        morphism_over_subset(bad, {0})
-    assert exc.value.open_index == 2
-
-
 def test_presheaf_morphism_shape_checked():
     s = sierpinski_space()
     fp = function_presheaf(s)
     with pytest.raises(DimensionMismatchError):
         PresheafMorphism(fp, fp, (Matrix.identity(0), Matrix.identity(2),
                                   Matrix.identity(2)))
-
-
-def test_subset_sections_compose_along_nested_subsets():
-    # K inside K' forces U_K inside U_K'; the carrying maps must match up
-    cases = [
-        (chain_space(), {1}, {1, 2}),
-        (sierpinski_space(), {0}, {0, 1}),
-        (discrete_space(3), {2}, {0, 2}),
-    ]
-    for space, small, big in cases:
-        p = function_presheaf(space)
-        s_small = sections_over_subset(p, small)
-        s_big = sections_over_subset(p, big)
-        assert space.opens[s_small.open_index] <= space.opens[s_big.open_index]
-        bridge = p.restriction(s_big.open_index, s_small.open_index)
-        for v, m in s_big.maps.items():
-            assert s_small.maps[v] == bridge @ m
 
 
 # ---------------------------------------------------------------------------
@@ -645,7 +601,8 @@ def _nudged(m, rng):
 
 
 def _plus_outer(m, left, right):
-    return m + Matrix.from_rows([[x * y for y in right] for x in left], cols=m.cols)
+    outer = Matrix.from_rows([[x * y for y in right] for x in left], cols=m.cols)
+    return matrix_sum(m, outer)
 
 
 def _retabled(p, pair, matrix):
@@ -677,7 +634,7 @@ def corrupted(p, kind, rng):
         if not proper:
             return None
         u, v = rng.choice(proper)
-        return _retabled(p, (u, v), p.restriction(u, v).scaled(2))
+        return _retabled(p, (u, v), scaled(p.restriction(u, v), 2))
     if kind == "non_multiplicative":
         # add y (x) phi with phi(1) = 0: the unit is kept, products are not
         pairs = [(u, v) for u, v in proper if dim(u) >= 2]

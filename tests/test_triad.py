@@ -8,18 +8,17 @@ from hypothesis import strategies as st
 
 from triadica.algebra import function_algebra, truncated_poly_algebra
 from triadica.errors import DimensionMismatchError
-from triadica.exactla import ONE, ZERO, Matrix, span, vec
+from triadica.exactla import ONE, ZERO, Matrix, kernel, span, vec
 from triadica.finspace import (ContinuousMap, constant_map, discrete_space,
                                indiscrete_space, sierpinski_space)
 from triadica.sheaf import (ModuleSections, Presheaf, check_sheaf_condition,
-                            free_module_sections, zero_module_presheaf,
-                            zero_module_sections)
+                            zero_module_presheaf, zero_module_sections)
 from triadica.triad import (DifferentialTriad, NotFunctional, check_leibniz,
                             constant_triad, constants_only_kernel,
-                            function_triad, is_functional_triad,
-                            kernel_is_constants_only, kernel_of_differential,
-                            pushforward_triad, require_functional,
-                            validate_triad)
+                            function_triad, pushforward_triad,
+                            require_functional, validate_triad)
+
+from support import free_module_sections, is_functional_triad, scaled
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -97,7 +96,7 @@ def test_order_three_derivations_are_a_plane(alpha, beta):
 @given(rationals)
 def test_scaled_derivation_stays_a_derivation(c):
     a, omega, d = dual_number_differentials()
-    assert check_leibniz(a, omega, d.scaled(c)).ok
+    assert check_leibniz(a, omega, scaled(d, c)).ok
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +126,7 @@ def test_differential_restriction_square_violation_reported():
     a, omega, d = dual_number_differentials()
     good = constant_triad(sierpinski_space(), a, omega, d)
     diffs = list(good.differentials)
-    diffs[1] = d.scaled(Fraction(2))  # inconsistent operator on the small open
+    diffs[1] = scaled(d, Fraction(2))  # inconsistent operator on the small open
     bad = DifferentialTriad(good.algebras, good.modules, tuple(diffs))
     report = validate_triad(bad)
     assert not report.ok
@@ -190,14 +189,14 @@ def test_dual_number_triad_has_constants_only_kernel():
     t = constant_triad(sierpinski_space(), a, omega, d)
     assert constants_only_kernel(t)
     full = t.space.open_index(frozenset({0, 1}))
-    assert kernel_of_differential(t, full) == span(2, [a.unit])
+    assert kernel(t.differentials[full]) == span(2, [a.unit])
 
 
 def test_function_triad_kernel_is_everything():
     t = function_triad(discrete_space(2))
     assert not constants_only_kernel(t)
     full = t.space.open_index(frozenset({0, 1}))
-    assert kernel_of_differential(t, full).dim == 2
+    assert kernel(t.differentials[full]).dim == 2
 
 
 def test_point_function_triad_has_constants_only_kernel():
@@ -331,10 +330,10 @@ def test_require_functional_names_a_restriction_that_is_not_coordinate_selection
 def test_kernel_is_constants_only_per_open():
     a, omega, d = dual_number_differentials()
     t = constant_triad(sierpinski_space(), a, omega, d)
-    assert kernel_is_constants_only(t, 1)
-    assert kernel_is_constants_only(t, 2)
+    assert kernel(t.differentials[1]) == span(2, [a.unit])
+    assert kernel(t.differentials[2]) == span(2, [a.unit])
     f = function_triad(discrete_space(2))
     full = f.space.open_index(frozenset({0, 1}))
     sing = f.space.open_index(frozenset({0}))
-    assert not kernel_is_constants_only(f, full)
-    assert kernel_is_constants_only(f, sing)
+    assert kernel(f.differentials[full]) != span(2, [f.algebras.sections[full].unit])
+    assert kernel(f.differentials[sing]) == span(1, [f.algebras.sections[sing].unit])
