@@ -372,19 +372,14 @@ def _pullback_report(f: ContinuousMap, h: PresheafMorphism) -> Report:
     return Report("verify_pullback_forced", tuple(findings), exploratory=exploratory)
 
 
-def enumerate_presheaf_morphisms(f: ContinuousMap) -> list[PresheafMorphism]:
+def enumerate_presheaf_morphisms(f: ContinuousMap, functions_x: Presheaf,
+                                 functions_y: Presheaf) -> list[PresheafMorphism]:
     """All unit-preserving multiplicative presheaf morphisms from the full
     functional sheaf on the codomain into the pushforward of the one on the
     domain: precomposition with each point map g with g(x) in U_{f(x)},
     prod_x |U_{f(x)}| of them, in lexicographic order of g (see the module
-    docstring).  The codomain must be a topology."""
-    return _families(f, function_presheaf(f.domain), function_presheaf(f.codomain))
-
-
-def _families(f: ContinuousMap, functions_x: Presheaf,
-              functions_y: Presheaf) -> list[PresheafMorphism]:
-    """enumerate_presheaf_morphisms(f), given the function presheaves on the
-    domain and the codomain of f."""
+    docstring).  `functions_x` and `functions_y` are the function presheaves
+    on the domain and the codomain, which must be a topology."""
     y = f.codomain
     target = pushforward(f, functions_x)
     choices = [sorted(y.opens[minimal_open(y, f.values[x])]) for x in f.domain.points]
@@ -434,7 +429,7 @@ def fullness_check(x_space: FiniteSpace, y_space: FiniteSpace,
         if not is_continuous(values, x_space, y_space):
             continue
         f = ContinuousMap(x_space, y_space, values)
-        families = _families(f, functions_x, functions_y)
+        families = enumerate_presheaf_morphisms(f, functions_x, functions_y)
         per_map.append((values, len(families)))
         total += len(families)
         if discrete:

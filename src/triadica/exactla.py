@@ -196,12 +196,12 @@ class Subspace:
         return tuple(next(j for j, x in enumerate(b) if x != 0) for b in self.basis)
 
     def contains(self, v: Sequence[Fraction]) -> bool:
-        if len(v) != self.ambient_dim:
-            raise DimensionMismatchError("vector/ambient length mismatch")
         return self.coordinates(v) is not None
 
     def coordinates(self, v: Sequence[Fraction]) -> Vector | None:
         """Coefficients of v in the stored basis, or None if v is outside."""
+        if len(v) != self.ambient_dim:
+            raise DimensionMismatchError("vector/ambient length mismatch")
         residue = list(v)
         coords = []
         for lead, b in zip(self.leads, self.basis):
@@ -224,18 +224,25 @@ def full_space(n: int) -> Subspace:
 
 
 def kernel(m: Matrix) -> Subspace:
-    """Null space {v : m v = 0} with canonical echelon basis."""
-    rows, pivots = rref(m.entries, m.cols)
+    """Null space {v : m v = 0} with canonical echelon basis.
+
+    One elimination, on the columns in reverse order: the standard null
+    vector of free column f has its last nonzero at f and vanishes on the
+    other free columns, so reversed it leads at its own column with zeros at
+    the other vectors' leads, which is the (unique) reduced echelon form.
+    """
+    n = m.cols
+    rows, pivots = rref((r[::-1] for r in m.entries), n)
     pivot_set = set(pivots)
-    free = [j for j in range(m.cols) if j not in pivot_set]
     basis = []
-    for f in free:
-        v = [ZERO] * m.cols
-        v[f] = ONE
-        for r, p in enumerate(pivots):
-            v[p] = -rows[r][f]
-        basis.append(v)
-    return span(m.cols, basis)
+    for f in reversed(range(n)):
+        if f not in pivot_set:
+            v = [ZERO] * n
+            v[n - 1 - f] = ONE
+            for row, p in zip(rows, pivots):
+                v[n - 1 - p] = -row[f]
+            basis.append(tuple(v))
+    return Subspace(n, tuple(basis))
 
 
 @record

@@ -1,30 +1,34 @@
 """Universal differential modules for finite-dimensional rational algebras.
 
-The module of differentials of an algebra A with basis e_0..e_{n-1} is
-built from its Leibniz presentation (Matsumura, Commutative Ring Theory,
-section 25; Eisenbud, Commutative Algebra, section 16.1): the free A-module
-F on de_0..de_{n-1} divided by the A-span R of
-d(e_i e_j) - e_i de_j - e_j de_i.  F is indexed with e_l de_k at l*n + k,
-the same indexing as e_l (x) e_k in A (x) A, so the isomorphism
-I / I^2 -> F / R, a (x) b -> a db, from the multiplication kernel I is the
-identity on coordinates.
+Omega_A is generated as an A-module by dA, so it is presented on algebra
+generators (Eisenbud, Commutative Algebra, section 16.1; Matsumura,
+Commutative Ring Theory, section 25).  Pick generators g_1..g_r of A, a
+basis vector that generates A alone if there is one, and write
+A = Q[t_1..t_r]/J.  The Buchberger-Moeller algorithm (Moeller and
+Buchberger, EUROCAM 1982, LNCS 144) runs through the monomials in the g_i
+in degree order: the ones whose values are independent form an order
+ideal, a basis of A, and each minimal dependent monomial gives one relation
+f; these generate J.  Then Omega_A = A^r / A.{((df/dt_i)(g))_i}, with dg_i
+as the generators, and de_k follows from e_k's expansion in the standard
+monomials by the chain rule.
 
-The module basis is the one the I / I^2 description singles out: the
-classes of the ideal's echelon basis vectors b_t whose index t is not a
-pivot of I^2, which are exactly the b_t whose image is independent of the
+The module basis is the one the I / I^2 description singles out, I the
+multiplication kernel of A (x) A -> A, under a (x) b -> a db: the classes of
+the ideal's echelon basis vectors b_t whose image is independent of the
 images of b_{t+1}, b_{t+2}, ....  The operator sends x to the class of
-x (x) 1 - 1 (x) x, and A acts through multiplication by x (x) 1.  Every
-derivation out of A factors through this operator by a unique module map;
-`factor_derivation` computes that map by exact linear solving and reports
-whether it was pinned down uniquely.
+x (x) 1 - 1 (x) x, and A acts through multiplication by x (x) 1.  So the
+result does not depend on the generators chosen.  Every derivation out of
+A factors through this operator by a unique module map; `factor_derivation`
+computes that map by exact linear solving and reports whether it was
+pinned down uniquely.
 """
 
 from __future__ import annotations
 
 from .algebra import Algebra, multiplication_map, require_valid_algebra
 from .errors import DimensionMismatchError, InvariantError, TriadicaError
-from .exactla import (ZERO, Matrix, Subspace, full_space, kernel, rref, solve,
-                      unit_vector)
+from .exactla import (ONE, ZERO, Matrix, Subspace, full_space, kernel, rref,
+                      solve, unit_vector, vec)
 from .record import record
 from .report import ValidationError
 from .sheaf import (ModuleSections, Presheaf, Sheafification, make_presheaf,
@@ -57,6 +61,55 @@ class KaehlerModule:
     ideal: Subspace
 
 
+def _standard_monomials(a: Algebra, gens):
+    """Buchberger-Moeller on the values in `a` of the monomials in `gens`.
+
+    Returns the order ideal of standard monomials, as (exponents, value)
+    in degree-lexicographic order; one relation per minimal non-standard
+    monomial t^b, as (b, c) for t^b - sum_j c_j o_j with o_j the standard
+    monomials; and `coefficients`, which gives a vector of `a` on the
+    values of the standard monomials, or None outside their span.
+    """
+    order, echelon, relations = [], [], []
+
+    def express(v):
+        # invariant: v = residue + sum_j coeffs_j value(o_j)
+        residue, coeffs = list(v), [ZERO] * len(order)
+        for lead, row, row_coeffs in echelon:
+            c = residue[lead]
+            if c:
+                residue = [x - c * y for x, y in zip(residue, row)]
+                for j, y in enumerate(row_coeffs):
+                    coeffs[j] += c * y
+        return residue, coeffs
+
+    pending = {(0,) * len(gens): a.unit}
+    while pending:
+        t = min(pending, key=lambda e: (sum(e), e))
+        value = pending.pop(t)
+        if any(all(x >= y for x, y in zip(t, b)) for b, _ in relations):
+            continue
+        residue, coeffs = express(value)
+        lead = next((k for k, x in enumerate(residue) if x), None)
+        if lead is None:
+            relations.append((t, coeffs))
+            continue
+        inv = ONE / residue[lead]
+        echelon.append((lead, [inv * x for x in residue],
+                        [-inv * c for c in coeffs] + [inv]))
+        order.append((t, value))
+        for i, g in enumerate(gens):
+            above = t[:i] + (t[i] + 1,) + t[i + 1:]
+            if above not in pending:
+                pending[above] = a.multiply(g, value)
+
+    def coefficients(v):
+        residue, coeffs = express(v)
+        return None if any(residue) else coeffs
+
+    return order, relations, coefficients
+
+
 def kaehler_module(a: Algebra) -> KaehlerModule:
     """The module of differentials of `a` and its universal operator.
 
@@ -65,33 +118,60 @@ def kaehler_module(a: Algebra) -> KaehlerModule:
     """
     require_valid_algebra(a)
     n = a.dim
-    nn = n * n
     ideal = kernel(multiplication_map(a))
 
-    relations = []
-    for m in range(n):
-        for i in range(n):
-            for j in range(i, n):
-                # e_m (d(e_i e_j) - e_i de_j - e_j de_i)
-                row = [ZERO] * nn
-                for k, c in enumerate(a.struct[i][j]):
-                    if c:
-                        row[m * n + k] += c
-                for p, c in enumerate(a.struct[m][i]):
-                    if c:
-                        row[p * n + j] -= c
-                for p, c in enumerate(a.struct[m][j]):
-                    if c:
-                        row[p * n + i] -= c
-                if any(row):
-                    relations.append(row)
-    reduced, pivots = rref(relations, nn)
+    # algebra generators: a basis vector that generates `a` alone keeps the
+    # presentation sparse; failing that one generic element, extended by the
+    # first basis vectors outside the subalgebra generated so far
+    for gens in [[unit_vector(n, j)] for j in range(n)] + [
+            [vec(range(1, n + 1))]]:
+        order, relations, coefficients = _standard_monomials(a, gens)
+        if len(order) == n:
+            break
+    while len(order) < n:
+        gens.append(next(unit_vector(n, j) for j in range(n)
+                         if coefficients(unit_vector(n, j)) is None))
+        order, relations, coefficients = _standard_monomials(a, gens)
+    r = len(gens)
+    value_of = dict(order)
+
+    def left_mult(i, w, width):
+        # e_i . w, for w with its A coordinate l at l * width + k
+        out = [ZERO] * len(w)
+        for idx, c in enumerate(w):
+            if c:
+                l, k = divmod(idx, width)
+                for p, s in enumerate(a.struct[i][l]):
+                    if s:
+                        out[p * width + k] += c * s
+        return out
+
+    def gradient(poly):
+        # sum_i (dP/dt_i)(g) dg_i in A^r, with e_l dg_i at l * r + i, for P
+        # given as (coefficient, exponents) pairs
+        out = [ZERO] * (n * r)
+        for c, e in poly:
+            for i, power in enumerate(e):
+                if power:
+                    lower = value_of[e[:i] + (power - 1,) + e[i + 1:]]
+                    for l, x in enumerate(lower):
+                        if x:
+                            out[l * r + i] += c * power * x
+        return out
+
+    # Omega = A^r modulo the A-span of the Jacobian rows (df/dt_i)(g)
+    # (Eisenbud, Commutative Algebra, section 16.1)
+    jacobian = []
+    for b, coeffs in relations:
+        row = gradient([(ONE, b)] + [(-c, t) for c, (t, _) in zip(coeffs, order)])
+        jacobian += [left_mult(m, row, r) for m in range(n)]
+    reduced, pivots = rref(jacobian, n * r)
     pivot_set = set(pivots)
-    free = [f for f in range(nn) if f not in pivot_set]
+    free = [f for f in range(n * r) if f not in pivot_set]
     omega = len(free)
 
-    def normal_form(w):
-        # w modulo R, read off on the non-pivot coordinates
+    def reduce(w):
+        # w modulo the Jacobian rows, read off on the non-pivot coordinates
         out = [w[f] for f in free]
         for row, p in zip(reduced, pivots):
             c = w[p]
@@ -101,44 +181,49 @@ def kaehler_module(a: Algebra) -> KaehlerModule:
                         out[k] -= c * row[f]
         return out
 
+    # e_l de_k = e_l sum_j c_kj d(o_j), by the chain rule on e_k = sum_j
+    # c_kj o_j(g)
+    de = [gradient(zip(coefficients(unit_vector(n, k)), (t for t, _ in order)))
+          for k in range(n)]
+    table = [reduce(left_mult(l, de[k], r)) for l in range(n) for k in range(n)]
+
+    def normal_form(w):
+        # the class of sum_lk w_lk e_l de_k
+        out = [ZERO] * omega
+        for c, image in zip(w, table):
+            if c:
+                for k, x in enumerate(image):
+                    if x:
+                        out[k] += c * x
+        return out
+
     images = [normal_form(b) for b in ideal.basis]
     # with the images as columns from the last ideal basis vector back, a
     # column is a pivot exactly when its image is independent of the images
     # of the later basis vectors
     last = ideal.dim - 1
-    _, picked = rref(([images[last - r][f] for r in range(ideal.dim)]
+    _, picked = rref(([images[last - s][f] for s in range(ideal.dim)]
                       for f in range(omega)), ideal.dim)
     if len(picked) != omega:
         raise InvariantError(f"the ideal spans {len(picked)} dimensions of "
                              f"the {omega}-dimensional module")
-    chosen = sorted(last - r for r in picked)
-
-    def left_mult(i, w):
-        # e_i . w in F (equivalently (e_i (x) 1) w in A (x) A)
-        out = [ZERO] * nn
-        for idx, c in enumerate(w):
-            if c:
-                l, k = divmod(idx, n)
-                for p, s in enumerate(a.struct[i][l]):
-                    if s:
-                        out[p * n + k] += c * s
-        return out
+    chosen = sorted(last - s for s in picked)
 
     def d_lift(i):
         # e_i (x) 1 - 1 (x) e_i
-        w = [ZERO] * nn
+        w = [ZERO] * (n * n)
         for j, u in enumerate(a.unit):
             w[i * n + j] += u
             w[j * n + i] -= u
         return w
 
     targets = [normal_form(d_lift(i)) for i in range(n)]
-    targets += [normal_form(left_mult(i, ideal.basis[t]))
+    targets += [normal_form(left_mult(i, ideal.basis[t], n))
                 for i in range(n) for t in chosen]
     # [M | targets] reduces to [I | M^-1 targets]; M has the chosen images
     # as its columns
-    solved, _ = rref([[images[t][r] for t in chosen] + [v[r] for v in targets]
-                      for r in range(omega)], omega + len(targets))
+    solved, _ = rref([[images[t][s] for t in chosen] + [v[s] for v in targets]
+                      for s in range(omega)], omega + len(targets))
     coords = [tuple(row[omega + c] for row in solved)
               for c in range(len(targets))]
     d = Matrix.from_columns(coords[:n], rows=omega)
@@ -252,16 +337,16 @@ def kaehler_presheaf(base: Presheaf) -> KaehlerPresheafResult:
 
     Module restrictions are forced: the composite of the small-open operator
     with the algebra restriction is a derivation, so it factors uniquely
-    through the big-open module.  The result is returned both as a raw
-    presheaf triad and with both layers sheafified and the operator carried
-    across blockwise.  The base is sheafified first, so InvalidTopologyError
+    through the big-open module; each distinct section algebra's module is
+    built once.  The result is returned both as a raw presheaf triad and with
+    both layers sheafified and the operator carried across blockwise.  The base is sheafified first, so InvalidTopologyError
     (a non-topology) and InvalidPresheafError (a base that fails
     validation) come before any module is built.
     """
     space = base.space
     base_plus = sheafify(base)
-    per_open = tuple(kaehler_module(base.sections[u])
-                     for u in range(len(space.opens)))
+    module_of = {a: kaehler_module(a) for a in dict.fromkeys(base.sections)}
+    per_open = tuple(module_of[a] for a in base.sections)
     table = {}
     for u, v in space.inclusion_pairs():
         if u != v:

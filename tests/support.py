@@ -2,8 +2,10 @@
 of the package itself needs."""
 
 from triadica.algebra import Algebra, is_standard_function_algebra
+from triadica.dtcat import enumerate_presheaf_morphisms
 from triadica.exactla import ZERO, Matrix, rat
-from triadica.sheaf import ModuleSections
+from triadica.finspace import ContinuousMap
+from triadica.sheaf import ModuleSections, PresheafMorphism, function_presheaf
 from triadica.triad import DifferentialTriad
 
 
@@ -16,6 +18,13 @@ def free_module_sections(a: Algebra, rank: int) -> ModuleSections:
                          for b in range(rank) for product in row)
                    for row in a.struct)
     return ModuleSections(n, n * rank, action)
+
+
+def families_over(f: ContinuousMap) -> list[PresheafMorphism]:
+    """enumerate_presheaf_morphisms(f) with both function presheaves built
+    here."""
+    return enumerate_presheaf_morphisms(f, function_presheaf(f.domain),
+                                        function_presheaf(f.codomain))
 
 
 def is_functional_triad(t: DifferentialTriad) -> bool:

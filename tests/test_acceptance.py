@@ -18,14 +18,14 @@ import pytest
 import sympy
 
 from kaehler_oracle import random_derivations
-from support import free_module_sections
+from support import families_over, free_module_sections
 from triadica.algebra import (algebra_from_struct, function_algebra,
                               truncated_poly_algebra)
 from triadica.cli import main
 from triadica.dtcat import (TriadMorphism, check_morphism, compose,
                             constant_morphism, differential_agreement_on_image,
-                            enumerate_presheaf_morphisms, fullness_check,
-                            identity_morphism, pullback_morphism)
+                            fullness_check, identity_morphism,
+                            pullback_morphism)
 from triadica.exactla import Matrix, vec
 from triadica.finspace import (ContinuousMap, all_maps, discrete_space,
                                indiscrete_space, is_continuous,
@@ -320,7 +320,7 @@ def test_criterion_07_pullback_forced_discrete():
             for values in all_maps(x, y):
                 assert is_continuous(values, x, y)
                 f = ContinuousMap(x, y, values)
-                found = enumerate_presheaf_morphisms(f)
+                found = families_over(f)
                 assert len(found) == 1, (nx, ny, values)
                 assert found[0].components == oracle_pullback_components(f)
                 enumerated_sets.add(found[0].components)
@@ -394,7 +394,7 @@ def test_criterion_09_sheaf_machinery():
     morphisms = [sheafify(p).canonical for p in presheaves]
     for sp in (discrete_space(2), sierpinski_space(), discrete_space(3)):
         ident = ContinuousMap(sp, sp, tuple(range(sp.point_count)))
-        morphisms.extend(enumerate_presheaf_morphisms(ident))
+        morphisms.extend(families_over(ident))
     for h in morphisms:
         space = h.source.space
         points = range(space.point_count)

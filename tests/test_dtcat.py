@@ -14,7 +14,6 @@ from triadica.dtcat import (BoundExceeded, FullnessResult, TriadMorphism,
                             algebra_component_uniqueness, check_morphism,
                             compose, constant_morphism,
                             differential_agreement_on_image,
-                            enumerate_presheaf_morphisms,
                             fullness_check, identity_morphism,
                             pullback_morphism, verify_pullback_forced)
 from triadica.errors import DimensionMismatchError
@@ -30,7 +29,7 @@ from triadica.triad import (DifferentialTriad, NotFunctional, constant_triad,
                             constants_only_kernel, function_triad)
 
 from dtcat_oracle import module_linearity_by_pairs, presheaf_morphisms_by_search
-from support import free_module_sections, replace, scaled
+from support import families_over, free_module_sections, replace, scaled
 from test_sheaf import all_topologies
 
 POINT = discrete_space(1)
@@ -409,7 +408,7 @@ def test_pullback_family_is_the_only_family_small_discrete():
             x, y = discrete_space(nx), discrete_space(ny)
             for values in all_maps(x, y):
                 f = ContinuousMap(x, y, values)
-                fams = enumerate_presheaf_morphisms(f)
+                fams = families_over(f)
                 assert len(fams) == 1
                 pm = pullback_morphism(f)
                 assert fams[0].components == pm.algebra_components
@@ -427,7 +426,7 @@ def test_recovery_rejects_the_wrong_pullback():
 def test_recovery_on_non_discrete_spaces_is_exploratory():
     s = sierpinski_space()
     f = ContinuousMap(s, s, (0, 1))
-    fams = enumerate_presheaf_morphisms(f)
+    fams = families_over(f)
     report = verify_pullback_forced(f, fams[0].components)
     assert report.exploratory
     assert report.status in ("exploratory", "fail")
@@ -541,7 +540,7 @@ def test_families_match_the_search_on_small_topologies():
                 if not is_continuous(values, x, y):
                     continue
                 f = ContinuousMap(x, y, values)
-                got = enumerate_presheaf_morphisms(f)
+                got = families_over(f)
                 expected = presheaf_morphisms_by_search(f)
                 assert Counter(h.components for h in got) == \
                     Counter(h.components for h in expected), values

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ import sympy
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from triadica.errors import DimensionMismatchError
 from triadica.exactla import (ZERO, Matrix, Subspace, contract, contract_matrix,
                               dot, full_space, kernel, product_subspace,
                               quotient_space, rat, rref, solve, span,
@@ -58,6 +60,48 @@ def test_kernel_of_dual_number_multiplication():
     assert k.dim == 2 == sympy_nullspace_dim(m.entries)
     # canonical echelon basis, frozen after checking against the oracle route
     assert k.basis == (vec([0, 1, -1, 0]), vec([0, 0, 0, 1]))
+
+
+def two_step_kernel(m):
+    """The null space by rref(m), then a second elimination that puts the
+    standard null vectors into canonical echelon form."""
+    rows, pivots = rref(m.entries, m.cols)
+    basis = []
+    for f in (j for j in range(m.cols) if j not in pivots):
+        v = [ZERO] * m.cols
+        v[f] = F(1)
+        for r, p in enumerate(pivots):
+            v[p] = -rows[r][f]
+        basis.append(v)
+    return span(m.cols, basis)
+
+
+def seeded_matrices(count, seed):
+    """0-8 rows, 1-9 columns, density from all zeros to no zeros; a third of
+    them get rows that are combinations of earlier rows."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        rows, cols = rng.randint(0, 8), rng.randint(1, 9)
+        density = rng.choice((0, 0.2, 0.5, 1))
+        entries = [[F(rng.randint(-6, 6), rng.randint(1, 4))
+                    if rng.random() < density else ZERO for _ in range(cols)]
+                   for _ in range(rows)]
+        if rows > 1 and rng.random() < 1 / 3:
+            for i in range(rng.randint(1, rows - 1), rows):
+                c, d = F(rng.randint(-3, 3)), F(rng.randint(-3, 3), 2)
+                entries[i] = [c * x + d * y for x, y in
+                              zip(entries[rng.randrange(i)], entries[rng.randrange(i)])]
+        yield Matrix(rows, cols, tuple(map(tuple, entries)))
+
+
+def test_kernel_matches_the_two_step_oracle():
+    kinds = Counter()
+    for m in seeded_matrices(3000, seed=20131):
+        rank = len(rref(m.entries, m.cols)[1])
+        kinds["zero" if m.is_zero() else "full rank" if rank == min(m.rows, m.cols)
+              else "dependent"] += 1
+        assert kernel(m) == two_step_kernel(m)
+    assert min(kinds.values()) >= 300, kinds
 
 
 @st.composite
@@ -247,6 +291,16 @@ def test_subspace_membership_and_coordinates():
     assert not s.contains(vec([1, 0, 0]))
     assert s.coordinates(vec([2, 3, 5])) == vec([2, 3])
     assert s.coordinates(vec([1, 0, 0])) is None
+
+
+def test_coordinates_refuse_a_vector_of_the_wrong_length():
+    s = span(3, [[1, 0, 0]])
+    assert s.coordinates(vec([2, 0, 0])) == vec([2])
+    for v in (vec([2, 0, 0, 5, 7]), vec([2]), ()):
+        with pytest.raises(DimensionMismatchError):
+            s.coordinates(v)
+        with pytest.raises(DimensionMismatchError):
+            s.contains(v)
 
 
 def test_full_space_round_trip():

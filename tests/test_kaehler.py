@@ -13,13 +13,14 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from kaehler_oracle import ideal_square_module, random_derivations
+from kaehler_oracle import (ideal_square_module, leibniz_kaehler_module,
+                            random_derivations)
 from triadica.algebra import (InvalidAlgebraError, algebra_from_struct,
                               function_algebra, poly_quotient_algebra,
                               tensor_product, truncated_poly_algebra,
                               validate_algebra)
 from triadica.errors import DimensionMismatchError
-from triadica.exactla import Matrix, solve, span, vec
+from triadica.exactla import Matrix, rref, solve, span, vec
 from triadica.finspace import (InvalidTopologyError, discrete_space,
                                sierpinski_space, space_from_opens)
 from triadica.kaehler import (FactorizationFailed, KaehlerModule,
@@ -179,6 +180,64 @@ def test_presentation_matches_ideal_square_oracle(a):
     assert k.module == oracle.module
     assert k.differential == oracle.differential
     assert k.ideal == oracle.ideal
+
+
+def _tensor(*algebras):
+    out = algebras[0]
+    for a in algebras[1:]:
+        out = tensor_product(out, a).algebra
+    return out
+
+
+T2, T3 = truncated_poly_algebra(2), truncated_poly_algebra(3)
+LEIBNIZ_ALGEBRAS = (
+    [(f"truncated_poly {k}", truncated_poly_algebra(k)) for k in (1, 2, 3, 5, 8, 10)]
+    + [(f"function_algebra {k}", function_algebra(k)) for k in (0, 1, 3, 4)]
+    + [("T2 (x) T2", _tensor(T2, T2)), ("T3 (x) T2", _tensor(T3, T2)),
+       ("T2 (x) T2 (x) T2", _tensor(T2, T2, T2))]
+    + [(f"conjugate truncated_poly {k}",
+        random_conjugate(truncated_poly_algebra(k), seed=k)) for k in (4, 5, 6)]
+    + [("conjugate function_algebra 4",
+        random_conjugate(function_algebra(4), seed=4))])
+
+
+@pytest.mark.parametrize("a", [a for _, a in LEIBNIZ_ALGEBRAS],
+                         ids=[name for name, _ in LEIBNIZ_ALGEBRAS])
+def test_generator_presentation_matches_leibniz_oracle(a):
+    assert kaehler_module(a) == leibniz_kaehler_module(a)
+
+
+def test_truncated_poly_8_needs_no_large_elimination(monkeypatch):
+    # the Leibniz presentation of Q[x]/(x^8) reduces 196 x 64 relation rows;
+    # on the generator x it is 8 x 8, and the largest elimination left is
+    # the 8 x 64 multiplication kernel
+    cells = []
+
+    def counting(vectors, width):
+        vectors = list(vectors)
+        cells.append(len(vectors) * width)
+        return rref(vectors, width)
+
+    monkeypatch.setattr("triadica.exactla.rref", counting)
+    monkeypatch.setattr("triadica.kaehler.rref", counting)
+    kaehler_module(truncated_poly_algebra(8))
+    assert cells and max(cells) <= 512
+
+
+def test_presheaf_builds_each_distinct_module_once(monkeypatch):
+    # the constant presheaf on discrete(3): truncated_poly 3 on seven opens
+    # and the zero algebra on the empty one
+    calls = []
+
+    def counting(a):
+        calls.append(a)
+        return kaehler_module(a)
+
+    monkeypatch.setattr("triadica.kaehler.kaehler_module", counting)
+    res = kaehler_presheaf(constant_presheaf(discrete_space(3), T3))
+    assert sorted(a.dim for a in calls) == [0, 3]
+    assert [k.module.dim for k in res.per_open] == [2 if u else 0 for u in
+                                                    discrete_space(3).opens]
 
 
 def test_invalid_algebra_is_refused():
