@@ -15,6 +15,7 @@ canonical: two subspaces are equal iff their stored bases are equal.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -26,13 +27,16 @@ Vector = tuple[Fraction, ...]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+# digits over digits: no point, exponent or underscore, so that a literal
+# parses in time linear in its length
+_LITERAL = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
 
 
 def rat(value) -> Fraction:
     """Coerce an int, Fraction, or exact string like '-3/7' to a Fraction.
 
     Floats are rejected: accepting them would smuggle binary rounding into a
-    kernel whose whole contract is exactness.
+    kernel whose whole contract is exactness.  Strings must match `_LITERAL`.
     """
     if isinstance(value, bool):
         raise TypeError("bool is not a rational scalar")
@@ -43,10 +47,13 @@ def rat(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        match = _LITERAL.fullmatch(value)
         try:
-            return Fraction(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"not an exact rational literal: {value!r}") from exc
+            if match:
+                return Fraction(int(match[1]), int(match[2] or 1))
+        except (ValueError, ZeroDivisionError):
+            pass  # more digits than int() reads, or a zero denominator
+        raise ValueError(f"not an exact rational literal: {value!r}")
     raise TypeError(f"cannot interpret {type(value).__name__} as a rational")
 
 
@@ -144,9 +151,6 @@ class Matrix:
     def transpose(self) -> "Matrix":
         return Matrix(self.cols, self.rows,
                       tuple(tuple(self.entries[i][j] for i in range(self.rows)) for j in range(self.cols)))
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for r in self.entries for x in r)
 
 
 def rref(vectors: Iterable[Sequence[Fraction]], width: int) -> tuple[list[Vector], list[int]]:

@@ -20,7 +20,10 @@ x (x) 1 - 1 (x) x, and A acts through multiplication by x (x) 1.  So the
 result does not depend on the generators chosen.  Every derivation out of
 A factors through this operator by a unique module map; `factor_derivation`
 computes that map by exact linear solving and reports whether it was
-pinned down uniquely.
+pinned down uniquely.  So an algebra map phi: A -> B induces one module map
+Omega(phi), and in closed form: the class of an ideal vector sum_lk b_lk
+e_l (x) e_k is -sum_k b_k de_k, b_k = sum_l b_lk e_l, and goes to
+-sum_k phi(b_k) d_B(phi(e_k)).  `kaehler_presheaf` builds its maps this way.
 """
 
 from __future__ import annotations
@@ -52,13 +55,14 @@ class KaehlerModule:
     kernel.
 
     `ideal` is the multiplication kernel in tensor coordinates; module basis
-    vector k is the class of one of its echelon basis vectors.
+    vector t is the class of its echelon basis vector `chosen[t]`.
     """
 
     algebra: Algebra
     module: ModuleSections
     differential: Matrix
     ideal: Subspace
+    chosen: tuple[int, ...]
 
 
 def _standard_monomials(a: Algebra, gens):
@@ -207,17 +211,10 @@ def kaehler_module(a: Algebra) -> KaehlerModule:
     if len(picked) != omega:
         raise InvariantError(f"the ideal spans {len(picked)} dimensions of "
                              f"the {omega}-dimensional module")
-    chosen = sorted(last - s for s in picked)
+    chosen = tuple(sorted(last - s for s in picked))
 
-    def d_lift(i):
-        # e_i (x) 1 - 1 (x) e_i
-        w = [ZERO] * (n * n)
-        for j, u in enumerate(a.unit):
-            w[i * n + j] += u
-            w[j * n + i] -= u
-        return w
-
-    targets = [normal_form(d_lift(i)) for i in range(n)]
+    # the class of e_i (x) 1 - 1 (x) e_i is e_i d1 - 1 de_i = -de_i
+    targets = [[-x for x in reduce(w)] for w in de]
     targets += [normal_form(left_mult(i, ideal.basis[t], n))
                 for i in range(n) for t in chosen]
     # [M | targets] reduces to [I | M^-1 targets]; M has the chosen images
@@ -229,8 +226,7 @@ def kaehler_module(a: Algebra) -> KaehlerModule:
     d = Matrix.from_columns(coords[:n], rows=omega)
     action = tuple(tuple(coords[n + i * omega:n + (i + 1) * omega])
                    for i in range(n))
-    module = ModuleSections(n, omega, action)
-    return KaehlerModule(a, module, d, ideal)
+    return KaehlerModule(a, ModuleSections(n, omega, action), d, ideal, chosen)
 
 
 @record
@@ -315,14 +311,6 @@ def derivation_space(a: Algebra, target: ModuleSections) -> list[Matrix]:
     return out
 
 
-def restrict_scalars(m: ModuleSections, r: Matrix) -> ModuleSections:
-    """View a module over the restriction target as one over the source."""
-    if r.rows != m.algebra_dim:
-        raise DimensionMismatchError("restriction does not land in the module's algebra")
-    action = tuple(m.act_matrix(r.col(i)).transpose().entries for i in range(r.cols))
-    return ModuleSections(r.cols, m.dim, action)
-
-
 @record
 class KaehlerPresheafResult:
     presheaf_triad: DifferentialTriad
@@ -335,13 +323,14 @@ class KaehlerPresheafResult:
 def kaehler_presheaf(base: Presheaf) -> KaehlerPresheafResult:
     """Universal differential module over every open, glued into a triad.
 
-    Module restrictions are forced: the composite of the small-open operator
-    with the algebra restriction is a derivation, so it factors uniquely
-    through the big-open module; each distinct section algebra's module is
-    built once.  The result is returned both as a raw presheaf triad and with
-    both layers sheafified and the operator carried across blockwise.  The base is sheafified first, so InvalidTopologyError
-    (a non-topology) and InvalidPresheafError (a base that fails
-    validation) come before any module is built.
+    Module restrictions are forced: the restriction u -> v is Omega(r) for
+    the algebra restriction r, read off the presentation by the module
+    docstring's formula, with no solve.  Each distinct section algebra's
+    module is built once.  The result is returned both as a raw presheaf
+    triad and with both layers sheafified and the operator carried across
+    blockwise.  The base is sheafified first, so InvalidTopologyError (a
+    non-topology) and InvalidPresheafError (a base that fails validation)
+    come before any module is built.
     """
     space = base.space
     base_plus = sheafify(base)
@@ -350,10 +339,18 @@ def kaehler_presheaf(base: Presheaf) -> KaehlerPresheafResult:
     table = {}
     for u, v in space.inclusion_pairs():
         if u != v:
-            r = base.restriction(u, v)
-            target = restrict_scalars(per_open[v].module, r)
-            composite = per_open[v].differential @ r
-            table[(u, v)] = factor_derivation(per_open[u], target, composite).matrix
+            ku, kv, r = per_open[u], per_open[v], base.restriction(u, v)
+            n, composite = r.cols, kv.differential @ r
+            cols = []
+            for t in ku.chosen:
+                # -sum_k r(b_k) d_v(r e_k), with b_k = b[k::n] in tensor coordinates
+                b, col = ku.ideal.basis[t], [ZERO] * kv.module.dim
+                for k in range(n):
+                    if any(b[k::n]):
+                        acted = kv.module.act(r.apply(b[k::n]), composite.col(k))
+                        col = [x - y for x, y in zip(col, acted)]
+                cols.append(col)
+            table[(u, v)] = Matrix.from_columns(cols, rows=kv.module.dim)
     modules = make_presheaf(space, (k.module for k in per_open), table, base)
     diffs = tuple(k.differential for k in per_open)
     presheaf_triad = DifferentialTriad(base, modules, diffs)

@@ -2,10 +2,11 @@
 
 A workspace is a single JSON document (schema 1) with named spaces,
 algebras, presheaves, maps, triads and morphisms.  Scalars are exact
-rationals written as strings ("2/3", "-5") or plain integers; floats are
-rejected outright.  Serializers emit the same shapes the parser accepts, so
-any derived artifact can be written back into a workspace and reloaded as
-an equal object.
+rationals written as plain integers or as strings of digits over digits
+("2/3", "-5"); floats, decimal points and exponents are rejected outright,
+and builders take k <= 32.  Serializers emit the same shapes the parser
+accepts, so any derived artifact can be written back into a workspace and
+reloaded as an equal object.
 
 Sections and the shapes they hold:
 
@@ -205,6 +206,8 @@ def space_to_json(s: FiniteSpace) -> dict:
 
 _BUILDERS = {"function_algebra": function_algebra,
              "truncated_poly": truncated_poly_algebra}
+# a size-k builder makes k^3 structure constants from a few bytes of input
+_MAX_BUILDER_SIZE = 32
 
 
 def algebra_from_json(value, location: str) -> Algebra:
@@ -219,6 +222,8 @@ def algebra_from_json(value, location: str) -> Algebra:
         except ValueError:
             raise ParseError(f"builder size {parts[1]!r} is not an integer",
                              location) from None
+        if k > _MAX_BUILDER_SIZE:
+            raise ParseError(f"builder size {k} exceeds {_MAX_BUILDER_SIZE}", location)
         try:
             return _BUILDERS[parts[0]](k)
         except TriadicaError as exc:

@@ -9,7 +9,10 @@ the slow, direct route; the library's presentation-based construction must
 agree with it exactly.  `leibniz_kaehler_module` builds the same module
 from the Leibniz presentation on all basis vectors, the construction the
 library used before its presentation on algebra generators.
-`random_derivations` draws seeded sample derivations for the tests.
+`random_derivations` draws seeded sample derivations for the tests, and
+`restrict_scalars` turns a module over B into one over A along an algebra
+map A -> B, the target through which `factor_derivation` solves for the
+maps that `kaehler_presheaf` reads off in closed form.
 """
 
 import random
@@ -17,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from triadica.algebra import Algebra, multiplication_map, tensor_product
+from triadica.errors import DimensionMismatchError
 from triadica.exactla import (ONE, ZERO, Matrix, Quotient, Subspace, kernel,
                               product_subspace, quotient_space, rref, solve, span)
 from triadica.kaehler import KaehlerModule, derivation_space
@@ -31,6 +35,7 @@ class IdealSquareModule:
     module: ModuleSections
     differential: Matrix
     ideal: Subspace
+    chosen: tuple[int, ...]
     ideal_square: Subspace
     quotient: Quotient
 
@@ -47,6 +52,8 @@ def ideal_square_module(a: Algebra) -> IdealSquareModule:
     square_in_ideal = span(ideal.dim, [ideal.coordinates(b) for b in square.basis])
     quot = quotient_space(ideal.dim, square_in_ideal)
     omega_dim = quot.quotient_dim
+    # module basis vector k is the class of the ideal basis vector chosen[k]
+    chosen = tuple(j for j in range(ideal.dim) if j not in square_in_ideal.leads)
 
     def left_tensor(i: int):
         # e_i (x) 1 in tensor coordinates
@@ -86,7 +93,7 @@ def ideal_square_module(a: Algebra) -> IdealSquareModule:
             row.append(quot.projection.apply(coords))
         action.append(tuple(row))
     module = ModuleSections(n, omega_dim, tuple(action))
-    return IdealSquareModule(a, module, d, ideal, square_in_ideal, quot)
+    return IdealSquareModule(a, module, d, ideal, chosen, square_in_ideal, quot)
 
 
 def leibniz_kaehler_module(a: Algebra) -> KaehlerModule:
@@ -166,7 +173,8 @@ def leibniz_kaehler_module(a: Algebra) -> KaehlerModule:
     d = Matrix.from_columns([coords(d_lift(i)) for i in range(n)], rows=omega)
     action = tuple(tuple(coords(left_mult(i, ideal.basis[t])) for t in chosen)
                    for i in range(n))
-    return KaehlerModule(a, ModuleSections(n, omega, action), d, ideal)
+    return KaehlerModule(a, ModuleSections(n, omega, action), d, ideal,
+                         tuple(chosen))
 
 
 def random_derivations(a: Algebra, target: ModuleSections, count: int,
@@ -182,3 +190,11 @@ def random_derivations(a: Algebra, target: ModuleSections, count: int,
             m = matrix_sum(m, scaled(b, c))
         out.append(m)
     return out
+
+
+def restrict_scalars(m: ModuleSections, r: Matrix) -> ModuleSections:
+    """View a module over the restriction target as one over the source."""
+    if r.rows != m.algebra_dim:
+        raise DimensionMismatchError("restriction does not land in the module's algebra")
+    action = tuple(m.act_matrix(r.col(i)).transpose().entries for i in range(r.cols))
+    return ModuleSections(r.cols, m.dim, action)

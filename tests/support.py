@@ -40,6 +40,10 @@ def scaled(m: Matrix, c) -> Matrix:
     return Matrix(m.rows, m.cols, tuple(tuple(c * x for x in r) for r in m.entries))
 
 
+def is_zero(m: Matrix) -> bool:
+    return not any(any(r) for r in m.entries)
+
+
 def matrix_sum(m: Matrix, n: Matrix) -> Matrix:
     """m + n, for matrices of one shape."""
     return Matrix(m.rows, m.cols,

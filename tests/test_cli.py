@@ -384,6 +384,176 @@ def test_presheaf_constructor_messages_reach_stderr(capsys, tmp_path, doc, line)
     assert (code, out, err) == (2, "", line)
 
 
+# ---------------------------------------------------------------------------
+# the parser's refusal paths: one tiny document per message
+
+
+POINT = {"points": 1, "opens": [[], [0]]}
+TRIAD = {"algebras": "P", "modules": {"sections": [module(0, 0), module(1, 0)]},
+         "differentials": [zero_matrix(0, 0), zero_matrix(0, 1)]}
+MORPHISM = {"map": {"domain": "X", "codomain": "X", "values": [0]},
+            "source": "T", "target": "T",
+            "algebra_components": [zero_matrix(0, 0), one_row("1")],
+            "module_components": [zero_matrix(0, 0), zero_matrix(0, 0)]}
+
+
+def schema_1(**sections):
+    return dict({"schema": 1}, **sections)
+
+
+def on_point(**sections):
+    """The point X, its function presheaf P, the zero triad T over it and
+    the identity morphism M of T, with `sections` replacing any of them."""
+    return schema_1(**dict({
+        "spaces": {"X": POINT},
+        "presheaves": {"P": {"space": "X", "sections": ["function_algebra 0",
+                                                        "function_algebra 1"]}},
+        "triads": {"T": TRIAD}, "morphisms": {"M": MORPHISM}}, **sections))
+
+
+def on_sierpinski(**fields):
+    return schema_1(spaces={"S": SIERPINSKI},
+                    presheaves={"P": dict(FUNCTIONS, **fields)})
+
+
+def unit_literal(text):
+    return schema_1(algebras={"A": {"struct": [[["1"]]], "unit": [text]}})
+
+
+REFUSALS = [
+    ("not_an_object", [],
+     "document: a workspace must be a JSON object"),
+    ("unknown_section", schema_1(things={}),
+     "document: unknown sections: ['things']"),
+    ("section_not_an_object", schema_1(spaces=[]),
+     "spaces: section must be an object of named entries"),
+    ("bad_name", schema_1(spaces={"1x": POINT}), "spaces: bad name '1x'"),
+    ("boolean_scalar", schema_1(algebras={"A": {"struct": [[[True]]], "unit": ["1"]}}),
+     "algebras.A.struct[0][0][0]: True is not an exact rational"),
+    ("exponent_literal", unit_literal("1e5"),
+     "algebras.A.unit[0]: not an exact rational literal: '1e5'"),
+    ("decimal_literal", unit_literal("1.5"),
+     "algebras.A.unit[0]: not an exact rational literal: '1.5'"),
+    ("underscore_literal", unit_literal("1_000"),
+     "algebras.A.unit[0]: not an exact rational literal: '1_000'"),
+    ("short_vector", schema_1(algebras={"A": {"struct": [[["1"]]], "unit": ["1", "0"]}}),
+     "algebras.A.unit: expected a vector of length 1"),
+    ("struct_not_a_list", schema_1(algebras={"A": {"struct": 1, "unit": []}}),
+     "algebras.A: struct must be a list of basis rows"),
+    ("short_struct_row", schema_1(algebras={"A": {"struct": [[]], "unit": ["1"]}}),
+     "algebras.A: struct[0] must hold 1 product vectors"),
+    ("unknown_builder", schema_1(algebras={"A": "polynomial 3"}),
+     "algebras.A: unknown algebra builder 'polynomial 3'; expected "
+     "'function_algebra k' or 'truncated_poly k'"),
+    ("builder_size_not_an_integer", schema_1(algebras={"A": "truncated_poly x"}),
+     "algebras.A: builder size 'x' is not an integer"),
+    ("builder_size_too_large", schema_1(algebras={"A": "function_algebra 33"}),
+     "algebras.A: builder size 33 exceeds 32"),
+    ("builder_refuses_size", schema_1(algebras={"A": "truncated_poly 0"}),
+     "algebras.A: truncated polynomial algebra needs k >= 1"),
+    ("space_not_an_object", schema_1(spaces={"X": [1]}),
+     "spaces.X: expected {points, opens}"),
+    ("opens_not_a_list", schema_1(spaces={"X": {"points": 1, "opens": 3}}),
+     "spaces.X: opens must be a list of point lists"),
+    ("presheaf_not_an_object", schema_1(presheaves={"P": 5}),
+     "presheaves.P: expected {space, sections, restrictions}"),
+    ("too_few_sections", on_sierpinski(sections=["function_algebra 0"]),
+     "presheaves.P: sections must list one algebra per open (3)"),
+    ("restrictions_not_an_object", on_sierpinski(restrictions=[]),
+     "presheaves.P.restrictions: restrictions must be an object"),
+    ("restriction_key_without_arrow",
+     on_sierpinski(restrictions={"2-1": one_row("1", "0")}),
+     "presheaves.P.restrictions: restriction key '2-1' is not 'u->v'"),
+    ("restriction_key_not_integers",
+     on_sierpinski(restrictions={"a->1": one_row("1", "0")}),
+     "presheaves.P.restrictions: restriction key 'a->1' is not 'u->v'"),
+    ("restriction_key_missing_open",
+     on_sierpinski(restrictions={"5->1": one_row("1", "0")}),
+     "presheaves.P.restrictions: restriction key '5->1' names a missing open"),
+    ("restriction_key_not_an_inclusion",
+     on_sierpinski(restrictions={"1->2": one_row("1", "0")}),
+     "presheaves.P.restrictions: restriction key '1->2' is not an inclusion"),
+    ("missing_restriction", on_sierpinski(restrictions={}),
+     "presheaves.P.restrictions: missing restriction for inclusion 2->1"),
+    ("matrix_not_an_object", on_sierpinski(restrictions={"2->1": [["1", "0"]]}),
+     "presheaves.P.restrictions['2->1']: expected {rows, cols, entries}"),
+    ("short_matrix_row", on_sierpinski(
+        restrictions={"2->1": {"rows": 1, "cols": 2, "entries": [["1"]]}}),
+     "presheaves.P.restrictions['2->1']: row 0 must hold 2 entries"),
+    ("map_not_an_object", on_point(maps={"F": 3}),
+     "maps.F: expected {domain, codomain, values}"),
+    ("map_values_not_integers",
+     on_point(maps={"F": {"domain": "X", "codomain": "X", "values": [True]}}),
+     "maps.F: values must be a list of point indices"),
+    ("triad_not_an_object", schema_1(triads={"T": 1}),
+     "triads.T: expected {algebras, modules, differentials}"),
+    ("modules_not_an_object", on_point(triads={"T": dict(TRIAD, modules=[])}),
+     "triads.T: modules must be {sections, restrictions}"),
+    ("too_few_module_sections",
+     on_point(triads={"T": dict(TRIAD, modules={"sections": []})}),
+     "triads.T: modules.sections must list one entry per open"),
+    ("module_sections_not_an_object",
+     on_point(triads={"T": dict(TRIAD, modules={"sections": [5, 5]})}),
+     "triads.T.modules.sections[0]: expected {algebra_dim, dim, action}"),
+    ("short_action_row", on_point(triads={"T": dict(TRIAD, modules={"sections": [
+        module(0, 0), {"algebra_dim": 1, "dim": 1, "action": [[]]}]})}),
+     "triads.T.modules.sections[1]: action[0] must hold 1 vectors"),
+    ("too_few_differentials", on_point(triads={"T": dict(TRIAD, differentials=[])}),
+     "triads.T: differentials must list one matrix per open"),
+    ("morphism_not_an_object", on_point(morphisms={"M": 1}),
+     "morphisms.M: expected {algebra_components, map, module_components, "
+     "source, target}"),
+    ("too_few_components",
+     on_point(morphisms={"M": dict(MORPHISM, algebra_components=[])}),
+     "morphisms.M: algebra_components must list one matrix per target open (2)"),
+    ("component_shape", on_point(morphisms={"M": dict(
+        MORPHISM, algebra_components=[zero_matrix(0, 0), zero_matrix(1, 2)])}),
+     "morphisms.M: algebra component over open 1 has shape 1x2"),
+]
+
+
+def test_refusal_documents_differ_from_valid_ones_only_where_named(capsys, tmp_path):
+    for valid in (on_point(), on_sierpinski()):
+        path = tmp_path / "valid.json"
+        path.write_text(json.dumps(valid))
+        code, _, err = run_cli(capsys, "validate", "--workspace", str(path))
+        assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize("argv,document,line", [
+    (["validate"], document, line) for _, document, line in REFUSALS] + [
+    (["constant-morphism", "--target", "T:T:x"], on_point(),
+     "point 'x' is not an integer"),
+    (["constant-morphism", "--target", "T:T"], on_point(),
+     "target 'T:T' must look like SOURCE:TARGET:POINT"),
+], ids=[name for name, _, _ in REFUSALS] + ["point_not_an_integer",
+                                             "target_shape"])
+def test_refusals_exit_2_with_one_line(capsys, tmp_path, argv, document, line):
+    path = tmp_path / "refused.json"
+    path.write_text(json.dumps(document))
+    code, out, err = run_cli(capsys, *argv, "--workspace", str(path))
+    assert (code, out, err) == (2, "", f"triadica: {line}\n")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("document,line", [
+    # Fraction("1e999999999") computes 10^999999999
+    (unit_literal("1e999999999"),
+     "algebras.A.unit[0]: not an exact rational literal: '1e999999999'"),
+    # the structure constants alone would take 3000^3 Fractions
+    (schema_1(algebras={"A": "truncated_poly 3000"}),
+     "algebras.A: builder size 3000 exceeds 32"),
+], ids=["exponent_literal", "huge_builder"])
+def test_inputs_that_ran_without_bound_exit_2_quickly(tmp_path, document, line):
+    path = tmp_path / "unbounded.json"
+    path.write_text(json.dumps(document))
+    proc = subprocess.run([sys.executable, "-m", "triadica.cli", "validate",
+                           "--workspace", str(path)],
+                          capture_output=True, text=True, env=src_env(), timeout=5)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"triadica: {line}\n"
+
+
 def test_invariant_checks_survive_optimized_mode():
     code = ("import sys\n"
             "from triadica.errors import InvariantError\n"

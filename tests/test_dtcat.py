@@ -29,7 +29,8 @@ from triadica.triad import (DifferentialTriad, NotFunctional, constant_triad,
                             constants_only_kernel, function_triad)
 
 from dtcat_oracle import module_linearity_by_pairs, presheaf_morphisms_by_search
-from support import families_over, free_module_sections, replace, scaled
+from support import (families_over, free_module_sections, is_zero, replace,
+                     scaled)
 from test_sheaf import all_topologies
 
 POINT = discrete_space(1)
@@ -200,8 +201,8 @@ def test_constant_morphism_kills_the_operator():
             m = constant_morphism(source, target, c)
             for v in range(len(m.target.space.opens)):
                 pre = m.preimage(v)
-                assert (source.differentials[pre] @ m.algebra_components[v]).is_zero()
-                assert m.module_components[v].is_zero()
+                assert is_zero(source.differentials[pre] @ m.algebra_components[v])
+                assert is_zero(m.module_components[v])
 
 
 def test_constant_morphism_sends_unit_to_unit():
@@ -355,6 +356,22 @@ def test_uniqueness_detects_a_constant_shift():
     report = algebra_component_uniqueness(m1, m2)
     assert not report.ok
     assert any("nonzero constant" in f.message for f in report.errors())
+
+
+def test_uniqueness_reports_a_difference_the_operator_does_not_kill():
+    # x -> x + x^2 on the algebra layer, riding the module components of the
+    # identity: not a morphism, and the difference x^2 has d(x^2) = 2x dx
+    m1 = order_three_endomorphism(1, 0)
+    doctored = order_three_endomorphism(1, 1)
+    m2 = replace(doctored, module_components=m1.module_components)
+    assert not check_morphism(m2).ok
+    report = algebra_component_uniqueness(m1, m2)
+    full = POINT.open_index(frozenset({0}))
+    assert [(f.location, f.message, f.witness) for f in report.errors()] == [
+        (f"open {full}, basis 1",
+         "difference of algebra components is not killed by the operator "
+         "(an input was not a morphism)",
+         {"open": full, "basis": 1, "difference": ["0", "0", "-1"]})]
 
 
 def test_uniqueness_hypothesis_not_met_is_exploratory():

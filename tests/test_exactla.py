@@ -13,6 +13,8 @@ from triadica.exactla import (ZERO, Matrix, Subspace, contract, contract_matrix,
                               quotient_space, rat, rref, solve, span,
                               unit_vector, vec)
 
+from support import is_zero
+
 F = Fraction
 
 
@@ -31,6 +33,18 @@ def test_rat_parses_exact_strings():
     assert rat("-5") == F(-5)
     assert rat(7) == F(7)
     assert rat("  1/2 ") == F(1, 2)
+    assert rat("+4/6") == F(2, 3)
+    assert rat("-0/7") == F(0)
+    assert rat("0012") == F(12)
+
+
+@pytest.mark.parametrize("text", [
+    "1.5", "1e5", "1E-3", "1e999999999", "1_000", "0x10", "1/-2", "1 / 2",
+    "- 1", "", " ", "/2", "2/", "inf", "nan", "\u0663", "1/0", "7" * 5000])
+def test_rat_accepts_only_digits_over_digits(text):
+    with pytest.raises(ValueError) as exc:
+        rat(text)
+    assert str(exc.value) == f"not an exact rational literal: {text!r}"
 
 
 def test_rat_rejects_floats_and_zero_denominator():
@@ -98,7 +112,7 @@ def test_kernel_matches_the_two_step_oracle():
     kinds = Counter()
     for m in seeded_matrices(3000, seed=20131):
         rank = len(rref(m.entries, m.cols)[1])
-        kinds["zero" if m.is_zero() else "full rank" if rank == min(m.rows, m.cols)
+        kinds["zero" if is_zero(m) else "full rank" if rank == min(m.rows, m.cols)
               else "dependent"] += 1
         assert kernel(m) == two_step_kernel(m)
     assert min(kinds.values()) >= 300, kinds

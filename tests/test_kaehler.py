@@ -14,7 +14,7 @@ import pytest
 import sympy
 
 from kaehler_oracle import (ideal_square_module, leibniz_kaehler_module,
-                            random_derivations)
+                            random_derivations, restrict_scalars)
 from triadica.algebra import (InvalidAlgebraError, algebra_from_struct,
                               function_algebra, poly_quotient_algebra,
                               tensor_product, truncated_poly_algebra,
@@ -22,11 +22,12 @@ from triadica.algebra import (InvalidAlgebraError, algebra_from_struct,
 from triadica.errors import DimensionMismatchError
 from triadica.exactla import Matrix, rref, solve, span, vec
 from triadica.finspace import (InvalidTopologyError, discrete_space,
-                               sierpinski_space, space_from_opens)
+                               indiscrete_space, sierpinski_space,
+                               space_from_opens)
 from triadica.kaehler import (FactorizationFailed, KaehlerModule,
                               NotADerivation, derivation_space,
                               factor_derivation, kaehler_module,
-                              kaehler_presheaf, restrict_scalars)
+                              kaehler_presheaf)
 from triadica.sheaf import (InvalidPresheafError, ModuleSections,
                             check_sheaf_condition, constant_presheaf,
                             function_presheaf, make_presheaf, validate_algebra_presheaf,
@@ -180,6 +181,7 @@ def test_presentation_matches_ideal_square_oracle(a):
     assert k.module == oracle.module
     assert k.differential == oracle.differential
     assert k.ideal == oracle.ideal
+    assert k.chosen == oracle.chosen
 
 
 def _tensor(*algebras):
@@ -439,6 +441,78 @@ def test_presheaf_of_modules_over_constant_base():
     assert res.per_open[2].module.dim == 2
     assert validate_presheaf_morphism(res.base_sheafification.canonical).ok
     assert validate_presheaf_morphism(res.module_sheafification.canonical).ok
+
+
+def _oracle_presheaves():
+    spaces = [("sierpinski", sierpinski_space()),
+              ("discrete(2)", discrete_space(2)),
+              ("indiscrete(2)", indiscrete_space(2))]
+    algebras = ([(f"T{k}", truncated_poly_algebra(k)) for k in range(2, 6)]
+                + [("square_zero", square_zero_algebra()),
+                   ("conjugate T4", random_conjugate(truncated_poly_algebra(4), seed=4)),
+                   ("conjugate function_algebra 3",
+                    random_conjugate(function_algebra(3), seed=3))])
+    out = [(f"constant {name} over {space_name}", constant_presheaf(space, a))
+           for space_name, space in spaces for name, a in algebras]
+    out.append(("function presheaf over discrete(3)",
+                function_presheaf(discrete_space(3))))
+    out.append(("constant conjugate T3 over discrete(3)",
+                constant_presheaf(discrete_space(3),
+                                  random_conjugate(truncated_poly_algebra(3), seed=7))))
+    # the truncation Q[x]/(x^3) -> Q[x]/(x^2) from the whole space to {1}
+    out.append(("truncation T3 -> T2 over sierpinski", make_presheaf(
+        sierpinski_space(), [function_algebra(0), T2, T3],
+        {(2, 1): Matrix.from_rows([[1, 0, 0], [0, 1, 0]], cols=3)})))
+    return out
+
+
+ORACLE_PRESHEAVES = _oracle_presheaves()
+
+
+@pytest.mark.parametrize("base", [p for _, p in ORACLE_PRESHEAVES],
+                         ids=[name for name, _ in ORACLE_PRESHEAVES])
+def test_presheaf_restrictions_match_factor_derivation(base):
+    # each module restriction u -> v is the unique module map that factors
+    # d_v . r through d_u, as factor_derivation solves for it
+    res = kaehler_presheaf(base)
+    modules = res.presheaf_triad.modules
+    for u, v in base.space.inclusion_pairs():
+        if u != v:
+            ku, kv = res.per_open[u], res.per_open[v]
+            r = base.restriction(u, v)
+            fact = factor_derivation(ku, restrict_scalars(kv.module, r),
+                                     kv.differential @ r)
+            assert fact.unique
+            assert modules.restriction(u, v) == fact.matrix, (u, v)
+
+
+def test_truncation_restriction_is_not_the_identity():
+    base = dict(ORACLE_PRESHEAVES)["truncation T3 -> T2 over sierpinski"]
+    res = kaehler_presheaf(base)
+    # dx goes to dx and x dx to x dx = 0 in Omega of Q[x]/(x^2)
+    restriction = res.presheaf_triad.modules.restriction(2, 1)
+    assert (restriction.rows, restriction.cols) == (1, 2)
+    assert restriction @ res.per_open[2].differential == \
+        res.per_open[1].differential @ base.restriction(2, 1)
+    assert validate_triad(res.presheaf_triad).ok
+
+
+def test_presheaf_restrictions_need_no_solve(monkeypatch):
+    calls = []
+
+    def counting(name, f):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return f(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr("triadica.kaehler.factor_derivation",
+                        counting("factor_derivation", factor_derivation))
+    monkeypatch.setattr("triadica.kaehler.solve", counting("solve", solve))
+    monkeypatch.setattr("triadica.exactla.solve", counting("solve", solve))
+    res = kaehler_presheaf(constant_presheaf(discrete_space(3), T3))
+    assert calls == []
+    assert res.presheaf_triad.modules.restriction(7, 1) == Matrix.identity(2)
 
 
 def test_function_base_gives_functional_triad():
