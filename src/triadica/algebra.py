@@ -111,6 +111,8 @@ def require_valid_algebra(a: Algebra) -> None:
 
 def function_algebra(k: int) -> Algebra:
     """Q^k with pointwise product; k = 0 gives the degenerate zero algebra."""
+    if k < 0:
+        raise DimensionMismatchError(f"function algebra needs k >= 0, not {k}")
     struct = tuple(tuple(tuple(ONE if i == j == l else ZERO for l in range(k))
                          for j in range(k)) for i in range(k))
     return Algebra(k, struct, (ONE,) * k)

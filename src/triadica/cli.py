@@ -249,22 +249,24 @@ COMMAND_TABLE = {
 COMMANDS = tuple(COMMAND_TABLE)
 
 
-def _lookup(doc, name: str, sections) -> tuple[str, object]:
-    """The section and object a name refers to, if it is in `sections`."""
+def _lookup(doc, name: str, sections, noun: str = "target") -> tuple[str, object]:
+    """The section and object a name refers to, if it is in `sections`;
+    errors call the name a `noun`."""
     section = doc.section_of(name)
     if section is None:
-        raise UsageError(f"undefined target {name!r}")
+        raise UsageError(f"undefined {noun} {name!r}")
     if section not in sections:
         users = ", ".join(c for c, command in COMMAND_TABLE.items()
                           if section in command.sections)
-        raise UsageError(f"target {name!r} is in {section}, not in "
+        raise UsageError(f"{noun} {name!r} is in {section}, not in "
                          f"{' or '.join(sections)}; use {users} for {section}")
     return section, getattr(doc, section)[name]
 
 
 def _part(doc, name: str, section: str | None):
+    """One part of a ':'-joined target; errors name the part only."""
     if section is not None:
-        return _lookup(doc, name, (section,))[1]
+        return _lookup(doc, name, (section,), "name")[1]
     try:
         return int(name)
     except ValueError:
@@ -282,9 +284,12 @@ def _resolve(doc, command: Command, target: str) -> tuple[str, tuple]:
     names = target.split(":")
     if len(names) != len(command.sections):
         raise UsageError(f"target {target!r} must look like {command.shape}")
-    return command.operation, tuple(
-        _part(doc, name, section)
-        for name, section in zip(names, command.sections))
+    try:
+        return command.operation, tuple(
+            _part(doc, name, section)
+            for name, section in zip(names, command.sections))
+    except UsageError as exc:
+        raise UsageError(f"target {target!r} {exc}") from None
 
 
 def _targets(doc, command: Command, given) -> list[str]:

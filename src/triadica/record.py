@@ -13,6 +13,9 @@ plain class attribute of the same name.  `__post_init__`, when defined, runs
 after the fields are set.  Setting or deleting an attribute raises
 `AttributeError`; `functools.cached_property` still works, because it
 writes to the instance `__dict__` directly.
+
+`value_ids` names a list of values by small integers, equal values alike,
+so that a memo within one computation can be keyed on them.
 """
 
 from __future__ import annotations
@@ -101,3 +104,39 @@ def record(cls):
     cls.__record_fields__ = names
     return cls
 
+
+def _identity_key(value):
+    """`value` with each leaf replaced by its id(): values with equal keys
+    are equal, and hashing a key calls no leaf's __hash__."""
+    if type(value) is tuple:
+        if value and type(value[0]) is tuple:
+            return tuple(map(_identity_key, value))
+        return tuple(map(id, value))  # a vector: leaves, or objects kept whole
+    names = getattr(type(value), "__record_fields__", None)
+    if names is None:
+        return id(value)
+    return type(value), tuple(_identity_key(getattr(value, name)) for name in names)
+
+
+def value_ids(values) -> list[int]:
+    """Small integers naming `values` up to equality, in order: equal values
+    get equal ids, counted from 0 in order of first appearance.
+
+    A memo keyed on these ids hashes no value twice.  Values built from the
+    same leaf objects (the Fractions a document's literals parse to, say)
+    are matched by the ids of their leaves, and only the first value of
+    each such kind is hashed: a Fraction's __hash__ is far slower than
+    comparing or hashing ids.
+    """
+    values = list(values)  # alive until the end, so that no id() is reused
+    of_object, of_key, of_value, ids = {}, {}, {}, []
+    for value in values:
+        i = of_object.get(id(value))
+        if i is None:
+            key = _identity_key(value)
+            i = of_key.get(key)
+            if i is None:
+                i = of_key[key] = of_value.setdefault(value, len(of_value))
+            of_object[id(value)] = i
+        ids.append(i)
+    return ids

@@ -29,7 +29,7 @@ from .exactla import (ONE, ZERO, Matrix, Subspace, Vector, contract,
                       contract_matrix, full_space, kernel, span, unit_vector)
 from .finspace import (ContinuousMap, FiniteSpace, minimal_open, preimage_open,
                        require_topology)
-from .record import record
+from .record import record, value_ids
 from .report import Finding, Report, ValidationError, relocated
 
 
@@ -201,66 +201,108 @@ def zero_module_presheaf(base: Presheaf) -> Presheaf:
 def restriction_square_failures(components, source: Presheaf, target: Presheaf,
                                 pairs) -> list[tuple[int, int]]:
     """The inclusion pairs (u, v) among `pairs` where the square
-    components[v] . source(u->v) = target(u->v) . components[u] fails."""
-    return [(u, v) for u, v in pairs
-            if components[v] @ source.restriction(u, v)
-            != target.restriction(u, v) @ components[u]]
+    components[v] . source(u->v) = target(u->v) . components[u] fails.
+    Each distinct square, by its four matrices, is multiplied out once."""
+    pairs = list(pairs)
+    component_ids = value_ids(components)
+    source_ids = value_ids(source.restriction(u, v) for u, v in pairs)
+    target_ids = value_ids(target.restriction(u, v) for u, v in pairs)
+    commutes: dict = {}
+    failures = []
+    for (u, v), s, t in zip(pairs, source_ids, target_ids):
+        key = (component_ids[v], s, t, component_ids[u])
+        ok = commutes.get(key)
+        if ok is None:
+            ok = commutes[key] = (components[v] @ source.restriction(u, v)
+                                  == target.restriction(u, v) @ components[u])
+        if not ok:
+            failures.append((u, v))
+    return failures
 
 
-def _functoriality_findings(p: Presheaf) -> list[Finding]:
+def _functoriality_findings(p: Presheaf, restriction_ids: dict) -> list[Finding]:
+    """One finding per chain u -> v -> w whose composite is not the direct
+    restriction; each distinct (r_uw, r_vw, r_uv), by the ids in
+    `restriction_ids`, is multiplied out once."""
     findings = []
-    space = p.space
-    for u, v in space.inclusion_pairs():
+    opens = p.space.opens
+    composes: dict = {}
+    for (u, v), uv in restriction_ids.items():
         if u == v:
             continue
-        for w in range(len(space.opens)):
-            if not space.opens[w] <= space.opens[v]:
+        for w, smaller in enumerate(opens):
+            if not smaller <= opens[v]:
                 continue
-            direct = p.restriction(u, w)
-            composed = p.restriction(v, w) @ p.restriction(u, v)
-            if direct != composed:
+            key = (restriction_ids[u, w], restriction_ids[v, w], uv)
+            ok = composes.get(key)
+            if ok is None:
+                ok = composes[key] = (p.restriction(v, w) @ p.restriction(u, v)
+                                      == p.restriction(u, w))
+            if not ok:
                 findings.append(Finding("error", f"chain {u}->{v}->{w}",
                                         "restriction maps do not compose functorially",
                                         [u, v, w]))
     return findings
 
 
+def _restriction_errors(p: Presheaf, u: int, v: int) -> list[Finding]:
+    """Where restriction u->v fails to be a map of p's layer: an algebra
+    map, or a module map over the base's restriction.  Locations are
+    relative to the pair."""
+    r = p.restriction(u, v)
+    if p.base is None:
+        return relocated(": ", validate_algebra_morphism(
+            AlgebraMorphism(p.sections[u], p.sections[v], r)).errors())
+    return [Finding("error", "", "restriction does not respect the action", [i, j])
+            for i, j, _, _ in semilinearity_defects(
+                r, p.base.restriction(u, v), p.sections[u], p.sections[v])]
+
+
 def _presheaf_findings(p: Presheaf) -> tuple[Finding, ...]:
     """The presheaf axioms, shared by both layers: per open valid sections
-    (each distinct structure validated once) and zero over the empty open;
-    per inclusion pair the identity on the diagonal and a map of the layer
-    (an algebra map, or a module map over the base's restriction); and
-    functoriality."""
+    and zero over the empty open; per inclusion pair the identity on the
+    diagonal and a map of the layer (an algebra map, or a module map over
+    the base's restriction); and functoriality.
+
+    Every check is a function of the sections and matrices it reads, so
+    within one call it runs once per distinct input, keyed on `value_ids`,
+    and its findings are relocated to each open, pair or chain it stands
+    for."""
     base = p.base
+    space = p.space
     noun = "restriction" if base is None else "module restriction"
     findings: list[Finding] = []
+    section_ids = value_ids(p.sections)
+    structure_ids = (section_ids if base is None
+                     else list(zip(value_ids(base.sections), section_ids)))
     errors_of: dict = {}
     for u, s in enumerate(p.sections):
-        key = s if base is None else (base.sections[u], s)
-        errors = errors_of.get(key)
+        errors = errors_of.get(structure_ids[u])
         if errors is None:
-            errors = errors_of[key] = (validate_algebra(s) if base is None
-                                       else validate_module_sections(*key)).errors()
+            errors = errors_of[structure_ids[u]] = (
+                validate_algebra(s) if base is None
+                else validate_module_sections(base.sections[u], s)).errors()
         findings += relocated(f"open {u}: ", errors)
-        if not p.space.opens[u] and s.dim != 0:
+        if not space.opens[u] and s.dim != 0:
             findings.append(Finding(
                 "error", f"open {u}",
                 "sections over the empty set must be the zero algebra" if base is None
                 else "module sections over the empty set must vanish", s.dim))
-    for u, v in p.space.inclusion_pairs():
-        r = p.restriction(u, v)
-        if u == v and r != Matrix.identity(p.section_dim(u)):
+    pairs = space.inclusion_pairs()
+    restriction_ids = dict(zip(pairs, value_ids(p.restriction(u, v) for u, v in pairs)))
+    base_ids = ([None] * len(pairs) if base is None
+                else value_ids(base.restriction(u, v) for u, v in pairs))
+    errors_of = {}
+    for (u, v), base_id in zip(pairs, base_ids):
+        if u == v and p.restriction(u, v) != Matrix.identity(p.section_dim(u)):
             findings.append(Finding("error", f"{noun} {u}->{u}",
                                     "identity inclusion must restrict by the identity", None))
-        if base is None:
-            findings += relocated(f"restriction {u}->{v}: ", validate_algebra_morphism(
-                AlgebraMorphism(p.sections[u], p.sections[v], r)).errors())
-        else:
-            findings += [Finding("error", f"module restriction {u}->{v}",
-                                 "restriction does not respect the action", [i, j])
-                         for i, j, _, _ in semilinearity_defects(
-                             r, base.restriction(u, v), p.sections[u], p.sections[v])]
-    return tuple(findings + _functoriality_findings(p))
+        key = (section_ids[u], section_ids[v], restriction_ids[u, v], base_id)
+        errors = errors_of.get(key)
+        if errors is None:
+            errors = errors_of[key] = _restriction_errors(p, u, v)
+        findings += relocated(f"{noun} {u}->{v}", errors)
+    return tuple(findings + _functoriality_findings(p, restriction_ids))
 
 
 def validate_algebra_presheaf(p: Presheaf) -> Report:

@@ -11,7 +11,7 @@ from .algebra import Algebra
 from .errors import DimensionMismatchError, TriadicaError
 from .exactla import Matrix, kernel, span, unit_vector
 from .finspace import ContinuousMap, FiniteSpace, preimage_open
-from .record import record
+from .record import record, value_ids
 from .report import Finding, Report, merge_reports, relocated
 from .sheaf import (ModuleSections, Presheaf, constant_presheaf,
                     function_presheaf, pushforward, pushforward_module,
@@ -59,23 +59,35 @@ def check_leibniz(a: Algebra, m: ModuleSections, d: Matrix) -> Report:
     return Report("check_leibniz", ())
 
 
+def _leibniz_errors(a: Algebra, m: ModuleSections, d: Matrix) -> list[Finding]:
+    """check_leibniz's findings, and one at "unit" when d(1) is not 0."""
+    errors = list(check_leibniz(a, m, d).findings)
+    # consequence of Leibniz at (1,1); checked separately for reporting
+    unit_image = d.apply(a.unit)
+    if any(c != 0 for c in unit_image):
+        errors.append(Finding("error", "unit", "differential does not annihilate the unit",
+                              [str(c) for c in unit_image]))
+    return errors
+
+
 def validate_triad(t: DifferentialTriad) -> Report:
     """Full triad validation: both presheaf layers, the Leibniz rule over
-    every open and the differential restriction squares."""
+    every open and the differential restriction squares.  The Leibniz
+    verdict is a function of (algebra, module, differential), so it is
+    found once per distinct triple and relocated to each open."""
     parts = [validate_algebra_presheaf(t.algebras),
              validate_module_presheaf(t.modules)]
     space = t.space
+    triples = list(zip(value_ids(t.algebras.sections), value_ids(t.modules.sections),
+                       value_ids(t.differentials)))
+    errors_of: dict = {}
     leibniz_findings = []
-    for u in range(len(space.opens)):
-        rep = check_leibniz(t.algebras.sections[u], t.modules.sections[u],
-                            t.differentials[u])
-        leibniz_findings += relocated(f"open {u}: ", rep.findings)
-        # consequence of Leibniz at (1,1); checked separately for reporting
-        unit_image = t.differentials[u].apply(t.algebras.sections[u].unit)
-        if any(c != 0 for c in unit_image):
-            leibniz_findings.append(Finding("error", f"open {u}: unit",
-                                            "differential does not annihilate the unit",
-                                            [str(c) for c in unit_image]))
+    for u, key in enumerate(triples):
+        errors = errors_of.get(key)
+        if errors is None:
+            errors = errors_of[key] = _leibniz_errors(
+                t.algebras.sections[u], t.modules.sections[u], t.differentials[u])
+        leibniz_findings += relocated(f"open {u}: ", errors)
     parts.append(Report("check_leibniz", tuple(leibniz_findings)))
     squares = restriction_square_failures(t.differentials, t.algebras, t.modules,
                                           _proper_pairs(space))

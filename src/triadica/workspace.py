@@ -36,7 +36,7 @@ import re
 
 from .algebra import Algebra, function_algebra, truncated_poly_algebra
 from .errors import DimensionMismatchError, TriadicaError
-from .exactla import Matrix, rat
+from .exactla import Matrix, Vector, rat
 from .finspace import ContinuousMap, FiniteSpace
 from .sheaf import ModuleSections, Presheaf, fill_restrictions
 from .triad import DifferentialTriad
@@ -95,16 +95,30 @@ def _reject_float(text):
                      f"string instead")
 
 
-def rational_from_json(value, location: str):
-    if isinstance(value, bool) or isinstance(value, float):
-        raise ParseError(f"{value!r} is not an exact rational", location)
-    try:
-        return rat(value)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(str(exc), location) from None
+def rationals_from_json(values, literals: dict, where) -> Vector:
+    """The exact rationals of a list of JSON scalars.
+
+    `literals` holds the literals already read in this document, so that
+    each distinct literal is parsed once; `where(i)`, the location of entry
+    i, is built only for an entry that is refused.
+    """
+    out = []
+    for i, value in enumerate(values):
+        kind = type(value)
+        # a bool equals 0 or 1 as a key, so only str and int are looked up
+        q = literals.get(value) if kind is str or kind is int else None
+        if q is None:
+            try:
+                if kind is bool or kind is float:
+                    raise TypeError(f"{value!r} is not an exact rational")
+                q = literals[value] = rat(value)
+            except (TypeError, ValueError) as exc:
+                raise ParseError(str(exc), where(i)) from None
+        out.append(q)
+    return tuple(out)
 
 
-def matrix_from_json(value, location: str) -> Matrix:
+def matrix_from_json(value, literals: dict, location: str) -> Matrix:
     if not isinstance(value, dict) or set(value) - {"rows", "cols", "entries"}:
         raise ParseError("expected {rows, cols, entries}", location)
     try:
@@ -118,9 +132,9 @@ def matrix_from_json(value, location: str) -> Matrix:
     for r, row in enumerate(entries):
         if not isinstance(row, list) or len(row) != cols:
             raise ParseError(f"row {r} must hold {cols} entries", location)
-        out.append([rational_from_json(x, f"{location}.entries[{r}][{c}]")
-                    for c, x in enumerate(row)])
-    return Matrix.from_rows(out, cols=cols)
+        out.append(rationals_from_json(
+            row, literals, lambda c: f"{location}.entries[{r}][{c}]"))
+    return Matrix(rows, cols, tuple(out))
 
 
 def matrix_to_json(m: Matrix) -> dict:
@@ -128,14 +142,14 @@ def matrix_to_json(m: Matrix) -> dict:
             "entries": [[str(x) for x in row] for row in m.entries]}
 
 
-def _vector_from_json(value, length: int, location: str):
+def _vector_from_json(value, length: int, literals: dict, location: str):
     if not isinstance(value, list) or len(value) != length:
         raise ParseError(f"expected a vector of length {length}", location)
-    return tuple(rational_from_json(x, f"{location}[{i}]")
-                 for i, x in enumerate(value))
+    return rationals_from_json(value, literals, lambda i: f"{location}[{i}]")
 
 
-def _restrictions_from_json(value, space: FiniteSpace, dims, location: str):
+def _restrictions_from_json(value, space: FiniteSpace, dims, literals: dict,
+                            location: str):
     value = {} if value is None else value
     if not isinstance(value, dict):
         raise ParseError("restrictions must be an object", location)
@@ -155,7 +169,7 @@ def _restrictions_from_json(value, space: FiniteSpace, dims, location: str):
         if not space.opens[v] <= space.opens[u]:
             raise ParseError(f"restriction key {key!r} is not an inclusion",
                              location)
-        table[(u, v)] = matrix_from_json(mat, f"{location}[{key!r}]")
+        table[(u, v)] = matrix_from_json(mat, literals, f"{location}[{key!r}]")
     try:
         return fill_restrictions(space, dims, table)
     except DimensionMismatchError as exc:
@@ -210,7 +224,7 @@ _BUILDERS = {"function_algebra": function_algebra,
 _MAX_BUILDER_SIZE = 32
 
 
-def algebra_from_json(value, location: str) -> Algebra:
+def algebra_from_json(value, literals: dict, location: str) -> Algebra:
     if isinstance(value, str):
         parts = value.split()
         if len(parts) != 2 or parts[0] not in _BUILDERS:
@@ -239,9 +253,9 @@ def algebra_from_json(value, location: str) -> Algebra:
         if not isinstance(row, list) or len(row) != n:
             raise ParseError(f"struct[{i}] must hold {n} product vectors",
                              location)
-        rows.append(tuple(_vector_from_json(p, n, f"{location}.struct[{i}][{j}]")
+        rows.append(tuple(_vector_from_json(p, n, literals, f"{location}.struct[{i}][{j}]")
                           for j, p in enumerate(row)))
-    unit = _vector_from_json(value.get("unit"), n, f"{location}.unit")
+    unit = _vector_from_json(value.get("unit"), n, literals, f"{location}.unit")
     return Algebra(n, tuple(rows), unit)
 
 
@@ -250,8 +264,12 @@ def algebra_to_json(a: Algebra) -> dict:
             "unit": [str(x) for x in a.unit]}
 
 
-def presheaf_from_json(value, doc: WorkspaceDocument,
-                       location: str) -> Presheaf:
+def presheaf_from_json(value, doc: WorkspaceDocument, location: str,
+                       literals: dict | None = None) -> Presheaf:
+    """A presheaf, or the one named by a reference.  `literals` is the
+    document's scalar memo (see `rationals_from_json`); one is made when
+    none is given, and likewise in the parsers below."""
+    literals = {} if literals is None else literals
     if isinstance(value, str):
         return _resolve(value, doc, "presheaves", location)
     if not isinstance(value, dict) or set(value) - {"space", "sections",
@@ -270,10 +288,10 @@ def presheaf_from_json(value, doc: WorkspaceDocument,
             # a bare word is a reference; builders are "name size" pairs
             sections.append(_resolve(entry, doc, "algebras", loc))
         else:
-            sections.append(algebra_from_json(entry, loc))
+            sections.append(algebra_from_json(entry, literals, loc))
     dims = [a.dim for a in sections]
     table = _restrictions_from_json(value.get("restrictions"), space, dims,
-                                    f"{location}.restrictions")
+                                    literals, f"{location}.restrictions")
     try:
         return Presheaf(space, tuple(sections), table)
     except TriadicaError as exc:
@@ -286,7 +304,7 @@ def presheaf_to_json(p: Presheaf) -> dict:
             "restrictions": _restrictions_to_json(p)}
 
 
-def module_sections_from_json(value, location: str) -> ModuleSections:
+def module_sections_from_json(value, literals: dict, location: str) -> ModuleSections:
     if not isinstance(value, dict) or set(value) - {"algebra_dim", "dim",
                                                     "action"}:
         raise ParseError("expected {algebra_dim, dim, action}", location)
@@ -306,7 +324,8 @@ def module_sections_from_json(value, location: str) -> ModuleSections:
     for i, row in enumerate(action_json):
         if not isinstance(row, list) or len(row) != dim:
             raise ParseError(f"action[{i}] must hold {dim} vectors", location)
-        action.append(tuple(_vector_from_json(w, dim, f"{location}.action[{i}][{j}]")
+        action.append(tuple(_vector_from_json(w, dim, literals,
+                                              f"{location}.action[{i}][{j}]")
                             for j, w in enumerate(row)))
     return ModuleSections(algebra_dim, dim, tuple(action))
 
@@ -340,15 +359,16 @@ def map_to_json(f: ContinuousMap) -> dict:
             "values": list(f.values)}
 
 
-def triad_from_json(value, doc: WorkspaceDocument,
-                    location: str) -> DifferentialTriad:
+def triad_from_json(value, doc: WorkspaceDocument, location: str,
+                    literals: dict | None = None) -> DifferentialTriad:
+    literals = {} if literals is None else literals
     if isinstance(value, str):
         return _resolve(value, doc, "triads", location)
     if not isinstance(value, dict) or set(value) - {"algebras", "modules",
                                                     "differentials"}:
         raise ParseError("expected {algebras, modules, differentials}", location)
     algebras = presheaf_from_json(value.get("algebras"), doc,
-                                  f"{location}.algebras")
+                                  f"{location}.algebras", literals)
     modules_json = value.get("modules")
     if not isinstance(modules_json, dict) or \
             set(modules_json) - {"sections", "restrictions"}:
@@ -359,17 +379,17 @@ def triad_from_json(value, doc: WorkspaceDocument,
         raise ParseError("modules.sections must list one entry per open",
                          location)
     sections = tuple(
-        module_sections_from_json(entry, f"{location}.modules.sections[{i}]")
+        module_sections_from_json(entry, literals, f"{location}.modules.sections[{i}]")
         for i, entry in enumerate(sections_json))
     dims = [m.dim for m in sections]
     table = _restrictions_from_json(modules_json.get("restrictions"),
-                                    algebras.space, dims,
+                                    algebras.space, dims, literals,
                                     f"{location}.modules.restrictions")
     diffs_json = value.get("differentials")
     if not isinstance(diffs_json, list) or \
             len(diffs_json) != len(algebras.space.opens):
         raise ParseError("differentials must list one matrix per open", location)
-    diffs = tuple(matrix_from_json(d, f"{location}.differentials[{i}]")
+    diffs = tuple(matrix_from_json(d, literals, f"{location}.differentials[{i}]")
                   for i, d in enumerate(diffs_json))
     try:
         modules = Presheaf(algebras.space, sections, table, algebras)
@@ -387,8 +407,9 @@ def triad_to_json(t: DifferentialTriad) -> dict:
             "differentials": [matrix_to_json(d) for d in t.differentials]}
 
 
-def morphism_from_json(value, doc: WorkspaceDocument,
-                       location: str) -> TriadMorphism:
+def morphism_from_json(value, doc: WorkspaceDocument, location: str,
+                       literals: dict | None = None) -> TriadMorphism:
+    literals = {} if literals is None else literals
     if isinstance(value, str):
         return _resolve(value, doc, "morphisms", location)
     expected = {"map", "source", "target", "algebra_components",
@@ -396,8 +417,8 @@ def morphism_from_json(value, doc: WorkspaceDocument,
     if not isinstance(value, dict) or set(value) - expected:
         raise ParseError(f"expected {{{', '.join(sorted(expected))}}}", location)
     f = map_from_json(value.get("map"), doc, f"{location}.map")
-    source = triad_from_json(value.get("source"), doc, f"{location}.source")
-    target = triad_from_json(value.get("target"), doc, f"{location}.target")
+    source = triad_from_json(value.get("source"), doc, f"{location}.source", literals)
+    target = triad_from_json(value.get("target"), doc, f"{location}.target", literals)
     n = len(target.space.opens)
     alg_json = value.get("algebra_components")
     mod_json = value.get("module_components")
@@ -406,9 +427,9 @@ def morphism_from_json(value, doc: WorkspaceDocument,
         if not isinstance(part, list) or len(part) != n:
             raise ParseError(f"{label} must list one matrix per target open "
                              f"({n})", location)
-    alg = tuple(matrix_from_json(m, f"{location}.algebra_components[{i}]")
+    alg = tuple(matrix_from_json(m, literals, f"{location}.algebra_components[{i}]")
                 for i, m in enumerate(alg_json))
-    mod = tuple(matrix_from_json(m, f"{location}.module_components[{i}]")
+    mod = tuple(matrix_from_json(m, literals, f"{location}.module_components[{i}]")
                 for i, m in enumerate(mod_json))
     try:
         return TriadMorphism(f, source, target, alg, mod)
@@ -443,11 +464,12 @@ def _resolve(name: str, doc: WorkspaceDocument, section: str, location: str):
 # the document
 
 
+# each takes (value, doc, location, literals)
 _PARSERS = {
-    "spaces": lambda value, doc, loc: space_from_json(value, loc),
-    "algebras": lambda value, doc, loc: algebra_from_json(value, loc),
+    "spaces": lambda value, doc, loc, literals: space_from_json(value, loc),
+    "algebras": lambda value, doc, loc, literals: algebra_from_json(value, literals, loc),
     "presheaves": presheaf_from_json,
-    "maps": map_from_json,
+    "maps": lambda value, doc, loc, literals: map_from_json(value, doc, loc),
     "triads": triad_from_json,
     "morphisms": morphism_from_json,
 }
@@ -478,6 +500,7 @@ def parse_workspace(text: str) -> WorkspaceDocument:
     if not isinstance(description, str):
         raise ParseError("description must be a string", "description")
     doc = WorkspaceDocument(description=description)
+    literals: dict = {}
     seen: set[str] = set()
     for section in SECTION_ORDER:
         entries = raw.get(section, {})
@@ -492,7 +515,7 @@ def parse_workspace(text: str) -> WorkspaceDocument:
             seen.add(name)
         for name in sorted(entries):
             loc = f"{section}.{name}"
-            obj = _PARSERS[section](entries[name], doc, loc)
+            obj = _PARSERS[section](entries[name], doc, loc, literals)
             getattr(doc, section)[name] = obj
     return doc
 

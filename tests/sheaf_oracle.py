@@ -11,15 +11,18 @@ check must give the same verdict.
 The validators check every inclusion pair, and a module restriction's
 compatibility with the action one pair of basis vectors at a time: dimA *
 dimM dense applies and actions per pair.  The library's validators must
-return the same reports, findings in the same order.
+return the same reports, findings in the same order.  Likewise the triad
+validator by opens runs `check_leibniz` on every open and multiplies out
+the differential square of every proper pair, reusing nothing.
 """
 
 from triadica.algebra import (AlgebraMorphism, validate_algebra,
                               validate_algebra_morphism)
 from triadica.exactla import ZERO, Matrix, full_space, kernel, span, unit_vector
-from triadica.report import Finding, Report
+from triadica.report import Finding, Report, merge_reports
 from triadica.sheaf import (CoverWitness, SheafCertificate, irredundant_covers,
                             validate_module_sections)
+from triadica.triad import check_leibniz
 
 
 def equalizer_data(p, u: int, cover: tuple[int, ...]):
@@ -152,3 +155,27 @@ def validate_module_presheaf_by_pairs(m) -> Report:
                                             [i, j]))
     findings.extend(functoriality_findings(m))
     return Report("validate_module_presheaf", tuple(findings))
+
+
+def validate_triad_by_opens(t) -> Report:
+    findings = []
+    for u, (a, m, d) in enumerate(zip(t.algebras.sections, t.modules.sections,
+                                      t.differentials)):
+        for f in check_leibniz(a, m, d).findings:
+            findings.append(Finding(f.severity, f"open {u}: {f.location}", f.message,
+                                    f.witness))
+        unit_image = d.apply(a.unit)
+        if any(unit_image):
+            findings.append(Finding("error", f"open {u}: unit",
+                                    "differential does not annihilate the unit",
+                                    [str(c) for c in unit_image]))
+    squares = [Finding("error", f"inclusion {u}->{v}",
+                       "differential does not commute with restriction", [u, v])
+               for u, v in t.space.inclusion_pairs()
+               if u != v and t.differentials[v] @ t.algebras.restriction(u, v)
+               != t.modules.restriction(u, v) @ t.differentials[u]]
+    return merge_reports("validate_triad", [
+        validate_algebra_presheaf_by_pairs(t.algebras),
+        validate_module_presheaf_by_pairs(t.modules),
+        Report("check_leibniz", tuple(findings)),
+        Report("differential_squares", tuple(squares))])

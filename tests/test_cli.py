@@ -125,6 +125,32 @@ def test_undefined_reference_names_the_culprit():
     assert "triads.T" in err.value.location
 
 
+def test_each_distinct_literal_is_parsed_once_per_document(monkeypatch):
+    import triadica.workspace as workspace_module
+    parsed = []
+
+    def counting(value):
+        parsed.append(value)
+        return workspace_module_rat(value)
+
+    workspace_module_rat = workspace_module.rat
+    monkeypatch.setattr(workspace_module, "rat", counting)
+    identity = {"rows": 2, "cols": 2, "entries": [["1", "0"], ["0", "1"]]}
+    doc = parse_workspace(json.dumps(schema_1(
+        spaces={"S": SIERPINSKI},
+        algebras={"A": {"struct": [[["1", "0"], ["0", "1"]], [["0", "1"], [0, "-1/2"]]],
+                        "unit": ["1", "0"]}},
+        presheaves={"P": {"space": "S", "sections": ["function_algebra 0", "A", "A"],
+                          "restrictions": {"2->1": identity}}})))
+    assert len(parsed) == 4 and set(parsed) == {0, "0", "1", "-1/2"}
+    p = doc.presheaves["P"]
+    assert p.restriction(2, 1).entries[0][0] is doc.algebras["A"].unit[0]
+    # a second document parses its literals again
+    parsed.clear()
+    parse_workspace(json.dumps(schema_1(algebras={"B": {"struct": [[["1"]]], "unit": ["1"]}})))
+    assert parsed == ["1"]
+
+
 def test_names_must_be_globally_unique():
     with pytest.raises(ParseError) as err:
         parse_workspace('{"schema": 1, '
@@ -430,6 +456,9 @@ REFUSALS = [
     ("bad_name", schema_1(spaces={"1x": POINT}), "spaces: bad name '1x'"),
     ("boolean_scalar", schema_1(algebras={"A": {"struct": [[[True]]], "unit": ["1"]}}),
      "algebras.A.struct[0][0][0]: True is not an exact rational"),
+    ("boolean_after_its_integer",
+     schema_1(algebras={"A": {"struct": [[[1]]], "unit": [True]}}),
+     "algebras.A.unit[0]: True is not an exact rational"),
     ("exponent_literal", unit_literal("1e5"),
      "algebras.A.unit[0]: not an exact rational literal: '1e5'"),
     ("decimal_literal", unit_literal("1.5"),
@@ -451,6 +480,8 @@ REFUSALS = [
      "algebras.A: builder size 33 exceeds 32"),
     ("builder_refuses_size", schema_1(algebras={"A": "truncated_poly 0"}),
      "algebras.A: truncated polynomial algebra needs k >= 1"),
+    ("negative_function_algebra", schema_1(algebras={"A": "function_algebra -1"}),
+     "algebras.A: function algebra needs k >= 0, not -1"),
     ("space_not_an_object", schema_1(spaces={"X": [1]}),
      "spaces.X: expected {points, opens}"),
     ("opens_not_a_list", schema_1(spaces={"X": {"points": 1, "opens": 3}}),
@@ -523,11 +554,17 @@ def test_refusal_documents_differ_from_valid_ones_only_where_named(capsys, tmp_p
 @pytest.mark.parametrize("argv,document,line", [
     (["validate"], document, line) for _, document, line in REFUSALS] + [
     (["constant-morphism", "--target", "T:T:x"], on_point(),
-     "point 'x' is not an integer"),
+     "target 'T:T:x' point 'x' is not an integer"),
     (["constant-morphism", "--target", "T:T"], on_point(),
      "target 'T:T' must look like SOURCE:TARGET:POINT"),
+    (["constant-morphism", "--target", "T:NOPE:0"], on_point(),
+     "target 'T:NOPE:0' undefined name 'NOPE'"),
+    (["pushforward", "--target", "T:T"], on_point(),
+     "target 'T:T' name 'T' is in triads, not in maps; use validate, "
+     "pushforward, constant-morphism for triads"),
 ], ids=[name for name, _, _ in REFUSALS] + ["point_not_an_integer",
-                                             "target_shape"])
+                                             "target_shape", "undefined_part",
+                                             "part_in_another_section"])
 def test_refusals_exit_2_with_one_line(capsys, tmp_path, argv, document, line):
     path = tmp_path / "refused.json"
     path.write_text(json.dumps(document))

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triadica.algebra import Algebra, function_algebra, truncated_poly_algebra
+from triadica.algebra import (Algebra, AlgebraMorphism, function_algebra,
+                              truncated_poly_algebra)
 from triadica.errors import DimensionMismatchError
 from triadica.exactla import ONE, ZERO, Matrix, kernel, solve, unit_vector, vec
 from triadica.finspace import (ContinuousMap, InvalidTopologyError, all_maps,
@@ -26,9 +27,9 @@ from triadica.sheaf import (InvalidPresheafError, ModuleSections, Presheaf,
                             validate_module_sections, validate_presheaf_morphism,
                             zero_module_presheaf, zero_module_sections)
 from triadica.kaehler import kaehler_module
-from triadica.triad import constant_triad
+from triadica.triad import DifferentialTriad, constant_triad, validate_triad
 from sheaf_oracle import (check_sheaf_by_covers, validate_algebra_presheaf_by_pairs,
-                          validate_module_presheaf_by_pairs)
+                          validate_module_presheaf_by_pairs, validate_triad_by_opens)
 from support import free_module_sections, matrix_sum, replace, scaled
 
 
@@ -749,3 +750,80 @@ def test_each_distinct_section_structure_is_validated_once(monkeypatch):
     assert validate_module_presheaf(triad.modules).ok
     pairs = set(zip(triad.algebras.sections, triad.modules.sections))
     assert len(pairs) == 2 and len(calls) == 2 and set(calls) == pairs
+
+
+def corrupted_differentials(t, kind, rng):
+    """t with seeded defects in its differentials, or None where t has no
+    room for them: one entry moved on one open ("entry"), one open's
+    differential doubled, so that Leibniz holds but the squares fail
+    ("doubled"), or the same moved differential on every nonempty open
+    ("everywhere")."""
+    opens = [u for u, d in enumerate(t.differentials) if d.rows and d.cols]
+    if not opens:
+        return None
+    diffs = list(t.differentials)
+    if kind == "everywhere":
+        moved = _nudged(diffs[opens[0]], rng)
+        diffs = [moved if u in opens else d for u, d in enumerate(diffs)]
+    else:
+        u = rng.choice(opens)
+        diffs[u] = _nudged(diffs[u], rng) if kind == "entry" else scaled(diffs[u], 2)
+    return DifferentialTriad(t.algebras, t.modules, tuple(diffs))
+
+
+TRIADS = {
+    "dual numbers": _dual_numbers_triad,
+    "kaehler truncated_poly 3": _kaehler_triad,
+}
+
+
+@pytest.mark.parametrize("triad", sorted(TRIADS))
+def test_validate_triad_matches_the_oracle_by_opens(triad):
+    kinds = ("entry", "doubled", "everywhere")
+    rng = random.Random(f"triads {triad}")
+    failing = Counter()
+    for space in SMALL_TOPOLOGIES:
+        t = TRIADS[triad](space)
+        cases = [("valid", t)] + [(kind, corrupted_differentials(t, kind, rng))
+                                  for kind in kinds]
+        for kind, q in cases:
+            expected = validate_triad_by_opens(q)
+            assert validate_triad(q) == expected, (space.opens, kind)
+            failing[kind] += not expected.ok
+    assert failing["valid"] == 0
+    assert all(failing[kind] >= 10 for kind in kinds), failing
+
+
+def test_each_distinct_check_of_a_triad_runs_once(monkeypatch):
+    import triadica.sheaf as sheaf_module
+    import triadica.triad as triad_module
+    calls = {"morphism": [], "semilinear": [], "leibniz": []}
+
+    def counting(kind, check):
+        def call(*args):
+            calls[kind].append(args)
+            return check(*args)
+        return call
+
+    for module, name, kind in ((sheaf_module, "validate_algebra_morphism", "morphism"),
+                               (sheaf_module, "semilinearity_defects", "semilinear"),
+                               (triad_module, "check_leibniz", "leibniz")):
+        monkeypatch.setattr(module, name, counting(kind, getattr(module, name)))
+    t = _kaehler_triad(discrete_space(3))
+    assert validate_triad(t).ok
+    algebras, modules = t.algebras, t.modules
+    pairs = t.space.inclusion_pairs()
+    morphisms = {(algebras.sections[u], algebras.sections[v], algebras.restriction(u, v))
+                 for u, v in pairs}
+    semilinear = {(modules.sections[u], modules.sections[v], modules.restriction(u, v),
+                   algebras.restriction(u, v)) for u, v in pairs}
+    leibniz = set(zip(algebras.sections, modules.sections, t.differentials))
+    # 27 inclusion pairs and 8 opens: to the empty open, between the empty
+    # opens, and between nonempty ones; over the empty open and the others
+    assert (len(pairs), len(morphisms), len(semilinear), len(leibniz)) == (27, 3, 3, 2)
+    assert len(calls["morphism"]) == len(morphisms)
+    assert set(calls["morphism"]) == {(AlgebraMorphism(*key),) for key in morphisms}
+    assert len(calls["semilinear"]) == len(semilinear)
+    assert {(source, target, rho, r) for rho, r, source, target in calls["semilinear"]} \
+        == semilinear
+    assert len(calls["leibniz"]) == len(leibniz) and set(calls["leibniz"]) == leibniz
