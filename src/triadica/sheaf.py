@@ -292,15 +292,15 @@ def _presheaf_findings(p: Presheaf) -> tuple[Finding, ...]:
     restriction_ids = dict(zip(pairs, value_ids(p.restriction(u, v) for u, v in pairs)))
     base_ids = ([None] * len(pairs) if base is None
                 else value_ids(base.restriction(u, v) for u, v in pairs))
-    errors_of = {}
+    restriction_errors: dict = {}
     for (u, v), base_id in zip(pairs, base_ids):
         if u == v and p.restriction(u, v) != Matrix.identity(p.section_dim(u)):
             findings.append(Finding("error", f"{noun} {u}->{u}",
                                     "identity inclusion must restrict by the identity", None))
         key = (section_ids[u], section_ids[v], restriction_ids[u, v], base_id)
-        errors = errors_of.get(key)
+        errors = restriction_errors.get(key)
         if errors is None:
-            errors = errors_of[key] = _restriction_errors(p, u, v)
+            errors = restriction_errors[key] = _restriction_errors(p, u, v)
         findings += relocated(f"{noun} {u}->{v}", errors)
     return tuple(findings + _functoriality_findings(p, restriction_ids))
 
