@@ -32,18 +32,11 @@ import sys
 from fractions import Fraction
 from typing import Callable
 
-from .algebra import Algebra, NotSplitError, characters, validate_algebra
-from .dtcat import (algebra_component_uniqueness, check_morphism, compose,
-                    constant_morphism, differential_agreement_on_image,
-                    fullness_check, verify_pullback_forced)
+from . import algebra, dtcat, finspace, kaehler, sheaf, triad
 from .errors import DimensionMismatchError, TriadicaError
 from .exactla import Matrix
-from .finspace import FiniteSpace, check_topology
-from .kaehler import kaehler_module, kaehler_presheaf
 from .record import record
 from .report import Finding, Report
-from .sheaf import check_sheaf_condition, sheafify, validate_algebra_presheaf
-from .triad import DifferentialTriad, pushforward_triad, validate_triad
 from .workspace import (ParseError, UnresolvedReference, dump_workspace,
                         load_workspace, map_to_json, matrix_to_json,
                         module_sections_to_json, morphism_to_json,
@@ -74,7 +67,7 @@ def _with_findings(rep: Report, extra) -> Report:
 def _sheaf_status(layers) -> list[Finding]:
     out = []
     for label, layer in layers:
-        cert = check_sheaf_condition(layer)
+        cert = sheaf.check_sheaf_condition(layer)
         if cert.is_sheaf:
             out.append(Finding("info", label, "sheaf condition holds", None))
         else:
@@ -90,20 +83,20 @@ def _sheaf_status(layers) -> list[Finding]:
 
 
 def _validate(args, obj):
-    if isinstance(obj, FiniteSpace):
-        return check_topology(obj), {}
-    if isinstance(obj, Algebra):
-        return validate_algebra(obj), {}
-    if isinstance(obj, DifferentialTriad):
-        layers = [("algebra layer", obj.algebras), ("module layer", obj.modules)]
-        return _with_findings(validate_triad(obj), _sheaf_status(layers)), {}
-    rep = validate_algebra_presheaf(obj)
-    return _with_findings(rep, _sheaf_status([("sections", obj)])), {}
+    if isinstance(obj, finspace.FiniteSpace):
+        return finspace.check_topology(obj), {}
+    if isinstance(obj, algebra.Algebra):
+        return algebra.validate_algebra(obj), {}
+    if isinstance(obj, sheaf.Presheaf):
+        rep = sheaf.validate_algebra_presheaf(obj)
+        return _with_findings(rep, _sheaf_status([("sections", obj)])), {}
+    layers = [("algebra layer", obj.algebras), ("module layer", obj.modules)]
+    return _with_findings(triad.validate_triad(obj), _sheaf_status(layers)), {}
 
 
 def _kaehler(args, obj):
-    if isinstance(obj, Algebra):
-        k = kaehler_module(obj)
+    if isinstance(obj, algebra.Algebra):
+        k = kaehler.kaehler_module(obj)
         findings = (
             Finding("info", "ideal",
                     f"multiplication kernel has dimension {k.ideal.dim}",
@@ -114,8 +107,8 @@ def _kaehler(args, obj):
         derived = {"module": module_sections_to_json(k.module),
                    "differential": matrix_to_json(k.differential)}
         return Report("kaehler_module", findings), derived
-    res = kaehler_presheaf(obj)
-    rep = validate_triad(res.presheaf_triad)
+    res = kaehler.kaehler_presheaf(obj)
+    rep = triad.validate_triad(res.presheaf_triad)
     dims = [Finding("info", f"open {u}", f"module dimension {m.dim}", None)
             for u, m in enumerate(res.presheaf_triad.modules.sections)]
     derived = {"presheaf_triad": triad_to_json(res.presheaf_triad),
@@ -125,8 +118,8 @@ def _kaehler(args, obj):
 
 def _sheafify(args, p):
     findings = _sheaf_status([("input", p)])
-    res = sheafify(p)
-    after = check_sheaf_condition(res.presheaf)
+    res = sheaf.sheafify(p)
+    after = sheaf.check_sheaf_condition(res.presheaf)
     findings.append(Finding("info" if after.is_sheaf else "error", "result",
                             "sheaf condition holds" if after.is_sheaf else
                             "sheafification did not produce a sheaf", None))
@@ -137,21 +130,21 @@ def _sheafify(args, p):
 
 
 def _pushforward(args, f, t):
-    out = pushforward_triad(f, t)
-    return validate_triad(out), {"triad": triad_to_json(out)}
+    out = triad.pushforward_triad(f, t)
+    return triad.validate_triad(out), {"triad": triad_to_json(out)}
 
 
 def _checked_morphism(m):
-    return check_morphism(m), {"morphism": morphism_to_json(m)}
+    return dtcat.check_morphism(m), {"morphism": morphism_to_json(m)}
 
 
 def _uniqueness(args, m1, m2):
     same_algebra = m1.algebra_components == m2.algebra_components
     same_module = m1.module_components == m2.module_components
     if same_algebra and not same_module:
-        return differential_agreement_on_image(m1, m2), {}
+        return dtcat.differential_agreement_on_image(m1, m2), {}
     if same_module and not same_algebra:
-        return algebra_component_uniqueness(m1, m2), {}
+        return dtcat.algebra_component_uniqueness(m1, m2), {}
     if same_algebra and same_module:
         findings = (Finding("info", "components",
                             "the morphisms coincide in both layers", None),)
@@ -168,11 +161,12 @@ def _recover_map(args, m):
     if not (args.exploratory or f.domain.is_discrete and f.codomain.is_discrete):
         raise UsageError("lives over non-discrete spaces; rerun with "
                          "--exploratory to inspect it anyway")
-    return verify_pullback_forced(f, m.algebra_components), {"map": map_to_json(f)}
+    return (dtcat.verify_pullback_forced(f, m.algebra_components),
+            {"map": map_to_json(f)})
 
 
 def _fullness(args, x, y):
-    res = fullness_check(x, y, bound=args.bound)
+    res = dtcat.fullness_check(x, y, bound=args.bound)
     per_map = {",".join(str(v) for v in values): count
                for values, count in res.per_map}
     return res.report, {"total": res.total, "per_map": per_map}
@@ -180,8 +174,8 @@ def _fullness(args, x, y):
 
 def _spectrum(args, a):
     try:
-        chars = characters(a)
-    except NotSplitError as exc:
+        chars = algebra.characters(a)
+    except algebra.NotSplitError as exc:
         return Report("spectrum",
                       (Finding("error", "characters", str(exc), None),)), {}
     functionals = [[str(x) for x in c.functional] for c in chars]
@@ -229,14 +223,14 @@ COMMAND_TABLE = {
     "pushforward": Command("MAP:TRIAD", ("maps", "triads"),
                            "pushforward_triad", _pushforward),
     "check-morphism": Command("NAME", ("morphisms",), "check_morphism",
-                              lambda args, m: (check_morphism(m), {})),
+                              lambda args, m: (dtcat.check_morphism(m), {})),
     "compose": Command("OUTER:INNER", ("morphisms", "morphisms"), "compose",
                        lambda args, outer, inner:
-                           _checked_morphism(compose(outer, inner))),
+                           _checked_morphism(dtcat.compose(outer, inner))),
     "constant-morphism": Command(
         "SOURCE:TARGET:POINT", ("triads", "triads", None),
         "constant_morphism", lambda args, source, target, c:
-            _checked_morphism(constant_morphism(source, target, c))),
+            _checked_morphism(dtcat.constant_morphism(source, target, c))),
     "uniqueness": Command("FIRST:SECOND", ("morphisms", "morphisms"),
                           "uniqueness", _uniqueness),
     "recover-map": Command("NAME", ("morphisms",), "verify_pullback_forced",

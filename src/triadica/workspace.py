@@ -34,13 +34,11 @@ from __future__ import annotations
 import json
 import re
 
+from . import dtcat, sheaf, triad
 from .algebra import Algebra, function_algebra, truncated_poly_algebra
 from .errors import DimensionMismatchError, TriadicaError
 from .exactla import Matrix, Vector, rat
 from .finspace import ContinuousMap, FiniteSpace
-from .sheaf import ModuleSections, Presheaf, fill_restrictions
-from .triad import DifferentialTriad
-from .dtcat import TriadMorphism
 
 SCHEMA_VERSION = 1
 
@@ -171,12 +169,12 @@ def _restrictions_from_json(value, space: FiniteSpace, dims, literals: dict,
                              location)
         table[(u, v)] = matrix_from_json(mat, literals, f"{location}[{key!r}]")
     try:
-        return fill_restrictions(space, dims, table)
+        return sheaf.fill_restrictions(space, dims, table)
     except DimensionMismatchError as exc:
         raise ParseError(str(exc), location) from None
 
 
-def _restrictions_to_json(p: Presheaf) -> dict:
+def _restrictions_to_json(p: sheaf.Presheaf) -> dict:
     # the parser refills identities and maps to zero sections
     return {f"{u}->{v}": matrix_to_json(p.restriction(u, v))
             for u, v in p.space.inclusion_pairs() if u != v and p.section_dim(v)}
@@ -265,7 +263,7 @@ def algebra_to_json(a: Algebra) -> dict:
 
 
 def presheaf_from_json(value, doc: WorkspaceDocument, location: str,
-                       literals: dict | None = None) -> Presheaf:
+                       literals: dict | None = None) -> sheaf.Presheaf:
     """A presheaf, or the one named by a reference.  `literals` is the
     document's scalar memo (see `rationals_from_json`); one is made when
     none is given, and likewise in the parsers below."""
@@ -293,18 +291,19 @@ def presheaf_from_json(value, doc: WorkspaceDocument, location: str,
     table = _restrictions_from_json(value.get("restrictions"), space, dims,
                                     literals, f"{location}.restrictions")
     try:
-        return Presheaf(space, tuple(sections), table)
+        return sheaf.Presheaf(space, tuple(sections), table)
     except TriadicaError as exc:
         raise ParseError(str(exc), location) from None
 
 
-def presheaf_to_json(p: Presheaf) -> dict:
+def presheaf_to_json(p: sheaf.Presheaf) -> dict:
     return {"space": space_to_json(p.space),
             "sections": [algebra_to_json(a) for a in p.sections],
             "restrictions": _restrictions_to_json(p)}
 
 
-def module_sections_from_json(value, literals: dict, location: str) -> ModuleSections:
+def module_sections_from_json(value, literals: dict,
+                              location: str) -> sheaf.ModuleSections:
     if not isinstance(value, dict) or set(value) - {"algebra_dim", "dim",
                                                     "action"}:
         raise ParseError("expected {algebra_dim, dim, action}", location)
@@ -327,10 +326,10 @@ def module_sections_from_json(value, literals: dict, location: str) -> ModuleSec
         action.append(tuple(_vector_from_json(w, dim, literals,
                                               f"{location}.action[{i}][{j}]")
                             for j, w in enumerate(row)))
-    return ModuleSections(algebra_dim, dim, tuple(action))
+    return sheaf.ModuleSections(algebra_dim, dim, tuple(action))
 
 
-def module_sections_to_json(m: ModuleSections) -> dict:
+def module_sections_to_json(m: sheaf.ModuleSections) -> dict:
     return {"algebra_dim": m.algebra_dim, "dim": m.dim,
             "action": [[[str(x) for x in w] for w in row] for row in m.action]}
 
@@ -360,7 +359,7 @@ def map_to_json(f: ContinuousMap) -> dict:
 
 
 def triad_from_json(value, doc: WorkspaceDocument, location: str,
-                    literals: dict | None = None) -> DifferentialTriad:
+                    literals: dict | None = None) -> triad.DifferentialTriad:
     literals = {} if literals is None else literals
     if isinstance(value, str):
         return _resolve(value, doc, "triads", location)
@@ -392,13 +391,13 @@ def triad_from_json(value, doc: WorkspaceDocument, location: str,
     diffs = tuple(matrix_from_json(d, literals, f"{location}.differentials[{i}]")
                   for i, d in enumerate(diffs_json))
     try:
-        modules = Presheaf(algebras.space, sections, table, algebras)
-        return DifferentialTriad(algebras, modules, diffs)
+        modules = sheaf.Presheaf(algebras.space, sections, table, algebras)
+        return triad.DifferentialTriad(algebras, modules, diffs)
     except TriadicaError as exc:
         raise ParseError(str(exc), location) from None
 
 
-def triad_to_json(t: DifferentialTriad) -> dict:
+def triad_to_json(t: triad.DifferentialTriad) -> dict:
     return {"algebras": presheaf_to_json(t.algebras),
             "modules": {
                 "sections": [module_sections_to_json(m)
@@ -408,7 +407,7 @@ def triad_to_json(t: DifferentialTriad) -> dict:
 
 
 def morphism_from_json(value, doc: WorkspaceDocument, location: str,
-                       literals: dict | None = None) -> TriadMorphism:
+                       literals: dict | None = None) -> dtcat.TriadMorphism:
     literals = {} if literals is None else literals
     if isinstance(value, str):
         return _resolve(value, doc, "morphisms", location)
@@ -432,12 +431,12 @@ def morphism_from_json(value, doc: WorkspaceDocument, location: str,
     mod = tuple(matrix_from_json(m, literals, f"{location}.module_components[{i}]")
                 for i, m in enumerate(mod_json))
     try:
-        return TriadMorphism(f, source, target, alg, mod)
+        return dtcat.TriadMorphism(f, source, target, alg, mod)
     except TriadicaError as exc:
         raise ParseError(str(exc), location) from None
 
 
-def morphism_to_json(m: TriadMorphism) -> dict:
+def morphism_to_json(m: dtcat.TriadMorphism) -> dict:
     return {"map": map_to_json(m.map),
             "source": triad_to_json(m.source),
             "target": triad_to_json(m.target),

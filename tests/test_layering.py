@@ -10,8 +10,10 @@ The supported surface is the command line (`cli.main`), the names in
 name.  A function, class or method that none of them reaches is code that
 nobody supports; one that only the tests use belongs in the tests.
 
-The modules are parsed with `ast`, not imported, except to look up the base
-classes of a class that defines a method nothing in the package calls.
+The modules are parsed with `ast`, not imported, except to read
+`triadica.__all__` (importing the package runs none of its layers) and to
+look up the base classes of a class that defines a method nothing in the
+package calls.
 """
 
 import ast
@@ -20,6 +22,7 @@ import pathlib
 
 import pytest
 
+import triadica
 from test_trace_names import LAYER_NAMES
 
 PACKAGE = pathlib.Path(__file__).parent.parent / "src" / "triadica"
@@ -63,25 +66,21 @@ def test_no_private_name_crosses_modules(path):
 # every definition is reached from the supported surface
 
 
-def _all_names(tree: ast.Module) -> tuple[str, ...]:
-    """The `__all__` that the package's `__init__` assigns."""
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and \
-                any(getattr(t, "id", None) == "__all__" for t in node.targets):
-            return tuple(ast.literal_eval(node.value))
-    raise AssertionError("__init__ defines no __all__")
-
-
-def _references(nodes) -> tuple[set[str], set[str]]:
-    """The bare names and the attribute names used anywhere in `nodes`."""
-    names, attrs = set(), set()
+def _references(nodes) -> tuple[set[str], set[str], set[tuple[str, str]]]:
+    """The bare names and the attribute names used anywhere in `nodes`, and
+    the `(module, name)` pairs of attributes read off a package module's
+    handle, as in `kaehler.kaehler_presheaf`."""
+    names, attrs, qualified = set(), set(), set()
+    stems = {path.stem for path in MODULES}
     for node in nodes:
         for sub in ast.walk(node):
             if isinstance(sub, ast.Name):
                 names.add(sub.id)
             elif isinstance(sub, ast.Attribute):
                 attrs.add(sub.attr)
-    return names, attrs
+                if isinstance(sub.value, ast.Name) and sub.value.id in stems:
+                    qualified.add((sub.value.id, sub.attr))
+    return names, attrs, qualified
 
 
 def _definitions(trees: dict) -> dict:
@@ -114,26 +113,31 @@ def _overrides_foreign_method(module: str, cls: str, name: str) -> bool:
 def unreached() -> list[str]:
     """`module.name (line n)` for each function, class or method that
     nothing reaches from `cli.main`, the module-level statements,
-    `triadica.__all__` and the functions the benchmark's tracer patches.
+    `triadica.__all__`, the functions the benchmark's tracer patches and
+    the package's module `__getattr__` (PEP 562), which the interpreter
+    calls.
 
     Reference is by name: a bare name reaches every top-level definition
-    of that name, and an attribute name reaches the methods of that name
-    on every reached class.  A reached class also reaches its dunder
-    methods and the methods that override one of a foreign base class."""
+    of that name, an attribute read off a module's handle reaches that
+    module's top-level definition of the name, and an attribute name
+    reaches the methods of that name on every reached class.  A reached
+    class also reaches its dunder methods and the methods that override one
+    of a foreign base class."""
     trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
              for path in MODULES}
     defs = _definitions(trees)
     module_level = [node for tree in trees.values() for node in tree.body
                     if not isinstance(node, (ast.FunctionDef, ast.ClassDef))]
-    exported = set(_all_names(trees["__init__"]))
-    reached = {("cli", "main"), *LAYER_NAMES}
+    exported = set(triadica.__all__)
+    reached = {("cli", "main"), ("__init__", "__getattr__"), *LAYER_NAMES}
     while True:
-        names, attrs = _references(
+        names, attrs, qualified = _references(
             module_level + [n for key in reached for n in defs[key][2]])
         grown = set(reached)
         for (module, qualname), (node, cls, _) in defs.items():
             if cls is None:
-                if node.name in names or node.name in exported:
+                if node.name in names or node.name in exported or \
+                        (module, node.name) in qualified:
                     grown.add((module, qualname))
             elif (module, cls) in reached and (
                     node.name.startswith("__") and node.name.endswith("__")
