@@ -21,7 +21,8 @@ and squaring with the restriction to U_{f(x)} fixes the value at x.  So f
 carries prod_x |U_{f(x)}| families, listed in lexicographic order of g, and
 pullback by f is the only one exactly when every f(x) is open, as over
 discrete spaces: the finite form of the fullness of smooth manifolds among
-differential triads.
+differential triads.  fullness_check re-checks each pullback on the cover
+edges of the inclusion order, with one memo for the whole call.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .finspace import (ContinuousMap, FiniteSpace, all_maps, compose_maps,
                        constant_map, continuity_witness, identity_map,
                        is_continuous, minimal_open, preimage_open,
                        require_topology)
-from .record import record
+from .record import Interner, record
 from .report import Finding, Report, merge_reports, relocated
 from .sheaf import (Presheaf, PresheafMorphism, function_presheaf, pushforward,
                     pushforward_module, semilinearity_defects,
@@ -341,18 +342,22 @@ def verify_pullback_forced(f: ContinuousMap, components) -> Report:
     h = PresheafMorphism(function_presheaf(f.codomain),
                          pushforward(f, function_presheaf(f.domain)),
                          tuple(components))
-    return _pullback_report(f, h)
+    return _pullback_report(f, h, Interner())
 
 
-def _pullback_report(f: ContinuousMap, h: PresheafMorphism) -> Report:
+def _pullback_report(f: ContinuousMap, h: PresheafMorphism,
+                     interner: Interner) -> Report:
     """verify_pullback_forced on a family from the function presheaf on the
-    codomain into the direct image of the one on the domain."""
+    codomain into the direct image of the one on the domain, each distinct
+    check once per `interner`.  Both are functorial with identities on the
+    diagonal by construction, so the squares are checked on cover edges."""
     findings = []
     exploratory = not (f.domain.is_discrete and f.codomain.is_discrete)
     if exploratory:
         findings.append(Finding("warning", "spaces",
                                 "non-discrete spaces: exploratory result only", None))
-    findings += relocated("morphism: ", validate_presheaf_morphism(h).findings)
+    findings += relocated("morphism: ", validate_presheaf_morphism(
+        h, interner, functorial=True).findings)
     expected = _point_map_components(f, f.values)
     for v in range(len(f.codomain.opens)):
         for r, x in enumerate(sorted(f.domain.opens[preimage_open(f, v)])):
@@ -416,6 +421,7 @@ def fullness_check(x_space: FiniteSpace, y_space: FiniteSpace,
         findings.append(Finding("warning", "spaces",
                                 "non-discrete spaces: counts are exploratory", None))
     functions_x, functions_y = function_presheaf(x_space), function_presheaf(y_space)
+    interner = Interner()  # one memo for every family's checks
     per_map = []
     total = 0
     for values in all_maps(x_space, y_space):
@@ -432,7 +438,7 @@ def fullness_check(x_space: FiniteSpace, y_space: FiniteSpace,
                     f"expected exactly one component family, found {len(families)}",
                     list(values)))
             else:
-                if not _pullback_report(f, families[0]).ok:
+                if not _pullback_report(f, families[0], interner).ok:
                     findings.append(Finding(
                         "error", f"map {values}",
                         "the unique component family is not pullback by the map",

@@ -14,8 +14,9 @@ after the fields are set.  Setting or deleting an attribute raises
 `AttributeError`; `functools.cached_property` still works, because it
 writes to the instance `__dict__` directly.
 
-`value_ids` names a list of values by small integers, equal values alike,
-so that a memo within one computation can be keyed on them.
+An `Interner` names values by small integers, equal values alike, and
+holds the results of checks keyed on those names, so that one computation
+hashes no value twice and runs each distinct check once.
 """
 
 from __future__ import annotations
@@ -118,25 +119,42 @@ def _identity_key(value):
     return type(value), tuple(_identity_key(getattr(value, name)) for name in names)
 
 
-def value_ids(values) -> list[int]:
-    """Small integers naming `values` up to equality, in order: equal values
-    get equal ids, counted from 0 in order of first appearance.
+class Interner:
+    """Small integers naming values up to equality, counted from 0 in order
+    of first appearance, and a memo of checks keyed on them (`once`).
 
-    A memo keyed on these ids hashes no value twice.  Values built from the
-    same leaf objects (the Fractions a document's literals parse to, say)
-    are matched by the ids of their leaves, and only the first value of
-    each such kind is hashed: a Fraction's __hash__ is far slower than
-    comparing or hashing ids.
+    A value met again as the same object costs one dict lookup.  Values
+    built from the same leaf objects (the Fractions a document's literals
+    parse to, say) are matched by the ids of their leaves, and only the
+    first value of each such kind is hashed: a Fraction's __hash__ is far
+    slower than comparing or hashing ids.  Every value named is kept alive
+    with the interner, so no id() is reused while its names are in use.
     """
-    values = list(values)  # alive until the end, so that no id() is reused
-    of_object, of_key, of_value, ids = {}, {}, {}, []
-    for value in values:
-        i = of_object.get(id(value))
-        if i is None:
-            key = _identity_key(value)
-            i = of_key.get(key)
+
+    def __init__(self):
+        self._results: dict = {}
+        self._kept, self._of_object, self._of_key, self._of_value = [], {}, {}, {}
+
+    def ids(self, values) -> list[int]:
+        """The names of `values`, in order."""
+        of_object, of_key, of_value, out = (self._of_object, self._of_key,
+                                            self._of_value, [])
+        for value in values:
+            i = of_object.get(id(value))
             if i is None:
-                i = of_key[key] = of_value.setdefault(value, len(of_value))
-            of_object[id(value)] = i
-        ids.append(i)
-    return ids
+                key = _identity_key(value)
+                i = of_key.get(key)
+                if i is None:
+                    i = of_key[key] = of_value.setdefault(value, len(of_value))
+                of_object[id(value)] = i
+                self._kept.append(value)
+            out.append(i)
+        return out
+
+    def once(self, key, check):
+        """`check()`, run on the first use of `key` and remembered; the key
+        names every input of the check."""
+        result = self._results.get(key)
+        if result is None:
+            result = self._results[key] = check()
+        return result

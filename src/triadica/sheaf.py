@@ -29,7 +29,7 @@ from .exactla import (ONE, ZERO, Matrix, Subspace, Vector, contract,
                       contract_matrix, full_space, kernel, span, unit_vector)
 from .finspace import (ContinuousMap, FiniteSpace, minimal_open, preimage_open,
                        require_topology)
-from .record import record, value_ids
+from .record import Interner, record
 from .report import Finding, Report, ValidationError, relocated
 
 
@@ -186,7 +186,9 @@ def function_restriction_matrix(bigger, smaller) -> Matrix:
 
 
 def function_presheaf(space: FiniteSpace) -> Presheaf:
-    """U -> all rational functions on U, coordinates at sorted points."""
+    """U -> all rational functions on U, coordinates at sorted points.
+    Coordinate selections compose, so it is functorial with identities on
+    the diagonal, as validate_presheaf_morphism(functorial=True) needs."""
     sections = tuple(function_algebra(len(u)) for u in space.opens)
     table = {(u, v): function_restriction_matrix(space.opens[u], space.opens[v])
              for u, v in space.inclusion_pairs()}
@@ -199,46 +201,35 @@ def zero_module_presheaf(base: Presheaf) -> Presheaf:
 
 
 def restriction_square_failures(components, source: Presheaf, target: Presheaf,
-                                pairs) -> list[tuple[int, int]]:
+                                pairs, interner: Interner) -> list[tuple[int, int]]:
     """The inclusion pairs (u, v) among `pairs` where the square
     components[v] . source(u->v) = target(u->v) . components[u] fails.
-    Each distinct square, by its four matrices, is multiplied out once."""
+    Each distinct square, by its four matrices, is multiplied out once per
+    `interner`."""
     pairs = list(pairs)
-    component_ids = value_ids(components)
-    source_ids = value_ids(source.restriction(u, v) for u, v in pairs)
-    target_ids = value_ids(target.restriction(u, v) for u, v in pairs)
-    commutes: dict = {}
-    failures = []
-    for (u, v), s, t in zip(pairs, source_ids, target_ids):
-        key = (component_ids[v], s, t, component_ids[u])
-        ok = commutes.get(key)
-        if ok is None:
-            ok = commutes[key] = (components[v] @ source.restriction(u, v)
-                                  == target.restriction(u, v) @ components[u])
-        if not ok:
-            failures.append((u, v))
-    return failures
+    component_ids = interner.ids(components)
+    source_ids = interner.ids(source.restriction(u, v) for u, v in pairs)
+    target_ids = interner.ids(target.restriction(u, v) for u, v in pairs)
+    return [(u, v) for (u, v), s, t in zip(pairs, source_ids, target_ids)
+            if not interner.once(("square", component_ids[v], s, t, component_ids[u]),
+                                 lambda: components[v] @ source.restriction(u, v)
+                                 == target.restriction(u, v) @ components[u])]
 
 
-def _functoriality_findings(p: Presheaf, restriction_ids: dict) -> list[Finding]:
+def _functoriality_findings(p: Presheaf, restriction_ids: dict,
+                            interner: Interner) -> list[Finding]:
     """One finding per chain u -> v -> w whose composite is not the direct
     restriction; each distinct (r_uw, r_vw, r_uv), by the ids in
-    `restriction_ids`, is multiplied out once."""
+    `restriction_ids`, is multiplied out once per `interner`."""
     findings = []
     opens = p.space.opens
-    composes: dict = {}
     for (u, v), uv in restriction_ids.items():
         if u == v:
             continue
         for w, smaller in enumerate(opens):
-            if not smaller <= opens[v]:
-                continue
-            key = (restriction_ids[u, w], restriction_ids[v, w], uv)
-            ok = composes.get(key)
-            if ok is None:
-                ok = composes[key] = (p.restriction(v, w) @ p.restriction(u, v)
-                                      == p.restriction(u, w))
-            if not ok:
+            if smaller <= opens[v] and not interner.once(
+                    ("compose", restriction_ids[u, w], restriction_ids[v, w], uv),
+                    lambda: p.restriction(v, w) @ p.restriction(u, v) == p.restriction(u, w)):
                 findings.append(Finding("error", f"chain {u}->{v}->{w}",
                                         "restriction maps do not compose functorially",
                                         [u, v, w]))
@@ -258,59 +249,62 @@ def _restriction_errors(p: Presheaf, u: int, v: int) -> list[Finding]:
                 r, p.base.restriction(u, v), p.sections[u], p.sections[v])]
 
 
-def _presheaf_findings(p: Presheaf) -> tuple[Finding, ...]:
+def _algebra_map_errors(source: Algebra, target: Algebra, m: Matrix,
+                        interner: Interner) -> list[Finding]:
+    """validate_algebra_morphism's errors, found once per distinct
+    (source, target, m) in `interner`."""
+    return interner.once(("algebra map", *interner.ids((source, target, m))),
+                         lambda: validate_algebra_morphism(
+                             AlgebraMorphism(source, target, m)).errors())
+
+
+def _presheaf_findings(p: Presheaf, interner: Interner) -> tuple[Finding, ...]:
     """The presheaf axioms, shared by both layers: per open valid sections
     and zero over the empty open; per inclusion pair the identity on the
     diagonal and a map of the layer (an algebra map, or a module map over
     the base's restriction); and functoriality.
 
     Every check is a function of the sections and matrices it reads, so
-    within one call it runs once per distinct input, keyed on `value_ids`,
+    within one call it runs once per distinct input, keyed on `interner`,
     and its findings are relocated to each open, pair or chain it stands
     for."""
     base = p.base
     space = p.space
     noun = "restriction" if base is None else "module restriction"
     findings: list[Finding] = []
-    section_ids = value_ids(p.sections)
+    section_ids = interner.ids(p.sections)
     structure_ids = (section_ids if base is None
-                     else list(zip(value_ids(base.sections), section_ids)))
-    errors_of: dict = {}
+                     else list(zip(interner.ids(base.sections), section_ids)))
     for u, s in enumerate(p.sections):
-        errors = errors_of.get(structure_ids[u])
-        if errors is None:
-            errors = errors_of[structure_ids[u]] = (
-                validate_algebra(s) if base is None
-                else validate_module_sections(base.sections[u], s)).errors()
-        findings += relocated(f"open {u}: ", errors)
+        findings += relocated(f"open {u}: ", interner.once(
+            ("sections", structure_ids[u]),
+            lambda: (validate_algebra(s) if base is None
+                     else validate_module_sections(base.sections[u], s)).errors()))
         if not space.opens[u] and s.dim != 0:
             findings.append(Finding(
                 "error", f"open {u}",
                 "sections over the empty set must be the zero algebra" if base is None
                 else "module sections over the empty set must vanish", s.dim))
     pairs = space.inclusion_pairs()
-    restriction_ids = dict(zip(pairs, value_ids(p.restriction(u, v) for u, v in pairs)))
+    restriction_ids = dict(zip(pairs, interner.ids(p.restriction(u, v) for u, v in pairs)))
     base_ids = ([None] * len(pairs) if base is None
-                else value_ids(base.restriction(u, v) for u, v in pairs))
-    restriction_errors: dict = {}
+                else interner.ids(base.restriction(u, v) for u, v in pairs))
     for (u, v), base_id in zip(pairs, base_ids):
         if u == v and p.restriction(u, v) != Matrix.identity(p.section_dim(u)):
             findings.append(Finding("error", f"{noun} {u}->{u}",
                                     "identity inclusion must restrict by the identity", None))
-        key = (section_ids[u], section_ids[v], restriction_ids[u, v], base_id)
-        errors = restriction_errors.get(key)
-        if errors is None:
-            errors = restriction_errors[key] = _restriction_errors(p, u, v)
-        findings += relocated(f"{noun} {u}->{v}", errors)
-    return tuple(findings + _functoriality_findings(p, restriction_ids))
+        findings += relocated(f"{noun} {u}->{v}", interner.once(
+            ("restriction", section_ids[u], section_ids[v], restriction_ids[u, v], base_id),
+            lambda: _restriction_errors(p, u, v)))
+    return tuple(findings + _functoriality_findings(p, restriction_ids, interner))
 
 
-def validate_algebra_presheaf(p: Presheaf) -> Report:
-    return Report("validate_algebra_presheaf", _presheaf_findings(p))
+def validate_algebra_presheaf(p: Presheaf, interner: Interner | None = None) -> Report:
+    return Report("validate_algebra_presheaf", _presheaf_findings(p, interner or Interner()))
 
 
-def validate_module_presheaf(m: Presheaf) -> Report:
-    return Report("validate_module_presheaf", _presheaf_findings(m))
+def validate_module_presheaf(m: Presheaf, interner: Interner | None = None) -> Report:
+    return Report("validate_module_presheaf", _presheaf_findings(m, interner or Interner()))
 
 
 class InvalidPresheafError(ValidationError):
@@ -353,17 +347,27 @@ class PresheafMorphism:
                                              f"{c.rows}x{c.cols}")
 
 
-def validate_presheaf_morphism(h: PresheafMorphism) -> Report:
+def validate_presheaf_morphism(h: PresheafMorphism, interner: Interner | None = None,
+                               functorial: bool = False) -> Report:
     """Restriction squares; between algebra layers also unit and product
-    preservation per open."""
+    preservation per open, each distinct check once per `interner`.  With
+    `functorial` the caller vouches that both presheaves are functorial with
+    identities on the diagonal; then squares that commute on the cover
+    edges commute on every pair (paste them along a chain of covers), and
+    every pair is scanned only when an edge fails."""
+    interner = interner or Interner()
+    source, target, space = h.source, h.target, h.source.space
+
+    def failures(pairs):
+        return restriction_square_failures(h.components, source, target, pairs, interner)
     findings = [Finding("error", f"square {u}->{v}",
                         "component does not commute with restriction", [u, v])
-                for u, v in restriction_square_failures(
-                    h.components, h.source, h.target, h.source.space.inclusion_pairs())]
-    if h.source.base is None and h.target.base is None:
+                for u, v in ([] if functorial and not failures(space.cover_pairs)
+                             else failures(space.inclusion_pairs()))]
+    if source.base is None and target.base is None:
         for u, c in enumerate(h.components):
-            findings += relocated(f"open {u}: ", validate_algebra_morphism(
-                AlgebraMorphism(h.source.sections[u], h.target.sections[u], c)).errors())
+            findings += relocated(f"open {u}: ", _algebra_map_errors(
+                source.sections[u], target.sections[u], c, interner))
     return Report("validate_presheaf_morphism", tuple(findings))
 
 
@@ -625,7 +629,9 @@ def _pushforward(f: ContinuousMap, p: Presheaf, base_image: Presheaf | None) -> 
 
 def pushforward(f: ContinuousMap, p: Presheaf) -> Presheaf:
     """Direct image: sections over V are the sections over the preimage.  A
-    module layer lands over the direct image of its base."""
+    module layer lands over the direct image of its base.  Its restrictions
+    are p's between preimages, so it is functorial with identities on the
+    diagonal when p is, as validate_presheaf_morphism(functorial=True) needs."""
     return _pushforward(f, p, None if p.base is None else pushforward(f, p.base))
 
 

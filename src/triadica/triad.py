@@ -11,7 +11,7 @@ from .algebra import Algebra
 from .errors import DimensionMismatchError, TriadicaError
 from .exactla import Matrix, kernel, span, unit_vector
 from .finspace import ContinuousMap, FiniteSpace, preimage_open
-from .record import record, value_ids
+from .record import Interner, record
 from .report import Finding, Report, merge_reports, relocated
 from .sheaf import (ModuleSections, Presheaf, constant_presheaf,
                     function_presheaf, pushforward, pushforward_module,
@@ -74,23 +74,22 @@ def validate_triad(t: DifferentialTriad) -> Report:
     """Full triad validation: both presheaf layers, the Leibniz rule over
     every open and the differential restriction squares.  The Leibniz
     verdict is a function of (algebra, module, differential), so it is
-    found once per distinct triple and relocated to each open."""
-    parts = [validate_algebra_presheaf(t.algebras),
-             validate_module_presheaf(t.modules)]
+    found once per distinct triple and relocated to each open.  One
+    interner names the values for every check, so none is hashed twice."""
+    interner = Interner()
+    parts = [validate_algebra_presheaf(t.algebras, interner),
+             validate_module_presheaf(t.modules, interner)]
     space = t.space
-    triples = list(zip(value_ids(t.algebras.sections), value_ids(t.modules.sections),
-                       value_ids(t.differentials)))
-    errors_of: dict = {}
+    triples = list(zip(interner.ids(t.algebras.sections), interner.ids(t.modules.sections),
+                       interner.ids(t.differentials)))
     leibniz_findings = []
     for u, key in enumerate(triples):
-        errors = errors_of.get(key)
-        if errors is None:
-            errors = errors_of[key] = _leibniz_errors(
-                t.algebras.sections[u], t.modules.sections[u], t.differentials[u])
-        leibniz_findings += relocated(f"open {u}: ", errors)
+        leibniz_findings += relocated(f"open {u}: ", interner.once(
+            ("leibniz", *key), lambda: _leibniz_errors(
+                t.algebras.sections[u], t.modules.sections[u], t.differentials[u])))
     parts.append(Report("check_leibniz", tuple(leibniz_findings)))
     squares = restriction_square_failures(t.differentials, t.algebras, t.modules,
-                                          _proper_pairs(space))
+                                          _proper_pairs(space), interner)
     parts.append(Report("differential_squares", tuple(
         Finding("error", f"inclusion {u}->{v}",
                 "differential does not commute with restriction", [u, v])

@@ -2,15 +2,20 @@
 components, point-map recovery, and the fullness count."""
 
 import itertools
+import json
 import math
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from triadica.algebra import function_algebra, truncated_poly_algebra
+from triadica.algebra import (function_algebra, truncated_poly_algebra,
+                              validate_algebra_morphism)
 from triadica.dtcat import (BoundExceeded, FullnessResult, TriadMorphism,
+                            _pullback_report,
                             algebra_component_uniqueness, check_morphism,
                             compose, constant_morphism,
                             differential_agreement_on_image,
@@ -20,17 +25,21 @@ from triadica.errors import DimensionMismatchError
 from triadica.exactla import Matrix, vec
 from triadica.finspace import (ContinuousMap, InvalidTopologyError, all_maps,
                                constant_map, discrete_space, indiscrete_space,
-                               is_continuous, sierpinski_space,
+                               is_continuous, preimage_open, sierpinski_space,
                                space_from_opens)
 from triadica.kaehler import kaehler_module, kaehler_presheaf
-from triadica.sheaf import (ModuleSections, constant_presheaf,
-                            function_presheaf, zero_module_sections)
+from triadica.record import Interner
+from triadica.report import relocated
+from triadica.sheaf import (ModuleSections, PresheafMorphism, constant_presheaf,
+                            function_presheaf, pushforward,
+                            validate_presheaf_morphism, zero_module_sections)
 from triadica.triad import (DifferentialTriad, NotFunctional, constant_triad,
                             constants_only_kernel, function_triad)
 
 from dtcat_oracle import module_linearity_by_pairs, presheaf_morphisms_by_search
 from support import (families_over, free_module_sections, is_zero, replace,
                      scaled)
+from test_cli import src_env
 from test_sheaf import all_topologies
 
 POINT = discrete_space(1)
@@ -536,6 +545,142 @@ def test_fullness_builds_each_function_presheaf_once(monkeypatch):
     assert fullness_check(x, y).total == 9
     # one presheaf per space, not one pair per continuous map
     assert builds == [x, y]
+
+
+def test_fullness_checks_each_algebra_map_once(monkeypatch):
+    import triadica.sheaf as sheaf_module
+    checked = []
+
+    def counting(h):
+        checked.append((h.source, h.target, h.matrix))
+        return validate_algebra_morphism(h)
+
+    monkeypatch.setattr(sheaf_module, "validate_algebra_morphism", counting)
+    x = y = discrete_space(3)
+    assert fullness_check(x, y).report.ok
+    functions_x, functions_y = function_presheaf(x), function_presheaf(y)
+    per_open = []  # (source section, target section, component) of every family
+    for values in all_maps(x, y):
+        f = ContinuousMap(x, y, values)
+        for v, c in enumerate(pullback_morphism(f).algebra_components):
+            per_open.append((functions_y.sections[v],
+                             functions_x.sections[preimage_open(f, v)], c))
+    assert len(per_open) == 216
+    # once per distinct (source, target, component) over the whole call
+    assert sorted(map(repr, checked)) == sorted(map(repr, set(per_open)))
+    assert len(checked) == 47
+
+
+# ---------------------------------------------------------------------------
+# the pullback check on cover edges, against the all-pairs scan
+
+
+def corrupt_one_entry(components, rng):
+    """`components` with one seeded entry of one nonempty component changed."""
+    comps = list(components)
+    v = rng.choice([v for v, c in enumerate(comps) if c.rows and c.cols])
+    rows = [list(row) for row in comps[v].entries]
+    r, j = rng.randrange(len(rows)), rng.randrange(len(rows[0]))
+    rows[r][j] += rng.choice([1, -1, 2, Fraction(1, 2)])
+    comps[v] = Matrix.from_rows(rows, cols=comps[v].cols)
+    return tuple(comps)
+
+
+def self_map_families(seed):
+    """(f, family) for every continuous self-map f of every topology with at
+    most 3 points: the pullback family, then two seeded corruptions of it."""
+    rng = random.Random(seed)
+    out = []
+    for space in (sp for n in range(1, 4) for sp in all_topologies(n)):
+        functions = function_presheaf(space)
+        for values in all_maps(space, space):
+            if is_continuous(values, space, space):
+                f = ContinuousMap(space, space, values)
+                image = pushforward(f, functions)
+                pulled = pullback_morphism(f).algebra_components
+                out += [(f, PresheafMorphism(functions, image, comps)) for comps in
+                        (pulled, corrupt_one_entry(pulled, rng), corrupt_one_entry(pulled, rng))]
+    return out
+
+
+def test_pullback_squares_on_cover_edges_match_the_all_pairs_scan():
+    families = self_map_families(1606)
+    shared = Interner()
+    failed = 0
+    for f, h in families:
+        report = _pullback_report(f, h, Interner())
+        oracle = relocated("morphism: ", validate_presheaf_morphism(h).findings)
+        assert [x for x in report.findings if x.location.startswith("morphism: ")] == oracle
+        # one memo across every family, clean and corrupted, as in fullness_check
+        assert _pullback_report(f, h, shared) == report
+        failed += any(x.location.startswith("morphism: square") for x in oracle)
+    assert (len(families), failed) == (1170, 607)
+
+
+def test_fullness_reports_with_one_memo_match_fresh_memos(monkeypatch):
+    """fullness_check hands every family's check one interner; each report
+    equals the one a fresh interner gives, also when some families are
+    corrupted and share squares with earlier clean ones."""
+    import triadica.dtcat as dtcat_module
+    rng = random.Random(1607)
+    enumerate_families, pullback_report = (dtcat_module.enumerate_presheaf_morphisms,
+                                           dtcat_module._pullback_report)
+    corrupted, reports = set(), []
+
+    def corrupting(f, functions_x, functions_y):
+        families = enumerate_families(f, functions_x, functions_y)
+        if rng.random() < 0.5:
+            corrupted.add(f.values)
+            families[0] = replace(families[0], components=corrupt_one_entry(
+                families[0].components, rng))
+        return families
+
+    def recording(f, h, interner):
+        reports.append((f, h, interner, pullback_report(f, h, interner)))
+        return reports[-1][3]
+
+    monkeypatch.setattr(dtcat_module, "enumerate_presheaf_morphisms", corrupting)
+    monkeypatch.setattr(dtcat_module, "_pullback_report", recording)
+    result = fullness_check(discrete_space(3), discrete_space(3))
+    assert len(reports) == 27 and len({id(i) for _, _, i, _ in reports}) == 1
+    assert 0 < len(corrupted) < 27
+    assert {f.values for f, _, _, report in reports if not report.ok} == corrupted
+    assert {tuple(x.witness) for x in result.report.errors()} == corrupted
+    for f, h, _, report in reports:
+        assert report == pullback_report(f, h, Interner())
+
+
+ONE_CORRUPTED_FAMILY = """
+import json, random
+from triadica.dtcat import _pullback_report, pullback_morphism
+from triadica.finspace import ContinuousMap, discrete_space
+from triadica.record import Interner
+from triadica.report import relocated
+from triadica.sheaf import (PresheafMorphism, function_presheaf, pushforward,
+                            validate_presheaf_morphism)
+x = discrete_space(3)
+f = ContinuousMap(x, x, (2, 0, 0))
+comps = list(pullback_morphism(f).algebra_components)
+rows = [list(row) for row in comps[7].entries]
+rows[1][0] += 1
+comps[7] = type(comps[7]).from_rows(rows, cols=comps[7].cols)
+h = PresheafMorphism(function_presheaf(x), pushforward(f, function_presheaf(x)),
+                     tuple(comps))
+report = _pullback_report(f, h, Interner())
+oracle = relocated("morphism: ", validate_presheaf_morphism(h).findings)
+print(json.dumps([__debug__, report.ok,
+                  [x.location for x in report.findings if x.location.startswith("morphism: ")]
+                  == [x.location for x in oracle], len(oracle)]))
+"""
+
+
+def test_a_corrupted_family_is_refused_under_python_dash_o():
+    # the shortcut and its fallback are plain control flow, not asserts
+    proc = subprocess.run([sys.executable, "-O", "-c", ONE_CORRUPTED_FAMILY],
+                          capture_output=True, text=True, env=src_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    debug, ok, same, failures = json.loads(proc.stdout)
+    assert (debug, ok, same) == (False, False, True) and failures > 0
 
 
 # ---------------------------------------------------------------------------

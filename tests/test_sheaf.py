@@ -15,8 +15,8 @@ from triadica.errors import DimensionMismatchError
 from triadica.exactla import ONE, ZERO, Matrix, kernel, solve, unit_vector, vec
 from triadica.finspace import (ContinuousMap, InvalidTopologyError, all_maps,
                                constant_map, discrete_space, indiscrete_space,
-                               minimal_open, preimage_open, sierpinski_space,
-                               space_from_opens)
+                               is_continuous, minimal_open, preimage_open,
+                               sierpinski_space, space_from_opens)
 from triadica.sheaf import (InvalidPresheafError, ModuleSections, Presheaf,
                             PresheafMorphism, check_sheaf_condition,
                             constant_presheaf, fill_restrictions,
@@ -27,6 +27,7 @@ from triadica.sheaf import (InvalidPresheafError, ModuleSections, Presheaf,
                             validate_module_sections, validate_presheaf_morphism,
                             zero_module_presheaf, zero_module_sections)
 from triadica.kaehler import kaehler_module
+from triadica.record import Interner
 from triadica.triad import DifferentialTriad, constant_triad, validate_triad
 from sheaf_oracle import (check_sheaf_by_covers, validate_algebra_presheaf_by_pairs,
                           validate_module_presheaf_by_pairs, validate_triad_by_opens)
@@ -372,6 +373,84 @@ def assert_witness_is_genuine(p, w):
 
 def test_every_topology_on_three_points_is_enumerated():
     assert [len(all_topologies(n)) for n in range(4)] == [1, 1, 4, 29]
+
+
+# ---------------------------------------------------------------------------
+# cover edges, and the functoriality that makes them enough
+
+
+def covers_by_brute_force(space):
+    """Inclusion pairs u -> v with no open strictly between the two."""
+    opens = space.opens
+    return tuple((u, v) for u, v in space.inclusion_pairs()
+                 if opens[v] < opens[u] and not any(opens[v] < w < opens[u] for w in opens))
+
+
+def chains_of(pairs, n):
+    """The reflexive and transitive closure of `pairs` on n opens."""
+    reach = {(u, u) for u in range(n)} | set(pairs)
+    while True:
+        grown = reach | {(u, w) for u, v in reach for x, w in reach if x == v}
+        if grown == reach:
+            return reach
+        reach = grown
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_cover_pairs_are_the_hasse_edges(n):
+    for space in all_topologies(n):
+        assert space.cover_pairs == covers_by_brute_force(space)
+        # every inclusion is a chain of covers
+        assert chains_of(space.cover_pairs, len(space.opens)) == set(space.inclusion_pairs())
+
+
+def test_cover_pair_counts_on_discrete_spaces():
+    assert (len(discrete_space(4).cover_pairs), len(discrete_space(4).inclusion_pairs())) == (32, 81)
+    assert (len(discrete_space(5).cover_pairs), len(discrete_space(5).inclusion_pairs())) == (80, 243)
+
+
+def test_function_presheaves_and_their_direct_images_are_valid():
+    """The fact the cover-edge shortcut of the pullback check rests on:
+    function_presheaf(X) and pushforward(f, function_presheaf(X)) are
+    functorial with identities on the diagonal, for every continuous map f
+    between topologies with at most 3 points (11,345 maps).  Every direct
+    image reuses the sections and matrices of function_presheaf(X), so one
+    interner per X runs each distinct check once."""
+    spaces = [sp for n in range(4) for sp in all_topologies(n)]
+    maps = 0
+    for x in spaces:
+        functions, interner = function_presheaf(x), Interner()
+        assert validate_algebra_presheaf(functions).ok
+        for y in spaces:
+            for values in all_maps(x, y):
+                if is_continuous(values, x, y):
+                    maps += 1
+                    image = pushforward(ContinuousMap(x, y, values), functions)
+                    assert validate_algebra_presheaf(image, interner).ok, (x, y, values)
+    assert maps == 11345
+
+
+def test_a_shared_interner_gives_the_reports_of_fresh_ones():
+    """Identity components between presheaves that differ in one sections
+    algebra or in one set of restrictions: a memo key that left out a
+    corner of a square, or the source or target of an algebra map, would
+    carry an earlier verdict over to a later morphism."""
+    space = discrete_space(2)
+    presheaves = [constant_presheaf(space, function_algebra(2)),
+                  constant_presheaf(space, truncated_poly_algebra(2)),
+                  constant_presheaf(space, function_algebra(1)),
+                  zeroed_top_presheaf(space)]
+    shared = Interner()
+    verdicts = []
+    for source, target in [(a, b) for a in presheaves for b in presheaves]:
+        if [s.dim for s in source.sections] != [t.dim for t in target.sections]:
+            continue
+        h = PresheafMorphism(source, target, tuple(
+            Matrix.identity(s.dim) for s in source.sections))
+        report = validate_presheaf_morphism(h, shared)
+        assert report == validate_presheaf_morphism(h)
+        verdicts.append(report.ok)
+    assert verdicts == [True, False, False, True, True, False, False, True]
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_PRESHEAVES))
