@@ -21,8 +21,8 @@ and squaring with the restriction to U_{f(x)} fixes the value at x.  So f
 carries prod_x |U_{f(x)}| families, listed in lexicographic order of g, and
 pullback by f is the only one exactly when every f(x) is open, as over
 discrete spaces: the finite form of the fullness of smooth manifolds among
-differential triads.  fullness_check re-checks each pullback on the cover
-edges of the inclusion order, with one memo for the whole call.
+differential triads.  fullness_check re-checks each pullback with one memo
+for the whole call, so each distinct check runs once.
 """
 
 from __future__ import annotations
@@ -349,15 +349,14 @@ def _pullback_report(f: ContinuousMap, h: PresheafMorphism,
                      interner: Interner) -> Report:
     """verify_pullback_forced on a family from the function presheaf on the
     codomain into the direct image of the one on the domain, each distinct
-    check once per `interner`.  Both are functorial with identities on the
-    diagonal by construction, so the squares are checked on cover edges."""
+    check once per `interner`."""
     findings = []
     exploratory = not (f.domain.is_discrete and f.codomain.is_discrete)
     if exploratory:
         findings.append(Finding("warning", "spaces",
                                 "non-discrete spaces: exploratory result only", None))
     findings += relocated("morphism: ", validate_presheaf_morphism(
-        h, interner, functorial=True).findings)
+        h, interner).findings)
     expected = _point_map_components(f, f.values)
     for v in range(len(f.codomain.opens)):
         for r, x in enumerate(sorted(f.domain.opens[preimage_open(f, v)])):

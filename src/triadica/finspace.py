@@ -8,7 +8,6 @@ neighbourhood, which is what replaces germ limits downstream.
 
 from __future__ import annotations
 
-from functools import cached_property
 from itertools import product
 
 from .errors import DimensionMismatchError
@@ -65,16 +64,6 @@ class FiniteSpace:
         """All (u, v) index pairs with opens[v] a subset of opens[u]."""
         return [(u, v) for u in range(len(self.opens)) for v in range(len(self.opens))
                 if self.opens[v] <= self.opens[u]]
-
-    @cached_property
-    def cover_pairs(self) -> tuple[tuple[int, int], ...]:
-        """The (u, v) index pairs, in the order of inclusion_pairs, with
-        opens[v] a maximal proper subset of opens[u] among the opens: the
-        edges of the Hasse diagram, along whose chains every inclusion runs."""
-        opens = self.opens
-        below = [[v for v, small in enumerate(opens) if small < big] for big in opens]
-        return tuple((u, v) for u, vs in enumerate(below) for v in vs
-                     if not any(opens[v] < opens[w] for w in vs))
 
 
 def check_topology(space: FiniteSpace) -> Report:

@@ -186,9 +186,7 @@ def function_restriction_matrix(bigger, smaller) -> Matrix:
 
 
 def function_presheaf(space: FiniteSpace) -> Presheaf:
-    """U -> all rational functions on U, coordinates at sorted points.
-    Coordinate selections compose, so it is functorial with identities on
-    the diagonal, as validate_presheaf_morphism(functorial=True) needs."""
+    """U -> all rational functions on U, coordinates at sorted points."""
     sections = tuple(function_algebra(len(u)) for u in space.opens)
     table = {(u, v): function_restriction_matrix(space.opens[u], space.opens[v])
              for u, v in space.inclusion_pairs()}
@@ -236,17 +234,17 @@ def _functoriality_findings(p: Presheaf, restriction_ids: dict,
     return findings
 
 
-def _restriction_errors(p: Presheaf, u: int, v: int) -> list[Finding]:
+def _restriction_errors(p: Presheaf, u: int, v: int, interner: Interner) -> list[Finding]:
     """Where restriction u->v fails to be a map of p's layer: an algebra
-    map, or a module map over the base's restriction.  Locations are
-    relative to the pair."""
-    r = p.restriction(u, v)
+    map, or a module map over the base's restriction, each distinct check
+    once per `interner`.  Locations are relative to the pair."""
+    r, source, target = p.restriction(u, v), p.sections[u], p.sections[v]
     if p.base is None:
-        return relocated(": ", validate_algebra_morphism(
-            AlgebraMorphism(p.sections[u], p.sections[v], r)).errors())
-    return [Finding("error", "", "restriction does not respect the action", [i, j])
-            for i, j, _, _ in semilinearity_defects(
-                r, p.base.restriction(u, v), p.sections[u], p.sections[v])]
+        return relocated(": ", _algebra_map_errors(source, target, r, interner))
+    base_r = p.base.restriction(u, v)
+    return interner.once(("module map", *interner.ids((source, target, r, base_r))), lambda: [
+        Finding("error", "", "restriction does not respect the action", [i, j])
+        for i, j, _, _ in semilinearity_defects(r, base_r, source, target)])
 
 
 def _algebra_map_errors(source: Algebra, target: Algebra, m: Matrix,
@@ -287,15 +285,11 @@ def _presheaf_findings(p: Presheaf, interner: Interner) -> tuple[Finding, ...]:
                 else "module sections over the empty set must vanish", s.dim))
     pairs = space.inclusion_pairs()
     restriction_ids = dict(zip(pairs, interner.ids(p.restriction(u, v) for u, v in pairs)))
-    base_ids = ([None] * len(pairs) if base is None
-                else interner.ids(base.restriction(u, v) for u, v in pairs))
-    for (u, v), base_id in zip(pairs, base_ids):
+    for u, v in pairs:
         if u == v and p.restriction(u, v) != Matrix.identity(p.section_dim(u)):
             findings.append(Finding("error", f"{noun} {u}->{u}",
                                     "identity inclusion must restrict by the identity", None))
-        findings += relocated(f"{noun} {u}->{v}", interner.once(
-            ("restriction", section_ids[u], section_ids[v], restriction_ids[u, v], base_id),
-            lambda: _restriction_errors(p, u, v)))
+        findings += relocated(f"{noun} {u}->{v}", _restriction_errors(p, u, v, interner))
     return tuple(findings + _functoriality_findings(p, restriction_ids, interner))
 
 
@@ -347,27 +341,20 @@ class PresheafMorphism:
                                              f"{c.rows}x{c.cols}")
 
 
-def validate_presheaf_morphism(h: PresheafMorphism, interner: Interner | None = None,
-                               functorial: bool = False) -> Report:
+def validate_presheaf_morphism(h: PresheafMorphism,
+                               interner: Interner | None = None) -> Report:
     """Restriction squares; between algebra layers also unit and product
-    preservation per open, each distinct check once per `interner`.  With
-    `functorial` the caller vouches that both presheaves are functorial with
-    identities on the diagonal; then squares that commute on the cover
-    edges commute on every pair (paste them along a chain of covers), and
-    every pair is scanned only when an edge fails."""
+    preservation per open, each distinct check once per `interner`."""
     interner = interner or Interner()
-    source, target, space = h.source, h.target, h.source.space
-
-    def failures(pairs):
-        return restriction_square_failures(h.components, source, target, pairs, interner)
     findings = [Finding("error", f"square {u}->{v}",
                         "component does not commute with restriction", [u, v])
-                for u, v in ([] if functorial and not failures(space.cover_pairs)
-                             else failures(space.inclusion_pairs()))]
-    if source.base is None and target.base is None:
+                for u, v in restriction_square_failures(
+                    h.components, h.source, h.target, h.source.space.inclusion_pairs(),
+                    interner)]
+    if h.source.base is None and h.target.base is None:
         for u, c in enumerate(h.components):
             findings += relocated(f"open {u}: ", _algebra_map_errors(
-                source.sections[u], target.sections[u], c, interner))
+                h.source.sections[u], h.target.sections[u], c, interner))
     return Report("validate_presheaf_morphism", tuple(findings))
 
 
@@ -629,9 +616,7 @@ def _pushforward(f: ContinuousMap, p: Presheaf, base_image: Presheaf | None) -> 
 
 def pushforward(f: ContinuousMap, p: Presheaf) -> Presheaf:
     """Direct image: sections over V are the sections over the preimage.  A
-    module layer lands over the direct image of its base.  Its restrictions
-    are p's between preimages, so it is functorial with identities on the
-    diagonal when p is, as validate_presheaf_morphism(functorial=True) needs."""
+    module layer lands over the direct image of its base."""
     return _pushforward(f, p, None if p.base is None else pushforward(f, p.base))
 
 

@@ -2,11 +2,8 @@
 components, point-map recovery, and the fullness count."""
 
 import itertools
-import json
 import math
 import random
-import subprocess
-import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -39,7 +36,6 @@ from triadica.triad import (DifferentialTriad, NotFunctional, constant_triad,
 from dtcat_oracle import module_linearity_by_pairs, presheaf_morphisms_by_search
 from support import (families_over, free_module_sections, is_zero, replace,
                      scaled)
-from test_cli import src_env
 from test_sheaf import all_topologies
 
 POINT = discrete_space(1)
@@ -572,7 +568,7 @@ def test_fullness_checks_each_algebra_map_once(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the pullback check on cover edges, against the all-pairs scan
+# one memo across pullback checks, against fresh ones
 
 
 def corrupt_one_entry(components, rng):
@@ -603,7 +599,7 @@ def self_map_families(seed):
     return out
 
 
-def test_pullback_squares_on_cover_edges_match_the_all_pairs_scan():
+def test_pullback_reports_with_a_shared_memo_match_fresh_ones():
     families = self_map_families(1606)
     shared = Interner()
     failed = 0
@@ -648,39 +644,6 @@ def test_fullness_reports_with_one_memo_match_fresh_memos(monkeypatch):
     assert {tuple(x.witness) for x in result.report.errors()} == corrupted
     for f, h, _, report in reports:
         assert report == pullback_report(f, h, Interner())
-
-
-ONE_CORRUPTED_FAMILY = """
-import json, random
-from triadica.dtcat import _pullback_report, pullback_morphism
-from triadica.finspace import ContinuousMap, discrete_space
-from triadica.record import Interner
-from triadica.report import relocated
-from triadica.sheaf import (PresheafMorphism, function_presheaf, pushforward,
-                            validate_presheaf_morphism)
-x = discrete_space(3)
-f = ContinuousMap(x, x, (2, 0, 0))
-comps = list(pullback_morphism(f).algebra_components)
-rows = [list(row) for row in comps[7].entries]
-rows[1][0] += 1
-comps[7] = type(comps[7]).from_rows(rows, cols=comps[7].cols)
-h = PresheafMorphism(function_presheaf(x), pushforward(f, function_presheaf(x)),
-                     tuple(comps))
-report = _pullback_report(f, h, Interner())
-oracle = relocated("morphism: ", validate_presheaf_morphism(h).findings)
-print(json.dumps([__debug__, report.ok,
-                  [x.location for x in report.findings if x.location.startswith("morphism: ")]
-                  == [x.location for x in oracle], len(oracle)]))
-"""
-
-
-def test_a_corrupted_family_is_refused_under_python_dash_o():
-    # the shortcut and its fallback are plain control flow, not asserts
-    proc = subprocess.run([sys.executable, "-O", "-c", ONE_CORRUPTED_FAMILY],
-                          capture_output=True, text=True, env=src_env(), timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    debug, ok, same, failures = json.loads(proc.stdout)
-    assert (debug, ok, same) == (False, False, True) and failures > 0
 
 
 # ---------------------------------------------------------------------------

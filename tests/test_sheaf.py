@@ -15,8 +15,8 @@ from triadica.errors import DimensionMismatchError
 from triadica.exactla import ONE, ZERO, Matrix, kernel, solve, unit_vector, vec
 from triadica.finspace import (ContinuousMap, InvalidTopologyError, all_maps,
                                constant_map, discrete_space, indiscrete_space,
-                               is_continuous, minimal_open, preimage_open,
-                               sierpinski_space, space_from_opens)
+                               minimal_open, preimage_open, sierpinski_space,
+                               space_from_opens)
 from triadica.sheaf import (InvalidPresheafError, ModuleSections, Presheaf,
                             PresheafMorphism, check_sheaf_condition,
                             constant_presheaf, fill_restrictions,
@@ -376,58 +376,7 @@ def test_every_topology_on_three_points_is_enumerated():
 
 
 # ---------------------------------------------------------------------------
-# cover edges, and the functoriality that makes them enough
-
-
-def covers_by_brute_force(space):
-    """Inclusion pairs u -> v with no open strictly between the two."""
-    opens = space.opens
-    return tuple((u, v) for u, v in space.inclusion_pairs()
-                 if opens[v] < opens[u] and not any(opens[v] < w < opens[u] for w in opens))
-
-
-def chains_of(pairs, n):
-    """The reflexive and transitive closure of `pairs` on n opens."""
-    reach = {(u, u) for u in range(n)} | set(pairs)
-    while True:
-        grown = reach | {(u, w) for u, v in reach for x, w in reach if x == v}
-        if grown == reach:
-            return reach
-        reach = grown
-
-
-@pytest.mark.parametrize("n", range(4))
-def test_cover_pairs_are_the_hasse_edges(n):
-    for space in all_topologies(n):
-        assert space.cover_pairs == covers_by_brute_force(space)
-        # every inclusion is a chain of covers
-        assert chains_of(space.cover_pairs, len(space.opens)) == set(space.inclusion_pairs())
-
-
-def test_cover_pair_counts_on_discrete_spaces():
-    assert (len(discrete_space(4).cover_pairs), len(discrete_space(4).inclusion_pairs())) == (32, 81)
-    assert (len(discrete_space(5).cover_pairs), len(discrete_space(5).inclusion_pairs())) == (80, 243)
-
-
-def test_function_presheaves_and_their_direct_images_are_valid():
-    """The fact the cover-edge shortcut of the pullback check rests on:
-    function_presheaf(X) and pushforward(f, function_presheaf(X)) are
-    functorial with identities on the diagonal, for every continuous map f
-    between topologies with at most 3 points (11,345 maps).  Every direct
-    image reuses the sections and matrices of function_presheaf(X), so one
-    interner per X runs each distinct check once."""
-    spaces = [sp for n in range(4) for sp in all_topologies(n)]
-    maps = 0
-    for x in spaces:
-        functions, interner = function_presheaf(x), Interner()
-        assert validate_algebra_presheaf(functions).ok
-        for y in spaces:
-            for values in all_maps(x, y):
-                if is_continuous(values, x, y):
-                    maps += 1
-                    image = pushforward(ContinuousMap(x, y, values), functions)
-                    assert validate_algebra_presheaf(image, interner).ok, (x, y, values)
-    assert maps == 11345
+# one interner shared by several checks
 
 
 def test_a_shared_interner_gives_the_reports_of_fresh_ones():
@@ -451,6 +400,32 @@ def test_a_shared_interner_gives_the_reports_of_fresh_ones():
         assert report == validate_presheaf_morphism(h)
         verdicts.append(report.ok)
     assert verdicts == [True, False, False, True, True, False, False, True]
+
+
+def test_a_shared_interner_gives_the_module_presheaf_reports_of_fresh_ones():
+    """Identity restrictions of modules over Q x Q on the Sierpinski space,
+    with the action on {0} or on the whole space, or the base's restriction
+    between them, twisted by the swap of the two factors: a module-map memo
+    key that left out the source or target sections or the base restriction
+    would pass a twisted presheaf on the verdict of the untwisted one."""
+    space = sierpinski_space()
+    base = constant_presheaf(space, function_algebra(2))
+    swapped_base = replace(base, restrictions={
+        **base.restrictions, (2, 1): Matrix.from_rows([[0, 1], [1, 0]])})
+    plain = free_module_sections(function_algebra(2), 1)
+    twisted = ModuleSections(2, 2, (plain.action[1], plain.action[0]))
+    untwisted = constant_presheaf(space, plain, base)
+    empty = untwisted.sections[0]
+    shared = Interner()
+    verdicts = []
+    for m in [untwisted, replace(untwisted, sections=(empty, twisted, plain)),
+              replace(untwisted, sections=(empty, plain, twisted)),
+              replace(untwisted, base=swapped_base)]:
+        report = validate_module_presheaf(m, shared)
+        assert report == validate_module_presheaf(m)
+        verdicts.append(report.ok)
+    assert validate_algebra_presheaf(swapped_base).ok
+    assert verdicts == [True, False, False, False]
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_PRESHEAVES))
