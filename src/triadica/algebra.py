@@ -388,7 +388,8 @@ def characters(a: Algebra) -> list[Character]:
     # piece = echelon row basis of a subspace of the dual space
     pieces: list[tuple[Vector, ...]] = [full_space(n).basis]
     for i in range(n):
-        op = a.left_mult(unit_vector(n, i))
+        # op_t sends a row functional to it composed with op = e_i . -
+        op_t = a.left_mult(unit_vector(n, i)).transpose()
         refined: list[tuple[Vector, ...]] = []
         for basis in pieces:
             k = len(basis)
@@ -398,8 +399,7 @@ def characters(a: Algebra) -> list[Character]:
             sub = Subspace(n, basis)
             rep_rows = []
             for b in basis:
-                image = op.transpose().apply(b)  # row functional composed with op
-                coords = sub.coordinates(image)
+                coords = sub.coordinates(op_t.apply(b))
                 if coords is None:
                     raise InvariantError(
                         "multiplication operators must preserve the piece")

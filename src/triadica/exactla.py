@@ -10,7 +10,9 @@ it with two coordinate vectors is an algebra product or a module action, and
 
 Scalars are `fractions.Fraction` throughout; there is no floating point
 anywhere in the package, so comparisons are exact and echelon bases are
-canonical: two subspaces are equal iff their stored bases are equal.
+canonical: two subspaces are equal iff their stored bases are equal.  Every
+`Subspace` holds its basis in reduced row echelon form, so one reduction,
+`Subspace.residue`, serves membership, coordinates and quotients alike.
 """
 
 from __future__ import annotations
@@ -185,7 +187,10 @@ def rref(vectors: Iterable[Sequence[Fraction]], width: int) -> tuple[list[Vector
 
 @record
 class Subspace:
-    """Subspace of Q^ambient_dim, stored by its canonical echelon basis."""
+    """Subspace of Q^ambient_dim, stored by its reduced row echelon basis:
+    each vector is 1 at its lead column, where the others are 0, and the
+    leads increase.  `rref`'s rows, `span`, `kernel` and `full_space` are such
+    bases, so a member's coordinates are its entries at the leads."""
 
     ambient_dim: int
     basis: tuple[Vector, ...]
@@ -199,23 +204,36 @@ class Subspace:
         """Index of the first nonzero entry of each basis vector."""
         return tuple(next(j for j, x in enumerate(b) if x != 0) for b in self.basis)
 
+    @cached_property
+    def free(self) -> tuple[int, ...]:
+        """The columns that lead no basis vector, in order."""
+        leads = set(self.leads)
+        return tuple(j for j in range(self.ambient_dim) if j not in leads)
+
+    def residue(self, v: Sequence[Fraction]) -> Vector:
+        """v minus its part in the span, read on the free columns: entry k is
+        v[free_k] - sum_i v[lead_i] b_i[free_k].  It is zero exactly when v
+        lies in the span."""
+        if len(v) != self.ambient_dim:
+            raise DimensionMismatchError("vector/ambient length mismatch")
+        free = self.free
+        out = [v[f] for f in free]
+        for lead, b in zip(self.leads, self.basis):
+            c = v[lead]
+            if c:
+                for k, f in enumerate(free):
+                    if b[f]:
+                        out[k] -= c * b[f]
+        return tuple(out)
+
     def contains(self, v: Sequence[Fraction]) -> bool:
         return self.coordinates(v) is not None
 
     def coordinates(self, v: Sequence[Fraction]) -> Vector | None:
         """Coefficients of v in the stored basis, or None if v is outside."""
-        if len(v) != self.ambient_dim:
-            raise DimensionMismatchError("vector/ambient length mismatch")
-        residue = list(v)
-        coords = []
-        for lead, b in zip(self.leads, self.basis):
-            c = residue[lead]
-            coords.append(c)
-            if c != 0:
-                residue = [x - c * y for x, y in zip(residue, b)]
-        if any(x != 0 for x in residue):
+        if any(self.residue(v)):
             return None
-        return tuple(coords)
+        return tuple(v[lead] for lead in self.leads)
 
 
 def span(ambient_dim: int, vectors: Iterable[Sequence[Fraction]]) -> Subspace:
@@ -290,18 +308,10 @@ class Quotient:
 def quotient_space(ambient_dim: int, sub: Subspace) -> Quotient:
     if sub.ambient_dim != ambient_dim:
         raise DimensionMismatchError("subspace lives in a different ambient space")
-    pivot_of = dict(zip(sub.leads, sub.basis))
-    free = [j for j in range(ambient_dim) if j not in pivot_of]
-    proj_cols = []
-    for j in range(ambient_dim):
-        residue = [ZERO] * ambient_dim
-        residue[j] = ONE
-        for p, b in pivot_of.items():
-            if residue[p] != 0:
-                c = residue[p]
-                residue = [x - c * y for x, y in zip(residue, b)]
-        proj_cols.append([residue[f] for f in free])
-    projection = Matrix.from_columns(proj_cols, rows=len(free))
+    free = sub.free
+    projection = Matrix.from_columns(
+        [sub.residue(unit_vector(ambient_dim, j)) for j in range(ambient_dim)],
+        rows=len(free))
     section = Matrix.from_columns(
         [unit_vector(ambient_dim, f) for f in free],
         rows=ambient_dim)

@@ -169,21 +169,11 @@ def kaehler_module(a: Algebra) -> KaehlerModule:
     for b, coeffs in relations:
         row = gradient([(ONE, b)] + [(-c, t) for c, (t, _) in zip(coeffs, order)])
         jacobian += [left_mult(m, row, r) for m in range(n)]
-    reduced, pivots = rref(jacobian, n * r)
-    pivot_set = set(pivots)
-    free = [f for f in range(n * r) if f not in pivot_set]
-    omega = len(free)
-
-    def reduce(w):
-        # w modulo the Jacobian rows, read off on the non-pivot coordinates
-        out = [w[f] for f in free]
-        for row, p in zip(reduced, pivots):
-            c = w[p]
-            if c:
-                for k, f in enumerate(free):
-                    if row[f]:
-                        out[k] -= c * row[f]
-        return out
+    # reduce(w) is w modulo the Jacobian rows, read on the non-pivot
+    # coordinates
+    jacobian_span = Subspace(n * r, tuple(rref(jacobian, n * r)[0]))
+    reduce = jacobian_span.residue
+    omega = len(jacobian_span.free)
 
     # e_l de_k = e_l sum_j c_kj d(o_j), by the chain rule on e_k = sum_j
     # c_kj o_j(g)

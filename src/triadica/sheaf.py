@@ -421,9 +421,7 @@ def check_sheaf_condition(p: Presheaf) -> SheafCertificate:
     for u in range(len(space.opens)):
         layout = _family_layout(p, u)
         cover = tuple(sorted(set(layout.stalk_opens)))
-        columns = [tuple(x for s in layout.stalk_opens
-                         for x in p.restriction(u, s).col(i))
-                   for i in range(p.section_dim(u))]
+        columns = _stalk_families(p, u, layout)
         image = span(layout.total, columns)
         if image.dim < len(columns):
             natural = Matrix.from_columns(columns, rows=layout.total)
@@ -472,6 +470,13 @@ class FamilyLayout:
         if coords is None:
             raise InvariantError("family is not compatible; sheafification is broken")
         return coords
+
+
+def _stalk_families(p: Presheaf, u: int, layout: FamilyLayout) -> list[Vector]:
+    """The stalk family of each basis section over u: its restrictions to
+    the minimal opens of u's points, stacked in `layout` order."""
+    return [tuple(x for s in layout.stalk_opens for x in p.restriction(u, s).col(i))
+            for i in range(p.section_dim(u))]
 
 
 def _family_layout(p: Presheaf, u: int) -> FamilyLayout:
@@ -559,10 +564,7 @@ def _sheafify(p: Presheaf, left_layouts, operate, section,
                     restrictions, base)
     components = []
     for u, layout in enumerate(layouts):
-        # basis section i over u goes to the family of its stalk restrictions
-        cols = [layout.coordinates(tuple(x for s in layout.stalk_opens
-                                         for x in p.restriction(u, s).col(i)))
-                for i in range(p.section_dim(u))]
+        cols = [layout.coordinates(f) for f in _stalk_families(p, u, layout)]
         components.append(Matrix.from_columns(cols, rows=len(layout.basis)))
     return Sheafification(plus, PresheafMorphism(p, plus, tuple(components)),
                           layouts)
@@ -621,7 +623,7 @@ def pushforward(f: ContinuousMap, p: Presheaf) -> Presheaf:
 
 
 def pushforward_module(f: ContinuousMap, m: Presheaf,
-                       base_image: Presheaf | None = None) -> Presheaf:
+                       base_image: Presheaf) -> Presheaf:
     """Direct image of a module layer over `base_image`, the direct image of
-    its base, which is computed when not given."""
-    return pushforward(f, m) if base_image is None else _pushforward(f, m, base_image)
+    its base."""
+    return _pushforward(f, m, base_image)

@@ -263,11 +263,10 @@ def algebra_to_json(a: Algebra) -> dict:
 
 
 def presheaf_from_json(value, doc: WorkspaceDocument, location: str,
-                       literals: dict | None = None) -> sheaf.Presheaf:
+                       literals: dict) -> sheaf.Presheaf:
     """A presheaf, or the one named by a reference.  `literals` is the
-    document's scalar memo (see `rationals_from_json`); one is made when
-    none is given, and likewise in the parsers below."""
-    literals = {} if literals is None else literals
+    document's scalar memo (see `rationals_from_json`), as in the parsers
+    below."""
     if isinstance(value, str):
         return _resolve(value, doc, "presheaves", location)
     if not isinstance(value, dict) or set(value) - {"space", "sections",
@@ -359,8 +358,7 @@ def map_to_json(f: ContinuousMap) -> dict:
 
 
 def triad_from_json(value, doc: WorkspaceDocument, location: str,
-                    literals: dict | None = None) -> triad.DifferentialTriad:
-    literals = {} if literals is None else literals
+                    literals: dict) -> triad.DifferentialTriad:
     if isinstance(value, str):
         return _resolve(value, doc, "triads", location)
     if not isinstance(value, dict) or set(value) - {"algebras", "modules",
@@ -407,8 +405,7 @@ def triad_to_json(t: triad.DifferentialTriad) -> dict:
 
 
 def morphism_from_json(value, doc: WorkspaceDocument, location: str,
-                       literals: dict | None = None) -> dtcat.TriadMorphism:
-    literals = {} if literals is None else literals
+                       literals: dict) -> dtcat.TriadMorphism:
     if isinstance(value, str):
         return _resolve(value, doc, "morphisms", location)
     expected = {"map", "source", "target", "algebra_components",

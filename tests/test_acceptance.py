@@ -467,7 +467,7 @@ def test_criterion_10_cli_contract():
     derived = json.loads(out)["reports"][0]["derived_artifacts"]
     expected_triad = kaehler_presheaf(constant_presheaf(
         POINT, truncated_poly_algebra(3))).presheaf_triad
-    assert triad_from_json(derived["presheaf_triad"], blank, "k") == \
+    assert triad_from_json(derived["presheaf_triad"], blank, "k", {}) == \
         expected_triad
 
     _, out, _ = run_cli("sheafify", "--workspace", ws("ws_sheafify.json"),
@@ -475,7 +475,7 @@ def test_criterion_10_cli_contract():
     derived = json.loads(out)["reports"][0]["derived_artifacts"]
     expected_sheaf = sheafify(constant_presheaf(discrete_space(2),
                                                 function_algebra(1))).presheaf
-    assert presheaf_from_json(derived["sheaf"], blank, "s") == expected_sheaf
+    assert presheaf_from_json(derived["sheaf"], blank, "s", {}) == expected_sheaf
 
     _, out, _ = run_cli("pushforward", "--workspace", ws("ws_pushforward.json"),
                         "--target", "COLLAPSE:FT2")
@@ -483,14 +483,14 @@ def test_criterion_10_cli_contract():
     expected_push = pushforward_triad(
         ContinuousMap(discrete_space(2), POINT, (0, 0)),
         function_triad(discrete_space(2)))
-    reloaded = triad_from_json(derived["triad"], blank, "p")
+    reloaded = triad_from_json(derived["triad"], blank, "p", {})
     assert reloaded == expected_push
     assert validate_triad(reloaded).ok
 
     _, out, _ = run_cli("compose", "--workspace", ws("ws_morphism_chain.json"),
                         "--target", "E20:E11")
     derived = json.loads(out)["reports"][0]["derived_artifacts"]
-    reloaded = morphism_from_json(derived["morphism"], blank, "c")
+    reloaded = morphism_from_json(derived["morphism"], blank, "c", {})
     assert reloaded == compose(order_three_endomorphism(2, 0),
                                order_three_endomorphism(1, 1))
     assert check_morphism(reloaded).ok
@@ -499,7 +499,7 @@ def test_criterion_10_cli_contract():
                         "--workspace", ws("ws_constant_morphism.json"),
                         "--target", "FT2:FTS:1")
     derived = json.loads(out)["reports"][0]["derived_artifacts"]
-    reloaded = morphism_from_json(derived["morphism"], blank, "m")
+    reloaded = morphism_from_json(derived["morphism"], blank, "m", {})
     assert reloaded == constant_morphism(function_triad(discrete_space(2)),
                                          function_triad(sierpinski_space()), 1)
     assert check_morphism(reloaded).ok

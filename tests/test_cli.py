@@ -61,14 +61,14 @@ def test_triad_survives_serialization():
     ]
     doc = WorkspaceDocument()
     for t in cases:
-        assert triad_from_json(triad_to_json(t), doc, "t") == t
+        assert triad_from_json(triad_to_json(t), doc, "t", {}) == t
 
 
 def test_morphism_survives_serialization():
     f = ContinuousMap(discrete_space(2), discrete_space(3), (2, 0))
     m = pullback_morphism(f)
     doc = WorkspaceDocument()
-    assert morphism_from_json(morphism_to_json(m), doc, "m") == m
+    assert morphism_from_json(morphism_to_json(m), doc, "m", {}) == m
 
 
 def test_every_valid_corpus_file_parses():
@@ -77,9 +77,9 @@ def test_every_valid_corpus_file_parses():
         # and everything inside reserializes to an equal object
         blank = WorkspaceDocument()
         for t in doc.triads.values():
-            assert triad_from_json(triad_to_json(t), blank, "t") == t
+            assert triad_from_json(triad_to_json(t), blank, "t", {}) == t
         for m in doc.morphisms.values():
-            assert morphism_from_json(morphism_to_json(m), blank, "m") == m
+            assert morphism_from_json(morphism_to_json(m), blank, "m", {}) == m
 
 
 def test_sections_may_reference_named_algebras():
@@ -599,11 +599,17 @@ def test_invariant_checks_survive_optimized_mode():
             "try:\n"
             "    Finding('fatal', 'here', 'an unknown severity')\n"
             "except InvariantError:\n"
-            "    print('raised', sys.flags.optimize)\n")
+            "    print('raised', sys.flags.optimize)\n"
+            "from triadica.errors import DimensionMismatchError\n"
+            "from triadica.exactla import span, vec\n"
+            "try:\n"
+            "    span(3, [[1, 0, 0]]).coordinates(vec([1, 0]))\n"
+            "except DimensionMismatchError:\n"
+            "    print('refused', sys.flags.optimize)\n")
     proc = subprocess.run([sys.executable, "-O", "-c", code],
                           capture_output=True, text=True, env=src_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "raised 1\n"
+    assert proc.stdout == "raised 1\nrefused 1\n"
 
 
 def src_env():
@@ -908,7 +914,7 @@ def test_cli_compose_output_reloads_as_the_library_composite(capsys):
                         "--target", "E20:E11")
     derived = json.loads(out)["reports"][0]["derived_artifacts"]["morphism"]
     doc = load_workspace(ws("ws_morphism_chain.json"))
-    reloaded = morphism_from_json(derived, WorkspaceDocument(), "m")
+    reloaded = morphism_from_json(derived, WorkspaceDocument(), "m", {})
     assert check_morphism(reloaded).ok
     assert reloaded == compose(doc.morphisms["E20"], doc.morphisms["E11"])
 
@@ -918,7 +924,7 @@ def test_cli_constant_morphism_output_reloads(capsys):
                         "--workspace", ws("ws_constant_morphism.json"),
                         "--target", "FT2:FTS:1")
     derived = json.loads(out)["reports"][0]["derived_artifacts"]["morphism"]
-    reloaded = morphism_from_json(derived, WorkspaceDocument(), "m")
+    reloaded = morphism_from_json(derived, WorkspaceDocument(), "m", {})
     assert check_morphism(reloaded).ok
     assert reloaded.map.values == (1, 1)
 

@@ -317,6 +317,79 @@ def test_coordinates_refuse_a_vector_of_the_wrong_length():
             s.contains(v)
 
 
+def full_residue_coordinates(s, v):
+    """The reduction `Subspace.coordinates` did before it read coordinates
+    at the leads: subtract every basis row from a full-length residue.
+    Returns (residue, coordinates)."""
+    residue, coords = list(v), []
+    for b in s.basis:
+        lead = next(j for j, x in enumerate(b) if x != 0)
+        c = residue[lead]
+        coords.append(c)
+        if c != 0:
+            residue = [x - c * y for x, y in zip(residue, b)]
+    return residue, tuple(coords)
+
+
+@st.composite
+def subspaces_with_vectors(draw):
+    """A subspace from `span`, `kernel` or `full_space` of a sparse random
+    matrix, a random combination of its basis, and that member moved off
+    along one unit vector."""
+    rows, cols = draw(st.integers(0, 5)), draw(st.integers(1, 6))
+    density = draw(st.sampled_from([0, 1, 2, 4]))
+    entry = st.builds(lambda keep, num, den: F(num, den) if keep < density else ZERO,
+                      st.integers(0, 3), st.integers(-6, 6), st.integers(1, 4))
+    m = Matrix(rows, cols, tuple(tuple(draw(entry) for _ in range(cols))
+                                 for _ in range(rows)))
+    kind = draw(st.sampled_from(["span", "kernel", "full_space"]))
+    s = {"span": lambda: span(cols, m.entries), "kernel": lambda: kernel(m),
+         "full_space": lambda: full_space(cols)}[kind]()
+    member = [ZERO] * cols
+    for b in s.basis:
+        c = draw(entry)
+        member = [x + c * y for x, y in zip(member, b)]
+    shift = draw(st.integers(0, cols - 1))
+    moved = list(member)
+    moved[shift] += draw(st.sampled_from([F(1), F(-2, 3), F(5)]))
+    return s, tuple(member), shift, tuple(moved)
+
+
+@seed(20131)
+@settings(max_examples=150, deadline=None)
+@given(subspaces_with_vectors())
+def test_residue_and_coordinates_agree_with_the_full_residue(case):
+    s, member, shift, moved = case
+    n = s.ambient_dim
+    # the stored basis is reduced echelon: canonical, and each lead column
+    # is a unit column
+    assert span(n, s.basis) == s
+    assert list(s.leads) == sorted(set(s.leads))
+    for i, lead in enumerate(s.leads):
+        assert tuple(b[lead] for b in s.basis) == unit_vector(s.dim, i)
+    free = [j for j in range(n) if j not in s.leads]
+    assert list(s.free) == free
+    for v in (member, moved) + tuple(unit_vector(n, j) for j in range(n)):
+        residue, coords = full_residue_coordinates(s, v)
+        assert all(residue[lead] == 0 for lead in s.leads)
+        assert s.residue(v) == tuple(residue[j] for j in free)
+        inside = not any(residue)
+        assert s.coordinates(v) == (coords if inside else None)
+        assert s.contains(v) is inside
+    assert s.contains(member)
+    assert s.contains(moved) is s.contains(unit_vector(n, shift))
+    if shift in free:
+        assert not s.contains(moved)
+
+
+def test_residue_refuses_a_vector_of_the_wrong_length():
+    s = span(3, [[1, 0, 1]])
+    assert s.residue(vec([2, 5, 2])) == vec([5, 0])
+    for v in (vec([2, 0, 0, 5]), vec([2]), ()):
+        with pytest.raises(DimensionMismatchError):
+            s.residue(v)
+
+
 def test_full_space_round_trip():
     assert full_space(3).dim == 3
     assert quotient_space(3, span(3, [])).quotient_dim == 3

@@ -621,7 +621,7 @@ def test_pushforward_module_and_morphism():
     fwd = pushforward_morphism(f, plus.canonical)
     assert validate_presheaf_morphism(fwd).ok
     mp = zero_module_presheaf(base)
-    img = pushforward_module(f, mp)
+    img = pushforward_module(f, mp, pushforward(f, base))
     assert all(m.dim == 0 for m in img.sections)
 
 
