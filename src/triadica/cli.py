@@ -16,21 +16,23 @@ targets, the workspace sections they are drawn from, the operation its
 reports run under, a work function `(args, *parts) -> (Report, derived)`,
 and the flags only that command reads.  `run` is one loop over a table
 row: it resolves each target, runs the work function under `_guarded` and
-collects the rows.  `COMMANDS` and `build_parser` are read off the same
-table.  A target is either a single NAME from the listed sections (every
-such name, in sorted order, when no --target is given) or names joined by
-':' (names themselves cannot contain ':'), one section per part, with
-POINT an integer: pushforward MAP:TRIAD, compose OUTER:INNER,
-constant-morphism SOURCE:TARGET:POINT, uniqueness FIRST:SECOND, fullness
-DOMAIN:CODOMAIN.
+collects the rows.  `COMMANDS`, the --help synopsis and the command line
+reader `parse_command_line` are read off the same table.  A target is
+either a single NAME from the listed sections (every such name, in sorted
+order, when no --target is given) or names joined by ':' (names
+themselves cannot contain ':'), one section per part, with POINT an
+integer: pushforward MAP:TRIAD, compose OUTER:INNER, constant-morphism
+SOURCE:TARGET:POINT, uniqueness FIRST:SECOND, fullness DOMAIN:CODOMAIN.
 """
 
 from __future__ import annotations
 
-import argparse
+import os
+import re
 import sys
 from fractions import Fraction
-from typing import Callable
+from types import SimpleNamespace
+from typing import Callable, NoReturn
 
 from . import algebra, dtcat, finspace, kaehler, sheaf, triad
 from .errors import DimensionMismatchError, TriadicaError
@@ -196,7 +198,8 @@ class Command:
     part names joined by ':' with one entry of `sections` per part (None
     for POINT, an integer).  `operation` is the operation reports run
     under, or a dict giving it per section where it differs.  `flags` are
-    (flag, argparse keywords) pairs that only this command reads.
+    the options only this command reads, each (flag, kind, default, help):
+    kind `int` for a value read by `int()`, `bool` for a switch.
     """
 
     shape: str
@@ -206,12 +209,14 @@ class Command:
     flags: tuple = ()
 
 
-BOUND = ("--bound", {"type": int, "default": 64,
-                     "help": "enumeration budget (default: 64)"})
-EXPLORATORY = ("--exploratory", {
-    "action": "store_true",
-    "help": "allow operations whose result is only exploratory on the "
-            "given input"})
+# the options every command reads: `str` takes one value, `list` one per use
+COMMON = (("--workspace", str, "workspace.json",
+           "workspace file (default: workspace.json)"),
+          ("--target", list, None, "target to run on; repeatable"))
+BOUND = ("--bound", int, 64, "enumeration budget (default: 64)")
+EXPLORATORY = ("--exploratory", bool, False,
+               "allow operations whose result is only exploratory on the "
+               "given input")
 
 COMMAND_TABLE = {
     "validate": Command("NAME", ("spaces", "algebras", "presheaves", "triads"),
@@ -359,34 +364,104 @@ def render_human(command: str, rows) -> str:
 # entry points
 
 
-class _Parser(argparse.ArgumentParser):
-    """Reports a bad command line in one stderr line, as other usage
-    errors are reported."""
+METAVARS = {str: " FILE", list: " TARGET", int: " N", bool: ""}
+NEGATIVE_NUMBER = re.compile(r"-\d+$|-\d*\.\d+$")
+HELP_TAIL = ("\n  --json, --human   report as JSON (default) or as text"
+             "\n  -h, --help        print this synopsis\n"
+             "\nA long option may be cut to any unique prefix: --work FILE, --b 9.\n")
 
-    def error(self, message):
-        self.exit(2, f"{self.prog}: error: {message}\n")
+
+def _help() -> str:
+    """The synopsis of every command and option, read off COMMAND_TABLE."""
+    lines = []
+    for name, c in COMMAND_TABLE.items():
+        usage = (f"[{f}{f' {c.shape} ...' if kind is list else METAVARS[kind]}]"
+                 for f, kind, _, _ in COMMON + c.flags)
+        lines.append(f"triadica {name:17} {' '.join(usage)} [--json|--human]")
+    options = COMMON + sum((c.flags for c in COMMAND_TABLE.values()), ())
+    lines += [""] + [f"  {f + METAVARS[kind]:17} {text}"
+                     for f, kind, _, text in options]
+    return "\n".join(lines) + HELP_TAIL
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="triadica",
-        description="exact checks on differential structures over finite "
-                    "topological spaces")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, command in COMMAND_TABLE.items():
-        p = sub.add_parser(name)
-        p.add_argument("--workspace", default="workspace.json",
-                       help="workspace file (default: workspace.json)")
-        p.add_argument("--target", action="append", metavar=command.shape,
-                       help="target to run on; repeatable")
-        for flag, options in command.flags:
-            p.add_argument(flag, **options)
-        fmt = p.add_mutually_exclusive_group()
-        fmt.add_argument("--json", dest="mode", action="store_const",
-                         const="json", default="json")
-        fmt.add_argument("--human", dest="mode", action="store_const",
-                         const="human")
-    return parser
+def _refuse(prog: str, message: str) -> NoReturn:
+    print(f"{prog}: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _flags_named(word: str, flags) -> list[str] | None:
+    """The flags `word` names, whole or by a prefix; None for a value: as in
+    argparse, '-', a negative number, a spaced word or one not led by '-'."""
+    flag = word.partition("=")[0]
+    hits = [f for f in flags
+            if f == flag or word[:2] == "--" and f.startswith(flag)]
+    if hits or word[:1] == "-" != word and " " not in word and \
+            not NEGATIVE_NUMBER.match(word):
+        return hits
+    return None
+
+
+def parse_command_line(argv: list[str]) -> SimpleNamespace:
+    """The command and option values of a command line, read off
+    COMMAND_TABLE as argparse read them.  A refusal prints one line on
+    stderr and raises SystemExit(2); -h or --help prints the synopsis and
+    raises SystemExit(0)."""
+    if argv[:1] and argv[0] in ("-h", "--h", "--he", "--hel", "--help"):
+        raise SystemExit(_write(_help()))
+    if not argv or argv[0] not in COMMAND_TABLE:
+        _refuse("triadica", f"argument command: invalid choice: {argv[0]!r} "
+                f"(choose from {', '.join(map(repr, COMMANDS))})" if argv
+                else "the following arguments are required: command")
+    name, words, stray, mode = argv[0], iter(argv[1:]), [], None
+    prog, declared = f"triadica {name}", COMMON + COMMAND_TABLE[name].flags
+    kinds = {"-h": "help", "--help": "help", **{f: k for f, k, _, _ in declared},
+             "--json": "mode", "--human": "mode"}
+    args = {"command": name, "mode": "json", **{f[2:]: d for f, _, d, _ in declared}}
+    for word in words:
+        hits = word != "--" and _flags_named(word, kinds)
+        if not hits:  # a stray value or flag, or '--' and all after it
+            stray += [word, *words] if word == "--" else [word]
+            continue
+        if len(hits) > 1:
+            _refuse(prog, f"ambiguous option: {word} could match {', '.join(hits)}")
+        flag, (_, eq, value) = hits[0], word.partition("=")
+        kind, dest = kinds[flag], flag[2:]
+        if kind in (str, list, int) and not eq:
+            value = next(words, None)
+            if value is None or _flags_named(value, kinds) is not None:
+                _refuse(prog, f"argument {flag}: expected one argument")
+        elif eq and kind not in (str, list, int):
+            _refuse(prog, f"argument {flag}: ignored explicit argument {value!r}")
+        if kind == "help":
+            raise SystemExit(_write(_help()))
+        if kind == "mode" and mode not in (None, flag):
+            _refuse(prog, f"argument {flag}: not allowed with argument {mode}")
+        if kind == "mode":
+            mode, args["mode"] = flag, dest
+        elif kind is int:
+            try:
+                args[dest] = int(value)
+            except ValueError:
+                _refuse(prog, f"argument {flag}: invalid int value: {value!r}")
+        else:
+            args[dest] = (value if kind is str else True if kind is bool
+                          else (args[dest] or []) + [value])
+    if stray:
+        _refuse("triadica", f"unrecognized arguments: {' '.join(stray)}")
+    return SimpleNamespace(**args)
+
+
+def _write(text: str) -> int:
+    """Write `text` on stdout: 0, or 2 if stdout is closed or missing (fd 1
+    then points at os.devnull, so the interpreter's last flush succeeds)."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+        return 0
+    except (OSError, AttributeError) as exc:  # no sys.stdout without fd 1
+        print(f"triadica: cannot write report: {exc}", file=sys.stderr)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+        return 2
 
 
 def run(doc, args) -> tuple[int, str]:
@@ -407,9 +482,9 @@ def run(doc, args) -> tuple[int, str]:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = parse_command_line(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+        return exc.code
     try:
         doc = load_workspace(args.workspace)
     except OSError as exc:
@@ -430,8 +505,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"triadica: {exc}", file=sys.stderr)
         return 2
-    sys.stdout.write(text)
-    return code
+    return _write(text) or code
 
 
 if __name__ == "__main__":

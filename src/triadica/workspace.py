@@ -34,11 +34,10 @@ from __future__ import annotations
 import json
 import re
 
-from . import dtcat, sheaf, triad
+from . import dtcat, finspace, sheaf, triad
 from .algebra import Algebra, function_algebra, truncated_poly_algebra
 from .errors import DimensionMismatchError, TriadicaError
 from .exactla import Matrix, Vector, rat
-from .finspace import ContinuousMap, FiniteSpace
 
 SCHEMA_VERSION = 1
 
@@ -146,8 +145,8 @@ def _vector_from_json(value, length: int, literals: dict, location: str):
     return rationals_from_json(value, literals, lambda i: f"{location}[{i}]")
 
 
-def _restrictions_from_json(value, space: FiniteSpace, dims, literals: dict,
-                            location: str):
+def _restrictions_from_json(value, space: finspace.FiniteSpace, dims,
+                            literals: dict, location: str):
     value = {} if value is None else value
     if not isinstance(value, dict):
         raise ParseError("restrictions must be an object", location)
@@ -184,7 +183,7 @@ def _restrictions_to_json(p: sheaf.Presheaf) -> dict:
 # named fragments
 
 
-def space_from_json(value, location: str) -> FiniteSpace:
+def space_from_json(value, location: str) -> finspace.FiniteSpace:
     if not isinstance(value, dict) or set(value) - {"points", "opens"}:
         raise ParseError("expected {points, opens}", location)
     points = value.get("points")
@@ -200,7 +199,7 @@ def space_from_json(value, location: str) -> FiniteSpace:
             raise ParseError(f"opens[{i}] must be a list of integers", location)
         sets.append(frozenset(u))
     try:
-        space = FiniteSpace(points, tuple(sets))
+        space = finspace.FiniteSpace(points, tuple(sets))
     except TriadicaError as exc:
         raise ParseError(str(exc), location) from None
     covered = frozenset().union(*sets)
@@ -212,7 +211,7 @@ def space_from_json(value, location: str) -> FiniteSpace:
     return space
 
 
-def space_to_json(s: FiniteSpace) -> dict:
+def space_to_json(s: finspace.FiniteSpace) -> dict:
     return {"points": s.point_count, "opens": [sorted(u) for u in s.opens]}
 
 
@@ -333,7 +332,7 @@ def module_sections_to_json(m: sheaf.ModuleSections) -> dict:
             "action": [[[str(x) for x in w] for w in row] for row in m.action]}
 
 
-def map_from_json(value, doc: WorkspaceDocument, location: str) -> ContinuousMap:
+def map_from_json(value, doc: WorkspaceDocument, location: str) -> finspace.ContinuousMap:
     if isinstance(value, str):
         return _resolve(value, doc, "maps", location)
     if not isinstance(value, dict) or set(value) - {"domain", "codomain",
@@ -346,12 +345,12 @@ def map_from_json(value, doc: WorkspaceDocument, location: str) -> ContinuousMap
             isinstance(x, int) and not isinstance(x, bool) for x in values):
         raise ParseError("values must be a list of point indices", location)
     try:
-        return ContinuousMap(domain, codomain, tuple(values))
+        return finspace.ContinuousMap(domain, codomain, tuple(values))
     except (TriadicaError, ValueError) as exc:
         raise ParseError(str(exc), location) from None
 
 
-def map_to_json(f: ContinuousMap) -> dict:
+def map_to_json(f: finspace.ContinuousMap) -> dict:
     return {"domain": space_to_json(f.domain),
             "codomain": space_to_json(f.codomain),
             "values": list(f.values)}
@@ -443,7 +442,7 @@ def morphism_to_json(m: dtcat.TriadMorphism) -> dict:
                                   for x in m.module_components]}
 
 
-def _space_ref(value, doc: WorkspaceDocument, location: str) -> FiniteSpace:
+def _space_ref(value, doc: WorkspaceDocument, location: str) -> finspace.FiniteSpace:
     if isinstance(value, str):
         return _resolve(value, doc, "spaces", location)
     return space_from_json(value, location)

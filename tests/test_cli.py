@@ -7,18 +7,19 @@ import io
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tempfile
 from datetime import timedelta
 
 import pytest
-from hypothesis import HealthCheck, given, seed, settings
+from hypothesis import HealthCheck, assume, given, seed, settings
 from hypothesis import strategies as st
 
 from test_golden import command_argv
 from triadica.algebra import truncated_poly_algebra
-from triadica.cli import COMMAND_TABLE, COMMANDS, build_parser, main
+from triadica.cli import COMMAND_TABLE, COMMANDS, main, parse_command_line
 from triadica.dtcat import check_morphism, compose, pullback_morphism
 from triadica.finspace import (ContinuousMap, discrete_space, sierpinski_space,
                                space_from_opens)
@@ -605,11 +606,15 @@ def test_invariant_checks_survive_optimized_mode():
             "try:\n"
             "    span(3, [[1, 0, 0]]).coordinates(vec([1, 0]))\n"
             "except DimensionMismatchError:\n"
-            "    print('refused', sys.flags.optimize)\n")
+            "    print('refused', sys.flags.optimize)\n"
+            "from triadica.cli import main\n"
+            "print('usage', main(['fullness', '--bound', 'x']))\n")
     proc = subprocess.run([sys.executable, "-O", "-c", code],
                           capture_output=True, text=True, env=src_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "raised 1\nrefused 1\n"
+    assert proc.stdout == "raised 1\nrefused 1\nusage 2\n"
+    assert proc.stderr == ("triadica fullness: error: argument --bound: "
+                           "invalid int value: 'x'\n")
 
 
 def src_env():
@@ -775,22 +780,199 @@ def test_commands_that_read_a_flag_accept_it(capsys):
                            "--workspace", ws("ws_fullness.json"),
                            "--target", "D2:D3", "--bound", "9")
     assert code == 0 and json.loads(out)["status"] == "pass"
-    args = build_parser().parse_args(["recover-map", "--exploratory"])
-    assert args.exploratory
+    assert parse_command_line(["recover-map", "--exploratory"]).exploratory
 
 
-def test_parser_offers_exactly_the_table_commands_and_flags():
-    sub = next(a for a in build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
-    assert list(sub.choices) == list(COMMAND_TABLE) == list(COMMANDS)
-    common = {"-h", "--help", "--workspace", "--target", "--json", "--human"}
-    for name, parser in sub.choices.items():
-        options = {o for a in parser._actions for o in a.option_strings}
-        flags = {flag for flag, _ in COMMAND_TABLE[name].flags}
-        assert options == common | flags
-    assert {name: [flag for flag, _ in c.flags]
+def test_parser_offers_exactly_the_table_commands_and_flags(capsys):
+    assert list(COMMANDS) == list(COMMAND_TABLE)
+    every = {flag for c in COMMAND_TABLE.values() for flag, *_ in c.flags}
+    for name, command in COMMAND_TABLE.items():
+        own = {flag for flag, *_ in command.flags}
+        for flag in sorted(every):
+            words = [flag, "1"] if flag == "--bound" else [flag]
+            verdict, _, _ = read(parse_command_line, [name, *words])
+            assert (verdict != 2) == (flag in own), (name, flag)
+        assert main([name, "--help"]) == 0
+        usage, = (line for line in capsys.readouterr().out.splitlines()
+                  if line.startswith(f"triadica {name} "))
+        assert re.findall(r"\[(-[-a-z]+)", usage) == [
+            "--workspace", "--target", *(f for f, *_ in command.flags),
+            "--json"]
+    assert {name: [flag for flag, *_ in c.flags]
             for name, c in COMMAND_TABLE.items() if c.flags} == {
         "recover-map": ["--exploratory"], "fullness": ["--bound"]}
+
+
+# ---------------------------------------------------------------------------
+# the command-line reader against argparse
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line in one stderr line, as other usage
+    errors are reported."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser `parse_command_line` replaced: the oracle for
+    which command lines are accepted and the values they give.  The reader
+    keeps the grammar of Python 3.11's argparse, which later versions
+    changed in places (the handling of '--')."""
+    parser = _Parser(
+        prog="triadica",
+        description="exact checks on differential structures over finite "
+                    "topological spaces")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in COMMAND_TABLE.items():
+        p = sub.add_parser(name)
+        p.add_argument("--workspace", default="workspace.json",
+                       help="workspace file (default: workspace.json)")
+        p.add_argument("--target", action="append", metavar=command.shape,
+                       help="target to run on; repeatable")
+        for flag, kind, default, text in command.flags:
+            options = ({"action": "store_true"} if kind is bool
+                       else {"type": kind, "default": default})
+            p.add_argument(flag, help=text, **options)
+        fmt = p.add_mutually_exclusive_group()
+        fmt.add_argument("--json", dest="mode", action="store_const",
+                         const="json", default="json")
+        fmt.add_argument("--human", dest="mode", action="store_const",
+                         const="human")
+    return parser
+
+
+def read(reader, argv):
+    """(exit code or None, fields or None, (stdout, stderr)) of one line."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            fields = vars(reader(list(argv)))
+        except SystemExit as exc:
+            return exc.code, None, (out.getvalue(), err.getvalue())
+    return None, fields, (out.getvalue(), err.getvalue())
+
+
+def assert_reads_as_argparse(argv):
+    verdict, fields, (out, err) = read(parse_command_line, argv)
+    expected, oracle_fields, _ = read(build_parser().parse_args, argv)
+    assert (verdict, fields) == (expected, oracle_fields), argv
+    if verdict is not None:
+        assert (verdict, out, err.count("\n")) == (2, "", 1), argv
+        assert err.startswith(("triadica: error: ",
+                               f"triadica {''.join(argv[:1])}: error: ")), err
+
+
+COMMON_FLAGS = ["--workspace", "--target", "--json", "--human"]
+OTHER_FLAGS = ["--bound", "--exploratory"]
+PLAIN = ["ws.json", "D2:D3", "7"]
+TRICKY = ["-1", "+3", " 5", "x", "1e3", "-1e3", "1" * 5000, "-x", "--x", "-",
+          "", "-.5", "-a b", "--", "--json", "5 ", "1_0", "2.5"]
+
+
+def _spelled(flag):
+    """`flag` in full or cut to a prefix, never one of --help's."""
+    return st.integers(3, len(flag)).map(lambda n: flag[:n]).filter(
+        lambda word: not word.startswith("--he"))
+
+
+@st.composite
+def command_lines(draw):
+    """A command line from the table's grammar: mostly a command and its
+    own flags, spelled every way argparse took, with values plain and
+    tricky; sometimes no command or an unknown one, another command's
+    flag, an unknown flag, a stray word or '--'."""
+    head = draw(st.sampled_from(COMMANDS * 6 + ("frobnicate", "--json")))
+    argv = [] if draw(st.integers(0, 30)) == 0 else [head]
+    own = COMMON_FLAGS + [f for f, *_ in getattr(COMMAND_TABLE.get(head),
+                                                 "flags", ())]
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["own"] * 10 + ["other", "stray"]))
+        if kind == "stray":
+            argv.append(draw(st.sampled_from(
+                ["--", "--frob", "-x", "---"] + PLAIN + TRICKY)))
+            continue
+        flags = own if kind == "own" else OTHER_FLAGS
+        word = draw(st.sampled_from(flags).flatmap(_spelled))
+        value = draw(st.sampled_from(PLAIN * 6 + TRICKY))
+        argv += draw(st.sampled_from([[word], [word, value],
+                                      [f"{word}={value}"]]))
+    return argv
+
+
+def _asks_for_help(argv):
+    helps = ("--h", "--he", "--hel", "--help")
+    return any(w.startswith(("-h", "--he")) or w.partition("=")[0] in helps
+               and argv[0] not in COMMANDS for w in argv)
+
+
+def _strips_double_dash(argv):
+    """argparse takes `--flag=--` as an empty list (see
+    test_an_explicit_double_dash_is_read_as_written)."""
+    return any(w.endswith("=--") for w in argv)
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["frobnicate"], ["--json", "validate"], ["--", "validate"],
+    ["valid"], ["validate", "--workspace", "W"], ["validate", "--workspace=W"],
+    ["validate", "--work", "W"], ["validate", "--w=W", "--wo", "V"],
+    ["validate", "--target", "A", "--target", "B", "--t=C"],
+    ["validate", "--json"], ["validate", "--human"], ["validate", "--hu"],
+    ["validate", "--json", "--json"], ["validate", "--human", "--human"],
+    ["validate", "--json", "--human"], ["validate", "--human", "--j"],
+    ["validate", "--h"], ["validate", "--=x"], ["validate", "--json=x"],
+    ["validate", "--json="], ["validate", "--workspace"],
+    ["validate", "--workspace", "--json"], ["validate", "--workspace", "-x"],
+    ["validate", "--workspace", "-1"], ["validate", "--workspace", "-a b"],
+    ["validate", "--workspace=-x"], ["validate", "--workspace="],
+    ["validate", "--target", "--"], ["validate", "--target", "x", "--"],
+    ["validate", "--", "--json"], ["validate", "--", "-h"],
+    ["validate", "--", "--h"], ["validate", "stray"], ["validate", "-x"],
+    ["validate", "-5"], ["validate", "--frob"], ["validate", "--bound", "5"],
+    ["kaehler", "--exploratory"], ["recover-map", "--exploratory"],
+    ["recover-map", "--e", "--exploratory"], ["recover-map", "--exploratory="],
+    ["fullness", "--b", "9"], ["fullness", "--b=9"], ["fullness", "--bound"],
+    ["fullness", "--bound", "--json"], ["fullness", "--exploratory"],
+    ] + [["fullness", "--bound", v] for v in ["7", "-1", "+3", " 5", "x",
+                                               "1e3", "-1e3", "1" * 5000,
+                                               "5 ", "1_0", "", "-x"]],
+    ids=lambda argv: " ".join(argv)[:60] or "no words")
+def test_reader_matches_argparse(argv):
+    assert_reads_as_argparse(argv)
+
+
+@seed(19019)
+@settings(max_examples=500, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(command_lines())
+def test_reader_matches_argparse_on_generated_lines(argv):
+    assume(not _asks_for_help(argv) and not _strips_double_dash(argv))
+    assert_reads_as_argparse(argv)
+
+
+def test_an_explicit_double_dash_is_read_as_written(capsys):
+    # argparse stripped the '--' of `--flag=--` and stored an empty list,
+    # which ended in a TypeError traceback
+    args = parse_command_line(["fullness", "--workspace=--", "--target=--"])
+    assert (args.workspace, args.target) == ("--", ["--"])
+    for argv in (["validate", "--workspace=--"],
+                 ["validate", "--workspace", ws("ws_minimal.json"),
+                  "--target=--"],
+                 ["fullness", "--workspace", ws("ws_fullness.json"),
+                  "--target", "D2:D3", "--bound=--"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err.count("\n")) == (2, "", 1), argv
+
+
+def test_help_prints_the_synopsis_from_the_table(capsys):
+    assert main(["--help"]) == 0
+    out = capsys.readouterr().out
+    assert all(f"triadica {name} " in out for name in COMMANDS)
+    assert main(["fullness", "-h"]) == 0
+    assert "--bound N" in capsys.readouterr().out
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+    assert f"```\n{out}```" in readme
 
 
 # ---------------------------------------------------------------------------
@@ -954,6 +1136,32 @@ def test_reports_sorted_by_target_name(capsys):
                         "--workspace", ws("ws_function_triads.json"))
     targets = [r["target"] for r in json.loads(out)["reports"]]
     assert targets == sorted(targets)
+
+
+@pytest.mark.parametrize("stdout,argv", [
+    ("closed pipe", ["validate", "--workspace", ws("ws_minimal.json")]),
+    ("closed pipe", ["kaehler", "--workspace", ws("ws_kaehler_point.json")]),
+    ("closed pipe, unbuffered", ["validate", "--workspace",
+                                 ws("ws_minimal.json")]),
+    ("no fd 1", ["validate", "--workspace", ws("ws_minimal.json")]),
+], ids=["short report", "long report", "unbuffered", "no fd 1"])
+def test_a_closed_stdout_exits_2_in_one_line(stdout, argv):
+    # a short report fails in the flush, a long one already in the write
+    env = {k: v for k, v in src_env().items() if k != "PYTHONUNBUFFERED"}
+    env.update({"PYTHONUNBUFFERED": "1"} if "unbuffered" in stdout else {})
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "triadica.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+            preexec_fn=(lambda: os.close(1)) if stdout == "no fd 1" else None,
+            timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("triadica: cannot write report: ")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
 
 def test_module_entry_point_runs():

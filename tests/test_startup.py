@@ -4,7 +4,9 @@ command runs only the layers it needs.
 Every command runs in a fresh interpreter, so whatever `import
 triadica.cli` pulls in is paid on each run.  `dataclasses` imports
 `inspect`, and compiles methods for every class it decorates;
-`triadica.record` does the same job without either.
+`triadica.record` does the same job without either.  argparse (with
+`gettext`) built a parser per command on every run; `cli` reads the
+command line off its table instead.
 
 The package registers each layer without running it, and a layer runs on
 first use.  A layer module that has run is a plain `types.ModuleType`; one
@@ -18,7 +20,7 @@ import sys
 from test_cli import src_env
 from test_trace_names import _layers
 
-UNWANTED = ("dataclasses", "inspect")
+UNWANTED = ("dataclasses", "inspect", "argparse", "gettext")
 
 # prints the triadica modules in sys.modules, and those that have run
 REPORT = ("import json, sys, types\n"
@@ -56,7 +58,7 @@ def _workspace(tmp_path, **sections) -> str:
     return str(path)
 
 
-def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
+def test_cli_import_leaves_unwanted_modules_unloaded():
     code = ("import sys\n"
             "import triadica.cli\n"
             f"print(sorted(m for m in {UNWANTED!r} if m in sys.modules))\n")
@@ -80,7 +82,7 @@ def test_spectrum_on_algebras_runs_no_sheaf(tmp_path):
                                         "F": "function_algebra 2"})
     _, ran = _modules_after(_run_command(["spectrum", "--workspace", ws]))
     assert "triadica.algebra" in ran
-    assert "triadica.sheaf" not in ran
+    assert ran.isdisjoint({"triadica.sheaf", "triadica.finspace"})
 
 
 def test_validate_on_a_point_presheaf_runs_no_triad_kaehler_or_dtcat(
@@ -102,3 +104,20 @@ def test_module_run_writes_nothing_to_stderr(tmp_path):
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["status"] == "pass"
     assert proc.stderr == ""
+
+
+def test_module_run_leaves_unwanted_modules_unloaded(tmp_path):
+    ws = _workspace(tmp_path, spaces={"PT": POINT})
+    code = ("import runpy, sys\n"
+            f"sys.argv = ['triadica', 'validate', '--workspace', {ws!r}]\n"
+            "try:\n"
+            "    runpy.run_module('triadica.cli', run_name='__main__')\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0, exc.code\n"
+            f"print(sorted(m for m in {UNWANTED!r} if m in sys.modules),\n"
+            "      file=sys.stderr)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=src_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["status"] == "pass"
+    assert proc.stderr == "[]\n"
