@@ -32,16 +32,14 @@ from itertools import product
 from .errors import DimensionMismatchError, TriadicaError
 from .exactla import ZERO, Matrix, span, unit_vector
 from .finspace import (ContinuousMap, FiniteSpace, all_maps, compose_maps,
-                       constant_map, continuity_witness, identity_map,
-                       is_continuous, minimal_open, preimage_open,
+                       constant_map, identity_map, is_continuous, minimal_open,
                        require_topology)
 from .record import Interner, record
 from .report import Finding, Report, merge_reports, relocated
 from .sheaf import (Presheaf, PresheafMorphism, function_presheaf, pushforward,
-                    pushforward_module, semilinearity_defects,
-                    validate_presheaf_morphism)
+                    semilinearity_defects, validate_presheaf_morphism)
 from .triad import (DifferentialTriad, constants_only_kernel, function_triad,
-                    require_functional)
+                    pushforward_triad, require_functional)
 
 
 class BoundExceeded(TriadicaError):
@@ -71,7 +69,7 @@ class TriadMorphism:
                 len(self.module_components) != len(y_opens):
             raise DimensionMismatchError("one component pair per codomain open required")
         for v in range(len(y_opens)):
-            pre = preimage_open(self.map, v)
+            pre = self.map.preimages[v]
             fa = self.algebra_components[v]
             fo = self.module_components[v]
             if fa.cols != self.target.algebras.section_dim(v) or \
@@ -83,43 +81,32 @@ class TriadMorphism:
                 raise DimensionMismatchError(
                     f"module component over open {v} has shape {fo.rows}x{fo.cols}")
 
-    def preimage(self, v: int) -> int:
-        return preimage_open(self.map, v)
-
 
 def check_morphism(m: TriadMorphism) -> Report:
     """Verify that m really is a morphism of triads.
 
-    Four layers of findings: the frame (continuity and matching spaces),
+    The map must connect the triad spaces (it is continuous by type).  Then
     the algebra components (unit, products, restriction squares), the module
     components (restriction squares plus compatibility with the algebra
-    action), and the operator squares.  Everything is checked on basis
-    elements over every open and reported with (open, basis index) witnesses.
+    action) and the operator squares are checked against the source's direct
+    image, on basis elements over every open, with (open, basis) witnesses.
     """
     source, target = m.source, m.target
-    frame = []
     if m.map.domain != source.space or m.map.codomain != target.space:
-        frame.append(Finding("error", "frame",
-                             "underlying map does not connect the triad spaces", None))
-        return Report("check_morphism", tuple(frame))
-    bad_open = continuity_witness(m.map.values, m.map.domain, m.map.codomain)
-    if bad_open is not None:
-        frame.append(Finding("error", "continuity",
-                             f"preimage of open {bad_open} is not open", bad_open))
-    parts = [Report("frame", tuple(frame))]
+        return Report("check_morphism", (Finding(
+            "error", "frame", "underlying map does not connect the triad spaces", None),))
+    push = pushforward_triad(m.map, source)
+    interner = Interner()
+    h_alg = PresheafMorphism(target.algebras, push.algebras, m.algebra_components)
+    parts = [Report("algebra_components",
+                    validate_presheaf_morphism(h_alg, interner).findings)]
 
-    push_alg = pushforward(m.map, source.algebras)
-    h_alg = PresheafMorphism(target.algebras, push_alg, m.algebra_components)
-    parts.append(Report("algebra_components",
-                        validate_presheaf_morphism(h_alg).findings))
-
-    push_mod = pushforward_module(m.map, source.modules, base_image=push_alg)
-    h_mod = PresheafMorphism(target.modules, push_mod, m.module_components)
-    module_findings = list(validate_presheaf_morphism(h_mod).findings)
+    h_mod = PresheafMorphism(target.modules, push.modules, m.module_components)
+    module_findings = list(validate_presheaf_morphism(h_mod, interner).findings)
     for v in range(len(target.space.opens)):
         defects = semilinearity_defects(
             m.module_components[v], m.algebra_components[v],
-            target.modules.sections[v], source.modules.sections[m.preimage(v)])
+            target.modules.sections[v], push.modules.sections[v])
         for i, j, lhs, rhs in defects:
             module_findings.append(Finding(
                 "error", f"open {v}, action pair ({i},{j})",
@@ -130,9 +117,8 @@ def check_morphism(m: TriadMorphism) -> Report:
 
     square_findings = []
     for v in range(len(target.space.opens)):
-        pre = preimage_open(m.map, v)
         lhs = m.module_components[v] @ target.differentials[v]
-        rhs = source.differentials[pre] @ m.algebra_components[v]
+        rhs = push.differentials[v] @ m.algebra_components[v]
         if lhs != rhs:
             diff = lhs - rhs
             j = next(c for c in range(diff.cols)
@@ -165,7 +151,7 @@ def compose(g_hat: TriadMorphism, f_hat: TriadMorphism) -> TriadMorphism:
     gf = compose_maps(g_hat.map, f_hat.map)
     alg, mod = [], []
     for w in range(len(g_hat.target.space.opens)):
-        gw = preimage_open(g_hat.map, w)
+        gw = g_hat.map.preimages[w]
         alg.append(f_hat.algebra_components[gw] @ g_hat.algebra_components[w])
         mod.append(f_hat.module_components[gw] @ g_hat.module_components[w])
     return TriadMorphism(gf, f_hat.source, g_hat.target, tuple(alg), tuple(mod))
@@ -192,7 +178,7 @@ def constant_morphism(source: DifferentialTriad, target: DifferentialTriad,
     unit = source.algebras.sections[full_x].unit
     alg, mod = [], []
     for v, vset in enumerate(target.space.opens):
-        pre = preimage_open(f, v)
+        pre = f.preimages[v]
         rows_a = source.algebras.section_dim(pre)
         alg.append(Matrix.from_columns(
             [unit if p == c else (ZERO,) * rows_a for p in sorted(vset)],
@@ -208,7 +194,7 @@ def _point_map_components(f: ContinuousMap, g) -> tuple[Matrix, ...]:
     comps = []
     for v, vset in enumerate(f.codomain.opens):
         v_pts = sorted(vset)
-        pre_pts = sorted(f.domain.opens[preimage_open(f, v)])
+        pre_pts = sorted(f.domain.opens[f.preimages[v]])
         comps.append(Matrix.from_rows(
             [unit_vector(len(v_pts), v_pts.index(g[x])) for x in pre_pts],
             cols=len(v_pts)))
@@ -300,7 +286,7 @@ def algebra_component_uniqueness(m1: TriadMorphism,
                     "than the constants, no uniqueness is claimed", None),),
             exploratory=True)
     for v in range(len(m1.target.space.opens)):
-        pre = preimage_open(m1.map, v)
+        pre = m1.map.preimages[v]
         d_x = source.differentials[pre]
         diff = m1.algebra_components[v] - m2.algebra_components[v]
         for j in range(diff.cols):
@@ -357,11 +343,12 @@ def _pullback_report(f: ContinuousMap, h: PresheafMorphism,
                                 "non-discrete spaces: exploratory result only", None))
     findings += relocated("morphism: ", validate_presheaf_morphism(
         h, interner).findings)
-    expected = _point_map_components(f, f.values)
-    for v in range(len(f.codomain.opens)):
-        for r, x in enumerate(sorted(f.domain.opens[preimage_open(f, v)])):
+    # row x over V must be the unit vector at f(x) in V's sorted points
+    for v, vset in enumerate(f.codomain.opens):
+        v_pts = sorted(vset)
+        for r, x in enumerate(sorted(f.domain.opens[f.preimages[v]])):
             got = h.components[v].row(r)
-            if got != expected[v].row(r):
+            if got != unit_vector(len(v_pts), v_pts.index(f.values[x])):
                 findings.append(Finding(
                     "error", f"open {v}, point {x}",
                     "evaluation after the morphism is not evaluation at the image point",

@@ -4,6 +4,11 @@ Points are 0..point_count-1.  The open sets are stored as an explicit tuple
 of frozensets, each with a stable index that the rest of the package uses to
 key section data.  On a finite space every point has a smallest open
 neighbourhood, which is what replaces germ limits downstream.
+
+A space maps each open to its first index (`index`), and a continuous map
+keeps the domain index of each codomain open's preimage (`preimages`), as
+its continuity check finds them.  Both are built once, at construction, and
+are not fields: equality, hashing and repr read only the fields.
 """
 
 from __future__ import annotations
@@ -32,6 +37,10 @@ class FiniteSpace:
         for u in self.opens:
             if any(x < 0 or x >= self.point_count for x in u):
                 raise DimensionMismatchError(f"open {sorted(u)} mentions a point outside the space")
+        index = {}
+        for i, u in enumerate(self.opens):
+            index.setdefault(u, i)
+        object.__setattr__(self, "index", index)
 
     @property
     def points(self) -> range:
@@ -43,13 +52,13 @@ class FiniteSpace:
 
     def open_index(self, subset) -> int:
         target = frozenset(subset)
-        for i, u in enumerate(self.opens):
-            if u == target:
-                return i
-        raise KeyError(f"{sorted(target)} is not an open of this space")
+        i = self.index.get(target)
+        if i is None:
+            raise KeyError(f"{sorted(target)} is not an open of this space")
+        return i
 
     def is_open(self, subset) -> bool:
-        return frozenset(subset) in set(self.opens)
+        return frozenset(subset) in self.index
 
     @property
     def is_discrete(self) -> bool:
@@ -120,13 +129,16 @@ def minimal_open_superset(space: FiniteSpace, subset) -> int:
     return space.open_index(acc)
 
 
+def _preimage_indices(values, domain: FiniteSpace, codomain: FiniteSpace) -> tuple:
+    """Per codomain open, the domain index of its preimage, or None if not open."""
+    return tuple(domain.index.get(frozenset(x for x in domain.points if values[x] in v))
+                 for v in codomain.opens)
+
+
 def continuity_witness(values, domain: FiniteSpace, codomain: FiniteSpace) -> int | None:
     """Index of a codomain open whose preimage is not open, or None."""
-    for j, v in enumerate(codomain.opens):
-        pre = frozenset(x for x in domain.points if values[x] in v)
-        if not domain.is_open(pre):
-            return j
-    return None
+    preimages = _preimage_indices(values, domain, codomain)
+    return preimages.index(None) if None in preimages else None
 
 
 def is_continuous(values, domain: FiniteSpace, codomain: FiniteSpace) -> bool:
@@ -145,21 +157,16 @@ class ContinuousMap:
         for x, y in enumerate(self.values):
             if y < 0 or y >= self.codomain.point_count:
                 raise DimensionMismatchError(f"f({x}) = {y} is outside the codomain")
-        witness = continuity_witness(self.values, self.domain, self.codomain)
-        if witness is not None:
+        preimages = _preimage_indices(self.values, self.domain, self.codomain)
+        if None in preimages:
+            witness = preimages.index(None)
             raise ValueError(
                 f"not continuous: preimage of open {sorted(self.codomain.opens[witness])} "
                 f"(index {witness}) is not open")
+        object.__setattr__(self, "preimages", preimages)
 
     def __call__(self, x: int) -> int:
         return self.values[x]
-
-
-def preimage_open(f: ContinuousMap, v_index: int) -> int:
-    """Index (in the domain) of the preimage of the codomain open v_index."""
-    v = f.codomain.opens[v_index]
-    pre = frozenset(x for x in f.domain.points if f.values[x] in v)
-    return f.domain.open_index(pre)
 
 
 def identity_map(space: FiniteSpace) -> ContinuousMap:

@@ -347,9 +347,7 @@ def kaehler_presheaf(base: Presheaf) -> KaehlerPresheafResult:
 
     module_plus = sheafify_module(modules, base_plus)
     d_plus = []
-    for u in range(len(space.opens)):
-        alg_layout = base_plus.layouts[u]
-        mod_layout = module_plus.layouts[u]
+    for alg_layout, mod_layout in zip(base.layouts, modules.layouts):
         cols = []
         for b in alg_layout.basis:
             chunks = alg_layout.chunks(b)

@@ -20,6 +20,7 @@ the empty open has no points, so its limit is the zero space.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import combinations
 
 from .algebra import (Algebra, AlgebraMorphism, function_algebra,
@@ -27,8 +28,7 @@ from .algebra import (Algebra, AlgebraMorphism, function_algebra,
 from .errors import DimensionMismatchError, InvariantError
 from .exactla import (ONE, ZERO, Matrix, Subspace, Vector, contract,
                       contract_matrix, full_space, kernel, span, unit_vector)
-from .finspace import (ContinuousMap, FiniteSpace, minimal_open, preimage_open,
-                       require_topology)
+from .finspace import ContinuousMap, FiniteSpace, minimal_open, require_topology
 from .record import Interner, record
 from .report import Finding, Report, ValidationError, relocated
 
@@ -108,7 +108,8 @@ class Presheaf:
     """Sections over every open and a restriction matrix per inclusion pair.
 
     With `base` None the sections are algebras; otherwise they are modules
-    over the sections of `base`, the algebra layer on the same space.
+    over the sections of `base`, the algebra layer on the same space.  Nothing
+    mutates `restrictions` after construction, so `layouts` is built once.
     """
 
     space: FiniteSpace
@@ -139,6 +140,11 @@ class Presheaf:
 
     def section_dim(self, u: int) -> int:
         return self.sections[u].dim
+
+    @cached_property
+    def layouts(self) -> tuple[FamilyLayout, ...]:
+        """The FamilyLayout of each open; the space must be a topology."""
+        return tuple(_family_layout(self, u) for u in range(len(self.space.opens)))
 
 
 def fill_restrictions(space: FiniteSpace, dims, given: dict) -> dict:
@@ -415,13 +421,11 @@ def check_sheaf_condition(p: Presheaf) -> SheafCertificate:
     open passes only when N is injective and the echelon bases of its image
     and of the compatible-family space are equal.
     """
-    space = p.space
-    require_topology(space)
+    require_topology(p.space)
     witnesses: list[CoverWitness] = []
-    for u in range(len(space.opens)):
-        layout = _family_layout(p, u)
+    for u, layout in enumerate(p.layouts):
         cover = tuple(sorted(set(layout.stalk_opens)))
-        columns = _stalk_families(p, u, layout)
+        columns = layout.families
         image = span(layout.total, columns)
         if image.dim < len(columns):
             natural = Matrix.from_columns(columns, rows=layout.total)
@@ -448,7 +452,8 @@ def check_sheaf_condition(p: Presheaf) -> SheafCertificate:
 
 @record
 class FamilyLayout:
-    """Coordinates of the compatible-stalk-family space over one open."""
+    """Coordinates of the compatible-stalk-family space over one open, and
+    in them `families`, the stalk family of each basis section over it."""
 
     points: tuple[int, ...]
     stalk_opens: tuple[int, ...]
@@ -456,6 +461,7 @@ class FamilyLayout:
     dims: tuple[int, ...]
     total: int
     compatible: Subspace
+    families: tuple[Vector, ...]
 
     @property
     def basis(self) -> tuple[Vector, ...]:
@@ -470,13 +476,6 @@ class FamilyLayout:
         if coords is None:
             raise InvariantError("family is not compatible; sheafification is broken")
         return coords
-
-
-def _stalk_families(p: Presheaf, u: int, layout: FamilyLayout) -> list[Vector]:
-    """The stalk family of each basis section over u: its restrictions to
-    the minimal opens of u's points, stacked in `layout` order."""
-    return [tuple(x for s in layout.stalk_opens for x in p.restriction(u, s).col(i))
-            for i in range(p.section_dim(u))]
 
 
 def _family_layout(p: Presheaf, u: int) -> FamilyLayout:
@@ -510,14 +509,15 @@ def _family_layout(p: Presheaf, u: int) -> FamilyLayout:
                 row[offsets[b_pos] + row_idx] -= ONE
                 rows.append(row)
     compatible = kernel(Matrix.from_rows(rows, cols=total)) if rows else full_space(total)
-    return FamilyLayout(pts, stalk_opens, tuple(offsets), dims, total, compatible)
+    families = tuple(tuple(x for s in stalk_opens for x in p.restriction(u, s).col(i))
+                     for i in range(p.section_dim(u)))
+    return FamilyLayout(pts, stalk_opens, tuple(offsets), dims, total, compatible, families)
 
 
 @record
 class Sheafification:
     presheaf: Presheaf
     canonical: PresheafMorphism
-    layouts: tuple[FamilyLayout, ...]
 
 
 def _restriction_between_layouts(lu: FamilyLayout, lv: FamilyLayout) -> Matrix:
@@ -532,21 +532,21 @@ def _restriction_between_layouts(lu: FamilyLayout, lv: FamilyLayout) -> Matrix:
     return Matrix.from_columns(cols, rows=len(lv.basis))
 
 
-def _sheafify(p: Presheaf, left_layouts, operate, section,
+def _sheafify(p: Presheaf, operate, section,
               base: Presheaf | None = None) -> Sheafification:
     """Compatible-stalk-family sheafification, shared by both layers.
 
     Over each open the families of p get the stalkwise bilinear table
     `operate(stalk open, left chunk, right chunk)`, its left factor running
-    over `left_layouts[u]` (p's own layouts when None) and its right factor
-    over p's families.  `section(u, layout, table)` builds the sheafified
+    over the families of p's base (of p for an algebra layer) and its right
+    factor over p's.  `section(u, layout, table)` builds the sheafified
     sections over open u, which live over `base`; the canonical map sends a
     section to the family of its restrictions to the stalks.
     """
     space = p.space
-    layouts = tuple(_family_layout(p, u) for u in range(len(space.opens)))
+    layouts = p.layouts
     tables = []
-    for layout, left in zip(layouts, left_layouts or layouts):
+    for layout, left in zip(layouts, (p.base or p).layouts):
         right_chunks = [layout.chunks(b) for b in layout.basis]
         table = []
         for a in left.basis:
@@ -563,11 +563,10 @@ def _sheafify(p: Presheaf, left_layouts, operate, section,
                                  in enumerate(zip(layouts, tables))),
                     restrictions, base)
     components = []
-    for u, layout in enumerate(layouts):
-        cols = [layout.coordinates(f) for f in _stalk_families(p, u, layout)]
+    for layout in layouts:
+        cols = [layout.coordinates(f) for f in layout.families]
         components.append(Matrix.from_columns(cols, rows=len(layout.basis)))
-    return Sheafification(plus, PresheafMorphism(p, plus, tuple(components)),
-                          layouts)
+    return Sheafification(plus, PresheafMorphism(p, plus, tuple(components)))
 
 
 def sheafify(p: Presheaf) -> Sheafification:
@@ -585,16 +584,15 @@ def sheafify(p: Presheaf) -> Sheafification:
         unit = layout.coordinates(unit_family) if layout.basis else ()
         return Algebra(len(layout.basis), struct, unit)
 
-    return _sheafify(p, None, lambda s, x, y: p.sections[s].multiply(x, y),
-                     algebra)
+    return _sheafify(p, lambda s, x, y: p.sections[s].multiply(x, y), algebra)
 
 
 def sheafify_module(m: Presheaf, base_plus: Sheafification) -> Sheafification:
-    """Sheafify a module presheaf over the already-sheafified base algebra."""
+    """Sheafify a module presheaf over `base_plus`, the sheafification of
+    `m.base`, whose families (`m.base.layouts`) act on those of m."""
     return _sheafify(
-        m, base_plus.layouts, lambda s, a, w: m.sections[s].act(a, w),
-        lambda u, layout, action: ModuleSections(
-            len(base_plus.layouts[u].basis), len(layout.basis), action),
+        m, lambda s, a, w: m.sections[s].act(a, w),
+        lambda u, layout, action: ModuleSections(len(action), len(layout.basis), action),
         base_plus.presheaf)
 
 
@@ -602,15 +600,11 @@ def sheafify_module(m: Presheaf, base_plus: Sheafification) -> Sheafification:
 # pushforward
 
 
-def _preimages(f: ContinuousMap) -> list[int]:
-    return [preimage_open(f, v) for v in range(len(f.codomain.opens))]
-
-
 def _pushforward(f: ContinuousMap, p: Presheaf, base_image: Presheaf | None) -> Presheaf:
     """Sections and restrictions of p read at the preimages of f's opens."""
     if p.space != f.domain:
         raise DimensionMismatchError("presheaf does not live on the map's domain")
-    pre = _preimages(f)
+    pre = f.preimages
     table = {(u, v): p.restriction(pre[u], pre[v])
              for u, v in f.codomain.inclusion_pairs()}
     return Presheaf(f.codomain, tuple(p.sections[w] for w in pre), table, base_image)

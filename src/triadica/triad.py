@@ -10,7 +10,7 @@ from __future__ import annotations
 from .algebra import Algebra
 from .errors import DimensionMismatchError, TriadicaError
 from .exactla import Matrix, kernel, span, unit_vector
-from .finspace import ContinuousMap, FiniteSpace, preimage_open
+from .finspace import ContinuousMap, FiniteSpace
 from .record import Interner, record
 from .report import Finding, Report, merge_reports, relocated
 from .sheaf import (ModuleSections, Presheaf, constant_presheaf,
@@ -133,8 +133,7 @@ def pushforward_triad(f: ContinuousMap, t: DifferentialTriad) -> DifferentialTri
     """Direct image triad along a continuous map."""
     algebras = pushforward(f, t.algebras)
     modules = pushforward_module(f, t.modules, base_image=algebras)
-    diffs = tuple(t.differentials[preimage_open(f, v)]
-                  for v in range(len(f.codomain.opens)))
+    diffs = tuple(t.differentials[w] for w in f.preimages)
     return DifferentialTriad(algebras, modules, diffs)
 
 

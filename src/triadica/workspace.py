@@ -34,8 +34,7 @@ from __future__ import annotations
 import json
 import re
 
-from . import dtcat, finspace, sheaf, triad
-from .algebra import Algebra, function_algebra, truncated_poly_algebra
+from . import algebra, dtcat, finspace, sheaf, triad
 from .errors import DimensionMismatchError, TriadicaError
 from .exactla import Matrix, Vector, rat
 
@@ -215,13 +214,14 @@ def space_to_json(s: finspace.FiniteSpace) -> dict:
     return {"points": s.point_count, "opens": [sorted(u) for u in s.opens]}
 
 
-_BUILDERS = {"function_algebra": function_algebra,
-             "truncated_poly": truncated_poly_algebra}
+# builder word -> its function in `algebra`, looked up when a builder runs
+_BUILDERS = {"function_algebra": "function_algebra",
+             "truncated_poly": "truncated_poly_algebra"}
 # a size-k builder makes k^3 structure constants from a few bytes of input
 _MAX_BUILDER_SIZE = 32
 
 
-def algebra_from_json(value, literals: dict, location: str) -> Algebra:
+def algebra_from_json(value, literals: dict, location: str) -> algebra.Algebra:
     if isinstance(value, str):
         parts = value.split()
         if len(parts) != 2 or parts[0] not in _BUILDERS:
@@ -236,7 +236,7 @@ def algebra_from_json(value, literals: dict, location: str) -> Algebra:
         if k > _MAX_BUILDER_SIZE:
             raise ParseError(f"builder size {k} exceeds {_MAX_BUILDER_SIZE}", location)
         try:
-            return _BUILDERS[parts[0]](k)
+            return getattr(algebra, _BUILDERS[parts[0]])(k)
         except TriadicaError as exc:
             raise ParseError(str(exc), location) from None
     if not isinstance(value, dict) or set(value) - {"struct", "unit"}:
@@ -253,10 +253,10 @@ def algebra_from_json(value, literals: dict, location: str) -> Algebra:
         rows.append(tuple(_vector_from_json(p, n, literals, f"{location}.struct[{i}][{j}]")
                           for j, p in enumerate(row)))
     unit = _vector_from_json(value.get("unit"), n, literals, f"{location}.unit")
-    return Algebra(n, tuple(rows), unit)
+    return algebra.Algebra(n, tuple(rows), unit)
 
 
-def algebra_to_json(a: Algebra) -> dict:
+def algebra_to_json(a: algebra.Algebra) -> dict:
     return {"struct": [[[str(x) for x in p] for p in row] for row in a.struct],
             "unit": [str(x) for x in a.unit]}
 

@@ -14,7 +14,7 @@ report the same findings in the same order.
 """
 
 from triadica.algebra import enumerate_unital_morphisms
-from triadica.finspace import ContinuousMap, preimage_open
+from triadica.finspace import ContinuousMap
 from triadica.report import Finding
 from triadica.sheaf import PresheafMorphism, function_presheaf, pushforward
 
@@ -63,7 +63,7 @@ def module_linearity_by_pairs(m) -> list[Finding]:
     source, target = m.source, m.target
     findings = []
     for v in range(len(target.space.opens)):
-        pre = preimage_open(m.map, v)
+        pre = m.map.preimages[v]
         act_y = target.modules.sections[v]
         act_x = source.modules.sections[pre]
         fa, fo = m.algebra_components[v], m.module_components[v]

@@ -212,7 +212,7 @@ def test_criterion_05_constant_morphisms():
                 m = constant_morphism(src, tgt, c)
                 assert check_morphism(m).ok, (src.space, tgt.space, c)
                 for v in range(len(tgt.space.opens)):
-                    composite = (src.differentials[m.preimage(v)]
+                    composite = (src.differentials[m.map.preimages[v]]
                                  @ m.algebra_components[v])
                     assert is_zero(composite)
                 combos += 1

@@ -30,8 +30,8 @@ from triadica.workspace import (ParseError, UnresolvedReference,
                                 WorkspaceDocument, dump_workspace,
                                 load_workspace, morphism_from_json,
                                 morphism_to_json, parse_workspace,
-                                space_to_json, triad_from_json,
-                                triad_to_json)
+                                presheaf_to_json, space_to_json,
+                                triad_from_json, triad_to_json)
 
 WORKSPACES = pathlib.Path(__file__).parent / "workspaces"
 
@@ -607,12 +607,17 @@ def test_invariant_checks_survive_optimized_mode():
             "    span(3, [[1, 0, 0]]).coordinates(vec([1, 0]))\n"
             "except DimensionMismatchError:\n"
             "    print('refused', sys.flags.optimize)\n"
+            "from triadica.finspace import ContinuousMap, sierpinski_space\n"
+            "try:\n"
+            "    ContinuousMap(sierpinski_space(), sierpinski_space(), (1, 0))\n"
+            "except ValueError:\n"
+            "    print('discontinuous', sys.flags.optimize)\n"
             "from triadica.cli import main\n"
             "print('usage', main(['fullness', '--bound', 'x']))\n")
     proc = subprocess.run([sys.executable, "-O", "-c", code],
                           capture_output=True, text=True, env=src_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "raised 1\nrefused 1\nusage 2\n"
+    assert proc.stdout == "raised 1\nrefused 1\ndiscontinuous 1\nusage 2\n"
     assert proc.stderr == ("triadica fullness: error: argument --bound: "
                            "invalid int value: 'x'\n")
 
@@ -1058,6 +1063,43 @@ def test_sheafify_reports_both_sides_of_gluing(capsys):
     messages = {f["location"]: f["message"]
                 for f in by_target["CQ_S"]["findings"]}
     assert messages["input"] == "sheaf condition holds"
+
+
+def _layouts_built(monkeypatch) -> list:
+    """(presheaf id, open) of every family layout built from now on."""
+    import triadica.sheaf as sheaf_module
+    built, family_layout = [], sheaf_module._family_layout
+
+    def counting(p, u):
+        built.append((id(p), u))
+        return family_layout(p, u)
+
+    monkeypatch.setattr(sheaf_module, "_family_layout", counting)
+    return built
+
+
+def test_sheafify_builds_one_layout_per_open_of_input_and_result(capsys, monkeypatch):
+    built = _layouts_built(monkeypatch)
+    code, _, _ = run_cli(capsys, "sheafify", "--workspace", ws("ws_sheafify.json"),
+                         "--target", "CQ_D2")
+    assert code == 0
+    # the sheaf check of the input, sheafify and the check of its result
+    # share two presheaves' layouts over the four opens of D2
+    assert len(built) == len(set(built)) == 2 * 4
+
+
+def test_validate_builds_a_shared_algebra_layers_layouts_once(capsys, monkeypatch,
+                                                             tmp_path):
+    t = function_triad(sierpinski_space())
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps({"schema": 1,
+                                "presheaves": {"P": presheaf_to_json(t.algebras)},
+                                "triads": {"T": dict(triad_to_json(t), algebras="P")}}))
+    built = _layouts_built(monkeypatch)
+    code, _, _ = run_cli(capsys, "validate", "--workspace", str(path))
+    assert code == 0
+    # P as a target and as T's algebra layer, then T's module layer
+    assert len(built) == len(set(built)) == 2 * 3
 
 
 def test_validate_reports_sheaf_status_as_information(capsys):

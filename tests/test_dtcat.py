@@ -22,8 +22,7 @@ from triadica.errors import DimensionMismatchError
 from triadica.exactla import Matrix, vec
 from triadica.finspace import (ContinuousMap, InvalidTopologyError, all_maps,
                                constant_map, discrete_space, indiscrete_space,
-                               is_continuous, preimage_open, sierpinski_space,
-                               space_from_opens)
+                               is_continuous, sierpinski_space, space_from_opens)
 from triadica.kaehler import kaehler_module, kaehler_presheaf
 from triadica.record import Interner
 from triadica.report import relocated
@@ -205,7 +204,7 @@ def test_constant_morphism_kills_the_operator():
         for target, c in CONSTANT_GRID:
             m = constant_morphism(source, target, c)
             for v in range(len(m.target.space.opens)):
-                pre = m.preimage(v)
+                pre = m.map.preimages[v]
                 assert is_zero(source.differentials[pre] @ m.algebra_components[v])
                 assert is_zero(m.module_components[v])
 
@@ -560,7 +559,7 @@ def test_fullness_checks_each_algebra_map_once(monkeypatch):
         f = ContinuousMap(x, y, values)
         for v, c in enumerate(pullback_morphism(f).algebra_components):
             per_open.append((functions_y.sections[v],
-                             functions_x.sections[preimage_open(f, v)], c))
+                             functions_x.sections[f.preimages[v]], c))
     assert len(per_open) == 216
     # once per distinct (source, target, component) over the whole call
     assert sorted(map(repr, checked)) == sorted(map(repr, set(per_open)))

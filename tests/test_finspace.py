@@ -1,11 +1,15 @@
+import itertools
+import re
+
 import pytest
 
+from test_sheaf import all_topologies
 from triadica.finspace import (ContinuousMap, all_maps, check_topology,
                                compose_maps, constant_map, continuity_witness,
                                discrete_space, identity_map, indiscrete_space,
                                is_continuous, minimal_open,
-                               minimal_open_superset, preimage_open,
-                               sierpinski_space, space_from_opens)
+                               minimal_open_superset, sierpinski_space,
+                               space_from_opens)
 
 
 def test_sierpinski_is_a_topology():
@@ -87,12 +91,35 @@ def test_continuous_map_constructor_rejects_bad_map():
         ContinuousMap(s, s, (1, 0))
 
 
-def test_preimage_open():
-    s = sierpinski_space()
-    d = discrete_space(2)
-    f = ContinuousMap(d, s, (0, 1))
-    assert d.opens[preimage_open(f, s.open_index({0}))] == frozenset({0})
-    assert d.opens[preimage_open(f, s.open_index({0, 1}))] == frozenset({0, 1})
+def test_preimages_match_the_brute_force_index_on_small_topologies():
+    # every map between topologies with at most 3 points: a continuous one
+    # keeps the first index of each preimage, a discontinuous one is refused
+    # at the first codomain open whose preimage is not listed
+    spaces = [sp for n in range(4) for sp in all_topologies(n)]
+    continuous = 0
+    for x, y in itertools.product(spaces, repeat=2):
+        for values in all_maps(x, y):
+            pre = [frozenset(p for p in x.points if values[p] in v) for v in y.opens]
+            bad = next((j for j, u in enumerate(pre) if u not in x.opens), None)
+            if bad is None:
+                f = ContinuousMap(x, y, values)
+                assert f.preimages == tuple(x.opens.index(u) for u in pre)
+                continuous += 1
+            else:
+                message = (f"not continuous: preimage of open {sorted(y.opens[bad])} "
+                           f"(index {bad}) is not open")
+                with pytest.raises(ValueError, match=re.escape(message)):
+                    ContinuousMap(x, y, values)
+    assert continuous == 11345  # of 24,907 maps
+
+
+def test_open_index_reads_the_first_of_duplicate_opens():
+    s = space_from_opens(2, [[], [0], [0], [0, 1]])
+    assert s.open_index({0}) == 1
+    assert s.open_index(frozenset({0, 1})) == 3
+    assert s.is_open({0}) and not s.is_open({1})
+    with pytest.raises(KeyError, match=re.escape("[1] is not an open of this space")):
+        s.open_index({1})
 
 
 def test_preimage_commutes_with_union_and_intersection():
@@ -104,10 +131,10 @@ def test_preimage_commutes_with_union_and_intersection():
         f = ContinuousMap(d, s, tuple(values))
         for i, u in enumerate(s.opens):
             for j, v in enumerate(s.opens):
-                pu = d.opens[preimage_open(f, i)]
-                pv = d.opens[preimage_open(f, j)]
-                union = d.opens[preimage_open(f, s.open_index(u | v))]
-                meet = d.opens[preimage_open(f, s.open_index(u & v))]
+                pu = d.opens[f.preimages[i]]
+                pv = d.opens[f.preimages[j]]
+                union = d.opens[f.preimages[s.open_index(u | v)]]
+                meet = d.opens[f.preimages[s.open_index(u & v)]]
                 assert union == pu | pv
                 assert meet == pu & pv
 

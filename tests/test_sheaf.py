@@ -15,10 +15,10 @@ from triadica.errors import DimensionMismatchError
 from triadica.exactla import ONE, ZERO, Matrix, kernel, solve, unit_vector, vec
 from triadica.finspace import (ContinuousMap, InvalidTopologyError, all_maps,
                                constant_map, discrete_space, indiscrete_space,
-                               minimal_open, preimage_open, sierpinski_space,
+                               minimal_open, sierpinski_space,
                                space_from_opens)
 from triadica.sheaf import (InvalidPresheafError, ModuleSections, Presheaf,
-                            PresheafMorphism, check_sheaf_condition,
+                            PresheafMorphism, _family_layout, check_sheaf_condition,
                             constant_presheaf, fill_restrictions,
                             function_presheaf, function_restriction_matrix,
                             irredundant_covers, make_presheaf, pushforward,
@@ -574,6 +574,16 @@ def test_sheafify_module_free_rank_one():
     assert check_sheaf_condition(result.presheaf).is_sheaf
 
 
+def test_layouts_are_the_family_layouts_built_on_first_use():
+    q = function_algebra(1)
+    for space in (sp for n in range(1, 4) for sp in all_topologies(n)):
+        for p in (function_presheaf(space), constant_presheaf(space, q)):
+            assert "layouts" not in vars(p)
+            assert p.layouts == tuple(_family_layout(p, u)
+                                      for u in range(len(space.opens)))
+            assert p.layouts is p.layouts
+
+
 def test_sheafify_zero_module():
     sp = discrete_space(2)
     base = constant_presheaf(sp, function_algebra(1))
@@ -609,8 +619,7 @@ def test_pushforward_of_sheaf_is_sheaf_for_every_map():
 def pushforward_morphism(f, h):
     """The direct image of the presheaf morphism h along f."""
     return PresheafMorphism(pushforward(f, h.source), pushforward(f, h.target),
-                            tuple(h.components[preimage_open(f, v)]
-                                  for v in range(len(f.codomain.opens))))
+                            tuple(h.components[w] for w in f.preimages))
 
 
 def test_pushforward_module_and_morphism():

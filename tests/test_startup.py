@@ -85,6 +85,13 @@ def test_spectrum_on_algebras_runs_no_sheaf(tmp_path):
     assert ran.isdisjoint({"triadica.sheaf", "triadica.finspace"})
 
 
+def test_validate_on_spaces_runs_no_algebra(tmp_path):
+    ws = _workspace(tmp_path, spaces={"PT": POINT})
+    _, ran = _modules_after(_run_command(["validate", "--workspace", ws]))
+    assert {"triadica.workspace", "triadica.finspace"} <= ran
+    assert "triadica.algebra" not in ran
+
+
 def test_validate_on_a_point_presheaf_runs_no_triad_kaehler_or_dtcat(
         tmp_path):
     ws = _workspace(tmp_path, spaces={"PT": POINT}, presheaves={
