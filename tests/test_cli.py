@@ -17,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, seed, settings
 from hypothesis import strategies as st
 
+from test_dtcat import maps_that_do_not_chain
 from test_golden import command_argv
 from triadica.algebra import truncated_poly_algebra
 from triadica.cli import COMMAND_TABLE, COMMANDS, main, parse_command_line
@@ -754,6 +755,20 @@ def test_pair_commands_require_explicit_targets(capsys):
     code, out, err = run_cli(capsys, "compose",
                              "--workspace", ws("ws_morphism_chain.json"))
     assert code == 2 and "OUTER:INNER" in err
+
+
+def test_compose_reports_maps_that_do_not_chain(capsys, tmp_path):
+    # the triads chain, so the refusal comes from composing the maps
+    outer, inner = maps_that_do_not_chain()
+    path = tmp_path / "morphisms.json"
+    path.write_text(dump_workspace({"schema": 1, "morphisms": {
+        "OUTER": morphism_to_json(outer), "INNER": morphism_to_json(inner)}}))
+    code, out, err = run_cli(capsys, "compose", "--workspace", str(path),
+                             "--target", "OUTER:INNER")
+    assert (code, err) == (1, "")
+    report = json.loads(out)["reports"][0]
+    assert [(f["severity"], f["message"]) for f in report["findings"]] == [
+        ("error", "maps are not composable")]
 
 
 def test_unknown_command_exits_2(capsys):

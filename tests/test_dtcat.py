@@ -21,8 +21,9 @@ from triadica.dtcat import (BoundExceeded, FullnessResult, TriadMorphism,
 from triadica.errors import DimensionMismatchError
 from triadica.exactla import Matrix, vec
 from triadica.finspace import (ContinuousMap, InvalidTopologyError, all_maps,
-                               constant_map, discrete_space, indiscrete_space,
-                               is_continuous, sierpinski_space, space_from_opens)
+                               constant_map, discrete_space, identity_map,
+                               indiscrete_space, is_continuous, sierpinski_space,
+                               space_from_opens)
 from triadica.kaehler import kaehler_module, kaehler_presheaf
 from triadica.record import Interner
 from triadica.report import relocated
@@ -167,6 +168,25 @@ def test_composing_mismatched_morphisms_is_rejected():
     m1, m2, _ = pullback_chain()
     with pytest.raises(DimensionMismatchError):
         compose(m1, m1)
+    outer, inner = maps_that_do_not_chain()
+    assert inner.target == outer.source
+    with pytest.raises(DimensionMismatchError, match="^maps are not composable$"):
+        compose(outer, inner)
+
+
+def maps_that_do_not_chain():
+    """(outer, inner): morphisms whose triads chain but whose maps do not.
+
+    Both are identities of the function triad on the Sierpinski space
+    {0} < {0, 1}; the outer one rides on the identity of its mirror, whose
+    open point is 1.  The opens and the section sizes line up, so
+    TriadMorphism takes the mirror's map."""
+    t = function_triad(sierpinski_space())
+    mirror = space_from_opens(2, [[], [1], [0, 1]])
+    inner = identity_morphism(t)
+    outer = TriadMorphism(identity_map(mirror), t, t, inner.algebra_components,
+                          inner.module_components)
+    return outer, inner
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +329,16 @@ def test_difference_inside_the_image_is_an_error():
     assert not report.ok
     assert any("disagree on the operator image" in f.message
                for f in report.errors())
+    # no "agree on image" note beside a disagreement on the image, and each
+    # witness's defect is the difference of the components on its section
+    assert report.errors() == list(report.findings)
+    for f in report.findings:
+        v, section = f.witness["open"], [Fraction(c) for c in f.witness["section"]]
+        lhs = m1.module_components[v].apply(section)
+        rhs = m2.module_components[v].apply(section)
+        defect = [Fraction(c) for c in f.witness["defect"]]
+        assert defect == [p - q for p, q in zip(lhs, rhs, strict=True)]
+        assert any(defect)
 
 
 def test_agreement_requires_equal_algebra_components():
@@ -360,6 +390,14 @@ def test_uniqueness_detects_a_constant_shift():
     report = algebra_component_uniqueness(m1, m2)
     assert not report.ok
     assert any("nonzero constant" in f.message for f in report.errors())
+
+
+def test_uniqueness_requires_equal_module_components():
+    m1, m2 = order_three_endomorphism(1, 0), order_three_endomorphism(2, 0)
+    assert m1.module_components != m2.module_components
+    report = algebra_component_uniqueness(m1, m2)
+    assert [(f.severity, f.location, f.message) for f in report.findings] == [
+        ("error", "preconditions", "module components differ")]
 
 
 def test_uniqueness_reports_a_difference_the_operator_does_not_kill():
@@ -618,23 +656,22 @@ def test_fullness_reports_with_one_memo_match_fresh_memos(monkeypatch):
     corrupted and share squares with earlier clean ones."""
     import triadica.dtcat as dtcat_module
     rng = random.Random(1607)
-    enumerate_families, pullback_report = (dtcat_module.enumerate_presheaf_morphisms,
-                                           dtcat_module._pullback_report)
+    point_map_components, pullback_report = (dtcat_module._point_map_components,
+                                             dtcat_module._pullback_report)
     corrupted, reports = set(), []
 
-    def corrupting(f, functions_x, functions_y):
-        families = enumerate_families(f, functions_x, functions_y)
+    def corrupting(f, g):
+        components = point_map_components(f, g)
         if rng.random() < 0.5:
             corrupted.add(f.values)
-            families[0] = replace(families[0], components=corrupt_one_entry(
-                families[0].components, rng))
-        return families
+            components = corrupt_one_entry(components, rng)
+        return components
 
     def recording(f, h, interner):
         reports.append((f, h, interner, pullback_report(f, h, interner)))
         return reports[-1][3]
 
-    monkeypatch.setattr(dtcat_module, "enumerate_presheaf_morphisms", corrupting)
+    monkeypatch.setattr(dtcat_module, "_point_map_components", corrupting)
     monkeypatch.setattr(dtcat_module, "_pullback_report", recording)
     result = fullness_check(discrete_space(3), discrete_space(3))
     assert len(reports) == 27 and len({id(i) for _, _, i, _ in reports}) == 1
@@ -660,11 +697,13 @@ def test_families_match_the_search_on_small_topologies():
             continue
         for x, y in itertools.product(all_topologies(nx), all_topologies(ny)):
             top = y.open_index(y.full_set)
+            counted = []
             for values in all_maps(x, y):
                 if not is_continuous(values, x, y):
                     continue
                 f = ContinuousMap(x, y, values)
                 got = families_over(f)
+                counted.append((values, len(got)))
                 expected = presheaf_morphisms_by_search(f)
                 assert Counter(h.components for h in got) == \
                     Counter(h.components for h in expected), values
@@ -676,7 +715,35 @@ def test_families_match_the_search_on_small_topologies():
                              for h in got]
                 assert recovered == list(itertools.product(*choices))
                 maps += 1
+            # fullness_check's closed-form count, map by map and in order
+            assert list(fullness_check(x, y).per_map) == counted
     assert maps == 1443
+
+
+def test_fullness_counts_without_building_a_family(monkeypatch):
+    """Into an indiscrete codomain every set map is continuous and carries
+    |Y|^|X| families; the count is read off the closed form, so no family
+    and no function presheaf is built, and each candidate's preimages are
+    computed once."""
+    import triadica.dtcat as dtcat_module
+    import triadica.finspace as finspace_module
+    calls = Counter()
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, call)
+
+    for name in ("PresheafMorphism", "pushforward", "function_presheaf"):
+        counting(dtcat_module, name)
+    counting(finspace_module, "_preimage_indices")
+    result = fullness_check(discrete_space(5), indiscrete_space(4), bound=1024)
+    assert result.total == 1024 ** 2 == 1_048_576
+    assert len(result.per_map) == 1024
+    assert calls == {"_preimage_indices": 1024}
 
 
 # the module-component check against the pairwise oracle

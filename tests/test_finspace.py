@@ -4,6 +4,7 @@ import re
 import pytest
 
 from test_sheaf import all_topologies
+from triadica.errors import DimensionMismatchError
 from triadica.finspace import (ContinuousMap, all_maps, check_topology,
                                compose_maps, constant_map, continuity_witness,
                                discrete_space, identity_map, indiscrete_space,
@@ -89,6 +90,10 @@ def test_continuous_map_constructor_rejects_bad_map():
     s = sierpinski_space()
     with pytest.raises(ValueError):
         ContinuousMap(s, s, (1, 0))
+    for values, culprit in (((0, 2), "f(1) = 2"), ((-1, 0), "f(0) = -1")):
+        with pytest.raises(DimensionMismatchError,
+                           match=re.escape(f"{culprit} is outside the codomain")):
+            ContinuousMap(discrete_space(2), s, values)
 
 
 def test_preimages_match_the_brute_force_index_on_small_topologies():
@@ -165,6 +170,20 @@ def test_compose_and_identity():
     assert gf.values == (1, 1)
     assert compose_maps(identity_map(s), f).values == f.values
     assert compose_maps(f, identity_map(d)).values == f.values
+
+
+def test_opens_may_mention_only_points_of_the_space():
+    for opens in ([[], [0, 2], [0, 1, 2]], [[], [-1], [0, 1]]):
+        with pytest.raises(DimensionMismatchError, match="mentions a point outside"):
+            space_from_opens(2, opens)
+
+
+def test_opens_containing_lists_every_open_around_a_set():
+    # an open contains itself, so it is listed around its own points
+    for space in (sp for n in range(4) for sp in all_topologies(n)):
+        for i, u in enumerate(space.opens):
+            assert i in space.opens_containing(u)
+            assert all(u <= space.opens[j] for j in space.opens_containing(u))
 
 
 def test_all_maps_count():
