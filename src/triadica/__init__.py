@@ -1,8 +1,9 @@
 """Exact computational kernel for differential triads over finite spaces.
 
-The layers, bottom up: exactla (rational linear algebra), finspace (finite
-topologies and continuous maps), algebra (finite-dimensional commutative
-algebras and their characters), sheaf (presheaves, sheafification, direct
+The layers, bottom up: exactla (rational linear algebra), poly (rational
+polynomials and their rational roots), finspace (finite topologies and
+continuous maps), algebra (finite-dimensional commutative algebras and their
+characters), sheaf (presheaves, sheafification, direct
 images), triad (differential triads and the Leibniz validator), kaehler
 (universal differential modules), dtcat (triad morphisms, composition,
 uniqueness, fullness), workspace + cli (declarative documents and the
@@ -27,6 +28,7 @@ _EXPORTS = {
     "record": (),
     "report": ("Finding", "Report"),
     "exactla": ("Matrix", "Subspace", "kernel", "rat", "span", "vec"),
+    "poly": (),
     "finspace": ("ContinuousMap", "FiniteSpace", "check_topology",
                  "discrete_space", "indiscrete_space", "sierpinski_space",
                  "space_from_opens"),

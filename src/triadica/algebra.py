@@ -11,20 +11,19 @@ quotient has factors that are proper field extensions of Q the search cannot
 exhaust it and NotSplitError is raised rather than returning a silently
 truncated list.
 
-The eigenvalues are the rational roots of characteristic polynomials.  They
-are found by isolating the real roots of a monic integer transform with a
-Sturm sequence and testing the one integer left in each isolating interval,
-in time polynomial in the degree and the coefficients' bit size.  Every
-candidate is still verified as an algebra map into Q, the function algebra
-on one point, by validate_algebra_morphism.
+The eigenvalues are the rational roots of characteristic polynomials, found
+by the `poly` layer, which only `characters` runs.  Every candidate is
+still verified as an algebra map into Q, the function algebra on one point,
+by validate_algebra_morphism.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import product as iter_product
-from math import gcd, lcm
 
+from . import poly
 from .errors import DimensionMismatchError, InvariantError, TriadicaError
 from .exactla import (ONE, ZERO, Matrix, Subspace, Vector, contract,
                       contract_matrix, dot, full_space, kernel, rat, span,
@@ -72,6 +71,110 @@ class Algebra:
         """Matrix of multiplication by the element with coordinates a."""
         return contract_matrix(self.struct, self.dim, a)
 
+    @cached_property
+    def basis_presentation(self) -> Presentation | None:
+        """A presentation on basis vectors, each the first outside the
+        subalgebra the ones before it generate, or None once they can no
+        longer save work.  A check on r generators costs about r n^2
+        products, and proving that they generate about as many again,
+        against n^3 for the full scan: so the search stops when the
+        generators it needs reach n / 2.  A basis vector that no product of
+        basis vectors but its own square involves comes only from a
+        generator or the unit, which bounds that need from the start."""
+        n, gens = self.dim, []
+        made = {k for i, row in enumerate(self.struct) for j, v in enumerate(row)
+                for k, x in enumerate(v) if x and not i == j == k}
+        if 2 * (n - 1 - len(made)) >= n:
+            return None
+        p = present(self, gens)
+        for j in range(n):
+            e = unit_vector(n, j)
+            if len(p.standard) < n and p.coefficients(e) is None:
+                if 2 * (len(gens) + 1) >= n:
+                    return None
+                gens.append(e)
+                p = present(self, gens)
+        return p if len(p.standard) == n else None
+
+
+@record
+class Presentation:
+    """Buchberger-Moeller on the values of the monomials in `generators`.
+
+    `standard` is the order ideal of standard monomials, as (exponents,
+    value) in degree-lexicographic order; `relations` has one (b, c) per
+    minimal non-standard monomial t^b, for t^b - sum_j c_j o_j with o_j the
+    standard monomials; `echelon` reduces against their values.  Every value
+    is a product of generators, so when the values span the algebra, the
+    generators generate it, even if it is not associative.
+    """
+
+    generators: tuple[Vector, ...]
+    standard: list
+    relations: list
+    echelon: list
+
+    def express(self, v):
+        """(residue, coeffs) with v = residue + sum_j coeffs_j value(o_j)."""
+        residue, coeffs = list(v), [ZERO] * len(self.standard)
+        for lead, row, row_coeffs in self.echelon:
+            c = residue[lead]
+            if c:  # zero entries are skipped, as in `contract`
+                residue = [x - c * y if y else x for x, y in zip(residue, row)]
+                for j, y in enumerate(row_coeffs):
+                    if y:
+                        coeffs[j] += c * y
+        return residue, coeffs
+
+    def coefficients(self, v):
+        """v on the values of the standard monomials, or None outside their
+        span."""
+        residue, coeffs = self.express(v)
+        return None if any(residue) else coeffs
+
+
+def present(a: Algebra, gens) -> Presentation:
+    """The Presentation of the subalgebra of `a` that `gens` generate."""
+    p = Presentation(tuple(gens), [], [], [])
+    pending = {(0,) * len(gens): a.unit}
+    while pending:
+        t = min(pending, key=lambda e: (sum(e), e))
+        value = pending.pop(t)
+        if any(all(x >= y for x, y in zip(t, b)) for b, _ in p.relations):
+            continue
+        residue, coeffs = p.express(value)
+        lead = next((k for k, x in enumerate(residue) if x), None)
+        if lead is None:
+            p.relations.append((t, coeffs))
+            continue
+        inv = ONE / residue[lead]
+        p.echelon.append((lead, [inv * x if x else x for x in residue],
+                          [-inv * c if c else c for c in coeffs] + [inv]))
+        p.standard.append((t, value))
+        for i, g in enumerate(gens):
+            above = t[:i] + (t[i] + 1,) + t[i + 1:]
+            if above not in pending:
+                pending[above] = a.multiply(g, value)
+    return p
+
+
+def generators_first(a: Algebra, scan) -> list:
+    """`scan(indices)`, the findings of a check over a set of basis indices,
+    on the indices of `a`'s basis presentation; on every index when that
+    finds anything or `a` has none.  The caller knows that the elements the
+    check passes form a subalgebra that holds the unit."""
+    p = a.basis_presentation
+    if p is not None:
+        found = scan([g.index(ONE) for g in p.generators])
+        if not found:
+            return found
+    return scan(range(a.dim))
+
+
+def basis_pairs(n: int, among) -> list[tuple[int, int]]:
+    """The basis index pairs i <= j with i or j in `among`, in order."""
+    return [(i, j) for i in range(n) for j in range(i, n) if i in among or j in among]
+
 
 def algebra_from_struct(struct, unit) -> Algebra:
     rows = tuple(tuple(vec(v) for v in row) for row in struct)
@@ -79,29 +182,28 @@ def algebra_from_struct(struct, unit) -> Algebra:
 
 
 def validate_algebra(a: Algebra) -> Report:
-    """Commutativity, associativity and two-sided unit, with witnesses."""
-    findings: list[Finding] = []
+    """Commutativity, associativity and two-sided unit, with witnesses.
+
+    The elements b with (xb)y = x(by) for all x, y form a subalgebra, the
+    middle nucleus, which holds a two-sided unit (Light's associativity
+    test).  So once commutativity and the left unit pass, associativity is
+    checked with b a generator first (`generators_first`).
+    """
     n = a.dim
     basis = [unit_vector(n, i) for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if a.struct[i][j] != a.struct[j][i]:
-                findings.append(Finding("error", f"basis ({i},{j})",
-                                        "product is not commutative", [i, j]))
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                left = a.multiply(a.struct[i][j], basis[k])
-                right = a.multiply(basis[i], a.struct[j][k])
-                if left != right:
-                    findings.append(Finding("error", f"basis ({i},{j},{k})",
-                                            "product is not associative", [i, j, k]))
-    for i in range(n):
-        if a.multiply(a.unit, basis[i]) != basis[i]:
-            findings.append(Finding("error", f"unit*e{i}", "unit is not a left unit", i))
-    if n == 0:
-        findings.append(Finding("info", "algebra", "degenerate zero algebra (unit = 0)", None))
-    return Report("validate_algebra", tuple(findings))
+    head = [Finding("error", f"basis ({i},{j})", "product is not commutative", [i, j])
+            for i in range(n) for j in range(i + 1, n) if a.struct[i][j] != a.struct[j][i]]
+    unit = [Finding("error", f"unit*e{i}", "unit is not a left unit", i)
+            for i in range(n) if a.multiply(a.unit, basis[i]) != basis[i]]
+    tail = [Finding("info", "algebra", "degenerate zero algebra (unit = 0)", None)] if n == 0 else []
+
+    def associativity(middles):
+        return [Finding("error", f"basis ({i},{j},{k})", "product is not associative", [i, j, k])
+                for i in range(n) for j in middles for k in range(n)
+                if a.multiply(a.struct[i][j], basis[k]) != a.multiply(basis[i], a.struct[j][k])]
+
+    found = associativity(range(n)) if head or unit else generators_first(a, associativity)
+    return Report("validate_algebra", tuple(head + found + unit + tail))
 
 
 def require_valid_algebra(a: Algebra) -> None:
@@ -169,19 +271,22 @@ class AlgebraMorphism:
 
 
 def validate_algebra_morphism(h: AlgebraMorphism) -> Report:
+    return Report("validate_algebra_morphism",
+                  tuple(morphism_findings(h, basis_pairs(h.source.dim, range(h.source.dim)))))
+
+
+def morphism_findings(h: AlgebraMorphism, pairs) -> list[Finding]:
+    """Unit preservation, and product preservation on the basis `pairs`."""
     findings: list[Finding] = []
     src, tgt, m = h.source, h.target, h.matrix
     if m.apply(src.unit) != tgt.unit:
         findings.append(Finding("error", "unit", "unit is not preserved",
                                 [str(x) for x in m.apply(src.unit)]))
-    for i in range(src.dim):
-        for j in range(i, src.dim):
-            lhs = m.apply(src.struct[i][j])
-            rhs = tgt.multiply(m.col(i), m.col(j))
-            if lhs != rhs:
-                findings.append(Finding("error", f"basis ({i},{j})",
-                                        "product is not preserved", [i, j]))
-    return Report("validate_algebra_morphism", tuple(findings))
+    for i, j in pairs:
+        if m.apply(src.struct[i][j]) != tgt.multiply(m.col(i), m.col(j)):
+            findings.append(Finding("error", f"basis ({i},{j})",
+                                    "product is not preserved", [i, j]))
+    return findings
 
 
 @record
@@ -252,127 +357,12 @@ class Character:
         return dot(self.functional, v)
 
 
-def _char_poly(m: Matrix) -> list[Fraction]:
-    """Coefficients [c0, ..., c_{k-1}, 1] of det(t*I - m), by Faddeev-LeVerrier.
-
-    N_1 = m, c_{k-1} = -tr N_1; N_{i+1} = m (N_i + c_{k-i} I),
-    c_{k-i-1} = -tr N_{i+1} / (i+1).
-    """
-    k = m.rows
-    if k == 0:
-        return [ONE]
-    coeffs = [ZERO] * k + [ONE]
-    n_mat = m
-    c = -sum((n_mat.entries[d][d] for d in range(k)), ZERO)
-    coeffs[k - 1] = c
-    for i in range(1, k):
-        shifted = Matrix(k, k, tuple(
-            tuple(n_mat.entries[r][s] + (c if r == s else ZERO) for s in range(k))
-            for r in range(k)))
-        n_mat = m @ shifted
-        c = -sum((n_mat.entries[d][d] for d in range(k)), ZERO) / (i + 1)
-        coeffs[k - 1 - i] = c
-    return coeffs
-
-
-def _primitive(coeffs) -> list[int]:
-    """The coefficients times the positive rational that makes them coprime
-    integers (signs are kept)."""
-    scale = lcm(*[c.denominator for c in coeffs])
-    ints = [int(c * scale) for c in coeffs]
-    g = gcd(*ints)
-    return [c // g for c in ints]
-
-
-def _sturm_chain(g: list[int]) -> list[list[int]]:
-    """Sturm sequence g, g', -rem(g, g'), ..., each later member scaled by a
-    positive rational to coprime integers, so every sign is kept.
-
-    When g has repeated roots the chain ends at a multiple of gcd(g, g') and
-    still counts the distinct real roots between two points that are not
-    roots of g.
-    """
-    chain = [g, _primitive([i * c for i, c in enumerate(g)][1:])]
-    while True:
-        rem = [Fraction(c) for c in chain[-2]]
-        div = chain[-1]
-        while len(rem) >= len(div):
-            q = rem[-1] / div[-1]
-            shift = len(rem) - len(div)
-            for i, c in enumerate(div):
-                rem[shift + i] -= q * c
-            rem.pop()
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if not rem:
-            return chain
-        chain.append(_primitive([-c for c in rem]))
-
-
-def _at(p: list[int], num: int, den: int) -> int:
-    """den^deg(p) * p(num/den), by Horner's rule in integers."""
-    acc, scale = 0, 1
-    for c in reversed(p):
-        acc = acc * num + c * scale
-        scale *= den
-    return acc
-
-
-def _sign_changes(chain: list[list[int]], num: int, den: int) -> int:
-    """Sign changes along the chain at num/den (den > 0), zeros skipped."""
-    signs = [v > 0 for p in chain if (v := _at(p, num, den))]
-    return sum(a != b for a, b in zip(signs, signs[1:]))
-
-
-def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
-    """All rational roots, sorted and distinct, of a polynomial with
-    rational coefficients [c0, ..., cd], cd != 0.
-
-    The primitive integer form a_0..a_d becomes the monic integer
-    polynomial g(y) = a_d^(d-1) p(y/a_d), whose rational roots are integers
-    y, each giving the root y/a_d of p.  A Sturm chain of g counts its
-    distinct real roots between half-integers, so bisecting the integers
-    within the Cauchy bound isolates each integer candidate in an interval
-    of width 1, where one exact evaluation tests it.  The cost is
-    polynomial in the degree and the coefficients' bit size.
-    """
-    poly = list(coeffs)
-    roots = [ZERO] if poly[0] == 0 else []
-    while poly and poly[0] == 0:
-        poly = poly[1:]
-    if len(poly) <= 1:
-        return roots
-    a = _primitive(poly)
-    d, lead = len(a) - 1, a[-1]
-    g = [c * lead ** (d - 1 - i) for i, c in enumerate(a[:-1])] + [1]
-    bound = max(abs(c) for c in g[:-1])  # |integer root| <= Cauchy bound - 1
-    chain = _sturm_chain(g)
-
-    def changes(m):  # sign changes of the chain at m + 1/2
-        return _sign_changes(chain, 2 * m + 1, 2)
-
-    # integer intervals [lo, hi] with the sign changes at lo - 1/2 and hi + 1/2
-    stack = [(-bound, bound, changes(-bound - 1), changes(bound))]
-    while stack:
-        lo, hi, v_lo, v_hi = stack.pop()
-        if v_lo == v_hi:
-            continue
-        if lo == hi:
-            if _at(g, lo, 1) == 0:
-                roots.append(Fraction(lo, lead))
-            continue
-        mid = (lo + hi) // 2
-        v_mid = changes(mid)
-        stack += [(lo, mid, v_lo, v_mid), (mid + 1, hi, v_mid, v_hi)]
-    return sorted(roots)
-
-
 def characters(a: Algebra) -> list[Character]:
     """All rational characters, sorted by functional, or NotSplitError.
 
     The search refines the dual space by rational eigenvalues of the
     transposed multiplication operators, the rational roots of each piece's
-    characteristic polynomial found by Sturm bisection (_rational_roots) in
+    characteristic polynomial found by Sturm bisection (poly.rational_roots) in
     time polynomial in the coefficients' bit size; each surviving line is a
     candidate which is then verified directly as an algebra map into Q by
     validate_algebra_morphism.
@@ -405,7 +395,7 @@ def characters(a: Algebra) -> list[Character]:
                         "multiplication operators must preserve the piece")
                 rep_rows.append(coords)
             rep = Matrix.from_rows(rep_rows, cols=k).transpose()
-            for root in _rational_roots(_char_poly(rep)):
+            for root in poly.rational_roots(poly.char_poly(rep)):
                 shifted = Matrix(k, k, tuple(
                     tuple(rep.entries[r][s] - (root if r == s else ZERO) for s in range(k))
                     for r in range(k)))

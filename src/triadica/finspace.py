@@ -5,10 +5,12 @@ of frozensets, each with a stable index that the rest of the package uses to
 key section data.  On a finite space every point has a smallest open
 neighbourhood, which is what replaces germ limits downstream.
 
-A space maps each open to its first index (`index`), and a continuous map
-keeps the domain index of each codomain open's preimage (`preimages`), as
-its continuity check finds them.  Both are built once, at construction, and
-are not fields: equality, hashing and repr read only the fields.
+A space maps each open to its first index (`index`) and lists its inclusion
+pairs (`inclusion_pairs`) and the cover pairs among them (`cover_pairs`, the
+edges of the Hasse diagram), and a continuous map keeps the domain index of
+each codomain open's preimage (`preimages`), as its continuity check finds
+them.  All are built once, at construction, and are not fields: equality,
+hashing and repr read only the fields.
 """
 
 from __future__ import annotations
@@ -41,6 +43,15 @@ class FiniteSpace:
         for i, u in enumerate(self.opens):
             index.setdefault(u, i)
         object.__setattr__(self, "index", index)
+        # (u, v) with opens[v] inside opens[u], row by row; a cover pair has
+        # u != v and no open strictly between the two
+        opens = self.opens
+        pairs = tuple((u, v) for u, big in enumerate(opens)
+                      for v, small in enumerate(opens) if small <= big)
+        object.__setattr__(self, "inclusion_pairs", pairs)
+        object.__setattr__(self, "cover_pairs", tuple(
+            (u, v) for u, v in pairs if u != v and not any(
+                opens[v] < w < opens[u] for w in opens)))
 
     @property
     def points(self) -> range:
@@ -68,11 +79,6 @@ class FiniteSpace:
     def opens_containing(self, subset) -> list[int]:
         target = frozenset(subset)
         return [i for i, u in enumerate(self.opens) if target <= u]
-
-    def inclusion_pairs(self) -> list[tuple[int, int]]:
-        """All (u, v) index pairs with opens[v] a subset of opens[u]."""
-        return [(u, v) for u in range(len(self.opens)) for v in range(len(self.opens))
-                if self.opens[v] <= self.opens[u]]
 
 
 def check_topology(space: FiniteSpace) -> Report:

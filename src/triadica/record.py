@@ -16,7 +16,8 @@ writes to the instance `__dict__` directly.
 
 An `Interner` names values by small integers, equal values alike, and
 holds the results of checks keyed on those names, so that one computation
-hashes no value twice and runs each distinct check once.
+hashes no value twice and runs each distinct check once; a later check may
+ask whether an earlier one passed.
 """
 
 from __future__ import annotations
@@ -158,3 +159,8 @@ class Interner:
         if result is None:
             result = self._results[key] = check()
         return result
+
+    def passed(self, key) -> bool:
+        """Whether the check named `key` has run and found nothing."""
+        result = self._results.get(key)
+        return result is not None and not result

@@ -23,8 +23,9 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import combinations
 
-from .algebra import (Algebra, AlgebraMorphism, function_algebra,
-                      validate_algebra, validate_algebra_morphism)
+from .algebra import (Algebra, AlgebraMorphism, basis_pairs, function_algebra,
+                      generators_first, morphism_findings, validate_algebra,
+                      validate_algebra_morphism)
 from .errors import DimensionMismatchError, InvariantError
 from .exactla import (ONE, ZERO, Matrix, Subspace, Vector, contract,
                       contract_matrix, full_space, kernel, span, unit_vector)
@@ -66,22 +67,26 @@ def zero_module_sections(algebra_dim: int) -> ModuleSections:
 
 def validate_module_sections(a: Algebra, m: ModuleSections) -> Report:
     """Unit acts as identity; action is associative over the algebra."""
-    findings: list[Finding] = []
+    return Report("validate_module_sections", tuple(_action_findings(a, m, range(a.dim))))
+
+
+def _action_findings(a: Algebra, m: ModuleSections, firsts) -> list[Finding]:
+    """The unit acting as the identity, and (e_i e_j).w = e_i.(e_j.w) for i
+    in `firsts`.  Over an associative algebra the elements x with
+    (xy).w = x.(y.w) for all y, w form a subalgebra."""
     n = a.dim
     basis = [unit_vector(n, i) for i in range(n)]
     mod_basis = [unit_vector(m.dim, j) for j in range(m.dim)]
-    for j, w in enumerate(mod_basis):
-        if m.act(a.unit, w) != w:
-            findings.append(Finding("error", f"unit.w{j}",
-                                    "unit does not act as the identity", j))
-    for i in range(n):
+    findings = [Finding("error", f"unit.w{j}", "unit does not act as the identity", j)
+                for j, w in enumerate(mod_basis) if m.act(a.unit, w) != w]
+    for i in firsts:
         for j in range(n):
             prod = a.struct[i][j]
             for k, w in enumerate(mod_basis):
                 if m.act(prod, w) != m.act(basis[i], m.act(basis[j], w)):
                     findings.append(Finding("error", f"(e{i} e{j}).w{k}",
                                             "action is not associative", [i, j, k]))
-    return Report("validate_module_sections", tuple(findings))
+    return findings
 
 
 def semilinearity_defects(rho: Matrix, r: Matrix, source: ModuleSections,
@@ -131,7 +136,7 @@ class Presheaf:
             if m.cols != self.sections[u].dim or m.rows != self.sections[v].dim:
                 raise DimensionMismatchError(
                     f"{noun} {u}->{v} has shape {m.rows}x{m.cols}")
-        for u, v in self.space.inclusion_pairs():
+        for u, v in self.space.inclusion_pairs:
             if (u, v) not in self.restrictions:
                 raise DimensionMismatchError(f"missing {noun} for inclusion {u}->{v}")
 
@@ -150,7 +155,7 @@ class Presheaf:
 def fill_restrictions(space: FiniteSpace, dims, given: dict) -> dict:
     """Complete a restriction table with identities and maps to empty opens."""
     table = dict(given)
-    for u, v in space.inclusion_pairs():
+    for u, v in space.inclusion_pairs:
         if (u, v) in table:
             continue
         if u == v:
@@ -178,7 +183,7 @@ def constant_presheaf(space: FiniteSpace, section,
     empty = function_algebra(0) if base is None else zero_module_sections(0)
     sections = tuple(section if u else empty for u in space.opens)
     table = {(u, v): Matrix.identity(section.dim)
-             for u, v in space.inclusion_pairs() if u != v and space.opens[v]}
+             for u, v in space.inclusion_pairs if u != v and space.opens[v]}
     return make_presheaf(space, sections, table, base)
 
 
@@ -195,7 +200,7 @@ def function_presheaf(space: FiniteSpace) -> Presheaf:
     """U -> all rational functions on U, coordinates at sorted points."""
     sections = tuple(function_algebra(len(u)) for u in space.opens)
     table = {(u, v): function_restriction_matrix(space.opens[u], space.opens[v])
-             for u, v in space.inclusion_pairs()}
+             for u, v in space.inclusion_pairs}
     return Presheaf(space, sections, table)
 
 
@@ -220,16 +225,16 @@ def restriction_square_failures(components, source: Presheaf, target: Presheaf,
                                  == target.restriction(u, v) @ components[u])]
 
 
-def _functoriality_findings(p: Presheaf, restriction_ids: dict,
+def _functoriality_findings(p: Presheaf, tops, restriction_ids: dict,
                             interner: Interner) -> list[Finding]:
-    """One finding per chain u -> v -> w whose composite is not the direct
-    restriction; each distinct (r_uw, r_vw, r_uv), by the ids in
-    `restriction_ids`, is multiplied out once per `interner`."""
+    """One finding per chain u -> v -> w, (u, v) among `tops`, whose
+    composite is not the direct restriction; each distinct (r_uw, r_vw,
+    r_uv), by the ids in `restriction_ids`, is multiplied out once per
+    `interner`."""
     findings = []
     opens = p.space.opens
-    for (u, v), uv in restriction_ids.items():
-        if u == v:
-            continue
+    for u, v in tops:
+        uv = restriction_ids[u, v]
         for w, smaller in enumerate(opens):
             if smaller <= opens[v] and not interner.once(
                     ("compose", restriction_ids[u, w], restriction_ids[v, w], uv),
@@ -237,6 +242,19 @@ def _functoriality_findings(p: Presheaf, restriction_ids: dict,
                 findings.append(Finding("error", f"chain {u}->{v}->{w}",
                                         "restriction maps do not compose functorially",
                                         [u, v, w]))
+    return findings
+
+
+def _pair_findings(p: Presheaf, pairs, interner: Interner) -> list[Finding]:
+    """Per inclusion pair among `pairs`, the identity on the diagonal and a
+    map of p's layer."""
+    noun = "restriction" if p.base is None else "module restriction"
+    findings = []
+    for u, v in pairs:
+        if u == v and p.restriction(u, v) != Matrix.identity(p.section_dim(u)):
+            findings.append(Finding("error", f"{noun} {u}->{u}",
+                                    "identity inclusion must restrict by the identity", None))
+        findings += relocated(f"{noun} {u}->{v}", _restriction_errors(p, u, v, interner))
     return findings
 
 
@@ -256,10 +274,24 @@ def _restriction_errors(p: Presheaf, u: int, v: int, interner: Interner) -> list
 def _algebra_map_errors(source: Algebra, target: Algebra, m: Matrix,
                         interner: Interner) -> list[Finding]:
     """validate_algebra_morphism's errors, found once per distinct
-    (source, target, m) in `interner`."""
-    return interner.once(("algebra map", *interner.ids((source, target, m))),
-                         lambda: validate_algebra_morphism(
-                             AlgebraMorphism(source, target, m)).errors())
+    (source, target, m) in `interner`.  When both algebras are known valid
+    there, the elements whose products m preserves form a subalgebra, so
+    products are checked on generators first."""
+    ids = interner.ids((source, target, m))
+    h = AlgebraMorphism(source, target, m)
+    if interner.passed(("sections", ids[0])) and interner.passed(("sections", ids[1])):
+        return interner.once(("algebra map", *ids), lambda: generators_first(
+            source, lambda among: morphism_findings(h, basis_pairs(source.dim, among))))
+    return interner.once(("algebra map", *ids),
+                         lambda: validate_algebra_morphism(h).errors())
+
+
+def _presheaf_key(p: Presheaf, interner: Interner) -> tuple:
+    """Names p's sections and restrictions, and its base's, in `interner`."""
+    pairs = p.space.inclusion_pairs
+    key = ("presheaf", tuple(interner.ids(p.sections)),
+           tuple(interner.ids(p.restriction(u, v) for u, v in pairs)))
+    return key if p.base is None else key + _presheaf_key(p.base, interner)
 
 
 def _presheaf_findings(p: Presheaf, interner: Interner) -> tuple[Finding, ...]:
@@ -271,32 +303,50 @@ def _presheaf_findings(p: Presheaf, interner: Interner) -> tuple[Finding, ...]:
     Every check is a function of the sections and matrices it reads, so
     within one call it runs once per distinct input, keyed on `interner`,
     and its findings are relocated to each open, pair or chain it stands
-    for."""
-    base = p.base
-    space = p.space
-    noun = "restriction" if base is None else "module restriction"
+    for.  The findings are kept there too, under `_presheaf_key`.
+
+    Once the sections are valid, and a module layer's base is known valid
+    in `interner`, the pairs are first checked on the cover pairs, the
+    edges of the Hasse diagram: a map of the layer on each, and
+    functoriality on the chains u -> v -> w with (u, v) a cover pair.  By
+    induction on chain length these chains give every chain, and every
+    restriction is then a composite of cover-pair maps, so itself a map of
+    the layer.  When that finds anything, every pair is checked."""
+    return interner.once(_presheaf_key(p, interner), lambda: _layer_findings(p, interner))
+
+
+def _layer_findings(p: Presheaf, interner: Interner) -> tuple[Finding, ...]:
+    base, space = p.base, p.space
     findings: list[Finding] = []
     section_ids = interner.ids(p.sections)
-    structure_ids = (section_ids if base is None
-                     else list(zip(interner.ids(base.sections), section_ids)))
+    if base is not None:
+        base_ids = interner.ids(base.sections)
+        section_ids = list(zip(base_ids, section_ids))
     for u, s in enumerate(p.sections):
-        findings += relocated(f"open {u}: ", interner.once(
-            ("sections", structure_ids[u]),
-            lambda: (validate_algebra(s) if base is None
-                     else validate_module_sections(base.sections[u], s)).errors()))
+        if base is None:
+            check = lambda: validate_algebra(s).errors()
+        elif interner.passed(("sections", base_ids[u])):
+            a = base.sections[u]
+            check = lambda: generators_first(a, lambda firsts: _action_findings(a, s, firsts))
+        else:
+            check = lambda: validate_module_sections(base.sections[u], s).errors()
+        findings += relocated(f"open {u}: ", interner.once(("sections", section_ids[u]), check))
         if not space.opens[u] and s.dim != 0:
             findings.append(Finding(
                 "error", f"open {u}",
                 "sections over the empty set must be the zero algebra" if base is None
                 else "module sections over the empty set must vanish", s.dim))
-    pairs = space.inclusion_pairs()
+    pairs = space.inclusion_pairs
     restriction_ids = dict(zip(pairs, interner.ids(p.restriction(u, v) for u, v in pairs)))
-    for u, v in pairs:
-        if u == v and p.restriction(u, v) != Matrix.identity(p.section_dim(u)):
-            findings.append(Finding("error", f"{noun} {u}->{u}",
-                                    "identity inclusion must restrict by the identity", None))
-        findings += relocated(f"{noun} {u}->{v}", _restriction_errors(p, u, v, interner))
-    return tuple(findings + _functoriality_findings(p, restriction_ids, interner))
+    if not findings and (base is None or interner.passed(_presheaf_key(base, interner))):
+        covers = space.cover_pairs
+        diagonal = [(u, u) for u in range(len(space.opens))]
+        if not (_pair_findings(p, diagonal + list(covers), interner)
+                or _functoriality_findings(p, covers, restriction_ids, interner)):
+            return ()
+    proper = [(u, v) for u, v in pairs if u != v]
+    return tuple(findings + _pair_findings(p, pairs, interner)
+                 + _functoriality_findings(p, proper, restriction_ids, interner))
 
 
 def validate_algebra_presheaf(p: Presheaf, interner: Interner | None = None) -> Report:
@@ -355,7 +405,7 @@ def validate_presheaf_morphism(h: PresheafMorphism,
     findings = [Finding("error", f"square {u}->{v}",
                         "component does not commute with restriction", [u, v])
                 for u, v in restriction_square_failures(
-                    h.components, h.source, h.target, h.source.space.inclusion_pairs(),
+                    h.components, h.source, h.target, h.source.space.inclusion_pairs,
                     interner)]
     if h.source.base is None and h.target.base is None:
         for u, c in enumerate(h.components):
@@ -558,7 +608,7 @@ def _sheafify(p: Presheaf, operate, section,
                 for b_chunks in right_chunks))
         tables.append(tuple(table))
     restrictions = {(u, v): _restriction_between_layouts(layouts[u], layouts[v])
-                    for u, v in space.inclusion_pairs()}
+                    for u, v in space.inclusion_pairs}
     plus = Presheaf(space, tuple(section(u, layout, table) for u, (layout, table)
                                  in enumerate(zip(layouts, tables))),
                     restrictions, base)
@@ -606,7 +656,7 @@ def _pushforward(f: ContinuousMap, p: Presheaf, base_image: Presheaf | None) -> 
         raise DimensionMismatchError("presheaf does not live on the map's domain")
     pre = f.preimages
     table = {(u, v): p.restriction(pre[u], pre[v])
-             for u, v in f.codomain.inclusion_pairs()}
+             for u, v in f.codomain.inclusion_pairs}
     return Presheaf(f.codomain, tuple(p.sections[w] for w in pre), table, base_image)
 
 

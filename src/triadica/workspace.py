@@ -175,7 +175,7 @@ def _restrictions_from_json(value, space: finspace.FiniteSpace, dims,
 def _restrictions_to_json(p: sheaf.Presheaf) -> dict:
     # the parser refills identities and maps to zero sections
     return {f"{u}->{v}": matrix_to_json(p.restriction(u, v))
-            for u, v in p.space.inclusion_pairs() if u != v and p.section_dim(v)}
+            for u, v in p.space.inclusion_pairs if u != v and p.section_dim(v)}
 
 
 # ---------------------------------------------------------------------------

@@ -88,7 +88,7 @@ def check_sheaf_by_covers(p) -> SheafCertificate:
 def functoriality_findings(p) -> list[Finding]:
     findings = []
     space = p.space
-    for u, v in space.inclusion_pairs():
+    for u, v in space.inclusion_pairs:
         if u == v:
             continue
         for w in range(len(space.opens)):
@@ -113,7 +113,7 @@ def validate_algebra_presheaf_by_pairs(p) -> Report:
             findings.append(Finding("error", f"open {u}",
                                     "sections over the empty set must be the zero algebra",
                                     algebra.dim))
-    for u, v in space.inclusion_pairs():
+    for u, v in space.inclusion_pairs:
         r = p.restriction(u, v)
         if u == v and r != Matrix.identity(p.sections[u].dim):
             findings.append(Finding("error", f"restriction {u}->{u}",
@@ -135,7 +135,7 @@ def validate_module_presheaf_by_pairs(m) -> Report:
             findings.append(Finding("error", f"open {u}",
                                     "module sections over the empty set must vanish",
                                     m.sections[u].dim))
-    for u, v in space.inclusion_pairs():
+    for u, v in space.inclusion_pairs:
         rho = m.restriction(u, v)
         if u == v and rho != Matrix.identity(m.sections[u].dim):
             findings.append(Finding("error", f"module restriction {u}->{u}",
@@ -171,7 +171,7 @@ def validate_triad_by_opens(t) -> Report:
                                     [str(c) for c in unit_image]))
     squares = [Finding("error", f"inclusion {u}->{v}",
                        "differential does not commute with restriction", [u, v])
-               for u, v in t.space.inclusion_pairs()
+               for u, v in t.space.inclusion_pairs
                if u != v and t.differentials[v] @ t.algebras.restriction(u, v)
                != t.modules.restriction(u, v) @ t.differentials[u]]
     return merge_reports("validate_triad", [

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from algebra_oracle import rational_roots_by_division
 from triadica.algebra import (Algebra, AlgebraMorphism, Character,
-                              InvalidAlgebraError, NotSplitError, _primitive,
-                              _rational_roots, _sign_changes, _sturm_chain,
+                              InvalidAlgebraError, NotSplitError,
                               algebra_from_struct, characters,
                               enumerate_unital_morphisms, function_algebra,
                               is_standard_function_algebra, multiplication_map,
@@ -17,6 +16,7 @@ from triadica.algebra import (Algebra, AlgebraMorphism, Character,
                               truncated_poly_algebra, validate_algebra,
                               validate_algebra_morphism)
 from triadica.exactla import Matrix, vec
+from triadica.poly import _primitive, _sign_changes, _sturm_chain, rational_roots
 
 F = Fraction
 
@@ -292,7 +292,7 @@ def split_polynomials(draw, numerators, denominators, scalars, max_roots):
     return expand([[-r, F(1)] for r in roots] + [[F(c) for c in tail] + [F(lead)]])
 
 
-def sympy_rational_roots(coeffs):
+def sympyrational_roots(coeffs):
     return sorted(F(int(r.p), int(r.q)) for r in
                   sympy.Poly(list(reversed(coeffs)), sympy.Symbol("x"),
                              domain=sympy.QQ).ground_roots())
@@ -302,14 +302,14 @@ def sympy_rational_roots(coeffs):
 @settings(max_examples=150, deadline=None)
 @given(split_polynomials(st.integers(-12, 12), st.integers(1, 4), st.integers(-9, 9), 5))
 def test_rational_roots_match_trial_division(coeffs):
-    assert _rational_roots(coeffs) == rational_roots_by_division(coeffs)
+    assert rational_roots(coeffs) == rational_roots_by_division(coeffs)
 
 
 @seed(20132)
 @settings(max_examples=100, deadline=None)
 @given(split_polynomials(signed(digits(20)), digits(10), signed(digits(12)), 6))
 def test_rational_roots_match_sympy_on_large_coefficients(coeffs):
-    assert _rational_roots(coeffs) == sympy_rational_roots(coeffs)
+    assert rational_roots(coeffs) == sympyrational_roots(coeffs)
 
 
 @seed(20134)
@@ -332,8 +332,8 @@ def test_rational_roots_of_sixty_digit_coefficients():
     r, s = F(10 ** 29 + 7, 3), F(-(10 ** 30) - 1, 10 ** 6 + 3)
     coeffs = expand([[-r, 1], [-r, 1], [-s, 1], [-2, 0, 1], [11, 0, 5 * 10 ** 8]])
     assert max(len(str(abs(c.numerator))) for c in coeffs) >= 60
-    assert _rational_roots(coeffs) == sorted([r, s]) == sympy_rational_roots(coeffs)
-    assert _rational_roots([F(-(10 ** 60 + 1)), F(10 ** 20)]) == [F(10 ** 60 + 1, 10 ** 20)]
+    assert rational_roots(coeffs) == sorted([r, s]) == sympyrational_roots(coeffs)
+    assert rational_roots([F(-(10 ** 60 + 1)), F(10 ** 20)]) == [F(10 ** 60 + 1, 10 ** 20)]
 
 
 @pytest.mark.parametrize("coeffs,roots", [
@@ -357,7 +357,7 @@ def test_rational_roots_of_sixty_digit_coefficients():
 ])
 def test_rational_roots_edge_cases(coeffs, roots):
     coeffs = [F(c) for c in coeffs]
-    assert _rational_roots(coeffs) == [F(r) for r in roots]
+    assert rational_roots(coeffs) == [F(r) for r in roots]
     assert rational_roots_by_division(coeffs) == [F(r) for r in roots]
 
 

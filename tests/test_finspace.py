@@ -118,6 +118,27 @@ def test_preimages_match_the_brute_force_index_on_small_topologies():
     assert continuous == 11345  # of 24,907 maps
 
 
+def test_pair_tables_match_their_definitions():
+    # inclusion pairs: opens[v] inside opens[u], row by row; cover pairs: the
+    # Hasse-diagram edges, u != v with no open strictly between
+    spaces = [sp for n in range(4) for sp in all_topologies(n)] + [discrete_space(4)]
+    for space in spaces:
+        opens, idx = space.opens, range(len(space.opens))
+        assert space.inclusion_pairs == tuple(
+            (u, v) for u in idx for v in idx if opens[v].issubset(opens[u]))
+        assert space.cover_pairs == tuple(
+            (u, v) for u, v in space.inclusion_pairs if u != v
+            and all(not (opens[v] < w and w < opens[u]) for w in opens))
+    d4 = discrete_space(4)
+    assert (len(d4.inclusion_pairs), len(d4.cover_pairs)) == (81, 32)
+    assert all(len(d4.opens[u]) == len(d4.opens[v]) + 1 for u, v in d4.cover_pairs)
+
+
+def test_duplicate_opens_are_cover_pairs_both_ways():
+    s = space_from_opens(2, [[], [0], [0], [0, 1]])
+    assert s.cover_pairs == ((1, 0), (1, 2), (2, 0), (2, 1), (3, 1), (3, 2))
+
+
 def test_open_index_reads_the_first_of_duplicate_opens():
     s = space_from_opens(2, [[], [0], [0], [0, 1]])
     assert s.open_index({0}) == 1

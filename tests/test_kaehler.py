@@ -476,7 +476,7 @@ def test_presheaf_restrictions_match_factor_derivation(base):
     # d_v . r through d_u, as factor_derivation solves for it
     res = kaehler_presheaf(base)
     modules = res.presheaf_triad.modules
-    for u, v in base.space.inclusion_pairs():
+    for u, v in base.space.inclusion_pairs:
         if u != v:
             ku, kv = res.per_open[u], res.per_open[v]
             r = base.restriction(u, v)

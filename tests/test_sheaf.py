@@ -156,7 +156,7 @@ def test_constant_presheaf_validates(space):
 def test_nonzero_sections_over_empty_open_flagged():
     s = sierpinski_space()
     q = function_algebra(1)
-    table = {(u, v): Matrix.identity(1) for u, v in s.inclusion_pairs()}
+    table = {(u, v): Matrix.identity(1) for u, v in s.inclusion_pairs}
     p = Presheaf(s, (q, q, q), table)
     report = validate_algebra_presheaf(p)
     assert any("empty" in f.message for f in report.errors())
@@ -297,7 +297,7 @@ def test_injectivity_failure_detected():
 def test_nonzero_empty_sections_fail_empty_cover():
     s = sierpinski_space()
     q = function_algebra(1)
-    table = {(u, v): Matrix.identity(1) for u, v in s.inclusion_pairs()}
+    table = {(u, v): Matrix.identity(1) for u, v in s.inclusion_pairs}
     p = Presheaf(s, (q, q, q), table)
     cert = check_sheaf_condition(p)
     assert not cert.is_sheaf
@@ -331,7 +331,7 @@ def zeroed_top_presheaf(space):
     sections = tuple(q if o else function_algebra(0) for o in space.opens)
     table = {(u, v): (Matrix.identity(1) if u == v or u != top else Matrix.zeros(1, 1))
              if space.opens[v] else Matrix.zeros(0, sections[u].dim)
-             for u, v in space.inclusion_pairs()}
+             for u, v in space.inclusion_pairs}
     return Presheaf(space, sections, table)
 
 
@@ -563,7 +563,7 @@ def test_sheafify_module_free_rank_one():
     fp = function_presheaf(s)
     sections = tuple(free_module_sections(fp.sections[u], 1)
                      for u in range(len(s.opens)))
-    table = {pair: fp.restriction(*pair) for pair in s.inclusion_pairs()}
+    table = {pair: fp.restriction(*pair) for pair in s.inclusion_pairs}
     mp = Presheaf(s, sections, table, fp)
     assert validate_module_presheaf(mp).ok
     base_plus = sheafify(fp)
@@ -678,7 +678,7 @@ def corrupted(p, kind, rng):
     room for it.  The shapes stay valid, so the constructor accepts it."""
     space = p.space
     dim = p.section_dim
-    proper = [(u, v) for u, v in space.inclusion_pairs()
+    proper = [(u, v) for u, v in space.inclusion_pairs
               if u != v and dim(u) and dim(v)]
     if kind in ("entry", "action"):
         if not proper:
@@ -861,21 +861,27 @@ def test_each_distinct_check_of_a_triad_runs_once(monkeypatch):
     import triadica.sheaf as sheaf_module
     import triadica.triad as triad_module
     calls = {"morphism": [], "semilinear": [], "leibniz": []}
+    scanned = []
 
-    def counting(kind, check):
+    def counting(kind, check, width):
         def call(*args):
-            calls[kind].append(args)
+            calls[kind].append(args[:width])
+            scanned.append(args[width:])
             return check(*args)
         return call
 
-    for module, name, kind in ((sheaf_module, "validate_algebra_morphism", "morphism"),
-                               (sheaf_module, "semilinearity_defects", "semilinear"),
-                               (triad_module, "check_leibniz", "leibniz")):
-        monkeypatch.setattr(module, name, counting(kind, getattr(module, name)))
+    # a check runs on generators first or on the whole basis; either way
+    # once, through one of these names
+    for module, name, kind, width in (
+            (sheaf_module, "validate_algebra_morphism", "morphism", 1),
+            (sheaf_module, "morphism_findings", "morphism", 1),
+            (sheaf_module, "semilinearity_defects", "semilinear", 4),
+            (triad_module, "_leibniz_failure", "leibniz", 3)):
+        monkeypatch.setattr(module, name, counting(kind, getattr(module, name), width))
     t = _kaehler_triad(discrete_space(3))
     assert validate_triad(t).ok
     algebras, modules = t.algebras, t.modules
-    pairs = t.space.inclusion_pairs()
+    pairs = t.space.inclusion_pairs
     morphisms = {(algebras.sections[u], algebras.sections[v], algebras.restriction(u, v))
                  for u, v in pairs}
     semilinear = {(modules.sections[u], modules.sections[v], modules.restriction(u, v),
@@ -890,3 +896,78 @@ def test_each_distinct_check_of_a_triad_runs_once(monkeypatch):
     assert {(source, target, rho, r) for rho, r, source, target in calls["semilinear"]} \
         == semilinear
     assert len(calls["leibniz"]) == len(leibniz) and set(calls["leibniz"]) == leibniz
+    # truncated_poly 3 is generated by x: its pairs with x, and no others
+    assert [(0, 1), (1, 1), (1, 2)] in [list(s[0]) for s in scanned if s]
+
+
+def _function_free_triad(space):
+    """The function presheaf acting on itself, with the zero operator."""
+    modules = free_rank_one(space)
+    return DifferentialTriad(modules.base, modules, tuple(
+        Matrix.zeros(m.dim, a.dim) for a, m in zip(modules.base.sections, modules.sections)))
+
+
+def _with_layers(t, algebras=None, modules=None):
+    algebras = algebras or t.algebras
+    modules = replace(modules or t.modules, base=algebras)
+    return DifferentialTriad(algebras, modules, t.differentials)
+
+
+@pytest.mark.parametrize("triad", sorted(TRIADS) + ["function free rank one"])
+def test_cover_pairs_give_the_all_pairs_verdict_on_corrupted_triads(triad):
+    # a valid triad is checked on the cover pairs; a defect in either layer
+    # or in the squares sends it to the all-pairs scan, so every report
+    # equals the oracle's, findings and order alike
+    build = TRIADS.get(triad, _function_free_triad)
+    rng = random.Random(f"cover pairs {triad}")
+    algebra_kinds = ("entry", "non_unital", "non_multiplicative", "not_composing")
+    module_kinds = ("entry", "action", "not_composing")
+    failing = Counter()
+    for space in SMALL_TOPOLOGIES:
+        t = build(space)
+        cases = [("valid", t)]
+        for kind in algebra_kinds:
+            q = corrupted(t.algebras, kind, rng)
+            cases.append((f"algebras {kind}", q and _with_layers(t, algebras=q)))
+        for kind in module_kinds:
+            q = corrupted(t.modules, kind, rng)
+            cases.append((f"modules {kind}", q and _with_layers(t, modules=q)))
+        for kind, case in cases:
+            if case is None:
+                continue
+            expected = validate_triad_by_opens(case)
+            assert validate_triad(case) == expected, (space.opens, kind)
+            failing[kind] += not expected.ok
+        q = corrupted_differentials(t, "doubled", rng)
+        if q is not None:
+            expected = validate_triad_by_opens(q)
+            assert validate_triad(q) == expected, (space.opens, "doubled")
+            failing["squares"] += not expected.ok
+    assert failing["valid"] == 0
+    assert sum(failing.values()) >= 60, failing
+
+
+def test_a_valid_triad_is_checked_on_cover_pairs_only(monkeypatch):
+    import triadica.sheaf as sheaf_module
+    import triadica.triad as triad_module
+    checked, squares = Counter(), []
+
+    def counting_pairs(p, u, v, interner):
+        checked["modules" if p.base else "algebras", u, v] += 1
+        return restriction_errors(p, u, v, interner)
+
+    def counting_squares(components, source, target, pairs, interner):
+        squares.append(list(pairs))
+        return square_failures(components, source, target, pairs, interner)
+
+    restriction_errors = sheaf_module._restriction_errors
+    square_failures = triad_module.restriction_square_failures
+    monkeypatch.setattr(sheaf_module, "_restriction_errors", counting_pairs)
+    monkeypatch.setattr(triad_module, "restriction_square_failures", counting_squares)
+    space = discrete_space(4)
+    assert validate_triad(_function_free_triad(space)).ok
+    edges = [(u, u) for u in range(16)] + list(space.cover_pairs)
+    assert sorted(checked) == sorted((layer, u, v) for layer in ("algebras", "modules")
+                                     for u, v in edges)
+    assert set(checked.values()) == {1}
+    assert squares == [list(space.cover_pairs)]

@@ -168,7 +168,7 @@ def test_module_over_foreign_base_rejected():
 def test_validation_reports_a_defect_of_the_algebra_layer():
     sp = indiscrete_space(1)
     q = function_algebra(1)
-    table = {pair: Matrix.identity(1) for pair in sp.inclusion_pairs()}
+    table = {pair: Matrix.identity(1) for pair in sp.inclusion_pairs}
     algebras = Presheaf(sp, (q, q), table)  # nonzero over the empty set
     modules = zero_module_presheaf(algebras)
     diffs = (Matrix.zeros(0, 1), Matrix.zeros(0, 1))
