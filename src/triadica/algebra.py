@@ -72,100 +72,51 @@ class Algebra:
         return contract_matrix(self.struct, self.dim, a)
 
     @cached_property
-    def basis_presentation(self) -> Presentation | None:
-        """A presentation on basis vectors, each the first outside the
-        subalgebra the ones before it generate, or None once they can no
-        longer save work.  A check on r generators costs about r n^2
-        products, and proving that they generate about as many again,
-        against n^3 for the full scan: so the search stops when the
-        generators it needs reach n / 2.  A basis vector that no product of
-        basis vectors but its own square involves comes only from a
-        generator or the unit, which bounds that need from the start."""
+    def generating_basis(self) -> tuple[int, ...] | None:
+        """Basis vectors that generate the algebra, each the first outside
+        the closure of those before it, or None once they cannot save work:
+        checks on r generators and their closure cost about 2 r n^2
+        products, the full scans n^3.  A basis vector in no product of basis
+        vectors but its own square must be a generator, or come from 1."""
         n, gens = self.dim, []
         made = {k for i, row in enumerate(self.struct) for j, v in enumerate(row)
                 for k, x in enumerate(v) if x and not i == j == k}
         if 2 * (n - 1 - len(made)) >= n:
             return None
-        p = present(self, gens)
+        closure = self.closure(gens)
         for j in range(n):
-            e = unit_vector(n, j)
-            if len(p.standard) < n and p.coefficients(e) is None:
+            if closure.dim < n and not closure.contains(unit_vector(n, j)):
                 if 2 * (len(gens) + 1) >= n:
                     return None
-                gens.append(e)
-                p = present(self, gens)
-        return p if len(p.standard) == n else None
+                gens.append(j)
+                closure = self.closure(gens)
+        return tuple(gens) if closure.dim == n else None
 
-
-@record
-class Presentation:
-    """Buchberger-Moeller on the values of the monomials in `generators`.
-
-    `standard` is the order ideal of standard monomials, as (exponents,
-    value) in degree-lexicographic order; `relations` has one (b, c) per
-    minimal non-standard monomial t^b, for t^b - sum_j c_j o_j with o_j the
-    standard monomials; `echelon` reduces against their values.  Every value
-    is a product of generators, so when the values span the algebra, the
-    generators generate it, even if it is not associative.
-    """
-
-    generators: tuple[Vector, ...]
-    standard: list
-    relations: list
-    echelon: list
-
-    def express(self, v):
-        """(residue, coeffs) with v = residue + sum_j coeffs_j value(o_j)."""
-        residue, coeffs = list(v), [ZERO] * len(self.standard)
-        for lead, row, row_coeffs in self.echelon:
-            c = residue[lead]
-            if c:  # zero entries are skipped, as in `contract`
-                residue = [x - c * y if y else x for x, y in zip(residue, row)]
-                for j, y in enumerate(row_coeffs):
-                    if y:
-                        coeffs[j] += c * y
-        return residue, coeffs
-
-    def coefficients(self, v):
-        """v on the values of the standard monomials, or None outside their
-        span."""
-        residue, coeffs = self.express(v)
-        return None if any(residue) else coeffs
-
-
-def present(a: Algebra, gens) -> Presentation:
-    """The Presentation of the subalgebra of `a` that `gens` generate."""
-    p = Presentation(tuple(gens), [], [], [])
-    pending = {(0,) * len(gens): a.unit}
-    while pending:
-        t = min(pending, key=lambda e: (sum(e), e))
-        value = pending.pop(t)
-        if any(all(x >= y for x, y in zip(t, b)) for b, _ in p.relations):
-            continue
-        residue, coeffs = p.express(value)
-        lead = next((k for k, x in enumerate(residue) if x), None)
-        if lead is None:
-            p.relations.append((t, coeffs))
-            continue
-        inv = ONE / residue[lead]
-        p.echelon.append((lead, [inv * x if x else x for x in residue],
-                          [-inv * c if c else c for c in coeffs] + [inv]))
-        p.standard.append((t, value))
-        for i, g in enumerate(gens):
-            above = t[:i] + (t[i] + 1,) + t[i + 1:]
-            if above not in pending:
-                pending[above] = a.multiply(g, value)
-    return p
+    def closure(self, gens) -> Subspace:
+        """The span of 1 and its products with the basis vectors `gens`,
+        taken on the left again and again: when it is everything, they
+        generate the algebra, associative or not."""
+        n, rows, todo = self.dim, [], [self.unit]
+        while todo:
+            v = todo.pop()
+            for lead, row in rows:
+                c = v[lead]
+                if c:  # zero entries are skipped, as in `contract`
+                    v = [x - c * y if y else x for x, y in zip(v, row)]
+            lead = next((k for k, x in enumerate(v) if x), None)
+            if lead is not None:
+                rows.append((lead, [x / v[lead] if x else x for x in v]))
+                todo += [self.multiply(unit_vector(n, g), v) for g in gens]
+        return span(n, [row for _, row in rows])
 
 
 def generators_first(a: Algebra, scan) -> list:
-    """`scan(indices)`, the findings of a check over a set of basis indices,
-    on the indices of `a`'s basis presentation; on every index when that
-    finds anything or `a` has none.  The caller knows that the elements the
-    check passes form a subalgebra that holds the unit."""
-    p = a.basis_presentation
-    if p is not None:
-        found = scan([g.index(ONE) for g in p.generators])
+    """`scan(indices)`, the findings of a check over basis indices, on the
+    generating basis of `a`, whose elements that pass the check the caller
+    knows to form a subalgebra with 1; on every index if that fails."""
+    gens = a.generating_basis
+    if gens is not None:
+        found = scan(gens)
         if not found:
             return found
     return scan(range(a.dim))
@@ -183,12 +134,8 @@ def algebra_from_struct(struct, unit) -> Algebra:
 
 def validate_algebra(a: Algebra) -> Report:
     """Commutativity, associativity and two-sided unit, with witnesses.
-
-    The elements b with (xb)y = x(by) for all x, y form a subalgebra, the
-    middle nucleus, which holds a two-sided unit (Light's associativity
-    test).  So once commutativity and the left unit pass, associativity is
-    checked with b a generator first (`generators_first`).
-    """
+    The b with (xb)y = x(by) for all x, y form a subalgebra (Light's test),
+    which holds a two-sided unit once the unit and commutativity pass."""
     n = a.dim
     basis = [unit_vector(n, i) for i in range(n)]
     head = [Finding("error", f"basis ({i},{j})", "product is not commutative", [i, j])
@@ -317,13 +264,6 @@ def tensor_product(a: Algebra, b: Algebra) -> TensorProduct:
     right = [_kron(a.unit, unit_vector(m, j)) for j in range(m)]
     return TensorProduct(algebra, Matrix.from_columns(left, rows=n * m),
                          Matrix.from_columns(right, rows=n * m))
-
-
-def multiplication_map(a: Algebra) -> Matrix:
-    """The linear map A tensor A -> A sending e_i tensor e_j to their product."""
-    n = a.dim
-    cols = [a.struct[i][j] for i in range(n) for j in range(n)]
-    return Matrix.from_columns(cols, rows=n)
 
 
 def nilradical(a: Algebra) -> Subspace:

@@ -2,10 +2,10 @@
 
 Omega_A is generated as an A-module by dA, so it is presented on algebra
 generators (Eisenbud, Commutative Algebra, section 16.1; Matsumura,
-Commutative Ring Theory, section 25).  Pick generators g_1..g_r of A, the
-algebra's basis presentation if it has one, and write A = Q[t_1..t_r]/J.
-The Buchberger-Moeller algorithm (Moeller and Buchberger, EUROCAM 1982,
-LNCS 144; `algebra.present`) runs through the monomials in the g_i
+Commutative Ring Theory, section 25).  Pick generators g_1..g_r of A, its
+generating basis (`Algebra.generating_basis`) if it has one, and write
+A = Q[t_1..t_r]/J.  The Buchberger-Moeller algorithm (Moeller and
+Buchberger, EUROCAM 1982, LNCS 144) runs through the monomials in the g_i
 in degree order: the ones whose values are independent form an order
 ideal, a basis of A, and each minimal dependent monomial gives one relation
 f; these generate J.  Then Omega_A = A^r / A.{((df/dt_i)(g))_i}, with dg_i
@@ -28,7 +28,7 @@ e_l (x) e_k is -sum_k b_k de_k, b_k = sum_l b_lk e_l, and goes to
 
 from __future__ import annotations
 
-from .algebra import Algebra, multiplication_map, present, require_valid_algebra
+from .algebra import Algebra, require_valid_algebra
 from .errors import DimensionMismatchError, InvariantError, TriadicaError
 from .exactla import (ONE, ZERO, Matrix, Subspace, full_space, kernel, rref,
                       solve, unit_vector, vec)
@@ -65,6 +65,62 @@ class KaehlerModule:
     chosen: tuple[int, ...]
 
 
+def _standard_monomials(a: Algebra, gens):
+    """Buchberger-Moeller on the values in `a` of the monomials in `gens`.
+
+    Returns the order ideal of standard monomials, as (exponents, value)
+    in degree-lexicographic order; one relation per minimal non-standard
+    monomial t^b, as (b, c) for t^b - sum_j c_j o_j with o_j the standard
+    monomials; and `coefficients`, which gives a vector of `a` on the
+    values of the standard monomials, or None outside their span.
+    """
+    order, echelon, relations = [], [], []
+
+    def express(v):
+        # invariant: v = residue + sum_j coeffs_j value(o_j)
+        residue, coeffs = list(v), [ZERO] * len(order)
+        for lead, row, row_coeffs in echelon:
+            c = residue[lead]
+            if c:
+                residue = [x - c * y for x, y in zip(residue, row)]
+                for j, y in enumerate(row_coeffs):
+                    coeffs[j] += c * y
+        return residue, coeffs
+
+    pending = {(0,) * len(gens): a.unit}
+    while pending:
+        t = min(pending, key=lambda e: (sum(e), e))
+        value = pending.pop(t)
+        if any(all(x >= y for x, y in zip(t, b)) for b, _ in relations):
+            continue
+        residue, coeffs = express(value)
+        lead = next((k for k, x in enumerate(residue) if x), None)
+        if lead is None:
+            relations.append((t, coeffs))
+            continue
+        inv = ONE / residue[lead]
+        echelon.append((lead, [inv * x for x in residue],
+                        [-inv * c for c in coeffs] + [inv]))
+        order.append((t, value))
+        for i, g in enumerate(gens):
+            above = t[:i] + (t[i] + 1,) + t[i + 1:]
+            if above not in pending:
+                pending[above] = a.multiply(g, value)
+
+    def coefficients(v):
+        residue, coeffs = express(v)
+        return None if any(residue) else coeffs
+
+    return order, relations, coefficients
+
+
+def multiplication_map(a: Algebra) -> Matrix:
+    """The linear map A tensor A -> A sending e_i tensor e_j to their product."""
+    n = a.dim
+    cols = [a.struct[i][j] for i in range(n) for j in range(n)]
+    return Matrix.from_columns(cols, rows=n)
+
+
 def kaehler_module(a: Algebra) -> KaehlerModule:
     """The module of differentials of `a` and its universal operator.
 
@@ -75,15 +131,17 @@ def kaehler_module(a: Algebra) -> KaehlerModule:
     n = a.dim
     ideal = kernel(multiplication_map(a))
 
-    # algebra generators: basis vectors keep the presentation sparse;
-    # failing that one generic element, extended by the first basis vectors
-    # outside the subalgebra generated so far
-    p = a.basis_presentation or present(a, [vec(range(1, n + 1))])
-    while len(p.standard) < n:
-        j = next(j for j in range(n) if p.coefficients(unit_vector(n, j)) is None)
-        p = present(a, p.generators + (unit_vector(n, j),))
-    order, relations, coefficients = p.standard, p.relations, p.coefficients
-    r = len(p.generators)
+    # algebra generators: the algebra's generating basis keeps the
+    # presentation sparse; failing that one generic element, extended by the
+    # first basis vectors outside the subalgebra generated so far
+    basis = a.generating_basis
+    gens = [vec(range(1, n + 1))] if basis is None else [unit_vector(n, j) for j in basis]
+    order, relations, coefficients = _standard_monomials(a, gens)
+    while len(order) < n:
+        gens.append(next(unit_vector(n, j) for j in range(n)
+                         if coefficients(unit_vector(n, j)) is None))
+        order, relations, coefficients = _standard_monomials(a, gens)
+    r = len(gens)
     value_of = dict(order)
 
     def left_mult(i, w, width):

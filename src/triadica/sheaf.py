@@ -274,24 +274,19 @@ def _restriction_errors(p: Presheaf, u: int, v: int, interner: Interner) -> list
 def _algebra_map_errors(source: Algebra, target: Algebra, m: Matrix,
                         interner: Interner) -> list[Finding]:
     """validate_algebra_morphism's errors, found once per distinct
-    (source, target, m) in `interner`.  When both algebras are known valid
-    there, the elements whose products m preserves form a subalgebra, so
-    products are checked on generators first."""
+    (source, target, m) in `interner`; when both algebras passed their
+    check there, the a with m(ab) = m(a)m(b) for all b form a subalgebra,
+    so products with generators come first."""
     ids = interner.ids((source, target, m))
-    h = AlgebraMorphism(source, target, m)
-    if interner.passed(("sections", ids[0])) and interner.passed(("sections", ids[1])):
-        return interner.once(("algebra map", *ids), lambda: generators_first(
-            source, lambda among: morphism_findings(h, basis_pairs(source.dim, among))))
-    return interner.once(("algebra map", *ids),
-                         lambda: validate_algebra_morphism(h).errors())
+    known = interner.passed(("sections", ids[0])) and interner.passed(("sections", ids[1]))
 
-
-def _presheaf_key(p: Presheaf, interner: Interner) -> tuple:
-    """Names p's sections and restrictions, and its base's, in `interner`."""
-    pairs = p.space.inclusion_pairs
-    key = ("presheaf", tuple(interner.ids(p.sections)),
-           tuple(interner.ids(p.restriction(u, v) for u, v in pairs)))
-    return key if p.base is None else key + _presheaf_key(p.base, interner)
+    def check():
+        h = AlgebraMorphism(source, target, m)
+        if known:
+            return generators_first(source, lambda among: morphism_findings(
+                h, basis_pairs(source.dim, among)))
+        return validate_algebra_morphism(h).errors()
+    return interner.once(("algebra map", *ids), check)
 
 
 def _presheaf_findings(p: Presheaf, interner: Interner) -> tuple[Finding, ...]:
@@ -303,19 +298,14 @@ def _presheaf_findings(p: Presheaf, interner: Interner) -> tuple[Finding, ...]:
     Every check is a function of the sections and matrices it reads, so
     within one call it runs once per distinct input, keyed on `interner`,
     and its findings are relocated to each open, pair or chain it stands
-    for.  The findings are kept there too, under `_presheaf_key`.
+    for.
 
-    Once the sections are valid, and a module layer's base is known valid
-    in `interner`, the pairs are first checked on the cover pairs, the
-    edges of the Hasse diagram: a map of the layer on each, and
-    functoriality on the chains u -> v -> w with (u, v) a cover pair.  By
-    induction on chain length these chains give every chain, and every
-    restriction is then a composite of cover-pair maps, so itself a map of
-    the layer.  When that finds anything, every pair is checked."""
-    return interner.once(_presheaf_key(p, interner), lambda: _layer_findings(p, interner))
-
-
-def _layer_findings(p: Presheaf, interner: Interner) -> tuple[Finding, ...]:
+    Once the sections pass, and a module layer's base composes on the
+    chains u -> v -> w with (u, v) a cover pair, the pairs are checked on
+    the cover pairs first, and functoriality on those chains: by induction
+    on chain length they give every chain, and every restriction is then a
+    composite of maps of the layer.  When that finds anything, every pair
+    is checked."""
     base, space = p.base, p.space
     findings: list[Finding] = []
     section_ids = interner.ids(p.sections)
@@ -336,10 +326,11 @@ def _layer_findings(p: Presheaf, interner: Interner) -> tuple[Finding, ...]:
                 "error", f"open {u}",
                 "sections over the empty set must be the zero algebra" if base is None
                 else "module sections over the empty set must vanish", s.dim))
-    pairs = space.inclusion_pairs
+    pairs, covers = space.inclusion_pairs, space.cover_pairs
     restriction_ids = dict(zip(pairs, interner.ids(p.restriction(u, v) for u, v in pairs)))
-    if not findings and (base is None or interner.passed(_presheaf_key(base, interner))):
-        covers = space.cover_pairs
+    if not findings and (base is None or not _functoriality_findings(
+            base, covers, dict(zip(pairs, interner.ids(base.restriction(u, v) for u, v in pairs))),
+            interner)):
         diagonal = [(u, u) for u in range(len(space.opens))]
         if not (_pair_findings(p, diagonal + list(covers), interner)
                 or _functoriality_findings(p, covers, restriction_ids, interner)):

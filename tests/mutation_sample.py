@@ -13,7 +13,9 @@ site in the layer's syntax tree and draws `--sites` of them with
   assignments;
 - a `not` dropped;
 - an integer literal 0 or 1 turned into the other;
-- the two entries of a two-element list swapped, as in a witness [i, j].
+- the two entries of a two-element list swapped, as in a witness [i, j];
+- a name in a list moved to its neighbour, as in a witness [i, j] turned
+  into [i + 1, j] or [i, j - 1].
 
 Each mutant is written with `ast.unparse` into a fresh copy of the
 repository, where `pytest -x` runs the tests.  The sampler prints one JSON
@@ -109,10 +111,17 @@ class Mutator(ast.NodeTransformer):
 
     def visit_List(self, node):
         self.generic_visit(node)
-        if isinstance(node.ctx, ast.Load) and len(node.elts) == 2 and \
+        if not isinstance(node.ctx, ast.Load):
+            return node
+        if len(node.elts) == 2 and \
                 not all(isinstance(e, ast.Constant) for e in node.elts) and \
                 self._site(node, "swap list entries"):
             node.elts.reverse()
+        for k, e in enumerate(node.elts):
+            if isinstance(e, ast.Name):
+                for op, symbol in ((ast.Add(), "+"), (ast.Sub(), "-")):
+                    if self._site(node, f"{e.id} -> {e.id} {symbol} 1"):
+                        node.elts[k] = ast.BinOp(e, op, ast.Constant(1))
         return node
 
 

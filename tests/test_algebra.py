@@ -11,11 +11,12 @@ from triadica.algebra import (Algebra, AlgebraMorphism, Character,
                               InvalidAlgebraError, NotSplitError,
                               algebra_from_struct, characters,
                               enumerate_unital_morphisms, function_algebra,
-                              is_standard_function_algebra, multiplication_map,
+                              is_standard_function_algebra,
                               nilradical, tensor_product,
                               truncated_poly_algebra, validate_algebra,
                               validate_algebra_morphism)
 from triadica.exactla import Matrix, vec
+from triadica.kaehler import multiplication_map
 from triadica.poly import _primitive, _sign_changes, _sturm_chain, rational_roots
 
 F = Fraction

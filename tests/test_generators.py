@@ -4,7 +4,7 @@ Each multiplicative check (associativity, the module action, algebra maps,
 the Leibniz rule) first runs with one factor over the generators of the
 algebra's basis presentation, and over the whole basis when that finds
 anything.  The full scan is the same code on every basis index, so it is
-the oracle: forcing `basis_presentation` to None, or passing every index,
+the oracle: forcing `generating_basis` to None, or passing every index,
 runs it.  The inputs are every builder algebra up to dimension 8, the same
 algebras in seeded random bases, a tensor product of truncated algebras
 (two generators), their Kaehler modules, Leibniz operators and algebra maps,
@@ -19,7 +19,7 @@ import pytest
 from triadica.algebra import (Algebra, AlgebraMorphism, basis_pairs,
                               function_algebra, generators_first,
                               morphism_findings, poly_quotient_algebra,
-                              present, tensor_product, truncated_poly_algebra,
+                              tensor_product, truncated_poly_algebra,
                               validate_algebra, validate_algebra_morphism)
 from triadica.exactla import Matrix, solve, unit_vector, vec
 from triadica.kaehler import kaehler_module
@@ -30,10 +30,10 @@ NUDGES = [Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-1, 3
 
 
 def full_scan(a: Algebra) -> Algebra:
-    """A copy of `a` with no basis presentation, so every check on it runs
-    the full scan."""
+    """A copy of `a` with no generating basis, so every check on it runs the
+    full scan."""
     b = Algebra(a.dim, a.struct, a.unit)
-    b.__dict__["basis_presentation"] = None
+    b.__dict__["generating_basis"] = None
     return b
 
 
@@ -92,8 +92,8 @@ def nudged(m: Matrix, rng: random.Random) -> Matrix:
 
 
 def generator_count(a: Algebra):
-    p = a.basis_presentation
-    return None if p is None else len(p.generators)
+    gens = a.generating_basis
+    return None if gens is None else len(gens)
 
 
 def test_presentations_of_the_builder_algebras():
@@ -105,18 +105,17 @@ def test_presentations_of_the_builder_algebras():
     assert counts["T3xT3"] == counts["T2xT3"] == 2
     assert counts["RT4"] == counts["RT8"] == 1
     for name, a in ALGEBRAS.items():
-        p = a.basis_presentation
-        if p is not None:
-            assert len(p.standard) == a.dim
-            assert all(sorted(g) == [0] * (a.dim - 1) + [1] for g in p.generators)
+        gens = a.generating_basis
+        if gens is not None:
+            assert a.closure(gens).dim == a.dim
+            assert all(a.closure(gens[:i]).dim < a.dim for i in range(len(gens)))
 
 
 def test_a_closure_that_stops_short_is_extended_by_a_generator():
     # 1 (x) y alone generates Q[y]/(y^3) inside Q[x]/(x^3) (x) Q[y]/(y^3)
     a = BUILDERS["T3xT3"]
-    assert len(present(a, [unit_vector(9, 1)]).standard) == 3
-    p = a.basis_presentation
-    assert p.generators == (unit_vector(9, 1), unit_vector(9, 3))
+    assert a.closure([1]).dim == 3
+    assert a.generating_basis == (1, 3)
 
 
 @pytest.mark.parametrize("name", sorted(ALGEBRAS))
@@ -139,8 +138,7 @@ def test_a_non_associative_algebra_passes_on_its_generator_alone():
     one, x, y = (vec(unit_vector(3, i)) for i in range(3))
     zero = vec([0, 0, 0])
     a = Algebra(3, ((one, x, y), (x, y, zero), (y, zero, one)), one)
-    p = a.basis_presentation
-    assert p.generators == (x,) and len(p.standard) == 3
+    assert a.generating_basis == (1,) and a.closure([1]).dim == 3
     assert a.multiply(a.multiply(x, x), x) == a.multiply(x, a.multiply(x, x))
     report = validate_algebra(a)
     assert report == validate_algebra(full_scan(a)) and not report.ok
