@@ -66,6 +66,19 @@ def test_noncommutative_struct_is_reported():
     assert any("commutative" in f.message for f in rep.errors())
 
 
+def test_each_non_commuting_basis_pair_is_reported_once_in_order():
+    # truncated_poly 3 with e0 e2 moved off e2 and e2 e1 moved to e1: the
+    # pairs (0,2) and (1,2), each once, with i < j as location and witness
+    a = truncated_poly_algebra(3)
+    struct = [list(row) for row in a.struct]
+    struct[0][2] = vec([1, 0, 1])
+    struct[2][1] = vec([0, 1, 0])
+    rep = validate_algebra(Algebra(3, tuple(map(tuple, struct)), a.unit))
+    commuting = [f for f in rep.findings if f.message == "product is not commutative"]
+    assert [(f.location, f.witness) for f in commuting] == [
+        ("basis (0,2)", [0, 2]), ("basis (1,2)", [1, 2])]
+
+
 def test_nonassociative_struct_is_reported():
     # u*u = v, u*v = 0, v*v = u: then (u u) v = u but u (u v) = 0
     struct = [[[0, 1], [0, 0]], [[0, 0], [1, 0]]]

@@ -111,6 +111,18 @@ def test_presentations_of_the_builder_algebras():
             assert all(a.closure(gens[:i]).dim < a.dim for i in range(len(gens)))
 
 
+def test_function_algebras_pay_for_no_closure(monkeypatch):
+    # in Q^n no basis vector is in a product of basis vectors but its own
+    # square, so n - 1 of them would be needed: the search gives up at once
+    def closure(self, gens):
+        raise AssertionError("closure computed")
+
+    monkeypatch.setattr(Algebra, "closure", closure)
+    for k in range(2, 9):
+        assert Algebra(k, function_algebra(k).struct, function_algebra(k).unit) \
+            .generating_basis is None
+
+
 def test_a_closure_that_stops_short_is_extended_by_a_generator():
     # 1 (x) y alone generates Q[y]/(y^3) inside Q[x]/(x^3) (x) Q[y]/(y^3)
     a = BUILDERS["T3xT3"]
@@ -143,6 +155,12 @@ def test_a_non_associative_algebra_passes_on_its_generator_alone():
     report = validate_algebra(a)
     assert report == validate_algebra(full_scan(a)) and not report.ok
     assert "basis (1,1,2)" in [f.location for f in report.findings]
+    # each witness is the failing triple its location names
+    for f in report.findings:
+        i, j, k = f.witness
+        assert f.location == f"basis ({i},{j},{k})"
+        assert a.multiply(a.struct[i][j], unit_vector(3, k)) \
+            != a.multiply(unit_vector(3, i), a.struct[j][k])
 
 
 def kaehler_cases():

@@ -102,6 +102,25 @@ def test_broken_action_is_reported():
     assert any("unit" in f.message for f in report.errors())
 
 
+def test_non_associative_action_is_witnessed_by_its_triples():
+    # Q[x]/(x^3) on the free module of rank one, with x.x moved off x^2:
+    # every (e_i e_j).w_k != e_i.(e_j.w_k) is reported once, with witness
+    # [i, j, k] and the location naming the same triple
+    a = truncated_poly_algebra(3)
+    free = free_module_sections(a, 1)
+    action = [list(row) for row in free.action]
+    action[1][1] = vec([1, 0, 1])
+    bad = ModuleSections(3, 3, tuple(tuple(row) for row in action))
+    basis = [unit_vector(3, i) for i in range(3)]
+    expected = [[i, j, k] for i in range(3) for j in range(3) for k in range(3)
+                if bad.act(a.struct[i][j], basis[k])
+                != bad.act(basis[i], bad.act(basis[j], basis[k]))]
+    findings = [f for f in validate_module_sections(a, bad).findings
+                if f.message == "action is not associative"]
+    assert expected and [f.witness for f in findings] == expected
+    assert [f.location for f in findings] == [f"(e{i} e{j}).w{k}" for i, j, k in expected]
+
+
 def test_zero_module_sections_shape():
     m = zero_module_sections(3)
     assert m.dim == 0 and m.algebra_dim == 3
@@ -861,12 +880,12 @@ def test_each_distinct_check_of_a_triad_runs_once(monkeypatch):
     import triadica.sheaf as sheaf_module
     import triadica.triad as triad_module
     calls = {"morphism": [], "semilinear": [], "leibniz": []}
-    scanned = []
+    scanned = {"morphism": [], "semilinear": [], "leibniz": []}
 
     def counting(kind, check, width):
         def call(*args):
             calls[kind].append(args[:width])
-            scanned.append(args[width:])
+            scanned[kind] += [list(x) for x in args[width:]]
             return check(*args)
         return call
 
@@ -896,8 +915,12 @@ def test_each_distinct_check_of_a_triad_runs_once(monkeypatch):
     assert {(source, target, rho, r) for rho, r, source, target in calls["semilinear"]} \
         == semilinear
     assert len(calls["leibniz"]) == len(leibniz) and set(calls["leibniz"]) == leibniz
-    # truncated_poly 3 is generated by x: its pairs with x, and no others
-    assert [(0, 1), (1, 1), (1, 2)] in [list(s[0]) for s in scanned if s]
+    # truncated_poly 3 is generated by x: products with x, and no others,
+    # into itself and into the zero algebra; the zero algebra needs no
+    # generator
+    with_x = [(0, 1), (1, 1), (1, 2)]
+    assert sorted(scanned["morphism"]) == [[], with_x, with_x]
+    assert sorted(scanned["leibniz"]) == [[], [1]]
 
 
 def _function_free_triad(space):
