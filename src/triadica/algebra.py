@@ -73,9 +73,9 @@ class Algebra:
 
     @cached_property
     def generating_basis(self) -> tuple[int, ...] | None:
-        """Basis vectors that generate the algebra, each the first outside
-        the closure of those before it, or None once they cannot save work:
-        checks on r generators and their closure cost about 2 r n^2
+        """Basis vectors that generate the algebra, each the one that grows
+        the closure of those before it most, or None once they cannot save
+        work: checks on r generators and their closure cost about 2 r n^2
         products, the full scans n^3.  A basis vector in no product of basis
         vectors but its own square must be a generator, or come from 1."""
         n, gens = self.dim, []
@@ -84,18 +84,22 @@ class Algebra:
         if 2 * (n - 1 - len(made)) >= n:
             return None
         closure = self.closure(gens)
-        for j in range(n):
-            if closure.dim < n and not closure.contains(unit_vector(n, j)):
-                if 2 * (len(gens) + 1) >= n:
-                    return None
-                gens.append(j)
-                closure = self.closure(gens)
-        return tuple(gens) if closure.dim == n else None
+        while closure.dim < n:
+            if 2 * (len(gens) + 1) >= n:
+                return None
+            grown = []
+            for j in range(n):
+                if not closure.contains(unit_vector(n, j)):
+                    grown.append((self.closure(gens + [j]), j))
+                    if grown[-1][0].dim == n:
+                        break
+            closure, j = max(grown, key=lambda c: c[0].dim)
+            gens.append(j)
+        return tuple(gens)
 
     def closure(self, gens) -> Subspace:
-        """The span of 1 and its products with the basis vectors `gens`,
-        taken on the left again and again: when it is everything, they
-        generate the algebra, associative or not."""
+        """The span of 1 and its products with the basis vectors `gens`, on
+        the left again and again: if it is all, they generate the algebra."""
         n, rows, todo = self.dim, [], [self.unit]
         while todo:
             v = todo.pop()

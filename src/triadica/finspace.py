@@ -43,8 +43,7 @@ class FiniteSpace:
         for i, u in enumerate(self.opens):
             index.setdefault(u, i)
         object.__setattr__(self, "index", index)
-        # (u, v) with opens[v] inside opens[u], row by row; a cover pair has
-        # u != v and no open strictly between the two
+        # opens[v] inside opens[u]; a cover pair has no open strictly between
         opens = self.opens
         pairs = tuple((u, v) for u, big in enumerate(opens)
                       for v, small in enumerate(opens) if small <= big)

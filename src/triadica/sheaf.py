@@ -300,12 +300,10 @@ def _presheaf_findings(p: Presheaf, interner: Interner) -> tuple[Finding, ...]:
     and its findings are relocated to each open, pair or chain it stands
     for.
 
-    Once the sections pass, and a module layer's base composes on the
-    chains u -> v -> w with (u, v) a cover pair, the pairs are checked on
-    the cover pairs first, and functoriality on those chains: by induction
-    on chain length they give every chain, and every restriction is then a
-    composite of maps of the layer.  When that finds anything, every pair
-    is checked."""
+    Once the sections pass (and a module layer's base composes on them),
+    the cover pairs and the chains u -> v -> w from one come first: by
+    induction on chain length they give every chain, and each restriction
+    is a composite of checked maps.  Any finding reruns every pair."""
     base, space = p.base, p.space
     findings: list[Finding] = []
     section_ids = interner.ids(p.sections)
