@@ -15,6 +15,10 @@ The eigenvalues are the rational roots of characteristic polynomials, found
 by the `poly` layer, which only `characters` runs.  Every candidate is
 still verified as an algebra map into Q, the function algebra on one point,
 by validate_algebra_morphism.
+
+One Buchberger-Moeller pass (Moeller and Buchberger, EUROCAM 1982, LNCS
+144), `standard_monomials`, presents an algebra on generators: the checks
+and the Kaehler module read their generators and relations off it.
 """
 
 from __future__ import annotations
@@ -74,44 +78,81 @@ class Algebra:
     @cached_property
     def generating_basis(self) -> tuple[int, ...] | None:
         """Basis vectors that generate the algebra, each the one that grows
-        the closure of those before it most, or None once they cannot save
-        work: checks on r generators and their closure cost about 2 r n^2
-        products, the full scans n^3.  A basis vector in no product of basis
-        vectors but its own square must be a generator, or come from 1."""
+        the span of the `standard_monomials` in those before it most, or
+        None once they cannot save work: checks on r generators and their
+        span cost about 2 r n^2 products, the full scans n^3.  A basis vector
+        in no product of basis vectors but its own square must be a
+        generator, or come from 1."""
         n, gens = self.dim, []
         made = {k for i, row in enumerate(self.struct) for j, v in enumerate(row)
                 for k, x in enumerate(v) if x and not i == j == k}
         if 2 * (n - 1 - len(made)) >= n:
             return None
-        closure = self.closure(gens)
-        while closure.dim < n:
+        order, _, coefficients = standard_monomials(self, [])
+        while len(order) < n:
             if 2 * (len(gens) + 1) >= n:
                 return None
             grown = []
             for j in range(n):
-                if not closure.contains(unit_vector(n, j)):
-                    grown.append((self.closure(gens + [j]), j))
-                    if grown[-1][0].dim == n:
+                if coefficients(unit_vector(n, j)) is None:
+                    grown.append((standard_monomials(
+                        self, [unit_vector(n, g) for g in gens + [j]]), j))
+                    if len(grown[-1][0][0]) == n:
                         break
-            closure, j = max(grown, key=lambda c: c[0].dim)
+            (order, _, coefficients), j = max(grown, key=lambda c: len(c[0][0]))
             gens.append(j)
         return tuple(gens)
 
-    def closure(self, gens) -> Subspace:
-        """The span of 1 and its products with the basis vectors `gens`, on
-        the left again and again: if it is all, they generate the algebra."""
-        n, rows, todo = self.dim, [], [self.unit]
-        while todo:
-            v = todo.pop()
-            for lead, row in rows:
-                c = v[lead]
-                if c:  # zero entries are skipped, as in `contract`
-                    v = [x - c * y if y else x for x, y in zip(v, row)]
-            lead = next((k for k, x in enumerate(v) if x), None)
-            if lead is not None:
-                rows.append((lead, [x / v[lead] if x else x for x in v]))
-                todo += [self.multiply(unit_vector(n, g), v) for g in gens]
-        return span(n, [row for _, row in rows])
+
+def standard_monomials(a: Algebra, gens):
+    """Buchberger-Moeller on the values in `a` of the monomials in `gens`.
+
+    Returns the order ideal of standard monomials, as (exponents, value)
+    in degree-lexicographic order; one relation per minimal non-standard
+    monomial t^b, as (b, c) for t^b - sum_j c_j o_j with o_j the standard
+    monomials; and `coefficients`, which gives a vector of `a` on the
+    values of the standard monomials, or None outside their span.  Each
+    value is a product of generators on the left of 1, so a span of `a`
+    proves that they generate it, associative or not.
+    """
+    order, echelon, relations = [], [], []
+
+    def express(v):
+        # invariant: v = residue + sum_j coeffs_j value(o_j)
+        residue, coeffs = list(v), [ZERO] * len(order)
+        for lead, row, row_coeffs in echelon:
+            c = residue[lead]
+            if c:
+                residue = [x - c * y for x, y in zip(residue, row)]
+                for j, y in enumerate(row_coeffs):
+                    coeffs[j] += c * y
+        return residue, coeffs
+
+    pending = {(0,) * len(gens): a.unit}
+    while pending:
+        t = min(pending, key=lambda e: (sum(e), e))
+        value = pending.pop(t)
+        if any(all(x >= y for x, y in zip(t, b)) for b, _ in relations):
+            continue
+        residue, coeffs = express(value)
+        lead = next((k for k, x in enumerate(residue) if x), None)
+        if lead is None:
+            relations.append((t, coeffs))
+            continue
+        inv = ONE / residue[lead]
+        echelon.append((lead, [inv * x for x in residue],
+                        [-inv * c for c in coeffs] + [inv]))
+        order.append((t, value))
+        for i, g in enumerate(gens):
+            above = t[:i] + (t[i] + 1,) + t[i + 1:]
+            if above not in pending:
+                pending[above] = a.multiply(g, value)
+
+    def coefficients(v):
+        residue, coeffs = express(v)
+        return None if any(residue) else coeffs
+
+    return order, relations, coefficients
 
 
 def generators_first(a: Algebra, scan) -> list:

@@ -106,9 +106,10 @@ def check_morphism(m: TriadMorphism) -> Report:
     h_mod = PresheafMorphism(target.modules, push.modules, m.module_components)
     module_findings = list(validate_presheaf_morphism(h_mod, interner).findings)
     for v in range(len(target.space.opens)):
-        defects = semilinearity_defects(
-            m.module_components[v], m.algebra_components[v],
-            target.modules.sections[v], push.modules.sections[v])
+        inputs = (m.module_components[v], m.algebra_components[v],
+                  target.modules.sections[v], push.modules.sections[v])
+        defects = interner.once(("semilinear", *interner.ids(inputs)),
+                                lambda: list(semilinearity_defects(*inputs)))
         for i, j, lhs, rhs in defects:
             module_findings.append(Finding(
                 "error", f"open {v}, action pair ({i},{j})",

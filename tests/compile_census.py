@@ -7,7 +7,9 @@ the census runs the job through `triadica.cli.main` in a fresh interpreter
 and prints one JSON line: the lines of the triadica layers that ran (whole
 files), and the lines of the top-level functions and methods in them that
 no call event of `sys.setprofile` reached.  Each workload's start-up probe
-is counted apart from its jobs, and each workload ends with a total line.
+is counted apart from its jobs, and each workload ends with a total line
+whose `by_layer` splits both counts by layer, so a change that moves code
+between layers shows where its compile cost lands.
 
 A layer that is registered but has not run is a `LazyLoader` module, and
 reading any attribute of it runs it; so the census reads only the type of
@@ -65,18 +67,24 @@ def definitions(path: str) -> list[tuple[int, int]]:
     return out
 
 
-def census(argv: list[str]) -> tuple[int, int]:
-    """(lines compiled, lines in functions never called) for one job."""
+def census(argv: list[str]) -> dict[str, list[int]]:
+    """[lines compiled, lines in functions never called] per layer that ran,
+    for one job."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
     done = subprocess.run([sys.executable, "-c", CHILD, json.dumps(argv)], env=env,
                           capture_output=True, text=True, timeout=300, check=True)
     ran, called = json.loads(done.stdout)
     called = {tuple(c) for c in called}
-    compiled = unrun = 0
-    for path in ran:
-        compiled += len(pathlib.Path(path).read_text().splitlines())
-        unrun += sum(n for first, n in definitions(path) if (path, first) not in called)
-    return compiled, unrun
+    return {pathlib.Path(path).stem: [
+        len(pathlib.Path(path).read_text().splitlines()),
+        sum(n for first, n in definitions(path) if (path, first) not in called)]
+        for path in ran}
+
+
+def line(workload: str, job: str, layers: dict[str, list[int]]) -> str:
+    return json.dumps({"workload": workload, "job": job,
+                       "compiled": sum(c for c, _ in layers.values()),
+                       "never_called": sum(u for _, u in layers.values())})
 
 
 def main(argv=None) -> int:
@@ -92,18 +100,22 @@ def main(argv=None) -> int:
         for workload in args.workloads:
             built = ladder.build_ladder(workload, args.seed)
             built.write(directory)
-            compiled, unrun = census(built.probe.argv(directory))
-            print(json.dumps({"workload": workload, "job": "start-up probe",
-                              "compiled": compiled, "never_called": unrun}), flush=True)
-            totals = [0, 0]
+            print(line(workload, "start-up probe", census(built.probe.argv(directory))),
+                  flush=True)
+            by_layer: dict[str, list[int]] = {}
             for job in built.jobs:
-                compiled, unrun = census(job.argv(directory))
-                totals[0] += compiled
-                totals[1] += unrun
-                print(json.dumps({"workload": workload, "job": job.name,
-                                  "compiled": compiled, "never_called": unrun}), flush=True)
-            print(json.dumps({"workload": workload, "jobs": len(built.jobs),
-                              "compiled": totals[0], "never_called": totals[1]}), flush=True)
+                layers = census(job.argv(directory))
+                for name, (compiled, unrun) in layers.items():
+                    total = by_layer.setdefault(name, [0, 0])
+                    total[0] += compiled
+                    total[1] += unrun
+                print(line(workload, job.name, layers), flush=True)
+            print(json.dumps({
+                "workload": workload, "jobs": len(built.jobs),
+                "compiled": sum(c for c, _ in by_layer.values()),
+                "never_called": sum(u for _, u in by_layer.values()),
+                "by_layer": {name: {"compiled": c, "never_called": u}
+                             for name, (c, u) in sorted(by_layer.items())}}), flush=True)
     return 0
 
 

@@ -29,7 +29,8 @@ from triadica.record import Interner
 from triadica.report import relocated
 from triadica.sheaf import (ModuleSections, PresheafMorphism, constant_presheaf,
                             function_presheaf, pushforward,
-                            validate_presheaf_morphism, zero_module_sections)
+                            semilinearity_defects, validate_presheaf_morphism,
+                            zero_module_sections)
 from triadica.triad import (DifferentialTriad, NotFunctional, constant_triad,
                             constants_only_kernel, function_triad)
 
@@ -795,3 +796,20 @@ def test_module_linearity_matches_the_pairwise_oracle(parts):
             failing[kind] += bool(expected)
     assert failing["valid"] == 0
     assert failing["module"] >= 20 and failing["algebra"] >= 20, failing
+
+
+def test_each_distinct_semilinearity_check_runs_once(monkeypatch):
+    # the constant Kaehler triad over discrete(3) has 8 opens but only two
+    # distinct (components, modules) inputs: the empty open's and the rest's
+    import triadica.dtcat as dtcat
+
+    seen = []
+
+    def counted(*inputs):
+        seen.append(inputs)
+        return semilinearity_defects(*inputs)
+
+    monkeypatch.setattr(dtcat, "semilinearity_defects", counted)
+    m = identity_morphism(constant_triad(discrete_space(3), *_kaehler_parts()))
+    assert check_morphism(m).ok
+    assert len(seen) == 2 and seen[0] != seen[1]

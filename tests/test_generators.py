@@ -8,7 +8,10 @@ the oracle: forcing `generating_basis` to None, or passing every index,
 runs it.  The inputs are every builder algebra up to dimension 8, the same
 algebras in seeded random bases, a tensor product of truncated algebras
 (two generators), their Kaehler modules, Leibniz operators and algebra maps,
-each with seeded corruptions.
+each with seeded corruptions.  The generating basis of each valid algebra
+is the greedy choice over the left closure of `algebra_oracle`, and a
+non-associative algebra on which the Buchberger-Moeller span stops short
+of that closure still gets the full scan's report.
 """
 
 import random
@@ -16,11 +19,13 @@ from fractions import Fraction
 
 import pytest
 
+from algebra_oracle import closure, greedy_generators
 from triadica.algebra import (Algebra, AlgebraMorphism, basis_pairs,
                               function_algebra, generators_first,
                               morphism_findings, poly_quotient_algebra,
-                              tensor_product, truncated_poly_algebra,
-                              validate_algebra, validate_algebra_morphism)
+                              standard_monomials, tensor_product,
+                              truncated_poly_algebra, validate_algebra,
+                              validate_algebra_morphism)
 from triadica.exactla import Matrix, solve, unit_vector, vec
 from triadica.kaehler import kaehler_module
 from triadica.sheaf import ModuleSections, _action_findings
@@ -91,6 +96,11 @@ def nudged(m: Matrix, rng: random.Random) -> Matrix:
     return Matrix.from_rows(rows, cols=m.cols)
 
 
+def spanned(a: Algebra, gens) -> int:
+    """The dimension of the Buchberger-Moeller span of basis vectors `gens`."""
+    return len(standard_monomials(a, [unit_vector(a.dim, g) for g in gens])[0])
+
+
 def generator_count(a: Algebra):
     gens = a.generating_basis
     return None if gens is None else len(gens)
@@ -107,26 +117,49 @@ def test_presentations_of_the_builder_algebras():
     for name, a in ALGEBRAS.items():
         gens = a.generating_basis
         if gens is not None:
-            assert a.closure(gens).dim == a.dim
-            assert all(a.closure(gens[:i]).dim < a.dim for i in range(len(gens)))
+            assert spanned(a, gens) == a.dim
+            assert all(spanned(a, gens[:i]) < a.dim for i in range(len(gens)))
 
 
 def test_function_algebras_pay_for_no_closure(monkeypatch):
     # in Q^n no basis vector is in a product of basis vectors but its own
     # square, so n - 1 of them would be needed: the search gives up at once
-    def closure(self, gens):
+    def refuse(a, gens):
         raise AssertionError("closure computed")
 
-    monkeypatch.setattr(Algebra, "closure", closure)
+    monkeypatch.setattr("triadica.algebra.standard_monomials", refuse)
     for k in range(2, 9):
         assert Algebra(k, function_algebra(k).struct, function_algebra(k).unit) \
             .generating_basis is None
 
 
+@pytest.mark.parametrize("name,gens,tried", [
+    # basis x^i y^j at 3 i + j: no basis vector alone spans everything and
+    # 1 (x) y is the first that spans most; x (x) 1 then completes it
+    ("T3xT3", (1, 3), [0] + [1] * 8 + [2]),
+    # the first vector outside 1 spans 2 dimensions, the second all 4
+    ("RF4", (1,), [0, 1, 1]),
+])
+def test_the_search_stops_at_the_first_generator_that_spans_everything(
+        monkeypatch, name, gens, tried):
+    import triadica.algebra as algebra
+
+    sizes = []
+
+    def counted(a, gens):
+        sizes.append(len(gens))
+        return standard_monomials(a, gens)
+
+    monkeypatch.setattr(algebra, "standard_monomials", counted)
+    a = ALGEBRAS[name]
+    assert Algebra(a.dim, a.struct, a.unit).generating_basis == gens
+    assert sizes == tried
+
+
 def test_a_closure_that_stops_short_is_extended_by_a_generator():
     # 1 (x) y alone generates Q[y]/(y^3) inside Q[x]/(x^3) (x) Q[y]/(y^3)
     a = BUILDERS["T3xT3"]
-    assert a.closure([1]).dim == 3
+    assert spanned(a, [1]) == closure(a, [1]).dim == 3
     assert a.generating_basis == (1, 3)
 
 
@@ -140,6 +173,10 @@ def test_validate_algebra_matches_the_full_scan(name):
         report = validate_algebra(b)
         assert report == validate_algebra(full_scan(b))
         refused += not report.ok
+        # on a valid algebra the Buchberger-Moeller span of any basis
+        # vectors is their left closure, so the greedy choices agree
+        if report.ok:
+            assert b.generating_basis == greedy_generators(b)
     assert validate_algebra(a).ok
     assert refused >= min(len(cases) - 1, 3)
 
@@ -150,7 +187,7 @@ def test_a_non_associative_algebra_passes_on_its_generator_alone():
     one, x, y = (vec(unit_vector(3, i)) for i in range(3))
     zero = vec([0, 0, 0])
     a = Algebra(3, ((one, x, y), (x, y, zero), (y, zero, one)), one)
-    assert a.generating_basis == (1,) and a.closure([1]).dim == 3
+    assert a.generating_basis == (1,) and spanned(a, [1]) == 3
     assert a.multiply(a.multiply(x, x), x) == a.multiply(x, a.multiply(x, x))
     report = validate_algebra(a)
     assert report == validate_algebra(full_scan(a)) and not report.ok
@@ -161,6 +198,33 @@ def test_a_non_associative_algebra_passes_on_its_generator_alone():
         assert f.location == f"basis ({i},{j},{k})"
         assert a.multiply(a.struct[i][j], unit_vector(3, k)) \
             != a.multiply(unit_vector(3, i), a.struct[j][k])
+
+
+def non_associative_pruned(rng: random.Random) -> Algebra:
+    """The first commutative algebra of dimension 5, unit e0, other products
+    of basis vectors with entries in {0, 1, -1} drawn from `rng`, in which
+    the Buchberger-Moeller span of e1, e2 stops at 4 dimensions while their
+    left closure is everything."""
+    n = 5
+    while True:
+        struct = [[unit_vector(n, max(i, j)) if min(i, j) == 0 else None
+                   for j in range(n)] for i in range(n)]
+        for i in range(1, n):
+            for j in range(i, n):
+                struct[i][j] = struct[j][i] = vec(rng.choice((-1, 0, 1)) for _ in range(n))
+        a = Algebra(n, tuple(map(tuple, struct)), unit_vector(n, 0))
+        if spanned(a, [1, 2]) == 4 and closure(a, [1, 2]).dim == 5:
+            return a
+
+
+def test_a_pass_that_stops_short_of_the_closure_leaves_the_report_alone():
+    # monomials divisible by a relation's are pruned, which is sound only
+    # when the product is associative: here the pass misses a product that
+    # the closure reaches, and validate_algebra's report is the full scan's
+    a = non_associative_pruned(random.Random(7))
+    report = validate_algebra(a)
+    assert not report.ok
+    assert report == validate_algebra(full_scan(a))
 
 
 def kaehler_cases():
