@@ -6,9 +6,9 @@ Commutative Ring Theory, section 25).  Pick generators g_1..g_r of A, its
 generating basis (`Algebra.generating_basis`) if it has one, and write
 A = Q[t_1..t_r]/J.  The Buchberger-Moeller pass of the algebra layer
 (`standard_monomials`) runs through the monomials in the g_i in degree
-order: the ones whose values are independent form an order
-ideal, a basis of A, and each minimal dependent monomial gives one relation
-f; these generate J.  Then Omega_A = A^r / A.{((df/dt_i)(g))_i}, with dg_i
+order: the ones whose values are independent form an order ideal, a basis
+of A, and each minimal dependent monomial gives one relation f; these
+generate J.  Then Omega_A = A^r / A.{((df/dt_i)(g))_i}, with dg_i
 as the generators, and de_k follows from e_k's expansion in the standard
 monomials by the chain rule.
 
