@@ -801,15 +801,13 @@ def test_module_linearity_matches_the_pairwise_oracle(parts):
 def test_each_distinct_semilinearity_check_runs_once(monkeypatch):
     # the constant Kaehler triad over discrete(3) has 8 opens but only two
     # distinct (components, modules) inputs: the empty open's and the rest's
-    import triadica.dtcat as dtcat
-
     seen = []
 
     def counted(*inputs):
         seen.append(inputs)
         return semilinearity_defects(*inputs)
 
-    monkeypatch.setattr(dtcat, "semilinearity_defects", counted)
+    monkeypatch.setattr("triadica.dtcat.semilinearity_defects", counted)
     m = identity_morphism(constant_triad(discrete_space(3), *_kaehler_parts()))
     assert check_morphism(m).ok
     assert len(seen) == 2 and seen[0] != seen[1]

@@ -139,18 +139,16 @@ def test_function_algebras_pay_for_no_closure(monkeypatch):
     ("T3xT3", (1, 3), [0] + [1] * 8 + [2]),
     # the first vector outside 1 spans 2 dimensions, the second all 4
     ("RF4", (1,), [0, 1, 1]),
-])
+], ids=["T3xT3", "RF4"])
 def test_the_search_stops_at_the_first_generator_that_spans_everything(
         monkeypatch, name, gens, tried):
-    import triadica.algebra as algebra
-
     sizes = []
 
     def counted(a, gens):
         sizes.append(len(gens))
         return standard_monomials(a, gens)
 
-    monkeypatch.setattr(algebra, "standard_monomials", counted)
+    monkeypatch.setattr("triadica.algebra.standard_monomials", counted)
     a = ALGEBRAS[name]
     assert Algebra(a.dim, a.struct, a.unit).generating_basis == gens
     assert sizes == tried
