@@ -30,13 +30,11 @@ from __future__ import annotations
 import os
 import re
 import sys
-from fractions import Fraction
 from types import SimpleNamespace
 from typing import Callable, NoReturn
 
 from . import algebra, dtcat, finspace, kaehler, sheaf, triad
 from .errors import DimensionMismatchError, TriadicaError
-from .exactla import Matrix
 from .record import record
 from .report import Finding, Report
 from .workspace import (ParseError, UnresolvedReference, dump_workspace,
@@ -63,7 +61,7 @@ def _guarded(operation: str, label: str, thunk):
 
 
 def _with_findings(rep: Report, extra) -> Report:
-    return Report(rep.operation, rep.findings + tuple(extra), rep.exploratory)
+    return Report(rep.operation, rep.findings + tuple(extra))
 
 
 def _sheaf_status(layers) -> list[Finding]:
@@ -304,22 +302,6 @@ def _targets(doc, command: Command, given) -> list[str]:
 # rendering
 
 
-def _jsonify(value):
-    if value is None or isinstance(value, (bool, int, str)):
-        return value
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, Matrix):
-        return matrix_to_json(value)
-    if isinstance(value, (list, tuple)):
-        return [_jsonify(v) for v in value]
-    if isinstance(value, (set, frozenset)):
-        return sorted((_jsonify(v) for v in value), key=repr)
-    if isinstance(value, dict):
-        return {str(k): _jsonify(v) for k, v in value.items()}
-    return str(value)
-
-
 def _overall(rows) -> str:
     statuses = {rep.status for _, rep, _ in rows}
     if "fail" in statuses:
@@ -338,10 +320,10 @@ def render_json(command: str, rows) -> str:
                  "findings": [{"severity": f.severity,
                                "location": f.location,
                                "message": f.message,
-                               "witness": _jsonify(f.witness)}
+                               "witness": f.witness}
                               for f in rep.findings]}
         if derived:
-            entry["derived_artifacts"] = _jsonify(derived)
+            entry["derived_artifacts"] = derived
         reports.append(entry)
     return dump_workspace({"command": command,
                            "status": _overall(rows),

@@ -286,8 +286,7 @@ def algebra_component_uniqueness(m1: TriadMorphism,
         return Report("algebra_component_uniqueness", (
             Finding("warning", "hypothesis",
                     "hypothesis not met: the source operator kernel is larger "
-                    "than the constants, no uniqueness is claimed", None),),
-            exploratory=True)
+                    "than the constants, no uniqueness is claimed", None),))
     for v in range(len(m1.target.space.opens)):
         pre = m1.map.preimages[v]
         d_x = source.differentials[pre]
@@ -340,8 +339,7 @@ def _pullback_report(f: ContinuousMap, h: PresheafMorphism,
     codomain into the direct image of the one on the domain, each distinct
     check once per `interner`."""
     findings = []
-    exploratory = not (f.domain.is_discrete and f.codomain.is_discrete)
-    if exploratory:
+    if not (f.domain.is_discrete and f.codomain.is_discrete):
         findings.append(Finding("warning", "spaces",
                                 "non-discrete spaces: exploratory result only", None))
     findings += relocated("morphism: ", validate_presheaf_morphism(
@@ -356,7 +354,7 @@ def _pullback_report(f: ContinuousMap, h: PresheafMorphism,
                     "error", f"open {v}, point {x}",
                     "evaluation after the morphism is not evaluation at the image point",
                     {"open": v, "point": x, "row": [str(c) for c in got]}))
-    return Report("verify_pullback_forced", tuple(findings), exploratory=exploratory)
+    return Report("verify_pullback_forced", tuple(findings))
 
 
 def enumerate_presheaf_morphisms(f: ContinuousMap, functions_x: Presheaf,
@@ -432,5 +430,4 @@ def fullness_check(x_space: FiniteSpace, y_space: FiniteSpace,
     findings.append(Finding("info", "count",
                             f"{total} morphisms over {len(per_map)} continuous maps",
                             total))
-    report = Report("fullness_check", tuple(findings), exploratory=not discrete)
-    return FullnessResult(total, tuple(per_map), report)
+    return FullnessResult(total, tuple(per_map), Report("fullness_check", tuple(findings)))

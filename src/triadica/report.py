@@ -1,8 +1,11 @@
 """Report and finding types returned by the validation operations.
 
-A report fails exactly when it contains at least one finding with severity
-"error".  Findings carry a machine-readable location and an optional witness
-(kept JSON-serializable by the callers that build them).
+A report's status is read off its findings alone: it fails exactly when it
+holds a finding with severity "error", and is otherwise exploratory when it
+holds one with severity "warning" (a hypothesis of the result fails, so the
+report asserts nothing there).  Findings carry a machine-readable location
+and an optional witness, which the callers that build them make of JSON
+values only: str, int, bool, None, lists and dicts with str keys.
 """
 
 from __future__ import annotations
@@ -27,13 +30,19 @@ class Finding:
 
 @record
 class Report:
+    """The findings of one operation.  A warning among them makes the
+    report exploratory, an error makes it fail."""
+
     operation: str
     findings: tuple[Finding, ...] = ()
-    exploratory: bool = False
 
     @property
     def ok(self) -> bool:
         return not any(f.severity == "error" for f in self.findings)
+
+    @property
+    def exploratory(self) -> bool:
+        return any(f.severity == "warning" for f in self.findings)
 
     @property
     def status(self) -> str:
@@ -55,8 +64,7 @@ def merge_reports(operation: str, parts: list[Report]) -> Report:
     """Concatenate findings from several reports under one operation name,
     each location prefixed with the operation of its part."""
     found = [f for part in parts for f in relocated(f"{part.operation}: ", part.findings)]
-    return Report(operation, tuple(found),
-                  exploratory=any(p.exploratory for p in parts))
+    return Report(operation, tuple(found))
 
 
 class ValidationError(TriadicaError):

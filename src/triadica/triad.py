@@ -89,10 +89,9 @@ def validate_triad(t: DifferentialTriad) -> Report:
     space = t.space
     triples = list(zip(interner.ids(t.algebras.sections), interner.ids(t.modules.sections),
                        interner.ids(t.differentials)))
+    known = not (parts[0].findings or parts[1].findings)
     leibniz_findings = []
     for u, key in enumerate(triples):
-        known = interner.passed(("sections", key[0])) and \
-            interner.passed(("sections", key[:2]))
         leibniz_findings += relocated(f"open {u}: ", interner.once(
             ("leibniz", *key), lambda: _leibniz_errors(
                 t.algebras.sections[u], t.modules.sections[u], t.differentials[u], known)))
@@ -103,7 +102,7 @@ def validate_triad(t: DifferentialTriad) -> Report:
                                            pairs, interner)
 
     failures = []
-    if parts[0].findings or parts[1].findings or squares(space.cover_pairs):
+    if not known or squares(space.cover_pairs):
         failures = squares(_proper_pairs(space))
     parts.append(Report("differential_squares", tuple(
         Finding("error", f"inclusion {u}->{v}",

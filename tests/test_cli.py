@@ -29,8 +29,9 @@ from triadica.sheaf import constant_presheaf
 from triadica.triad import function_triad, validate_triad
 from triadica.workspace import (ParseError, UnresolvedReference,
                                 WorkspaceDocument, dump_workspace,
-                                load_workspace, morphism_from_json,
-                                morphism_to_json, parse_workspace,
+                                load_workspace, map_to_json,
+                                morphism_from_json, morphism_to_json,
+                                parse_workspace,
                                 presheaf_to_json, space_to_json,
                                 triad_from_json, triad_to_json)
 
@@ -95,6 +96,26 @@ def test_sections_may_reference_named_algebras():
     })
     doc = parse_workspace(text)
     assert doc.presheaves["P"].sections[1] == doc.algebras["F1"]
+
+
+def test_maps_and_morphisms_may_alias_a_named_entry():
+    f = ContinuousMap(discrete_space(2), discrete_space(2), (1, 0))
+    doc = parse_workspace(dump_workspace({
+        "schema": 1,
+        "maps": {"F": map_to_json(f), "G": "F"},
+        "morphisms": {"M": morphism_to_json(pullback_morphism(f)), "N": "M"},
+    }))
+    assert doc.maps["G"] is doc.maps["F"] == f
+    assert doc.morphisms["N"] is doc.morphisms["M"] == pullback_morphism(f)
+
+
+@pytest.mark.parametrize("section", ["maps", "morphisms"])
+def test_an_alias_names_an_entry_of_its_own_section(section):
+    text = dump_workspace({"schema": 1, "spaces": {"S": space_to_json(discrete_space(1))},
+                           section: {"A": "S"}})
+    with pytest.raises(UnresolvedReference) as err:
+        parse_workspace(text)
+    assert (err.value.name, err.value.location) == ("S", f"{section}.A")
 
 
 # ---------------------------------------------------------------------------

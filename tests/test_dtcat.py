@@ -26,7 +26,7 @@ from triadica.finspace import (ContinuousMap, InvalidTopologyError, all_maps,
                                space_from_opens)
 from triadica.kaehler import kaehler_module, kaehler_presheaf
 from triadica.record import Interner
-from triadica.report import relocated
+from triadica.report import Finding, relocated
 from triadica.sheaf import (ModuleSections, PresheafMorphism, constant_presheaf,
                             function_presheaf, pushforward,
                             semilinearity_defects, validate_presheaf_morphism,
@@ -113,6 +113,18 @@ def test_component_shapes_are_enforced():
     with pytest.raises(DimensionMismatchError):
         TriadMorphism(good.map, t, t, good.algebra_components[:-1] +
                       (Matrix.zeros(1, 1),), good.module_components)
+
+
+@pytest.mark.parametrize("end", ["source", "target"])
+def test_a_map_onto_another_listing_of_a_triad_space_is_refused(end):
+    # discrete(2) with {0} and {1} listed the other way round: every open
+    # keeps its size, so the shapes fit, but the spaces are not equal
+    x = discrete_space(2)
+    swapped = space_from_opens(2, [x.opens[i] for i in (0, 2, 1, 3)])
+    m = replace(identity_morphism(function_triad(x)),
+                **{end: function_triad(swapped)})
+    assert check_morphism(m).findings == (Finding(
+        "error", "frame", "underlying map does not connect the triad spaces", None),)
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +435,32 @@ def test_uniqueness_hypothesis_not_met_is_exploratory():
     report = algebra_component_uniqueness(m, m)
     assert report.status == "exploratory"
     assert any("hypothesis not met" in f.message for f in report.findings)
+
+
+MAPS_DIFFER = ("error", "frame", "underlying maps differ")
+TRIADS_DIFFER = ("error", "frame", "morphisms connect different triads")
+
+
+def frame_mismatches():
+    """Pairs of morphisms of different frames, and the findings they give."""
+    x = discrete_space(2)
+    swap, ident = (pullback_morphism(ContinuousMap(x, x, values))
+                   for values in ((1, 0), (0, 1)))
+    kaehler_ident = identity_morphism(kaehler_presheaf(constant_presheaf(
+        x, truncated_poly_algebra(2))).presheaf_triad)
+    bigger = identity_morphism(function_triad(discrete_space(3)))
+    return [(swap, ident, [MAPS_DIFFER]), (ident, kaehler_ident, [TRIADS_DIFFER]),
+            (ident, bigger, [MAPS_DIFFER, TRIADS_DIFFER])]
+
+
+@pytest.mark.parametrize("check", [algebra_component_uniqueness,
+                                   differential_agreement_on_image])
+def test_uniqueness_refuses_morphisms_of_different_frames(check):
+    for m1, m2, expected in frame_mismatches():
+        report = check(m1, m2)
+        assert [(f.severity, f.location, f.message)
+                for f in report.findings] == expected
+        assert report.status == "fail"
 
 
 def test_two_characters_in_the_target_defeat_uniqueness():
