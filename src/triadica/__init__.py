@@ -2,12 +2,14 @@
 
 The layers, bottom up: exactla (rational linear algebra), poly (rational
 polynomials and their rational roots), finspace (finite topologies and
-continuous maps), algebra (finite-dimensional commutative algebras and their
-characters), sheaf (presheaves, sheafification, direct
-images), triad (differential triads and the Leibniz validator), kaehler
-(universal differential modules), dtcat (triad morphisms, composition,
-uniqueness, fullness), workspace + cli (declarative documents and the
-command surface).
+continuous maps), algebra (finite-dimensional commutative algebras, their
+characters and the modules over them), sheaf (presheaves, the sheaf
+condition, direct images), gluing (sheafification), triad (differential
+triads and the Leibniz validator), kaehler (universal differential
+modules), dtcat (triad morphisms, composition, fullness), uniqueness (of a
+morphism's components), workspace (declarative documents: spaces,
+algebras and the fragments of the rest), compound (their presheaves, maps,
+triads and morphisms) and cli (the command surface).
 
 Each layer loads on first use.  Importing the package registers every
 layer in `sys.modules` and binds it here as an attribute, but runs none of
@@ -16,7 +18,10 @@ runs it.  The names in `__all__` resolve through the module `__getattr__`
 (PEP 562), which reads them off their home layer.  So a command compiles
 only the layers it runs, and an import error inside a layer shows where
 that layer is first used, not at `import triadica`.  `cli` is left out:
-`python -m triadica.cli` must find it unimported.
+`python -m triadica.cli` must find it unimported.  A layer that only some
+of a layer's callers need, such as `sheaf` and `triad` to `kaehler`, is
+read off its module where it is called (`from . import sheaf`), never
+imported by name at the top, so the others do not run it.
 """
 
 import importlib.util
@@ -33,25 +38,27 @@ _EXPORTS = {
                  "discrete_space", "indiscrete_space", "sierpinski_space",
                  "space_from_opens"),
     "algebra": ("Algebra", "Character", "InvalidAlgebraError",
-                "NotSplitError", "algebra_from_struct", "characters",
-                "function_algebra", "poly_quotient_algebra", "tensor_product",
-                "truncated_poly_algebra", "validate_algebra"),
-    "sheaf": ("InvalidPresheafError", "ModuleSections", "Presheaf",
-              "PresheafMorphism", "check_sheaf_condition", "constant_presheaf",
-              "function_presheaf", "make_presheaf", "pushforward", "sheafify",
-              "stalk", "validate_algebra_presheaf"),
+                "ModuleSections", "NotSplitError", "algebra_from_struct",
+                "characters", "function_algebra", "poly_quotient_algebra",
+                "tensor_product", "truncated_poly_algebra", "validate_algebra"),
+    "sheaf": ("InvalidPresheafError", "Presheaf", "PresheafMorphism",
+              "check_sheaf_condition", "constant_presheaf", "function_presheaf",
+              "make_presheaf", "pushforward", "sheafify", "stalk",
+              "validate_algebra_presheaf"),
+    "gluing": (),
     "triad": ("DifferentialTriad", "NotFunctional", "check_leibniz",
               "constant_triad", "constants_only_kernel", "function_triad",
               "pushforward_triad", "validate_triad"),
     "kaehler": ("KaehlerModule", "factor_derivation", "kaehler_module",
                 "kaehler_presheaf"),
-    "dtcat": ("BoundExceeded", "TriadMorphism", "algebra_component_uniqueness",
-              "check_morphism", "compose", "constant_morphism",
-              "differential_agreement_on_image", "fullness_check",
-              "identity_morphism", "pullback_morphism",
-              "verify_pullback_forced"),
+    "dtcat": ("BoundExceeded", "TriadMorphism", "check_morphism", "compose",
+              "constant_morphism", "fullness_check", "identity_morphism",
+              "pullback_morphism", "verify_pullback_forced"),
+    "uniqueness": ("algebra_component_uniqueness",
+                   "differential_agreement_on_image"),
     "workspace": ("ParseError", "UnresolvedReference", "WorkspaceDocument",
                   "load_workspace", "parse_workspace"),
+    "compound": (),
 }
 
 # exported name -> its home layer

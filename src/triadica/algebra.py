@@ -77,8 +77,14 @@ class Algebra:
 
     @cached_property
     def generating_basis(self) -> tuple[int, ...] | None:
-        """Basis vectors that generate the algebra, each the one that grows
-        the span of the `standard_monomials` in those before it most, or
+        """Basis vectors that generate the algebra, or None (`presentation`)."""
+        return None if self.presentation is None else self.presentation[0]
+
+    @cached_property
+    def presentation(self):
+        """The generating basis, each vector the one that grows the span of
+        the `standard_monomials` in those before it most, with the
+        `(order, relations, coefficients)` of the pass on all of them; or
         None once they cannot save work: checks on r generators and their
         span cost about 2 r n^2 products, the full scans n^3.  A basis vector
         in no product of basis vectors but its own square must be a
@@ -88,7 +94,7 @@ class Algebra:
                 for k, x in enumerate(v) if x and not i == j == k}
         if 2 * (n - 1 - len(made)) >= n:
             return None
-        order, _, coefficients = standard_monomials(self, [])
+        found = order, _, coefficients = standard_monomials(self, [])
         while len(order) < n:
             if 2 * (len(gens) + 1) >= n:
                 return None
@@ -99,9 +105,10 @@ class Algebra:
                         self, [unit_vector(n, g) for g in gens + [j]]), j))
                     if len(grown[-1][0][0]) == n:
                         break
-            (order, _, coefficients), j = max(grown, key=lambda c: len(c[0][0]))
+            found, j = max(grown, key=lambda c: len(c[0][0]))
+            order, _, coefficients = found
             gens.append(j)
-        return tuple(gens)
+        return tuple(gens), found
 
 
 def standard_monomials(a: Algebra, gens):
@@ -201,6 +208,65 @@ def validate_algebra(a: Algebra) -> Report:
 def require_valid_algebra(a: Algebra) -> None:
     """Raise InvalidAlgebraError carrying the first validate_algebra error."""
     InvalidAlgebraError.require(validate_algebra(a))
+
+
+# ---------------------------------------------------------------------------
+# modules over an algebra
+
+
+@record
+class ModuleSections:
+    """Sections of a module over one open: a vector space with an action.
+
+    action[i][j] is the coordinate vector of (algebra basis i) . (module
+    basis j); algebra_dim is carried so empty modules keep their shape.
+    """
+
+    algebra_dim: int
+    dim: int
+    action: tuple[tuple[Vector, ...], ...]
+
+    def __post_init__(self):
+        if len(self.action) != self.algebra_dim:
+            raise DimensionMismatchError("action tensor does not match algebra dim")
+        for row in self.action:
+            if len(row) != self.dim or any(len(v) != self.dim for v in row):
+                raise DimensionMismatchError("action tensor does not match module dim")
+
+    def act(self, a, w) -> Vector:
+        return contract(self.action, self.dim, a, w)
+
+    def act_matrix(self, a) -> Matrix:
+        """L(a), the matrix of w -> a . w: column j is sum_i a_i action[i][j]."""
+        return contract_matrix(self.action, self.dim, a)
+
+
+def zero_module_sections(algebra_dim: int) -> ModuleSections:
+    return ModuleSections(algebra_dim, 0, tuple(() for _ in range(algebra_dim)))
+
+
+def validate_module_sections(a: Algebra, m: ModuleSections) -> Report:
+    """Unit acts as identity; action is associative over the algebra."""
+    return Report("validate_module_sections", tuple(action_findings(a, m, range(a.dim))))
+
+
+def action_findings(a: Algebra, m: ModuleSections, firsts) -> list[Finding]:
+    """The unit acting as the identity, and (e_i e_j).w = e_i.(e_j.w) for i
+    in `firsts`.  Over an associative algebra the elements x with
+    (xy).w = x.(y.w) for all y, w form a subalgebra."""
+    n = a.dim
+    basis = [unit_vector(n, i) for i in range(n)]
+    mod_basis = [unit_vector(m.dim, j) for j in range(m.dim)]
+    findings = [Finding("error", f"unit.w{j}", "unit does not act as the identity", j)
+                for j, w in enumerate(mod_basis) if m.act(a.unit, w) != w]
+    for i in firsts:
+        for j in range(n):
+            prod = a.struct[i][j]
+            for k, w in enumerate(mod_basis):
+                if m.act(prod, w) != m.act(basis[i], m.act(basis[j], w)):
+                    findings.append(Finding("error", f"(e{i} e{j}).w{k}",
+                                            "action is not associative", [i, j, k]))
+    return findings
 
 
 def function_algebra(k: int) -> Algebra:

@@ -33,14 +33,13 @@ import sys
 from types import SimpleNamespace
 from typing import Callable, NoReturn
 
-from . import algebra, dtcat, finspace, kaehler, sheaf, triad
+from . import (algebra, compound, dtcat, finspace, kaehler, sheaf, triad,
+               uniqueness)
 from .errors import DimensionMismatchError, TriadicaError
 from .record import record
 from .report import Finding, Report
 from .workspace import (ParseError, UnresolvedReference, dump_workspace,
-                        load_workspace, map_to_json, matrix_to_json,
-                        module_sections_to_json, morphism_to_json,
-                        presheaf_to_json, triad_to_json)
+                        load_workspace, matrix_to_json, module_sections_to_json)
 
 
 class UsageError(TriadicaError):
@@ -111,8 +110,8 @@ def _kaehler(args, obj):
     rep = triad.validate_triad(res.presheaf_triad)
     dims = [Finding("info", f"open {u}", f"module dimension {m.dim}", None)
             for u, m in enumerate(res.presheaf_triad.modules.sections)]
-    derived = {"presheaf_triad": triad_to_json(res.presheaf_triad),
-               "sheaf_triad": triad_to_json(res.sheaf_triad)}
+    derived = {"presheaf_triad": compound.triad_to_json(res.presheaf_triad),
+               "sheaf_triad": compound.triad_to_json(res.sheaf_triad)}
     return _with_findings(rep, dims), derived
 
 
@@ -123,7 +122,7 @@ def _sheafify(args, p):
     findings.append(Finding("info" if after.is_sheaf else "error", "result",
                             "sheaf condition holds" if after.is_sheaf else
                             "sheafification did not produce a sheaf", None))
-    derived = {"sheaf": presheaf_to_json(res.presheaf),
+    derived = {"sheaf": compound.presheaf_to_json(res.presheaf),
                "canonical_components": [matrix_to_json(c)
                                         for c in res.canonical.components]}
     return Report("sheafify", tuple(findings)), derived
@@ -131,20 +130,20 @@ def _sheafify(args, p):
 
 def _pushforward(args, f, t):
     out = triad.pushforward_triad(f, t)
-    return triad.validate_triad(out), {"triad": triad_to_json(out)}
+    return triad.validate_triad(out), {"triad": compound.triad_to_json(out)}
 
 
 def _checked_morphism(m):
-    return dtcat.check_morphism(m), {"morphism": morphism_to_json(m)}
+    return dtcat.check_morphism(m), {"morphism": compound.morphism_to_json(m)}
 
 
 def _uniqueness(args, m1, m2):
     same_algebra = m1.algebra_components == m2.algebra_components
     same_module = m1.module_components == m2.module_components
     if same_algebra and not same_module:
-        return dtcat.differential_agreement_on_image(m1, m2), {}
+        return uniqueness.differential_agreement_on_image(m1, m2), {}
     if same_module and not same_algebra:
-        return dtcat.algebra_component_uniqueness(m1, m2), {}
+        return uniqueness.algebra_component_uniqueness(m1, m2), {}
     if same_algebra and same_module:
         findings = (Finding("info", "components",
                             "the morphisms coincide in both layers", None),)
@@ -162,7 +161,7 @@ def _recover_map(args, m):
         raise UsageError("lives over non-discrete spaces; rerun with "
                          "--exploratory to inspect it anyway")
     return (dtcat.verify_pullback_forced(f, m.algebra_components),
-            {"map": map_to_json(f)})
+            {"map": compound.map_to_json(f)})
 
 
 def _fullness(args, x, y):

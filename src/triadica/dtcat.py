@@ -11,7 +11,12 @@ and counting all morphisms between functional triads.  The recovery,
 verify_pullback_forced(f, components), takes the algebra components of a
 morphism over f alone; it builds the function presheaf on the codomain and
 the direct image of the one on the domain itself, so the frame cannot be
-wrong.
+wrong.  Whether two morphisms that agree in one layer agree in the other is
+the `uniqueness` layer's question.
+
+The `exactla`, `sheaf` and `triad` layers are read off their modules where
+they are used, so `fullness` runs no `triad`, and over a non-discrete pair,
+where it builds no family, none of the three.
 
 The count has a closed form.  With O the function presheaf and U_y the
 minimal open around y, a unit-preserving multiplicative presheaf morphism
@@ -31,17 +36,13 @@ from __future__ import annotations
 from itertools import product
 from math import prod
 
+from . import exactla, sheaf, triad
 from .errors import DimensionMismatchError, TriadicaError
-from .exactla import ZERO, Matrix, span, unit_vector
 from .finspace import (ContinuousMap, FiniteSpace, all_maps, compose_maps,
                        constant_map, identity_map, minimal_open,
                        require_topology)
 from .record import Interner, record
 from .report import Finding, Report, merge_reports, relocated
-from .sheaf import (Presheaf, PresheafMorphism, function_presheaf, pushforward,
-                    semilinearity_defects, validate_presheaf_morphism)
-from .triad import (DifferentialTriad, constants_only_kernel, function_triad,
-                    pushforward_triad, require_functional)
 
 
 class BoundExceeded(TriadicaError):
@@ -60,10 +61,10 @@ class TriadMorphism:
     """
 
     map: ContinuousMap
-    source: DifferentialTriad
-    target: DifferentialTriad
-    algebra_components: tuple[Matrix, ...]
-    module_components: tuple[Matrix, ...]
+    source: triad.DifferentialTriad
+    target: triad.DifferentialTriad
+    algebra_components: tuple[exactla.Matrix, ...]
+    module_components: tuple[exactla.Matrix, ...]
 
     def __post_init__(self):
         y_opens = self.target.space.opens
@@ -97,19 +98,19 @@ def check_morphism(m: TriadMorphism) -> Report:
     if m.map.domain != source.space or m.map.codomain != target.space:
         return Report("check_morphism", (Finding(
             "error", "frame", "underlying map does not connect the triad spaces", None),))
-    push = pushforward_triad(m.map, source)
+    push = triad.pushforward_triad(m.map, source)
     interner = Interner()
-    h_alg = PresheafMorphism(target.algebras, push.algebras, m.algebra_components)
+    h_alg = sheaf.PresheafMorphism(target.algebras, push.algebras, m.algebra_components)
     parts = [Report("algebra_components",
-                    validate_presheaf_morphism(h_alg, interner).findings)]
+                    sheaf.validate_presheaf_morphism(h_alg, interner).findings)]
 
-    h_mod = PresheafMorphism(target.modules, push.modules, m.module_components)
-    module_findings = list(validate_presheaf_morphism(h_mod, interner).findings)
+    h_mod = sheaf.PresheafMorphism(target.modules, push.modules, m.module_components)
+    module_findings = list(sheaf.validate_presheaf_morphism(h_mod, interner).findings)
     for v in range(len(target.space.opens)):
         inputs = (m.module_components[v], m.algebra_components[v],
                   target.modules.sections[v], push.modules.sections[v])
         defects = interner.once(("semilinear", *interner.ids(inputs)),
-                                lambda: list(semilinearity_defects(*inputs)))
+                                lambda: list(sheaf.semilinearity_defects(*inputs)))
         for i, j, lhs, rhs in defects:
             module_findings.append(Finding(
                 "error", f"open {v}, action pair ({i},{j})",
@@ -135,12 +136,12 @@ def check_morphism(m: TriadMorphism) -> Report:
     return merge_reports("check_morphism", parts)
 
 
-def identity_morphism(t: DifferentialTriad) -> TriadMorphism:
+def identity_morphism(t: triad.DifferentialTriad) -> TriadMorphism:
     n = len(t.space.opens)
     return TriadMorphism(
         identity_map(t.space), t, t,
-        tuple(Matrix.identity(t.algebras.section_dim(v)) for v in range(n)),
-        tuple(Matrix.identity(t.modules.section_dim(v)) for v in range(n)))
+        tuple(exactla.Matrix.identity(t.algebras.section_dim(v)) for v in range(n)),
+        tuple(exactla.Matrix.identity(t.modules.section_dim(v)) for v in range(n)))
 
 
 def compose(g_hat: TriadMorphism, f_hat: TriadMorphism) -> TriadMorphism:
@@ -160,8 +161,8 @@ def compose(g_hat: TriadMorphism, f_hat: TriadMorphism) -> TriadMorphism:
     return TriadMorphism(gf, f_hat.source, g_hat.target, tuple(alg), tuple(mod))
 
 
-def constant_morphism(source: DifferentialTriad, target: DifferentialTriad,
-                      c: int) -> TriadMorphism:
+def constant_morphism(source: triad.DifferentialTriad,
+                      target: triad.DifferentialTriad, c: int) -> TriadMorphism:
     """The morphism riding on the constant map at c.
 
     The target's algebras must be the function presheaf on its space, so a
@@ -175,7 +176,7 @@ def constant_morphism(source: DifferentialTriad, target: DifferentialTriad,
     """
     require_topology(source.space)
     require_topology(target.space)
-    require_functional(target)
+    triad.require_functional(target)
     f = constant_map(source.space, target.space, c)
     full_x = source.space.open_index(source.space.full_set)
     unit = source.algebras.sections[full_x].unit
@@ -183,130 +184,32 @@ def constant_morphism(source: DifferentialTriad, target: DifferentialTriad,
     for v, vset in enumerate(target.space.opens):
         pre = f.preimages[v]
         rows_a = source.algebras.section_dim(pre)
-        alg.append(Matrix.from_columns(
-            [unit if p == c else (ZERO,) * rows_a for p in sorted(vset)],
+        alg.append(exactla.Matrix.from_columns(
+            [unit if p == c else (exactla.ZERO,) * rows_a for p in sorted(vset)],
             rows=rows_a))
-        mod.append(Matrix.zeros(source.modules.section_dim(pre),
+        mod.append(exactla.Matrix.zeros(source.modules.section_dim(pre),
                                 target.modules.section_dim(v)))
     return TriadMorphism(f, source, target, tuple(alg), tuple(mod))
 
 
-def _point_map_components(f: ContinuousMap, g) -> tuple[Matrix, ...]:
+def _point_map_components(f: ContinuousMap, g) -> tuple[exactla.Matrix, ...]:
     """Precomposition with the point map g: over each open V of the codomain,
     row x of f^-1(V) is e_{g(x)} in V's sorted coordinates."""
     comps = []
     for v, vset in enumerate(f.codomain.opens):
         v_pts = sorted(vset)
         pre_pts = sorted(f.domain.opens[f.preimages[v]])
-        comps.append(Matrix.from_rows(
-            [unit_vector(len(v_pts), v_pts.index(g[x])) for x in pre_pts],
+        comps.append(exactla.Matrix.from_rows(
+            [exactla.unit_vector(len(v_pts), v_pts.index(g[x])) for x in pre_pts],
             cols=len(v_pts)))
     return tuple(comps)
 
 
 def pullback_morphism(f: ContinuousMap) -> TriadMorphism:
     """Precomposition with f, as a morphism of the functional triads."""
-    tx, ty = function_triad(f.domain), function_triad(f.codomain)
-    mod = tuple(Matrix.zeros(0, 0) for _ in f.codomain.opens)
+    tx, ty = triad.function_triad(f.domain), triad.function_triad(f.codomain)
+    mod = tuple(exactla.Matrix.zeros(0, 0) for _ in f.codomain.opens)
     return TriadMorphism(f, tx, ty, _point_map_components(f, f.values), mod)
-
-
-# ---------------------------------------------------------------------------
-# uniqueness of components
-
-
-def _image(mat: Matrix):
-    return span(mat.rows, [mat.col(j) for j in range(mat.cols)])
-
-
-def _frame_mismatch(m1: TriadMorphism, m2: TriadMorphism) -> list[Finding]:
-    out = []
-    if m1.map != m2.map:
-        out.append(Finding("error", "frame", "underlying maps differ", None))
-    if m1.source != m2.source or m1.target != m2.target:
-        out.append(Finding("error", "frame", "morphisms connect different triads", None))
-    return out
-
-
-def differential_agreement_on_image(m1: TriadMorphism,
-                                    m2: TriadMorphism) -> Report:
-    """Equal algebra components force equal module components on the image
-    of the target operator.
-
-    Disagreement ON the image is an error (one input was not a morphism).
-    Components may still differ off the image; that is legal and gets an
-    informational finding: "agree on image, differ globally".
-    """
-    findings = _frame_mismatch(m1, m2)
-    if not findings and m1.algebra_components != m2.algebra_components:
-        findings.append(Finding("error", "preconditions",
-                                "algebra components differ", None))
-    if findings:
-        return Report("differential_agreement_on_image", tuple(findings))
-    differ_globally = False
-    for v in range(len(m1.target.space.opens)):
-        image = _image(m1.target.differentials[v])
-        for b in image.basis:
-            lhs = m1.module_components[v].apply(b)
-            rhs = m2.module_components[v].apply(b)
-            if lhs != rhs:
-                findings.append(Finding(
-                    "error", f"open {v}",
-                    "module components disagree on the operator image",
-                    {"open": v, "section": [str(c) for c in b],
-                     "defect": [str(p - q) for p, q in zip(lhs, rhs)]}))
-        if m1.module_components[v] != m2.module_components[v]:
-            differ_globally = True
-    if differ_globally and not any(f.severity == "error" for f in findings):
-        findings.append(Finding("info", "global",
-                                "agree on image, differ globally", None))
-    return Report("differential_agreement_on_image", tuple(findings))
-
-
-def algebra_component_uniqueness(m1: TriadMorphism,
-                                 m2: TriadMorphism) -> Report:
-    """Equal module components force equal algebra components, provided the
-    source operator vanishes only on constants.
-
-    The argument runs as an executable proof: the operator kills the
-    difference of the components (because the operator squares and the
-    module components agree), so the difference lands in the constants, and
-    a constant difference of unit-preserving maps must be zero.  Each step
-    that fails produces an error finding with a witness; when the kernel
-    hypothesis fails the report is exploratory and asserts nothing.
-    """
-    findings = _frame_mismatch(m1, m2)
-    if not findings and m1.module_components != m2.module_components:
-        findings.append(Finding("error", "preconditions",
-                                "module components differ", None))
-    if findings:
-        return Report("algebra_component_uniqueness", tuple(findings))
-    source = m1.source
-    if not constants_only_kernel(source):
-        return Report("algebra_component_uniqueness", (
-            Finding("warning", "hypothesis",
-                    "hypothesis not met: the source operator kernel is larger "
-                    "than the constants, no uniqueness is claimed", None),))
-    for v in range(len(m1.target.space.opens)):
-        pre = m1.map.preimages[v]
-        d_x = source.differentials[pre]
-        diff = m1.algebra_components[v] - m2.algebra_components[v]
-        for j in range(diff.cols):
-            col = diff.col(j)
-            if all(c == 0 for c in col):
-                continue
-            witness = {"open": v, "basis": j, "difference": [str(c) for c in col]}
-            if any(c != 0 for c in d_x.apply(col)):
-                findings.append(Finding(
-                    "error", f"open {v}, basis {j}",
-                    "difference of algebra components is not killed by the operator "
-                    "(an input was not a morphism)", witness))
-            else:
-                # the operator kills only constants, by the hypothesis above
-                findings.append(Finding(
-                    "error", f"open {v}, basis {j}",
-                    "algebra components differ by a nonzero constant", witness))
-    return Report("algebra_component_uniqueness", tuple(findings))
 
 
 # ---------------------------------------------------------------------------
@@ -327,13 +230,13 @@ def verify_pullback_forced(f: ContinuousMap, components) -> Report:
     """
     require_topology(f.domain)
     require_topology(f.codomain)
-    h = PresheafMorphism(function_presheaf(f.codomain),
-                         pushforward(f, function_presheaf(f.domain)),
+    h = sheaf.PresheafMorphism(sheaf.function_presheaf(f.codomain),
+                         sheaf.pushforward(f, sheaf.function_presheaf(f.domain)),
                          tuple(components))
     return _pullback_report(f, h, Interner())
 
 
-def _pullback_report(f: ContinuousMap, h: PresheafMorphism,
+def _pullback_report(f: ContinuousMap, h: sheaf.PresheafMorphism,
                      interner: Interner) -> Report:
     """verify_pullback_forced on a family from the function presheaf on the
     codomain into the direct image of the one on the domain, each distinct
@@ -342,14 +245,14 @@ def _pullback_report(f: ContinuousMap, h: PresheafMorphism,
     if not (f.domain.is_discrete and f.codomain.is_discrete):
         findings.append(Finding("warning", "spaces",
                                 "non-discrete spaces: exploratory result only", None))
-    findings += relocated("morphism: ", validate_presheaf_morphism(
+    findings += relocated("morphism: ", sheaf.validate_presheaf_morphism(
         h, interner).findings)
     # row x over V must be the unit vector at f(x) in V's sorted points
     for v, vset in enumerate(f.codomain.opens):
         v_pts = sorted(vset)
         for r, x in enumerate(sorted(f.domain.opens[f.preimages[v]])):
             got = h.components[v].row(r)
-            if got != unit_vector(len(v_pts), v_pts.index(f.values[x])):
+            if got != exactla.unit_vector(len(v_pts), v_pts.index(f.values[x])):
                 findings.append(Finding(
                     "error", f"open {v}, point {x}",
                     "evaluation after the morphism is not evaluation at the image point",
@@ -357,19 +260,19 @@ def _pullback_report(f: ContinuousMap, h: PresheafMorphism,
     return Report("verify_pullback_forced", tuple(findings))
 
 
-def enumerate_presheaf_morphisms(f: ContinuousMap, functions_x: Presheaf,
-                                 functions_y: Presheaf) -> list[PresheafMorphism]:
+def enumerate_presheaf_morphisms(f: ContinuousMap, functions_x: sheaf.Presheaf,
+                                 functions_y: sheaf.Presheaf) -> list[sheaf.PresheafMorphism]:
     """All unit-preserving multiplicative presheaf morphisms from the full
-    functional sheaf on the codomain into the pushforward of the one on the
+    functional sheaf on the codomain into the sheaf.pushforward of the one on the
     domain: precomposition with each point map g with g(x) in U_{f(x)},
     prod_x |U_{f(x)}| of them, in lexicographic order of g (see the module
     docstring).  `functions_x` and `functions_y` are the function presheaves
     on the domain and the codomain, which must be a topology.  No command
     calls it; the tests keep it as the oracle of fullness_check's count."""
     y = f.codomain
-    target = pushforward(f, functions_x)
+    target = sheaf.pushforward(f, functions_x)
     choices = [sorted(y.opens[minimal_open(y, f.values[x])]) for x in f.domain.points]
-    return [PresheafMorphism(functions_y, target, _point_map_components(f, g))
+    return [sheaf.PresheafMorphism(functions_y, target, _point_map_components(f, g))
             for g in product(*choices)]
 
 
@@ -404,7 +307,8 @@ def fullness_check(x_space: FiniteSpace, y_space: FiniteSpace,
     discrete = x_space.is_discrete and y_space.is_discrete
     findings = []
     if discrete:
-        functions_x, functions_y = function_presheaf(x_space), function_presheaf(y_space)
+        functions_x = sheaf.function_presheaf(x_space)
+        functions_y = sheaf.function_presheaf(y_space)
         interner = Interner()  # one memo for every family's checks
     else:
         findings.append(Finding("warning", "spaces",
@@ -419,7 +323,7 @@ def fullness_check(x_space: FiniteSpace, y_space: FiniteSpace,
             continue
         per_map.append((values, prod(sizes[y] for y in values)))
         if discrete:
-            h = PresheafMorphism(functions_y, pushforward(f, functions_x),
+            h = sheaf.PresheafMorphism(functions_y, sheaf.pushforward(f, functions_x),
                                  _point_map_components(f, values))
             if not _pullback_report(f, h, interner).ok:
                 findings.append(Finding(

@@ -1,0 +1,72 @@
+"""Sheafification by compatible stalk families, shared by both layers.
+
+Over each open U of a presheaf p, `Presheaf.layouts` gives the space of
+compatible stalk families and the family of each section (see `sheaf`).  The
+sheafification p+ has those families as its sections over U, restriction
+by truncating a family to the points of a smaller open, and the bilinear
+operation of the layer applied stalk by stalk; the canonical map p -> p+
+sends a section to its family.  `sheaf.sheafify` and `sheaf.sheafify_module`
+validate their input and run this layer, which loads on first use, so the
+commands that never sheafify do not compile it.
+"""
+
+from __future__ import annotations
+
+from .exactla import Matrix
+from .record import record
+from .sheaf import FamilyLayout, Presheaf, PresheafMorphism
+
+
+@record
+class Sheafification:
+    presheaf: Presheaf
+    canonical: PresheafMorphism
+
+
+def _restriction_between_layouts(lu: FamilyLayout, lv: FamilyLayout) -> Matrix:
+    """Truncate families from a bigger open to a smaller one."""
+    if lv.total == 0 or not lv.basis:
+        return Matrix.zeros(len(lv.basis), len(lu.basis))
+    cols = []
+    for b in lu.basis:
+        chunk_of = dict(zip(lu.points, lu.chunks(b)))
+        truncated = tuple(x for p in lv.points for x in chunk_of[p])
+        cols.append(lv.coordinates(truncated))
+    return Matrix.from_columns(cols, rows=len(lv.basis))
+
+
+def sheafify_layer(p: Presheaf, operate, section,
+                   base: Presheaf | None = None) -> Sheafification:
+    """Compatible-stalk-family sheafification, shared by both layers.
+
+    Over each open the families of p get the stalkwise bilinear table
+    `operate(stalk open, left chunk, right chunk)`, its left factor running
+    over the families of p's base (of p for an algebra layer) and its right
+    factor over p's.  `section(u, layout, table)` builds the sheafified
+    sections over open u, which live over `base`; the canonical map sends a
+    section to the family of its restrictions to the stalks.
+    """
+    space = p.space
+    layouts = p.layouts
+    tables = []
+    for layout, left in zip(layouts, (p.base or p).layouts):
+        right_chunks = [layout.chunks(b) for b in layout.basis]
+        table = []
+        for a in left.basis:
+            a_chunks = left.chunks(a)
+            table.append(tuple(
+                layout.coordinates(tuple(
+                    x for s, ac, bc in zip(layout.stalk_opens, a_chunks, b_chunks)
+                    for x in operate(s, ac, bc)))
+                for b_chunks in right_chunks))
+        tables.append(tuple(table))
+    restrictions = {(u, v): _restriction_between_layouts(layouts[u], layouts[v])
+                    for u, v in space.inclusion_pairs}
+    plus = Presheaf(space, tuple(section(u, layout, table) for u, (layout, table)
+                                 in enumerate(zip(layouts, tables))),
+                    restrictions, base)
+    components = []
+    for layout in layouts:
+        cols = [layout.coordinates(f) for f in layout.families]
+        components.append(Matrix.from_columns(cols, rows=len(layout.basis)))
+    return Sheafification(plus, PresheafMorphism(p, plus, tuple(components)))

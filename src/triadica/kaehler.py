@@ -3,8 +3,8 @@
 Omega_A is generated as an A-module by dA, so it is presented on algebra
 generators (Eisenbud, Commutative Algebra, section 16.1; Matsumura,
 Commutative Ring Theory, section 25).  Pick generators g_1..g_r of A, its
-generating basis (`Algebra.generating_basis`) if it has one, and write
-A = Q[t_1..t_r]/J.  The Buchberger-Moeller pass of the algebra layer
+generating basis if it has one (`Algebra.presentation` keeps the pass that
+found it), and write A = Q[t_1..t_r]/J.  The Buchberger-Moeller pass of the algebra layer
 (`standard_monomials`) runs through the monomials in the g_i in degree
 order: the ones whose values are independent form an order ideal, a basis
 of A, and each minimal dependent monomial gives one relation f; these
@@ -24,19 +24,22 @@ pinned down uniquely.  So an algebra map phi: A -> B induces one module map
 Omega(phi), and in closed form: the class of an ideal vector sum_lk b_lk
 e_l (x) e_k is -sum_k b_k de_k, b_k = sum_l b_lk e_l, and goes to
 -sum_k phi(b_k) d_B(phi(e_k)).  `kaehler_presheaf` builds its maps this way.
+
+Only `kaehler_presheaf` and `factor_derivation` use the `sheaf` and `triad`
+layers, read off their lazily loaded modules where they are called, so the
+module of one algebra runs neither.
 """
 
 from __future__ import annotations
 
-from .algebra import Algebra, require_valid_algebra, standard_monomials
+from . import gluing, sheaf, triad
+from .algebra import (Algebra, ModuleSections, require_valid_algebra,
+                      standard_monomials)
 from .errors import DimensionMismatchError, InvariantError, TriadicaError
 from .exactla import (ONE, ZERO, Matrix, Subspace, full_space, kernel, rref,
                       solve, unit_vector, vec)
 from .record import record
 from .report import ValidationError
-from .sheaf import (ModuleSections, Presheaf, Sheafification, make_presheaf,
-                    sheafify, sheafify_module)
-from .triad import DifferentialTriad, check_leibniz
 
 
 class NotADerivation(ValidationError):
@@ -82,16 +85,20 @@ def kaehler_module(a: Algebra) -> KaehlerModule:
     n = a.dim
     ideal = kernel(multiplication_map(a))
 
-    # algebra generators: the algebra's generating basis keeps the
-    # presentation sparse; failing that one generic element, extended by the
-    # first basis vectors outside the subalgebra generated so far
-    basis = a.generating_basis
-    gens = [vec(range(1, n + 1))] if basis is None else [unit_vector(n, j) for j in basis]
-    order, relations, coefficients = standard_monomials(a, gens)
-    while len(order) < n:
-        gens.append(next(unit_vector(n, j) for j in range(n)
-                         if coefficients(unit_vector(n, j)) is None))
+    # algebra generators: the algebra's generating basis, with the pass that
+    # found it, keeps the presentation sparse; failing that one generic
+    # element, extended by the first basis vectors outside the subalgebra
+    # generated so far
+    if a.presentation is None:
+        gens = [vec(range(1, n + 1))]
         order, relations, coefficients = standard_monomials(a, gens)
+        while len(order) < n:
+            gens.append(next(unit_vector(n, j) for j in range(n)
+                             if coefficients(unit_vector(n, j)) is None))
+            order, relations, coefficients = standard_monomials(a, gens)
+    else:
+        basis, (order, relations, coefficients) = a.presentation
+        gens = [unit_vector(n, j) for j in basis]
     r = len(gens)
     value_of = dict(order)
 
@@ -195,7 +202,7 @@ def factor_derivation(k: KaehlerModule, target: ModuleSections,
     if derivation.rows != target.dim or derivation.cols != a.dim:
         raise DimensionMismatchError(
             f"derivation has shape {derivation.rows}x{derivation.cols}")
-    NotADerivation.require(check_leibniz(a, target, derivation))
+    NotADerivation.require(triad.check_leibniz(a, target, derivation))
     om, tm = k.module.dim, target.dim
     unknowns = tm * om  # phi[r][c] at index r*om + c
     rows, rhs = [], []
@@ -259,14 +266,14 @@ def derivation_space(a: Algebra, target: ModuleSections) -> list[Matrix]:
 
 @record
 class KaehlerPresheafResult:
-    presheaf_triad: DifferentialTriad
-    sheaf_triad: DifferentialTriad
+    presheaf_triad: triad.DifferentialTriad
+    sheaf_triad: triad.DifferentialTriad
     per_open: tuple[KaehlerModule, ...]
-    base_sheafification: Sheafification
-    module_sheafification: Sheafification
+    base_sheafification: gluing.Sheafification
+    module_sheafification: gluing.Sheafification
 
 
-def kaehler_presheaf(base: Presheaf) -> KaehlerPresheafResult:
+def kaehler_presheaf(base: sheaf.Presheaf) -> KaehlerPresheafResult:
     """Universal differential module over every open, glued into a triad.
 
     Module restrictions are forced: the restriction u -> v is Omega(r) for
@@ -279,7 +286,7 @@ def kaehler_presheaf(base: Presheaf) -> KaehlerPresheafResult:
     come before any module is built.
     """
     space = base.space
-    base_plus = sheafify(base)
+    base_plus = sheaf.sheafify(base)
     module_of = {a: kaehler_module(a) for a in dict.fromkeys(base.sections)}
     per_open = tuple(module_of[a] for a in base.sections)
     table = {}
@@ -297,11 +304,11 @@ def kaehler_presheaf(base: Presheaf) -> KaehlerPresheafResult:
                         col = [x - y for x, y in zip(col, acted)]
                 cols.append(col)
             table[(u, v)] = Matrix.from_columns(cols, rows=kv.module.dim)
-    modules = make_presheaf(space, (k.module for k in per_open), table, base)
+    modules = sheaf.make_presheaf(space, (k.module for k in per_open), table, base)
     diffs = tuple(k.differential for k in per_open)
-    presheaf_triad = DifferentialTriad(base, modules, diffs)
+    presheaf_triad = triad.DifferentialTriad(base, modules, diffs)
 
-    module_plus = sheafify_module(modules, base_plus)
+    module_plus = sheaf.sheafify_module(modules, base_plus)
     d_plus = []
     for alg_layout, mod_layout in zip(base.layouts, modules.layouts):
         cols = []
@@ -311,7 +318,7 @@ def kaehler_presheaf(base: Presheaf) -> KaehlerPresheafResult:
                           for x in diffs[s].apply(chunk))
             cols.append(mod_layout.coordinates(image))
         d_plus.append(Matrix.from_columns(cols, rows=len(mod_layout.basis)))
-    sheaf_triad = DifferentialTriad(base_plus.presheaf, module_plus.presheaf,
-                                    tuple(d_plus))
+    sheaf_triad = triad.DifferentialTriad(base_plus.presheaf, module_plus.presheaf,
+                                          tuple(d_plus))
     return KaehlerPresheafResult(presheaf_triad, sheaf_triad, per_open,
                                  base_plus, module_plus)

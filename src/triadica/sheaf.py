@@ -3,7 +3,8 @@
 Both layers of a differential triad are one `Presheaf`: sections kept per
 open-set index and restriction matrices stored for every inclusion pair of
 opens.  An algebra layer has an `Algebra` over each open; a module layer has
-`ModuleSections` and names as its `base` the algebra layer acting on them.
+`ModuleSections`, the modules over an algebra that the `algebra` layer
+defines, and names as its `base` the algebra layer acting on them.
 
 A finite space is Alexandrov: every point x has a minimal open U_x.  Over
 an open U, a compatible stalk family is one section over U_x for each point
@@ -12,7 +13,8 @@ open contains another.  These families are
 the limit lim_{x in U} F(U_x), and a presheaf F is a sheaf exactly when every
 canonical map F(U) -> lim_{x in U} F(U_x) is bijective (Curry, Sheaves,
 Cosheaves and Applications, arXiv:1303.3255, section 4).  The same families
-are the sections of the sheafification.
+are the sections of the sheafification, which the `gluing` layer builds;
+it loads on first use, so only the commands that sheafify compile it.
 
 Sections over the empty set are the degenerate zero algebra / zero module:
 the empty open has no points, so its limit is the zero space.
@@ -23,70 +25,18 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import combinations
 
-from .algebra import (Algebra, AlgebraMorphism, basis_pairs, function_algebra,
-                      generators_first, morphism_findings, validate_algebra,
-                      validate_algebra_morphism)
+from . import gluing
+from .algebra import (Algebra, AlgebraMorphism, ModuleSections, action_findings,
+                      basis_pairs, function_algebra, generators_first,
+                      morphism_findings, validate_algebra,
+                      validate_algebra_morphism, validate_module_sections,
+                      zero_module_sections)
 from .errors import DimensionMismatchError, InvariantError
-from .exactla import (ONE, ZERO, Matrix, Subspace, Vector, contract,
-                      contract_matrix, full_space, kernel, span, unit_vector)
+from .exactla import (ONE, ZERO, Matrix, Subspace, Vector, full_space, kernel,
+                      span, unit_vector)
 from .finspace import ContinuousMap, FiniteSpace, minimal_open, require_topology
 from .record import Interner, record
 from .report import Finding, Report, ValidationError, relocated
-
-
-@record
-class ModuleSections:
-    """Sections of a module over one open: a vector space with an action.
-
-    action[i][j] is the coordinate vector of (algebra basis i) . (module
-    basis j); algebra_dim is carried so empty modules keep their shape.
-    """
-
-    algebra_dim: int
-    dim: int
-    action: tuple[tuple[Vector, ...], ...]
-
-    def __post_init__(self):
-        if len(self.action) != self.algebra_dim:
-            raise DimensionMismatchError("action tensor does not match algebra dim")
-        for row in self.action:
-            if len(row) != self.dim or any(len(v) != self.dim for v in row):
-                raise DimensionMismatchError("action tensor does not match module dim")
-
-    def act(self, a, w) -> Vector:
-        return contract(self.action, self.dim, a, w)
-
-    def act_matrix(self, a) -> Matrix:
-        """L(a), the matrix of w -> a . w: column j is sum_i a_i action[i][j]."""
-        return contract_matrix(self.action, self.dim, a)
-
-
-def zero_module_sections(algebra_dim: int) -> ModuleSections:
-    return ModuleSections(algebra_dim, 0, tuple(() for _ in range(algebra_dim)))
-
-
-def validate_module_sections(a: Algebra, m: ModuleSections) -> Report:
-    """Unit acts as identity; action is associative over the algebra."""
-    return Report("validate_module_sections", tuple(_action_findings(a, m, range(a.dim))))
-
-
-def _action_findings(a: Algebra, m: ModuleSections, firsts) -> list[Finding]:
-    """The unit acting as the identity, and (e_i e_j).w = e_i.(e_j.w) for i
-    in `firsts`.  Over an associative algebra the elements x with
-    (xy).w = x.(y.w) for all y, w form a subalgebra."""
-    n = a.dim
-    basis = [unit_vector(n, i) for i in range(n)]
-    mod_basis = [unit_vector(m.dim, j) for j in range(m.dim)]
-    findings = [Finding("error", f"unit.w{j}", "unit does not act as the identity", j)
-                for j, w in enumerate(mod_basis) if m.act(a.unit, w) != w]
-    for i in firsts:
-        for j in range(n):
-            prod = a.struct[i][j]
-            for k, w in enumerate(mod_basis):
-                if m.act(prod, w) != m.act(basis[i], m.act(basis[j], w)):
-                    findings.append(Finding("error", f"(e{i} e{j}).w{k}",
-                                            "action is not associative", [i, j, k]))
-    return findings
 
 
 def semilinearity_defects(rho: Matrix, r: Matrix, source: ModuleSections,
@@ -315,7 +265,7 @@ def _presheaf_findings(p: Presheaf, interner: Interner) -> tuple[Finding, ...]:
             check = lambda: validate_algebra(s).errors()
         elif interner.passed(("sections", base_ids[u])):
             a = base.sections[u]
-            check = lambda: generators_first(a, lambda firsts: _action_findings(a, s, firsts))
+            check = lambda: generators_first(a, lambda firsts: action_findings(a, s, firsts))
         else:
             check = lambda: validate_module_sections(base.sections[u], s).errors()
         findings += relocated(f"open {u}: ", interner.once(("sections", section_ids[u]), check))
@@ -553,62 +503,7 @@ def _family_layout(p: Presheaf, u: int) -> FamilyLayout:
     return FamilyLayout(pts, stalk_opens, tuple(offsets), dims, total, compatible, families)
 
 
-@record
-class Sheafification:
-    presheaf: Presheaf
-    canonical: PresheafMorphism
-
-
-def _restriction_between_layouts(lu: FamilyLayout, lv: FamilyLayout) -> Matrix:
-    """Truncate families from a bigger open to a smaller one."""
-    if lv.total == 0 or not lv.basis:
-        return Matrix.zeros(len(lv.basis), len(lu.basis))
-    cols = []
-    for b in lu.basis:
-        chunk_of = dict(zip(lu.points, lu.chunks(b)))
-        truncated = tuple(x for p in lv.points for x in chunk_of[p])
-        cols.append(lv.coordinates(truncated))
-    return Matrix.from_columns(cols, rows=len(lv.basis))
-
-
-def _sheafify(p: Presheaf, operate, section,
-              base: Presheaf | None = None) -> Sheafification:
-    """Compatible-stalk-family sheafification, shared by both layers.
-
-    Over each open the families of p get the stalkwise bilinear table
-    `operate(stalk open, left chunk, right chunk)`, its left factor running
-    over the families of p's base (of p for an algebra layer) and its right
-    factor over p's.  `section(u, layout, table)` builds the sheafified
-    sections over open u, which live over `base`; the canonical map sends a
-    section to the family of its restrictions to the stalks.
-    """
-    space = p.space
-    layouts = p.layouts
-    tables = []
-    for layout, left in zip(layouts, (p.base or p).layouts):
-        right_chunks = [layout.chunks(b) for b in layout.basis]
-        table = []
-        for a in left.basis:
-            a_chunks = left.chunks(a)
-            table.append(tuple(
-                layout.coordinates(tuple(
-                    x for s, ac, bc in zip(layout.stalk_opens, a_chunks, b_chunks)
-                    for x in operate(s, ac, bc)))
-                for b_chunks in right_chunks))
-        tables.append(tuple(table))
-    restrictions = {(u, v): _restriction_between_layouts(layouts[u], layouts[v])
-                    for u, v in space.inclusion_pairs}
-    plus = Presheaf(space, tuple(section(u, layout, table) for u, (layout, table)
-                                 in enumerate(zip(layouts, tables))),
-                    restrictions, base)
-    components = []
-    for layout in layouts:
-        cols = [layout.coordinates(f) for f in layout.families]
-        components.append(Matrix.from_columns(cols, rows=len(layout.basis)))
-    return Sheafification(plus, PresheafMorphism(p, plus, tuple(components)))
-
-
-def sheafify(p: Presheaf) -> Sheafification:
+def sheafify(p: Presheaf) -> gluing.Sheafification:
     """Compatible-stalk-family sheafification of an algebra presheaf.
 
     Raises InvalidTopologyError on a non-topology and InvalidPresheafError
@@ -623,13 +518,15 @@ def sheafify(p: Presheaf) -> Sheafification:
         unit = layout.coordinates(unit_family) if layout.basis else ()
         return Algebra(len(layout.basis), struct, unit)
 
-    return _sheafify(p, lambda s, x, y: p.sections[s].multiply(x, y), algebra)
+    return gluing.sheafify_layer(p, lambda s, x, y: p.sections[s].multiply(x, y),
+                                 algebra)
 
 
-def sheafify_module(m: Presheaf, base_plus: Sheafification) -> Sheafification:
+def sheafify_module(m: Presheaf,
+                    base_plus: gluing.Sheafification) -> gluing.Sheafification:
     """Sheafify a module presheaf over `base_plus`, the sheafification of
     `m.base`, whose families (`m.base.layouts`) act on those of m."""
-    return _sheafify(
+    return gluing.sheafify_layer(
         m, lambda s, a, w: m.sections[s].act(a, w),
         lambda u, layout, action: ModuleSections(len(action), len(layout.basis), action),
         base_plus.presheaf)

@@ -7,16 +7,16 @@ the first violating basis pair per open and reports it with the defect.
 
 from __future__ import annotations
 
-from .algebra import Algebra, basis_pairs, generators_first
+from .algebra import Algebra, ModuleSections, basis_pairs, generators_first
 from .errors import DimensionMismatchError, TriadicaError
 from .exactla import Matrix, kernel, span, unit_vector
 from .finspace import ContinuousMap, FiniteSpace
 from .record import Interner, record
 from .report import Finding, Report, merge_reports, relocated
-from .sheaf import (ModuleSections, Presheaf, constant_presheaf,
-                    function_presheaf, pushforward, pushforward_module,
-                    restriction_square_failures, validate_algebra_presheaf,
-                    validate_module_presheaf, zero_module_presheaf)
+from .sheaf import (Presheaf, constant_presheaf, function_presheaf, pushforward,
+                    pushforward_module, restriction_square_failures,
+                    validate_algebra_presheaf, validate_module_presheaf,
+                    zero_module_presheaf)
 
 
 @record

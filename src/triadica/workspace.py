@@ -26,7 +26,16 @@ Sections and the shapes they hold:
                  "module_components": [matrix per target open]}
 
 Names are globally unique across sections, so a bare string anywhere a
-structured value is expected is an unambiguous reference.
+structured value is expected is an unambiguous reference.  It names an
+entry of the section that value is drawn from, in whatever order the names
+come: an entry may be an alias of another entry of its own section
+("maps": {"E": "F"}), whichever of the two names sorts first.  A chain of
+aliases that comes back to its start is refused as a reference cycle.
+
+This layer parses spaces, algebras and the fragments the rest are made of.
+The parsers and serializers of presheaves, maps, triads and morphisms are
+the `compound` layer's, which loads on first use, so a document without
+those sections never runs it.
 """
 
 from __future__ import annotations
@@ -34,9 +43,8 @@ from __future__ import annotations
 import json
 import re
 
-from . import algebra, dtcat, finspace, sheaf, triad
-from .errors import DimensionMismatchError, TriadicaError
-from .exactla import Matrix, Vector, rat
+from . import algebra, compound, exactla, finspace
+from .errors import TriadicaError
 
 SCHEMA_VERSION = 1
 
@@ -74,6 +82,9 @@ class WorkspaceDocument:
         self.maps = {}
         self.triads = {}
         self.morphisms = {}
+        # while parse_workspace runs, parses one of the document's entries
+        # on demand: (section, name, location) -> None
+        self._parse_entry = None
 
     def section_of(self, name: str) -> str | None:
         for section in SECTION_ORDER:
@@ -91,7 +102,7 @@ def _reject_float(text):
                      f"string instead")
 
 
-def rationals_from_json(values, literals: dict, where) -> Vector:
+def rationals_from_json(values, literals: dict, where) -> exactla.Vector:
     """The exact rationals of a list of JSON scalars.
 
     `literals` holds the literals already read in this document, so that
@@ -107,14 +118,14 @@ def rationals_from_json(values, literals: dict, where) -> Vector:
             try:
                 if kind is bool or kind is float:
                     raise TypeError(f"{value!r} is not an exact rational")
-                q = literals[value] = rat(value)
+                q = literals[value] = exactla.rat(value)
             except (TypeError, ValueError) as exc:
                 raise ParseError(str(exc), where(i)) from None
         out.append(q)
     return tuple(out)
 
 
-def matrix_from_json(value, literals: dict, location: str) -> Matrix:
+def matrix_from_json(value, literals: dict, location: str) -> exactla.Matrix:
     if not isinstance(value, dict) or set(value) - {"rows", "cols", "entries"}:
         raise ParseError("expected {rows, cols, entries}", location)
     try:
@@ -130,52 +141,18 @@ def matrix_from_json(value, literals: dict, location: str) -> Matrix:
             raise ParseError(f"row {r} must hold {cols} entries", location)
         out.append(rationals_from_json(
             row, literals, lambda c: f"{location}.entries[{r}][{c}]"))
-    return Matrix(rows, cols, tuple(out))
+    return exactla.Matrix(rows, cols, tuple(out))
 
 
-def matrix_to_json(m: Matrix) -> dict:
+def matrix_to_json(m: exactla.Matrix) -> dict:
     return {"rows": m.rows, "cols": m.cols,
             "entries": [[str(x) for x in row] for row in m.entries]}
 
 
-def _vector_from_json(value, length: int, literals: dict, location: str):
+def vector_from_json(value, length: int, literals: dict, location: str):
     if not isinstance(value, list) or len(value) != length:
         raise ParseError(f"expected a vector of length {length}", location)
     return rationals_from_json(value, literals, lambda i: f"{location}[{i}]")
-
-
-def _restrictions_from_json(value, space: finspace.FiniteSpace, dims,
-                            literals: dict, location: str):
-    value = {} if value is None else value
-    if not isinstance(value, dict):
-        raise ParseError("restrictions must be an object", location)
-    table = {}
-    for key, mat in value.items():
-        parts = key.split("->")
-        if len(parts) != 2:
-            raise ParseError(f"restriction key {key!r} is not 'u->v'", location)
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(f"restriction key {key!r} is not 'u->v'",
-                             location) from None
-        if not (0 <= u < len(space.opens)) or not (0 <= v < len(space.opens)):
-            raise ParseError(f"restriction key {key!r} names a missing open",
-                             location)
-        if not space.opens[v] <= space.opens[u]:
-            raise ParseError(f"restriction key {key!r} is not an inclusion",
-                             location)
-        table[(u, v)] = matrix_from_json(mat, literals, f"{location}[{key!r}]")
-    try:
-        return sheaf.fill_restrictions(space, dims, table)
-    except DimensionMismatchError as exc:
-        raise ParseError(str(exc), location) from None
-
-
-def _restrictions_to_json(p: sheaf.Presheaf) -> dict:
-    # the parser refills identities and maps to zero sections
-    return {f"{u}->{v}": matrix_to_json(p.restriction(u, v))
-            for u, v in p.space.inclusion_pairs if u != v and p.section_dim(v)}
 
 
 # ---------------------------------------------------------------------------
@@ -250,9 +227,9 @@ def algebra_from_json(value, literals: dict, location: str) -> algebra.Algebra:
         if not isinstance(row, list) or len(row) != n:
             raise ParseError(f"struct[{i}] must hold {n} product vectors",
                              location)
-        rows.append(tuple(_vector_from_json(p, n, literals, f"{location}.struct[{i}][{j}]")
+        rows.append(tuple(vector_from_json(p, n, literals, f"{location}.struct[{i}][{j}]")
                           for j, p in enumerate(row)))
-    unit = _vector_from_json(value.get("unit"), n, literals, f"{location}.unit")
+    unit = vector_from_json(value.get("unit"), n, literals, f"{location}.unit")
     return algebra.Algebra(n, tuple(rows), unit)
 
 
@@ -261,195 +238,18 @@ def algebra_to_json(a: algebra.Algebra) -> dict:
             "unit": [str(x) for x in a.unit]}
 
 
-def presheaf_from_json(value, doc: WorkspaceDocument, location: str,
-                       literals: dict) -> sheaf.Presheaf:
-    """A presheaf, or the one named by a reference.  `literals` is the
-    document's scalar memo (see `rationals_from_json`), as in the parsers
-    below."""
-    if isinstance(value, str):
-        return _resolve(value, doc, "presheaves", location)
-    if not isinstance(value, dict) or set(value) - {"space", "sections",
-                                                    "restrictions"}:
-        raise ParseError("expected {space, sections, restrictions}", location)
-    space = _space_ref(value.get("space"), doc, f"{location}.space")
-    sections_json = value.get("sections")
-    if not isinstance(sections_json, list) or \
-            len(sections_json) != len(space.opens):
-        raise ParseError(f"sections must list one algebra per open "
-                         f"({len(space.opens)})", location)
-    sections = []
-    for i, entry in enumerate(sections_json):
-        loc = f"{location}.sections[{i}]"
-        if isinstance(entry, str) and " " not in entry:
-            # a bare word is a reference; builders are "name size" pairs
-            sections.append(_resolve(entry, doc, "algebras", loc))
-        else:
-            sections.append(algebra_from_json(entry, literals, loc))
-    dims = [a.dim for a in sections]
-    table = _restrictions_from_json(value.get("restrictions"), space, dims,
-                                    literals, f"{location}.restrictions")
-    try:
-        return sheaf.Presheaf(space, tuple(sections), table)
-    except TriadicaError as exc:
-        raise ParseError(str(exc), location) from None
-
-
-def presheaf_to_json(p: sheaf.Presheaf) -> dict:
-    return {"space": space_to_json(p.space),
-            "sections": [algebra_to_json(a) for a in p.sections],
-            "restrictions": _restrictions_to_json(p)}
-
-
-def module_sections_from_json(value, literals: dict,
-                              location: str) -> sheaf.ModuleSections:
-    if not isinstance(value, dict) or set(value) - {"algebra_dim", "dim",
-                                                    "action"}:
-        raise ParseError("expected {algebra_dim, dim, action}", location)
-    try:
-        algebra_dim, dim = int(value["algebra_dim"]), int(value["dim"])
-    except (KeyError, TypeError, ValueError):
-        raise ParseError("algebra_dim and dim must be integers",
-                         location) from None
-    if dim < 0 or (algebra_dim == 0 and dim != 0):
-        # over the zero algebra 1 = 0 acts as the identity, so the module is 0
-        raise ParseError(f"dim must be 0 over the zero algebra and never "
-                         f"negative, not {dim}", location)
-    action_json = value.get("action")
-    if not isinstance(action_json, list) or len(action_json) != algebra_dim:
-        raise ParseError(f"action must hold {algebra_dim} rows", location)
-    action = []
-    for i, row in enumerate(action_json):
-        if not isinstance(row, list) or len(row) != dim:
-            raise ParseError(f"action[{i}] must hold {dim} vectors", location)
-        action.append(tuple(_vector_from_json(w, dim, literals,
-                                              f"{location}.action[{i}][{j}]")
-                            for j, w in enumerate(row)))
-    return sheaf.ModuleSections(algebra_dim, dim, tuple(action))
-
-
-def module_sections_to_json(m: sheaf.ModuleSections) -> dict:
+def module_sections_to_json(m: algebra.ModuleSections) -> dict:
     return {"algebra_dim": m.algebra_dim, "dim": m.dim,
             "action": [[[str(x) for x in w] for w in row] for row in m.action]}
 
 
-def map_from_json(value, doc: WorkspaceDocument, location: str) -> finspace.ContinuousMap:
-    if isinstance(value, str):
-        return _resolve(value, doc, "maps", location)
-    if not isinstance(value, dict) or set(value) - {"domain", "codomain",
-                                                    "values"}:
-        raise ParseError("expected {domain, codomain, values}", location)
-    domain = _space_ref(value.get("domain"), doc, f"{location}.domain")
-    codomain = _space_ref(value.get("codomain"), doc, f"{location}.codomain")
-    values = value.get("values")
-    if not isinstance(values, list) or not all(
-            isinstance(x, int) and not isinstance(x, bool) for x in values):
-        raise ParseError("values must be a list of point indices", location)
-    try:
-        return finspace.ContinuousMap(domain, codomain, tuple(values))
-    except (TriadicaError, ValueError) as exc:
-        raise ParseError(str(exc), location) from None
-
-
-def map_to_json(f: finspace.ContinuousMap) -> dict:
-    return {"domain": space_to_json(f.domain),
-            "codomain": space_to_json(f.codomain),
-            "values": list(f.values)}
-
-
-def triad_from_json(value, doc: WorkspaceDocument, location: str,
-                    literals: dict) -> triad.DifferentialTriad:
-    if isinstance(value, str):
-        return _resolve(value, doc, "triads", location)
-    if not isinstance(value, dict) or set(value) - {"algebras", "modules",
-                                                    "differentials"}:
-        raise ParseError("expected {algebras, modules, differentials}", location)
-    algebras = presheaf_from_json(value.get("algebras"), doc,
-                                  f"{location}.algebras", literals)
-    modules_json = value.get("modules")
-    if not isinstance(modules_json, dict) or \
-            set(modules_json) - {"sections", "restrictions"}:
-        raise ParseError("modules must be {sections, restrictions}", location)
-    sections_json = modules_json.get("sections")
-    if not isinstance(sections_json, list) or \
-            len(sections_json) != len(algebras.space.opens):
-        raise ParseError("modules.sections must list one entry per open",
-                         location)
-    sections = tuple(
-        module_sections_from_json(entry, literals, f"{location}.modules.sections[{i}]")
-        for i, entry in enumerate(sections_json))
-    dims = [m.dim for m in sections]
-    table = _restrictions_from_json(modules_json.get("restrictions"),
-                                    algebras.space, dims, literals,
-                                    f"{location}.modules.restrictions")
-    diffs_json = value.get("differentials")
-    if not isinstance(diffs_json, list) or \
-            len(diffs_json) != len(algebras.space.opens):
-        raise ParseError("differentials must list one matrix per open", location)
-    diffs = tuple(matrix_from_json(d, literals, f"{location}.differentials[{i}]")
-                  for i, d in enumerate(diffs_json))
-    try:
-        modules = sheaf.Presheaf(algebras.space, sections, table, algebras)
-        return triad.DifferentialTriad(algebras, modules, diffs)
-    except TriadicaError as exc:
-        raise ParseError(str(exc), location) from None
-
-
-def triad_to_json(t: triad.DifferentialTriad) -> dict:
-    return {"algebras": presheaf_to_json(t.algebras),
-            "modules": {
-                "sections": [module_sections_to_json(m)
-                             for m in t.modules.sections],
-                "restrictions": _restrictions_to_json(t.modules)},
-            "differentials": [matrix_to_json(d) for d in t.differentials]}
-
-
-def morphism_from_json(value, doc: WorkspaceDocument, location: str,
-                       literals: dict) -> dtcat.TriadMorphism:
-    if isinstance(value, str):
-        return _resolve(value, doc, "morphisms", location)
-    expected = {"map", "source", "target", "algebra_components",
-                "module_components"}
-    if not isinstance(value, dict) or set(value) - expected:
-        raise ParseError(f"expected {{{', '.join(sorted(expected))}}}", location)
-    f = map_from_json(value.get("map"), doc, f"{location}.map")
-    source = triad_from_json(value.get("source"), doc, f"{location}.source", literals)
-    target = triad_from_json(value.get("target"), doc, f"{location}.target", literals)
-    n = len(target.space.opens)
-    alg_json = value.get("algebra_components")
-    mod_json = value.get("module_components")
-    for label, part in (("algebra_components", alg_json),
-                        ("module_components", mod_json)):
-        if not isinstance(part, list) or len(part) != n:
-            raise ParseError(f"{label} must list one matrix per target open "
-                             f"({n})", location)
-    alg = tuple(matrix_from_json(m, literals, f"{location}.algebra_components[{i}]")
-                for i, m in enumerate(alg_json))
-    mod = tuple(matrix_from_json(m, literals, f"{location}.module_components[{i}]")
-                for i, m in enumerate(mod_json))
-    try:
-        return dtcat.TriadMorphism(f, source, target, alg, mod)
-    except TriadicaError as exc:
-        raise ParseError(str(exc), location) from None
-
-
-def morphism_to_json(m: dtcat.TriadMorphism) -> dict:
-    return {"map": map_to_json(m.map),
-            "source": triad_to_json(m.source),
-            "target": triad_to_json(m.target),
-            "algebra_components": [matrix_to_json(x)
-                                   for x in m.algebra_components],
-            "module_components": [matrix_to_json(x)
-                                  for x in m.module_components]}
-
-
-def _space_ref(value, doc: WorkspaceDocument, location: str) -> finspace.FiniteSpace:
-    if isinstance(value, str):
-        return _resolve(value, doc, "spaces", location)
-    return space_from_json(value, location)
-
-
-def _resolve(name: str, doc: WorkspaceDocument, section: str, location: str):
+def resolve(name: str, doc: WorkspaceDocument, section: str, location: str):
+    """The entry `name` of `section`.  While `parse_workspace` runs, an
+    entry of that section it has not reached yet is parsed now, so what a
+    reference names does not depend on the order of the names."""
     table = getattr(doc, section)
+    if name not in table and doc._parse_entry is not None:
+        doc._parse_entry(section, name, location)
     if name not in table:
         raise UnresolvedReference(name, location)
     return table[name]
@@ -459,22 +259,23 @@ def _resolve(name: str, doc: WorkspaceDocument, section: str, location: str):
 # the document
 
 
-# each takes (value, doc, location, literals)
+# each takes (value, doc, location, literals); the parsers of the compound
+# sections run `compound` only for a document that holds such a section
 _PARSERS = {
     "spaces": lambda value, doc, loc, literals: space_from_json(value, loc),
     "algebras": lambda value, doc, loc, literals: algebra_from_json(value, literals, loc),
-    "presheaves": presheaf_from_json,
-    "maps": lambda value, doc, loc, literals: map_from_json(value, doc, loc),
-    "triads": triad_from_json,
-    "morphisms": morphism_from_json,
+    "presheaves": lambda *args: compound.presheaf_from_json(*args),
+    "maps": lambda value, doc, loc, literals: compound.map_from_json(value, doc, loc),
+    "triads": lambda *args: compound.triad_from_json(*args),
+    "morphisms": lambda *args: compound.morphism_from_json(*args),
 }
 
 
 def parse_workspace(text: str) -> WorkspaceDocument:
     """Parse and fully resolve a workspace document.
 
-    Raises ParseError (bad syntax, bad scalars, bad shapes),
-    UnresolvedReference (dangling name) or DimensionMismatchError;
+    Raises ParseError (bad syntax, bad scalars, bad shapes, a reference
+    cycle), UnresolvedReference (dangling name) or DimensionMismatchError;
     syntax errors carry the line and column reported by the JSON parser.
     """
     try:
@@ -497,6 +298,22 @@ def parse_workspace(text: str) -> WorkspaceDocument:
     doc = WorkspaceDocument(description=description)
     literals: dict = {}
     seen: set[str] = set()
+    named: dict[str, dict] = {}  # the entries of each section reached so far
+    parsing: list[str] = []  # the entries being parsed, outermost first
+
+    def parse_entry(section: str, name: str, location: str | None) -> None:
+        if name not in named.get(section, ()):
+            return
+        loc = f"{section}.{name}"
+        if loc in parsing:
+            cycle = " -> ".join(parsing[parsing.index(loc):] + [loc])
+            raise ParseError(f"reference cycle: {cycle}", location)
+        parsing.append(loc)
+        obj = _PARSERS[section](named[section][name], doc, loc, literals)
+        getattr(doc, section)[name] = obj
+        parsing.pop()
+
+    doc._parse_entry = parse_entry
     for section in SECTION_ORDER:
         entries = raw.get(section, {})
         if not isinstance(entries, dict):
@@ -508,10 +325,11 @@ def parse_workspace(text: str) -> WorkspaceDocument:
             if name in seen:
                 raise ParseError(f"duplicate name {name!r}", section)
             seen.add(name)
+        named[section] = entries
         for name in sorted(entries):
-            loc = f"{section}.{name}"
-            obj = _PARSERS[section](entries[name], doc, loc, literals)
-            getattr(doc, section)[name] = obj
+            if name not in getattr(doc, section):
+                parse_entry(section, name, None)
+    doc._parse_entry = None
     return doc
 
 

@@ -19,12 +19,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from triadica.algebra import Algebra, tensor_product
+from triadica.algebra import Algebra, ModuleSections, tensor_product
 from triadica.errors import DimensionMismatchError
 from triadica.exactla import (ONE, ZERO, Matrix, Quotient, Subspace, kernel,
                               product_subspace, quotient_space, rref, solve, span)
 from triadica.kaehler import KaehlerModule, derivation_space, multiplication_map
-from triadica.sheaf import ModuleSections
 
 from support import matrix_sum, scaled
 

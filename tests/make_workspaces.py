@@ -9,19 +9,19 @@ are hand-written next to this script and not touched here.
 
 import pathlib
 
-from triadica.algebra import (Algebra, function_algebra,
-                              truncated_poly_algebra)
+from triadica.algebra import (Algebra, ModuleSections, function_algebra,
+                              truncated_poly_algebra, zero_module_sections)
+from triadica.compound import (map_to_json, morphism_to_json, presheaf_to_json,
+                               triad_to_json)
 from triadica.dtcat import TriadMorphism, identity_morphism, pullback_morphism
 from triadica.exactla import Matrix, rat, vec
 from triadica.finspace import (ContinuousMap, discrete_space,
                                sierpinski_space)
 from triadica.kaehler import kaehler_module, kaehler_presheaf
-from triadica.sheaf import (ModuleSections, constant_presheaf,
-                            make_presheaf, zero_module_sections)
+from triadica.sheaf import constant_presheaf, make_presheaf
 from triadica.triad import constant_triad, function_triad
-from triadica.workspace import (algebra_to_json, dump_workspace, map_to_json,
-                                morphism_to_json, parse_workspace,
-                                presheaf_to_json, space_to_json, triad_to_json)
+from triadica.workspace import (algebra_to_json, dump_workspace,
+                                parse_workspace, space_to_json)
 
 HERE = pathlib.Path(__file__).parent / "workspaces"
 

@@ -19,11 +19,14 @@ site in the layer's syntax tree and draws `--sites` of them with
 
 Each mutant is written with `ast.unparse` into a fresh copy of the
 repository, where `pytest -x` runs the tests.  The sampler prints one JSON
-line per mutant: "killed" when the tests fail, "timeout" when they run five
-times longer than on the unmutated copy, "survived" when they pass.  Before
+line per mutant: "killed" when the tests fail, "timeout" when one test file
+runs five times longer than the slowest file of the unmutated copy (or the
+whole run five times longer than there), "survived" when they pass.  Before
 the mutants, it runs the tests once on a copy whose named layers are
 unparsed but not mutated, and stops unless they pass, so a kill is the
-mutation's and not the unparsing's.
+mutation's and not the unparsing's.  A plugin written into each copy times
+the test files and stops the run from a timer, so a mutant that loops
+forever costs about a minute, not five whole runs.
 
 pytest does not collect this file, and a run takes minutes: a survivor
 costs one whole test run.
@@ -45,6 +48,48 @@ import time
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 LAYERS = ROOT / "src" / "triadica"
+
+# the pytest plugin that times each test file of a copy: it writes the
+# slowest file's seconds to SLOWEST, and with a LIMIT, ends the run with
+# exit status TIMED_OUT once one file (or the collection) takes longer
+TIMED_OUT = 75
+GUARD = """
+import json, os, signal, time
+
+LIMIT = {limit!r}
+SLOWEST = {slowest!r}
+_file, _start, _times = [None], [0.0], [0.0]
+
+
+def _timed_out(signum, frame):
+    os._exit({timed_out})
+
+
+def _restart(path):
+    now = time.perf_counter()
+    if _file[0] is not None:
+        _times.append(now - _start[0])
+    _file[0], _start[0] = path, now
+    if LIMIT is not None:
+        signal.setitimer(signal.ITIMER_REAL, LIMIT)
+
+
+def pytest_sessionstart(session):
+    signal.signal(signal.SIGALRM, _timed_out)
+    _restart(None)
+
+
+def pytest_runtest_protocol(item, nextitem):
+    if str(item.path) != _file[0]:
+        _restart(str(item.path))
+
+
+def pytest_sessionfinish(session, exitstatus):
+    signal.setitimer(signal.ITIMER_REAL, 0)
+    _restart(None)
+    with open(SLOWEST, "w") as handle:
+        json.dump(max(_times), handle)
+"""
 
 COMPARE_SWAP = {ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Lt: ast.LtE,
                 ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
@@ -132,26 +177,36 @@ def layer_source(layer: str, target: int | None = None) -> tuple[str, list[dict]
     return ast.unparse(ast.fix_missing_locations(tree)), mutator.sites
 
 
-def run_tests(sources: dict[str, str], timeout: float) -> tuple[str, float]:
+def run_tests(sources: dict[str, str], timeout: float,
+              file_limit: float | None = None) -> tuple[str, float, float]:
     """Run `pytest -x` in a fresh copy of the repository with `sources`
-    written over its layers; the outcome and the seconds it took."""
+    written over its layers, stopped once a test file takes longer than
+    `file_limit` seconds; the outcome, the seconds it took and the
+    seconds of its slowest test file."""
     with tempfile.TemporaryDirectory(prefix="triadica-mutant-") as tmp:
         copy = pathlib.Path(tmp) / "repo"
         shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
             ".git", "__pycache__", ".hypothesis", ".pytest_cache"))
         for layer, text in sources.items():
             (copy / "src" / "triadica" / f"{layer}.py").write_text(text)
-        env = dict(os.environ, PYTHONPATH=str(copy / "src"),
+        slowest = pathlib.Path(tmp) / "slowest.json"
+        (pathlib.Path(tmp) / "mutation_guard.py").write_text(GUARD.format(
+            limit=file_limit, slowest=str(slowest), timed_out=TIMED_OUT))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(copy / "src"), tmp]),
                    PYTHONDONTWRITEBYTECODE="1")
         start = time.perf_counter()
         try:
             proc = subprocess.run(
-                [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"],
+                [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                 "-p", "mutation_guard"],
                 cwd=copy, env=env, capture_output=True, timeout=timeout)
         except subprocess.TimeoutExpired:
-            return "timeout", time.perf_counter() - start
+            return "timeout", time.perf_counter() - start, 0.0
         seconds = time.perf_counter() - start
-    return ("survived" if proc.returncode == 0 else "killed"), seconds
+        if proc.returncode == TIMED_OUT:
+            return "timeout", seconds, 0.0
+        slowest_file = json.loads(slowest.read_text()) if slowest.exists() else 0.0
+    return ("survived" if proc.returncode == 0 else "killed"), seconds, slowest_file
 
 
 def main(argv=None) -> int:
@@ -162,11 +217,12 @@ def main(argv=None) -> int:
     parser.add_argument("layers", nargs="+", help="layer names, such as dtcat")
     args = parser.parse_args(argv)
 
-    baseline, seconds = run_tests(
+    baseline, seconds, slowest_file = run_tests(
         {layer: layer_source(layer)[0] for layer in args.layers}, timeout=None)
     passed = baseline == "survived"
     print(json.dumps({"baseline": "passed" if passed else "failed",
-                      "seconds": round(seconds, 1)}), flush=True)
+                      "seconds": round(seconds, 1),
+                      "slowest_file": round(slowest_file, 1)}), flush=True)
     if not passed:
         return 1
     rng = random.Random(args.seed)
@@ -175,7 +231,8 @@ def main(argv=None) -> int:
         sites = layer_source(layer)[1]
         for target in sorted(rng.sample(range(len(sites)), min(args.sites, len(sites)))):
             text, _ = layer_source(layer, target)
-            status, took = run_tests({layer: text}, timeout=5 * seconds)
+            status, took, _ = run_tests({layer: text}, timeout=5 * seconds,
+                                        file_limit=5 * slowest_file)
             tally[status] += 1
             print(json.dumps(dict(layer=layer, site=target, **sites[target],
                                   status=status, seconds=round(took, 1))),

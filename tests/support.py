@@ -1,11 +1,12 @@
 """Constructors and helpers that several test modules share and that no part
 of the package itself needs."""
 
-from triadica.algebra import Algebra, is_standard_function_algebra
+from triadica.algebra import (Algebra, ModuleSections,
+                              is_standard_function_algebra)
 from triadica.dtcat import enumerate_presheaf_morphisms
 from triadica.exactla import ZERO, Matrix, rat
 from triadica.finspace import ContinuousMap
-from triadica.sheaf import ModuleSections, PresheafMorphism, function_presheaf
+from triadica.sheaf import PresheafMorphism, function_presheaf
 from triadica.triad import DifferentialTriad
 
 

@@ -21,6 +21,9 @@ from test_dtcat import maps_that_do_not_chain
 from test_golden import command_argv
 from triadica.algebra import truncated_poly_algebra
 from triadica.cli import COMMAND_TABLE, COMMANDS, main, parse_command_line
+from triadica.compound import (map_to_json, morphism_from_json,
+                               morphism_to_json, presheaf_to_json,
+                               triad_from_json, triad_to_json)
 from triadica.dtcat import check_morphism, compose, pullback_morphism
 from triadica.finspace import (ContinuousMap, discrete_space, sierpinski_space,
                                space_from_opens)
@@ -29,11 +32,7 @@ from triadica.sheaf import constant_presheaf
 from triadica.triad import function_triad, validate_triad
 from triadica.workspace import (ParseError, UnresolvedReference,
                                 WorkspaceDocument, dump_workspace,
-                                load_workspace, map_to_json,
-                                morphism_from_json, morphism_to_json,
-                                parse_workspace,
-                                presheaf_to_json, space_to_json,
-                                triad_from_json, triad_to_json)
+                                load_workspace, parse_workspace, space_to_json)
 
 WORKSPACES = pathlib.Path(__file__).parent / "workspaces"
 
@@ -98,6 +97,12 @@ def test_sections_may_reference_named_algebras():
     assert doc.presheaves["P"].sections[1] == doc.algebras["F1"]
 
 
+def test_a_space_may_have_no_points():
+    doc = parse_workspace(dump_workspace({"schema": 1, "spaces": {
+        "E": {"points": 0, "opens": [[]]}}}))
+    assert doc.spaces["E"] == discrete_space(0)
+
+
 def test_maps_and_morphisms_may_alias_a_named_entry():
     f = ContinuousMap(discrete_space(2), discrete_space(2), (1, 0))
     doc = parse_workspace(dump_workspace({
@@ -116,6 +121,55 @@ def test_an_alias_names_an_entry_of_its_own_section(section):
     with pytest.raises(UnresolvedReference) as err:
         parse_workspace(text)
     assert (err.value.name, err.value.location) == ("S", f"{section}.A")
+
+
+def compound_entries() -> dict:
+    """One entry of each compound section, as JSON, with the object it
+    parses to."""
+    f = ContinuousMap(discrete_space(2), discrete_space(2), (1, 0))
+    t = function_triad(sierpinski_space())
+    return {"presheaves": (presheaf_to_json(t.algebras), t.algebras),
+            "maps": (map_to_json(f), f),
+            "triads": (triad_to_json(t), t),
+            "morphisms": (morphism_to_json(pullback_morphism(f)), pullback_morphism(f))}
+
+
+@pytest.mark.parametrize("alias", ["E", "G"], ids=["alias-sorts-first", "alias-sorts-last"])
+@pytest.mark.parametrize("section", ["presheaves", "maps", "triads", "morphisms"])
+def test_an_alias_resolves_whichever_name_sorts_first(section, alias):
+    value, obj = compound_entries()[section]
+    doc = parse_workspace(dump_workspace({"schema": 1, section: {"F": value, alias: "F"}}))
+    entries = getattr(doc, section)
+    assert entries[alias] is entries["F"] == obj
+
+
+def test_a_chain_of_aliases_resolves_in_any_order():
+    value, f = compound_entries()["maps"]
+    doc = parse_workspace(dump_workspace({"schema": 1, "maps": {
+        "A": "C", "B": "D", "C": "B", "D": value}}))
+    assert all(doc.maps[name] is doc.maps["D"] == f for name in "ABC")
+
+
+@pytest.mark.parametrize("aliases,message", [
+    ({"A": "A"}, "maps.A: reference cycle: maps.A -> maps.A"),
+    ({"A": "B", "B": "A"}, "maps.B: reference cycle: maps.A -> maps.B -> maps.A"),
+    ({"A": "B", "B": "C", "C": "B"},
+     "maps.C: reference cycle: maps.B -> maps.C -> maps.B"),
+], ids=["self", "pair", "behind-a-chain"])
+def test_a_cycle_of_aliases_is_refused(aliases, message):
+    with pytest.raises(ParseError) as err:
+        parse_workspace(dump_workspace({"schema": 1, "maps": aliases}))
+    assert str(err.value) == message
+
+
+def test_a_cycle_of_aliases_exits_2_without_a_traceback(capsys, tmp_path):
+    path = tmp_path / "cycle.json"
+    path.write_text(dump_workspace({"schema": 1, "spaces": {"S": POINT},
+                                    "morphisms": {"A": "B", "B": "A"}}))
+    code, out, err = run_cli(capsys, "check-morphism", "--workspace", str(path))
+    assert (code, out) == (2, "")
+    assert err == ("triadica: morphisms.B: reference cycle: "
+                   "morphisms.A -> morphisms.B -> morphisms.A\n")
 
 
 # ---------------------------------------------------------------------------
@@ -149,15 +203,15 @@ def test_undefined_reference_names_the_culprit():
 
 
 def test_each_distinct_literal_is_parsed_once_per_document(monkeypatch):
-    import triadica.workspace as workspace_module
+    import triadica.exactla as exactla_module
     parsed = []
 
     def counting(value):
         parsed.append(value)
-        return workspace_module_rat(value)
+        return exactla_module_rat(value)
 
-    workspace_module_rat = workspace_module.rat
-    monkeypatch.setattr(workspace_module, "rat", counting)
+    exactla_module_rat = exactla_module.rat
+    monkeypatch.setattr(exactla_module, "rat", counting)
     identity = {"rows": 2, "cols": 2, "entries": [["1", "0"], ["0", "1"]]}
     doc = parse_workspace(json.dumps(schema_1(
         spaces={"S": SIERPINSKI},
@@ -507,6 +561,8 @@ REFUSALS = [
      "algebras.A: function algebra needs k >= 0, not -1"),
     ("space_not_an_object", schema_1(spaces={"X": [1]}),
      "spaces.X: expected {points, opens}"),
+    ("negative_point_count", schema_1(spaces={"X": {"points": -1, "opens": [[]]}}),
+     "spaces.X: points must be a non-negative integer"),
     ("opens_not_a_list", schema_1(spaces={"X": {"points": 1, "opens": 3}}),
      "spaces.X: opens must be a list of point lists"),
     ("presheaf_not_an_object", schema_1(presheaves={"P": 5}),

@@ -9,15 +9,14 @@ from fractions import Fraction
 
 import pytest
 
-from triadica.algebra import (function_algebra, truncated_poly_algebra,
-                              validate_algebra_morphism)
+from triadica.algebra import (ModuleSections, function_algebra,
+                              truncated_poly_algebra,
+                              validate_algebra_morphism, zero_module_sections)
 from triadica.dtcat import (BoundExceeded, FullnessResult, TriadMorphism,
-                            _pullback_report,
-                            algebra_component_uniqueness, check_morphism,
-                            compose, constant_morphism,
-                            differential_agreement_on_image,
-                            fullness_check, identity_morphism,
-                            pullback_morphism, verify_pullback_forced)
+                            _pullback_report, check_morphism, compose,
+                            constant_morphism, fullness_check,
+                            identity_morphism, pullback_morphism,
+                            verify_pullback_forced)
 from triadica.errors import DimensionMismatchError
 from triadica.exactla import Matrix, vec
 from triadica.finspace import (ContinuousMap, InvalidTopologyError, all_maps,
@@ -27,12 +26,13 @@ from triadica.finspace import (ContinuousMap, InvalidTopologyError, all_maps,
 from triadica.kaehler import kaehler_module, kaehler_presheaf
 from triadica.record import Interner
 from triadica.report import Finding, relocated
-from triadica.sheaf import (ModuleSections, PresheafMorphism, constant_presheaf,
+from triadica.sheaf import (PresheafMorphism, constant_presheaf,
                             function_presheaf, pushforward,
-                            semilinearity_defects, validate_presheaf_morphism,
-                            zero_module_sections)
+                            semilinearity_defects, validate_presheaf_morphism)
 from triadica.triad import (DifferentialTriad, NotFunctional, constant_triad,
                             constants_only_kernel, function_triad)
+from triadica.uniqueness import (algebra_component_uniqueness,
+                                 differential_agreement_on_image)
 
 from dtcat_oracle import module_linearity_by_pairs, presheaf_morphisms_by_search
 from support import (families_over, free_module_sections, is_zero, replace,
@@ -605,14 +605,14 @@ def test_fullness_refuses_a_non_topology(points, opens, witness):
 
 
 def test_fullness_builds_each_function_presheaf_once(monkeypatch):
-    import triadica.dtcat as dtcat_module
+    import triadica.sheaf as sheaf_module
     builds = []
 
     def counting(space):
         builds.append(space)
         return function_presheaf(space)
 
-    monkeypatch.setattr(dtcat_module, "function_presheaf", counting)
+    monkeypatch.setattr(sheaf_module, "function_presheaf", counting)
     x, y = discrete_space(2), discrete_space(3)
     assert fullness_check(x, y).total == 9
     # one presheaf per space, not one pair per continuous map
@@ -764,8 +764,8 @@ def test_fullness_counts_without_building_a_family(monkeypatch):
     |Y|^|X| families; the count is read off the closed form, so no family
     and no function presheaf is built, and each candidate's preimages are
     computed once."""
-    import triadica.dtcat as dtcat_module
     import triadica.finspace as finspace_module
+    import triadica.sheaf as sheaf_module
     calls = Counter()
 
     def counting(module, name):
@@ -777,7 +777,7 @@ def test_fullness_counts_without_building_a_family(monkeypatch):
         monkeypatch.setattr(module, name, call)
 
     for name in ("PresheafMorphism", "pushforward", "function_presheaf"):
-        counting(dtcat_module, name)
+        counting(sheaf_module, name)
     counting(finspace_module, "_preimage_indices")
     result = fullness_check(discrete_space(5), indiscrete_space(4), bound=1024)
     assert result.total == 1024 ** 2 == 1_048_576
@@ -845,7 +845,7 @@ def test_each_distinct_semilinearity_check_runs_once(monkeypatch):
         seen.append(inputs)
         return semilinearity_defects(*inputs)
 
-    monkeypatch.setattr("triadica.dtcat.semilinearity_defects", counted)
+    monkeypatch.setattr("triadica.sheaf.semilinearity_defects", counted)
     m = identity_morphism(constant_triad(discrete_space(3), *_kaehler_parts()))
     assert check_morphism(m).ok
     assert len(seen) == 2 and seen[0] != seen[1]

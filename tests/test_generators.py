@@ -20,15 +20,14 @@ from fractions import Fraction
 import pytest
 
 from algebra_oracle import closure, greedy_generators
-from triadica.algebra import (Algebra, AlgebraMorphism, basis_pairs,
-                              function_algebra, generators_first,
-                              morphism_findings, poly_quotient_algebra,
-                              standard_monomials, tensor_product,
-                              truncated_poly_algebra, validate_algebra,
-                              validate_algebra_morphism)
+from triadica.algebra import (Algebra, AlgebraMorphism, ModuleSections,
+                              action_findings, basis_pairs, function_algebra,
+                              generators_first, morphism_findings,
+                              poly_quotient_algebra, standard_monomials,
+                              tensor_product, truncated_poly_algebra,
+                              validate_algebra, validate_algebra_morphism)
 from triadica.exactla import Matrix, solve, unit_vector, vec
 from triadica.kaehler import kaehler_module
-from triadica.sheaf import ModuleSections, _action_findings
 from triadica.triad import _leibniz_errors
 
 NUDGES = [Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-1, 3)]
@@ -154,6 +153,28 @@ def test_the_search_stops_at_the_first_generator_that_spans_everything(
     assert sizes == tried
 
 
+@pytest.mark.parametrize("name,passes", [("T8", 2), ("T3xT3", 10), ("F4", 1)])
+def test_the_kaehler_module_reuses_the_pass_that_found_the_generators(
+        monkeypatch, name, passes):
+    # the search runs [] and [x] on Q[x]/(x^8), and the ten passes of the
+    # test above on T3xT3; Q^4 has no generating basis, so kaehler_module
+    # runs its own pass on one generic element, which generates it
+    widths = []
+
+    def counted(a, gens):
+        widths.append(len(gens))
+        return standard_monomials(a, gens)
+
+    monkeypatch.setattr("triadica.algebra.standard_monomials", counted)
+    monkeypatch.setattr("triadica.kaehler.standard_monomials", counted)
+    a = BUILDERS[name]
+    k = kaehler_module(Algebra(a.dim, a.struct, a.unit))
+    assert len(widths) == passes
+    unpresented = Algebra(a.dim, a.struct, a.unit)
+    unpresented.__dict__["presentation"] = None
+    assert kaehler_module(unpresented) == k
+
+
 def test_a_closure_that_stops_short_is_extended_by_a_generator():
     # 1 (x) y alone generates Q[y]/(y^3) inside Q[x]/(x^3) (x) Q[y]/(y^3)
     a = BUILDERS["T3xT3"]
@@ -242,9 +263,9 @@ def test_the_action_on_generators_matches_the_full_scan(name, k):
             cases.append(ModuleSections(a.dim, m.dim, tuple(tuple(vec(v) for v in row)
                                                             for row in action)))
     for case in cases:
-        full = _action_findings(a, case, range(a.dim))
-        assert generators_first(a, lambda firsts: _action_findings(a, case, firsts)) == full
-    assert not _action_findings(a, m, range(a.dim))
+        full = action_findings(a, case, range(a.dim))
+        assert generators_first(a, lambda firsts: action_findings(a, case, firsts)) == full
+    assert not action_findings(a, m, range(a.dim))
 
 
 @pytest.mark.parametrize("name,k", kaehler_cases(), ids=[n for n, _ in kaehler_cases()])

@@ -15,10 +15,11 @@ import sympy
 
 from kaehler_oracle import (ideal_square_module, leibniz_kaehler_module,
                             random_derivations, restrict_scalars)
-from triadica.algebra import (InvalidAlgebraError, algebra_from_struct,
-                              function_algebra, poly_quotient_algebra,
-                              tensor_product, truncated_poly_algebra,
-                              validate_algebra)
+from triadica.algebra import (InvalidAlgebraError, ModuleSections,
+                              algebra_from_struct, function_algebra,
+                              poly_quotient_algebra, tensor_product,
+                              truncated_poly_algebra, validate_algebra,
+                              validate_module_sections)
 from triadica.errors import DimensionMismatchError
 from triadica.exactla import Matrix, rref, solve, span, vec
 from triadica.finspace import (InvalidTopologyError, discrete_space,
@@ -28,10 +29,9 @@ from triadica.kaehler import (FactorizationFailed, KaehlerModule,
                               NotADerivation, derivation_space,
                               factor_derivation, kaehler_module,
                               kaehler_presheaf)
-from triadica.sheaf import (InvalidPresheafError, ModuleSections,
-                            check_sheaf_condition, constant_presheaf,
-                            function_presheaf, make_presheaf, validate_algebra_presheaf,
-                            validate_module_sections,
+from triadica.sheaf import (InvalidPresheafError, check_sheaf_condition,
+                            constant_presheaf, function_presheaf,
+                            make_presheaf, validate_algebra_presheaf,
                             validate_presheaf_morphism)
 from triadica.triad import (check_leibniz, constants_only_kernel,
                             validate_triad)

@@ -9,23 +9,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triadica.algebra import (Algebra, AlgebraMorphism, function_algebra,
-                              truncated_poly_algebra)
+from triadica.algebra import (Algebra, AlgebraMorphism, ModuleSections,
+                              function_algebra, truncated_poly_algebra,
+                              validate_module_sections, zero_module_sections)
 from triadica.errors import DimensionMismatchError
 from triadica.exactla import ONE, ZERO, Matrix, kernel, solve, unit_vector, vec
 from triadica.finspace import (ContinuousMap, InvalidTopologyError, all_maps,
                                constant_map, discrete_space, indiscrete_space,
                                minimal_open, sierpinski_space,
                                space_from_opens)
-from triadica.sheaf import (InvalidPresheafError, ModuleSections, Presheaf,
-                            PresheafMorphism, _family_layout, check_sheaf_condition,
+from triadica.sheaf import (InvalidPresheafError, Presheaf, PresheafMorphism,
+                            _family_layout, check_sheaf_condition,
                             constant_presheaf, fill_restrictions,
                             function_presheaf, function_restriction_matrix,
                             irredundant_covers, make_presheaf, pushforward,
-                            pushforward_module, sheafify, sheafify_module, stalk,
-                            validate_algebra_presheaf, validate_module_presheaf,
-                            validate_module_sections, validate_presheaf_morphism,
-                            zero_module_presheaf, zero_module_sections)
+                            pushforward_module, sheafify, sheafify_module,
+                            stalk, validate_algebra_presheaf,
+                            validate_module_presheaf,
+                            validate_presheaf_morphism, zero_module_presheaf)
 from triadica.kaehler import kaehler_module
 from triadica.record import Interner
 from triadica.triad import DifferentialTriad, constant_triad, validate_triad

@@ -10,14 +10,20 @@ command line off its table instead.
 
 The package registers each layer without running it, and a layer runs on
 first use.  A layer module that has run is a plain `types.ModuleType`; one
-that is registered but has not run is an instance of a subclass.
+that is registered but has not run is an instance of a subclass.  Each
+command is pinned to the exact set of layers it runs on a minimal
+workspace, so an eager `from .layer import name` that would run a layer a
+command does not call fails here.
 """
 
 import json
 import subprocess
 import sys
 
+import pytest
+
 from test_cli import src_env
+from triadica.cli import COMMAND_TABLE
 from test_trace_names import _layers
 
 UNWANTED = ("dataclasses", "inspect", "argparse", "gettext")
@@ -45,11 +51,11 @@ def _modules_after(code: str) -> tuple[set[str], set[str]]:
     return set(registered), set(ran)
 
 
-def _run_command(argv) -> str:
+def _run_command(argv, code: int = 0) -> str:
     return ("import contextlib, io\n"
             "import triadica.cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    assert triadica.cli.main({argv!r}) == 0\n")
+            f"    assert triadica.cli.main({argv!r}) == {code}\n")
 
 
 def _workspace(tmp_path, **sections) -> str:
@@ -128,3 +134,71 @@ def test_module_run_leaves_unwanted_modules_unloaded(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["status"] == "pass"
     assert proc.stderr == "[]\n"
+
+
+# ---------------------------------------------------------------------------
+# the layers each command runs
+
+
+SIERPINSKI = {"points": 2, "opens": [[], [0], [0, 1]]}
+ON_POINT = {"spaces": {"X": POINT},
+            "presheaves": {"P": {"space": "X", "sections": ["function_algebra 0",
+                                                            "function_algebra 1"]}}}
+EMPTY = {"rows": 0, "cols": 0, "entries": []}
+TRIAD = {"algebras": "P",
+         "modules": {"sections": [{"algebra_dim": 0, "dim": 0, "action": []},
+                                  {"algebra_dim": 1, "dim": 0, "action": [[]]}]},
+         "differentials": [EMPTY, {"rows": 0, "cols": 1, "entries": []}]}
+
+
+def _morphism(c: str) -> dict:
+    """Over the identity of the point, with c times the identity as its
+    algebra component over the point."""
+    return {"map": "I", "source": "T", "target": "T",
+            "algebra_components": [EMPTY, {"rows": 1, "cols": 1, "entries": [[c]]}],
+            "module_components": [EMPTY, EMPTY]}
+
+
+WITH_TRIAD = dict(ON_POINT, maps={"I": {"domain": "X", "codomain": "X", "values": [0]}},
+                  triads={"T": TRIAD})
+WITH_MORPHISMS = dict(WITH_TRIAD, morphisms={"M": _morphism("1"), "N": _morphism("2")})
+# the layers every command runs: reading the command line and the document
+BASE = {"cli", "errors", "record", "report", "workspace"}
+MORPHISM_LAYERS = BASE | {"algebra", "compound", "dtcat", "exactla", "finspace",
+                          "sheaf", "triad"}
+
+# command, its target, the workspace sections, its exit code, the layers
+# it runs besides BASE
+LAYERS_RUN = [
+    ("validate", None, {"spaces": {"X": POINT}}, 0, {"finspace"}),
+    ("kaehler", None, {"algebras": {"A": "truncated_poly 2"}}, 0,
+     {"algebra", "exactla", "kaehler"}),
+    ("sheafify", None, ON_POINT, 0,
+     {"algebra", "compound", "exactla", "finspace", "gluing", "sheaf"}),
+    ("pushforward", "I:T", WITH_TRIAD, 0, MORPHISM_LAYERS - {"dtcat"}),
+    ("check-morphism", "M", WITH_MORPHISMS, 0, MORPHISM_LAYERS),
+    ("compose", "M:M", WITH_MORPHISMS, 0, MORPHISM_LAYERS),
+    ("constant-morphism", "T:T:0", WITH_TRIAD, 0, MORPHISM_LAYERS),
+    ("uniqueness", "M:N", WITH_MORPHISMS, 1, MORPHISM_LAYERS | {"uniqueness"}),
+    ("recover-map", "M", WITH_MORPHISMS, 0, MORPHISM_LAYERS),
+    ("fullness", "X:X", {"spaces": {"X": POINT}}, 0,
+     {"algebra", "dtcat", "exactla", "finspace", "sheaf"}),
+    ("fullness", "S:S", {"spaces": {"S": SIERPINSKI}}, 0, {"dtcat", "finspace"}),
+    ("spectrum", None, {"algebras": {"A": "truncated_poly 2"}}, 0,
+     {"algebra", "exactla", "poly"}),
+]
+
+
+def test_every_command_is_pinned():
+    assert {row[0] for row in LAYERS_RUN} == set(COMMAND_TABLE)
+
+
+@pytest.mark.parametrize(
+    "command,target,sections,code,layers", LAYERS_RUN,
+    ids=[f"{row[0]}-{row[1] or 'all'}" for row in LAYERS_RUN])
+def test_a_command_runs_exactly_the_layers_it_calls(tmp_path, command, target,
+                                                    sections, code, layers):
+    argv = [command, "--workspace", _workspace(tmp_path, **sections)]
+    _, ran = _modules_after(_run_command(argv + ["--target", target] * bool(target),
+                                         code))
+    assert ran == {f"triadica.{layer}" for layer in BASE | layers}

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triadica.algebra import function_algebra, truncated_poly_algebra
+from triadica.algebra import (ModuleSections, function_algebra,
+                              truncated_poly_algebra, zero_module_sections)
 from triadica.errors import DimensionMismatchError
 from triadica.exactla import ONE, ZERO, Matrix, kernel, span, vec
 from triadica.finspace import (ContinuousMap, constant_map, discrete_space,
                                indiscrete_space, sierpinski_space)
-from triadica.sheaf import (ModuleSections, Presheaf, check_sheaf_condition,
-                            zero_module_presheaf, zero_module_sections)
+from triadica.sheaf import (Presheaf, check_sheaf_condition,
+                            zero_module_presheaf)
 from triadica.triad import (DifferentialTriad, NotFunctional, check_leibniz,
                             constant_triad, constants_only_kernel,
                             function_triad, pushforward_triad,
