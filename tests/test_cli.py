@@ -28,7 +28,7 @@ from triadica.dtcat import check_morphism, compose, pullback_morphism
 from triadica.finspace import (ContinuousMap, discrete_space, sierpinski_space,
                                space_from_opens)
 from triadica.kaehler import kaehler_presheaf
-from triadica.sheaf import constant_presheaf
+from triadica.sheaf import constant_presheaf, function_presheaf
 from triadica.triad import function_triad, validate_triad
 from triadica.workspace import (ParseError, UnresolvedReference,
                                 WorkspaceDocument, dump_workspace,
@@ -95,6 +95,18 @@ def test_sections_may_reference_named_algebras():
     })
     doc = parse_workspace(text)
     assert doc.presheaves["P"].sections[1] == doc.algebras["F1"]
+
+
+def test_restriction_keys_may_name_open_0_and_the_diagonal():
+    # open 0 is the whole space here, and the table gives its identity
+    space = {"points": 2, "opens": [[0, 1], [0], []]}
+    identity = {"rows": 2, "cols": 2, "entries": [["1", "0"], ["0", "1"]]}
+    doc = parse_workspace(dump_workspace(schema_1(
+        spaces={"S": space},
+        presheaves={"P": {"space": "S", "sections": [
+            "function_algebra 2", "function_algebra 1", "function_algebra 0"],
+            "restrictions": {"0->0": identity, "0->1": one_row("1", "0")}}})))
+    assert doc.presheaves["P"] == function_presheaf(doc.spaces["S"])
 
 
 def test_a_space_may_have_no_points():
@@ -580,6 +592,9 @@ REFUSALS = [
     ("restriction_key_missing_open",
      on_sierpinski(restrictions={"5->1": one_row("1", "0")}),
      "presheaves.P.restrictions: restriction key '5->1' names a missing open"),
+    ("restriction_key_missing_target",
+     on_sierpinski(restrictions={"1->3": one_row("1", "0")}),
+     "presheaves.P.restrictions: restriction key '1->3' names a missing open"),
     ("restriction_key_not_an_inclusion",
      on_sierpinski(restrictions={"1->2": one_row("1", "0")}),
      "presheaves.P.restrictions: restriction key '1->2' is not an inclusion"),
