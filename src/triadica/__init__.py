@@ -19,9 +19,10 @@ runs it.  The names in `__all__` resolve through the module `__getattr__`
 only the layers it runs, and an import error inside a layer shows where
 that layer is first used, not at `import triadica`.  `cli` is left out:
 `python -m triadica.cli` must find it unimported.  A layer that only some
-of a layer's callers need, such as `sheaf` and `triad` to `kaehler`, is
-read off its module where it is called (`from . import sheaf`), never
-imported by name at the top, so the others do not run it.
+functions of another layer need, as `kaehler_presheaf` needs `sheaf` and
+`triad`, is read off its module where it is called (`from . import
+sheaf`), not imported by name at the top, so a command that calls none of
+those functions does not run it.
 """
 
 import importlib.util

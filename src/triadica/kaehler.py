@@ -4,13 +4,13 @@ Omega_A is generated as an A-module by dA, so it is presented on algebra
 generators (Eisenbud, Commutative Algebra, section 16.1; Matsumura,
 Commutative Ring Theory, section 25).  Pick generators g_1..g_r of A, its
 generating basis if it has one (`Algebra.presentation` keeps the pass that
-found it), and write A = Q[t_1..t_r]/J.  The Buchberger-Moeller pass of the algebra layer
-(`standard_monomials`) runs through the monomials in the g_i in degree
-order: the ones whose values are independent form an order ideal, a basis
-of A, and each minimal dependent monomial gives one relation f; these
-generate J.  Then Omega_A = A^r / A.{((df/dt_i)(g))_i}, with dg_i
-as the generators, and de_k follows from e_k's expansion in the standard
-monomials by the chain rule.
+found it), and write A = Q[t_1..t_r]/J.  The Buchberger-Moeller pass of the
+algebra layer (`standard_monomials`) runs through the monomials in the g_i
+in degree order: the ones whose values are independent form an order
+ideal, a basis of A, and each minimal dependent monomial gives one
+relation f; these generate J.  Then Omega_A = A^r / A.{((df/dt_i)(g))_i},
+with dg_i as the generators, and de_k follows from e_k's expansion in the
+standard monomials by the chain rule.
 
 The module basis is the one the I / I^2 description singles out, I the
 multiplication kernel of A (x) A -> A, under a (x) b -> a db: the classes of
