@@ -13,15 +13,16 @@ while a command runs become error findings, never tracebacks.
 
 `COMMAND_TABLE` holds one `Command` per command: the shape of its
 targets, the workspace sections they are drawn from, the operation its
-reports run under, a work function `(args, *parts) -> (Report, derived)`,
-and the flags only that command reads.  `run` is one loop over a table
-row: it resolves each target, runs the work function under `_guarded` and
-collects the rows.  `COMMANDS`, the --help synopsis and the command line
-reader `parse_command_line` are read off the same table.  A target is
-either a single NAME from the listed sections (every such name, in sorted
-order, when no --target is given) or names joined by ':' (names
-themselves cannot contain ':'), one section per part, with POINT an
-integer: pushforward MAP:TRIAD, compose OUTER:INNER, constant-morphism
+reports run under and a work function `(args, *parts) -> (Report,
+derived)`, each per section where it differs, and the flags only that
+command reads.  `run` is one loop over a table row: it resolves each
+target, runs the work function under `_guarded` and collects the rows.
+`COMMANDS`, the --help synopsis and the command line reader
+`parse_command_line` are read off the same table.  A target is either a
+single NAME from the listed sections (every such name, in sorted order,
+when no --target is given) or names joined by ':' (names themselves
+cannot contain ':'), one section per part, with POINT an integer:
+pushforward MAP:TRIAD, compose OUTER:INNER, constant-morphism
 SOURCE:TARGET:POINT, uniqueness FIRST:SECOND, fullness DOMAIN:CODOMAIN.
 """
 
@@ -81,32 +82,32 @@ def _sheaf_status(layers) -> list[Finding]:
 # work functions: (args, *parts) -> (Report, derived dict)
 
 
-def _validate(args, obj):
-    if isinstance(obj, finspace.FiniteSpace):
-        return finspace.check_topology(obj), {}
-    if isinstance(obj, algebra.Algebra):
-        return algebra.validate_algebra(obj), {}
-    if isinstance(obj, sheaf.Presheaf):
-        rep = sheaf.validate_algebra_presheaf(obj)
-        return _with_findings(rep, _sheaf_status([("sections", obj)])), {}
-    layers = [("algebra layer", obj.algebras), ("module layer", obj.modules)]
-    return _with_findings(triad.validate_triad(obj), _sheaf_status(layers)), {}
+def _validate_presheaf(args, p):
+    rep = sheaf.validate_algebra_presheaf(p)
+    return _with_findings(rep, _sheaf_status([("sections", p)])), {}
 
 
-def _kaehler(args, obj):
-    if isinstance(obj, algebra.Algebra):
-        k = kaehler.kaehler_module(obj)
-        findings = (
-            Finding("info", "ideal",
-                    f"multiplication kernel has dimension {k.ideal.dim}",
-                    None),
-            Finding("info", "module",
-                    f"module of differentials has dimension {k.module.dim}",
-                    None))
-        derived = {"module": module_sections_to_json(k.module),
-                   "differential": matrix_to_json(k.differential)}
-        return Report("kaehler_module", findings), derived
-    res = kaehler.kaehler_presheaf(obj)
+def _validate_triad(args, t):
+    layers = [("algebra layer", t.algebras), ("module layer", t.modules)]
+    return _with_findings(triad.validate_triad(t), _sheaf_status(layers)), {}
+
+
+def _kaehler_module(args, a):
+    k = kaehler.kaehler_module(a)
+    findings = (
+        Finding("info", "ideal",
+                f"multiplication kernel has dimension {k.ideal.dim}",
+                None),
+        Finding("info", "module",
+                f"module of differentials has dimension {k.module.dim}",
+                None))
+    derived = {"module": module_sections_to_json(k.module),
+               "differential": matrix_to_json(k.differential)}
+    return Report("kaehler_module", findings), derived
+
+
+def _kaehler_presheaf(args, p):
+    res = kaehler.kaehler_presheaf(p)
     rep = triad.validate_triad(res.presheaf_triad)
     dims = [Finding("info", f"open {u}", f"module dimension {m.dim}", None)
             for u, m in enumerate(res.presheaf_triad.modules.sections)]
@@ -194,7 +195,8 @@ class Command:
     `shape` is "NAME" for a single name drawn from any of `sections`, or
     part names joined by ':' with one entry of `sections` per part (None
     for POINT, an integer).  `operation` is the operation reports run
-    under, or a dict giving it per section where it differs.  `flags` are
+    under and `work` the function run on each target; for a NAME, either
+    may be a dict giving it per section where it differs.  `flags` are
     the options only this command reads, each (flag, kind, default, help):
     kind `int` for a value read by `int()`, `bool` for a switch.
     """
@@ -202,7 +204,7 @@ class Command:
     shape: str
     sections: tuple[str | None, ...]
     operation: str | dict[str, str]
-    work: Callable
+    work: Callable | dict[str, Callable]
     flags: tuple = ()
 
 
@@ -216,11 +218,16 @@ EXPLORATORY = ("--exploratory", bool, False,
                "given input")
 
 COMMAND_TABLE = {
-    "validate": Command("NAME", ("spaces", "algebras", "presheaves", "triads"),
-                        "validate", _validate),
+    "validate": Command(
+        "NAME", ("spaces", "algebras", "presheaves", "triads"), "validate",
+        {"spaces": lambda args, x: (finspace.check_topology(x), {}),
+         "algebras": lambda args, a: (algebra.validate_algebra(a), {}),
+         "presheaves": _validate_presheaf, "triads": _validate_triad}),
     "kaehler": Command("NAME", ("algebras", "presheaves"),
                        {"algebras": "kaehler_module",
-                        "presheaves": "kaehler_presheaf"}, _kaehler),
+                        "presheaves": "kaehler_presheaf"},
+                       {"algebras": _kaehler_module,
+                        "presheaves": _kaehler_presheaf}),
     "sheafify": Command("NAME", ("presheaves",), "sheafify", _sheafify),
     "pushforward": Command("MAP:TRIAD", ("maps", "triads"),
                            "pushforward_triad", _pushforward),
@@ -269,19 +276,19 @@ def _part(doc, name: str, section: str | None):
         raise UsageError(f"point {name!r} is not an integer") from None
 
 
-def _resolve(doc, command: Command, target: str) -> tuple[str, tuple]:
-    """The operation one target reports under, and the parts it names."""
+def _resolve(doc, command: Command, target: str) -> tuple[str, Callable, tuple]:
+    """The operation one target reports under, the work function run on
+    it, and the parts it names."""
     if command.shape == "NAME":
         section, obj = _lookup(doc, target, command.sections)
-        operation = command.operation
-        if isinstance(operation, dict):
-            operation = operation[section]
-        return operation, (obj,)
+        operation, work = (c[section] if isinstance(c, dict) else c
+                           for c in (command.operation, command.work))
+        return operation, work, (obj,)
     names = target.split(":")
     if len(names) != len(command.sections):
         raise UsageError(f"target {target!r} must look like {command.shape}")
     try:
-        return command.operation, tuple(
+        return command.operation, command.work, tuple(
             _part(doc, name, section)
             for name, section in zip(names, command.sections))
     except UsageError as exc:
@@ -450,9 +457,8 @@ def run(doc, args) -> tuple[int, str]:
     command = COMMAND_TABLE[args.command]
     rows = []
     for target in _targets(doc, command, args.target):
-        operation, parts = _resolve(doc, command, target)
-        rep, derived = _guarded(operation, target,
-                                lambda: command.work(args, *parts))
+        operation, work, parts = _resolve(doc, command, target)
+        rep, derived = _guarded(operation, target, lambda: work(args, *parts))
         rows.append((target, rep, derived))
     rows.sort(key=lambda row: row[0])
     text = (render_human if args.mode == "human" else render_json)(

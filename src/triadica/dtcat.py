@@ -15,8 +15,7 @@ wrong.  Whether two morphisms that agree in one layer agree in the other is
 the `uniqueness` layer's question.
 
 The `exactla`, `sheaf` and `triad` layers are read off their modules where
-they are used, so `fullness` runs no `triad`, and over a non-discrete pair,
-where it builds no family, none of the three.
+they are used, so `fullness` runs none of the three.
 
 The count has a closed form.  With O the function presheaf and U_y the
 minimal open around y, a unit-preserving multiplicative presheaf morphism
@@ -27,8 +26,9 @@ carries prod_x |U_{f(x)}| families, listed in lexicographic order of g, and
 pullback by f is the only one exactly when every f(x) is open, as over
 discrete spaces: the finite form of the fullness of smooth manifolds among
 differential triads.  fullness_check reads each map's count off this
-formula, so its work is linear in the number of set maps, and builds only
-the pullbacks over discrete pairs, re-checked with one memo per call.
+formula, so its work is linear in the number of set maps and it builds no
+family; the tests hold the families to a search and each pullback to
+verify_pullback_forced.
 """
 
 from __future__ import annotations
@@ -233,20 +233,11 @@ def verify_pullback_forced(f: ContinuousMap, components) -> Report:
     h = sheaf.PresheafMorphism(sheaf.function_presheaf(f.codomain),
                          sheaf.pushforward(f, sheaf.function_presheaf(f.domain)),
                          tuple(components))
-    return _pullback_report(f, h, Interner())
-
-
-def _pullback_report(f: ContinuousMap, h: sheaf.PresheafMorphism,
-                     interner: Interner) -> Report:
-    """verify_pullback_forced on a family from the function presheaf on the
-    codomain into the direct image of the one on the domain, each distinct
-    check once per `interner`."""
     findings = []
     if not (f.domain.is_discrete and f.codomain.is_discrete):
         findings.append(Finding("warning", "spaces",
                                 "non-discrete spaces: exploratory result only", None))
-    findings += relocated("morphism: ", sheaf.validate_presheaf_morphism(
-        h, interner).findings)
+    findings += relocated("morphism: ", sheaf.validate_presheaf_morphism(h).findings)
     # row x over V must be the unit vector at f(x) in V's sorted points
     for v, vset in enumerate(f.codomain.opens):
         v_pts = sorted(vset)
@@ -292,11 +283,11 @@ def fullness_check(x_space: FiniteSpace, y_space: FiniteSpace,
     A morphism here is a continuous map f plus a compatible family of
     unit-preserving algebra maps (the module layer is zero, so it forces
     nothing); f carries prod_x |U_{f(x)}| families.  Counts are read off
-    that formula, so the work is linear in `bound`; only over discrete
-    spaces is a family built: one per point map, pullback by the map, which
-    is checked, and any deviation is an error.  Over non-discrete spaces the
-    count is exploratory, with no expectation asserted.  Both spaces must
-    be topologies: InvalidTopologyError comes before the bound check.
+    that formula, so the work is linear in `bound` and no family is built:
+    over discrete spaces each count is 1, the pullback by the map.  Over
+    non-discrete spaces the count is exploratory, with no expectation
+    asserted.  Both spaces must be topologies: InvalidTopologyError comes
+    before the bound check.
     """
     require_topology(x_space)
     require_topology(y_space)
@@ -304,13 +295,8 @@ def fullness_check(x_space: FiniteSpace, y_space: FiniteSpace,
     if total_maps > bound:
         raise BoundExceeded(
             f"{total_maps} candidate maps exceed the bound {bound}")
-    discrete = x_space.is_discrete and y_space.is_discrete
     findings = []
-    if discrete:
-        functions_x = sheaf.function_presheaf(x_space)
-        functions_y = sheaf.function_presheaf(y_space)
-        interner = Interner()  # one memo for every family's checks
-    else:
+    if not (x_space.is_discrete and y_space.is_discrete):
         findings.append(Finding("warning", "spaces",
                                 "non-discrete spaces: counts are exploratory", None))
     # |U_y| per point y of the codomain
@@ -318,18 +304,10 @@ def fullness_check(x_space: FiniteSpace, y_space: FiniteSpace,
     per_map = []
     for values in all_maps(x_space, y_space):
         try:
-            f = ContinuousMap(x_space, y_space, values)
+            ContinuousMap(x_space, y_space, values)
         except ValueError:  # not continuous
             continue
         per_map.append((values, prod(sizes[y] for y in values)))
-        if discrete:
-            h = sheaf.PresheafMorphism(functions_y, sheaf.pushforward(f, functions_x),
-                                 _point_map_components(f, values))
-            if not _pullback_report(f, h, interner).ok:
-                findings.append(Finding(
-                    "error", f"map {values}",
-                    "the unique component family is not pullback by the map",
-                    list(values)))
     total = sum(n for _, n in per_map)
     findings.append(Finding("info", "count",
                             f"{total} morphisms over {len(per_map)} continuous maps",

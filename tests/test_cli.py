@@ -1063,6 +1063,14 @@ def test_reader_matches_argparse_on_generated_lines(argv):
     assert_reads_as_argparse(argv)
 
 
+@pytest.mark.parametrize("argv", [["validate", "--", "a", "b"],
+                                  ["validate", "x", "--", "--human", "y"]])
+def test_stray_words_are_named_in_order(argv):
+    # '--' and every word after it are stray, listed as written
+    assert read(parse_command_line, argv)[2] == \
+        read(build_parser().parse_args, argv)[2]
+
+
 def test_an_explicit_double_dash_is_read_as_written(capsys):
     # argparse stripped the '--' of `--flag=--` and stored an empty list,
     # which ended in a TypeError traceback

@@ -10,10 +10,9 @@ from fractions import Fraction
 import pytest
 
 from triadica.algebra import (ModuleSections, function_algebra,
-                              truncated_poly_algebra,
-                              validate_algebra_morphism, zero_module_sections)
+                              truncated_poly_algebra, zero_module_sections)
 from triadica.dtcat import (BoundExceeded, FullnessResult, TriadMorphism,
-                            _pullback_report, check_morphism, compose,
+                            check_morphism, compose,
                             constant_morphism, fullness_check,
                             identity_morphism, pullback_morphism,
                             verify_pullback_forced)
@@ -24,7 +23,6 @@ from triadica.finspace import (ContinuousMap, InvalidTopologyError, all_maps,
                                indiscrete_space, is_continuous, sierpinski_space,
                                space_from_opens)
 from triadica.kaehler import kaehler_module, kaehler_presheaf
-from triadica.record import Interner
 from triadica.report import Finding, relocated
 from triadica.sheaf import (PresheafMorphism, constant_presheaf,
                             function_presheaf, pushforward,
@@ -552,13 +550,20 @@ def test_recovery_refuses_a_non_topology(points, opens, witness):
 
 @pytest.mark.parametrize("nx,ny,count", [
     (1, 2, 2), (2, 2, 4), (2, 3, 9), (3, 2, 8), (2, 1, 1), (1, 1, 1),
+    (3, 4, 64),
 ])
 def test_fullness_counts_match_point_maps(nx, ny, count):
-    result = fullness_check(discrete_space(nx), discrete_space(ny))
+    x, y = discrete_space(nx), discrete_space(ny)
+    result = fullness_check(x, y)
     assert isinstance(result, FullnessResult)
     assert result.report.ok and result.report.status == "pass"
     assert result.total == count
     assert all(n == 1 for _, n in result.per_map)
+    # the one family over each map is the pullback by it
+    for values, _ in result.per_map:
+        f = ContinuousMap(x, y, values)
+        pulled = pullback_morphism(f).algebra_components
+        assert verify_pullback_forced(f, pulled).errors() == [], values
 
 
 def test_fullness_bound_guard():
@@ -604,47 +609,8 @@ def test_fullness_refuses_a_non_topology(points, opens, witness):
         assert str(exc.value) == witness
 
 
-def test_fullness_builds_each_function_presheaf_once(monkeypatch):
-    import triadica.sheaf as sheaf_module
-    builds = []
-
-    def counting(space):
-        builds.append(space)
-        return function_presheaf(space)
-
-    monkeypatch.setattr(sheaf_module, "function_presheaf", counting)
-    x, y = discrete_space(2), discrete_space(3)
-    assert fullness_check(x, y).total == 9
-    # one presheaf per space, not one pair per continuous map
-    assert builds == [x, y]
-
-
-def test_fullness_checks_each_algebra_map_once(monkeypatch):
-    import triadica.sheaf as sheaf_module
-    checked = []
-
-    def counting(h):
-        checked.append((h.source, h.target, h.matrix))
-        return validate_algebra_morphism(h)
-
-    monkeypatch.setattr(sheaf_module, "validate_algebra_morphism", counting)
-    x = y = discrete_space(3)
-    assert fullness_check(x, y).report.ok
-    functions_x, functions_y = function_presheaf(x), function_presheaf(y)
-    per_open = []  # (source section, target section, component) of every family
-    for values in all_maps(x, y):
-        f = ContinuousMap(x, y, values)
-        for v, c in enumerate(pullback_morphism(f).algebra_components):
-            per_open.append((functions_y.sections[v],
-                             functions_x.sections[f.preimages[v]], c))
-    assert len(per_open) == 216
-    # once per distinct (source, target, component) over the whole call
-    assert sorted(map(repr, checked)) == sorted(map(repr, set(per_open)))
-    assert len(checked) == 47
-
-
 # ---------------------------------------------------------------------------
-# one memo across pullback checks, against fresh ones
+# the pullback check against the presheaf morphism check
 
 
 def corrupt_one_entry(components, rng):
@@ -676,49 +642,16 @@ def self_map_families(seed):
 
 
 def test_pullback_reports_with_a_shared_memo_match_fresh_ones():
+    # verify_pullback_forced builds its own frame and memo from f alone; its
+    # morphism findings are those of the presheaf morphism check on h
     families = self_map_families(1606)
-    shared = Interner()
     failed = 0
     for f, h in families:
-        report = _pullback_report(f, h, Interner())
+        report = verify_pullback_forced(f, h.components)
         oracle = relocated("morphism: ", validate_presheaf_morphism(h).findings)
         assert [x for x in report.findings if x.location.startswith("morphism: ")] == oracle
-        # one memo across every family, clean and corrupted, as in fullness_check
-        assert _pullback_report(f, h, shared) == report
         failed += any(x.location.startswith("morphism: square") for x in oracle)
     assert (len(families), failed) == (1170, 607)
-
-
-def test_fullness_reports_with_one_memo_match_fresh_memos(monkeypatch):
-    """fullness_check hands every family's check one interner; each report
-    equals the one a fresh interner gives, also when some families are
-    corrupted and share squares with earlier clean ones."""
-    import triadica.dtcat as dtcat_module
-    rng = random.Random(1607)
-    point_map_components, pullback_report = (dtcat_module._point_map_components,
-                                             dtcat_module._pullback_report)
-    corrupted, reports = set(), []
-
-    def corrupting(f, g):
-        components = point_map_components(f, g)
-        if rng.random() < 0.5:
-            corrupted.add(f.values)
-            components = corrupt_one_entry(components, rng)
-        return components
-
-    def recording(f, h, interner):
-        reports.append((f, h, interner, pullback_report(f, h, interner)))
-        return reports[-1][3]
-
-    monkeypatch.setattr(dtcat_module, "_point_map_components", corrupting)
-    monkeypatch.setattr(dtcat_module, "_pullback_report", recording)
-    result = fullness_check(discrete_space(3), discrete_space(3))
-    assert len(reports) == 27 and len({id(i) for _, _, i, _ in reports}) == 1
-    assert 0 < len(corrupted) < 27
-    assert {f.values for f, _, _, report in reports if not report.ok} == corrupted
-    assert {tuple(x.witness) for x in result.report.errors()} == corrupted
-    for f, h, _, report in reports:
-        assert report == pullback_report(f, h, Interner())
 
 
 # ---------------------------------------------------------------------------
@@ -743,6 +676,9 @@ def test_families_match_the_search_on_small_topologies():
                 f = ContinuousMap(x, y, values)
                 got = families_over(f)
                 counted.append((values, len(got)))
+                # the pullback is always one of them
+                pulled = pullback_morphism(f).algebra_components
+                assert verify_pullback_forced(f, pulled).errors() == [], values
                 expected = presheaf_morphisms_by_search(f)
                 assert Counter(h.components for h in got) == \
                     Counter(h.components for h in expected), values
@@ -761,9 +697,11 @@ def test_families_match_the_search_on_small_topologies():
 
 def test_fullness_counts_without_building_a_family(monkeypatch):
     """Into an indiscrete codomain every set map is continuous and carries
-    |Y|^|X| families; the count is read off the closed form, so no family
-    and no function presheaf is built, and each candidate's preimages are
+    |Y|^|X| families; between discrete spaces every map carries one.  The
+    count is read off the closed form, so no family, function presheaf,
+    direct image or memo is built, and each candidate's preimages are
     computed once."""
+    import triadica.dtcat as dtcat_module
     import triadica.finspace as finspace_module
     import triadica.sheaf as sheaf_module
     calls = Counter()
@@ -778,11 +716,16 @@ def test_fullness_counts_without_building_a_family(monkeypatch):
 
     for name in ("PresheafMorphism", "pushforward", "function_presheaf"):
         counting(sheaf_module, name)
+    counting(dtcat_module, "Interner")
     counting(finspace_module, "_preimage_indices")
-    result = fullness_check(discrete_space(5), indiscrete_space(4), bound=1024)
-    assert result.total == 1024 ** 2 == 1_048_576
-    assert len(result.per_map) == 1024
-    assert calls == {"_preimage_indices": 1024}
+    for x, y, bound, total, maps in (
+            (discrete_space(5), indiscrete_space(4), 1024, 1024 ** 2, 1024),
+            (discrete_space(3), discrete_space(4), 64, 64, 64)):
+        calls.clear()
+        result = fullness_check(x, y, bound=bound)
+        assert result.total == total
+        assert len(result.per_map) == maps
+        assert calls == {"_preimage_indices": maps}
 
 
 # the module-component check against the pairwise oracle

@@ -171,6 +171,8 @@ MORPHISM_LAYERS = BASE | {"algebra", "compound", "dtcat", "exactla", "finspace",
 # it runs besides BASE
 LAYERS_RUN = [
     ("validate", None, {"spaces": {"X": POINT}}, 0, {"finspace"}),
+    ("validate", "A", {"algebras": {"A": "truncated_poly 2"}}, 0,
+     {"algebra", "exactla"}),
     ("kaehler", None, {"algebras": {"A": "truncated_poly 2"}}, 0,
      {"algebra", "exactla", "kaehler"}),
     ("sheafify", None, ON_POINT, 0,
@@ -181,8 +183,7 @@ LAYERS_RUN = [
     ("constant-morphism", "T:T:0", WITH_TRIAD, 0, MORPHISM_LAYERS),
     ("uniqueness", "M:N", WITH_MORPHISMS, 1, MORPHISM_LAYERS | {"uniqueness"}),
     ("recover-map", "M", WITH_MORPHISMS, 0, MORPHISM_LAYERS),
-    ("fullness", "X:X", {"spaces": {"X": POINT}}, 0,
-     {"algebra", "dtcat", "exactla", "finspace", "sheaf"}),
+    ("fullness", "X:X", {"spaces": {"X": POINT}}, 0, {"dtcat", "finspace"}),
     ("fullness", "S:S", {"spaces": {"S": SIERPINSKI}}, 0, {"dtcat", "finspace"}),
     ("spectrum", None, {"algebras": {"A": "truncated_poly 2"}}, 0,
      {"algebra", "exactla", "poly"}),
