@@ -12,10 +12,9 @@ import pytest
 from triadica.algebra import (ModuleSections, function_algebra,
                               truncated_poly_algebra, zero_module_sections)
 from triadica.dtcat import (BoundExceeded, FullnessResult, TriadMorphism,
-                            check_morphism, compose,
-                            constant_morphism, fullness_check,
-                            identity_morphism, pullback_morphism,
-                            verify_pullback_forced)
+                            check_morphism, compose, constant_morphism,
+                            fullness_check, identity_morphism,
+                            pullback_morphism, verify_pullback_forced)
 from triadica.errors import DimensionMismatchError
 from triadica.exactla import Matrix, vec
 from triadica.finspace import (ContinuousMap, InvalidTopologyError, all_maps,
