@@ -12,18 +12,18 @@ relation f; these generate J.  Then Omega_A = A^r / A.{((df/dt_i)(g))_i},
 with dg_i as the generators, and de_k follows from e_k's expansion in the
 standard monomials by the chain rule.
 
-The module basis is the one the I / I^2 description singles out, I the
-multiplication kernel of A (x) A -> A, under a (x) b -> a db: the classes of
-the ideal's echelon basis vectors b_t whose image is independent of the
-images of b_{t+1}, b_{t+2}, ....  The operator sends x to the class of
-x (x) 1 - 1 (x) x, and A acts through multiplication by x (x) 1.  So the
-result does not depend on the generators chosen.  Every derivation out of
-A factors through this operator by a unique module map; `factor_derivation`
-computes that map by exact linear solving and reports whether it was
-pinned down uniquely.  So an algebra map phi: A -> B induces one module map
-Omega(phi), and in closed form: the class of an ideal vector sum_lk b_lk
-e_l (x) e_k is -sum_k b_k de_k, b_k = sum_l b_lk e_l, and goes to
--sum_k phi(b_k) d_B(phi(e_k)).  `kaehler_presheaf` builds its maps this way.
+The module basis is read off the presentation: the classes of the unit
+vectors e_l dg_i of A^r whose coordinates lead no row of the Jacobian
+span's echelon basis.  On Q[x]/(x^k), generated by x, that is dx, x dx,
+..., x^(k-2) dx, and the operator is the usual derivative, d(x^j) =
+j x^(j-1) dx.  The basis depends on the generators; two choices give
+modules that `factor_derivation` identifies by a unique isomorphism.
+Every derivation out of A factors through the operator by a unique module
+map, and `factor_derivation` computes that map by exact linear solving and
+reports whether it was pinned down uniquely.  So an algebra map
+phi: A -> B induces one module map Omega(phi), and in closed form:
+e_l dg_i goes to phi(e_l) d_B(phi(g_i)).  `kaehler_presheaf` builds its
+maps this way.
 
 Only `kaehler_presheaf` and `factor_derivation` use the `sheaf` and `triad`
 layers, read off their lazily loaded modules where they are called, so the
@@ -35,9 +35,9 @@ from __future__ import annotations
 from . import gluing, sheaf, triad
 from .algebra import (Algebra, ModuleSections, require_valid_algebra,
                       standard_monomials)
-from .errors import DimensionMismatchError, InvariantError, TriadicaError
-from .exactla import (ONE, ZERO, Matrix, Subspace, full_space, kernel, rref,
-                      solve, unit_vector, vec)
+from .errors import DimensionMismatchError, TriadicaError
+from .exactla import (ONE, ZERO, Matrix, Subspace, Vector, full_space, kernel,
+                      rref, solve, unit_vector, vec)
 from .record import record
 from .report import ValidationError
 
@@ -54,25 +54,18 @@ class FactorizationFailed(TriadicaError):
 
 @record
 class KaehlerModule:
-    """Universal differential module of an algebra, with its multiplication
-    kernel.
+    """Universal differential module of an algebra, presented on algebra
+    generators.
 
-    `ideal` is the multiplication kernel in tensor coordinates; module basis
-    vector t is the class of its echelon basis vector `chosen[t]`.
+    `generators` holds the g_i as vectors of the algebra; module basis
+    vector t is the class of e_l dg_i, for (l, i) = `basis[t]`.
     """
 
     algebra: Algebra
     module: ModuleSections
     differential: Matrix
-    ideal: Subspace
-    chosen: tuple[int, ...]
-
-
-def multiplication_map(a: Algebra) -> Matrix:
-    """The linear map A tensor A -> A sending e_i tensor e_j to their product."""
-    n = a.dim
-    cols = [a.struct[i][j] for i in range(n) for j in range(n)]
-    return Matrix.from_columns(cols, rows=n)
+    generators: tuple[Vector, ...]
+    basis: tuple[tuple[int, int], ...]
 
 
 def kaehler_module(a: Algebra) -> KaehlerModule:
@@ -83,7 +76,6 @@ def kaehler_module(a: Algebra) -> KaehlerModule:
     """
     require_valid_algebra(a)
     n = a.dim
-    ideal = kernel(multiplication_map(a))
 
     # algebra generators: the algebra's generating basis, with the pass that
     # found it, keeps the presentation sparse; failing that one generic
@@ -102,15 +94,15 @@ def kaehler_module(a: Algebra) -> KaehlerModule:
     r = len(gens)
     value_of = dict(order)
 
-    def left_mult(i, w, width):
-        # e_i . w, for w with its A coordinate l at l * width + k
+    def left_mult(i, w):
+        # e_i . w, for w in A^r
         out = [ZERO] * len(w)
         for idx, c in enumerate(w):
             if c:
-                l, k = divmod(idx, width)
+                l, k = divmod(idx, r)
                 for p, s in enumerate(a.struct[i][l]):
                     if s:
-                        out[p * width + k] += c * s
+                        out[p * r + k] += c * s
         return out
 
     def gradient(poly):
@@ -131,55 +123,20 @@ def kaehler_module(a: Algebra) -> KaehlerModule:
     jacobian = []
     for b, coeffs in relations:
         row = gradient([(ONE, b)] + [(-c, t) for c, (t, _) in zip(coeffs, order)])
-        jacobian += [left_mult(m, row, r) for m in range(n)]
-    # reduce(w) is w modulo the Jacobian rows, read on the non-pivot
-    # coordinates
+        jacobian += [left_mult(m, row) for m in range(n)]
+    # the classes of the non-pivot unit vectors e_l dg_i are the module
+    # basis, and reduce(w) is the class of w in it
     jacobian_span = Subspace(n * r, tuple(rref(jacobian, n * r)[0]))
-    reduce = jacobian_span.residue
-    omega = len(jacobian_span.free)
+    reduce, free = jacobian_span.residue, jacobian_span.free
 
-    # e_l de_k = e_l sum_j c_kj d(o_j), by the chain rule on e_k = sum_j
-    # c_kj o_j(g)
-    de = [gradient(zip(coefficients(unit_vector(n, k)), (t for t, _ in order)))
-          for k in range(n)]
-    table = [reduce(left_mult(l, de[k], r)) for l in range(n) for k in range(n)]
-
-    def normal_form(w):
-        # the class of sum_lk w_lk e_l de_k
-        out = [ZERO] * omega
-        for c, image in zip(w, table):
-            if c:
-                for k, x in enumerate(image):
-                    if x:
-                        out[k] += c * x
-        return out
-
-    images = [normal_form(b) for b in ideal.basis]
-    # with the images as columns from the last ideal basis vector back, a
-    # column is a pivot exactly when its image is independent of the images
-    # of the later basis vectors
-    last = ideal.dim - 1
-    _, picked = rref(([images[last - s][f] for s in range(ideal.dim)]
-                      for f in range(omega)), ideal.dim)
-    if len(picked) != omega:
-        raise InvariantError(f"the ideal spans {len(picked)} dimensions of "
-                             f"the {omega}-dimensional module")
-    chosen = tuple(sorted(last - s for s in picked))
-
-    # the class of e_i (x) 1 - 1 (x) e_i is e_i d1 - 1 de_i = -de_i
-    targets = [[-x for x in reduce(w)] for w in de]
-    targets += [normal_form(left_mult(i, ideal.basis[t], n))
-                for i in range(n) for t in chosen]
-    # [M | targets] reduces to [I | M^-1 targets]; M has the chosen images
-    # as its columns
-    solved, _ = rref([[images[t][s] for t in chosen] + [v[s] for v in targets]
-                      for s in range(omega)], omega + len(targets))
-    coords = [tuple(row[omega + c] for row in solved)
-              for c in range(len(targets))]
-    d = Matrix.from_columns(coords[:n], rows=omega)
-    action = tuple(tuple(coords[n + i * omega:n + (i + 1) * omega])
+    # de_k = sum_j c_kj d(o_j), by the chain rule on e_k = sum_j c_kj o_j(g)
+    d = Matrix.from_columns(
+        [reduce(gradient(zip(coefficients(unit_vector(n, k)), (t for t, _ in order))))
+         for k in range(n)], rows=len(free))
+    action = tuple(tuple(reduce(left_mult(i, unit_vector(n * r, f))) for f in free)
                    for i in range(n))
-    return KaehlerModule(a, ModuleSections(n, omega, action), d, ideal, chosen)
+    return KaehlerModule(a, ModuleSections(n, len(free), action), d, tuple(gens),
+                         tuple(divmod(f, r) for f in free))
 
 
 @record
@@ -293,16 +250,8 @@ def kaehler_presheaf(base: sheaf.Presheaf) -> KaehlerPresheafResult:
     for u, v in space.inclusion_pairs:
         if u != v:
             ku, kv, r = per_open[u], per_open[v], base.restriction(u, v)
-            n, composite = r.cols, kv.differential @ r
-            cols = []
-            for t in ku.chosen:
-                # -sum_k r(b_k) d_v(r e_k), with b_k = b[k::n] in tensor coordinates
-                b, col = ku.ideal.basis[t], [ZERO] * kv.module.dim
-                for k in range(n):
-                    if any(b[k::n]):
-                        acted = kv.module.act(r.apply(b[k::n]), composite.col(k))
-                        col = [x - y for x, y in zip(col, acted)]
-                cols.append(col)
+            dg = [kv.differential.apply(r.apply(g)) for g in ku.generators]
+            cols = [kv.module.act(r.col(l), dg[i]) for l, i in ku.basis]
             table[(u, v)] = Matrix.from_columns(cols, rows=kv.module.dim)
     modules = sheaf.make_presheaf(space, (k.module for k in per_open), table, base)
     diffs = tuple(k.differential for k in per_open)

@@ -1,18 +1,25 @@
-"""Reference construction of the Kaehler module as I / I^2.
+"""Reference constructions of the Kaehler module, and the isomorphisms
+between them.
 
-I is the kernel of multiplication A (x) A -> A; I^2 is spanned by all
-products of pairs of ideal basis vectors in the tensor algebra.  The module
-basis is the classes of the ideal's echelon basis vectors whose coordinates
-are not pivots of I^2, the operator sends x to the class of
-x (x) 1 - 1 (x) x, and A acts through multiplication by x (x) 1.  This is
-the slow, direct route; the library's presentation-based construction must
-agree with it exactly.  `leibniz_kaehler_module` builds the same module
-from the Leibniz presentation on all basis vectors, the construction the
+`ideal_square_module` is I / I^2: I is the kernel of multiplication
+A (x) A -> A (`multiplication_map`); I^2 is spanned by all products of
+pairs of ideal basis vectors in the tensor algebra.  The module basis is
+the classes of the ideal's echelon basis vectors whose coordinates are not
+pivots of I^2, the operator sends x to the class of x (x) 1 - 1 (x) x, and
+A acts through multiplication by x (x) 1.  This is the slow, direct route,
+and its basis does not depend on any choice of generators: the workspace
+corpus is written in it.  `leibniz_kaehler_module` builds the module from
+the Leibniz presentation on all basis vectors, the construction the
 library used before its presentation on algebra generators.
-`random_derivations` draws seeded sample derivations for the tests, and
-`restrict_scalars` turns a module over B into one over A along an algebra
-map A -> B, the target through which `factor_derivation` solves for the
-maps that `kaehler_presheaf` reads off in closed form.
+
+The library's basis depends on the generators, so a module agrees with
+these by the unique isomorphism that `factor_derivation` gives both ways
+(`kaehler_isomorphism`).  `committed_kaehler_module` and
+`committed_kaehler_triad` carry the library's modules across it onto the
+I / I^2 basis.  `random_derivations` draws seeded sample derivations for
+the tests, and `restrict_scalars` turns a module over B into one over A
+along an algebra map A -> B, the target through which `factor_derivation`
+solves for the maps that `kaehler_presheaf` reads off in closed form.
 """
 
 import random
@@ -22,8 +29,13 @@ from fractions import Fraction
 from triadica.algebra import Algebra, ModuleSections, tensor_product
 from triadica.errors import DimensionMismatchError
 from triadica.exactla import (ONE, ZERO, Matrix, Quotient, Subspace, kernel,
-                              product_subspace, quotient_space, rref, solve, span)
-from triadica.kaehler import KaehlerModule, derivation_space, multiplication_map
+                              product_subspace, quotient_space, span,
+                              unit_vector)
+from triadica.kaehler import (KaehlerModule, KaehlerPresheafResult,
+                              derivation_space, factor_derivation,
+                              kaehler_module)
+from triadica.sheaf import make_presheaf
+from triadica.triad import DifferentialTriad
 
 from support import matrix_sum, scaled
 
@@ -37,6 +49,13 @@ class IdealSquareModule:
     chosen: tuple[int, ...]
     ideal_square: Subspace
     quotient: Quotient
+
+
+def multiplication_map(a: Algebra) -> Matrix:
+    """The linear map A tensor A -> A sending e_i tensor e_j to their product."""
+    n = a.dim
+    cols = [a.struct[i][j] for i in range(n) for j in range(n)]
+    return Matrix.from_columns(cols, rows=n)
 
 
 def _basis_vec(n: int, i: int):
@@ -96,13 +115,14 @@ def ideal_square_module(a: Algebra) -> IdealSquareModule:
 
 
 def leibniz_kaehler_module(a: Algebra) -> KaehlerModule:
-    """kaehler_module(a) from the Leibniz presentation: the free A-module F
+    """The Kaehler module from the Leibniz presentation: the free A-module F
     on de_0..de_{n-1}, indexed with e_l de_k at l*n + k as e_l (x) e_k in
     A (x) A, divided by the A-span R of d(e_i e_j) - e_i de_j - e_j de_i.
-    That is n * n(n+1)/2 relation rows of width n^2."""
+    That is n * n(n+1)/2 relation rows of width n^2.  The classes of the
+    e_l de_k that lead no row of R's echelon basis are the module basis, so
+    this is a KaehlerModule on the generators e_0..e_{n-1}."""
     n = a.dim
     nn = n * n
-    ideal = kernel(multiplication_map(a))
     relations = []
     for m in range(n):
         for i in range(n):
@@ -118,20 +138,9 @@ def leibniz_kaehler_module(a: Algebra) -> KaehlerModule:
                 for p, c in enumerate(a.struct[m][j]):
                     if c:
                         row[p * n + i] -= c
-                if any(row):
-                    relations.append(row)
-    reduced, pivots = rref(relations, nn)
-    free = [f for f in range(nn) if f not in set(pivots)]
-    omega = len(free)
-
-    def normal_form(w):
-        # w modulo R, read off on the non-pivot coordinates
-        out = [w[f] for f in free]
-        for row, p in zip(reduced, pivots):
-            if w[p]:
-                for k, f in enumerate(free):
-                    out[k] -= w[p] * row[f]
-        return out
+                relations.append(row)
+    relation_span = span(nn, relations)
+    reduce, free = relation_span.residue, relation_span.free
 
     def left_mult(i, w):
         # e_i . w in F
@@ -143,37 +152,56 @@ def leibniz_kaehler_module(a: Algebra) -> KaehlerModule:
                     out[p * n + k] += c * s
         return out
 
-    # the module basis: the classes of the ideal basis vectors b_t whose
-    # image is independent of the images of b_{t+1}, b_{t+2}, ...
-    images = [normal_form(b) for b in ideal.basis]
-    chosen, kept = [], []
-    for t in reversed(range(ideal.dim)):
-        if span(omega, kept + [images[t]]).dim > len(kept):
-            kept.append(images[t])
-            chosen.append(t)
-    chosen.sort()
-    assert len(chosen) == omega, "the ideal does not span the module"
-
-    def d_lift(i):
-        # e_i (x) 1 - 1 (x) e_i
+    def d_lift(k):
+        # de_k = 1 de_k = sum_l u_l e_l de_k
         w = [ZERO] * nn
-        for j, u in enumerate(a.unit):
-            w[i * n + j] += u
-            w[j * n + i] -= u
+        for l, u in enumerate(a.unit):
+            w[l * n + k] = u
         return w
 
-    basis = Matrix.from_columns([images[t] for t in chosen], rows=omega)
-
-    def coords(w):
-        x = solve(basis, tuple(normal_form(w))).solution
-        assert x is not None, "a class outside the span of the chosen basis"
-        return x
-
-    d = Matrix.from_columns([coords(d_lift(i)) for i in range(n)], rows=omega)
-    action = tuple(tuple(coords(left_mult(i, ideal.basis[t])) for t in chosen)
+    d = Matrix.from_columns([reduce(d_lift(k)) for k in range(n)], rows=len(free))
+    action = tuple(tuple(reduce(left_mult(i, unit_vector(nn, f))) for f in free)
                    for i in range(n))
-    return KaehlerModule(a, ModuleSections(n, omega, action), d, ideal,
-                         tuple(chosen))
+    return KaehlerModule(a, ModuleSections(n, len(free), action), d,
+                         tuple(unit_vector(n, k) for k in range(n)),
+                         tuple(divmod(f, n) for f in free))
+
+
+def kaehler_isomorphism(k, other) -> tuple[Matrix, Matrix]:
+    """The module maps k -> other and other -> k that carry one universal
+    operator to the other, as `factor_derivation` finds them.  Both must be
+    unique and each the inverse of the other; `k` and `other` need only the
+    fields `algebra`, `module` and `differential`."""
+    assert k.module.dim == other.module.dim
+    there = factor_derivation(k, other.module, other.differential)
+    back = factor_derivation(other, k.module, k.differential)
+    assert there.unique and back.unique
+    assert there.matrix @ back.matrix == Matrix.identity(other.module.dim)
+    assert back.matrix @ there.matrix == Matrix.identity(k.module.dim)
+    return there.matrix, back.matrix
+
+
+def committed_kaehler_module(a: Algebra) -> IdealSquareModule:
+    """kaehler_module(a) carried onto the I / I^2 basis.  The isomorphism is
+    a module map that takes one operator to the other, so what it carries
+    the module to is the oracle itself."""
+    oracle = ideal_square_module(a)
+    kaehler_isomorphism(kaehler_module(a), oracle)
+    return oracle
+
+
+def committed_kaehler_triad(res: KaehlerPresheafResult) -> DifferentialTriad:
+    """`res.presheaf_triad` with each open's module carried onto its I / I^2
+    basis: the restriction R from u to v becomes there_v . R . back_u."""
+    t = res.presheaf_triad
+    oracles = [ideal_square_module(k.algebra) for k in res.per_open]
+    maps = [kaehler_isomorphism(k, o) for k, o in zip(res.per_open, oracles)]
+    table = {(u, v): maps[v][0] @ t.modules.restriction(u, v) @ maps[u][1]
+             for u, v in t.algebras.space.inclusion_pairs if u != v}
+    modules = make_presheaf(t.algebras.space, [o.module for o in oracles],
+                            table, t.algebras)
+    return DifferentialTriad(t.algebras, modules,
+                             tuple(o.differential for o in oracles))
 
 
 def random_derivations(a: Algebra, target: ModuleSections, count: int,

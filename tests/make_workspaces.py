@@ -4,11 +4,15 @@ Run from the repository root:  python3 tests/make_workspaces.py
 
 Valid documents are produced through the library serializers, so they stay
 in lockstep with the parser.  The deliberately broken documents (bad_*.json)
-are hand-written next to this script and not touched here.
+are hand-written next to this script and not touched here.  Kaehler modules
+are written in the I / I^2 basis of `kaehler_oracle`, which does not depend
+on a choice of generators.  `main(out)` writes the corpus into another
+directory, so a test can compare it with the committed one.
 """
 
 import pathlib
 
+from kaehler_oracle import committed_kaehler_module, committed_kaehler_triad
 from triadica.algebra import (Algebra, ModuleSections, function_algebra,
                               truncated_poly_algebra, zero_module_sections)
 from triadica.compound import (map_to_json, morphism_to_json, presheaf_to_json,
@@ -17,7 +21,7 @@ from triadica.dtcat import TriadMorphism, identity_morphism, pullback_morphism
 from triadica.exactla import Matrix, rat, vec
 from triadica.finspace import (ContinuousMap, discrete_space,
                                sierpinski_space)
-from triadica.kaehler import kaehler_module, kaehler_presheaf
+from triadica.kaehler import kaehler_presheaf
 from triadica.sheaf import constant_presheaf, make_presheaf
 from triadica.triad import constant_triad, function_triad
 from triadica.workspace import (algebra_to_json, dump_workspace,
@@ -34,7 +38,7 @@ A3 = truncated_poly_algebra(3)
 
 
 def kaehler_point_triad(a):
-    k = kaehler_module(a)
+    k = committed_kaehler_module(a)
     return constant_triad(POINT, a, k.module, k.differential)
 
 
@@ -55,7 +59,7 @@ def order_three_endomorphism(a, b):
 
 def padded_point_triad():
     """Q[x]/(x^3) differentials plus one inert summand off the image."""
-    k = kaehler_module(A3)
+    k = committed_kaehler_module(A3)
     dim = k.module.dim + 1
     action = []
     for i in range(A3.dim):
@@ -133,7 +137,7 @@ def sqrt2_algebra():
 
 def corrupted_leibniz_triad():
     """The Q[x]/(x^3) differential with d(x^2) zeroed out."""
-    k = kaehler_module(A3)
+    k = committed_kaehler_module(A3)
     d = Matrix.from_columns(
         [k.differential.col(0), k.differential.col(1),
          vec([0] * k.module.dim)], rows=k.module.dim)
@@ -149,15 +153,15 @@ def broken_square_morphism():
     return TriadMorphism(m.map, m.source, m.target, m.algebra_components, mods)
 
 
-def write(name, doc):
-    text = dump_workspace(doc)
-    parse_workspace(text)  # every valid fixture must reload
-    (HERE / name).write_text(text, encoding="utf-8")
-    print("wrote", name)
+def main(out=HERE):
+    """Write every generated document into `out`."""
+    out.mkdir(exist_ok=True)
 
-
-def main():
-    HERE.mkdir(exist_ok=True)
+    def write(name, doc):
+        text = dump_workspace(doc)
+        parse_workspace(text)  # every valid fixture must reload
+        (out / name).write_text(text, encoding="utf-8")
+        print("wrote", name)
 
     write("ws_minimal.json", {
         "schema": 1,
@@ -175,7 +179,7 @@ def main():
         "spaces": {"PT": space_to_json(POINT)},
         "algebras": {"A3": "truncated_poly 3"},
         "presheaves": {"CP3": presheaf_to_json(constant_presheaf(POINT, A3))},
-        "triads": {"KT3": triad_to_json(kp.presheaf_triad)},
+        "triads": {"KT3": triad_to_json(committed_kaehler_triad(kp))},
     })
 
     swap = ContinuousMap(D2, D2, (1, 0))
@@ -283,7 +287,8 @@ def main():
                        "other, their product globally",
         "spaces": {"D2": space_to_json(D2)},
         "presheaves": {"MIXP": presheaf_to_json(mp)},
-        "triads": {"MIXT": triad_to_json(kaehler_presheaf(mp).presheaf_triad)},
+        "triads": {"MIXT": triad_to_json(
+            committed_kaehler_triad(kaehler_presheaf(mp)))},
     })
 
     write("ws_bad_topology.json", {

@@ -7,6 +7,7 @@ from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from algebra_oracle import rational_roots_by_division
+from kaehler_oracle import multiplication_map
 from triadica.algebra import (Algebra, AlgebraMorphism, Character,
                               InvalidAlgebraError, NotSplitError,
                               algebra_from_struct, characters,
@@ -16,7 +17,6 @@ from triadica.algebra import (Algebra, AlgebraMorphism, Character,
                               truncated_poly_algebra, validate_algebra,
                               validate_algebra_morphism)
 from triadica.exactla import Matrix, vec
-from triadica.kaehler import multiplication_map
 from triadica.poly import _primitive, _sign_changes, _sturm_chain, rational_roots
 
 F = Fraction

@@ -20,6 +20,7 @@ from fractions import Fraction
 import pytest
 
 from algebra_oracle import closure, greedy_generators
+from kaehler_oracle import kaehler_isomorphism
 from triadica.algebra import (Algebra, AlgebraMorphism, ModuleSections,
                               action_findings, basis_pairs, function_algebra,
                               generators_first, morphism_findings,
@@ -158,7 +159,9 @@ def test_the_kaehler_module_reuses_the_pass_that_found_the_generators(
         monkeypatch, name, passes):
     # the search runs [] and [x] on Q[x]/(x^8), and the ten passes of the
     # test above on T3xT3; Q^4 has no generating basis, so kaehler_module
-    # runs its own pass on one generic element, which generates it
+    # runs its own pass on one generic element, which generates it.  With
+    # no presentation kaehler_module picks other generators, so the two
+    # modules agree by the unique isomorphism between them
     widths = []
 
     def counted(a, gens):
@@ -172,7 +175,7 @@ def test_the_kaehler_module_reuses_the_pass_that_found_the_generators(
     assert len(widths) == passes
     unpresented = Algebra(a.dim, a.struct, a.unit)
     unpresented.__dict__["presentation"] = None
-    assert kaehler_module(unpresented) == k
+    kaehler_isomorphism(kaehler_module(unpresented), k)
 
 
 def test_a_closure_that_stops_short_is_extended_by_a_generator():

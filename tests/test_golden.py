@@ -6,7 +6,9 @@ for commands that take ':'-joined targets, every combination the file's
 sections allow.  Each invocation runs twice, with JSON output and with
 `--human`.  The exit code and the SHA-256 of stdout and of stderr are
 compared with `golden_digests.json`, so any change to a report's or an
-error message's bytes shows here by command, file and output mode.  After a deliberate output change, regenerate the table
+error message's bytes shows here by command, file and output mode.  The
+corpus itself is pinned too: `make_workspaces.py` must write every file it
+generates byte for byte as committed.  After a deliberate output change, regenerate the table
 with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -23,6 +25,7 @@ import sys
 
 import pytest
 
+import make_workspaces
 from triadica.cli import COMMANDS, main
 from triadica.errors import TriadicaError
 from triadica.workspace import load_workspace
@@ -101,6 +104,14 @@ def test_golden_table_covers_the_corpus(golden):
                          ids=[key(*case) for case in CASES])
 def test_golden_digest(golden, command, name, human):
     assert digest(command, name, human) == golden[key(command, name, human)]
+
+
+def test_the_generator_rewrites_the_corpus_unchanged(tmp_path):
+    make_workspaces.main(tmp_path)
+    written = sorted(p.name for p in tmp_path.iterdir())
+    assert len(written) >= 12 and set(written) <= set(CORPUS)
+    for name in written:
+        assert (tmp_path / name).read_bytes() == (WORKSPACES / name).read_bytes(), name
 
 
 if __name__ == "__main__":

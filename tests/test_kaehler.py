@@ -2,18 +2,22 @@
 
 Expected dimensions come from two independent routes: the gcd formula for
 quotients of the one-variable polynomial ring (computed with sympy), and a
-presentation count for the two-generator square-zero algebra.  The module,
-its basis and its operator are compared exactly with the I / I^2
-construction in `kaehler_oracle`.
+presentation count for the two-generator square-zero algebra.  The module
+and its operator are compared with the I / I^2 and Leibniz constructions
+in `kaehler_oracle` by the unique isomorphism between them, and the basis
+is pinned where it is the textbook one: on truncated polynomial rings and
+their tensor products the operator is the usual derivative.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 import sympy
 
-from kaehler_oracle import (ideal_square_module, leibniz_kaehler_module,
+from kaehler_oracle import (ideal_square_module, kaehler_isomorphism,
+                            leibniz_kaehler_module, multiplication_map,
                             random_derivations, restrict_scalars)
 from triadica.algebra import (InvalidAlgebraError, ModuleSections,
                               algebra_from_struct, function_algebra,
@@ -21,7 +25,7 @@ from triadica.algebra import (InvalidAlgebraError, ModuleSections,
                               truncated_poly_algebra, validate_algebra,
                               validate_module_sections)
 from triadica.errors import DimensionMismatchError
-from triadica.exactla import Matrix, rref, solve, span, vec
+from triadica.exactla import Matrix, kernel, rref, solve, span, unit_vector, vec
 from triadica.finspace import (InvalidTopologyError, discrete_space,
                                indiscrete_space, sierpinski_space,
                                space_from_opens)
@@ -48,6 +52,22 @@ def square_zero_algebra():
         [[0, 0, 1], z, z],
     ]
     return algebra_from_struct(struct, [1, 0, 0])
+
+
+def jet_algebra(m, k):
+    """Q[x_1..x_m]/(x_1..x_m)^(k+1), the k-jets in m variables, on the
+    monomials of degree at most k, in degree order."""
+    monomials = sorted((e for e in itertools.product(range(k + 1), repeat=m)
+                        if sum(e) <= k), key=lambda e: (sum(e), [-x for x in e]))
+    index = {e: i for i, e in enumerate(monomials)}
+
+    def product(e, f):
+        g = index.get(tuple(x + y for x, y in zip(e, f)))
+        return [int(g == i) for i in range(len(monomials))]
+
+    return algebra_from_struct([[product(e, f) for f in monomials]
+                                for e in monomials],
+                               [int(i == 0) for i in range(len(monomials))])
 
 
 def random_conjugate(a, seed):
@@ -153,11 +173,12 @@ def test_ideal_bookkeeping_shapes():
     a = truncated_poly_algebra(2)
     k = kaehler_module(a)
     oracle = ideal_square_module(a)
-    assert k.ideal.ambient_dim == 4
-    assert k.ideal.dim == 2
-    assert oracle.ideal == k.ideal
+    assert oracle.ideal.ambient_dim == 4
+    assert oracle.ideal.dim == 2
+    assert oracle.ideal == kernel(multiplication_map(a))
     assert oracle.ideal_square.ambient_dim == oracle.ideal.dim
     assert oracle.quotient.quotient_dim == k.module.dim
+    kaehler_isomorphism(k, oracle)
 
 
 ORACLE_ALGEBRAS = (
@@ -169,19 +190,17 @@ ORACLE_ALGEBRAS = (
        ("conjugate truncated_poly 4",
         random_conjugate(truncated_poly_algebra(4), seed=5)),
        ("conjugate function_algebra 4",
-        random_conjugate(function_algebra(4), seed=6))])
+        random_conjugate(function_algebra(4), seed=6)),
+       ("jets J(2,3)", jet_algebra(2, 3)), ("jets J(3,2)", jet_algebra(3, 2))])
 
 
 @pytest.mark.parametrize("a", [a for _, a in ORACLE_ALGEBRAS],
                          ids=[name for name, _ in ORACLE_ALGEBRAS])
 def test_presentation_matches_ideal_square_oracle(a):
+    # the two bases differ, so the modules match by the unique isomorphism
+    # that carries one operator to the other
     assert validate_algebra(a).ok
-    k = kaehler_module(a)
-    oracle = ideal_square_module(a)
-    assert k.module == oracle.module
-    assert k.differential == oracle.differential
-    assert k.ideal == oracle.ideal
-    assert k.chosen == oracle.chosen
+    kaehler_isomorphism(kaehler_module(a), ideal_square_module(a))
 
 
 def _tensor(*algebras):
@@ -206,13 +225,59 @@ LEIBNIZ_ALGEBRAS = (
 @pytest.mark.parametrize("a", [a for _, a in LEIBNIZ_ALGEBRAS],
                          ids=[name for name, _ in LEIBNIZ_ALGEBRAS])
 def test_generator_presentation_matches_leibniz_oracle(a):
-    assert kaehler_module(a) == leibniz_kaehler_module(a)
+    kaehler_isomorphism(kaehler_module(a), leibniz_kaehler_module(a))
+
+
+@pytest.mark.parametrize("a,b", [(k, 1) for k in range(1, 9)]
+                         + [(2, 3), (3, 2), (3, 3), (3, 4), (4, 3)])
+def test_the_operator_is_the_usual_derivative(a, b):
+    # Q[x]/(x^a) (x) Q[y]/(y^b), or Q[x]/(x^a) when b is 1, with x^p y^q as
+    # basis vector p * b + q.  Omega is A dx + A dy modulo x^(a-1) dx and
+    # y^(b-1) dy, so it has the standard basis x^p y^q dx (p < a - 1) and
+    # x^p y^q dy (q < b - 1), and there d(x^p y^q) = p x^(p-1) y^q dx +
+    # q x^p y^(q-1) dy.  By the chain rule, e_l dg_i is e_l (dg_i/dx dx +
+    # dg_i/dy dy); written in those vectors, the operator must be the
+    # derivative, with no sign or scale
+    algebra = truncated_poly_algebra(a) if b == 1 else tensor_product(
+        truncated_poly_algebra(a), truncated_poly_algebra(b)).algebra
+    k = kaehler_module(algebra)
+    n, sizes = a * b, (a, b)
+    monomials = [divmod(m, b) for m in range(n)]
+    standard = [(m, j) for m in monomials for j in (0, 1)
+                if m[j] < sizes[j] - 1]
+
+    def partial(w, j):
+        out = [0] * n
+        for m, c in zip(monomials, w):
+            if m[j]:
+                out[(m[0] - (j == 0)) * b + m[1] - (j == 1)] += c * m[j]
+        return out
+
+    def in_standard_basis(w, v):
+        # w dx + v dy, modulo x^(a-1) dx and y^(b-1) dy
+        forms = (w, v)
+        return [forms[j][m[0] * b + m[1]] for m, j in standard]
+
+    change = Matrix.from_columns(
+        [in_standard_basis(*(algebra.multiply(unit_vector(n, l),
+                                              partial(k.generators[i], j))
+                             for j in (0, 1)))
+         for l, i in k.basis], rows=len(standard))
+    derivative = Matrix.from_columns(
+        [in_standard_basis(*(partial(unit_vector(n, m), j) for j in (0, 1)))
+         for m in range(n)], rows=len(standard))
+    assert k.module.dim == len(standard)
+    assert span(len(standard), change.transpose().entries).dim == len(standard)
+    assert change @ k.differential == derivative
+    if algebra.generating_basis is not None:
+        # the generators are x and y, so each e_l dg_i is one x^p y^q dv
+        assert all(sorted(c) == [0] * (len(c) - 1) + [1]
+                   for c in change.transpose().entries)
 
 
 def test_truncated_poly_8_needs_no_large_elimination(monkeypatch):
     # the Leibniz presentation of Q[x]/(x^8) reduces 196 x 64 relation rows;
-    # on the generator x it is 8 x 8, and the largest elimination left is
-    # the 8 x 64 multiplication kernel
+    # on the generator x the only elimination is the 8 x 8 Jacobian span
     cells = []
 
     def counting(vectors, width):
@@ -223,7 +288,7 @@ def test_truncated_poly_8_needs_no_large_elimination(monkeypatch):
     monkeypatch.setattr("triadica.exactla.rref", counting)
     monkeypatch.setattr("triadica.kaehler.rref", counting)
     kaehler_module(truncated_poly_algebra(8))
-    assert cells and max(cells) <= 512
+    assert cells and max(cells) <= 64
 
 
 def test_presheaf_builds_each_distinct_module_once(monkeypatch):
@@ -554,9 +619,11 @@ def test_module_dimension_bounds(a):
     # mult: A(x)A -> A is onto (it hits a at 1(x)a), so the kernel has
     # dimension exactly n^2 - n and the quotient can only be smaller
     k = kaehler_module(a)
+    oracle = ideal_square_module(a)
     n = a.dim
-    assert k.ideal.dim == n * n - n
-    assert k.module.dim <= k.ideal.dim
+    assert oracle.ideal.dim == n * n - n
+    assert k.module.dim <= oracle.ideal.dim
+    kaehler_isomorphism(k, oracle)
 
 
 def _tensor_lift(k, idx):
