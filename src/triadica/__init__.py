@@ -1,15 +1,17 @@
 """Exact computational kernel for differential triads over finite spaces.
 
 The layers, bottom up: exactla (rational linear algebra), poly (rational
-polynomials and their rational roots), finspace (finite topologies and
-continuous maps), algebra (finite-dimensional commutative algebras, their
-characters and the modules over them), sheaf (presheaves, the sheaf
-condition, direct images), gluing (sheafification), triad (differential
-triads and the Leibniz validator), kaehler (universal differential
-modules), dtcat (triad morphisms, composition, fullness), uniqueness (of a
-morphism's components), workspace (declarative documents: spaces,
-algebras and the fragments of the rest), compound (their presheaves, maps,
-triads and morphisms) and cli (the command surface).
+polynomials and their rational roots), finspace (finite topologies), maps
+(continuous maps), algebra (finite-dimensional commutative algebras and
+the modules over them), spectrum (their characters), sheaf (presheaves and
+the sheaf condition), sheafmaps (maps of presheaves, direct images), gluing
+(sheafification), triad (differential triads and the Leibniz validator),
+kaehler (universal differential modules), dtcat (triad morphisms,
+composition, fullness), uniqueness (of a morphism's components),
+workspace (declarative documents: spaces, algebras and the fragments of
+the rest), compound (their presheaves), compound_triad (their triads, maps
+and morphisms), compound_dump (all four written back) and cli (the command
+surface).
 
 Each layer loads on first use.  Importing the package registers every
 layer in `sys.modules` and binds it here as an attribute, but runs none of
@@ -35,17 +37,17 @@ _EXPORTS = {
     "report": ("Finding", "Report"),
     "exactla": ("Matrix", "Subspace", "kernel", "rat", "span", "vec"),
     "poly": (),
-    "finspace": ("ContinuousMap", "FiniteSpace", "check_topology",
-                 "discrete_space", "indiscrete_space", "sierpinski_space",
-                 "space_from_opens"),
-    "algebra": ("Algebra", "Character", "InvalidAlgebraError",
-                "ModuleSections", "NotSplitError", "algebra_from_struct",
-                "characters", "function_algebra", "poly_quotient_algebra",
+    "finspace": ("FiniteSpace", "check_topology", "discrete_space",
+                 "indiscrete_space", "sierpinski_space", "space_from_opens"),
+    "maps": ("ContinuousMap",),
+    "algebra": ("Algebra", "InvalidAlgebraError", "ModuleSections",
+                "algebra_from_struct", "characters", "function_algebra",
                 "tensor_product", "truncated_poly_algebra", "validate_algebra"),
-    "sheaf": ("InvalidPresheafError", "Presheaf", "PresheafMorphism",
-              "check_sheaf_condition", "constant_presheaf", "function_presheaf",
-              "make_presheaf", "pushforward", "sheafify", "stalk",
-              "validate_algebra_presheaf"),
+    "spectrum": ("Character", "NotSplitError", "poly_quotient_algebra"),
+    "sheaf": ("InvalidPresheafError", "Presheaf", "check_sheaf_condition",
+              "constant_presheaf", "function_presheaf", "make_presheaf",
+              "pushforward", "sheafify", "stalk", "validate_algebra_presheaf"),
+    "sheafmaps": ("PresheafMorphism",),
     "gluing": (),
     "triad": ("DifferentialTriad", "NotFunctional", "check_leibniz",
               "constant_triad", "constants_only_kernel", "function_triad",
@@ -60,6 +62,8 @@ _EXPORTS = {
     "workspace": ("ParseError", "UnresolvedReference", "WorkspaceDocument",
                   "load_workspace", "parse_workspace"),
     "compound": (),
+    "compound_triad": (),
+    "compound_dump": (),
 }
 
 # exported name -> its home layer

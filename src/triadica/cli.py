@@ -34,17 +34,13 @@ import sys
 from types import SimpleNamespace
 from typing import Callable, NoReturn
 
-from . import (algebra, compound, dtcat, finspace, kaehler, sheaf, triad,
+from . import (algebra, dtcat, finspace, gluing, kaehler, sheaf, spectrum, triad,
                uniqueness)
-from .errors import DimensionMismatchError, TriadicaError
+from .errors import DimensionMismatchError, TriadicaError, UsageError
 from .record import record
 from .report import Finding, Report
 from .workspace import (ParseError, UnresolvedReference, dump_workspace,
-                        load_workspace, matrix_to_json, module_sections_to_json)
-
-
-class UsageError(TriadicaError):
-    """Ill-formed request: wrong target shape or an unknown name."""
+                        load_workspace)
 
 
 def _guarded(operation: str, label: str, thunk):
@@ -60,131 +56,6 @@ def _guarded(operation: str, label: str, thunk):
         return Report(operation, (Finding("error", label, str(exc), None),)), {}
 
 
-def _with_findings(rep: Report, extra) -> Report:
-    return Report(rep.operation, rep.findings + tuple(extra))
-
-
-def _sheaf_status(layers) -> list[Finding]:
-    out = []
-    for label, layer in layers:
-        cert = sheaf.check_sheaf_condition(layer)
-        if cert.is_sheaf:
-            out.append(Finding("info", label, "sheaf condition holds", None))
-        else:
-            out.append(Finding(
-                "info", label,
-                f"sheaf condition fails ({len(cert.witnesses)} witnesses)",
-                None))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# work functions: (args, *parts) -> (Report, derived dict)
-
-
-def _validate_presheaf(args, p):
-    rep = sheaf.validate_algebra_presheaf(p)
-    return _with_findings(rep, _sheaf_status([("sections", p)])), {}
-
-
-def _validate_triad(args, t):
-    layers = [("algebra layer", t.algebras), ("module layer", t.modules)]
-    return _with_findings(triad.validate_triad(t), _sheaf_status(layers)), {}
-
-
-def _kaehler_module(args, a):
-    k = kaehler.kaehler_module(a)
-    # a has a unit, so multiplication a (x) a -> a is onto
-    findings = (
-        Finding("info", "ideal",
-                f"multiplication kernel has dimension {a.dim * a.dim - a.dim}",
-                None),
-        Finding("info", "module",
-                f"module of differentials has dimension {k.module.dim}",
-                None))
-    derived = {"module": module_sections_to_json(k.module),
-               "differential": matrix_to_json(k.differential)}
-    return Report("kaehler_module", findings), derived
-
-
-def _kaehler_presheaf(args, p):
-    res = kaehler.kaehler_presheaf(p)
-    rep = triad.validate_triad(res.presheaf_triad)
-    dims = [Finding("info", f"open {u}", f"module dimension {m.dim}", None)
-            for u, m in enumerate(res.presheaf_triad.modules.sections)]
-    derived = {"presheaf_triad": compound.triad_to_json(res.presheaf_triad),
-               "sheaf_triad": compound.triad_to_json(res.sheaf_triad)}
-    return _with_findings(rep, dims), derived
-
-
-def _sheafify(args, p):
-    findings = _sheaf_status([("input", p)])
-    res = sheaf.sheafify(p)
-    after = sheaf.check_sheaf_condition(res.presheaf)
-    findings.append(Finding("info" if after.is_sheaf else "error", "result",
-                            "sheaf condition holds" if after.is_sheaf else
-                            "sheafification did not produce a sheaf", None))
-    derived = {"sheaf": compound.presheaf_to_json(res.presheaf),
-               "canonical_components": [matrix_to_json(c)
-                                        for c in res.canonical.components]}
-    return Report("sheafify", tuple(findings)), derived
-
-
-def _pushforward(args, f, t):
-    out = triad.pushforward_triad(f, t)
-    return triad.validate_triad(out), {"triad": compound.triad_to_json(out)}
-
-
-def _checked_morphism(m):
-    return dtcat.check_morphism(m), {"morphism": compound.morphism_to_json(m)}
-
-
-def _uniqueness(args, m1, m2):
-    same_algebra = m1.algebra_components == m2.algebra_components
-    same_module = m1.module_components == m2.module_components
-    if same_algebra and not same_module:
-        return uniqueness.differential_agreement_on_image(m1, m2), {}
-    if same_module and not same_algebra:
-        return uniqueness.algebra_component_uniqueness(m1, m2), {}
-    if same_algebra and same_module:
-        findings = (Finding("info", "components",
-                            "the morphisms coincide in both layers", None),)
-        return Report("uniqueness", findings), {}
-    findings = (Finding(
-        "error", "components",
-        "the morphisms differ in both layers; no uniqueness "
-        "hypothesis applies", None),)
-    return Report("uniqueness", findings), {}
-
-
-def _recover_map(args, m):
-    f = m.map
-    if not (args.exploratory or f.domain.is_discrete and f.codomain.is_discrete):
-        raise UsageError("lives over non-discrete spaces; rerun with "
-                         "--exploratory to inspect it anyway")
-    return (dtcat.verify_pullback_forced(f, m.algebra_components),
-            {"map": compound.map_to_json(f)})
-
-
-def _fullness(args, x, y):
-    res = dtcat.fullness_check(x, y, bound=args.bound)
-    per_map = {",".join(str(v) for v in values): count
-               for values, count in res.per_map}
-    return res.report, {"total": res.total, "per_map": per_map}
-
-
-def _spectrum(args, a):
-    try:
-        chars = algebra.characters(a)
-    except algebra.NotSplitError as exc:
-        return Report("spectrum",
-                      (Finding("error", "characters", str(exc), None),)), {}
-    functionals = [[str(x) for x in c.functional] for c in chars]
-    findings = (Finding("info", "characters",
-                        f"{len(chars)} rational characters", functionals),)
-    return Report("spectrum", findings), {"characters": functionals}
-
-
 # ---------------------------------------------------------------------------
 # the command table
 
@@ -196,8 +67,9 @@ class Command:
     `shape` is "NAME" for a single name drawn from any of `sections`, or
     part names joined by ':' with one entry of `sections` per part (None
     for POINT, an integer).  `operation` is the operation reports run
-    under and `work` the function run on each target; for a NAME, either
-    may be a dict giving it per section where it differs.  `flags` are
+    under and `work` the function run on each target, a `<command>_command`
+    of the layer it drives, read in a lambda so that building the table runs
+    no layer; for a NAME, either may be a dict giving it per section.  `flags` are
     the options only this command reads, each (flag, kind, default, help):
     kind `int` for a value read by `int()`, `bool` for a switch.
     """
@@ -223,31 +95,33 @@ COMMAND_TABLE = {
         "NAME", ("spaces", "algebras", "presheaves", "triads"), "validate",
         {"spaces": lambda args, x: (finspace.check_topology(x), {}),
          "algebras": lambda args, a: (algebra.validate_algebra(a), {}),
-         "presheaves": _validate_presheaf, "triads": _validate_triad}),
+         "presheaves": lambda *p: sheaf.validate_presheaf_command(*p),
+         "triads": lambda *p: triad.validate_triad_command(*p)}),
     "kaehler": Command("NAME", ("algebras", "presheaves"),
-                       {"algebras": "kaehler_module",
-                        "presheaves": "kaehler_presheaf"},
-                       {"algebras": _kaehler_module,
-                        "presheaves": _kaehler_presheaf}),
-    "sheafify": Command("NAME", ("presheaves",), "sheafify", _sheafify),
-    "pushforward": Command("MAP:TRIAD", ("maps", "triads"),
-                           "pushforward_triad", _pushforward),
+                       {"algebras": "kaehler_module", "presheaves": "kaehler_presheaf"},
+                       {"algebras": lambda *p: kaehler.kaehler_module_command(*p),
+                        "presheaves": lambda *p: kaehler.kaehler_presheaf_command(*p)}),
+    "sheafify": Command("NAME", ("presheaves",), "sheafify",
+                        lambda *p: gluing.sheafify_command(*p)),
+    "pushforward": Command("MAP:TRIAD", ("maps", "triads"), "pushforward_triad",
+                           lambda *p: triad.pushforward_command(*p)),
     "check-morphism": Command("NAME", ("morphisms",), "check_morphism",
                               lambda args, m: (dtcat.check_morphism(m), {})),
     "compose": Command("OUTER:INNER", ("morphisms", "morphisms"), "compose",
                        lambda args, outer, inner:
-                           _checked_morphism(dtcat.compose(outer, inner))),
+                           dtcat.checked_morphism(dtcat.compose(outer, inner))),
     "constant-morphism": Command(
         "SOURCE:TARGET:POINT", ("triads", "triads", None),
         "constant_morphism", lambda args, source, target, c:
-            _checked_morphism(dtcat.constant_morphism(source, target, c))),
-    "uniqueness": Command("FIRST:SECOND", ("morphisms", "morphisms"),
-                          "uniqueness", _uniqueness),
+            dtcat.checked_morphism(dtcat.constant_morphism(source, target, c))),
+    "uniqueness": Command("FIRST:SECOND", ("morphisms", "morphisms"), "uniqueness",
+                          lambda *p: uniqueness.uniqueness_command(*p)),
     "recover-map": Command("NAME", ("morphisms",), "verify_pullback_forced",
-                           _recover_map, flags=(EXPLORATORY,)),
-    "fullness": Command("DOMAIN:CODOMAIN", ("spaces", "spaces"),
-                        "fullness_check", _fullness, flags=(BOUND,)),
-    "spectrum": Command("NAME", ("algebras",), "spectrum", _spectrum),
+                           lambda *p: dtcat.recover_map_command(*p), flags=(EXPLORATORY,)),
+    "fullness": Command("DOMAIN:CODOMAIN", ("spaces", "spaces"), "fullness_check",
+                        lambda *p: dtcat.fullness_command(*p), flags=(BOUND,)),
+    "spectrum": Command("NAME", ("algebras",), "spectrum",
+                        lambda *p: spectrum.spectrum_command(*p)),
 }
 
 COMMANDS = tuple(COMMAND_TABLE)
@@ -354,7 +228,6 @@ def render_human(command: str, rows) -> str:
 
 
 METAVARS = {str: " FILE", list: " TARGET", int: " N", bool: ""}
-NEGATIVE_NUMBER = re.compile(r"-\d+$|-\d*\.\d+$")
 HELP_TAIL = ("\n  --json, --human   report as JSON (default) or as text"
              "\n  -h, --help        print this synopsis\n"
              "\nA long option may be cut to any unique prefix: --work FILE, --b 9.\n")
@@ -385,7 +258,7 @@ def _flags_named(word: str, flags) -> list[str] | None:
     hits = [f for f in flags
             if f == flag or word[:2] == "--" and f.startswith(flag)]
     if hits or word[:1] == "-" != word and " " not in word and \
-            not NEGATIVE_NUMBER.match(word):
+            not re.match(r"-\d+$|-\d*\.\d+$", word):
         return hits
     return None
 

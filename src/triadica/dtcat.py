@@ -14,8 +14,8 @@ the direct image of the one on the domain itself, so the frame cannot be
 wrong.  Whether two morphisms that agree in one layer agree in the other is
 the `uniqueness` layer's question.
 
-The `exactla`, `sheaf` and `triad` layers are read off their modules where
-they are used, so `fullness` runs none of the three.
+The `exactla`, `sheaf`, `sheafmaps` and `triad` layers are read off their
+modules where they are used, so `fullness` runs none of them.
 
 The count has a closed form.  With O the function presheaf and U_y the
 minimal open around y, a unit-preserving multiplicative presheaf morphism
@@ -36,11 +36,10 @@ from __future__ import annotations
 from itertools import product
 from math import prod
 
-from . import exactla, sheaf, triad
-from .errors import DimensionMismatchError, TriadicaError
-from .finspace import (ContinuousMap, FiniteSpace, all_maps, compose_maps,
-                       constant_map, identity_map, minimal_open,
-                       require_topology)
+from . import compound_dump, exactla, sheaf, sheafmaps, triad
+from .errors import DimensionMismatchError, TriadicaError, UsageError
+from .finspace import FiniteSpace, minimal_open, require_topology
+from .maps import ContinuousMap, all_maps, compose_maps, constant_map, identity_map
 from .record import Interner, record
 from .report import Finding, Report, merge_reports, relocated
 
@@ -100,11 +99,11 @@ def check_morphism(m: TriadMorphism) -> Report:
             "error", "frame", "underlying map does not connect the triad spaces", None),))
     push = triad.pushforward_triad(m.map, source)
     interner = Interner()
-    h_alg = sheaf.PresheafMorphism(target.algebras, push.algebras, m.algebra_components)
+    h_alg = sheafmaps.PresheafMorphism(target.algebras, push.algebras, m.algebra_components)
     parts = [Report("algebra_components",
                     sheaf.validate_presheaf_morphism(h_alg, interner).findings)]
 
-    h_mod = sheaf.PresheafMorphism(target.modules, push.modules, m.module_components)
+    h_mod = sheafmaps.PresheafMorphism(target.modules, push.modules, m.module_components)
     module_findings = list(sheaf.validate_presheaf_morphism(h_mod, interner).findings)
     for v in range(len(target.space.opens)):
         inputs = (m.module_components[v], m.algebra_components[v],
@@ -230,9 +229,9 @@ def verify_pullback_forced(f: ContinuousMap, components) -> Report:
     """
     require_topology(f.domain)
     require_topology(f.codomain)
-    h = sheaf.PresheafMorphism(sheaf.function_presheaf(f.codomain),
-                         sheaf.pushforward(f, sheaf.function_presheaf(f.domain)),
-                         tuple(components))
+    h = sheafmaps.PresheafMorphism(
+        sheaf.function_presheaf(f.codomain),
+        sheaf.pushforward(f, sheaf.function_presheaf(f.domain)), tuple(components))
     findings = []
     if not (f.domain.is_discrete and f.codomain.is_discrete):
         findings.append(Finding("warning", "spaces",
@@ -252,7 +251,7 @@ def verify_pullback_forced(f: ContinuousMap, components) -> Report:
 
 
 def enumerate_presheaf_morphisms(f: ContinuousMap, functions_x: sheaf.Presheaf,
-                                 functions_y: sheaf.Presheaf) -> list[sheaf.PresheafMorphism]:
+                                 functions_y: sheaf.Presheaf) -> list[sheafmaps.PresheafMorphism]:
     """All unit-preserving multiplicative presheaf morphisms from the full
     functional sheaf on the codomain into the sheaf.pushforward of the one on the
     domain: precomposition with each point map g with g(x) in U_{f(x)},
@@ -263,7 +262,7 @@ def enumerate_presheaf_morphisms(f: ContinuousMap, functions_x: sheaf.Presheaf,
     y = f.codomain
     target = sheaf.pushforward(f, functions_x)
     choices = [sorted(y.opens[minimal_open(y, f.values[x])]) for x in f.domain.points]
-    return [sheaf.PresheafMorphism(functions_y, target, _point_map_components(f, g))
+    return [sheafmaps.PresheafMorphism(functions_y, target, _point_map_components(f, g))
             for g in product(*choices)]
 
 
@@ -313,3 +312,23 @@ def fullness_check(x_space: FiniteSpace, y_space: FiniteSpace,
                             f"{total} morphisms over {len(per_map)} continuous maps",
                             total))
     return FullnessResult(total, tuple(per_map), Report("fullness_check", tuple(findings)))
+
+
+def checked_morphism(m):
+    return check_morphism(m), {"morphism": compound_dump.morphism_to_json(m)}
+
+
+def recover_map_command(args, m):
+    f = m.map
+    if not (args.exploratory or f.domain.is_discrete and f.codomain.is_discrete):
+        raise UsageError("lives over non-discrete spaces; rerun with "
+                         "--exploratory to inspect it anyway")
+    return (verify_pullback_forced(f, m.algebra_components),
+            {"map": compound_dump.map_to_json(f)})
+
+
+def fullness_command(args, x, y):
+    res = fullness_check(x, y, bound=args.bound)
+    per_map = {",".join(str(v) for v in values): count
+               for values, count in res.per_map}
+    return res.report, {"total": res.total, "per_map": per_map}

@@ -12,3 +12,7 @@ class DimensionMismatchError(TriadicaError):
 class InvariantError(TriadicaError):
     """An internal consistency check failed: a bug, or input that slipped
     past the validators."""
+
+
+class UsageError(TriadicaError):
+    """Ill-formed request: wrong target shape or an unknown name."""

@@ -177,7 +177,7 @@ def rref(vectors: Iterable[Sequence[Fraction]], width: int) -> tuple[list[Vector
         for r in range(len(work)):
             if r != row and work[r][col] != 0:
                 factor = work[r][col]
-                work[r] = [x - factor * y for x, y in zip(work[r], work[row])]
+                work[r] = [x - factor * y if y else x for x, y in zip(work[r], work[row])]
         pivots.append(col)
         row += 1
         if row == len(work):

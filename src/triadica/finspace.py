@@ -7,16 +7,15 @@ neighbourhood, which is what replaces germ limits downstream.
 
 A space maps each open to its first index (`index`) and lists its inclusion
 pairs (`inclusion_pairs`) and the cover pairs among them (`cover_pairs`, the
-edges of the Hasse diagram), and a continuous map keeps the domain index of
-each codomain open's preimage (`preimages`), as its continuity check finds
-them.  All are built once, at construction, and are not fields: equality,
-hashing and repr read only the fields.
+edges of the Hasse diagram), and a continuous map (`maps`) keeps the domain
+index of each codomain open's preimage (`preimages`), as its continuity
+check finds them.  All are built once, at construction, and are not fields:
+equality, hashing and repr read only the fields.
 """
 
 from __future__ import annotations
 
-from itertools import product
-
+from . import maps
 from .errors import DimensionMismatchError
 from .record import record
 from .report import Finding, Report, ValidationError
@@ -134,59 +133,8 @@ def minimal_open_superset(space: FiniteSpace, subset) -> int:
     return space.open_index(acc)
 
 
-def _preimage_indices(values, domain: FiniteSpace, codomain: FiniteSpace) -> tuple:
-    """Per codomain open, the domain index of its preimage, or None if not open."""
-    return tuple(domain.index.get(frozenset(x for x in domain.points if values[x] in v))
-                 for v in codomain.opens)
-
-
-def continuity_witness(values, domain: FiniteSpace, codomain: FiniteSpace) -> int | None:
-    """Index of a codomain open whose preimage is not open, or None."""
-    preimages = _preimage_indices(values, domain, codomain)
-    return preimages.index(None) if None in preimages else None
-
-
 def is_continuous(values, domain: FiniteSpace, codomain: FiniteSpace) -> bool:
-    return continuity_witness(values, domain, codomain) is None
-
-
-@record
-class ContinuousMap:
-    domain: FiniteSpace
-    codomain: FiniteSpace
-    values: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.values) != self.domain.point_count:
-            raise DimensionMismatchError("map must assign a value to every point")
-        for x, y in enumerate(self.values):
-            if y < 0 or y >= self.codomain.point_count:
-                raise DimensionMismatchError(f"f({x}) = {y} is outside the codomain")
-        preimages = _preimage_indices(self.values, self.domain, self.codomain)
-        if None in preimages:
-            witness = preimages.index(None)
-            raise ValueError(
-                f"not continuous: preimage of open {sorted(self.codomain.opens[witness])} "
-                f"(index {witness}) is not open")
-        object.__setattr__(self, "preimages", preimages)
-
-    def __call__(self, x: int) -> int:
-        return self.values[x]
-
-
-def identity_map(space: FiniteSpace) -> ContinuousMap:
-    return ContinuousMap(space, space, tuple(space.points))
-
-
-def compose_maps(g: ContinuousMap, f: ContinuousMap) -> ContinuousMap:
-    """g after f."""
-    if f.codomain is not g.domain and f.codomain != g.domain:
-        raise DimensionMismatchError("maps are not composable")
-    return ContinuousMap(f.domain, g.codomain, tuple(g.values[y] for y in f.values))
-
-
-def constant_map(domain: FiniteSpace, codomain: FiniteSpace, c: int) -> ContinuousMap:
-    return ContinuousMap(domain, codomain, (c,) * domain.point_count)
+    return maps.continuity_witness(values, domain, codomain) is None
 
 
 def space_from_opens(point_count: int, opens) -> FiniteSpace:
@@ -208,8 +156,3 @@ def indiscrete_space(n: int) -> FiniteSpace:
 def sierpinski_space() -> FiniteSpace:
     """Two points where {0} is open but {1} is not."""
     return FiniteSpace(2, (frozenset(), frozenset({0}), frozenset({0, 1})))
-
-
-def all_maps(domain: FiniteSpace, codomain: FiniteSpace):
-    """All set maps domain -> codomain, in lexicographic order of value tuples."""
-    return product(range(codomain.point_count), repeat=domain.point_count)

@@ -5,16 +5,22 @@ compatible stalk families and the family of each section (see `sheaf`).  The
 sheafification p+ has those families as its sections over U, restriction
 by truncating a family to the points of a smaller open, and the bilinear
 operation of the layer applied stalk by stalk; the canonical map p -> p+
-sends a section to its family.  `sheaf.sheafify` and `sheaf.sheafify_module`
-validate their input and run this layer, which loads on first use, so the
-commands that never sheafify do not compile it.
+sends a section to its family.  `sheafify`, whose entry point is in
+`sheaf`, and `sheaf.sheafify_module` validate their input and run this
+layer, which loads on first use, so the commands that never sheafify do not
+compile it.
 """
 
 from __future__ import annotations
 
+from . import compound_dump, sheaf, workspace
+from .algebra import Algebra
 from .exactla import Matrix
+from .finspace import require_topology
 from .record import record
-from .sheaf import FamilyLayout, Presheaf, PresheafMorphism
+from .report import Finding, Report
+from .sheaf import FamilyLayout, InvalidPresheafError, Presheaf
+from .sheafmaps import PresheafMorphism
 
 
 @record
@@ -70,3 +76,35 @@ def sheafify_layer(p: Presheaf, operate, section,
         cols = [layout.coordinates(f) for f in layout.families]
         components.append(Matrix.from_columns(cols, rows=len(layout.basis)))
     return Sheafification(plus, PresheafMorphism(p, plus, tuple(components)))
+
+
+def sheafify(p: Presheaf) -> Sheafification:
+    """Compatible-stalk-family sheafification of an algebra presheaf.
+
+    Raises InvalidTopologyError on a non-topology and InvalidPresheafError
+    on a presheaf that fails validation, before any family is built.
+    """
+    require_topology(p.space)
+    InvalidPresheafError.require(sheaf.validate_algebra_presheaf(p))
+
+    def algebra(u, layout, struct):
+        unit_family = tuple(x for s in layout.stalk_opens
+                            for x in p.sections[s].unit)
+        unit = layout.coordinates(unit_family) if layout.basis else ()
+        return Algebra(len(layout.basis), struct, unit)
+
+    return sheafify_layer(p, lambda s, x, y: p.sections[s].multiply(x, y),
+                          algebra)
+
+
+def sheafify_command(args, p):
+    findings = sheaf.sheaf_status([("input", p)])
+    res = sheaf.sheafify(p)
+    after = sheaf.check_sheaf_condition(res.presheaf)
+    findings.append(Finding("info" if after.is_sheaf else "error", "result",
+                            "sheaf condition holds" if after.is_sheaf else
+                            "sheafification did not produce a sheaf", None))
+    derived = {"sheaf": compound_dump.presheaf_to_json(res.presheaf),
+               "canonical_components": [workspace.matrix_to_json(c)
+                                        for c in res.canonical.components]}
+    return Report("sheafify", tuple(findings)), derived

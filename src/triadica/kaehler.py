@@ -32,14 +32,14 @@ module of one algebra runs neither.
 
 from __future__ import annotations
 
-from . import gluing, sheaf, triad
+from . import compound_dump, gluing, sheaf, triad, workspace
 from .algebra import (Algebra, ModuleSections, require_valid_algebra,
                       standard_monomials)
 from .errors import DimensionMismatchError, TriadicaError
 from .exactla import (ONE, ZERO, Matrix, Subspace, Vector, full_space, kernel,
                       rref, solve, unit_vector, vec)
 from .record import record
-from .report import ValidationError
+from .report import Finding, Report, ValidationError
 
 
 class NotADerivation(ValidationError):
@@ -162,35 +162,45 @@ def factor_derivation(k: KaehlerModule, target: ModuleSections,
     NotADerivation.require(triad.check_leibniz(a, target, derivation))
     om, tm = k.module.dim, target.dim
     unknowns = tm * om  # phi[r][c] at index r*om + c
-    rows, rhs = [], []
-    for i in range(a.dim):
-        dcol = k.differential.col(i)
-        for r in range(tm):
-            row = [ZERO] * unknowns
-            for c in range(om):
-                row[r * om + c] = dcol[c]
-            rows.append(row)
-            rhs.append(derivation.entries[r][i])
-    for i in range(a.dim):
-        act_omega = k.module.act_matrix(unit_vector(a.dim, i))
-        act_target = target.act_matrix(unit_vector(a.dim, i))
-        for j in range(om):
-            acted = act_omega.col(j)
+    basis = [unit_vector(a.dim, i) for i in range(a.dim)]
+    gens = a.generating_basis
+    # on the generators first: a unique solution there (Omega is generated by
+    # dA) that passes on every basis vector solves the whole system
+    for among in ([] if gens is None else [gens]) + [range(a.dim)]:
+        rows, rhs = [], []
+        for i in among:
+            dcol = k.differential.col(i)
             for r in range(tm):
                 row = [ZERO] * unknowns
                 for c in range(om):
-                    row[r * om + c] += acted[c]
-                for s in range(tm):
-                    row[s * om + j] -= act_target.entries[r][s]
+                    row[r * om + c] = dcol[c]
                 rows.append(row)
-                rhs.append(ZERO)
-    system = Matrix.from_rows(rows, cols=unknowns) if rows else Matrix.zeros(0, unknowns)
-    result = solve(system, tuple(rhs))
-    if not result.consistent:
-        raise FactorizationFailed("no module map factors the derivation")
-    entries = tuple(tuple(result.solution[r * om + c] for c in range(om))
-                    for r in range(tm))
-    return Factorization(Matrix(tm, om, entries), result.unique)
+                rhs.append(derivation.entries[r][i])
+        for i in among:
+            act_omega = k.module.act_matrix(basis[i])
+            act_target = target.act_matrix(basis[i])
+            for j in range(om):
+                acted = act_omega.col(j)
+                for r in range(tm):
+                    row = [ZERO] * unknowns
+                    for c in range(om):
+                        row[r * om + c] += acted[c]
+                    for s in range(tm):
+                        row[s * om + j] -= act_target.entries[r][s]
+                    rows.append(row)
+                    rhs.append(ZERO)
+        system = Matrix.from_rows(rows, cols=unknowns) if rows else Matrix.zeros(0, unknowns)
+        result = solve(system, tuple(rhs))
+        if among is gens and not (result.consistent and result.unique):
+            continue
+        if not result.consistent:
+            raise FactorizationFailed("no module map factors the derivation")
+        entries = tuple(tuple(result.solution[r * om + c] for c in range(om))
+                        for r in range(tm))
+        phi = Matrix(tm, om, entries)
+        if among is not gens or phi @ k.differential == derivation and all(
+                phi @ k.module.act_matrix(e) == target.act_matrix(e) @ phi for e in basis):
+            return Factorization(phi, result.unique)
 
 
 def derivation_space(a: Algebra, target: ModuleSections) -> list[Matrix]:
@@ -271,3 +281,28 @@ def kaehler_presheaf(base: sheaf.Presheaf) -> KaehlerPresheafResult:
                                           tuple(d_plus))
     return KaehlerPresheafResult(presheaf_triad, sheaf_triad, per_open,
                                  base_plus, module_plus)
+
+
+def kaehler_module_command(args, a):
+    k = kaehler_module(a)
+    # a has a unit, so multiplication a (x) a -> a is onto
+    findings = (
+        Finding("info", "ideal",
+                f"multiplication kernel has dimension {a.dim * a.dim - a.dim}",
+                None),
+        Finding("info", "module",
+                f"module of differentials has dimension {k.module.dim}",
+                None))
+    derived = {"module": workspace.module_sections_to_json(k.module),
+               "differential": workspace.matrix_to_json(k.differential)}
+    return Report("kaehler_module", findings), derived
+
+
+def kaehler_presheaf_command(args, p):
+    res = kaehler_presheaf(p)
+    rep = triad.validate_triad(res.presheaf_triad)
+    dims = [Finding("info", f"open {u}", f"module dimension {m.dim}", None)
+            for u, m in enumerate(res.presheaf_triad.modules.sections)]
+    derived = {"presheaf_triad": compound_dump.triad_to_json(res.presheaf_triad),
+               "sheaf_triad": compound_dump.triad_to_json(res.sheaf_triad)}
+    return Report(rep.operation, rep.findings + tuple(dims)), derived

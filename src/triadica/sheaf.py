@@ -25,7 +25,7 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import combinations
 
-from . import gluing
+from . import gluing, maps, sheafmaps
 from .algebra import (Algebra, AlgebraMorphism, ModuleSections, action_findings,
                       basis_pairs, function_algebra, generators_first,
                       morphism_findings, validate_algebra,
@@ -34,7 +34,7 @@ from .algebra import (Algebra, AlgebraMorphism, ModuleSections, action_findings,
 from .errors import DimensionMismatchError, InvariantError
 from .exactla import (ONE, ZERO, Matrix, Subspace, Vector, full_space, kernel,
                       span, unit_vector)
-from .finspace import ContinuousMap, FiniteSpace, minimal_open, require_topology
+from .finspace import FiniteSpace, minimal_open, require_topology
 from .record import Interner, record
 from .report import Finding, Report, ValidationError, relocated
 
@@ -214,14 +214,14 @@ def _restriction_errors(p: Presheaf, u: int, v: int, interner: Interner) -> list
     once per `interner`.  Locations are relative to the pair."""
     r, source, target = p.restriction(u, v), p.sections[u], p.sections[v]
     if p.base is None:
-        return relocated(": ", _algebra_map_errors(source, target, r, interner))
+        return relocated(": ", algebra_map_errors(source, target, r, interner))
     base_r = p.base.restriction(u, v)
     return interner.once(("module map", *interner.ids((source, target, r, base_r))), lambda: [
         Finding("error", "", "restriction does not respect the action", [i, j])
         for i, j, _, _ in semilinearity_defects(r, base_r, source, target)])
 
 
-def _algebra_map_errors(source: Algebra, target: Algebra, m: Matrix,
+def algebra_map_errors(source: Algebra, target: Algebra, m: Matrix,
                         interner: Interner) -> list[Finding]:
     """validate_algebra_morphism's errors, found once per distinct
     (source, target, m) in `interner`; when both algebras passed their
@@ -318,39 +318,8 @@ def stalk(p: Presheaf, x: int) -> Stalk:
     return Stalk(x, ux, p.sections[ux], germs)
 
 
-@record
-class PresheafMorphism:
-    """Componentwise linear map between presheaves over the same space."""
-
-    source: Presheaf
-    target: Presheaf
-    components: tuple[Matrix, ...]
-
-    def __post_init__(self):
-        space = self.source.space
-        if len(self.components) != len(space.opens):
-            raise DimensionMismatchError("one component per open required")
-        for u, c in enumerate(self.components):
-            if c.cols != self.source.section_dim(u) or c.rows != self.target.section_dim(u):
-                raise DimensionMismatchError(f"component over open {u} has shape "
-                                             f"{c.rows}x{c.cols}")
-
-
-def validate_presheaf_morphism(h: PresheafMorphism,
-                               interner: Interner | None = None) -> Report:
-    """Restriction squares; between algebra layers also unit and product
-    preservation per open, each distinct check once per `interner`."""
-    interner = interner or Interner()
-    findings = [Finding("error", f"square {u}->{v}",
-                        "component does not commute with restriction", [u, v])
-                for u, v in restriction_square_failures(
-                    h.components, h.source, h.target, h.source.space.inclusion_pairs,
-                    interner)]
-    if h.source.base is None and h.target.base is None:
-        for u, c in enumerate(h.components):
-            findings += relocated(f"open {u}: ", _algebra_map_errors(
-                h.source.sections[u], h.target.sections[u], c, interner))
-    return Report("validate_presheaf_morphism", tuple(findings))
+def validate_presheaf_morphism(h, interner: Interner | None = None) -> Report:
+    return sheafmaps.validate_presheaf_morphism(h, interner)
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +404,25 @@ def check_sheaf_condition(p: Presheaf) -> SheafCertificate:
     return SheafCertificate(p, not witnesses, tuple(witnesses))
 
 
+def sheaf_status(layers) -> list[Finding]:
+    out = []
+    for label, layer in layers:
+        cert = check_sheaf_condition(layer)
+        if cert.is_sheaf:
+            out.append(Finding("info", label, "sheaf condition holds", None))
+        else:
+            out.append(Finding(
+                "info", label,
+                f"sheaf condition fails ({len(cert.witnesses)} witnesses)",
+                None))
+    return out
+
+
+def validate_presheaf_command(args, p):
+    rep = validate_algebra_presheaf(p)
+    return Report(rep.operation, rep.findings + tuple(sheaf_status([("sections", p)]))), {}
+
+
 # ---------------------------------------------------------------------------
 # sheafification
 
@@ -504,22 +492,7 @@ def _family_layout(p: Presheaf, u: int) -> FamilyLayout:
 
 
 def sheafify(p: Presheaf) -> gluing.Sheafification:
-    """Compatible-stalk-family sheafification of an algebra presheaf.
-
-    Raises InvalidTopologyError on a non-topology and InvalidPresheafError
-    on a presheaf that fails validation, before any family is built.
-    """
-    require_topology(p.space)
-    InvalidPresheafError.require(validate_algebra_presheaf(p))
-
-    def algebra(u, layout, struct):
-        unit_family = tuple(x for s in layout.stalk_opens
-                            for x in p.sections[s].unit)
-        unit = layout.coordinates(unit_family) if layout.basis else ()
-        return Algebra(len(layout.basis), struct, unit)
-
-    return gluing.sheafify_layer(p, lambda s, x, y: p.sections[s].multiply(x, y),
-                                 algebra)
+    return gluing.sheafify(p)
 
 
 def sheafify_module(m: Presheaf,
@@ -536,24 +509,14 @@ def sheafify_module(m: Presheaf,
 # pushforward
 
 
-def _pushforward(f: ContinuousMap, p: Presheaf, base_image: Presheaf | None) -> Presheaf:
-    """Sections and restrictions of p read at the preimages of f's opens."""
-    if p.space != f.domain:
-        raise DimensionMismatchError("presheaf does not live on the map's domain")
-    pre = f.preimages
-    table = {(u, v): p.restriction(pre[u], pre[v])
-             for u, v in f.codomain.inclusion_pairs}
-    return Presheaf(f.codomain, tuple(p.sections[w] for w in pre), table, base_image)
-
-
-def pushforward(f: ContinuousMap, p: Presheaf) -> Presheaf:
+def pushforward(f: maps.ContinuousMap, p: Presheaf) -> Presheaf:
     """Direct image: sections over V are the sections over the preimage.  A
     module layer lands over the direct image of its base."""
-    return _pushforward(f, p, None if p.base is None else pushforward(f, p.base))
+    return sheafmaps.direct_image(f, p, None if p.base is None else pushforward(f, p.base))
 
 
-def pushforward_module(f: ContinuousMap, m: Presheaf,
+def pushforward_module(f: maps.ContinuousMap, m: Presheaf,
                        base_image: Presheaf) -> Presheaf:
     """Direct image of a module layer over `base_image`, the direct image of
     its base."""
-    return _pushforward(f, m, base_image)
+    return sheafmaps.direct_image(f, m, base_image)

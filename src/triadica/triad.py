@@ -10,11 +10,12 @@ from __future__ import annotations
 from .algebra import Algebra, ModuleSections, basis_pairs, generators_first
 from .errors import DimensionMismatchError, TriadicaError
 from .exactla import Matrix, kernel, span, unit_vector
-from .finspace import ContinuousMap, FiniteSpace
+from . import compound_dump, maps
+from .finspace import FiniteSpace
 from .record import Interner, record
 from .report import Finding, Report, merge_reports, relocated
 from .sheaf import (Presheaf, constant_presheaf, function_presheaf, pushforward,
-                    pushforward_module, restriction_square_failures,
+                    pushforward_module, restriction_square_failures, sheaf_status,
                     validate_algebra_presheaf, validate_module_presheaf,
                     zero_module_presheaf)
 
@@ -111,6 +112,12 @@ def validate_triad(t: DifferentialTriad) -> Report:
     return merge_reports("validate_triad", parts)
 
 
+def validate_triad_command(args, t):
+    layers = [("algebra layer", t.algebras), ("module layer", t.modules)]
+    rep = validate_triad(t)
+    return Report(rep.operation, rep.findings + tuple(sheaf_status(layers))), {}
+
+
 def _proper_pairs(space: FiniteSpace) -> list[tuple[int, int]]:
     return [(u, v) for u, v in space.inclusion_pairs if u != v]
 
@@ -143,12 +150,17 @@ def require_functional(t: DifferentialTriad) -> None:
                 f"inclusion {u}->{v}: restriction is not coordinate selection")
 
 
-def pushforward_triad(f: ContinuousMap, t: DifferentialTriad) -> DifferentialTriad:
+def pushforward_triad(f: maps.ContinuousMap, t: DifferentialTriad) -> DifferentialTriad:
     """Direct image triad along a continuous map."""
     algebras = pushforward(f, t.algebras)
     modules = pushforward_module(f, t.modules, base_image=algebras)
     diffs = tuple(t.differentials[w] for w in f.preimages)
     return DifferentialTriad(algebras, modules, diffs)
+
+
+def pushforward_command(args, f, t):
+    out = pushforward_triad(f, t)
+    return validate_triad(out), {"triad": compound_dump.triad_to_json(out)}
 
 
 def constants_only_kernel(t: DifferentialTriad) -> bool:

@@ -110,3 +110,21 @@ def algebra_component_uniqueness(m1: TriadMorphism,
                     "error", f"open {v}, basis {j}",
                     "algebra components differ by a nonzero constant", witness))
     return Report("algebra_component_uniqueness", tuple(findings))
+
+
+def uniqueness_command(args, m1, m2):
+    same_algebra = m1.algebra_components == m2.algebra_components
+    same_module = m1.module_components == m2.module_components
+    if same_algebra and not same_module:
+        return differential_agreement_on_image(m1, m2), {}
+    if same_module and not same_algebra:
+        return algebra_component_uniqueness(m1, m2), {}
+    if same_algebra and same_module:
+        findings = (Finding("info", "components",
+                            "the morphisms coincide in both layers", None),)
+        return Report("uniqueness", findings), {}
+    findings = (Finding(
+        "error", "components",
+        "the morphisms differ in both layers; no uniqueness "
+        "hypothesis applies", None),)
+    return Report("uniqueness", findings), {}

@@ -34,8 +34,8 @@ aliases that comes back to its start is refused as a reference cycle.
 
 This layer parses spaces, algebras and the fragments the rest are made of.
 The parsers and serializers of presheaves, maps, triads and morphisms are
-the `compound` layer's, which loads on first use, so a document without
-those sections never runs it.
+the `compound` layers', which load on first use, so a document without
+those sections never runs them.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from __future__ import annotations
 import json
 import re
 
-from . import algebra, compound, exactla, finspace
+from . import algebra, compound, compound_triad, exactla, finspace
 from .errors import TriadicaError
 
 SCHEMA_VERSION = 1
@@ -260,14 +260,14 @@ def resolve(name: str, doc: WorkspaceDocument, section: str, location: str):
 
 
 # each takes (value, doc, location, literals); the parsers of the compound
-# sections run `compound` only for a document that holds such a section
+# sections run their layer only for a document that holds such a section
 _PARSERS = {
     "spaces": lambda value, doc, loc, literals: space_from_json(value, loc),
     "algebras": lambda value, doc, loc, literals: algebra_from_json(value, literals, loc),
     "presheaves": lambda *args: compound.presheaf_from_json(*args),
-    "maps": lambda value, doc, loc, literals: compound.map_from_json(value, doc, loc),
-    "triads": lambda *args: compound.triad_from_json(*args),
-    "morphisms": lambda *args: compound.morphism_from_json(*args),
+    "maps": lambda value, doc, loc, literals: compound_triad.map_from_json(value, doc, loc),
+    "triads": lambda *args: compound_triad.triad_from_json(*args),
+    "morphisms": lambda *args: compound_triad.morphism_from_json(*args),
 }
 
 

@@ -1,6 +1,6 @@
 """Lines each benchmark job compiles, and the lines it compiles but never calls.
 
-    python tests/compile_census.py --seed 4242 check build search
+    python tests/compile_census.py --seed 4242 [--functions N] check build search
 
 For each job of a workload ladder, built read-only from bench/ladder.py,
 the census runs the job through `triadica.cli.main` in a fresh interpreter
@@ -10,6 +10,13 @@ no call event of `sys.setprofile` reached.  Each workload's start-up probe
 is counted apart from its jobs, and each workload ends with a total line
 whose `by_layer` splits both counts by layer, so a change that moves code
 between layers shows where its compile cost lands.
+
+With `--functions N` the probe line and each workload's total line also
+list the N functions with the most never-called line-jobs, each marked
+`pinned` when `bench/tracing.py` patches it by name (its `LAYERS`, loaded
+read-only from the file), and the total line gives `cold_everywhere`: the
+lines, and the count, of the functions no job of the workload called
+although their layer ran.
 
 A layer that is registered but has not run is a `LazyLoader` module, and
 reading any attribute of it runs it; so the census reads only the type of
@@ -22,12 +29,14 @@ from __future__ import annotations
 
 import argparse
 import ast
+import importlib.util
 import json
 import os
 import pathlib
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -54,68 +63,114 @@ print(json.dumps([ran, sorted(called)]))
 """
 
 
-def definitions(path: str) -> list[tuple[int, int]]:
-    """(first line, line count) of each top-level function and method; a
-    decorated one starts at its first decorator, as its code object does."""
+def definitions(path: str) -> list[tuple[str, int, int]]:
+    """(qualified name, first line, line count) of each top-level function
+    and method; a decorated one starts at its first decorator, as its code
+    object does."""
     out = []
     for node in ast.parse(pathlib.Path(path).read_text()).body:
         members = node.body if isinstance(node, ast.ClassDef) else [node]
         for f in members:
             if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 first = min([f.lineno] + [d.lineno for d in f.decorator_list])
-                out.append((first, f.end_lineno - first + 1))
+                name = f.name if f is node else f"{node.name}.{f.name}"
+                out.append((name, first, f.end_lineno - first + 1))
     return out
 
 
-def census(argv: list[str]) -> dict[str, list[int]]:
+def census(argv: list[str]) -> tuple[dict[str, list[int]], dict[str, tuple[bool, int]]]:
     """[lines compiled, lines in functions never called] per layer that ran,
-    for one job."""
+    for one job; and for each function of those layers, as `layer.name`,
+    whether it was called and its line count."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
     done = subprocess.run([sys.executable, "-c", CHILD, json.dumps(argv)], env=env,
                           capture_output=True, text=True, timeout=300, check=True)
     ran, called = json.loads(done.stdout)
     called = {tuple(c) for c in called}
-    return {pathlib.Path(path).stem: [
-        len(pathlib.Path(path).read_text().splitlines()),
-        sum(n for first, n in definitions(path) if (path, first) not in called)]
-        for path in ran}
+    layers, functions = {}, {}
+    for path in ran:
+        stem = pathlib.Path(path).stem
+        cold = 0
+        for name, first, n in definitions(path):
+            hit = (path, first) in called
+            functions[f"{stem}.{name}"] = (hit, n)
+            cold += 0 if hit else n
+        layers[stem] = [len(pathlib.Path(path).read_text().splitlines()), cold]
+    return layers, functions
 
 
-def line(workload: str, job: str, layers: dict[str, list[int]]) -> str:
+def pinned_names() -> set[str]:
+    """`layer.name` for each function `bench/tracing.py` patches by name."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracing", ROOT / "bench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return {f"{m}.{f}" for m, names in module.LAYERS.items() for f in names}
+
+
+def largest(cold: Counter, n: int, pinned: set[str]) -> list[dict]:
+    """The `n` functions with the most never-called line-jobs in `cold`."""
+    return [{"function": name, "line_jobs": jobs, "pinned": name in pinned}
+            for name, jobs in sorted(cold.items(), key=lambda c: (-c[1], c[0]))[:n]]
+
+
+def line(workload: str, job: str, layers: dict[str, list[int]], **extra) -> str:
     return json.dumps({"workload": workload, "job": job,
                        "compiled": sum(c for c, _ in layers.values()),
-                       "never_called": sum(u for _, u in layers.values())})
+                       "never_called": sum(u for _, u in layers.values()), **extra})
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.partition("\n\n")[0])
     parser.add_argument("--seed", type=int, default=4242)
+    parser.add_argument("--functions", type=int, default=0, metavar="N",
+                        help="list the N largest never-called functions")
     parser.add_argument("workloads", nargs="+", help="check, build or search")
     args = parser.parse_args(argv)
     sys.dont_write_bytecode = True  # the ladder is read, not cached
     sys.path.insert(0, str(ROOT / "bench"))
     import ladder
 
+    pinned = pinned_names() if args.functions else set()
     with tempfile.TemporaryDirectory(prefix="triadica-census-") as directory:
         for workload in args.workloads:
             built = ladder.build_ladder(workload, args.seed)
             built.write(directory)
-            print(line(workload, "start-up probe", census(built.probe.argv(directory))),
-                  flush=True)
+            layers, functions = census(built.probe.argv(directory))
+            extra = {}
+            if args.functions:
+                extra["largest_never_called"] = largest(Counter(
+                    {f: n for f, (hit, n) in functions.items() if not hit}),
+                    args.functions, pinned)
+            print(line(workload, "start-up probe", layers, **extra), flush=True)
             by_layer: dict[str, list[int]] = {}
+            cold: Counter = Counter()
+            hits: dict[str, bool] = {}
+            lines: dict[str, int] = {}
             for job in built.jobs:
-                layers = census(job.argv(directory))
+                layers, functions = census(job.argv(directory))
                 for name, (compiled, unrun) in layers.items():
                     total = by_layer.setdefault(name, [0, 0])
                     total[0] += compiled
                     total[1] += unrun
+                for f, (hit, n) in functions.items():
+                    hits[f] = hits.get(f, False) or hit
+                    cold[f] += 0 if hit else n
+                    lines[f] = n
                 print(line(workload, job.name, layers), flush=True)
+            extra = {}
+            if args.functions:
+                never = [f for f, hit in hits.items() if not hit]
+                extra = {"largest_never_called": largest(cold, args.functions, pinned),
+                         "cold_everywhere": {"lines": sum(lines[f] for f in never),
+                                             "functions": len(never)}}
             print(json.dumps({
                 "workload": workload, "jobs": len(built.jobs),
                 "compiled": sum(c for c, _ in by_layer.values()),
                 "never_called": sum(u for _, u in by_layer.values()),
                 "by_layer": {name: {"compiled": c, "never_called": u}
-                             for name, (c, u) in sorted(by_layer.items())}}), flush=True)
+                             for name, (c, u) in sorted(by_layer.items())},
+                **extra}), flush=True)
     return 0
 
 

@@ -14,9 +14,10 @@ report the same findings in the same order.
 """
 
 from triadica.algebra import enumerate_unital_morphisms
-from triadica.finspace import ContinuousMap
+from triadica.maps import ContinuousMap
 from triadica.report import Finding
-from triadica.sheaf import PresheafMorphism, function_presheaf, pushforward
+from triadica.sheaf import function_presheaf, pushforward
+from triadica.sheafmaps import PresheafMorphism
 
 
 def presheaf_morphisms_by_search(f: ContinuousMap) -> list[PresheafMorphism]:

@@ -16,7 +16,9 @@ The library's basis depends on the generators, so a module agrees with
 these by the unique isomorphism that `factor_derivation` gives both ways
 (`kaehler_isomorphism`).  `committed_kaehler_module` and
 `committed_kaehler_triad` carry the library's modules across it onto the
-I / I^2 basis.  `random_derivations` draws seeded sample derivations for
+I / I^2 basis.  `factor_derivation_on_every_basis_vector` is the system
+that `factor_derivation` solves first on the algebra's generators, written
+out on every basis vector.  `random_derivations` draws seeded sample derivations for
 the tests, and `restrict_scalars` turns a module over B into one over A
 along an algebra map A -> B, the target through which `factor_derivation`
 solves for the maps that `kaehler_presheaf` reads off in closed form.
@@ -29,9 +31,10 @@ from fractions import Fraction
 from triadica.algebra import Algebra, ModuleSections, tensor_product
 from triadica.errors import DimensionMismatchError
 from triadica.exactla import (ONE, ZERO, Matrix, Quotient, Subspace, kernel,
-                              product_subspace, quotient_space, span,
+                              product_subspace, quotient_space, solve, span,
                               unit_vector)
-from triadica.kaehler import (KaehlerModule, KaehlerPresheafResult,
+from triadica.kaehler import (Factorization, FactorizationFailed,
+                              KaehlerModule, KaehlerPresheafResult,
                               derivation_space, factor_derivation,
                               kaehler_module)
 from triadica.sheaf import make_presheaf
@@ -179,6 +182,46 @@ def kaehler_isomorphism(k, other) -> tuple[Matrix, Matrix]:
     assert there.matrix @ back.matrix == Matrix.identity(other.module.dim)
     assert back.matrix @ there.matrix == Matrix.identity(k.module.dim)
     return there.matrix, back.matrix
+
+
+def factor_derivation_on_every_basis_vector(k, target: ModuleSections,
+                                          derivation: Matrix) -> Factorization:
+    """The module map phi with phi . d = derivation, from one system over
+    every basis vector e_i of the algebra: phi . d(e_i) = derivation(e_i)
+    and phi(e_i . w) = e_i . phi(w) for each basis vector w of the module.
+    Raises FactorizationFailed when the system has no solution."""
+    a = k.algebra
+    om, tm = k.module.dim, target.dim
+    unknowns = tm * om  # phi[r][c] at index r*om + c
+    rows, rhs = [], []
+    for i in range(a.dim):
+        dcol = k.differential.col(i)
+        for r in range(tm):
+            row = [ZERO] * unknowns
+            for c in range(om):
+                row[r * om + c] = dcol[c]
+            rows.append(row)
+            rhs.append(derivation.entries[r][i])
+    for i in range(a.dim):
+        act_omega = k.module.act_matrix(unit_vector(a.dim, i))
+        act_target = target.act_matrix(unit_vector(a.dim, i))
+        for j in range(om):
+            acted = act_omega.col(j)
+            for r in range(tm):
+                row = [ZERO] * unknowns
+                for c in range(om):
+                    row[r * om + c] += acted[c]
+                for s in range(tm):
+                    row[s * om + j] -= act_target.entries[r][s]
+                rows.append(row)
+                rhs.append(ZERO)
+    system = Matrix.from_rows(rows, cols=unknowns) if rows else Matrix.zeros(0, unknowns)
+    result = solve(system, tuple(rhs))
+    if not result.consistent:
+        raise FactorizationFailed("no module map factors the derivation")
+    entries = tuple(tuple(result.solution[r * om + c] for c in range(om))
+                    for r in range(tm))
+    return Factorization(Matrix(tm, om, entries), result.unique)
 
 
 def committed_kaehler_module(a: Algebra) -> IdealSquareModule:

@@ -15,13 +15,13 @@ import pathlib
 from kaehler_oracle import committed_kaehler_module, committed_kaehler_triad
 from triadica.algebra import (Algebra, ModuleSections, function_algebra,
                               truncated_poly_algebra, zero_module_sections)
-from triadica.compound import (map_to_json, morphism_to_json, presheaf_to_json,
-                               triad_to_json)
+from triadica.compound_dump import (map_to_json, morphism_to_json,
+                                    presheaf_to_json, triad_to_json)
 from triadica.dtcat import TriadMorphism, identity_morphism, pullback_morphism
 from triadica.exactla import Matrix, rat, vec
-from triadica.finspace import (ContinuousMap, discrete_space,
-                               sierpinski_space)
+from triadica.finspace import discrete_space, sierpinski_space
 from triadica.kaehler import kaehler_presheaf
+from triadica.maps import ContinuousMap
 from triadica.sheaf import constant_presheaf, make_presheaf
 from triadica.triad import constant_triad, function_triad
 from triadica.workspace import (algebra_to_json, dump_workspace,

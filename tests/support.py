@@ -5,8 +5,9 @@ from triadica.algebra import (Algebra, ModuleSections,
                               is_standard_function_algebra)
 from triadica.dtcat import enumerate_presheaf_morphisms
 from triadica.exactla import ZERO, Matrix, rat
-from triadica.finspace import ContinuousMap
-from triadica.sheaf import PresheafMorphism, function_presheaf
+from triadica.maps import ContinuousMap
+from triadica.sheaf import function_presheaf
+from triadica.sheafmaps import PresheafMorphism
 from triadica.triad import DifferentialTriad
 
 

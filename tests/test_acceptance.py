@@ -22,17 +22,17 @@ from support import families_over, free_module_sections, is_zero
 from triadica.algebra import (ModuleSections, algebra_from_struct,
                               function_algebra, truncated_poly_algebra)
 from triadica.cli import main
-from triadica.compound import (morphism_from_json, presheaf_from_json,
-                               triad_from_json)
+from triadica.compound import presheaf_from_json
+from triadica.compound_triad import morphism_from_json, triad_from_json
 from triadica.dtcat import (TriadMorphism, check_morphism, compose,
                             constant_morphism, fullness_check,
                             identity_morphism, pullback_morphism)
 from triadica.exactla import Matrix, vec
-from triadica.finspace import (ContinuousMap, all_maps, discrete_space,
-                               indiscrete_space, is_continuous,
+from triadica.finspace import (discrete_space, indiscrete_space, is_continuous,
                                minimal_open_superset, sierpinski_space,
                                space_from_opens)
 from triadica.kaehler import factor_derivation, kaehler_module, kaehler_presheaf
+from triadica.maps import ContinuousMap, all_maps
 from triadica.sheaf import (check_sheaf_condition, constant_presheaf,
                             function_presheaf, pushforward, sheafify, stalk)
 from triadica.triad import (check_leibniz, constant_triad,

@@ -8,14 +8,14 @@ from hypothesis import strategies as st
 
 from algebra_oracle import rational_roots_by_division
 from kaehler_oracle import multiplication_map
-from triadica.algebra import (Algebra, AlgebraMorphism, Character,
-                              InvalidAlgebraError, NotSplitError,
+from triadica.algebra import (Algebra, AlgebraMorphism, InvalidAlgebraError,
                               algebra_from_struct, characters,
                               enumerate_unital_morphisms, function_algebra,
                               is_standard_function_algebra,
                               nilradical, tensor_product,
                               truncated_poly_algebra, validate_algebra,
                               validate_algebra_morphism)
+from triadica.spectrum import Character, NotSplitError
 from triadica.exactla import Matrix, vec
 from triadica.poly import _primitive, _sign_changes, _sturm_chain, rational_roots
 

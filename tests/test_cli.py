@@ -21,13 +21,13 @@ from test_dtcat import maps_that_do_not_chain
 from test_golden import command_argv
 from triadica.algebra import truncated_poly_algebra
 from triadica.cli import COMMAND_TABLE, COMMANDS, main, parse_command_line
-from triadica.compound import (map_to_json, morphism_from_json,
-                               morphism_to_json, presheaf_to_json,
-                               triad_from_json, triad_to_json)
+from triadica.compound_dump import (map_to_json, morphism_to_json,
+                                    presheaf_to_json, triad_to_json)
+from triadica.compound_triad import morphism_from_json, triad_from_json
 from triadica.dtcat import check_morphism, compose, pullback_morphism
-from triadica.finspace import (ContinuousMap, discrete_space, sierpinski_space,
-                               space_from_opens)
+from triadica.finspace import discrete_space, sierpinski_space, space_from_opens
 from triadica.kaehler import kaehler_presheaf
+from triadica.maps import ContinuousMap
 from triadica.sheaf import constant_presheaf, function_presheaf
 from triadica.triad import function_triad, validate_triad
 from triadica.workspace import (ParseError, UnresolvedReference,
@@ -700,7 +700,8 @@ def test_invariant_checks_survive_optimized_mode():
             "    span(3, [[1, 0, 0]]).coordinates(vec([1, 0]))\n"
             "except DimensionMismatchError:\n"
             "    print('refused', sys.flags.optimize)\n"
-            "from triadica.finspace import ContinuousMap, sierpinski_space\n"
+            "from triadica.finspace import sierpinski_space\n"
+            "from triadica.maps import ContinuousMap\n"
             "try:\n"
             "    ContinuousMap(sierpinski_space(), sierpinski_space(), (1, 0))\n"
             "except ValueError:\n"

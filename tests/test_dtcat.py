@@ -17,15 +17,15 @@ from triadica.dtcat import (BoundExceeded, FullnessResult, TriadMorphism,
                             pullback_morphism, verify_pullback_forced)
 from triadica.errors import DimensionMismatchError
 from triadica.exactla import Matrix, vec
-from triadica.finspace import (ContinuousMap, InvalidTopologyError, all_maps,
-                               constant_map, discrete_space, identity_map,
+from triadica.finspace import (InvalidTopologyError, discrete_space,
                                indiscrete_space, is_continuous, sierpinski_space,
                                space_from_opens)
 from triadica.kaehler import kaehler_module, kaehler_presheaf
+from triadica.maps import ContinuousMap, all_maps, constant_map, identity_map
 from triadica.report import Finding, relocated
-from triadica.sheaf import (PresheafMorphism, constant_presheaf,
-                            function_presheaf, pushforward,
+from triadica.sheaf import (constant_presheaf, function_presheaf, pushforward,
                             semilinearity_defects, validate_presheaf_morphism)
+from triadica.sheafmaps import PresheafMorphism
 from triadica.triad import (DifferentialTriad, NotFunctional, constant_triad,
                             constants_only_kernel, function_triad)
 from triadica.uniqueness import (algebra_component_uniqueness,
@@ -701,8 +701,9 @@ def test_fullness_counts_without_building_a_family(monkeypatch):
     direct image or memo is built, and each candidate's preimages are
     computed once."""
     import triadica.dtcat as dtcat_module
-    import triadica.finspace as finspace_module
+    import triadica.maps as maps_module
     import triadica.sheaf as sheaf_module
+    import triadica.sheafmaps as sheafmaps_module
     calls = Counter()
 
     def counting(module, name):
@@ -713,10 +714,11 @@ def test_fullness_counts_without_building_a_family(monkeypatch):
             return original(*args, **kwargs)
         monkeypatch.setattr(module, name, call)
 
-    for name in ("PresheafMorphism", "pushforward", "function_presheaf"):
+    counting(sheafmaps_module, "PresheafMorphism")
+    for name in ("pushforward", "function_presheaf"):
         counting(sheaf_module, name)
     counting(dtcat_module, "Interner")
-    counting(finspace_module, "_preimage_indices")
+    counting(maps_module, "_preimage_indices")
     for x, y, bound, total, maps in (
             (discrete_space(5), indiscrete_space(4), 1024, 1024 ** 2, 1024),
             (discrete_space(3), discrete_space(4), 64, 64, 64)):

@@ -5,12 +5,12 @@ import pytest
 
 from test_sheaf import all_topologies
 from triadica.errors import DimensionMismatchError
-from triadica.finspace import (ContinuousMap, all_maps, check_topology,
-                               compose_maps, constant_map, continuity_witness,
-                               discrete_space, identity_map, indiscrete_space,
+from triadica.finspace import (check_topology, discrete_space, indiscrete_space,
                                is_continuous, minimal_open,
                                minimal_open_superset, sierpinski_space,
                                space_from_opens)
+from triadica.maps import (ContinuousMap, all_maps, compose_maps, constant_map,
+                           continuity_witness, identity_map)
 
 
 def test_sierpinski_is_a_topology():

@@ -24,11 +24,12 @@ from kaehler_oracle import kaehler_isomorphism
 from triadica.algebra import (Algebra, AlgebraMorphism, ModuleSections,
                               action_findings, basis_pairs, function_algebra,
                               generators_first, morphism_findings,
-                              poly_quotient_algebra, standard_monomials,
-                              tensor_product, truncated_poly_algebra,
-                              validate_algebra, validate_algebra_morphism)
+                              standard_monomials, tensor_product,
+                              truncated_poly_algebra, validate_algebra,
+                              validate_algebra_morphism)
 from triadica.exactla import Matrix, solve, unit_vector, vec
 from triadica.kaehler import kaehler_module
+from triadica.spectrum import poly_quotient_algebra
 from triadica.triad import _leibniz_errors
 
 NUDGES = [Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-1, 3)]

@@ -16,14 +16,14 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from kaehler_oracle import (ideal_square_module, kaehler_isomorphism,
+from kaehler_oracle import (factor_derivation_on_every_basis_vector,
+                            ideal_square_module, kaehler_isomorphism,
                             leibniz_kaehler_module, multiplication_map,
                             random_derivations, restrict_scalars)
 from triadica.algebra import (InvalidAlgebraError, ModuleSections,
                               algebra_from_struct, function_algebra,
-                              poly_quotient_algebra, tensor_product,
-                              truncated_poly_algebra, validate_algebra,
-                              validate_module_sections)
+                              tensor_product, truncated_poly_algebra,
+                              validate_algebra, validate_module_sections)
 from triadica.errors import DimensionMismatchError
 from triadica.exactla import Matrix, kernel, rref, solve, span, unit_vector, vec
 from triadica.finspace import (InvalidTopologyError, discrete_space,
@@ -37,6 +37,7 @@ from triadica.sheaf import (InvalidPresheafError, check_sheaf_condition,
                             constant_presheaf, function_presheaf,
                             make_presheaf, validate_algebra_presheaf,
                             validate_presheaf_morphism)
+from triadica.spectrum import poly_quotient_algebra
 from triadica.triad import (check_leibniz, constants_only_kernel,
                             validate_triad)
 
@@ -201,6 +202,22 @@ def test_presentation_matches_ideal_square_oracle(a):
     # that carries one operator to the other
     assert validate_algebra(a).ok
     kaehler_isomorphism(kaehler_module(a), ideal_square_module(a))
+
+
+@pytest.mark.parametrize("a", [a for _, a in ORACLE_ALGEBRAS],
+                         ids=[name for name, _ in ORACLE_ALGEBRAS])
+def test_factoring_on_generators_matches_every_basis_vector(a):
+    # both ways between the two constructions, and on the smaller algebras
+    # a derivation into A^1
+    k, other = kaehler_module(a), ideal_square_module(a)
+    cases = [(k, other.module, other.differential),
+             (other, k.module, k.differential)]
+    target = free_module_sections(a, 1)
+    if a.dim <= 6:
+        cases += [(k, target, d) for d in random_derivations(a, target, 1, seed=3)]
+    for source, target, d in cases:
+        assert factor_derivation(source, target, d) == \
+            factor_derivation_on_every_basis_vector(source, target, d)
 
 
 def _tensor(*algebras):
@@ -413,6 +430,21 @@ def test_factorization_fails_for_doctored_operator():
     doctored = replace(k, differential=Matrix.zeros(2, 3))
     with pytest.raises(FactorizationFailed):
         factor_derivation(doctored, k.module, k.differential)
+
+
+def test_an_operator_doctored_off_the_generators_is_refused():
+    # d agrees with the universal operator on x, which generates Q[x]/(x^3),
+    # but not on x^2: the system on the generator has a unique solution,
+    # and the check on every basis vector refuses it
+    a = truncated_poly_algebra(3)
+    k = kaehler_module(a)
+    assert a.generating_basis == (1,)
+    cols = [k.differential.col(0), k.differential.col(1), vec([0, 0])]
+    doctored = replace(k, differential=Matrix.from_columns(cols, rows=2))
+    with pytest.raises(FactorizationFailed):
+        factor_derivation(doctored, k.module, k.differential)
+    with pytest.raises(FactorizationFailed):
+        factor_derivation_on_every_basis_vector(doctored, k.module, k.differential)
 
 
 def test_uniqueness_flag_drops_with_padded_module():

@@ -14,11 +14,10 @@ from triadica.algebra import (Algebra, AlgebraMorphism, ModuleSections,
                               validate_module_sections, zero_module_sections)
 from triadica.errors import DimensionMismatchError
 from triadica.exactla import ONE, ZERO, Matrix, kernel, solve, unit_vector, vec
-from triadica.finspace import (ContinuousMap, InvalidTopologyError, all_maps,
-                               constant_map, discrete_space, indiscrete_space,
-                               minimal_open, sierpinski_space,
+from triadica.finspace import (InvalidTopologyError, discrete_space,
+                               indiscrete_space, minimal_open, sierpinski_space,
                                space_from_opens)
-from triadica.sheaf import (InvalidPresheafError, Presheaf, PresheafMorphism,
+from triadica.sheaf import (InvalidPresheafError, Presheaf,
                             _family_layout, check_sheaf_condition,
                             constant_presheaf, fill_restrictions,
                             function_presheaf, function_restriction_matrix,
@@ -27,7 +26,9 @@ from triadica.sheaf import (InvalidPresheafError, Presheaf, PresheafMorphism,
                             stalk, validate_algebra_presheaf,
                             validate_module_presheaf,
                             validate_presheaf_morphism, zero_module_presheaf)
+from triadica.sheafmaps import PresheafMorphism
 from triadica.kaehler import kaehler_module
+from triadica.maps import ContinuousMap, all_maps, constant_map
 from triadica.record import Interner
 from triadica.triad import DifferentialTriad, constant_triad, validate_triad
 from sheaf_oracle import (check_sheaf_by_covers, validate_algebra_presheaf_by_pairs,
@@ -393,6 +394,19 @@ def assert_witness_is_genuine(p, w):
 
 def test_every_topology_on_three_points_is_enumerated():
     assert [len(all_topologies(n)) for n in range(4)] == [1, 1, 4, 29]
+
+
+def test_a_square_that_fails_names_its_inclusion():
+    # Q over both nonempty opens of the Sierpinski space, and components 1
+    # over {0} and 2 over the whole space: only the square of the inclusion
+    # 2 -> 1 fails, and its finding names that pair, in that order
+    space = sierpinski_space()
+    p = constant_presheaf(space, function_algebra(1))
+    h = PresheafMorphism(p, p, (Matrix.identity(0), Matrix.from_rows([[1]]),
+                                Matrix.from_rows([[2]])))
+    squares = [f for f in validate_presheaf_morphism(h).findings
+               if f.location.startswith("square")]
+    assert [(f.location, f.witness) for f in squares] == [("square 2->1", [2, 1])]
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,8 @@ from triadica.algebra import (ModuleSections, function_algebra,
                               truncated_poly_algebra, zero_module_sections)
 from triadica.errors import DimensionMismatchError
 from triadica.exactla import ONE, ZERO, Matrix, kernel, span, vec
-from triadica.finspace import (ContinuousMap, constant_map, discrete_space,
-                               indiscrete_space, sierpinski_space)
+from triadica.finspace import discrete_space, indiscrete_space, sierpinski_space
+from triadica.maps import ContinuousMap, constant_map
 from triadica.sheaf import (Presheaf, check_sheaf_condition,
                             zero_module_presheaf)
 from triadica.triad import (DifferentialTriad, NotFunctional, check_leibniz,
