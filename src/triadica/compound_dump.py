@@ -1,4 +1,4 @@
-"""Serializers of a workspace's compound entries, as read back (`compound`)."""
+"""Serializers of a workspace's compound entries, in the shapes its parsers read."""
 
 from __future__ import annotations
 

@@ -164,8 +164,8 @@ def factor_derivation(k: KaehlerModule, target: ModuleSections,
     unknowns = tm * om  # phi[r][c] at index r*om + c
     basis = [unit_vector(a.dim, i) for i in range(a.dim)]
     gens = a.generating_basis
-    # on the generators first: a unique solution there (Omega is generated by
-    # dA) that passes on every basis vector solves the whole system
+    # the generators first: their system holds the whole one's solutions, so
+    # a unique one there that passes on every basis vector is its solution
     for among in ([] if gens is None else [gens]) + [range(a.dim)]:
         rows, rhs = [], []
         for i in among:
