@@ -35,12 +35,10 @@ from types import SimpleNamespace
 from typing import Callable, NoReturn
 
 from . import (algebra, dtcat, finspace, gluing, kaehler, sheaf, spectrum, triad,
-               uniqueness)
+               uniqueness, workspace)
 from .errors import DimensionMismatchError, TriadicaError, UsageError
 from .record import record
 from .report import Finding, Report
-from .workspace import (ParseError, UnresolvedReference, dump_workspace,
-                        load_workspace)
 
 
 def _guarded(operation: str, label: str, thunk):
@@ -206,9 +204,9 @@ def render_json(command: str, rows) -> str:
         if derived:
             entry["derived_artifacts"] = derived
         reports.append(entry)
-    return dump_workspace({"command": command,
-                           "status": _overall(rows),
-                           "reports": reports})
+    return workspace.dump_workspace({"command": command,
+                                     "status": _overall(rows),
+                                     "reports": reports})
 
 
 def render_human(command: str, rows) -> str:
@@ -347,11 +345,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code
     try:
-        doc = load_workspace(args.workspace)
+        doc = workspace.load_workspace(args.workspace)
     except OSError as exc:
         print(f"triadica: cannot read workspace: {exc}", file=sys.stderr)
         return 2
-    except (ParseError, UnresolvedReference, DimensionMismatchError) as exc:
+    except (workspace.ParseError, workspace.UnresolvedReference,
+            DimensionMismatchError) as exc:
         print(f"triadica: {exc}", file=sys.stderr)
         return 2
     except (ValueError, RecursionError) as exc:

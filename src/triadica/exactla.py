@@ -115,12 +115,8 @@ class Matrix:
         return Matrix(rows, cols, tuple(zero_vec(cols) for _ in range(rows)))
 
     @staticmethod
-    def from_columns(columns: Sequence[Sequence], rows: int | None = None) -> "Matrix":
+    def from_columns(columns: Sequence[Sequence], rows: int) -> "Matrix":
         cols = [vec(c) for c in columns]
-        if rows is None:
-            if not cols:
-                raise DimensionMismatchError("rows required for a matrix with no columns")
-            rows = len(cols[0])
         for c in cols:
             if len(c) != rows:
                 raise DimensionMismatchError("ragged columns")
@@ -173,7 +169,7 @@ def rref(vectors: Iterable[Sequence[Fraction]], width: int) -> tuple[list[Vector
             continue
         work[row], work[pivot] = work[pivot], work[row]
         inv = ONE / work[row][col]
-        work[row] = [inv * x for x in work[row]]
+        work[row] = [inv * x if x else x for x in work[row]]
         for r in range(len(work)):
             if r != row and work[r][col] != 0:
                 factor = work[r][col]

@@ -6,9 +6,11 @@ sheafification p+ has those families as its sections over U, restriction
 by truncating a family to the points of a smaller open, and the bilinear
 operation of the layer applied stalk by stalk; the canonical map p -> p+
 sends a section to its family.  `sheafify`, whose entry point is in
-`sheaf`, and `sheaf.sheafify_module` validate their input and run this
-layer, which loads on first use, so the commands that never sheafify do not
-compile it.
+`sheaf`, validates its input and runs this layer.  `sheaf.sheafify_module`
+runs it without a check: its one caller, `kaehler_presheaf`, builds the
+module layer from `kaehler_module`, and the `kaehler` command validates the
+triad afterwards.  This layer loads on first use, so the commands that
+never sheafify do not compile it.
 """
 
 from __future__ import annotations

@@ -26,11 +26,12 @@ Sections and the shapes they hold:
                  "module_components": [matrix per target open]}
 
 Names are globally unique across sections, so a bare string anywhere a
-structured value is expected is an unambiguous reference.  It names an
+structured value is expected is an unambiguous reference (an algebra
+written with a space, "truncated_poly 3", is a builder).  It names an
 entry of the section that value is drawn from, in whatever order the names
-come: an entry may be an alias of another entry of its own section
-("maps": {"E": "F"}), whichever of the two names sorts first.  A chain of
-aliases that comes back to its start is refused as a reference cycle.
+come: an entry of any section may be an alias of another entry of its own
+section ("maps": {"E": "F"}), whichever of the two names sorts first.  A
+chain of aliases that comes back to its start is refused as a reference cycle.
 
 This layer parses spaces, algebras and the fragments the rest are made of.
 The parsers and serializers of presheaves, maps, triads and morphisms are
@@ -82,9 +83,10 @@ class WorkspaceDocument:
         self.maps = {}
         self.triads = {}
         self.morphisms = {}
-        # while parse_workspace runs, parses one of the document's entries
-        # on demand: (section, name, location) -> None
-        self._parse_entry = None
+        # while parse_workspace runs: the raw entries of each section
+        # reached so far, and the entries being parsed, outermost first
+        self._raw = {}
+        self._parsing = []
 
     def section_of(self, name: str) -> str | None:
         for section in SECTION_ORDER:
@@ -125,14 +127,28 @@ def rationals_from_json(values, literals: dict, where) -> exactla.Vector:
     return tuple(out)
 
 
-def matrix_from_json(value, literals: dict, location: str) -> exactla.Matrix:
-    if not isinstance(value, dict) or set(value) - {"rows", "cols", "entries"}:
-        raise ParseError("expected {rows, cols, entries}", location)
+def fields(value, keys, location: str, message: str | None = None) -> list:
+    """The values of `keys` in `value`, an object with no other key (None
+    for a key it lacks)."""
+    if not isinstance(value, dict) or set(value) - set(keys):
+        raise ParseError(message or f"expected {{{', '.join(keys)}}}", location)
+    return [value.get(key) for key in keys]
+
+
+def built(location: str, make, *args):
+    """`make(*args)`, with the library's refusal of them as a ParseError."""
     try:
-        rows, cols = int(value["rows"]), int(value["cols"])
-    except (KeyError, TypeError, ValueError):
+        return make(*args)
+    except (TriadicaError, ValueError) as exc:
+        raise ParseError(str(exc), location) from None
+
+
+def matrix_from_json(value, literals: dict, location: str) -> exactla.Matrix:
+    rows, cols, entries = fields(value, ("rows", "cols", "entries"), location)
+    try:
+        rows, cols = int(rows), int(cols)
+    except (TypeError, ValueError):
         raise ParseError("rows and cols must be integers", location) from None
-    entries = value.get("entries")
     if not isinstance(entries, list) or len(entries) != rows:
         raise ParseError(f"expected {rows} entry rows", location)
     out = []
@@ -159,11 +175,8 @@ def vector_from_json(value, length: int, literals: dict, location: str):
 # named fragments
 
 
-def space_from_json(value, location: str) -> finspace.FiniteSpace:
-    if not isinstance(value, dict) or set(value) - {"points", "opens"}:
-        raise ParseError("expected {points, opens}", location)
-    points = value.get("points")
-    opens = value.get("opens")
+def space_from_json(value, doc, location: str, literals) -> finspace.FiniteSpace:
+    points, opens = fields(value, ("points", "opens"), location)
     if not isinstance(points, int) or isinstance(points, bool) or points < 0:
         raise ParseError("points must be a non-negative integer", location)
     if not isinstance(opens, list):
@@ -174,10 +187,7 @@ def space_from_json(value, location: str) -> finspace.FiniteSpace:
                 isinstance(x, int) and not isinstance(x, bool) for x in u):
             raise ParseError(f"opens[{i}] must be a list of integers", location)
         sets.append(frozenset(u))
-    try:
-        space = finspace.FiniteSpace(points, tuple(sets))
-    except TriadicaError as exc:
-        raise ParseError(str(exc), location) from None
+    space = built(location, finspace.FiniteSpace, points, tuple(sets))
     covered = frozenset().union(*sets)
     if len(covered) != points:
         # the whole set is open in a topology, so its opens list every point;
@@ -198,7 +208,7 @@ _BUILDERS = {"function_algebra": "function_algebra",
 _MAX_BUILDER_SIZE = 32
 
 
-def algebra_from_json(value, literals: dict, location: str) -> algebra.Algebra:
+def algebra_from_json(value, doc, location: str, literals: dict) -> algebra.Algebra:
     if isinstance(value, str):
         parts = value.split()
         if len(parts) != 2 or parts[0] not in _BUILDERS:
@@ -212,13 +222,9 @@ def algebra_from_json(value, literals: dict, location: str) -> algebra.Algebra:
                              location) from None
         if k > _MAX_BUILDER_SIZE:
             raise ParseError(f"builder size {k} exceeds {_MAX_BUILDER_SIZE}", location)
-        try:
-            return getattr(algebra, _BUILDERS[parts[0]])(k)
-        except TriadicaError as exc:
-            raise ParseError(str(exc), location) from None
-    if not isinstance(value, dict) or set(value) - {"struct", "unit"}:
-        raise ParseError("expected a builder string or {struct, unit}", location)
-    struct = value.get("struct")
+        return built(location, getattr(algebra, _BUILDERS[parts[0]]), k)
+    struct, unit = fields(value, ("struct", "unit"), location,
+                          "expected a builder string or {struct, unit}")
     if not isinstance(struct, list):
         raise ParseError("struct must be a list of basis rows", location)
     n = len(struct)
@@ -229,7 +235,7 @@ def algebra_from_json(value, literals: dict, location: str) -> algebra.Algebra:
                              location)
         rows.append(tuple(vector_from_json(p, n, literals, f"{location}.struct[{i}][{j}]")
                           for j, p in enumerate(row)))
-    unit = vector_from_json(value.get("unit"), n, literals, f"{location}.unit")
+    unit = vector_from_json(unit, n, literals, f"{location}.unit")
     return algebra.Algebra(n, tuple(rows), unit)
 
 
@@ -243,29 +249,42 @@ def module_sections_to_json(m: algebra.ModuleSections) -> dict:
             "action": [[[str(x) for x in w] for w in row] for row in m.action]}
 
 
-def resolve(name: str, doc: WorkspaceDocument, section: str, location: str):
-    """The entry `name` of `section`.  While `parse_workspace` runs, an
-    entry of that section it has not reached yet is parsed now, so what a
-    reference names does not depend on the order of the names."""
-    table = getattr(doc, section)
-    if name not in table and doc._parse_entry is not None:
-        doc._parse_entry(section, name, location)
-    if name not in table:
-        raise UnresolvedReference(name, location)
-    return table[name]
-
-
 # ---------------------------------------------------------------------------
 # the document
 
 
-# each takes (value, doc, location, literals); the parsers of the compound
-# sections run their layer only for a document that holds such a section
+def entry(section: str, value, doc: WorkspaceDocument, location: str,
+          literals: dict):
+    """The entry of `section` that `value`, read at `location`, stands for.
+
+    A string names an entry of `section` (in `algebras`, one with a space
+    is a builder); any other value is parsed inline.  While
+    `parse_workspace` runs, a named entry it has not reached yet is parsed
+    now, so what a reference names does not depend on the order of names.
+    """
+    if not isinstance(value, str) or (section == "algebras" and " " in value):
+        return _PARSERS[section](value, doc, location, literals)
+    table = getattr(doc, section)
+    if value not in table and value in doc._raw.get(section, ()):
+        loc = f"{section}.{value}"
+        if loc in doc._parsing:
+            cycle = " -> ".join(doc._parsing[doc._parsing.index(loc):] + [loc])
+            raise ParseError(f"reference cycle: {cycle}", location)
+        doc._parsing.append(loc)
+        table[value] = entry(section, doc._raw[section][value], doc, loc, literals)
+        doc._parsing.pop()
+    if value not in table:
+        raise UnresolvedReference(value, location)
+    return table[value]
+
+
+# each parses an inline value: (value, doc, location, literals); a compound
+# section's parser runs its layer only for a document that holds the section
 _PARSERS = {
-    "spaces": lambda value, doc, loc, literals: space_from_json(value, loc),
-    "algebras": lambda value, doc, loc, literals: algebra_from_json(value, literals, loc),
+    "spaces": space_from_json,
+    "algebras": algebra_from_json,
     "presheaves": lambda *args: compound.presheaf_from_json(*args),
-    "maps": lambda value, doc, loc, literals: compound_triad.map_from_json(value, doc, loc),
+    "maps": lambda *args: compound_triad.map_from_json(*args),
     "triads": lambda *args: compound_triad.triad_from_json(*args),
     "morphisms": lambda *args: compound_triad.morphism_from_json(*args),
 }
@@ -297,23 +316,6 @@ def parse_workspace(text: str) -> WorkspaceDocument:
         raise ParseError("description must be a string", "description")
     doc = WorkspaceDocument(description=description)
     literals: dict = {}
-    seen: set[str] = set()
-    named: dict[str, dict] = {}  # the entries of each section reached so far
-    parsing: list[str] = []  # the entries being parsed, outermost first
-
-    def parse_entry(section: str, name: str, location: str | None) -> None:
-        if name not in named.get(section, ()):
-            return
-        loc = f"{section}.{name}"
-        if loc in parsing:
-            cycle = " -> ".join(parsing[parsing.index(loc):] + [loc])
-            raise ParseError(f"reference cycle: {cycle}", location)
-        parsing.append(loc)
-        obj = _PARSERS[section](named[section][name], doc, loc, literals)
-        getattr(doc, section)[name] = obj
-        parsing.pop()
-
-    doc._parse_entry = parse_entry
     for section in SECTION_ORDER:
         entries = raw.get(section, {})
         if not isinstance(entries, dict):
@@ -322,14 +324,12 @@ def parse_workspace(text: str) -> WorkspaceDocument:
         for name in entries:
             if not _NAME_RE.match(name):
                 raise ParseError(f"bad name {name!r}", section)
-            if name in seen:
+            if any(name in named for named in doc._raw.values()):
                 raise ParseError(f"duplicate name {name!r}", section)
-            seen.add(name)
-        named[section] = entries
+        doc._raw[section] = entries
         for name in sorted(entries):
-            if name not in getattr(doc, section):
-                parse_entry(section, name, None)
-    doc._parse_entry = None
+            entry(section, name, doc, section, literals)
+    doc._raw.clear()
     return doc
 
 

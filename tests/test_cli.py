@@ -31,7 +31,7 @@ from triadica.maps import ContinuousMap
 from triadica.sheaf import constant_presheaf, function_presheaf
 from triadica.triad import function_triad, validate_triad
 from triadica.workspace import (ParseError, UnresolvedReference,
-                                WorkspaceDocument, dump_workspace,
+                                WorkspaceDocument, dump_workspace, entry,
                                 load_workspace, parse_workspace, space_to_json)
 
 WORKSPACES = pathlib.Path(__file__).parent / "workspaces"
@@ -126,37 +126,43 @@ def test_maps_and_morphisms_may_alias_a_named_entry():
     assert doc.morphisms["N"] is doc.morphisms["M"] == pullback_morphism(f)
 
 
-@pytest.mark.parametrize("section", ["maps", "morphisms"])
+SECTIONS = ["spaces", "algebras", "presheaves", "maps", "triads", "morphisms"]
+
+
+@pytest.mark.parametrize("section", SECTIONS)
 def test_an_alias_names_an_entry_of_its_own_section(section):
-    text = dump_workspace({"schema": 1, "spaces": {"S": space_to_json(discrete_space(1))},
-                           section: {"A": "S"}})
+    # S is a space, or an algebra where the alias is itself a space
+    other = {"algebras": {"S": "function_algebra 1"}} if section == "spaces" else \
+        {"spaces": {"S": space_to_json(discrete_space(1))}}
+    text = dump_workspace({"schema": 1, **other, section: {"A": "S"}})
     with pytest.raises(UnresolvedReference) as err:
         parse_workspace(text)
     assert (err.value.name, err.value.location) == ("S", f"{section}.A")
 
 
-def compound_entries() -> dict:
-    """One entry of each compound section, as JSON, with the object it
-    parses to."""
+def section_entries() -> dict:
+    """One entry of each section, as JSON, with the object it parses to."""
     f = ContinuousMap(discrete_space(2), discrete_space(2), (1, 0))
     t = function_triad(sierpinski_space())
-    return {"presheaves": (presheaf_to_json(t.algebras), t.algebras),
+    return {"spaces": (space_to_json(sierpinski_space()), sierpinski_space()),
+            "algebras": ("truncated_poly 3", truncated_poly_algebra(3)),
+            "presheaves": (presheaf_to_json(t.algebras), t.algebras),
             "maps": (map_to_json(f), f),
             "triads": (triad_to_json(t), t),
             "morphisms": (morphism_to_json(pullback_morphism(f)), pullback_morphism(f))}
 
 
 @pytest.mark.parametrize("alias", ["E", "G"], ids=["alias-sorts-first", "alias-sorts-last"])
-@pytest.mark.parametrize("section", ["presheaves", "maps", "triads", "morphisms"])
+@pytest.mark.parametrize("section", SECTIONS)
 def test_an_alias_resolves_whichever_name_sorts_first(section, alias):
-    value, obj = compound_entries()[section]
+    value, obj = section_entries()[section]
     doc = parse_workspace(dump_workspace({"schema": 1, section: {"F": value, alias: "F"}}))
     entries = getattr(doc, section)
     assert entries[alias] is entries["F"] == obj
 
 
 def test_a_chain_of_aliases_resolves_in_any_order():
-    value, f = compound_entries()["maps"]
+    value, f = section_entries()["maps"]
     doc = parse_workspace(dump_workspace({"schema": 1, "maps": {
         "A": "C", "B": "D", "C": "B", "D": value}}))
     assert all(doc.maps[name] is doc.maps["D"] == f for name in "ABC")
@@ -172,6 +178,26 @@ def test_a_cycle_of_aliases_is_refused(aliases, message):
     with pytest.raises(ParseError) as err:
         parse_workspace(dump_workspace({"schema": 1, "maps": aliases}))
     assert str(err.value) == message
+
+
+def test_a_cycle_of_algebra_aliases_is_refused():
+    # a string with a space is a builder, so only the bare names alias
+    with pytest.raises(ParseError) as err:
+        parse_workspace(dump_workspace({"schema": 1, "algebras": {
+            "A": "C", "B": "truncated_poly 2", "C": "D", "D": "A"}}))
+    assert str(err.value) == ("algebras.D: reference cycle: "
+                              "algebras.A -> algebras.C -> algebras.D -> algebras.A")
+
+
+def test_a_parsed_document_keeps_no_parse_state():
+    value, f = section_entries()["maps"]
+    doc = parse_workspace(dump_workspace({"schema": 1, "maps": {"F": value}}))
+    assert entry("maps", "F", doc, "here", {}) is doc.maps["F"] == f
+    del doc.maps["F"]
+    for name in ("F", "NEVER"):
+        with pytest.raises(UnresolvedReference) as err:
+            entry("maps", name, doc, "here", {})
+        assert (err.value.name, err.value.location) == (name, "here")
 
 
 def test_a_cycle_of_aliases_exits_2_without_a_traceback(capsys, tmp_path):
@@ -563,6 +589,9 @@ REFUSALS = [
     ("unknown_builder", schema_1(algebras={"A": "polynomial 3"}),
      "algebras.A: unknown algebra builder 'polynomial 3'; expected "
      "'function_algebra k' or 'truncated_poly k'"),
+    # a builder word without a size is a bare string, so a reference
+    ("builder_without_a_size", schema_1(algebras={"A": "truncated_poly"}),
+     "algebras.A: undefined name 'truncated_poly'"),
     ("builder_size_not_an_integer", schema_1(algebras={"A": "truncated_poly x"}),
      "algebras.A: builder size 'x' is not an integer"),
     ("builder_size_too_large", schema_1(algebras={"A": "function_algebra 33"}),
@@ -573,6 +602,9 @@ REFUSALS = [
      "algebras.A: function algebra needs k >= 0, not -1"),
     ("space_not_an_object", schema_1(spaces={"X": [1]}),
      "spaces.X: expected {points, opens}"),
+    # a bare string names a space
+    ("space_names_an_undefined_space", schema_1(spaces={"X": "Y"}),
+     "spaces.X: undefined name 'Y'"),
     ("negative_point_count", schema_1(spaces={"X": {"points": -1, "opens": [[]]}}),
      "spaces.X: points must be a non-negative integer"),
     ("opens_not_a_list", schema_1(spaces={"X": {"points": 1, "opens": 3}}),
@@ -592,6 +624,9 @@ REFUSALS = [
     ("restriction_key_missing_open",
      on_sierpinski(restrictions={"5->1": one_row("1", "0")}),
      "presheaves.P.restrictions: restriction key '5->1' names a missing open"),
+    ("restriction_key_one_past_the_opens",
+     on_sierpinski(restrictions={"3->1": one_row("1", "0")}),
+     "presheaves.P.restrictions: restriction key '3->1' names a missing open"),
     ("restriction_key_missing_target",
      on_sierpinski(restrictions={"1->3": one_row("1", "0")}),
      "presheaves.P.restrictions: restriction key '1->3' names a missing open"),

@@ -164,25 +164,29 @@ WITH_TRIAD = dict(ON_POINT, maps={"I": {"domain": "X", "codomain": "X", "values"
 WITH_MORPHISMS = dict(WITH_TRIAD, morphisms={"M": _morphism("1"), "N": _morphism("2")})
 # the layers every command runs: reading the command line and the document
 BASE = {"cli", "errors", "record", "report", "workspace"}
+# what a command line that reads no document, such as --help, runs
+COMMAND_LINE = BASE - {"workspace"}
 MORPHISM_LAYERS = BASE | {"algebra", "compound", "compound_triad", "dtcat",
                           "exactla", "finspace", "maps", "sheaf", "triad"}
 # what a command that checks or writes a morphism or a triad adds
 CHECKED = {"sheafmaps"}
 WRITTEN = {"compound_dump", "sheafmaps"}
-PRESHEAF = {"algebra", "compound", "exactla", "finspace", "sheaf"}
+PRESHEAF = BASE | {"algebra", "compound", "exactla", "finspace", "sheaf"}
 
 # command (with any flags), its target, the workspace sections, its exit
-# code, the layers it runs besides BASE
+# code, the layers it runs
 LAYERS_RUN = [
-    ("validate", None, {"spaces": {"X": POINT}}, 0, {"finspace"}),
+    ("validate", None, {"spaces": {"X": POINT}}, 0, BASE | {"finspace"}),
     ("validate", "A", {"algebras": {"A": "truncated_poly 2"}}, 0,
-     {"algebra", "exactla"}),
+     BASE | {"algebra", "exactla"}),
     # the shape of the benchmark's start-up probe
     ("validate", "P", ON_POINT, 0, PRESHEAF),
-    ("validate --human", None, {"spaces": {"X": POINT}}, 0, {"finspace"}),
-    ("--help", None, {}, 0, set()),
+    ("validate --human", None, {"spaces": {"X": POINT}}, 0, BASE | {"finspace"}),
+    ("--help", None, {}, 0, COMMAND_LINE),
+    # refused before the document is read
+    ("validate --no-such-flag", None, {"spaces": {"X": POINT}}, 2, COMMAND_LINE),
     ("kaehler", None, {"algebras": {"A": "truncated_poly 2"}}, 0,
-     {"algebra", "exactla", "kaehler"}),
+     BASE | {"algebra", "exactla", "kaehler"}),
     ("sheafify", None, ON_POINT, 0, PRESHEAF | WRITTEN | {"gluing"}),
     ("pushforward", "I:T", WITH_TRIAD, 0, MORPHISM_LAYERS - {"dtcat"} | WRITTEN),
     ("check-morphism", "M", WITH_MORPHISMS, 0, MORPHISM_LAYERS | CHECKED),
@@ -190,11 +194,12 @@ LAYERS_RUN = [
     ("constant-morphism", "T:T:0", WITH_TRIAD, 0, MORPHISM_LAYERS | WRITTEN),
     ("uniqueness", "M:N", WITH_MORPHISMS, 1, MORPHISM_LAYERS | {"uniqueness"}),
     ("recover-map", "M", WITH_MORPHISMS, 0, MORPHISM_LAYERS | WRITTEN),
-    ("fullness", "X:X", {"spaces": {"X": POINT}}, 0, {"dtcat", "finspace", "maps"}),
+    ("fullness", "X:X", {"spaces": {"X": POINT}}, 0,
+     BASE | {"dtcat", "finspace", "maps"}),
     ("fullness", "S:S", {"spaces": {"S": SIERPINSKI}}, 0,
-     {"dtcat", "finspace", "maps"}),
+     BASE | {"dtcat", "finspace", "maps"}),
     ("spectrum", None, {"algebras": {"A": "truncated_poly 2"}}, 0,
-     {"algebra", "exactla", "poly", "spectrum"}),
+     BASE | {"algebra", "exactla", "poly", "spectrum"}),
 ]
 
 
@@ -210,4 +215,4 @@ def test_a_command_runs_exactly_the_layers_it_calls(tmp_path, command, target,
     argv = [*command.split(), "--workspace", _workspace(tmp_path, **sections)]
     _, ran = _modules_after(_run_command(argv + ["--target", target] * bool(target),
                                          code))
-    assert ran == {f"triadica.{layer}" for layer in BASE | layers}
+    assert ran == {f"triadica.{layer}" for layer in layers}
