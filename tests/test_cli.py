@@ -131,7 +131,8 @@ SECTIONS = ["spaces", "algebras", "presheaves", "maps", "triads", "morphisms"]
 
 @pytest.mark.parametrize("section", SECTIONS)
 def test_an_alias_names_an_entry_of_its_own_section(section):
-    # S is a space, or an algebra where the alias is itself a space
+    # S names an entry of another section: a space, or an algebra when the
+    # alias is a space
     other = {"algebras": {"S": "function_algebra 1"}} if section == "spaces" else \
         {"spaces": {"S": space_to_json(discrete_space(1))}}
     text = dump_workspace({"schema": 1, **other, section: {"A": "S"}})

@@ -162,7 +162,8 @@ def _morphism(c: str) -> dict:
 WITH_TRIAD = dict(ON_POINT, maps={"I": {"domain": "X", "codomain": "X", "values": [0]}},
                   triads={"T": TRIAD})
 WITH_MORPHISMS = dict(WITH_TRIAD, morphisms={"M": _morphism("1"), "N": _morphism("2")})
-# the layers every command runs: reading the command line and the document
+# the layers every command that reads a document runs: reading the command
+# line and the document
 BASE = {"cli", "errors", "record", "report", "workspace"}
 # what a command line that reads no document, such as --help, runs
 COMMAND_LINE = BASE - {"workspace"}
