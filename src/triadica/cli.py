@@ -313,7 +313,7 @@ def parse_command_line(argv: list[str]) -> SimpleNamespace:
 
 def _write(text: str) -> int:
     """Write `text` on stdout: 0, or 2 if stdout is closed or missing (fd 1
-    then points at os.devnull, so the interpreter's last flush succeeds)."""
+    then points at os.devnull, so `console_entry`'s flush succeeds)."""
     try:
         sys.stdout.write(text)
         sys.stdout.flush()
@@ -340,6 +340,7 @@ def run(doc, args) -> tuple[int, str]:
 
 
 def main(argv=None) -> int:
+    """Run one command line and return its exit code; never end the process."""
     try:
         args = parse_command_line(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
@@ -368,5 +369,19 @@ def main(argv=None) -> int:
     return _write(text) or code
 
 
+def console_entry() -> NoReturn:
+    """`main` as a program: flush, then end without interpreter finalization
+    (no atexit handler runs) unless a profiler's or tracer's report is due."""
+    code = main()
+    if sys.getprofile() or sys.gettrace():
+        sys.exit(code)
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except (AttributeError, OSError, ValueError):  # None without its fd
+            pass
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    console_entry()

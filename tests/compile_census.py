@@ -1,4 +1,5 @@
-"""Lines each benchmark job compiles, and the lines it compiles but never calls.
+"""Lines and AST nodes each benchmark job compiles, and those it compiles but
+never calls.
 
     python tests/compile_census.py --seed 4242 [--functions N] check build search
 
@@ -6,10 +7,12 @@ For each job of a workload ladder, built read-only from bench/ladder.py,
 the census runs the job through `triadica.cli.main` in a fresh interpreter
 and prints one JSON line: the lines of the triadica layers that ran (whole
 files), and the lines of the top-level functions and methods in them that
-no call event of `sys.setprofile` reached.  Each workload's start-up probe
-is counted apart from its jobs, and each workload ends with a total line
-whose `by_layer` splits both counts by layer, so a change that moves code
-between layers shows where its compile cost lands.
+no call event of `sys.setprofile` reached; `nodes` and
+`never_called_nodes` count the same code in AST nodes (`ast.walk`), which
+compile time follows more closely than lines.  Each workload's start-up
+probe is counted apart from its jobs, and each workload ends with a total
+line whose `by_layer` splits every count by layer, so a change that moves
+code between layers shows where its compile cost lands.
 
 With `--functions N` the probe line and each workload's total line also
 list the N functions with the most never-called line-jobs, each marked
@@ -63,25 +66,30 @@ print(json.dumps([ran, sorted(called)]))
 """
 
 
-def definitions(path: str) -> list[tuple[str, int, int]]:
-    """(qualified name, first line, line count) of each top-level function
-    and method; a decorated one starts at its first decorator, as its code
-    object does."""
+def nodes(tree: ast.AST) -> int:
+    return sum(1 for _ in ast.walk(tree))
+
+
+def definitions(tree: ast.Module) -> list[tuple[str, int, int, int]]:
+    """(qualified name, first line, line count, node count) of each top-level
+    function and method; a decorated one starts at its first decorator, as
+    its code object does."""
     out = []
-    for node in ast.parse(pathlib.Path(path).read_text()).body:
+    for node in tree.body:
         members = node.body if isinstance(node, ast.ClassDef) else [node]
         for f in members:
             if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 first = min([f.lineno] + [d.lineno for d in f.decorator_list])
                 name = f.name if f is node else f"{node.name}.{f.name}"
-                out.append((name, first, f.end_lineno - first + 1))
+                out.append((name, first, f.end_lineno - first + 1, nodes(f)))
     return out
 
 
 def census(argv: list[str]) -> tuple[dict[str, list[int]], dict[str, tuple[bool, int]]]:
-    """[lines compiled, lines in functions never called] per layer that ran,
-    for one job; and for each function of those layers, as `layer.name`,
-    whether it was called and its line count."""
+    """[lines compiled, lines in functions never called, nodes compiled,
+    nodes in functions never called] per layer that ran, for one job; and
+    for each function of those layers, as `layer.name`, whether it was
+    called and its line count."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
     done = subprocess.run([sys.executable, "-c", CHILD, json.dumps(argv)], env=env,
                           capture_output=True, text=True, timeout=300, check=True)
@@ -89,13 +97,15 @@ def census(argv: list[str]) -> tuple[dict[str, list[int]], dict[str, tuple[bool,
     called = {tuple(c) for c in called}
     layers, functions = {}, {}
     for path in ran:
-        stem = pathlib.Path(path).stem
-        cold = 0
-        for name, first, n in definitions(path):
+        stem, text = pathlib.Path(path).stem, pathlib.Path(path).read_text()
+        tree = ast.parse(text)
+        cold = cold_nodes = 0
+        for name, first, n, k in definitions(tree):
             hit = (path, first) in called
             functions[f"{stem}.{name}"] = (hit, n)
             cold += 0 if hit else n
-        layers[stem] = [len(pathlib.Path(path).read_text().splitlines()), cold]
+            cold_nodes += 0 if hit else k
+        layers[stem] = [len(text.splitlines()), cold, nodes(tree), cold_nodes]
     return layers, functions
 
 
@@ -114,10 +124,16 @@ def largest(cold: Counter, n: int, pinned: set[str]) -> list[dict]:
             for name, jobs in sorted(cold.items(), key=lambda c: (-c[1], c[0]))[:n]]
 
 
+COUNTS = ("compiled", "never_called", "nodes", "never_called_nodes")
+
+
+def sums(layers: dict[str, list[int]]) -> dict[str, int]:
+    """Each of COUNTS summed over `layers`."""
+    return {name: sum(c[i] for c in layers.values()) for i, name in enumerate(COUNTS)}
+
+
 def line(workload: str, job: str, layers: dict[str, list[int]], **extra) -> str:
-    return json.dumps({"workload": workload, "job": job,
-                       "compiled": sum(c for c, _ in layers.values()),
-                       "never_called": sum(u for _, u in layers.values()), **extra})
+    return json.dumps({"workload": workload, "job": job, **sums(layers), **extra})
 
 
 def main(argv=None) -> int:
@@ -149,10 +165,9 @@ def main(argv=None) -> int:
             lines: dict[str, int] = {}
             for job in built.jobs:
                 layers, functions = census(job.argv(directory))
-                for name, (compiled, unrun) in layers.items():
-                    total = by_layer.setdefault(name, [0, 0])
-                    total[0] += compiled
-                    total[1] += unrun
+                for name, counts in layers.items():
+                    by_layer[name] = [t + c for t, c in
+                                      zip(by_layer.get(name, [0] * len(COUNTS)), counts)]
                 for f, (hit, n) in functions.items():
                     hits[f] = hits.get(f, False) or hit
                     cold[f] += 0 if hit else n
@@ -166,10 +181,9 @@ def main(argv=None) -> int:
                                              "functions": len(never)}}
             print(json.dumps({
                 "workload": workload, "jobs": len(built.jobs),
-                "compiled": sum(c for c, _ in by_layer.values()),
-                "never_called": sum(u for _, u in by_layer.values()),
-                "by_layer": {name: {"compiled": c, "never_called": u}
-                             for name, (c, u) in sorted(by_layer.items())},
+                **sums(by_layer),
+                "by_layer": {name: dict(zip(COUNTS, counts))
+                             for name, counts in sorted(by_layer.items())},
                 **extra}), flush=True)
     return 0
 

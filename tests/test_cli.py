@@ -1,6 +1,7 @@
 """Workspace parsing, serialization round-trips, and the command surface."""
 
 import argparse
+import ast
 import contextlib
 import copy
 import io
@@ -1365,3 +1366,71 @@ def test_module_entry_point_runs():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["status"] == "pass"
+
+
+# ---------------------------------------------------------------------------
+# ending the process: `console_entry` flushes, then skips finalization
+
+
+def test_the_script_and_the_module_run_end_through_console_entry():
+    import tomllib
+    import triadica.cli
+    pyproject = pathlib.Path(__file__).parent.parent / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    assert scripts == {"triadica": "triadica.cli:console_entry"}
+    tail = ast.parse(pathlib.Path(triadica.cli.__file__).read_text()).body[-1]
+    assert ast.unparse(tail) == "if __name__ == '__main__':\n    console_entry()"
+
+
+# (command, workspace) as the golden corpus runs them, or a whole command line
+MODULE_RUNS = [
+    (("validate", "ws_minimal.json"), 0),
+    # reports past the 8 KiB stdout buffer: 12 and 82 KB
+    (("kaehler", "ws_mixed_base.json"), 0),
+    (("compose", "ws_morphism_chain.json"), 0),
+    (("check-morphism", "ws_bad_morphism.json"), 1),
+    (("compose", "ws_uniqueness.json"), 1),
+    (("validate", "bad_syntax.json"), 2),
+    (["validate", "--no-such-flag"], 2),
+    (["--help"], 0),
+]
+
+
+@pytest.mark.parametrize("stdout", ["file", "pipe"])
+@pytest.mark.parametrize("argv,code", MODULE_RUNS,
+                         ids=[" ".join(a) for a, _ in MODULE_RUNS])
+def test_a_module_run_writes_the_bytes_and_code_of_main(tmp_path, stdout,
+                                                        argv, code):
+    if isinstance(argv, tuple):
+        argv = command_argv(argv[0], ws(argv[1]))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main(argv) == code
+    command = [sys.executable, "-m", "triadica.cli", *argv]
+    if stdout == "pipe":
+        proc = subprocess.run(command, capture_output=True, env=src_env(),
+                              timeout=60)
+        written = proc.stdout
+    else:
+        with open(tmp_path / "out", "wb") as handle:
+            proc = subprocess.run(command, stdout=handle, stderr=subprocess.PIPE,
+                                  env=src_env(), timeout=60)
+        written = (tmp_path / "out").read_bytes()
+    assert proc.returncode == code
+    assert written == out.getvalue().encode()
+    assert proc.stderr == err.getvalue().encode()
+
+
+@pytest.mark.parametrize("tool", [["cProfile"], ["trace", "--listfuncs", "--module"]],
+                         ids=["cProfile", "trace"])
+def test_a_profiled_or_traced_run_still_prints_its_report(tool):
+    # cProfile sets sys.getprofile() and trace sys.gettrace(); each prints
+    # its report after the module returns
+    proc = subprocess.run(
+        [sys.executable, "-m", *tool, *(["-m"] if tool == ["cProfile"] else []),
+         "triadica.cli", "validate", "--workspace", ws("ws_minimal.json")],
+        capture_output=True, text=True, env=src_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report, _, rest = proc.stdout.partition("\n}\n")
+    assert json.loads(report + "\n}")["status"] == "pass"
+    assert ("Ordered by:" if tool == ["cProfile"] else "functions called:") in rest
