@@ -378,7 +378,7 @@ def console_entry() -> NoReturn:
     for stream in (sys.stdout, sys.stderr):
         try:
             stream.flush()
-        except (AttributeError, OSError, ValueError):  # None without its fd
+        except (AttributeError, OSError):  # None without its fd, a closed pipe
             pass
     os._exit(code)
 
