@@ -1421,16 +1421,18 @@ def test_a_module_run_writes_the_bytes_and_code_of_main(tmp_path, stdout,
     assert proc.stderr == err.getvalue().encode()
 
 
-@pytest.mark.parametrize("tool", [["cProfile"], ["trace", "--listfuncs", "--module"]],
-                         ids=["cProfile", "trace"])
-def test_a_profiled_or_traced_run_still_prints_its_report(tool):
+@pytest.mark.parametrize("tool,table", [
+    (["cProfile", "-m"], "Ordered by:"),
+    (["trace", "--listfuncs", "--module"], "functions called:"),
+], ids=["cProfile", "trace"])
+def test_a_profiled_or_traced_run_still_prints_its_report(tool, table):
     # cProfile sets sys.getprofile() and trace sys.gettrace(); each prints
-    # its report after the module returns
+    # its table after the module returns
     proc = subprocess.run(
-        [sys.executable, "-m", *tool, *(["-m"] if tool == ["cProfile"] else []),
-         "triadica.cli", "validate", "--workspace", ws("ws_minimal.json")],
+        [sys.executable, "-m", *tool, "triadica.cli", "validate",
+         "--workspace", ws("ws_minimal.json")],
         capture_output=True, text=True, env=src_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     report, _, rest = proc.stdout.partition("\n}\n")
     assert json.loads(report + "\n}")["status"] == "pass"
-    assert ("Ordered by:" if tool == ["cProfile"] else "functions called:") in rest
+    assert table in rest
