@@ -25,6 +25,14 @@ functions of another layer need, as `kaehler_presheaf` needs `sheaf` and
 `triad`, is read off its module where it is called (`from . import
 sheaf`), not imported by name at the top, so a command that calls none of
 those functions does not run it.
+
+`__all__` holds the data model the reports are built from and the
+operations the command line runs, and the test-only functions that the
+benchmark's tracer patches by name (`tensor_product`, `factor_derivation`)
+while it does.  The constructors that only the tests
+call (example spaces, constant presheaves and triads, function triads, the
+identity and pullback morphisms, Q[x]/(f)) live with the tests, in
+`tests/builders.py`.
 """
 
 import importlib.util
@@ -37,26 +45,23 @@ _EXPORTS = {
     "report": ("Finding", "Report"),
     "exactla": ("Matrix", "Subspace", "kernel", "rat", "span", "vec"),
     "poly": (),
-    "finspace": ("FiniteSpace", "check_topology", "discrete_space",
-                 "indiscrete_space", "sierpinski_space", "space_from_opens"),
+    "finspace": ("FiniteSpace", "check_topology"),
     "maps": ("ContinuousMap",),
     "algebra": ("Algebra", "InvalidAlgebraError", "ModuleSections",
-                "algebra_from_struct", "characters", "function_algebra",
-                "tensor_product", "truncated_poly_algebra", "validate_algebra"),
-    "spectrum": ("Character", "NotSplitError", "poly_quotient_algebra"),
+                "characters", "function_algebra", "tensor_product",
+                "truncated_poly_algebra", "validate_algebra"),
+    "spectrum": ("Character", "NotSplitError"),
     "sheaf": ("InvalidPresheafError", "Presheaf", "check_sheaf_condition",
-              "constant_presheaf", "function_presheaf", "make_presheaf",
-              "pushforward", "sheafify", "stalk", "validate_algebra_presheaf"),
+              "function_presheaf", "make_presheaf", "pushforward", "sheafify",
+              "validate_algebra_presheaf"),
     "sheafmaps": ("PresheafMorphism",),
     "gluing": (),
     "triad": ("DifferentialTriad", "NotFunctional", "check_leibniz",
-              "constant_triad", "constants_only_kernel", "function_triad",
-              "pushforward_triad", "validate_triad"),
+              "constants_only_kernel", "pushforward_triad", "validate_triad"),
     "kaehler": ("KaehlerModule", "factor_derivation", "kaehler_module",
                 "kaehler_presheaf"),
     "dtcat": ("BoundExceeded", "TriadMorphism", "check_morphism", "compose",
-              "constant_morphism", "fullness_check", "identity_morphism",
-              "pullback_morphism", "verify_pullback_forced"),
+              "constant_morphism", "fullness_check", "verify_pullback_forced"),
     "uniqueness": ("algebra_component_uniqueness",
                    "differential_agreement_on_image"),
     "workspace": ("ParseError", "UnresolvedReference", "WorkspaceDocument",

@@ -17,7 +17,7 @@ from itertools import product as iter_product
 from . import spectrum
 from .errors import DimensionMismatchError
 from .exactla import (ONE, ZERO, Matrix, Vector, contract, contract_matrix,
-                      unit_vector, vec)
+                      unit_vector)
 from .record import record
 from .report import Finding, Report, ValidationError
 
@@ -153,11 +153,6 @@ def basis_pairs(n: int, among) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(i, n) if i in among or j in among]
 
 
-def algebra_from_struct(struct, unit) -> Algebra:
-    rows = tuple(tuple(vec(v) for v in row) for row in struct)
-    return Algebra(len(rows), rows, vec(unit))
-
-
 def validate_algebra(a: Algebra) -> Report:
     """Commutativity, associativity and two-sided unit, with witnesses.
     The b with (xb)y = x(by) for all x, y form a subalgebra (Light's test),
@@ -213,10 +208,6 @@ class ModuleSections:
     def act_matrix(self, a) -> Matrix:
         """L(a), the matrix of w -> a . w: column j is sum_i a_i action[i][j]."""
         return contract_matrix(self.action, self.dim, a)
-
-
-def zero_module_sections(algebra_dim: int) -> ModuleSections:
-    return ModuleSections(algebra_dim, 0, tuple(() for _ in range(algebra_dim)))
 
 
 def validate_module_sections(a: Algebra, m: ModuleSections) -> Report:

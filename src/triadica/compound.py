@@ -24,14 +24,14 @@ def restrictions_from_json(value, space: finspace.FiniteSpace, dims,
         raise ParseError("restrictions must be an object", location)
     table = {}
     for key, mat in value.items():
-        parts = key.split("->")
-        if len(parts) != 2:
-            raise ParseError(f"restriction key {key!r} is not 'u->v'", location)
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u, v = map(int, key.split("->"))
+            # int() also reads "02", " 2" and "+2": one spelling names a pair
+            canonical = key == f"{u}->{v}"
         except ValueError:
-            raise ParseError(f"restriction key {key!r} is not 'u->v'",
-                             location) from None
+            canonical = False
+        if not canonical:
+            raise ParseError(f"restriction key {key!r} is not 'u->v'", location)
         if not (0 <= u < len(space.opens)) or not (0 <= v < len(space.opens)):
             raise ParseError(f"restriction key {key!r} names a missing open",
                              location)

@@ -4,10 +4,10 @@ A morphism rides on a continuous map f: X -> Y.  Its algebra part sends
 sections over each open V of Y into sections over the preimage of V; the
 module part does the same one level up; and per open, the two parts form a
 commuting square with the Leibniz operators.  check_morphism verifies all
-of that on basis elements.  The rest of the module builds the standard
-morphisms (identity, constant-map, pullback), composes them, and runs the
-finite enumerations: recovering a point map from its algebra components,
-and counting all morphisms between functional triads.  The recovery,
+of that on basis elements.  The rest of the module builds the morphisms
+over a constant map, composes morphisms, and runs the finite enumerations:
+recovering a point map from its algebra components, and counting all
+morphisms between functional triads.  The recovery,
 verify_pullback_forced(f, components), takes the algebra components of a
 morphism over f alone; it builds the function presheaf on the codomain and
 the direct image of the one on the domain itself, so the frame cannot be
@@ -39,7 +39,7 @@ from math import prod
 from . import compound_dump, exactla, sheaf, sheafmaps, triad
 from .errors import DimensionMismatchError, TriadicaError, UsageError
 from .finspace import FiniteSpace, minimal_open, require_topology
-from .maps import ContinuousMap, all_maps, compose_maps, constant_map, identity_map
+from .maps import ContinuousMap, all_maps, compose_maps, constant_map
 from .record import Interner, record
 from .report import Finding, Report, merge_reports, relocated
 
@@ -135,14 +135,6 @@ def check_morphism(m: TriadMorphism) -> Report:
     return merge_reports("check_morphism", parts)
 
 
-def identity_morphism(t: triad.DifferentialTriad) -> TriadMorphism:
-    n = len(t.space.opens)
-    return TriadMorphism(
-        identity_map(t.space), t, t,
-        tuple(exactla.Matrix.identity(t.algebras.section_dim(v)) for v in range(n)),
-        tuple(exactla.Matrix.identity(t.modules.section_dim(v)) for v in range(n)))
-
-
 def compose(g_hat: TriadMorphism, f_hat: TriadMorphism) -> TriadMorphism:
     """g_hat after f_hat.
 
@@ -191,7 +183,7 @@ def constant_morphism(source: triad.DifferentialTriad,
     return TriadMorphism(f, source, target, tuple(alg), tuple(mod))
 
 
-def _point_map_components(f: ContinuousMap, g) -> tuple[exactla.Matrix, ...]:
+def point_map_components(f: ContinuousMap, g) -> tuple[exactla.Matrix, ...]:
     """Precomposition with the point map g: over each open V of the codomain,
     row x of f^-1(V) is e_{g(x)} in V's sorted coordinates."""
     comps = []
@@ -202,13 +194,6 @@ def _point_map_components(f: ContinuousMap, g) -> tuple[exactla.Matrix, ...]:
             [exactla.unit_vector(len(v_pts), v_pts.index(g[x])) for x in pre_pts],
             cols=len(v_pts)))
     return tuple(comps)
-
-
-def pullback_morphism(f: ContinuousMap) -> TriadMorphism:
-    """Precomposition with f, as a morphism of the functional triads."""
-    tx, ty = triad.function_triad(f.domain), triad.function_triad(f.codomain)
-    mod = tuple(exactla.Matrix.zeros(0, 0) for _ in f.codomain.opens)
-    return TriadMorphism(f, tx, ty, _point_map_components(f, f.values), mod)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +247,7 @@ def enumerate_presheaf_morphisms(f: ContinuousMap, functions_x: sheaf.Presheaf,
     y = f.codomain
     target = sheaf.pushforward(f, functions_x)
     choices = [sorted(y.opens[minimal_open(y, f.values[x])]) for x in f.domain.points]
-    return [sheafmaps.PresheafMorphism(functions_y, target, _point_map_components(f, g))
+    return [sheafmaps.PresheafMorphism(functions_y, target, point_map_components(f, g))
             for g in product(*choices)]
 
 

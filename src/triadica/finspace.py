@@ -74,10 +74,6 @@ class FiniteSpace:
         """Every point is open."""
         return all(self.is_open({p}) for p in self.points)
 
-    def opens_containing(self, subset) -> list[int]:
-        target = frozenset(subset)
-        return [i for i, u in enumerate(self.opens) if target <= u]
-
 
 def check_topology(space: FiniteSpace) -> Report:
     """Report-valued check that the listed opens form a topology."""
@@ -135,24 +131,3 @@ def minimal_open_superset(space: FiniteSpace, subset) -> int:
 
 def is_continuous(values, domain: FiniteSpace, codomain: FiniteSpace) -> bool:
     return maps.continuity_witness(values, domain, codomain) is None
-
-
-def space_from_opens(point_count: int, opens) -> FiniteSpace:
-    return FiniteSpace(point_count, tuple(frozenset(u) for u in opens))
-
-
-def discrete_space(n: int) -> FiniteSpace:
-    # Opens ordered by bitmask value: stable, and the empty set comes first.
-    opens = []
-    for mask in range(1 << n):
-        opens.append(frozenset(i for i in range(n) if mask >> i & 1))
-    return FiniteSpace(n, tuple(opens))
-
-
-def indiscrete_space(n: int) -> FiniteSpace:
-    return FiniteSpace(n, (frozenset(), frozenset(range(n))) if n else (frozenset(),))
-
-
-def sierpinski_space() -> FiniteSpace:
-    """Two points where {0} is open but {1} is not."""
-    return FiniteSpace(2, (frozenset(), frozenset({0}), frozenset({0, 1})))

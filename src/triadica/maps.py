@@ -45,10 +45,6 @@ class ContinuousMap:
         return self.values[x]
 
 
-def identity_map(space: FiniteSpace) -> ContinuousMap:
-    return ContinuousMap(space, space, tuple(space.points))
-
-
 def compose_maps(g: ContinuousMap, f: ContinuousMap) -> ContinuousMap:
     """g after f."""
     if f.codomain is not g.domain and f.codomain != g.domain:

@@ -29,8 +29,7 @@ from . import gluing, maps, sheafmaps
 from .algebra import (Algebra, AlgebraMorphism, ModuleSections, action_findings,
                       basis_pairs, function_algebra, generators_first,
                       morphism_findings, validate_algebra,
-                      validate_algebra_morphism, validate_module_sections,
-                      zero_module_sections)
+                      validate_algebra_morphism, validate_module_sections)
 from .errors import DimensionMismatchError, InvariantError
 from .exactla import (ONE, ZERO, Matrix, Subspace, Vector, full_space, kernel,
                       span, unit_vector)
@@ -125,18 +124,6 @@ def make_presheaf(space: FiniteSpace, sections, restrictions,
     return Presheaf(space, sections, table, base)
 
 
-def constant_presheaf(space: FiniteSpace, section,
-                      base: Presheaf | None = None) -> Presheaf:
-    """`section` over every nonempty open with identity restrictions, and
-    zero over the empty open (the zero algebra, or the zero module over
-    `base`)."""
-    empty = function_algebra(0) if base is None else zero_module_sections(0)
-    sections = tuple(section if u else empty for u in space.opens)
-    table = {(u, v): Matrix.identity(section.dim)
-             for u, v in space.inclusion_pairs if u != v and space.opens[v]}
-    return make_presheaf(space, sections, table, base)
-
-
 def function_restriction_matrix(bigger, smaller) -> Matrix:
     """Coordinate-selection map Q^{sorted bigger} -> Q^{sorted smaller}."""
     big, small = sorted(bigger), sorted(smaller)
@@ -152,11 +139,6 @@ def function_presheaf(space: FiniteSpace) -> Presheaf:
     table = {(u, v): function_restriction_matrix(space.opens[u], space.opens[v])
              for u, v in space.inclusion_pairs}
     return Presheaf(space, sections, table)
-
-
-def zero_module_presheaf(base: Presheaf) -> Presheaf:
-    return make_presheaf(base.space, (zero_module_sections(a.dim) for a in base.sections),
-                         {}, base)
 
 
 def restriction_square_failures(components, source: Presheaf, target: Presheaf,
@@ -300,22 +282,6 @@ class InvalidPresheafError(ValidationError):
     """The restrictions or sections break an axiom the operation relies on."""
 
     prefix = "not a valid presheaf"
-
-
-@record
-class Stalk:
-    point: int
-    open_index: int
-    sections: object
-    germ_maps: dict
-
-
-def stalk(p: Presheaf, x: int) -> Stalk:
-    """Sections over the minimal open of x, with the maps from larger opens."""
-    space = p.space
-    ux = minimal_open(space, x)
-    germs = {v: p.restriction(v, ux) for v in space.opens_containing({x})}
-    return Stalk(x, ux, p.sections[ux], germs)
 
 
 def validate_presheaf_morphism(h, interner: Interner | None = None) -> Report:

@@ -1,4 +1,4 @@
-"""Characters of an algebra, the `spectrum` command, and Q[x]/(f).
+"""Characters of an algebra, its nilradical, and the `spectrum` command.
 
 Characters are the algebra maps into Q, that is the multiplicative unital
 functionals with rational values.  They are computed exactly, as common
@@ -20,9 +20,9 @@ from fractions import Fraction
 from . import algebra, poly
 from .algebra import (Algebra, AlgebraMorphism, function_algebra,
                       require_valid_algebra, validate_algebra_morphism)
-from .errors import DimensionMismatchError, InvariantError, TriadicaError
-from .exactla import (ONE, ZERO, Matrix, Subspace, Vector, dot, full_space,
-                      kernel, rat, span, unit_vector)
+from .errors import InvariantError, TriadicaError
+from .exactla import (ZERO, Matrix, Subspace, Vector, dot, full_space, kernel,
+                      span, unit_vector)
 from .record import record
 from .report import Finding, Report
 
@@ -37,27 +37,6 @@ class NotSplitError(TriadicaError):
             f"only {found} rational characters found but the semisimple "
             f"quotient has dimension {semisimple_dim}; the algebra does not "
             f"split over Q")
-
-
-def poly_quotient_algebra(coeffs) -> Algebra:
-    """Q[x]/(f) for monic f given by coefficients [c0, ..., c_{k-1}, 1].
-
-    Basis 1, x, ..., x^(k-1); products reduce modulo f.
-    """
-    coeffs = [rat(c) for c in coeffs]
-    if len(coeffs) < 2 or coeffs[-1] != ONE:
-        raise DimensionMismatchError("need a monic polynomial of degree >= 1")
-    k = len(coeffs) - 1
-    powers = [unit_vector(k, 0)]
-    for _ in range(2 * k - 2):
-        prev = powers[-1]
-        top = prev[k - 1]
-        nxt = [ZERO] + list(prev[:k - 1])
-        if top != 0:
-            nxt = [y - top * coeffs[l] for l, y in enumerate(nxt)]
-        powers.append(tuple(nxt))
-    struct = tuple(tuple(powers[i + j] for j in range(k)) for i in range(k))
-    return Algebra(k, struct, powers[0])
 
 
 def nilradical(a: Algebra) -> Subspace:

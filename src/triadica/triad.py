@@ -14,10 +14,9 @@ from . import compound_dump, maps
 from .finspace import FiniteSpace
 from .record import Interner, record
 from .report import Finding, Report, merge_reports, relocated
-from .sheaf import (Presheaf, constant_presheaf, function_presheaf, pushforward,
-                    pushforward_module, restriction_square_failures, sheaf_status,
-                    validate_algebra_presheaf, validate_module_presheaf,
-                    zero_module_presheaf)
+from .sheaf import (Presheaf, function_presheaf, pushforward, pushforward_module,
+                    restriction_square_failures, sheaf_status,
+                    validate_algebra_presheaf, validate_module_presheaf)
 
 
 @record
@@ -122,15 +121,6 @@ def _proper_pairs(space: FiniteSpace) -> list[tuple[int, int]]:
     return [(u, v) for u, v in space.inclusion_pairs if u != v]
 
 
-def function_triad(space: FiniteSpace) -> DifferentialTriad:
-    """The functional triad: function algebras, zero module, zero operator."""
-    algebras = function_presheaf(space)
-    modules = zero_module_presheaf(algebras)
-    diffs = tuple(Matrix.zeros(0, algebras.section_dim(u))
-                  for u in range(len(space.opens)))
-    return DifferentialTriad(algebras, modules, diffs)
-
-
 class NotFunctional(TriadicaError):
     """The triad's algebras are not the function presheaf on its space."""
 
@@ -168,14 +158,3 @@ def constants_only_kernel(t: DifferentialTriad) -> bool:
     return all(kernel(d) == span(a.dim, [a.unit])
                for a, d, open_set in zip(t.algebras.sections, t.differentials,
                                          t.space.opens) if open_set)
-
-
-def constant_triad(space: FiniteSpace, a: Algebra, module: ModuleSections,
-                   d: Matrix) -> DifferentialTriad:
-    """Same algebra, module and operator over each nonempty open, with
-    identity restrictions.  Useful for one-chart examples."""
-    algebras = constant_presheaf(space, a)
-    modules = constant_presheaf(space, module, base=algebras)
-    diffs = tuple(d if open_set else Matrix.zeros(0, 0)
-                  for open_set in space.opens)
-    return DifferentialTriad(algebras, modules, diffs)

@@ -4,10 +4,11 @@ never calls.
     python tests/compile_census.py --seed 4242 [--functions N] check build search
 
 For each job of a workload ladder, built read-only from bench/ladder.py,
-the census runs the job through `triadica.cli.main` in a fresh interpreter
-and prints one JSON line: the lines of the triadica layers that ran (whole
-files), and the lines of the top-level functions and methods in them that
-no call event of `sys.setprofile` reached; `nodes` and
+the census runs the job as `python -m triadica.cli` does, through
+`runpy.run_module` in a fresh interpreter, and prints one JSON line: the
+lines of the triadica layers that ran (whole files), and the lines of the
+top-level functions and methods in them that no call event of
+`sys.setprofile` reached; `nodes` and
 `never_called_nodes` count the same code in AST nodes (`ast.walk`), which
 compile time follows more closely than lines.  Each workload's start-up
 probe is counted apart from its jobs, and each workload ends with a total
@@ -43,11 +44,14 @@ from collections import Counter
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
-# runs one job in this interpreter; prints the layers that ran, and the
-# (file, first line) of every triadica code object that was called
+# runs one job in this interpreter as `python -m triadica.cli` runs it (with
+# the profile hook set, `console_entry` ends through `sys.exit`); prints the
+# layers that ran, `cli` among them although the run leaves it out of
+# `sys.modules`, and the (file, first line) of every triadica code object
+# that was called
 CHILD = """
-import contextlib, io, json, sys, types
-argv = json.loads(sys.argv[1])
+import contextlib, importlib.util, io, json, runpy, sys, types
+sys.argv = ["triadica"] + json.loads(sys.argv[1])
 called = set()
 
 def profile(frame, event, arg):
@@ -55,13 +59,13 @@ def profile(frame, event, arg):
         called.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
 
 sys.setprofile(profile)
-import triadica.cli
-with contextlib.redirect_stdout(io.StringIO()):
-    triadica.cli.main(argv)
+with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
+    runpy.run_module("triadica.cli", run_name="__main__")
 sys.setprofile(None)
-ran = sorted(m.__file__ for n, m in list(sys.modules.items())
-             if n.startswith("triadica.")
-             and type(m) is types.ModuleType)
+ran = sorted([importlib.util.find_spec("triadica.cli").origin]
+             + [m.__file__ for n, m in list(sys.modules.items())
+                if n.startswith("triadica.")
+                and type(m) is types.ModuleType])
 print(json.dumps([ran, sorted(called)]))
 """
 

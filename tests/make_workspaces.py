@@ -12,18 +12,19 @@ directory, so a test can compare it with the committed one.
 
 import pathlib
 
+from builders import (constant_presheaf, constant_triad, discrete_space,
+                      function_triad, identity_morphism, pullback_morphism,
+                      sierpinski_space, zero_module_sections)
 from kaehler_oracle import committed_kaehler_module, committed_kaehler_triad
 from triadica.algebra import (Algebra, ModuleSections, function_algebra,
-                              truncated_poly_algebra, zero_module_sections)
+                              truncated_poly_algebra)
 from triadica.compound_dump import (map_to_json, morphism_to_json,
                                     presheaf_to_json, triad_to_json)
-from triadica.dtcat import TriadMorphism, identity_morphism, pullback_morphism
+from triadica.dtcat import TriadMorphism
 from triadica.exactla import Matrix, rat, vec
-from triadica.finspace import discrete_space, sierpinski_space
 from triadica.kaehler import kaehler_presheaf
 from triadica.maps import ContinuousMap
-from triadica.sheaf import constant_presheaf, make_presheaf
-from triadica.triad import constant_triad, function_triad
+from triadica.sheaf import make_presheaf
 from triadica.workspace import (algebra_to_json, dump_workspace,
                                 parse_workspace, space_to_json)
 

@@ -17,26 +17,26 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from builders import (algebra_from_struct, constant_presheaf, constant_triad,
+                      discrete_space, function_triad, identity_morphism,
+                      indiscrete_space, pullback_morphism, sierpinski_space,
+                      space_from_opens, stalk)
 from kaehler_oracle import committed_kaehler_module, random_derivations
 from support import families_over, free_module_sections, is_zero
-from triadica.algebra import (ModuleSections, algebra_from_struct,
-                              function_algebra, truncated_poly_algebra)
+from triadica.algebra import (ModuleSections, function_algebra,
+                              truncated_poly_algebra)
 from triadica.cli import main
 from triadica.compound import presheaf_from_json
 from triadica.compound_triad import morphism_from_json, triad_from_json
 from triadica.dtcat import (TriadMorphism, check_morphism, compose,
-                            constant_morphism, fullness_check,
-                            identity_morphism, pullback_morphism)
+                            constant_morphism, fullness_check)
 from triadica.exactla import Matrix, vec
-from triadica.finspace import (discrete_space, indiscrete_space, is_continuous,
-                               minimal_open_superset, sierpinski_space,
-                               space_from_opens)
+from triadica.finspace import is_continuous, minimal_open_superset
 from triadica.kaehler import factor_derivation, kaehler_module, kaehler_presheaf
 from triadica.maps import ContinuousMap, all_maps
-from triadica.sheaf import (check_sheaf_condition, constant_presheaf,
-                            function_presheaf, pushforward, sheafify, stalk)
-from triadica.triad import (check_leibniz, constant_triad,
-                            constants_only_kernel, function_triad,
+from triadica.sheaf import (check_sheaf_condition, function_presheaf,
+                            pushforward, sheafify)
+from triadica.triad import (check_leibniz, constants_only_kernel,
                             pushforward_triad, validate_triad)
 from triadica.uniqueness import differential_agreement_on_image
 from triadica.workspace import WorkspaceDocument

@@ -7,11 +7,11 @@ from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from algebra_oracle import rational_roots_by_division
+from builders import algebra_from_struct
 from kaehler_oracle import multiplication_map
 from triadica.algebra import (Algebra, AlgebraMorphism, InvalidAlgebraError,
-                              algebra_from_struct, characters,
-                              enumerate_unital_morphisms, function_algebra,
-                              is_standard_function_algebra,
+                              characters, enumerate_unital_morphisms,
+                              function_algebra, is_standard_function_algebra,
                               nilradical, tensor_product,
                               truncated_poly_algebra, validate_algebra,
                               validate_algebra_morphism)

@@ -18,6 +18,8 @@ import pytest
 from hypothesis import HealthCheck, assume, given, seed, settings
 from hypothesis import strategies as st
 
+from builders import (constant_presheaf, discrete_space, function_triad,
+                      pullback_morphism, sierpinski_space, space_from_opens)
 from test_dtcat import maps_that_do_not_chain
 from test_golden import command_argv
 from triadica.algebra import truncated_poly_algebra
@@ -25,12 +27,11 @@ from triadica.cli import COMMAND_TABLE, COMMANDS, main, parse_command_line
 from triadica.compound_dump import (map_to_json, morphism_to_json,
                                     presheaf_to_json, triad_to_json)
 from triadica.compound_triad import morphism_from_json, triad_from_json
-from triadica.dtcat import check_morphism, compose, pullback_morphism
-from triadica.finspace import discrete_space, sierpinski_space, space_from_opens
+from triadica.dtcat import check_morphism, compose
 from triadica.kaehler import kaehler_presheaf
 from triadica.maps import ContinuousMap
-from triadica.sheaf import constant_presheaf, function_presheaf
-from triadica.triad import function_triad, validate_triad
+from triadica.sheaf import function_presheaf
+from triadica.triad import validate_triad
 from triadica.workspace import (ParseError, UnresolvedReference,
                                 WorkspaceDocument, dump_workspace, entry,
                                 load_workspace, parse_workspace, space_to_json)
@@ -623,6 +624,14 @@ REFUSALS = [
     ("restriction_key_not_integers",
      on_sierpinski(restrictions={"a->1": one_row("1", "0")}),
      "presheaves.P.restrictions: restriction key 'a->1' is not 'u->v'"),
+    # "02->1" names the pair "2->1" names; it would overwrite that matrix
+    ("restriction_key_given_twice",
+     on_sierpinski(restrictions={"2->1": one_row("1", "0"),
+                                 "02->1": one_row("0", "1")}),
+     "presheaves.P.restrictions: restriction key '02->1' is not 'u->v'"),
+    ("restriction_key_none",
+     on_sierpinski(restrictions={"None->None": one_row("1", "0")}),
+     "presheaves.P.restrictions: restriction key 'None->None' is not 'u->v'"),
     ("restriction_key_missing_open",
      on_sierpinski(restrictions={"5->1": one_row("1", "0")}),
      "presheaves.P.restrictions: restriction key '5->1' names a missing open"),
@@ -737,7 +746,7 @@ def test_invariant_checks_survive_optimized_mode():
             "    span(3, [[1, 0, 0]]).coordinates(vec([1, 0]))\n"
             "except DimensionMismatchError:\n"
             "    print('refused', sys.flags.optimize)\n"
-            "from triadica.finspace import sierpinski_space\n"
+            "from builders import sierpinski_space\n"
             "from triadica.maps import ContinuousMap\n"
             "try:\n"
             "    ContinuousMap(sierpinski_space(), sierpinski_space(), (1, 0))\n"
@@ -745,8 +754,10 @@ def test_invariant_checks_survive_optimized_mode():
             "    print('discontinuous', sys.flags.optimize)\n"
             "from triadica.cli import main\n"
             "print('usage', main(['fullness', '--bound', 'x']))\n")
+    env = src_env()
+    env["PYTHONPATH"] += os.pathsep + str(pathlib.Path(__file__).parent)
     proc = subprocess.run([sys.executable, "-O", "-c", code],
-                          capture_output=True, text=True, env=src_env())
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "raised 1\nrefused 1\ndiscontinuous 1\nusage 2\n"
     assert proc.stderr == ("triadica fullness: error: argument --bound: "

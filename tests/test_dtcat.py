@@ -9,25 +9,26 @@ from fractions import Fraction
 
 import pytest
 
+from builders import (constant_presheaf, constant_triad, discrete_space,
+                      function_triad, identity_map, identity_morphism,
+                      indiscrete_space, pullback_morphism, sierpinski_space,
+                      space_from_opens, zero_module_sections)
 from triadica.algebra import (ModuleSections, function_algebra,
-                              truncated_poly_algebra, zero_module_sections)
+                              truncated_poly_algebra)
 from triadica.dtcat import (BoundExceeded, FullnessResult, TriadMorphism,
                             check_morphism, compose, constant_morphism,
-                            fullness_check, identity_morphism,
-                            pullback_morphism, verify_pullback_forced)
+                            fullness_check, verify_pullback_forced)
 from triadica.errors import DimensionMismatchError
 from triadica.exactla import Matrix, vec
-from triadica.finspace import (InvalidTopologyError, discrete_space,
-                               indiscrete_space, is_continuous, sierpinski_space,
-                               space_from_opens)
+from triadica.finspace import InvalidTopologyError, is_continuous
 from triadica.kaehler import kaehler_module, kaehler_presheaf
-from triadica.maps import ContinuousMap, all_maps, constant_map, identity_map
+from triadica.maps import ContinuousMap, all_maps, constant_map
 from triadica.report import Finding, relocated
-from triadica.sheaf import (constant_presheaf, function_presheaf, pushforward,
+from triadica.sheaf import (function_presheaf, pushforward,
                             semilinearity_defects, validate_presheaf_morphism)
 from triadica.sheafmaps import PresheafMorphism
-from triadica.triad import (DifferentialTriad, NotFunctional, constant_triad,
-                            constants_only_kernel, function_triad)
+from triadica.triad import (DifferentialTriad, NotFunctional,
+                            constants_only_kernel)
 from triadica.uniqueness import (algebra_component_uniqueness,
                                  differential_agreement_on_image)
 

@@ -20,6 +20,7 @@ from fractions import Fraction
 import pytest
 
 from algebra_oracle import closure, greedy_generators
+from builders import poly_quotient_algebra
 from kaehler_oracle import kaehler_isomorphism
 from triadica.algebra import (Algebra, AlgebraMorphism, ModuleSections,
                               action_findings, basis_pairs, function_algebra,
@@ -29,7 +30,6 @@ from triadica.algebra import (Algebra, AlgebraMorphism, ModuleSections,
                               validate_algebra_morphism)
 from triadica.exactla import Matrix, solve, unit_vector, vec
 from triadica.kaehler import kaehler_module
-from triadica.spectrum import poly_quotient_algebra
 from triadica.triad import _leibniz_errors
 
 NUDGES = [Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-1, 3)]

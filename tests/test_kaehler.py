@@ -16,28 +16,28 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from builders import (algebra_from_struct, constant_presheaf, discrete_space,
+                      indiscrete_space, poly_quotient_algebra, sierpinski_space,
+                      space_from_opens)
 from kaehler_oracle import (factor_derivation_on_every_basis_vector,
                             ideal_square_module, kaehler_isomorphism,
                             leibniz_kaehler_module, multiplication_map,
                             random_derivations, restrict_scalars)
 from triadica.algebra import (InvalidAlgebraError, ModuleSections,
-                              algebra_from_struct, function_algebra,
-                              tensor_product, truncated_poly_algebra,
-                              validate_algebra, validate_module_sections)
+                              function_algebra, tensor_product,
+                              truncated_poly_algebra, validate_algebra,
+                              validate_module_sections)
 from triadica.errors import DimensionMismatchError
 from triadica.exactla import Matrix, kernel, rref, solve, span, unit_vector, vec
-from triadica.finspace import (InvalidTopologyError, discrete_space,
-                               indiscrete_space, sierpinski_space,
-                               space_from_opens)
+from triadica.finspace import InvalidTopologyError
 from triadica.kaehler import (FactorizationFailed, KaehlerModule,
                               NotADerivation, derivation_space,
                               factor_derivation, kaehler_module,
                               kaehler_presheaf)
 from triadica.sheaf import (InvalidPresheafError, check_sheaf_condition,
-                            constant_presheaf, function_presheaf,
-                            make_presheaf, validate_algebra_presheaf,
+                            function_presheaf, make_presheaf,
+                            validate_algebra_presheaf,
                             validate_presheaf_morphism)
-from triadica.spectrum import poly_quotient_algebra
 from triadica.triad import (check_leibniz, constants_only_kernel,
                             validate_triad)
 

@@ -1,5 +1,6 @@
-"""No module of the package imports a private name from another, and every
-definition in the package is reached from its supported surface.
+"""No module of the package imports a private name from another, every
+definition in the package is reached from its supported surface, and every
+one is reached from what the command line runs.
 
 A name with a leading underscore belongs to the module that defines it.
 When a second module needs it, it has become part of that module's
@@ -8,7 +9,12 @@ interface and gets a public name (or moves to where both can reach it).
 The supported surface is the command line (`cli.main`), the names in
 `triadica.__all__`, and the functions the benchmark's tracer patches by
 name.  A function, class or method that none of them reaches is code that
-nobody supports; one that only the tests use belongs in the tests.
+nobody supports; one that only the tests use belongs in the tests.  The
+second walk leaves `__all__` out: what the command line runs is `cli.main`,
+`cli.console_entry`, the algebra builders the workspace reader looks up by
+the names in `workspace._BUILDERS`, and, while the tracer pins them, the
+functions it patches.  So an exported name that no command reaches fails it
+too: it belongs in the tests' `builders` module.
 
 The modules are parsed with `ast`, not imported, except to read
 `triadica.__all__` (importing the package runs none of its layers) and to
@@ -110,12 +116,22 @@ def _overrides_foreign_method(module: str, cls: str, name: str) -> bool:
                if not base.__module__.startswith("triadica"))
 
 
-def unreached() -> list[str]:
+def builder_functions() -> set[tuple[str, str]]:
+    """`("algebra", name)` for each function `workspace._BUILDERS` names, which
+    the workspace reader reads off `algebra` by that string."""
+    tree = ast.parse((PACKAGE / "workspace.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "_BUILDERS" for t in node.targets):
+            return {("algebra", name) for name in ast.literal_eval(node.value).values()}
+    raise AssertionError("workspace._BUILDERS is gone")
+
+
+def unreached(roots, exported=frozenset()) -> list[str]:
     """`module.name (line n)` for each function, class or method that
-    nothing reaches from `cli.main`, the module-level statements,
-    `triadica.__all__`, the functions the benchmark's tracer patches and
-    the package's module `__getattr__` (PEP 562), which the interpreter
-    calls.
+    nothing reaches from `roots`, the module-level statements, the names in
+    `exported` and the package's module `__getattr__` (PEP 562), which the
+    interpreter calls.
 
     Reference is by name: a bare name reaches every top-level definition
     of that name, an attribute read off a module's handle reaches that
@@ -128,8 +144,7 @@ def unreached() -> list[str]:
     defs = _definitions(trees)
     module_level = [node for tree in trees.values() for node in tree.body
                     if not isinstance(node, (ast.FunctionDef, ast.ClassDef))]
-    exported = set(triadica.__all__)
-    reached = {("cli", "main"), ("__init__", "__getattr__"), *LAYER_NAMES}
+    reached = {("__init__", "__getattr__"), *roots}
     while True:
         names, attrs, qualified = _references(
             module_level + [n for key in reached for n in defs[key][2]])
@@ -153,5 +168,11 @@ def unreached() -> list[str]:
 
 
 def test_every_definition_is_reached():
-    missing = unreached()
+    missing = unreached({("cli", "main"), *LAYER_NAMES}, set(triadica.__all__))
     assert not missing, "reached by nothing:\n" + "\n".join(missing)
+
+
+def test_every_definition_is_reached_from_the_command_line():
+    missing = unreached({("cli", "main"), ("cli", "console_entry"), *LAYER_NAMES,
+                         *builder_functions()})
+    assert not missing, "reached by no command:\n" + "\n".join(missing)

@@ -12,7 +12,7 @@ from functools import cached_property
 
 import pytest
 
-from triadica.record import record
+from triadica.record import Interner, record
 
 from support import replace
 
@@ -122,17 +122,27 @@ def test_assignment_and_deletion_raise_attribute_error(name, args, kwargs):
     assert repr(rec) == repr(RECORDS[name](*args, **kwargs))
 
 
-@pytest.mark.parametrize("args,kwargs", [
-    ((1,), {}),                       # missing
-    ((), {"y": ()}),                  # missing, by keyword
-    ((1, (), 2), {}),                 # extra positional
-    ((1, ()), {"z": 3}),              # unknown keyword
-    ((1,), {"x": 1, "y": ()}),        # duplicate
-], ids=["missing", "missing_keyword", "extra", "unknown_keyword", "duplicate"])
-def test_bad_arguments_raise_type_error(args, kwargs):
+@pytest.mark.parametrize("args,kwargs,named", [
+    ((1,), {}, "'y'"),                          # missing
+    ((), {"y": ()}, "'x'"),                     # missing, by keyword
+    ((1, (), 2), {}, "positional arguments"),   # extra positional
+    ((1, ()), {"z": 3}, "'z'"),                 # unknown keyword
+    ((1,), {"x": 1, "y": ()}, "'x'"),           # duplicate
+    ((1, ()), {"y": ()}, "'y'"),                # duplicate of the last field
+], ids=["missing", "missing_keyword", "extra", "unknown_keyword", "duplicate",
+        "duplicate_of_the_last"])
+def test_bad_arguments_raise_type_error(args, kwargs, named):
+    # the message names the argument at fault, as the twin's does
     for make in (RECORDS["Plain"], TWINS["Plain"]):
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match=named):
             make(*args, **kwargs)
+
+
+def test_bad_arguments_to_a_record_with_post_init_raise_type_error():
+    for make in (RECORDS["Checked"], TWINS["Checked"]):
+        for args in ((1,), (1, "a", 2)):
+            with pytest.raises(TypeError):
+                make(*args)
 
 
 def test_defaults_fill_the_trailing_fields():
@@ -182,3 +192,33 @@ def test_cached_property_is_computed_once_on_a_frozen_record():
     assert hash(rec) == hash(TWINS["Cached"]((1, 2, 3)))
     with pytest.raises(AttributeError):
         rec.total = 7
+
+
+class CountedLeaf:
+    """A leaf value that counts the calls of its __hash__."""
+
+    hashes = 0
+
+    def __init__(self, value):
+        self.value = value
+
+    def __eq__(self, other):
+        return isinstance(other, CountedLeaf) and self.value == other.value
+
+    def __hash__(self):
+        CountedLeaf.hashes += 1
+        return hash(self.value)
+
+
+def test_the_interner_hashes_no_leaf_of_a_value_rebuilt_from_the_same_leaves():
+    a, b, c, d = map(CountedLeaf, range(4))
+
+    def build():  # a new record and new rows each time, over the same leaves
+        return RECORDS["Plain"](a, ((a, b), (c, d)))
+
+    interner = Interner()
+    assert interner.ids([build()]) == [0]
+    hashed = CountedLeaf.hashes
+    assert interner.ids([build(), build()]) == [0, 0]
+    assert CountedLeaf.hashes == hashed
+    assert interner.ids([RECORDS["Plain"](a, ((a, b), (d, c)))]) == [1]

@@ -9,28 +9,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from builders import (constant_presheaf, constant_triad, discrete_space,
+                      indiscrete_space, sierpinski_space, space_from_opens,
+                      stalk, zero_module_presheaf, zero_module_sections)
 from triadica.algebra import (Algebra, AlgebraMorphism, ModuleSections,
                               function_algebra, truncated_poly_algebra,
-                              validate_module_sections, zero_module_sections)
+                              validate_module_sections)
 from triadica.errors import DimensionMismatchError
 from triadica.exactla import ONE, ZERO, Matrix, kernel, solve, unit_vector, vec
-from triadica.finspace import (InvalidTopologyError, discrete_space,
-                               indiscrete_space, minimal_open, sierpinski_space,
-                               space_from_opens)
-from triadica.sheaf import (InvalidPresheafError, Presheaf,
-                            _family_layout, check_sheaf_condition,
-                            constant_presheaf, fill_restrictions,
+from triadica.finspace import InvalidTopologyError, minimal_open
+from triadica.sheaf import (InvalidPresheafError, Presheaf, _family_layout,
+                            check_sheaf_condition, fill_restrictions,
                             function_presheaf, function_restriction_matrix,
                             irredundant_covers, make_presheaf, pushforward,
                             pushforward_module, sheafify, sheafify_module,
-                            stalk, validate_algebra_presheaf,
-                            validate_module_presheaf,
-                            validate_presheaf_morphism, zero_module_presheaf)
+                            validate_algebra_presheaf, validate_module_presheaf,
+                            validate_presheaf_morphism)
 from triadica.sheafmaps import PresheafMorphism
 from triadica.kaehler import kaehler_module
 from triadica.maps import ContinuousMap, all_maps, constant_map
 from triadica.record import Interner
-from triadica.triad import DifferentialTriad, constant_triad, validate_triad
+from triadica.triad import DifferentialTriad, validate_triad
 from sheaf_oracle import (check_sheaf_by_covers, validate_algebra_presheaf_by_pairs,
                           validate_module_presheaf_by_pairs, validate_triad_by_opens)
 from support import free_module_sections, matrix_sum, replace, scaled

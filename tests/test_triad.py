@@ -6,17 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from builders import (constant_triad, discrete_space, function_triad,
+                      indiscrete_space, sierpinski_space, zero_module_presheaf,
+                      zero_module_sections)
 from triadica.algebra import (ModuleSections, function_algebra,
-                              truncated_poly_algebra, zero_module_sections)
+                              truncated_poly_algebra)
 from triadica.errors import DimensionMismatchError
 from triadica.exactla import ONE, ZERO, Matrix, kernel, span, vec
-from triadica.finspace import discrete_space, indiscrete_space, sierpinski_space
 from triadica.maps import ContinuousMap, constant_map
-from triadica.sheaf import (Presheaf, check_sheaf_condition,
-                            zero_module_presheaf)
+from triadica.sheaf import Presheaf, check_sheaf_condition
 from triadica.triad import (DifferentialTriad, NotFunctional, check_leibniz,
-                            constant_triad, constants_only_kernel,
-                            function_triad, pushforward_triad,
+                            constants_only_kernel, pushforward_triad,
                             require_functional, validate_triad)
 
 from support import free_module_sections, is_functional_triad, scaled
