@@ -6,12 +6,13 @@ polynomials and their rational roots), finspace (finite topologies), maps
 the modules over them), spectrum (their characters), sheaf (presheaves and
 the sheaf condition), sheafmaps (maps of presheaves, direct images), gluing
 (sheafification), triad (differential triads and the Leibniz validator),
-kaehler (universal differential modules), dtcat (triad morphisms,
-composition, fullness), uniqueness (of a morphism's components),
-workspace (declarative documents: spaces, algebras and the fragments of
-the rest), compound (their presheaves), compound_triad (their triads, maps
-and morphisms), compound_dump (all four written back) and cli (the command
-surface).
+axioms (presheaf axioms, stalk families), triad_axioms (module and Leibniz
+axioms), kaehler (universal differential modules), dtcat (triad morphisms,
+composition, fullness), uniqueness (of a morphism's components), workspace
+(declarative documents: spaces, algebras and the fragments of the rest),
+compound (their presheaves), compound_triad (their triads), compound_maps
+(their maps and morphisms), compound_dump (all four written back),
+synopsis (--help) and cli (the command surface).
 
 Each layer loads on first use.  Importing the package registers every
 layer in `sys.modules` and binds it here as an attribute, but runs none of
@@ -57,18 +58,22 @@ _EXPORTS = {
     "sheafmaps": ("PresheafMorphism",),
     "gluing": (),
     "triad": ("DifferentialTriad", "NotFunctional", "check_leibniz",
-              "constants_only_kernel", "pushforward_triad", "validate_triad"),
+              "pushforward_triad", "validate_triad"),
+    "axioms": (),
+    "triad_axioms": (),
     "kaehler": ("KaehlerModule", "factor_derivation", "kaehler_module",
                 "kaehler_presheaf"),
     "dtcat": ("BoundExceeded", "TriadMorphism", "check_morphism", "compose",
               "constant_morphism", "fullness_check", "verify_pullback_forced"),
-    "uniqueness": ("algebra_component_uniqueness",
+    "uniqueness": ("algebra_component_uniqueness", "constants_only_kernel",
                    "differential_agreement_on_image"),
     "workspace": ("ParseError", "UnresolvedReference", "WorkspaceDocument",
                   "load_workspace", "parse_workspace"),
     "compound": (),
     "compound_triad": (),
+    "compound_maps": (),
     "compound_dump": (),
+    "synopsis": (),
 }
 
 # exported name -> its home layer

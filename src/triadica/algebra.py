@@ -210,30 +210,6 @@ class ModuleSections:
         return contract_matrix(self.action, self.dim, a)
 
 
-def validate_module_sections(a: Algebra, m: ModuleSections) -> Report:
-    """Unit acts as identity; action is associative over the algebra."""
-    return Report("validate_module_sections", tuple(action_findings(a, m, range(a.dim))))
-
-
-def action_findings(a: Algebra, m: ModuleSections, firsts) -> list[Finding]:
-    """The unit acting as the identity, and (e_i e_j).w = e_i.(e_j.w) for i
-    in `firsts`.  Over an associative algebra the elements x with
-    (xy).w = x.(y.w) for all y, w form a subalgebra."""
-    n = a.dim
-    basis = [unit_vector(n, i) for i in range(n)]
-    mod_basis = [unit_vector(m.dim, j) for j in range(m.dim)]
-    findings = [Finding("error", f"unit.w{j}", "unit does not act as the identity", j)
-                for j, w in enumerate(mod_basis) if m.act(a.unit, w) != w]
-    for i in firsts:
-        for j in range(n):
-            prod = a.struct[i][j]
-            for k, w in enumerate(mod_basis):
-                if m.act(prod, w) != m.act(basis[i], m.act(basis[j], w)):
-                    findings.append(Finding("error", f"(e{i} e{j}).w{k}",
-                                            "action is not associative", [i, j, k]))
-    return findings
-
-
 def function_algebra(k: int) -> Algebra:
     """Q^k with pointwise product; k = 0 gives the degenerate zero algebra."""
     if k < 0:

@@ -28,14 +28,15 @@ SOURCE:TARGET:POINT, uniqueness FIRST:SECOND, fullness DOMAIN:CODOMAIN.
 
 from __future__ import annotations
 
+import gc
 import os
 import re
 import sys
 from types import SimpleNamespace
 from typing import Callable, NoReturn
 
-from . import (algebra, dtcat, finspace, gluing, kaehler, sheaf, spectrum, triad,
-               uniqueness, workspace)
+from . import (algebra, axioms, dtcat, finspace, gluing, kaehler, spectrum,
+               synopsis, triad, triad_axioms, uniqueness, workspace)
 from .errors import DimensionMismatchError, TriadicaError, UsageError
 from .record import record
 from .report import Finding, Report
@@ -93,8 +94,8 @@ COMMAND_TABLE = {
         "NAME", ("spaces", "algebras", "presheaves", "triads"), "validate",
         {"spaces": lambda args, x: (finspace.check_topology(x), {}),
          "algebras": lambda args, a: (algebra.validate_algebra(a), {}),
-         "presheaves": lambda *p: sheaf.validate_presheaf_command(*p),
-         "triads": lambda *p: triad.validate_triad_command(*p)}),
+         "presheaves": lambda *p: axioms.validate_presheaf_command(*p),
+         "triads": lambda *p: triad_axioms.validate_triad_command(*p)}),
     "kaehler": Command("NAME", ("algebras", "presheaves"),
                        {"algebras": "kaehler_module", "presheaves": "kaehler_presheaf"},
                        {"algebras": lambda *p: kaehler.kaehler_module_command(*p),
@@ -225,25 +226,6 @@ def render_human(command: str, rows) -> str:
 # entry points
 
 
-METAVARS = {str: " FILE", list: " TARGET", int: " N", bool: ""}
-HELP_TAIL = ("\n  --json, --human   report as JSON (default) or as text"
-             "\n  -h, --help        print this synopsis\n"
-             "\nA long option may be cut to any unique prefix: --work FILE, --b 9.\n")
-
-
-def _help() -> str:
-    """The synopsis of every command and option, read off COMMAND_TABLE."""
-    lines = []
-    for name, c in COMMAND_TABLE.items():
-        usage = (f"[{f}{f' {c.shape} ...' if kind is list else METAVARS[kind]}]"
-                 for f, kind, _, _ in COMMON + c.flags)
-        lines.append(f"triadica {name:17} {' '.join(usage)} [--json|--human]")
-    options = COMMON + sum((c.flags for c in COMMAND_TABLE.values()), ())
-    lines += [""] + [f"  {f + METAVARS[kind]:17} {text}"
-                     for f, kind, _, text in options]
-    return "\n".join(lines) + HELP_TAIL
-
-
 def _refuse(prog: str, message: str) -> NoReturn:
     print(f"{prog}: error: {message}", file=sys.stderr)
     raise SystemExit(2)
@@ -267,7 +249,7 @@ def parse_command_line(argv: list[str]) -> SimpleNamespace:
     stderr and raises SystemExit(2); -h or --help prints the synopsis and
     raises SystemExit(0)."""
     if argv[:1] and argv[0] in ("-h", "--h", "--he", "--hel", "--help"):
-        raise SystemExit(_write(_help()))
+        raise SystemExit(_write(synopsis.help_text(COMMAND_TABLE, COMMON)))
     if not argv or argv[0] not in COMMAND_TABLE:
         _refuse("triadica", f"argument command: invalid choice: {argv[0]!r} "
                 f"(choose from {', '.join(map(repr, COMMANDS))})" if argv
@@ -293,7 +275,7 @@ def parse_command_line(argv: list[str]) -> SimpleNamespace:
         elif eq and kind not in (str, list, int):
             _refuse(prog, f"argument {flag}: ignored explicit argument {value!r}")
         if kind == "help":
-            raise SystemExit(_write(_help()))
+            raise SystemExit(_write(synopsis.help_text(COMMAND_TABLE, COMMON)))
         if kind == "mode" and mode not in (None, flag):
             _refuse(prog, f"argument {flag}: not allowed with argument {mode}")
         if kind == "mode":
@@ -372,6 +354,7 @@ def main(argv=None) -> int:
 def console_entry() -> NoReturn:
     """`main` as a program: flush, then end without interpreter finalization
     (no atexit handler runs) unless a profiler's or tracer's report is due."""
+    gc.disable()  # a run leaves the cyclic collector no work
     code = main()
     if sys.getprofile() or sys.gettrace():
         sys.exit(code)

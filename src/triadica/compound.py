@@ -4,8 +4,8 @@ Their parsers and serializers, in the shapes the `workspace` docstring
 lists, built on the `workspace` fragments (matrices, spaces, algebras,
 module sections).  Each parser reads an inline value, and reads each part
 that may be a reference through `workspace.entry`.  This layer parses
-presheaves, `compound_triad` triads, maps and morphisms, and
-`compound_dump` writes all four.  Each loads on first use: a document with
+presheaves, `compound_triad` triads, `compound_maps` maps and morphisms,
+and `compound_dump` writes all four.  Each loads on first use: a document with
 spaces and algebras only, such as `spectrum`, `fullness` and `kaehler` on
 an algebra read, runs none of them.
 """

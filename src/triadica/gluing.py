@@ -15,13 +15,13 @@ never sheafify do not compile it.
 
 from __future__ import annotations
 
-from . import compound_dump, sheaf, workspace
+from . import axioms, compound_dump, sheaf, workspace
 from .algebra import Algebra
 from .exactla import Matrix
 from .finspace import require_topology
 from .record import record
 from .report import Finding, Report
-from .sheaf import FamilyLayout, InvalidPresheafError, Presheaf
+from .sheaf import InvalidPresheafError, Presheaf
 from .sheafmaps import PresheafMorphism
 
 
@@ -31,7 +31,7 @@ class Sheafification:
     canonical: PresheafMorphism
 
 
-def _restriction_between_layouts(lu: FamilyLayout, lv: FamilyLayout) -> Matrix:
+def _restriction_between_layouts(lu: axioms.FamilyLayout, lv: axioms.FamilyLayout) -> Matrix:
     """Truncate families from a bigger open to a smaller one."""
     if lv.total == 0 or not lv.basis:
         return Matrix.zeros(len(lv.basis), len(lu.basis))

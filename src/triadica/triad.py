@@ -7,16 +7,16 @@ the first violating basis pair per open and reports it with the defect.
 
 from __future__ import annotations
 
-from .algebra import Algebra, ModuleSections, basis_pairs, generators_first
+from .algebra import Algebra, ModuleSections
 from .errors import DimensionMismatchError, TriadicaError
-from .exactla import Matrix, kernel, span, unit_vector
-from . import compound_dump, maps
+from .exactla import Matrix
+from . import compound_dump, maps, triad_axioms
 from .finspace import FiniteSpace
 from .record import Interner, record
 from .report import Finding, Report, merge_reports, relocated
 from .sheaf import (Presheaf, function_presheaf, pushforward, pushforward_module,
-                    restriction_square_failures, sheaf_status,
-                    validate_algebra_presheaf, validate_module_presheaf)
+                    restriction_square_failures, validate_algebra_presheaf,
+                    validate_module_presheaf)
 
 
 @record
@@ -43,36 +43,7 @@ class DifferentialTriad:
 
 def check_leibniz(a: Algebra, m: ModuleSections, d: Matrix) -> Report:
     """Check d(xy) = x.d(y) + y.d(x) on basis pairs; stop at the first failure."""
-    return Report("check_leibniz", _leibniz_failure(a, m, d, range(a.dim)))
-
-
-def _leibniz_failure(a: Algebra, m: ModuleSections, d: Matrix, among) -> tuple[Finding, ...]:
-    """The first basis pair i <= j with i or j in `among` where the Leibniz
-    rule fails, as a finding with its defect."""
-    basis = [unit_vector(a.dim, i) for i in range(a.dim)]
-    for i, j in basis_pairs(a.dim, among):
-        left = d.apply(a.struct[i][j])
-        right = tuple(p + q for p, q in zip(m.act(basis[i], d.apply(basis[j])),
-                                           m.act(basis[j], d.apply(basis[i]))))
-        if left != right:
-            defect = [str(p - q) for p, q in zip(left, right)]
-            return (Finding("error", f"pair ({i},{j})", "Leibniz rule fails on basis pair",
-                            {"pair": [i, j], "defect": defect}),)
-    return ()
-
-
-def _leibniz_errors(a: Algebra, m: ModuleSections, d: Matrix, known: bool) -> list[Finding]:
-    """check_leibniz's findings, and one at "unit" when d(1) is not 0.  In
-    a commutative algebra over an associative module, both `known` valid,
-    the x with d(xy) = x.dy + y.dx for all y form a subalgebra, which holds
-    the unit when d(1) = 0: then pairs with a generator are checked first."""
-    # consequence of Leibniz at (1,1); checked separately for reporting
-    unit_image = d.apply(a.unit)
-    unit = [Finding("error", "unit", "differential does not annihilate the unit",
-                    [str(c) for c in unit_image])] if any(unit_image) else []
-    if known and not unit:
-        return list(generators_first(a, lambda among: _leibniz_failure(a, m, d, among)))
-    return list(check_leibniz(a, m, d).findings) + unit
+    return Report("check_leibniz", triad_axioms.leibniz_failure(a, m, d, range(a.dim)))
 
 
 def validate_triad(t: DifferentialTriad) -> Report:
@@ -93,7 +64,7 @@ def validate_triad(t: DifferentialTriad) -> Report:
     leibniz_findings = []
     for u, key in enumerate(triples):
         leibniz_findings += relocated(f"open {u}: ", interner.once(
-            ("leibniz", *key), lambda: _leibniz_errors(
+            ("leibniz", *key), lambda: triad_axioms.leibniz_errors(
                 t.algebras.sections[u], t.modules.sections[u], t.differentials[u], known)))
     parts.append(Report("check_leibniz", tuple(leibniz_findings)))
 
@@ -103,22 +74,12 @@ def validate_triad(t: DifferentialTriad) -> Report:
 
     failures = []
     if not known or squares(space.cover_pairs):
-        failures = squares(_proper_pairs(space))
+        failures = squares(triad_axioms.proper_pairs(space))
     parts.append(Report("differential_squares", tuple(
         Finding("error", f"inclusion {u}->{v}",
                 "differential does not commute with restriction", [u, v])
         for u, v in failures)))
     return merge_reports("validate_triad", parts)
-
-
-def validate_triad_command(args, t):
-    layers = [("algebra layer", t.algebras), ("module layer", t.modules)]
-    rep = validate_triad(t)
-    return Report(rep.operation, rep.findings + tuple(sheaf_status(layers))), {}
-
-
-def _proper_pairs(space: FiniteSpace) -> list[tuple[int, int]]:
-    return [(u, v) for u, v in space.inclusion_pairs if u != v]
 
 
 class NotFunctional(TriadicaError):
@@ -153,8 +114,3 @@ def pushforward_command(args, f, t):
     return validate_triad(out), {"triad": compound_dump.triad_to_json(out)}
 
 
-def constants_only_kernel(t: DifferentialTriad) -> bool:
-    """True when over every nonempty open ker(d) is exactly the span of 1."""
-    return all(kernel(d) == span(a.dim, [a.unit])
-               for a, d, open_set in zip(t.algebras.sections, t.differentials,
-                                         t.space.opens) if open_set)

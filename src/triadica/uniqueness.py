@@ -13,9 +13,9 @@ on first use.
 from __future__ import annotations
 
 from .dtcat import TriadMorphism
-from .exactla import Matrix, span
+from .exactla import Matrix, kernel, span
 from .report import Finding, Report
-from .triad import constants_only_kernel
+from .triad import DifferentialTriad
 
 
 def _image(mat: Matrix):
@@ -64,6 +64,13 @@ def differential_agreement_on_image(m1: TriadMorphism,
         findings.append(Finding("info", "global",
                                 "agree on image, differ globally", None))
     return Report("differential_agreement_on_image", tuple(findings))
+
+
+def constants_only_kernel(t: DifferentialTriad) -> bool:
+    """True when over every nonempty open ker(d) is exactly the span of 1."""
+    return all(kernel(d) == span(a.dim, [a.unit])
+               for a, d, open_set in zip(t.algebras.sections, t.differentials,
+                                         t.space.opens) if open_set)
 
 
 def algebra_component_uniqueness(m1: TriadMorphism,

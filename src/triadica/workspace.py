@@ -44,7 +44,7 @@ from __future__ import annotations
 import json
 import re
 
-from . import algebra, compound, compound_triad, exactla, finspace
+from . import algebra, compound, compound_maps, compound_triad, exactla, finspace
 from .errors import TriadicaError
 
 SCHEMA_VERSION = 1
@@ -284,9 +284,9 @@ _PARSERS = {
     "spaces": space_from_json,
     "algebras": algebra_from_json,
     "presheaves": lambda *args: compound.presheaf_from_json(*args),
-    "maps": lambda *args: compound_triad.map_from_json(*args),
+    "maps": lambda *args: compound_maps.map_from_json(*args),
     "triads": lambda *args: compound_triad.triad_from_json(*args),
-    "morphisms": lambda *args: compound_triad.morphism_from_json(*args),
+    "morphisms": lambda *args: compound_maps.morphism_from_json(*args),
 }
 
 

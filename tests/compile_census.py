@@ -1,7 +1,8 @@
 """Lines and AST nodes each benchmark job compiles, and those it compiles but
 never calls.
 
-    python tests/compile_census.py --seed 4242 [--functions N] check build search
+    python tests/compile_census.py --seed 4242 [--functions N] [--by-command] \
+        check build search
 
 For each job of a workload ladder, built read-only from bench/ladder.py,
 the census runs the job as `python -m triadica.cli` does, through
@@ -21,6 +22,13 @@ list the N functions with the most never-called line-jobs, each marked
 read-only from the file), and the total line gives `cold_everywhere`: the
 lines, and the count, of the functions no job of the workload called
 although their layer ran.
+
+With `--by-command` the census ends with one line per command, over the
+jobs of every workload given: the node-jobs compiled, the never-called
+node-jobs split into those in pinned and in unpinned functions, and
+`never_called_functions`, the functions of the layers it ran that no job
+of that command called, with their nodes and whether they are pinned.  It
+is the per-command evidence for a change that moves code between layers.
 
 A layer that is registered but has not run is a `LazyLoader` module, and
 reading any attribute of it runs it; so the census reads only the type of
@@ -89,11 +97,12 @@ def definitions(tree: ast.Module) -> list[tuple[str, int, int, int]]:
     return out
 
 
-def census(argv: list[str]) -> tuple[dict[str, list[int]], dict[str, tuple[bool, int]]]:
+def census(argv: list[str]) -> tuple[dict[str, list[int]],
+                                     dict[str, tuple[bool, int, int]]]:
     """[lines compiled, lines in functions never called, nodes compiled,
     nodes in functions never called] per layer that ran, for one job; and
     for each function of those layers, as `layer.name`, whether it was
-    called and its line count."""
+    called, its line count and its node count."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
     done = subprocess.run([sys.executable, "-c", CHILD, json.dumps(argv)], env=env,
                           capture_output=True, text=True, timeout=300, check=True)
@@ -106,7 +115,7 @@ def census(argv: list[str]) -> tuple[dict[str, list[int]], dict[str, tuple[bool,
         cold = cold_nodes = 0
         for name, first, n, k in definitions(tree):
             hit = (path, first) in called
-            functions[f"{stem}.{name}"] = (hit, n)
+            functions[f"{stem}.{name}"] = (hit, n, k)
             cold += 0 if hit else n
             cold_nodes += 0 if hit else k
         layers[stem] = [len(text.splitlines()), cold, nodes(tree), cold_nodes]
@@ -128,6 +137,28 @@ def largest(cold: Counter, n: int, pinned: set[str]) -> list[dict]:
             for name, jobs in sorted(cold.items(), key=lambda c: (-c[1], c[0]))[:n]]
 
 
+def by_command(command: str, jobs: list, pinned: set[str]) -> dict:
+    """One command's line: over its `jobs`, each the (layers, functions) of
+    `census`, the node-jobs compiled and never called, the latter split by
+    whether the function is pinned, and the functions no job called."""
+    cold = {"pinned": 0, "unpinned": 0}
+    hits: dict[str, bool] = {}
+    sizes: dict[str, int] = {}
+    for _, functions in jobs:
+        for f, (hit, _, k) in functions.items():
+            hits[f] = hits.get(f, False) or hit
+            sizes[f] = k
+            if not hit:
+                cold["pinned" if f in pinned else "unpinned"] += k
+    never = sorted((f for f, hit in hits.items() if not hit),
+                   key=lambda f: (-sizes[f], f))
+    return {"command": command, "jobs": len(jobs),
+            "nodes": sum(sums(layers)["nodes"] for layers, _ in jobs),
+            "never_called_nodes": cold,
+            "never_called_functions": [{"function": f, "nodes": sizes[f],
+                                        "pinned": f in pinned} for f in never]}
+
+
 COUNTS = ("compiled", "never_called", "nodes", "never_called_nodes")
 
 
@@ -145,13 +176,16 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=4242)
     parser.add_argument("--functions", type=int, default=0, metavar="N",
                         help="list the N largest never-called functions")
+    parser.add_argument("--by-command", action="store_true",
+                        help="end with one line per command")
     parser.add_argument("workloads", nargs="+", help="check, build or search")
     args = parser.parse_args(argv)
     sys.dont_write_bytecode = True  # the ladder is read, not cached
     sys.path.insert(0, str(ROOT / "bench"))
     import ladder
 
-    pinned = pinned_names() if args.functions else set()
+    pinned = pinned_names() if args.functions or args.by_command else set()
+    commands: dict[str, list] = {}
     with tempfile.TemporaryDirectory(prefix="triadica-census-") as directory:
         for workload in args.workloads:
             built = ladder.build_ladder(workload, args.seed)
@@ -160,7 +194,7 @@ def main(argv=None) -> int:
             extra = {}
             if args.functions:
                 extra["largest_never_called"] = largest(Counter(
-                    {f: n for f, (hit, n) in functions.items() if not hit}),
+                    {f: n for f, (hit, n, _) in functions.items() if not hit}),
                     args.functions, pinned)
             print(line(workload, "start-up probe", layers, **extra), flush=True)
             by_layer: dict[str, list[int]] = {}
@@ -172,7 +206,8 @@ def main(argv=None) -> int:
                 for name, counts in layers.items():
                     by_layer[name] = [t + c for t, c in
                                       zip(by_layer.get(name, [0] * len(COUNTS)), counts)]
-                for f, (hit, n) in functions.items():
+                commands.setdefault(job.command, []).append((layers, functions))
+                for f, (hit, n, _) in functions.items():
                     hits[f] = hits.get(f, False) or hit
                     cold[f] += 0 if hit else n
                     lines[f] = n
@@ -189,6 +224,9 @@ def main(argv=None) -> int:
                 "by_layer": {name: dict(zip(COUNTS, counts))
                              for name, counts in sorted(by_layer.items())},
                 **extra}), flush=True)
+    if args.by_command:
+        for command, jobs in sorted(commands.items()):
+            print(json.dumps(by_command(command, jobs, pinned)), flush=True)
     return 0
 
 

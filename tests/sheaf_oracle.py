@@ -17,8 +17,8 @@ the differential square of every proper pair, reusing nothing.
 """
 
 from triadica.algebra import (AlgebraMorphism, validate_algebra,
-                              validate_algebra_morphism,
-                              validate_module_sections)
+                              validate_algebra_morphism)
+from triadica.triad_axioms import validate_module_sections
 from triadica.exactla import ZERO, Matrix, full_space, kernel, span, unit_vector
 from triadica.report import Finding, Report, merge_reports
 from triadica.sheaf import CoverWitness, SheafCertificate, irredundant_covers

@@ -12,9 +12,7 @@ import itertools
 import json
 import pathlib
 from contextlib import redirect_stderr, redirect_stdout
-from fractions import Fraction
 
-import pytest
 import sympy
 
 from builders import (algebra_from_struct, constant_presheaf, constant_triad,
@@ -27,7 +25,8 @@ from triadica.algebra import (ModuleSections, function_algebra,
                               truncated_poly_algebra)
 from triadica.cli import main
 from triadica.compound import presheaf_from_json
-from triadica.compound_triad import morphism_from_json, triad_from_json
+from triadica.compound_maps import morphism_from_json
+from triadica.compound_triad import triad_from_json
 from triadica.dtcat import (TriadMorphism, check_morphism, compose,
                             constant_morphism, fullness_check)
 from triadica.exactla import Matrix, vec
@@ -36,9 +35,9 @@ from triadica.kaehler import factor_derivation, kaehler_module, kaehler_presheaf
 from triadica.maps import ContinuousMap, all_maps
 from triadica.sheaf import (check_sheaf_condition, function_presheaf,
                             pushforward, sheafify)
-from triadica.triad import (check_leibniz, constants_only_kernel,
-                            pushforward_triad, validate_triad)
-from triadica.uniqueness import differential_agreement_on_image
+from triadica.triad import check_leibniz, pushforward_triad, validate_triad
+from triadica.uniqueness import (constants_only_kernel,
+                                 differential_agreement_on_image)
 from triadica.workspace import WorkspaceDocument
 
 WORKSPACES = pathlib.Path(__file__).parent / "workspaces"

@@ -4,6 +4,7 @@ import argparse
 import ast
 import contextlib
 import copy
+import gc
 import io
 import json
 import os
@@ -26,7 +27,8 @@ from triadica.algebra import truncated_poly_algebra
 from triadica.cli import COMMAND_TABLE, COMMANDS, main, parse_command_line
 from triadica.compound_dump import (map_to_json, morphism_to_json,
                                     presheaf_to_json, triad_to_json)
-from triadica.compound_triad import morphism_from_json, triad_from_json
+from triadica.compound_maps import morphism_from_json
+from triadica.compound_triad import triad_from_json
 from triadica.dtcat import check_morphism, compose
 from triadica.kaehler import kaehler_presheaf
 from triadica.maps import ContinuousMap
@@ -1231,14 +1233,14 @@ def test_sheafify_reports_both_sides_of_gluing(capsys):
 
 def _layouts_built(monkeypatch) -> list:
     """(presheaf id, open) of every family layout built from now on."""
-    import triadica.sheaf as sheaf_module
-    built, family_layout = [], sheaf_module._family_layout
+    import triadica.axioms as axioms_module
+    built, family_layout = [], axioms_module.family_layout
 
     def counting(p, u):
         built.append((id(p), u))
         return family_layout(p, u)
 
-    monkeypatch.setattr(sheaf_module, "_family_layout", counting)
+    monkeypatch.setattr(axioms_module, "family_layout", counting)
     return built
 
 
@@ -1447,3 +1449,35 @@ def test_a_profiled_or_traced_run_still_prints_its_report(tool, table):
     report, _, rest = proc.stdout.partition("\n}\n")
     assert json.loads(report + "\n}")["status"] == "pass"
     assert table in rest
+
+
+# ---------------------------------------------------------------------------
+# the cyclic collector: off in a program run, left alone by `main`
+
+
+def test_console_entry_runs_main_with_the_cyclic_collector_off(monkeypatch):
+    import triadica.cli
+    seen = []
+    monkeypatch.setattr(triadica.cli, "main", lambda: seen.append(gc.isenabled()) or 0)
+    monkeypatch.setattr(os, "_exit", seen.append)
+    try:
+        # under a tracer (coverage, a debugger) the run ends in sys.exit
+        with contextlib.suppress(SystemExit):
+            triadica.cli.console_entry()
+    finally:
+        gc.enable()
+    assert seen[0] is False
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_leaves_the_cyclic_collector_as_it_found_it(capsys, enabled):
+    try:
+        if not enabled:
+            gc.disable()
+        assert main(command_argv("validate", ws("ws_minimal.json"))) == 0
+        assert main(["--help"]) == 0
+        assert main(["validate", "--no-such-flag"]) == 2
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+

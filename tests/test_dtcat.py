@@ -27,9 +27,9 @@ from triadica.report import Finding, relocated
 from triadica.sheaf import (function_presheaf, pushforward,
                             semilinearity_defects, validate_presheaf_morphism)
 from triadica.sheafmaps import PresheafMorphism
-from triadica.triad import (DifferentialTriad, NotFunctional,
-                            constants_only_kernel)
+from triadica.triad import NotFunctional
 from triadica.uniqueness import (algebra_component_uniqueness,
+                                 constants_only_kernel,
                                  differential_agreement_on_image)
 
 from dtcat_oracle import module_linearity_by_pairs, presheaf_morphisms_by_search

@@ -8,7 +8,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from triadica.errors import DimensionMismatchError
-from triadica.exactla import (ZERO, Matrix, Subspace, contract, contract_matrix,
+from triadica.exactla import (ZERO, Matrix, contract, contract_matrix,
                               dot, full_space, kernel, product_subspace,
                               quotient_space, rat, rref, solve, span,
                               unit_vector, vec)

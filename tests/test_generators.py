@@ -23,14 +23,13 @@ from algebra_oracle import closure, greedy_generators
 from builders import poly_quotient_algebra
 from kaehler_oracle import kaehler_isomorphism
 from triadica.algebra import (Algebra, AlgebraMorphism, ModuleSections,
-                              action_findings, basis_pairs, function_algebra,
-                              generators_first, morphism_findings,
-                              standard_monomials, tensor_product,
-                              truncated_poly_algebra, validate_algebra,
-                              validate_algebra_morphism)
+                              basis_pairs, function_algebra, generators_first,
+                              morphism_findings, standard_monomials,
+                              tensor_product, truncated_poly_algebra,
+                              validate_algebra, validate_algebra_morphism)
+from triadica.triad_axioms import action_findings, leibniz_errors
 from triadica.exactla import Matrix, solve, unit_vector, vec
 from triadica.kaehler import kaehler_module
-from triadica.triad import _leibniz_errors
 
 NUDGES = [Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-1, 3)]
 
@@ -279,11 +278,11 @@ def test_the_leibniz_rule_on_generators_matches_the_full_scan(name, k):
     cases = [d] + [nudged(d, rng) for _ in range(4 if d.rows else 0)]
     failing = 0
     for case in cases:
-        full = _leibniz_errors(a, m, case, False)
-        assert _leibniz_errors(a, m, case, True) == full
+        full = leibniz_errors(a, m, case, False)
+        assert leibniz_errors(a, m, case, True) == full
         failing += bool(full)
     # a nudge may leave a derivation (a multiple of d, say), but not all do
-    assert not _leibniz_errors(a, m, d, True)
+    assert not leibniz_errors(a, m, d, True)
     assert failing >= (len(cases) > 1)
 
 

@@ -17,11 +17,14 @@ and say in the change log which digests moved and why.
 """
 
 import contextlib
+import gc
 import hashlib
 import io
 import json
 import pathlib
 import sys
+import types
+from collections import Counter
 
 import pytest
 
@@ -104,6 +107,51 @@ def test_golden_table_covers_the_corpus(golden):
                          ids=[key(*case) for case in CASES])
 def test_golden_digest(golden, command, name, human):
     assert digest(command, name, human) == golden[key(command, name, human)]
+
+
+def _cycles(thunk) -> tuple[object, Counter]:
+    """What `thunk()` returns, and the kinds of the objects it leaves that
+    only the cyclic collector would free: their types, and the module of
+    each function among them.  With the collector off, everything `thunk`
+    allocates stays in the youngest generation, so collecting that one
+    finds them all."""
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        result = thunk()
+        gc.collect(0)
+        kinds = Counter((type(o).__name__, o.__module__
+                         if isinstance(o, types.FunctionType) else None)
+                        for o in gc.garbage)
+    finally:
+        gc.garbage.clear()
+        gc.set_debug(0)
+        gc.collect(1)  # the saved objects, now unreferenced, and the survivors
+    return result, kinds
+
+
+def test_a_run_leaves_no_cycle_but_the_json_encoders(capsys):
+    # `console_entry` turns the collector off; what a run leaves for it is
+    # one closure cycle of json.dumps(indent=2), the same for every report,
+    # so nothing grows with the input
+    enabled = gc.isenabled()
+    gc.disable()
+    gc.collect()
+    try:
+        _, encoder = _cycles(lambda: json.dumps({"a": [1]}, indent=2))
+        left = {}
+        for case in CASES:
+            code, kinds = _cycles(lambda: main(invocation(*case)))
+            left[key(*case)] = kinds
+            assert kinds in (Counter(), encoder), key(*case)
+            assert bool(kinds) == (not case[2] and code in (0, 1)), key(*case)
+    finally:
+        if enabled:
+            gc.enable()
+    # the encoder's functions, their cells and the tuples and dict that hold them
+    assert {m for _, m in encoder} == {None, "json.encoder"}
+    # the JSON reports of the invocations that exit 0 or 1
+    assert sum(bool(kinds) for kinds in left.values()) == 113
+    capsys.readouterr()
 
 
 def test_the_generator_rewrites_the_corpus_unchanged(tmp_path):

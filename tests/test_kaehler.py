@@ -25,21 +25,20 @@ from kaehler_oracle import (factor_derivation_on_every_basis_vector,
                             random_derivations, restrict_scalars)
 from triadica.algebra import (InvalidAlgebraError, ModuleSections,
                               function_algebra, tensor_product,
-                              truncated_poly_algebra, validate_algebra,
-                              validate_module_sections)
+                              truncated_poly_algebra, validate_algebra)
+from triadica.triad_axioms import validate_module_sections
 from triadica.errors import DimensionMismatchError
 from triadica.exactla import Matrix, kernel, rref, solve, span, unit_vector, vec
 from triadica.finspace import InvalidTopologyError
-from triadica.kaehler import (FactorizationFailed, KaehlerModule,
-                              NotADerivation, derivation_space,
-                              factor_derivation, kaehler_module,
-                              kaehler_presheaf)
+from triadica.kaehler import (FactorizationFailed, NotADerivation,
+                              derivation_space, factor_derivation,
+                              kaehler_module, kaehler_presheaf)
 from triadica.sheaf import (InvalidPresheafError, check_sheaf_condition,
                             function_presheaf, make_presheaf,
                             validate_algebra_presheaf,
                             validate_presheaf_morphism)
-from triadica.triad import (check_leibniz, constants_only_kernel,
-                            validate_triad)
+from triadica.triad import check_leibniz, validate_triad
+from triadica.uniqueness import constants_only_kernel
 
 from support import free_module_sections, is_functional_triad, replace, scaled
 

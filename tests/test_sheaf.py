@@ -13,12 +13,13 @@ from builders import (constant_presheaf, constant_triad, discrete_space,
                       indiscrete_space, sierpinski_space, space_from_opens,
                       stalk, zero_module_presheaf, zero_module_sections)
 from triadica.algebra import (Algebra, AlgebraMorphism, ModuleSections,
-                              function_algebra, truncated_poly_algebra,
-                              validate_module_sections)
+                              function_algebra, truncated_poly_algebra)
+from triadica.axioms import family_layout
+from triadica.triad_axioms import validate_module_sections
 from triadica.errors import DimensionMismatchError
 from triadica.exactla import ONE, ZERO, Matrix, kernel, solve, unit_vector, vec
 from triadica.finspace import InvalidTopologyError, minimal_open
-from triadica.sheaf import (InvalidPresheafError, Presheaf, _family_layout,
+from triadica.sheaf import (InvalidPresheafError, Presheaf,
                             check_sheaf_condition, fill_restrictions,
                             function_presheaf, function_restriction_matrix,
                             irredundant_covers, make_presheaf, pushforward,
@@ -612,7 +613,7 @@ def test_layouts_are_the_family_layouts_built_on_first_use():
     for space in (sp for n in range(1, 4) for sp in all_topologies(n)):
         for p in (function_presheaf(space), constant_presheaf(space, q)):
             assert "layouts" not in vars(p)
-            assert p.layouts == tuple(_family_layout(p, u)
+            assert p.layouts == tuple(family_layout(p, u)
                                       for u in range(len(space.opens)))
             assert p.layouts is p.layouts
 
@@ -823,7 +824,8 @@ def test_validators_match_the_all_pairs_oracle(layer):
 
 
 def test_each_distinct_section_structure_is_validated_once(monkeypatch):
-    import triadica.sheaf as sheaf_module
+    import triadica.axioms as axioms_module
+    import triadica.triad_axioms as triad_axioms_module
     calls = []
 
     def counting(validate):
@@ -832,10 +834,10 @@ def test_each_distinct_section_structure_is_validated_once(monkeypatch):
             return validate(*args)
         return call
 
-    monkeypatch.setattr(sheaf_module, "validate_algebra",
-                        counting(sheaf_module.validate_algebra))
-    monkeypatch.setattr(sheaf_module, "validate_module_sections",
-                        counting(sheaf_module.validate_module_sections))
+    monkeypatch.setattr(axioms_module, "validate_algebra",
+                        counting(axioms_module.validate_algebra))
+    monkeypatch.setattr(triad_axioms_module, "validate_module_sections",
+                        counting(triad_axioms_module.validate_module_sections))
     space = discrete_space(3)
     a = truncated_poly_algebra(3)
     assert validate_algebra_presheaf(constant_presheaf(space, a)).ok
@@ -891,8 +893,9 @@ def test_validate_triad_matches_the_oracle_by_opens(triad):
 
 
 def test_each_distinct_check_of_a_triad_runs_once(monkeypatch):
+    import triadica.axioms as axioms_module
     import triadica.sheaf as sheaf_module
-    import triadica.triad as triad_module
+    import triadica.triad_axioms as triad_axioms_module
     calls = {"morphism": [], "semilinear": [], "leibniz": []}
     scanned = {"morphism": [], "semilinear": [], "leibniz": []}
 
@@ -908,8 +911,8 @@ def test_each_distinct_check_of_a_triad_runs_once(monkeypatch):
     for module, name, kind, width in (
             (sheaf_module, "validate_algebra_morphism", "morphism", 1),
             (sheaf_module, "morphism_findings", "morphism", 1),
-            (sheaf_module, "semilinearity_defects", "semilinear", 4),
-            (triad_module, "_leibniz_failure", "leibniz", 3)):
+            (axioms_module, "semilinearity_defects", "semilinear", 4),
+            (triad_axioms_module, "leibniz_failure", "leibniz", 3)):
         monkeypatch.setattr(module, name, counting(kind, getattr(module, name), width))
     t = _kaehler_triad(discrete_space(3))
     assert validate_triad(t).ok
@@ -985,7 +988,7 @@ def test_cover_pairs_give_the_all_pairs_verdict_on_corrupted_triads(triad):
 
 
 def test_a_valid_triad_is_checked_on_cover_pairs_only(monkeypatch):
-    import triadica.sheaf as sheaf_module
+    import triadica.axioms as axioms_module
     import triadica.triad as triad_module
     checked, squares = Counter(), []
 
@@ -997,9 +1000,9 @@ def test_a_valid_triad_is_checked_on_cover_pairs_only(monkeypatch):
         squares.append(list(pairs))
         return square_failures(components, source, target, pairs, interner)
 
-    restriction_errors = sheaf_module._restriction_errors
+    restriction_errors = axioms_module._restriction_errors
     square_failures = triad_module.restriction_square_failures
-    monkeypatch.setattr(sheaf_module, "_restriction_errors", counting_pairs)
+    monkeypatch.setattr(axioms_module, "_restriction_errors", counting_pairs)
     monkeypatch.setattr(triad_module, "restriction_square_failures", counting_squares)
     space = discrete_space(4)
     assert validate_triad(_function_free_triad(space)).ok

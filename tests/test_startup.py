@@ -161,18 +161,24 @@ def _morphism(c: str) -> dict:
 
 WITH_TRIAD = dict(ON_POINT, maps={"I": {"domain": "X", "codomain": "X", "values": [0]}},
                   triads={"T": TRIAD})
+# a document with a triad but no map or morphism
+ONLY_TRIAD = dict(ON_POINT, triads={"U": TRIAD})
 WITH_MORPHISMS = dict(WITH_TRIAD, morphisms={"M": _morphism("1"), "N": _morphism("2")})
 # the layers every command that reads a document runs: reading the command
 # line and the document
 BASE = {"cli", "errors", "record", "report", "workspace"}
 # what a command line that reads no document, such as --help, runs
 COMMAND_LINE = BASE - {"workspace"}
-MORPHISM_LAYERS = BASE | {"algebra", "compound", "compound_triad", "dtcat",
-                          "exactla", "finspace", "maps", "sheaf", "triad"}
+PRESHEAF = BASE | {"algebra", "compound", "exactla", "finspace", "sheaf"}
+# reading triads; reading maps or morphisms as well
+TRIAD_LAYERS = PRESHEAF | {"compound_triad", "triad"}
+MORPHISM_LAYERS = TRIAD_LAYERS | {"compound_maps", "dtcat", "maps"}
 # what a command that checks or writes a morphism or a triad adds
 CHECKED = {"sheafmaps"}
 WRITTEN = {"compound_dump", "sheafmaps"}
-PRESHEAF = BASE | {"algebra", "compound", "exactla", "finspace", "sheaf"}
+# what a command that checks the presheaf axioms adds, and the triad axioms
+AXIOMS = {"axioms"}
+TRIAD_AXIOMS = AXIOMS | {"triad_axioms"}
 
 # command (with any flags), its target, the workspace sections, its exit
 # code, the layers it runs
@@ -181,18 +187,26 @@ LAYERS_RUN = [
     ("validate", "A", {"algebras": {"A": "truncated_poly 2"}}, 0,
      BASE | {"algebra", "exactla"}),
     # the shape of the benchmark's start-up probe
-    ("validate", "P", ON_POINT, 0, PRESHEAF),
+    ("validate", "P", ON_POINT, 0, PRESHEAF | AXIOMS),
+    ("validate", "U", ONLY_TRIAD, 0, TRIAD_LAYERS | TRIAD_AXIOMS),
     ("validate --human", None, {"spaces": {"X": POINT}}, 0, BASE | {"finspace"}),
-    ("--help", None, {}, 0, COMMAND_LINE),
+    ("--help", None, {}, 0, COMMAND_LINE | {"synopsis"}),
+    ("validate -h", None, {"spaces": {"X": POINT}}, 0, COMMAND_LINE | {"synopsis"}),
     # refused before the document is read
     ("validate --no-such-flag", None, {"spaces": {"X": POINT}}, 2, COMMAND_LINE),
     ("kaehler", None, {"algebras": {"A": "truncated_poly 2"}}, 0,
      BASE | {"algebra", "exactla", "kaehler"}),
-    ("sheafify", None, ON_POINT, 0, PRESHEAF | WRITTEN | {"gluing"}),
-    ("pushforward", "I:T", WITH_TRIAD, 0, MORPHISM_LAYERS - {"dtcat"} | WRITTEN),
+    ("kaehler", "P", ON_POINT, 0,
+     PRESHEAF | WRITTEN | TRIAD_AXIOMS | {"gluing", "kaehler", "triad"}),
+    ("sheafify", None, ON_POINT, 0, PRESHEAF | WRITTEN | AXIOMS | {"gluing"}),
+    ("pushforward", "I:T", WITH_TRIAD, 0,
+     TRIAD_LAYERS | WRITTEN | TRIAD_AXIOMS | {"compound_maps", "maps"}),
     ("check-morphism", "M", WITH_MORPHISMS, 0, MORPHISM_LAYERS | CHECKED),
     ("compose", "M:M", WITH_MORPHISMS, 0, MORPHISM_LAYERS | WRITTEN),
     ("constant-morphism", "T:T:0", WITH_TRIAD, 0, MORPHISM_LAYERS | WRITTEN),
+    # a document without maps or morphisms runs no reader of them
+    ("constant-morphism", "U:U:0", ONLY_TRIAD, 0,
+     TRIAD_LAYERS | WRITTEN | {"dtcat", "maps"}),
     ("uniqueness", "M:N", WITH_MORPHISMS, 1, MORPHISM_LAYERS | {"uniqueness"}),
     ("recover-map", "M", WITH_MORPHISMS, 0, MORPHISM_LAYERS | WRITTEN),
     ("fullness", "X:X", {"spaces": {"X": POINT}}, 0,

@@ -16,8 +16,9 @@ from triadica.exactla import ONE, ZERO, Matrix, kernel, span, vec
 from triadica.maps import ContinuousMap, constant_map
 from triadica.sheaf import Presheaf, check_sheaf_condition
 from triadica.triad import (DifferentialTriad, NotFunctional, check_leibniz,
-                            constants_only_kernel, pushforward_triad,
-                            require_functional, validate_triad)
+                            pushforward_triad, require_functional,
+                            validate_triad)
+from triadica.uniqueness import constants_only_kernel
 
 from support import free_module_sections, is_functional_triad, scaled
 
