@@ -85,8 +85,9 @@ __all__ = sorted(_HOME)
 
 
 def _register(layer: str):
-    """The layer's module, in `sys.modules` but not yet run."""
-    spec = importlib.util.find_spec(f"{__name__}.{layer}")
+    """The layer's module, in `sys.modules` but not yet run.  Its file is
+    named, not searched for on the import path, which would cost more."""
+    spec = importlib.util.spec_from_file_location(f"{__name__}.{layer}", f"{__path__[0]}/{layer}.py")
     spec.loader = importlib.util.LazyLoader(spec.loader)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module

@@ -59,5 +59,3 @@ def triad_from_json(value, doc: WorkspaceDocument, location: str,
     modules = built(location, sheaf.Presheaf, algebras.space, sections, table,
                     algebras)
     return built(location, triad.DifferentialTriad, algebras, modules, diffs)
-
-

@@ -112,5 +112,3 @@ def pushforward_triad(f: maps.ContinuousMap, t: DifferentialTriad) -> Differenti
 def pushforward_command(args, f, t):
     out = pushforward_triad(f, t)
     return validate_triad(out), {"triad": compound_dump.triad_to_json(out)}
-
-

@@ -3,11 +3,11 @@
 Two morphisms over the same map between the same triads that agree in one
 layer must agree in the other, under a hypothesis the paper's uniqueness
 result needs.  `algebra_component_uniqueness`: equal module components force
-equal algebra components when the source operator kills only the
-constants.  `differential_agreement_on_image`: equal algebra components
-force equal module components on the image of the target operator, and
-nowhere else.  Only the `uniqueness` command runs this layer, which loads
-on first use.
+equal algebra components when the source operator kills only the constants
+(`constants_only_kernel`).  `differential_agreement_on_image`: equal
+algebra components force equal module components on the image of the
+target operator, and nowhere else.  Only the `uniqueness` command runs this
+layer, which loads on first use.
 """
 
 from __future__ import annotations

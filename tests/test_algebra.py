@@ -186,6 +186,22 @@ def test_nilradical_elements_are_nilpotent():
             assert power == vec([0] * a.dim)
 
 
+@pytest.mark.parametrize("matrix", [[[1, 1]], [[1, 0], [1, 1]], [[2, 0], [0, 3]]])
+def test_a_product_finding_names_its_basis_pair(matrix):
+    # maps out of Q^2 that break products; each finding's witness is the
+    # pair its location names, and the pair does break the product
+    h = AlgebraMorphism(function_algebra(2), function_algebra(len(matrix)),
+                        Matrix.from_rows(matrix, cols=2))
+    products = [f for f in validate_algebra_morphism(h).findings
+                if f.message == "product is not preserved"]
+    assert products
+    for f in products:
+        i, j = f.witness
+        assert f.location == f"basis ({i},{j})"
+        assert h.apply(h.source.struct[i][j]) != h.target.multiply(
+            h.matrix.col(i), h.matrix.col(j))
+
+
 def brute_force_characters(a, candidates):
     """Oracle: test every candidate functional for the character equations,
     as an algebra map into Q."""

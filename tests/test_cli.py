@@ -1352,16 +1352,22 @@ def test_reports_sorted_by_target_name(capsys):
     ("closed pipe, unbuffered", ["validate", "--workspace",
                                  ws("ws_minimal.json")]),
     ("no fd 1", ["validate", "--workspace", ws("ws_minimal.json")]),
-], ids=["short report", "long report", "unbuffered", "no fd 1"])
+    ("closed pipe, traced", ["validate", "--workspace", ws("ws_minimal.json")]),
+], ids=["short report", "long report", "unbuffered", "no fd 1", "traced"])
 def test_a_closed_stdout_exits_2_in_one_line(stdout, argv):
-    # a short report fails in the flush, a long one already in the write
+    # a short report fails in the flush, a long one already in the write;
+    # under a tracer the run ends through sys.exit, whose final flush of
+    # stdout must find fd 1 open on os.devnull
     env = {k: v for k, v in src_env().items() if k != "PYTHONUNBUFFERED"}
     env.update({"PYTHONUNBUFFERED": "1"} if "unbuffered" in stdout else {})
+    run = (["-c", "import runpy, sys; sys.settrace(lambda *a: None); "
+            "runpy.run_module('triadica.cli', run_name='__main__')"]
+           if "traced" in stdout else ["-m", "triadica.cli"])
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
         proc = subprocess.run(
-            [sys.executable, "-m", "triadica.cli", *argv],
+            [sys.executable, *run, *argv],
             stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
             preexec_fn=(lambda: os.close(1)) if stdout == "no fd 1" else None,
             timeout=60)
@@ -1480,4 +1486,3 @@ def test_main_leaves_the_cyclic_collector_as_it_found_it(capsys, enabled):
         assert gc.isenabled() is enabled
     finally:
         gc.enable()
-

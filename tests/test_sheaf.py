@@ -9,11 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from builders import (constant_presheaf, constant_triad, discrete_space,
-                      indiscrete_space, sierpinski_space, space_from_opens,
-                      stalk, zero_module_presheaf, zero_module_sections)
+from builders import (algebra_from_struct, constant_presheaf, constant_triad,
+                      discrete_space, indiscrete_space, sierpinski_space,
+                      space_from_opens, stalk, zero_module_presheaf,
+                      zero_module_sections)
 from triadica.algebra import (Algebra, AlgebraMorphism, ModuleSections,
-                              function_algebra, truncated_poly_algebra)
+                              function_algebra, truncated_poly_algebra,
+                              validate_algebra)
 from triadica.axioms import family_layout
 from triadica.triad_axioms import validate_module_sections
 from triadica.errors import DimensionMismatchError
@@ -821,6 +823,24 @@ def test_validators_match_the_all_pairs_oracle(layer):
             failing[kind] += not expected.ok
     assert failing["valid"] == 0
     assert all(failing[kind] >= 10 for kind in kinds), failing
+
+
+def test_a_map_out_of_an_invalid_section_is_checked_on_every_basis_pair():
+    # the section over {0,1} is commutative with a unit but not associative,
+    # and x_2 generates it, so its generators are not evidence: the product
+    # defect of the restriction on (2,2) must still be found, as the oracle
+    # finds it, although the target Q passed its check
+    a = algebra_from_struct([[[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                             [[0, 1, 0], [1, 0, 1], [2, 2, 2]],
+                             [[0, 0, 1], [2, 2, 2], [0, 1, 0]]], [1, 0, 0])
+    assert not validate_algebra(a).ok
+    space = sierpinski_space()
+    p = make_presheaf(space, [function_algebra(0), function_algebra(1), a],
+                      {(2, 1): Matrix.from_rows([[1, -1, 0]], cols=3)})
+    report = validate_algebra_presheaf(p)
+    assert report == validate_algebra_presheaf_by_pairs(p)
+    assert [f.location for f in report.findings if "restriction" in f.location] \
+        == ["restriction 2->1: basis (2,2)"]
 
 
 def test_each_distinct_section_structure_is_validated_once(monkeypatch):
