@@ -14,23 +14,21 @@ from .sheaf import (Presheaf, algebra_map_errors, semilinearity_defects,
                     sheaf_status, validate_algebra_presheaf)
 
 
-def _functoriality_findings(p: Presheaf, tops, restriction_ids: dict,
-                            interner: Interner) -> list[Finding]:
+def _functoriality_findings(p: Presheaf, tops, interner: Interner) -> list[Finding]:
     """One finding per chain u -> v -> w, (u, v) among `tops`, whose
     composite is not the direct restriction; each distinct (r_uw, r_vw,
-    r_uv), by the ids in `restriction_ids`, is multiplied out once per
-    `interner`."""
+    r_uv) is multiplied out once per `interner`."""
     findings = []
     opens = p.space.opens
     for u, v in tops:
-        uv = restriction_ids[u, v]
+        uv = p.restriction(u, v)
         for w, smaller in enumerate(opens):
-            if smaller <= opens[v] and not interner.once(
-                    ("compose", restriction_ids[u, w], restriction_ids[v, w], uv),
-                    lambda: p.restriction(v, w) @ p.restriction(u, v) == p.restriction(u, w)):
-                findings.append(Finding("error", f"chain {u}->{v}->{w}",
-                                        "restriction maps do not compose functorially",
-                                        [u, v, w]))
+            if smaller <= opens[v]:
+                uw, vw = p.restriction(u, w), p.restriction(v, w)
+                if not interner.once("compose", (uw, vw, uv), lambda: vw @ uv == uw):
+                    findings.append(Finding("error", f"chain {u}->{v}->{w}",
+                                            "restriction maps do not compose functorially",
+                                            [u, v, w]))
     return findings
 
 
@@ -55,7 +53,7 @@ def _restriction_errors(p: Presheaf, u: int, v: int, interner: Interner) -> list
     if p.base is None:
         return relocated(": ", algebra_map_errors(source, target, r, interner))
     base_r = p.base.restriction(u, v)
-    return interner.once(("module map", *interner.ids((source, target, r, base_r))), lambda: [
+    return interner.once("module map", (source, target, r, base_r), lambda: [
         Finding("error", "", "restriction does not respect the action", [i, j])
         for i, j, _, _ in semilinearity_defects(r, base_r, source, target)])
 
@@ -67,7 +65,7 @@ def presheaf_findings(p: Presheaf, interner: Interner) -> tuple[Finding, ...]:
     the base's restriction); and functoriality.
 
     Every check is a function of the sections and matrices it reads, so
-    within one call it runs once per distinct input, keyed on `interner`,
+    it runs once per distinct input, keyed in `interner` by those values,
     and its findings are relocated to each open, pair or chain it stands
     for.
 
@@ -77,37 +75,32 @@ def presheaf_findings(p: Presheaf, interner: Interner) -> tuple[Finding, ...]:
     is a composite of checked maps.  Any finding reruns every pair."""
     base, space = p.base, p.space
     findings: list[Finding] = []
-    section_ids = interner.ids(p.sections)
-    if base is not None:
-        base_ids = interner.ids(base.sections)
-        section_ids = list(zip(base_ids, section_ids))
     for u, s in enumerate(p.sections):
         if base is None:
-            check = lambda: validate_algebra(s).errors()
-        elif interner.passed(("sections", base_ids[u])):
-            a = base.sections[u]
-            check = lambda: generators_first(
-                a, lambda firsts: triad_axioms.action_findings(a, s, firsts))
+            reads, check = (s,), lambda: validate_algebra(s).errors()
         else:
-            check = lambda: triad_axioms.validate_module_sections(base.sections[u], s).errors()
-        findings += relocated(f"open {u}: ", interner.once(("sections", section_ids[u]), check))
+            a = base.sections[u]
+            reads = (a, s)
+            if interner.passed("sections", (a,)):
+                check = lambda: generators_first(
+                    a, lambda firsts: triad_axioms.action_findings(a, s, firsts))
+            else:
+                check = lambda: triad_axioms.validate_module_sections(a, s).errors()
+        findings += relocated(f"open {u}: ", interner.once("sections", reads, check))
         if not space.opens[u] and s.dim != 0:
             findings.append(Finding(
                 "error", f"open {u}",
                 "sections over the empty set must be the zero algebra" if base is None
                 else "module sections over the empty set must vanish", s.dim))
     pairs, covers = space.inclusion_pairs, space.cover_pairs
-    restriction_ids = dict(zip(pairs, interner.ids(p.restriction(u, v) for u, v in pairs)))
-    if not findings and (base is None or not _functoriality_findings(
-            base, covers, dict(zip(pairs, interner.ids(base.restriction(u, v) for u, v in pairs))),
-            interner)):
+    if not findings and (base is None or not _functoriality_findings(base, covers, interner)):
         diagonal = [(u, u) for u in range(len(space.opens))]
         if not (_pair_findings(p, diagonal + list(covers), interner)
-                or _functoriality_findings(p, covers, restriction_ids, interner)):
+                or _functoriality_findings(p, covers, interner)):
             return ()
     proper = [(u, v) for u, v in pairs if u != v]
     return tuple(findings + _pair_findings(p, pairs, interner)
-                 + _functoriality_findings(p, proper, restriction_ids, interner))
+                 + _functoriality_findings(p, proper, interner))
 
 
 def validate_presheaf_command(args, p):

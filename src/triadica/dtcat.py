@@ -108,7 +108,7 @@ def check_morphism(m: TriadMorphism) -> Report:
     for v in range(len(target.space.opens)):
         inputs = (m.module_components[v], m.algebra_components[v],
                   target.modules.sections[v], push.modules.sections[v])
-        defects = interner.once(("semilinear", *interner.ids(inputs)),
+        defects = interner.once("semilinear", inputs,
                                 lambda: list(sheaf.semilinearity_defects(*inputs)))
         for i, j, lhs, rhs in defects:
             module_findings.append(Finding(
@@ -223,11 +223,10 @@ def verify_pullback_forced(f: ContinuousMap, components) -> Report:
                                 "non-discrete spaces: exploratory result only", None))
     findings += relocated("morphism: ", sheaf.validate_presheaf_morphism(h).findings)
     # row x over V must be the unit vector at f(x) in V's sorted points
-    for v, vset in enumerate(f.codomain.opens):
-        v_pts = sorted(vset)
+    for v, pullback in enumerate(point_map_components(f, f.values)):
         for r, x in enumerate(sorted(f.domain.opens[f.preimages[v]])):
             got = h.components[v].row(r)
-            if got != exactla.unit_vector(len(v_pts), v_pts.index(f.values[x])):
+            if got != pullback.row(r):
                 findings.append(Finding(
                     "error", f"open {v}, point {x}",
                     "evaluation after the morphism is not evaluation at the image point",

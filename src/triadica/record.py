@@ -14,10 +14,9 @@ after the fields are set.  Setting or deleting an attribute raises
 `AttributeError`; `functools.cached_property` still works, because it
 writes to the instance `__dict__` directly.
 
-An `Interner` names values by small integers, equal values alike, and
-holds the results of checks keyed on those names, so that one computation
-hashes no value twice and runs each distinct check once; a later check may
-ask whether an earlier one passed.
+An `Interner` holds the results of checks, each keyed by the check's kind
+and the values it reads, so that one computation runs each distinct check
+once; a later check may ask whether an earlier one passed.
 """
 
 from __future__ import annotations
@@ -107,60 +106,40 @@ def record(cls):
     return cls
 
 
-def _identity_key(value):
-    """`value` with each leaf replaced by its id(): values with equal keys
-    are equal, and hashing a key calls no leaf's __hash__."""
-    if type(value) is tuple:
-        if value and type(value[0]) is tuple:
-            return tuple(map(_identity_key, value))
-        return tuple(map(id, value))  # a vector: leaves, or objects kept whole
-    names = getattr(type(value), "__record_fields__", None)
-    if names is None:
-        return id(value)
-    return type(value), tuple(_identity_key(getattr(value, name)) for name in names)
-
-
 class Interner:
-    """Small integers naming values up to equality, counted from 0 in order
-    of first appearance, and a memo of checks keyed on them (`once`).
+    """A memo of checks (`once`), each keyed by its kind and the values it
+    reads, compared by equality.
 
-    A value met again as the same object costs one dict lookup.  Values
-    built from the same leaf objects (the Fractions a document's literals
-    parse to, say) are matched by the ids of their leaves, and only the
-    first value of each such kind is hashed: a Fraction's __hash__ is far
-    slower than comparing or hashing ids.  Every value named is kept alive
-    with the interner, so no id() is reused while its names are in use.
+    Values are named by small integers, equal values alike: a value met
+    again as the same object costs one dict lookup, and a new object is
+    looked up by equality once.  Every value named is kept alive with the
+    interner, so no id() is reused while its name is in use.
     """
 
     def __init__(self):
         self._results: dict = {}
-        self._kept, self._of_object, self._of_key, self._of_value = [], {}, {}, {}
+        self._kept, self._of_id, self._of_value = [], {}, {}
 
-    def ids(self, values) -> list[int]:
-        """The names of `values`, in order."""
-        of_object, of_key, of_value, out = (self._of_object, self._of_key,
-                                            self._of_value, [])
+    def _key(self, kind, values) -> tuple:
+        of_id, of_value, key = self._of_id, self._of_value, [kind]
         for value in values:
-            i = of_object.get(id(value))
-            if i is None:
-                key = _identity_key(value)
-                i = of_key.get(key)
-                if i is None:
-                    i = of_key[key] = of_value.setdefault(value, len(of_value))
-                of_object[id(value)] = i
+            name = of_id.get(id(value))
+            if name is None:
+                name = of_id[id(value)] = of_value.setdefault(value, len(of_value))
                 self._kept.append(value)
-            out.append(i)
-        return out
+            key.append(name)
+        return tuple(key)
 
-    def once(self, key, check):
-        """`check()`, run on the first use of `key` and remembered; the key
-        names every input of the check."""
+    def once(self, kind, values, check):
+        """`check()`, run on the first use of `kind` over `values` (every
+        input of the check) and remembered."""
+        key = self._key(kind, values)
         result = self._results.get(key)
         if result is None:
             result = self._results[key] = check()
         return result
 
-    def passed(self, key) -> bool:
-        """Whether the check named `key` has run and found nothing."""
-        result = self._results.get(key)
+    def passed(self, kind, values) -> bool:
+        """Whether the check `kind` over `values` has run and found nothing."""
+        result = self._results.get(self._key(kind, values))
         return result is not None and not result

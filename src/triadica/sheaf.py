@@ -145,14 +145,13 @@ def restriction_square_failures(components, source: Presheaf, target: Presheaf,
     components[v] . source(u->v) = target(u->v) . components[u] fails.
     Each distinct square, by its four matrices, is multiplied out once per
     `interner`."""
-    pairs = list(pairs)
-    component_ids = interner.ids(components)
-    source_ids = interner.ids(source.restriction(u, v) for u, v in pairs)
-    target_ids = interner.ids(target.restriction(u, v) for u, v in pairs)
-    return [(u, v) for (u, v), s, t in zip(pairs, source_ids, target_ids)
-            if not interner.once(("square", component_ids[v], s, t, component_ids[u]),
-                                 lambda: components[v] @ source.restriction(u, v)
-                                 == target.restriction(u, v) @ components[u])]
+    failures = []
+    for u, v in pairs:
+        s, t = source.restriction(u, v), target.restriction(u, v)
+        if not interner.once("square", (components[v], s, t, components[u]),
+                             lambda: components[v] @ s == t @ components[u]):
+            failures.append((u, v))
+    return failures
 
 
 def algebra_map_errors(source: Algebra, target: Algebra, m: Matrix,
@@ -161,8 +160,7 @@ def algebra_map_errors(source: Algebra, target: Algebra, m: Matrix,
     (source, target, m) in `interner`; when both algebras passed their
     check there, the a with m(ab) = m(a)m(b) for all b form a subalgebra,
     so products with generators come first."""
-    ids = interner.ids((source, target, m))
-    known = interner.passed(("sections", ids[0])) and interner.passed(("sections", ids[1]))
+    known = interner.passed("sections", (source,)) and interner.passed("sections", (target,))
 
     def check():
         h = AlgebraMorphism(source, target, m)
@@ -170,7 +168,7 @@ def algebra_map_errors(source: Algebra, target: Algebra, m: Matrix,
             return generators_first(source, lambda among: morphism_findings(
                 h, basis_pairs(source.dim, among)))
         return validate_algebra_morphism(h).errors()
-    return interner.once(("algebra map", *ids), check)
+    return interner.once("algebra map", (source, target, m), check)
 
 
 def validate_algebra_presheaf(p: Presheaf, interner: Interner | None = None) -> Report:

@@ -51,21 +51,18 @@ def validate_triad(t: DifferentialTriad) -> Report:
     every open and the differential restriction squares.  The Leibniz
     verdict is a function of (algebra, module, differential), so it is
     found once per distinct triple and relocated to each open.  One
-    interner names the values for every check, so none is hashed twice.
+    interner holds every check's result, so each distinct check runs once.
     When both layers pass, they are functorial, so the squares on the cover
     pairs give every square; those are checked first."""
     interner = Interner()
     parts = [validate_algebra_presheaf(t.algebras, interner),
              validate_module_presheaf(t.modules, interner)]
     space = t.space
-    triples = list(zip(interner.ids(t.algebras.sections), interner.ids(t.modules.sections),
-                       interner.ids(t.differentials)))
     known = not (parts[0].findings or parts[1].findings)
     leibniz_findings = []
-    for u, key in enumerate(triples):
+    for u, reads in enumerate(zip(t.algebras.sections, t.modules.sections, t.differentials)):
         leibniz_findings += relocated(f"open {u}: ", interner.once(
-            ("leibniz", *key), lambda: triad_axioms.leibniz_errors(
-                t.algebras.sections[u], t.modules.sections[u], t.differentials[u], known)))
+            "leibniz", reads, lambda: triad_axioms.leibniz_errors(*reads, known)))
     parts.append(Report("check_leibniz", tuple(leibniz_findings)))
 
     def squares(pairs):

@@ -194,31 +194,41 @@ def test_cached_property_is_computed_once_on_a_frozen_record():
         rec.total = 7
 
 
-class CountedLeaf:
-    """A leaf value that counts the calls of its __hash__."""
-
-    hashes = 0
-
-    def __init__(self, value):
-        self.value = value
-
-    def __eq__(self, other):
-        return isinstance(other, CountedLeaf) and self.value == other.value
-
-    def __hash__(self):
-        CountedLeaf.hashes += 1
-        return hash(self.value)
+def counted(runs, result):
+    """A check that appends `result` to `runs` and returns it."""
+    return lambda: runs.append(result) or result
 
 
-def test_the_interner_hashes_no_leaf_of_a_value_rebuilt_from_the_same_leaves():
-    a, b, c, d = map(CountedLeaf, range(4))
+def test_the_interner_runs_a_check_once_per_kind_and_equal_values():
+    def values(last=Fraction(1, 2)):  # new objects, equal to the last call's
+        return RECORDS["Plain"](Fraction(1), ((Fraction(1, 2), Fraction(3)),)), Fraction(last)
 
-    def build():  # a new record and new rows each time, over the same leaves
-        return RECORDS["Plain"](a, ((a, b), (c, d)))
+    interner, runs = Interner(), []
+    first = interner.once("square", values(), counted(runs, []))
+    assert interner.once("square", values(), counted(runs, ["again"])) is first
+    assert runs == [[]]
+    assert interner.once("compose", values(), counted(runs, ["kind"])) == ["kind"]
+    assert interner.once("square", values(Fraction(1, 3)), counted(runs, ["last"])) == ["last"]
+    assert interner.once("square", values()[::-1], counted(runs, ["order"])) == ["order"]
+    assert len(runs) == 4
 
+
+def test_the_interner_passes_a_check_only_after_an_empty_result():
+    interner, reads = Interner(), (RECORDS["Plain"](1, ((2,),)), Fraction(1, 2))
+    assert not interner.passed("leibniz", reads)
+    interner.once("leibniz", reads, lambda: ["defect"])
+    assert not interner.passed("leibniz", reads)
+    interner.once("sections", reads, list)
+    assert interner.passed("sections", (RECORDS["Plain"](1, ((2,),)), Fraction(1, 2)))
+    assert not interner.passed("sections", reads[:1])
+
+
+def test_the_interner_gives_no_verdict_of_a_freed_value_to_a_new_one():
+    """Unequal temporaries, each dropped before the next is built, so a new
+    one may get the id() of the last; from the fourth on, each is equal to
+    an earlier value but is not the object the interner names it by."""
     interner = Interner()
-    assert interner.ids([build()]) == [0]
-    hashed = CountedLeaf.hashes
-    assert interner.ids([build(), build()]) == [0, 0]
-    assert CountedLeaf.hashes == hashed
-    assert interner.ids([RECORDS["Plain"](a, ((a, b), (d, c)))]) == [1]
+    for i in range(200):
+        assert interner.once("kind", (Fraction(i % 3, 7),), lambda: [i % 3]) == [i % 3]
+        assert interner.once("kind", (RECORDS["Plain"](i % 3, ((i % 3,),)),),
+                             lambda: [i % 3]) == [i % 3]
