@@ -1,17 +1,19 @@
 """Exact computational kernel for differential triads over finite spaces.
 
-The layers, bottom up: exactla (rational linear algebra), poly (rational
-polynomials and their rational roots), finspace (finite topologies), maps
-(continuous maps), algebra (finite-dimensional commutative algebras and
-the modules over them), spectrum (their characters), sheaf (presheaves and
-the sheaf condition), sheafmaps (maps of presheaves, direct images), gluing
-(sheafification), triad (differential triads and the Leibniz validator),
-axioms (presheaf axioms, stalk families), triad_axioms (module and Leibniz
-axioms), kaehler (universal differential modules), dtcat (triad morphisms,
-composition, fullness), uniqueness (of a morphism's components), workspace
+The layers, bottom up: record (frozen value classes), report (the
+exception hierarchy, findings and reports), exactla (rational linear
+algebra), finspace (finite topologies), maps (continuous maps), algebra
+(finite-dimensional commutative algebras and the modules over them),
+spectrum (their characters, through the rational roots of characteristic
+polynomials), sheaf (presheaves and the sheaf condition), sheafmaps (maps
+of presheaves, direct images), gluing (sheafification), triad
+(differential triads and the Leibniz validator), axioms (presheaf axioms,
+stalk families), triad_axioms (module and Leibniz axioms), kaehler
+(universal differential modules), dtcat (triad morphisms, composition,
+fullness), uniqueness (of a morphism's components), workspace
 (declarative documents: spaces, algebras and the fragments of the rest),
-compound (their presheaves), compound_triad (their triads), compound_maps
-(their maps and morphisms), compound_dump (all four written back),
+compound (their presheaves and triads), compound_maps (their maps and
+morphisms), compound_dump (every entry and fragment written back),
 synopsis (--help) and cli (the command surface).
 
 Each layer loads on first use.  Importing the package registers every
@@ -41,11 +43,10 @@ import sys
 
 # each layer and the names the package exports from it
 _EXPORTS = {
-    "errors": ("DimensionMismatchError", "InvariantError", "TriadicaError"),
     "record": (),
-    "report": ("Finding", "Report"),
+    "report": ("DimensionMismatchError", "Finding", "InvariantError", "Report",
+               "TriadicaError"),
     "exactla": ("Matrix", "Subspace", "kernel", "rat", "span", "vec"),
-    "poly": (),
     "finspace": ("FiniteSpace", "check_topology"),
     "maps": ("ContinuousMap",),
     "algebra": ("Algebra", "InvalidAlgebraError", "ModuleSections",
@@ -70,7 +71,6 @@ _EXPORTS = {
     "workspace": ("ParseError", "UnresolvedReference", "WorkspaceDocument",
                   "load_workspace", "parse_workspace"),
     "compound": (),
-    "compound_triad": (),
     "compound_maps": (),
     "compound_dump": (),
     "synopsis": (),

@@ -15,11 +15,10 @@ from functools import cached_property
 from itertools import product as iter_product
 
 from . import spectrum
-from .errors import DimensionMismatchError
 from .exactla import (ONE, ZERO, Matrix, Vector, contract, contract_matrix,
                       unit_vector)
 from .record import record
-from .report import Finding, Report, ValidationError
+from .report import DimensionMismatchError, Finding, Report, ValidationError
 
 
 class InvalidAlgebraError(ValidationError):

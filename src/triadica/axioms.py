@@ -5,11 +5,10 @@ from __future__ import annotations
 
 from . import triad_axioms
 from .algebra import generators_first, validate_algebra
-from .errors import InvariantError
 from .exactla import ONE, ZERO, Matrix, Subspace, Vector, full_space, kernel
-from .finspace import minimal_open
+from .finspace import FiniteSpace, minimal_open
 from .record import Interner, record
-from .report import Finding, Report, relocated
+from .report import Finding, InvariantError, Report, relocated
 from .sheaf import (Presheaf, algebra_map_errors, semilinearity_defects,
                     sheaf_status, validate_algebra_presheaf)
 
@@ -58,6 +57,10 @@ def _restriction_errors(p: Presheaf, u: int, v: int, interner: Interner) -> list
         for i, j, _, _ in semilinearity_defects(r, base_r, source, target)])
 
 
+def proper_pairs(space: FiniteSpace) -> list[tuple[int, int]]:
+    return [(u, v) for u, v in space.inclusion_pairs if u != v]
+
+
 def presheaf_findings(p: Presheaf, interner: Interner) -> tuple[Finding, ...]:
     """The presheaf axioms, shared by both layers: per open valid sections
     and zero over the empty open; per inclusion pair the identity on the
@@ -98,9 +101,8 @@ def presheaf_findings(p: Presheaf, interner: Interner) -> tuple[Finding, ...]:
         if not (_pair_findings(p, diagonal + list(covers), interner)
                 or _functoriality_findings(p, covers, interner)):
             return ()
-    proper = [(u, v) for u, v in pairs if u != v]
     return tuple(findings + _pair_findings(p, pairs, interner)
-                 + _functoriality_findings(p, proper, interner))
+                 + _functoriality_findings(p, proper_pairs(space), interner))
 
 
 def validate_presheaf_command(args, p):

@@ -37,9 +37,8 @@ from typing import Callable, NoReturn
 
 from . import (algebra, axioms, dtcat, finspace, gluing, kaehler, spectrum,
                synopsis, triad, triad_axioms, uniqueness, workspace)
-from .errors import DimensionMismatchError, TriadicaError, UsageError
 from .record import record
-from .report import Finding, Report
+from .report import DimensionMismatchError, Finding, Report, TriadicaError, UsageError
 
 
 def _guarded(operation: str, label: str, thunk):

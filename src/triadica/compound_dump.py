@@ -1,10 +1,29 @@
-"""Serializers of a workspace's compound entries, in the shapes its parsers read."""
+"""Serializers of a workspace's entries and fragments, in the shapes its
+parsers read.  Every command that derives an object writes it through them,
+so this layer alone owns the output format; the workspace readers write none."""
 
 from __future__ import annotations
 
-from . import dtcat, maps, sheaf, triad
-from .workspace import (algebra_to_json, matrix_to_json, module_sections_to_json,
-                        space_to_json)
+from . import algebra, dtcat, exactla, finspace, maps, sheaf, triad
+
+
+def matrix_to_json(m: exactla.Matrix) -> dict:
+    return {"rows": m.rows, "cols": m.cols,
+            "entries": [[str(x) for x in row] for row in m.entries]}
+
+
+def space_to_json(s: finspace.FiniteSpace) -> dict:
+    return {"points": s.point_count, "opens": [sorted(u) for u in s.opens]}
+
+
+def algebra_to_json(a: algebra.Algebra) -> dict:
+    return {"struct": [[[str(x) for x in p] for p in row] for row in a.struct],
+            "unit": [str(x) for x in a.unit]}
+
+
+def module_sections_to_json(m: algebra.ModuleSections) -> dict:
+    return {"algebra_dim": m.algebra_dim, "dim": m.dim,
+            "action": [[[str(x) for x in w] for w in row] for row in m.action]}
 
 
 def _restrictions_to_json(p: sheaf.Presheaf) -> dict:

@@ -37,11 +37,11 @@ from itertools import product
 from math import prod
 
 from . import compound_dump, exactla, sheaf, sheafmaps, triad
-from .errors import DimensionMismatchError, TriadicaError, UsageError
 from .finspace import FiniteSpace, minimal_open, require_topology
 from .maps import ContinuousMap, all_maps, compose_maps, constant_map
 from .record import Interner, record
-from .report import Finding, Report, merge_reports, relocated
+from .report import (DimensionMismatchError, Finding, Report, TriadicaError,
+                     UsageError, merge_reports, relocated)
 
 
 class BoundExceeded(TriadicaError):

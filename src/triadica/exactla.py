@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .errors import DimensionMismatchError
+from .report import DimensionMismatchError
 from .record import record
 
 Vector = tuple[Fraction, ...]

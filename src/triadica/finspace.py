@@ -16,9 +16,8 @@ equality, hashing and repr read only the fields.
 from __future__ import annotations
 
 from . import maps
-from .errors import DimensionMismatchError
 from .record import record
-from .report import Finding, Report, ValidationError
+from .report import DimensionMismatchError, Finding, Report, ValidationError
 
 
 class InvalidTopologyError(ValidationError):

@@ -15,7 +15,7 @@ never sheafify do not compile it.
 
 from __future__ import annotations
 
-from . import axioms, compound_dump, sheaf, workspace
+from . import axioms, compound_dump, sheaf
 from .algebra import Algebra
 from .exactla import Matrix
 from .finspace import require_topology
@@ -107,6 +107,6 @@ def sheafify_command(args, p):
                             "sheaf condition holds" if after.is_sheaf else
                             "sheafification did not produce a sheaf", None))
     derived = {"sheaf": compound_dump.presheaf_to_json(res.presheaf),
-               "canonical_components": [workspace.matrix_to_json(c)
+               "canonical_components": [compound_dump.matrix_to_json(c)
                                         for c in res.canonical.components]}
     return Report("sheafify", tuple(findings)), derived

@@ -32,14 +32,14 @@ module of one algebra runs neither.
 
 from __future__ import annotations
 
-from . import compound_dump, gluing, sheaf, triad, workspace
+from . import compound_dump, gluing, sheaf, triad
 from .algebra import (Algebra, ModuleSections, require_valid_algebra,
                       standard_monomials)
-from .errors import DimensionMismatchError, TriadicaError
 from .exactla import (ONE, ZERO, Matrix, Subspace, Vector, full_space, kernel,
                       rref, solve, unit_vector, vec)
 from .record import record
-from .report import Finding, Report, ValidationError
+from .report import (DimensionMismatchError, Finding, Report, TriadicaError,
+                     ValidationError)
 
 
 class NotADerivation(ValidationError):
@@ -293,8 +293,8 @@ def kaehler_module_command(args, a):
         Finding("info", "module",
                 f"module of differentials has dimension {k.module.dim}",
                 None))
-    derived = {"module": workspace.module_sections_to_json(k.module),
-               "differential": workspace.matrix_to_json(k.differential)}
+    derived = {"module": compound_dump.module_sections_to_json(k.module),
+               "differential": compound_dump.matrix_to_json(k.differential)}
     return Report("kaehler_module", findings), derived
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .errors import DimensionMismatchError
+from .report import DimensionMismatchError
 from .finspace import FiniteSpace
 from .record import record
 

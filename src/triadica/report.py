@@ -6,12 +6,33 @@ holds one with severity "warning" (a hypothesis of the result fails, so the
 report asserts nothing there).  Findings carry a machine-readable location
 and an optional witness, which the callers that build them make of JSON
 values only: str, int, bool, None, lists and dicts with str keys.
+
+Every exception of the package derives from TriadicaError.  Its subclasses
+here are shared by the layers; ValidationError carries the first error
+finding of a failed check, and each layer derives its own errors from these.
 """
 
 from __future__ import annotations
 
-from .errors import InvariantError, TriadicaError
 from .record import record
+
+
+class TriadicaError(Exception):
+    """Base class for all package-specific errors."""
+
+
+class DimensionMismatchError(TriadicaError):
+    """A matrix or tensor has a shape inconsistent with its declared context."""
+
+
+class InvariantError(TriadicaError):
+    """An internal consistency check failed: a bug, or input that slipped
+    past the validators."""
+
+
+class UsageError(TriadicaError):
+    """Ill-formed request: wrong target shape or an unknown name."""
+
 
 SEVERITIES = ("error", "warning", "info")
 

@@ -29,11 +29,10 @@ from . import axioms, gluing, maps, sheafmaps
 from .algebra import (Algebra, AlgebraMorphism, ModuleSections, basis_pairs,
                       function_algebra, generators_first, morphism_findings,
                       validate_algebra_morphism)
-from .errors import DimensionMismatchError
 from .exactla import ONE, ZERO, Matrix, kernel, span, unit_vector
 from .finspace import FiniteSpace, require_topology
 from .record import Interner, record
-from .report import Finding, Report, ValidationError
+from .report import DimensionMismatchError, Finding, Report, ValidationError
 
 
 def semilinearity_defects(rho: Matrix, r: Matrix, source: ModuleSections,

@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 from . import maps, sheaf
-from .errors import DimensionMismatchError
 from .exactla import Matrix
 from .record import Interner, record
-from .report import Finding, Report, relocated
+from .report import DimensionMismatchError, Finding, Report, relocated
 from .sheaf import Presheaf
 
 

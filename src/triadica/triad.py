@@ -8,12 +8,12 @@ the first violating basis pair per open and reports it with the defect.
 from __future__ import annotations
 
 from .algebra import Algebra, ModuleSections
-from .errors import DimensionMismatchError, TriadicaError
 from .exactla import Matrix
-from . import compound_dump, maps, triad_axioms
+from . import axioms, compound_dump, maps, triad_axioms
 from .finspace import FiniteSpace
 from .record import Interner, record
-from .report import Finding, Report, merge_reports, relocated
+from .report import (DimensionMismatchError, Finding, Report, TriadicaError,
+                     merge_reports, relocated)
 from .sheaf import (Presheaf, function_presheaf, pushforward, pushforward_module,
                     restriction_square_failures, validate_algebra_presheaf,
                     validate_module_presheaf)
@@ -71,7 +71,7 @@ def validate_triad(t: DifferentialTriad) -> Report:
 
     failures = []
     if not known or squares(space.cover_pairs):
-        failures = squares(triad_axioms.proper_pairs(space))
+        failures = squares(axioms.proper_pairs(space))
     parts.append(Report("differential_squares", tuple(
         Finding("error", f"inclusion {u}->{v}",
                 "differential does not commute with restriction", [u, v])

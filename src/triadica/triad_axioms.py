@@ -6,7 +6,6 @@ from __future__ import annotations
 from . import triad
 from .algebra import Algebra, ModuleSections, basis_pairs, generators_first
 from .exactla import Matrix, unit_vector
-from .finspace import FiniteSpace
 from .report import Finding, Report
 from .sheaf import sheaf_status
 
@@ -68,7 +67,3 @@ def validate_triad_command(args, t):
     layers = [("algebra layer", t.algebras), ("module layer", t.modules)]
     rep = triad.validate_triad(t)
     return Report(rep.operation, rep.findings + tuple(sheaf_status(layers))), {}
-
-
-def proper_pairs(space: FiniteSpace) -> list[tuple[int, int]]:
-    return [(u, v) for u, v in space.inclusion_pairs if u != v]

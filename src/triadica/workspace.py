@@ -33,10 +33,11 @@ come: an entry of any section may be an alias of another entry of its own
 section ("maps": {"E": "F"}), whichever of the two names sorts first.  A
 chain of aliases that comes back to its start is refused as a reference cycle.
 
-This layer parses spaces, algebras and the fragments the rest are made of.
-The parsers and serializers of presheaves, maps, triads and morphisms are
-the `compound` layers', which load on first use, so a document without
-those sections never runs them.
+This layer reads: it parses spaces, algebras and the fragments the rest
+are made of.  The parsers of presheaves, maps, triads and morphisms are
+the `compound` and `compound_maps` layers', which load on first use, so a
+document without those sections never runs them.  Every serializer is
+`compound_dump`'s; this layer writes only `dump_workspace`'s canonical text.
 """
 
 from __future__ import annotations
@@ -44,8 +45,8 @@ from __future__ import annotations
 import json
 import re
 
-from . import algebra, compound, compound_maps, compound_triad, exactla, finspace
-from .errors import TriadicaError
+from . import algebra, compound, compound_maps, exactla, finspace
+from .report import TriadicaError
 
 SCHEMA_VERSION = 1
 
@@ -160,11 +161,6 @@ def matrix_from_json(value, literals: dict, location: str) -> exactla.Matrix:
     return exactla.Matrix(rows, cols, tuple(out))
 
 
-def matrix_to_json(m: exactla.Matrix) -> dict:
-    return {"rows": m.rows, "cols": m.cols,
-            "entries": [[str(x) for x in row] for row in m.entries]}
-
-
 def vector_from_json(value, length: int, literals: dict, location: str):
     if not isinstance(value, list) or len(value) != length:
         raise ParseError(f"expected a vector of length {length}", location)
@@ -195,10 +191,6 @@ def space_from_json(value, doc, location: str, literals) -> finspace.FiniteSpace
         missing = next(x for x in space.points if x not in covered)
         raise ParseError(f"point {missing} lies in no open", location)
     return space
-
-
-def space_to_json(s: finspace.FiniteSpace) -> dict:
-    return {"points": s.point_count, "opens": [sorted(u) for u in s.opens]}
 
 
 # builder word -> its function in `algebra`, looked up when a builder runs
@@ -239,16 +231,6 @@ def algebra_from_json(value, doc, location: str, literals: dict) -> algebra.Alge
     return algebra.Algebra(n, tuple(rows), unit)
 
 
-def algebra_to_json(a: algebra.Algebra) -> dict:
-    return {"struct": [[[str(x) for x in p] for p in row] for row in a.struct],
-            "unit": [str(x) for x in a.unit]}
-
-
-def module_sections_to_json(m: algebra.ModuleSections) -> dict:
-    return {"algebra_dim": m.algebra_dim, "dim": m.dim,
-            "action": [[[str(x) for x in w] for w in row] for row in m.action]}
-
-
 # ---------------------------------------------------------------------------
 # the document
 
@@ -285,7 +267,7 @@ _PARSERS = {
     "algebras": algebra_from_json,
     "presheaves": lambda *args: compound.presheaf_from_json(*args),
     "maps": lambda *args: compound_maps.map_from_json(*args),
-    "triads": lambda *args: compound_triad.triad_from_json(*args),
+    "triads": lambda *args: compound.triad_from_json(*args),
     "morphisms": lambda *args: compound_maps.morphism_from_json(*args),
 }
 

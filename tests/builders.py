@@ -8,11 +8,11 @@ from __future__ import annotations
 
 from triadica.algebra import Algebra, ModuleSections, function_algebra
 from triadica.dtcat import TriadMorphism, point_map_components
-from triadica.errors import DimensionMismatchError
 from triadica.exactla import ONE, ZERO, Matrix, rat, unit_vector, vec
 from triadica.finspace import FiniteSpace, minimal_open
 from triadica.maps import ContinuousMap
 from triadica.record import record
+from triadica.report import DimensionMismatchError
 from triadica.sheaf import Presheaf, function_presheaf, make_presheaf
 from triadica.triad import DifferentialTriad
 

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from triadica.algebra import Algebra, ModuleSections, tensor_product
-from triadica.errors import DimensionMismatchError
 from triadica.exactla import (ONE, ZERO, Matrix, Quotient, Subspace, kernel,
                               product_subspace, quotient_space, solve, span,
                               unit_vector)
@@ -37,6 +36,7 @@ from triadica.kaehler import (Factorization, FactorizationFailed,
                               KaehlerModule, KaehlerPresheafResult,
                               derivation_space, factor_derivation,
                               kaehler_module)
+from triadica.report import DimensionMismatchError
 from triadica.sheaf import make_presheaf
 from triadica.triad import DifferentialTriad
 

@@ -18,15 +18,15 @@ from builders import (constant_presheaf, constant_triad, discrete_space,
 from kaehler_oracle import committed_kaehler_module, committed_kaehler_triad
 from triadica.algebra import (Algebra, ModuleSections, function_algebra,
                               truncated_poly_algebra)
-from triadica.compound_dump import (map_to_json, morphism_to_json,
-                                    presheaf_to_json, triad_to_json)
+from triadica.compound_dump import (algebra_to_json, map_to_json,
+                                    morphism_to_json, presheaf_to_json,
+                                    space_to_json, triad_to_json)
 from triadica.dtcat import TriadMorphism
 from triadica.exactla import Matrix, rat, vec
 from triadica.kaehler import kaehler_presheaf
 from triadica.maps import ContinuousMap
 from triadica.sheaf import make_presheaf
-from triadica.workspace import (algebra_to_json, dump_workspace,
-                                parse_workspace, space_to_json)
+from triadica.workspace import dump_workspace, parse_workspace
 
 HERE = pathlib.Path(__file__).parent / "workspaces"
 

@@ -24,9 +24,8 @@ from support import families_over, free_module_sections, is_zero
 from triadica.algebra import (ModuleSections, function_algebra,
                               truncated_poly_algebra)
 from triadica.cli import main
-from triadica.compound import presheaf_from_json
+from triadica.compound import presheaf_from_json, triad_from_json
 from triadica.compound_maps import morphism_from_json
-from triadica.compound_triad import triad_from_json
 from triadica.dtcat import (TriadMorphism, check_morphism, compose,
                             constant_morphism, fullness_check)
 from triadica.exactla import Matrix, vec

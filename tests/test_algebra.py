@@ -15,9 +15,9 @@ from triadica.algebra import (Algebra, AlgebraMorphism, InvalidAlgebraError,
                               nilradical, tensor_product,
                               truncated_poly_algebra, validate_algebra,
                               validate_algebra_morphism)
-from triadica.spectrum import Character, NotSplitError
+from triadica.spectrum import (Character, NotSplitError, _primitive, _sign_changes,
+                               _sturm_chain, rational_roots)
 from triadica.exactla import Matrix, vec
-from triadica.poly import _primitive, _sign_changes, _sturm_chain, rational_roots
 
 F = Fraction
 

@@ -25,10 +25,11 @@ from test_dtcat import maps_that_do_not_chain
 from test_golden import command_argv
 from triadica.algebra import truncated_poly_algebra
 from triadica.cli import COMMAND_TABLE, COMMANDS, main, parse_command_line
+from triadica.compound import triad_from_json
 from triadica.compound_dump import (map_to_json, morphism_to_json,
-                                    presheaf_to_json, triad_to_json)
+                                    presheaf_to_json, space_to_json,
+                                    triad_to_json)
 from triadica.compound_maps import morphism_from_json
-from triadica.compound_triad import triad_from_json
 from triadica.dtcat import check_morphism, compose
 from triadica.kaehler import kaehler_presheaf
 from triadica.maps import ContinuousMap
@@ -36,7 +37,7 @@ from triadica.sheaf import function_presheaf
 from triadica.triad import validate_triad
 from triadica.workspace import (ParseError, UnresolvedReference,
                                 WorkspaceDocument, dump_workspace, entry,
-                                load_workspace, parse_workspace, space_to_json)
+                                load_workspace, parse_workspace)
 
 WORKSPACES = pathlib.Path(__file__).parent / "workspaces"
 
@@ -735,14 +736,14 @@ def test_inputs_that_ran_without_bound_exit_2_quickly(tmp_path, document, line):
 
 def test_invariant_checks_survive_optimized_mode():
     code = ("import sys\n"
-            "from triadica.errors import InvariantError\n"
+            "from triadica.report import InvariantError\n"
             "from triadica.report import Finding\n"
             "assert False, 'asserts run'\n"
             "try:\n"
             "    Finding('fatal', 'here', 'an unknown severity')\n"
             "except InvariantError:\n"
             "    print('raised', sys.flags.optimize)\n"
-            "from triadica.errors import DimensionMismatchError\n"
+            "from triadica.report import DimensionMismatchError\n"
             "from triadica.exactla import span, vec\n"
             "try:\n"
             "    span(3, [[1, 0, 0]]).coordinates(vec([1, 0]))\n"

@@ -18,12 +18,11 @@ from triadica.algebra import (ModuleSections, function_algebra,
 from triadica.dtcat import (BoundExceeded, FullnessResult, TriadMorphism,
                             check_morphism, compose, constant_morphism,
                             fullness_check, verify_pullback_forced)
-from triadica.errors import DimensionMismatchError
 from triadica.exactla import Matrix, vec
 from triadica.finspace import InvalidTopologyError, is_continuous
 from triadica.kaehler import kaehler_module, kaehler_presheaf
 from triadica.maps import ContinuousMap, all_maps, constant_map
-from triadica.report import Finding, relocated
+from triadica.report import DimensionMismatchError, Finding, relocated
 from triadica.sheaf import (function_presheaf, pushforward,
                             semilinearity_defects, validate_presheaf_morphism)
 from triadica.sheafmaps import PresheafMorphism

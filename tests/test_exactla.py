@@ -7,11 +7,11 @@ import sympy
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from triadica.errors import DimensionMismatchError
 from triadica.exactla import (ZERO, Matrix, contract, contract_matrix,
                               dot, full_space, kernel, product_subspace,
                               quotient_space, rat, rref, solve, span,
                               unit_vector, vec)
+from triadica.report import DimensionMismatchError
 
 from support import is_zero
 

@@ -6,11 +6,11 @@ import pytest
 from builders import (discrete_space, identity_map, indiscrete_space,
                       opens_containing, sierpinski_space, space_from_opens)
 from test_sheaf import all_topologies
-from triadica.errors import DimensionMismatchError
 from triadica.finspace import (check_topology, is_continuous, minimal_open,
                                minimal_open_superset)
 from triadica.maps import (ContinuousMap, all_maps, compose_maps, constant_map,
                            continuity_witness)
+from triadica.report import DimensionMismatchError
 
 
 def test_sierpinski_is_a_topology():

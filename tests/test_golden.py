@@ -30,7 +30,7 @@ import pytest
 
 import make_workspaces
 from triadica.cli import COMMANDS, main
-from triadica.errors import TriadicaError
+from triadica.report import TriadicaError
 from triadica.workspace import load_workspace
 
 HERE = pathlib.Path(__file__).parent

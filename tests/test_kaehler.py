@@ -27,12 +27,12 @@ from triadica.algebra import (InvalidAlgebraError, ModuleSections,
                               function_algebra, tensor_product,
                               truncated_poly_algebra, validate_algebra)
 from triadica.triad_axioms import validate_module_sections
-from triadica.errors import DimensionMismatchError
 from triadica.exactla import Matrix, kernel, rref, solve, span, unit_vector, vec
 from triadica.finspace import InvalidTopologyError
 from triadica.kaehler import (FactorizationFailed, NotADerivation,
                               derivation_space, factor_derivation,
                               kaehler_module, kaehler_presheaf)
+from triadica.report import DimensionMismatchError
 from triadica.sheaf import (InvalidPresheafError, check_sheaf_condition,
                             function_presheaf, make_presheaf,
                             validate_algebra_presheaf,

@@ -18,9 +18,9 @@ from triadica.algebra import (Algebra, AlgebraMorphism, ModuleSections,
                               validate_algebra)
 from triadica.axioms import family_layout
 from triadica.triad_axioms import validate_module_sections
-from triadica.errors import DimensionMismatchError
 from triadica.exactla import ONE, ZERO, Matrix, kernel, solve, unit_vector, vec
 from triadica.finspace import InvalidTopologyError, minimal_open
+from triadica.report import DimensionMismatchError
 from triadica.sheaf import (InvalidPresheafError, Presheaf,
                             check_sheaf_condition, fill_restrictions,
                             function_presheaf, function_restriction_matrix,

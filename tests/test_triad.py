@@ -11,9 +11,9 @@ from builders import (constant_triad, discrete_space, function_triad,
                       zero_module_sections)
 from triadica.algebra import (ModuleSections, function_algebra,
                               truncated_poly_algebra)
-from triadica.errors import DimensionMismatchError
 from triadica.exactla import ONE, ZERO, Matrix, kernel, span, vec
 from triadica.maps import ContinuousMap, constant_map
+from triadica.report import DimensionMismatchError
 from triadica.sheaf import Presheaf, check_sheaf_condition
 from triadica.triad import (DifferentialTriad, NotFunctional, check_leibniz,
                             pushforward_triad, require_functional,
